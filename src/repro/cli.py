@@ -31,7 +31,7 @@ import os
 import sys
 
 from repro.observatory.pipeline import Observatory
-from repro.observatory.transaction import Transaction
+from repro.observatory.transaction import TransactionLines
 from repro.simulation.scenario import Scenario
 from repro.simulation.sie import SieChannel
 
@@ -224,15 +224,13 @@ def cmd_replay(args):
             vantage=vantage,
         )
     with open(args.input) if args.input != "-" else sys.stdin as fh:
-        obs.consume(
-            Transaction.from_line(line)
-            for line in fh if line.strip()
-        )
+        parsed = TransactionLines(fh)
+        obs.consume(parsed)
     obs.finish()
-    print("replayed %d transactions into %s%s" % (
+    print("replayed %d transactions into %s%s%s" % (
         obs.total_seen, args.output_dir,
         " (%d shards, %s transport)" % (args.shards, args.transport)
-        if args.shards > 1 else ""))
+        if args.shards > 1 else "", _report_skipped(parsed)))
     for name, ratio in sorted(obs.capture_ratios().items()):
         print("  %-8s capture %.1f%%" % (name, ratio * 100))
     if args.segments:
@@ -434,8 +432,19 @@ def cmd_serve(args):
         rate_burst=args.rate_burst)
 
 
+def _report_skipped(parsed):
+    """Say on stderr how many malformed input lines *parsed* (a
+    :class:`TransactionLines`) dropped; returns the same count as a
+    summary-line suffix (empty when nothing was dropped)."""
+    if not parsed.skipped:
+        return ""
+    print("skipped %d malformed input lines" % parsed.skipped,
+          file=sys.stderr)
+    return "; skipped %d malformed lines" % parsed.skipped
+
+
 def cmd_run(args):
-    from repro.daemon import LiveDaemon, stdin_transactions
+    from repro.daemon import LiveDaemon, stdin_lines
 
     if args.shards < 1:
         raise SystemExit("error: --shards must be >= 1, got %d"
@@ -443,22 +452,22 @@ def cmd_run(args):
     if args.max_connections < 1:
         raise SystemExit("error: --max-connections must be >= 1")
     scenario = None if args.input is not None else _build_scenario(args)
+    parsed = TransactionLines(())  # given its lines once there is a stop
 
     def source(stop):
         if args.input is None:
             return SieChannel(scenario).run()
-        if args.input == "-":
-            return stdin_transactions(stop)
 
-        def lines():
+        def file_lines():
             with open(args.input) as fh:
                 for line in fh:
                     if stop.is_set():
                         return
-                    if line.strip():
-                        yield Transaction.from_line(line)
+                    yield line
 
-        return lines()
+        parsed.lines = stdin_lines(stop) if args.input == "-" \
+            else file_lines()
+        return parsed
 
     def ready(srv):
         what = "stdin" if args.input == "-" else (
@@ -484,7 +493,9 @@ def cmd_run(args):
         auth_tokens=args.token, rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
         exit_when_done=args.exit_when_done, ready_callback=ready)
-    return daemon.run()
+    rc = daemon.run()
+    _report_skipped(parsed)
+    return rc
 
 
 def build_parser():

@@ -55,7 +55,6 @@ from repro.observatory.alerts import DAEMON_RULES, DEFAULT_RULES
 from repro.observatory.pipeline import Observatory
 from repro.observatory.store import SeriesStore
 from repro.observatory.telemetry import Telemetry
-from repro.observatory.transaction import Transaction
 from repro.server import build_server
 from repro.server.push import FlushBroker
 
@@ -77,8 +76,8 @@ PACE_SLICE = 0.1
 JOIN_TIMEOUT = 30.0
 
 
-def stdin_transactions(stop, fh=None, poll_seconds=0.25):
-    """Yield transactions from *fh* (default stdin) line by line.
+def stdin_lines(stop, fh=None, poll_seconds=0.25):
+    """Yield *fh*'s (default stdin) lines as they arrive.
 
     Polls with :func:`select.select` so a shutdown request interrupts
     an idle pipe instead of leaving the ingest thread wedged in a
@@ -95,8 +94,7 @@ def stdin_transactions(stop, fh=None, poll_seconds=0.25):
         line = fh.readline()
         if not line:
             return
-        if line.strip():
-            yield Transaction.from_line(line)
+        yield line
 
 
 class LiveDaemon:

@@ -53,10 +53,13 @@ class A(Rdata):
 
     @classmethod
     def from_wire(cls, wire, offset, rdlength):
-        if rdlength != 4:
+        if rdlength != 4 or offset + 4 > len(wire):
             raise ValueError("A rdata must be 4 bytes")
-        # ipaddress only accepts real bytes as packed form, not views
-        return cls(ipaddress.IPv4Address(bytes(wire[offset:offset + 4])))
+        # Decoded straight from the view: going through __init__ would
+        # build an ipaddress object and re-parse its text form.
+        rdata = cls.__new__(cls)
+        rdata.address = "%d.%d.%d.%d" % tuple(wire[offset:offset + 4])
+        return rdata
 
 
 class AAAA(Rdata):
@@ -72,9 +75,15 @@ class AAAA(Rdata):
 
     @classmethod
     def from_wire(cls, wire, offset, rdlength):
-        if rdlength != 16:
+        if rdlength != 16 or offset + 16 > len(wire):
             raise ValueError("AAAA rdata must be 16 bytes")
-        return cls(ipaddress.IPv6Address(bytes(wire[offset:offset + 16])))
+        # One ipaddress object for the compressed text form (it only
+        # accepts real bytes as packed input, not views); __init__
+        # would parse that text a second time.
+        rdata = cls.__new__(cls)
+        rdata.address = str(
+            ipaddress.IPv6Address(bytes(wire[offset:offset + 16])))
+        return rdata
 
 
 class _SingleName(Rdata):

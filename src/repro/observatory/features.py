@@ -10,13 +10,13 @@ qdots), a histogram (e.g., resp_delays), or a cardinality estimate
 
 from pickle import PickleBuffer
 
-from repro.dnswire.constants import QTYPE
+from repro.dnswire.constants import QTYPE, RCODE
 from repro.dnswire.psl import default_psl
 from repro.netsim.addr import is_ipv6
 from repro.netsim.hops import infer_hops
 from repro.sketches._hashing import derive64, hash64
 from repro.sketches.histogram import LogHistogram, RunningMean
-from repro.sketches.hyperloglog import HyperLogLog
+from repro.sketches.hyperloglog import HyperLogLog, index_rank
 from repro.sketches.topvalues import TopValues
 
 #: Counter feature columns.  Aggregated over time with missing -> 0
@@ -48,34 +48,62 @@ ALL_COLUMNS = COUNTER_COLUMNS + GAUGE_COLUMNS
 _MAX_SOURCES = 1024  # contributor count is small; cap defensively
 
 
-class TxnHashes:
-    """Per-transaction base hashes, shared across all trackers.
+#: response classes of a prepared record
+_UNANSWERED, _NOERROR, _NXDOMAIN, _REFUSED, _SERVFAIL, _OTHER = range(6)
+_RESPONSE_CLASS = {int(RCODE.NOERROR): _NOERROR,
+                   int(RCODE.NXDOMAIN): _NXDOMAIN,
+                   int(RCODE.REFUSED): _REFUSED,
+                   int(RCODE.SERVFAIL): _SERVFAIL}
+_AAAA = int(QTYPE.AAAA)
+#: query types whose answer addresses feed ip4s/ip6s
+_ADDRESS_QTYPES = frozenset((int(QTYPE.A), _AAAA, int(QTYPE.ANY)))
 
-    The Observatory runs several trackers per transaction and each
-    tracker's :class:`FeatureSet` needs hashes of the same strings
-    (server IP, resolver IP, QNAME, ...).  Computing each base hash
-    once per *transaction* instead of once per *tracker* removes the
-    dominant blake2b cost from the ingest hot path; the per-feature
-    independence comes from :func:`~repro.sketches._hashing.derive64`.
+#: smallest distinguishable value of the three quartile histograms; a
+#: record computes each bucket index once on these shared templates
+_DELAY_MIN, _HOPS_MIN, _SIZE_MIN = 0.05, 0.5, 1.0
+_DELAY_INDEX = LogHistogram(min_value=_DELAY_MIN).bucket_index
+_HOPS_INDEX = LogHistogram(min_value=_HOPS_MIN).bucket_index
+_SIZE_INDEX = LogHistogram(min_value=_SIZE_MIN).bucket_index
+
+
+class TxnHashes:
+    """The per-transaction prepared record, shared across all trackers.
+
+    The Observatory runs several trackers per transaction, and every
+    admitting tracker's :class:`FeatureSet` needs the same facts about
+    it: HLL register/rank pairs of the same strings, the response
+    class, histogram bucket indexes.  The record derives them once per
+    *transaction* -- bound to one ``(hll_precision, psl)``, the
+    pipeline's -- so that :meth:`FeatureSet.update`, which runs once
+    per admitting *dataset*, only bumps registers, buckets and
+    counters.
 
     Every field is computed on first attribute access only: an unset
     slot falls through to :meth:`__getattr__`, which computes the
     value and stores it in the slot, so later accesses are plain slot
-    reads.  Construction itself stores a single reference -- a
-    transaction that all trackers filter out (or a dataset that never
-    touches e.g. ``qdots``) pays for no hashing at all.
+    reads.  Construction itself stores three references -- a
+    transaction that all trackers filter out pays for no hashing at
+    all.  ``server``/``resolver``/``qname`` are the base 64-bit hashes
+    (per-feature independence comes from
+    :func:`~repro.sketches._hashing.derive64`); ``prepared`` is the
+    tuple :meth:`FeatureSet.update` unpacks.
     """
 
-    __slots__ = ("txn", "server", "resolver", "qname", "qdots")
+    __slots__ = ("txn", "hll_precision", "psl",
+                 "server", "resolver", "qname", "qdots", "prepared")
 
-    def __init__(self, txn):
+    def __init__(self, txn, hll_precision=8, psl=None):
         self.txn = txn
+        self.hll_precision = hll_precision
+        self.psl = psl if psl is not None else default_psl()
 
     def __getattr__(self, name):
         # Reached only while the slot is still unset (slot reads that
         # succeed never get here).
         txn = self.txn
-        if name == "server":
+        if name == "prepared":
+            value = self._prepare()
+        elif name == "server":
             value = hash64(txn.server_ip)
         elif name == "resolver":
             value = hash64(txn.resolver_ip)
@@ -87,6 +115,54 @@ class TxnHashes:
             raise AttributeError(name)
         setattr(self, name, value)
         return value
+
+    def _prepare(self):
+        """Everything :meth:`FeatureSet.update` applies, as one flat
+        tuple: the ``index, rank`` of srvips, srcips and qnamesa, then
+        ``source, qtype, qdots``, the response class, the NoError part
+        (or None) and the answered part (or None) -- in the layout
+        ``update`` unpacks.  Raises ``ValueError`` for a numeric field
+        outside its domain, so a bad transaction fails here, before
+        any FeatureSet changed."""
+        txn = self.txn
+        precision = self.hll_precision
+        qname_hash = self.qname
+        head = index_rank(derive64(self.server, 1), precision) \
+            + index_rank(derive64(self.resolver, 2), precision) \
+            + index_rank(derive64(qname_hash, 3), precision) \
+            + (txn.source, txn.qtype, self.qdots)
+        if not txn.answered:
+            return head + (_UNANSWERED, None, None)
+        txn.check_domains()
+        delay, size = txn.delay_ms, txn.response_size
+        hops = infer_hops(txn.observed_ttl)
+        answer_count = txn.answer_count
+        ns_count = txn.authority_ns_count
+        answered = (answer_count, ns_count, txn.answer_ttls, txn.ns_ttls,
+                    _DELAY_INDEX(delay), delay, _HOPS_INDEX(hops), hops,
+                    _SIZE_INDEX(size), size)
+        response = _RESPONSE_CLASS.get(txn.rcode, _OTHER)
+        if response != _NOERROR:
+            return head + (response, None, answered)
+        qname, qtype = txn.qname, txn.qtype
+        tld = self.psl.effective_tld(qname)
+        esld = self.psl.effective_sld(qname)
+        nodata = answer_count == 0 and ns_count == 0
+        ips = ()
+        if qtype in _ADDRESS_QTYPES:
+            ips = tuple(
+                (True,) + index_rank(hash64(address, 8), precision)
+                if is_ipv6(address) else
+                (False,) + index_rank(hash64(address, 7), precision)
+                for address in txn.answer_ips)
+        noerror = index_rank(derive64(qname_hash, 4), precision) + (
+            index_rank(hash64(tld, 5), precision) if tld else None,
+            index_rank(hash64(esld, 6), precision) if esld else None,
+            answer_count > 0, ns_count > 0, txn.additional_count > 0,
+            nodata, qtype == _AAAA, nodata and qtype == _AAAA,
+            txn.edns_do and txn.has_rrsig
+            and (answer_count > 0 or ns_count > 0), ips)
+        return head + (_NOERROR, noerror, answered)
 
 
 class FeatureSet:
@@ -152,84 +228,91 @@ class FeatureSet:
         self.ttl = TopValues()
         self.nsttl = TopValues()
         # histograms
-        self.resp_delays = LogHistogram(min_value=0.05)
-        self.network_hops = LogHistogram(min_value=0.5)
-        self.resp_size = LogHistogram(min_value=1.0)
+        self.resp_delays = LogHistogram(min_value=_DELAY_MIN)
+        self.network_hops = LogHistogram(min_value=_HOPS_MIN)
+        self.resp_size = LogHistogram(min_value=_SIZE_MIN)
 
     # ------------------------------------------------------------------
 
     def update(self, txn, hashes=None):
         """Fold one :class:`Transaction` into the statistics.
 
-        *hashes* is an optional shared :class:`TxnHashes` -- when the
-        Observatory runs several trackers, each transaction's base
-        hashes are computed once and derived per feature.
+        *hashes* is the transaction's shared :class:`TxnHashes`: when
+        the Observatory runs several trackers, the record is prepared
+        once and every admitting FeatureSet only applies its values.
+        Without one -- or with one bound to another ``(hll_precision,
+        psl)`` -- a fresh record is prepared here.  All-or-nothing:
+        preparation validates the transaction before anything below
+        mutates state.
         """
-        if hashes is None:
-            hashes = TxnHashes(txn)
+        if hashes is None or hashes.hll_precision != self._hll_precision \
+                or hashes.psl is not self._psl:
+            hashes = TxnHashes(txn, self._hll_precision, self._psl)
+        (srvip_index, srvip_rank, srcip_index, srcip_rank,
+         qnamea_index, qnamea_rank, source, qtype, qdots,
+         response, noerror, answered) = hashes.prepared
         self.hits += 1
-        self.srvips.add_hash(derive64(hashes.server, 1))
-        self.srcips.add_hash(derive64(hashes.resolver, 2))
+        self.srvips.add_indexed(srvip_index, srvip_rank)
+        self.srcips.add_indexed(srcip_index, srcip_rank)
         if len(self._sources) < _MAX_SOURCES:
-            self._sources.add(txn.source)
-        self.qnamesa.add_hash(derive64(hashes.qname, 3))
+            self._sources.add(source)
+        self.qnamesa.add_indexed(qnamea_index, qnamea_rank)
         if len(self._qtypes) < 256:
-            self._qtypes.add(txn.qtype)
-        qdots = hashes.qdots
+            self._qtypes.add(qtype)
         self.qdots.add(qdots)
         if qdots > self.qdots_max:
             self.qdots_max = qdots
 
-        if not txn.answered:
+        if response == _UNANSWERED:
             self.unans += 1
             return
 
-        if txn.noerror:
+        if response == _NOERROR:
+            (qname_index, qname_rank, tld, esld, ok_ans, ok_ns, ok_add,
+             ok_nil, ok6, ok6nil, ok_sec, ips) = noerror
             self.ok += 1
-            self.qnames.add_hash(derive64(hashes.qname, 4))
-            psl_tld = self._psl.effective_tld(txn.qname)
-            if psl_tld:
-                self.tlds.add(psl_tld)
-            esld = self._psl.effective_sld(txn.qname)
-            if esld:
-                self.eslds.add(esld)
-            if txn.answer_count > 0:
+            self.qnames.add_indexed(qname_index, qname_rank)
+            if tld is not None:
+                self.tlds.add_indexed(*tld)
+            if esld is not None:
+                self.eslds.add_indexed(*esld)
+            if ok_ans:
                 self.ok_ans += 1
-            if txn.authority_ns_count > 0:
+            if ok_ns:
                 self.ok_ns += 1
-            if txn.additional_count > 0:
+            if ok_add:
                 self.ok_add += 1
-            if txn.nodata:
+            if ok_nil:
                 self.ok_nil += 1
-            if txn.qtype == QTYPE.AAAA:
+            if ok6:
                 self.ok6 += 1
-                if txn.nodata:
+                if ok6nil:
                     self.ok6nil += 1
-            if txn.edns_do and txn.has_rrsig and \
-                    (txn.answer_count > 0 or txn.authority_ns_count > 0):
+            if ok_sec:
                 self.ok_sec += 1
-            if txn.qtype in (QTYPE.A, QTYPE.AAAA, QTYPE.ANY):
-                for address in txn.answer_ips:
-                    if is_ipv6(address):
-                        self.ip6s.add(address)
-                    else:
-                        self.ip4s.add(address)
-        elif txn.nxdomain:
+            for is_v6, index, rank in ips:
+                if is_v6:
+                    self.ip6s.add_indexed(index, rank)
+                else:
+                    self.ip4s.add_indexed(index, rank)
+        elif response == _NXDOMAIN:
             self.nxd += 1
-        elif txn.refused:
+        elif response == _REFUSED:
             self.rfs += 1
-        elif txn.servfail:
+        elif response == _SERVFAIL:
             self.fail += 1
 
-        self.lvl.add(txn.answer_count)
-        self.nslvl.add(txn.authority_ns_count)
-        for ttl in txn.answer_ttls:
+        (answer_count, ns_count, answer_ttls, ns_ttls, delay_index, delay,
+         hops_index, hops, size_index, size) = answered
+        self.lvl.add(answer_count)
+        self.nslvl.add(ns_count)
+        for ttl in answer_ttls:
             self.ttl.add(ttl)
-        for ttl in txn.ns_ttls:
+        for ttl in ns_ttls:
             self.nsttl.add(ttl)
-        self.resp_delays.add(txn.delay_ms)
-        self.network_hops.add(infer_hops(txn.observed_ttl))
-        self.resp_size.add(txn.response_size)
+        self.resp_delays.add_indexed(delay_index, delay)
+        self.network_hops.add_indexed(hops_index, hops)
+        self.resp_size.add_indexed(size_index, size)
 
     # ------------------------------------------------------------------
 

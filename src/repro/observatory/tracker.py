@@ -44,45 +44,39 @@ class TopKTracker:
         self.cache = SpaceSaving(capacity=spec.k, tau=tau, gate=gate)
         self._hll_precision = hll_precision
         self._psl = psl if psl is not None else default_psl()
-        #: the specialized key extractor (PSL bound, memoized where
-        #: the spec declares the key a function of one txn attribute)
-        self._extract = spec.make_extractor(self._psl)
-        #: batch form of the same extractor (txns -> key list)
+        #: the specialized batch key extractor (PSL bound, memoized
+        #: where the spec declares the key a function of one txn
+        #: attribute): txns -> key list
         self._extract_batch = spec.make_batch_extractor(self._psl)
         #: transactions skipped by the dataset pre-filter
         self.filtered = 0
         #: transactions processed (offered to the SS cache)
         self.processed = 0
 
+    @property
+    def feature_binding(self):
+        """The ``(hll_precision, psl)`` this tracker's FeatureSets are
+        built with -- what a shared
+        :class:`~repro.observatory.features.TxnHashes` must be bound
+        to for them to apply it without re-deriving."""
+        return self._hll_precision, self._psl
+
     def observe(self, txn, hashes=None):
         """Process one transaction; returns the live entry or None.
-
-        *hashes* is an optional shared
-        :class:`~repro.observatory.features.TxnHashes` (see there).
-        """
-        key = self._extract(txn)
-        if key is None:
-            self.filtered += 1
-            return None
-        self.processed += 1
-        entry = self.cache.offer(key, txn.ts)
-        if entry is None:
-            return None
-        if entry.state is None:
-            entry.state = FeatureSet(self._hll_precision, self._psl)
-        entry.state.update(txn, hashes)
-        return entry
+        A batch of one through :meth:`observe_batch`."""
+        if self.observe_batch((txn,), (hashes,)):
+            return self.cache.get(self._extract_batch((txn,))[0])
+        return None
 
     def observe_batch(self, txns, hashes_list):
         """Process a window-aligned batch; returns transactions kept.
 
-        Equivalent to :meth:`observe` per transaction (the Space-
-        Saving updates happen in the same stream order), but key
+        The Space-Saving updates happen in stream order; key
         extraction runs as one batch call -- the memoized datasets
         amortize suffix matching to one dict hit per transaction --
         and the offer/update loop is tight with everything pre-bound.
-        *hashes_list* aligns with *txns* (one shared
-        :class:`~repro.observatory.features.TxnHashes` each).
+        *hashes_list* aligns with *txns*: each transaction's shared
+        :class:`~repro.observatory.features.TxnHashes`, or None.
         """
         keys = self._extract_batch(txns)
         offer = self.cache.offer
@@ -118,8 +112,11 @@ class TopKTracker:
         'we keep the list of the most popular objects, but we clear
         their internal state used for traffic features')."""
         for entry in self.cache:
-            if entry.state is not None:
-                entry.state.clear()
+            state = entry.state
+            # An idle set is already clear: nothing has touched it
+            # since its last clear() (every update bumps hits).
+            if state is not None and state.hits:
+                state.clear()
 
     def capture_ratio(self):
         """Share of processed transactions landing on tracked objects."""

@@ -16,6 +16,8 @@ The paper "summarize[s] each transaction with a line of text";
 that serialization, so streams can be replayed from disk.
 """
 
+import math
+
 from repro.dnswire.constants import QTYPE, RCODE
 from repro.dnswire.name import count_labels, normalize_name
 
@@ -175,7 +177,13 @@ class Transaction:
 
     @classmethod
     def from_line(cls, line):
-        """Parse a line produced by :meth:`to_line`."""
+        """Parse a line produced by :meth:`to_line`.
+
+        Raises ``ValueError`` for a malformed line, including a numeric
+        field outside its domain (named in the message): lines come
+        from outside the program, and such a value would otherwise
+        surface as a crash deep inside the feature update.
+        """
         fields = line.rstrip("\n").split(_FIELD_SEP)
         if len(fields) != 18:
             raise ValueError("transaction line has %d fields" % len(fields))
@@ -188,7 +196,7 @@ class Transaction:
         if len(counts_parts) != 3:
             raise ValueError("malformed counts field %r" % (counts,))
         an, ns, ad = counts_parts
-        return cls(
+        txn = cls(
             ts=float(ts),
             resolver_ip=resolver_ip,
             server_ip=server_ip,
@@ -218,6 +226,25 @@ class Transaction:
             ns_names=() if ns_names == _NONE
             else tuple(ns_names.split(_LIST_SEP)),
         )
+        txn.check_domains()
+        return txn
+
+    def check_domains(self):
+        """Raise ``ValueError`` naming the numeric field that is
+        outside its domain: a non-finite ``ts``, a negative or
+        non-finite ``delay_ms``, an ``observed_ttl`` outside 0..255, a
+        negative ``response_size``.  The window grid, the delay and
+        size histograms and the hop inference are undefined there."""
+        if not -math.inf < self.ts < math.inf:
+            raise ValueError("ts out of range: %r" % (self.ts,))
+        if not 0.0 <= self.delay_ms < math.inf:
+            raise ValueError("delay_ms out of range: %r" % (self.delay_ms,))
+        if not 0 <= self.observed_ttl <= 255:
+            raise ValueError("observed_ttl out of range: %r"
+                             % (self.observed_ttl,))
+        if self.response_size < 0:
+            raise ValueError("response_size out of range: %r"
+                             % (self.response_size,))
 
     def __repr__(self):
         status = RCODE.name_of(self.rcode) if self.answered else "UNANSWERED"
@@ -225,3 +252,28 @@ class Transaction:
             self.ts, self.resolver_ip, self.server_ip,
             self.qname, self.qtype_name(), status,
         )
+
+
+class TransactionLines:
+    """Transactions parsed from an iterable of text lines.
+
+    Blank lines are ignored.  A malformed line is skipped and counted
+    in :attr:`skipped` -- the platform drops what it cannot parse
+    rather than stalling the stream, as
+    :func:`~repro.observatory.preprocess.summarize_batch` does for
+    malformed packets.
+    """
+
+    def __init__(self, lines):
+        self.lines = lines
+        #: malformed lines dropped so far
+        self.skipped = 0
+
+    def __iter__(self):
+        from_line = Transaction.from_line
+        for line in self.lines:
+            if line.strip():
+                try:
+                    yield from_line(line)
+                except ValueError:
+                    self.skipped += 1

@@ -21,6 +21,11 @@ from repro.observatory.telemetry import (
 from repro.observatory.tsv import TimeSeriesData
 
 
+#: most transactions (hence prepared per-transaction records) that
+#: :meth:`WindowManager.consume_batch` holds at once
+_CHUNK = 1024
+
+
 def align_window(ts, window_seconds):
     """Align *ts* down to its window's start on the global grid.
 
@@ -246,41 +251,26 @@ class WindowManager:
         """Feed one transaction.  Returns the list of WindowDumps
         produced by any window boundary this transaction crossed
         (usually empty)."""
-        if self._window_start is None:
-            self._window_start = self._align(txn.ts)
-            dumps = []
-        else:
-            dumps = self._catch_up(txn.ts)
-        self.total_seen += 1
-        self._seen_in_window += 1
-        if self.encrypted is not None and txn.source[:1] == "!":
-            self.encrypted.observe(txn)
-            return dumps
-        hashes = TxnHashes(txn)  # base hashes shared by all trackers
-        for tracker in self.trackers:
-            entry = tracker.observe(txn, hashes)
-            if entry is not None:
-                self._kept_in_window[tracker.spec.name] += 1
-        if self.detectors is not None:
-            self.detectors.observe(txn)
-        return dumps
+        return self.consume_batch((txn,))
 
     def consume_batch(self, txns):
-        """Feed a time-ordered batch of transactions (the fast path).
+        """Feed a time-ordered batch of transactions (the hot path).
 
-        Equivalent to calling :meth:`observe` per transaction, but the
-        window-boundary check is hoisted out of the inner loop: the
-        batch is split into window-aligned segments up front, and each
-        segment runs tracker-major -- every tracker processes the whole
-        segment in one :meth:`~repro.observatory.tracker.TopKTracker.
-        observe_batch` call over a shared per-segment
-        :class:`~repro.observatory.features.TxnHashes` list, so key
-        extraction is batched (one memo hit per transaction for the
-        eSLD/eTLD datasets) and per-transaction Python call overhead
-        drops to the hash construction.  Trackers are independent, so
-        tracker-major order over a segment produces byte-identical
-        state to the transaction-major order of :meth:`observe`.
-        Returns the WindowDumps of all boundaries crossed.
+        The batch is split into window-aligned segments, and each
+        segment is walked in chunks of at most :data:`_CHUNK`
+        transactions.  Per chunk, the per-*transaction* work happens
+        once: one :class:`~repro.observatory.features.TxnHashes`
+        record each, bound to the trackers' ``(hll_precision, psl)``
+        and prepared lazily by the first FeatureSet that needs it.
+        The chunk then runs tracker-major -- every tracker processes
+        it in one :meth:`~repro.observatory.tracker.TopKTracker.
+        observe_batch` call over the shared records, so key extraction
+        is batched and per-*dataset* work is register, bucket and
+        counter bumps only.  Trackers are independent, so tracker-major
+        order produces byte-identical state to transaction-major
+        order; the chunk bound keeps at most :data:`_CHUNK` prepared
+        records alive.  Returns the WindowDumps of all boundaries
+        crossed.
         """
         dumps = []
         n = len(txns)
@@ -292,6 +282,9 @@ class WindowManager:
         observe_batches = [t.observe_batch for t in trackers]
         names = [t.spec.name for t in trackers]
         tracker_range = range(len(trackers))
+        binding = trackers[0].feature_binding if trackers else ()
+        encrypted = self.encrypted
+        detectors = self.detectors
         window_seconds = self.window_seconds
         kept_map = self._kept_in_window
         i = 0
@@ -301,23 +294,22 @@ class WindowManager:
             j = i
             while j < n and txns[j].ts < end:
                 j += 1
-            segment = txns[i:j]
-            count = j - i
-            if self.encrypted is not None:
-                blinded = [t for t in segment if t.source[:1] == "!"]
-                if blinded:
-                    self.encrypted.observe_batch(blinded)
-                    segment = [t for t in segment
-                               if t.source[:1] != "!"]
-            hashes_list = [TxnHashes(txn) for txn in segment]
-            for t in tracker_range:
-                kept = observe_batches[t](segment, hashes_list)
-                if kept:
-                    kept_map[names[t]] += kept
-            if self.detectors is not None:
-                self.detectors.observe_batch(segment)
-            self.total_seen += count
-            self._seen_in_window += count
+            for low in range(i, j, _CHUNK):
+                chunk = txns[low:min(low + _CHUNK, j)]
+                if encrypted is not None:
+                    blinded = [t for t in chunk if t.source[:1] == "!"]
+                    if blinded:
+                        encrypted.observe_batch(blinded)
+                        chunk = [t for t in chunk if t.source[:1] != "!"]
+                hashes_list = [TxnHashes(txn, *binding) for txn in chunk]
+                for t in tracker_range:
+                    kept = observe_batches[t](chunk, hashes_list)
+                    if kept:
+                        kept_map[names[t]] += kept
+                if detectors is not None:
+                    detectors.observe_batch(chunk)
+            self.total_seen += j - i
+            self._seen_in_window += j - i
             i = j
             if i < n:
                 dumps.extend(self._catch_up(txns[i].ts))

@@ -48,7 +48,8 @@ class LogHistogram:
         self._min = math.inf
         self._max = -math.inf
 
-    def _index(self, value):
+    def bucket_index(self, value):
+        """The bucket a non-negative *value* falls into."""
         if value <= self.min_value:
             return 0
         return 1 + int(math.log(value / self.min_value) / self._log_base)
@@ -63,10 +64,22 @@ class LogHistogram:
         """Record *value* with multiplicity *count*."""
         if value < 0:
             raise ValueError("LogHistogram only accepts non-negative values")
-        idx = self._index(value)
+        idx = self.bucket_index(value)
         self._buckets[idx] = self._buckets.get(idx, 0) + count
         self.count += count
         self._sum += value * count
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+
+    def add_indexed(self, index, value):
+        """Record one non-negative *value* whose :meth:`bucket_index`
+        the caller already computed (on a histogram with these
+        parameters) -- ``add(value)`` minus the logarithm."""
+        self._buckets[index] = self._buckets.get(index, 0) + 1
+        self.count += 1
+        self._sum += value
         if value < self._min:
             self._min = value
         if value > self._max:

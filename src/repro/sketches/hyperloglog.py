@@ -32,6 +32,16 @@ from repro.sketches._hashing import hash64
 _INV_POW2 = tuple(2.0 ** -r for r in range(256))
 
 
+def index_rank(h, precision):
+    """The ``(register index, rank)`` a 64-bit hash *h* maps to at
+    *precision* -- what :meth:`HyperLogLog.add_hash` computes, exposed
+    so a caller feeding many same-precision sketches from one hash can
+    do it once and :meth:`HyperLogLog.add_indexed` the pair."""
+    rest = h << precision & ((1 << 64) - 1)
+    return (h >> (64 - precision),
+            64 - precision + 1 if rest == 0 else 64 - rest.bit_length() + 1)
+
+
 class HyperLogLog:
     """A mergeable HyperLogLog counter.
 
@@ -74,6 +84,12 @@ class HyperLogLog:
         rank = 64 - self.precision + 1 if rest == 0 else (64 - rest.bit_length() + 1)
         if rank > self._registers[idx]:
             self._registers[idx] = rank
+
+    def add_indexed(self, index, rank):
+        """Add a key by its precomputed :func:`index_rank` pair (which
+        must have been derived for this sketch's precision)."""
+        if rank > self._registers[index]:
+            self._registers[index] = rank
 
     def _alpha(self):
         m = self.num_registers

@@ -1,5 +1,8 @@
 """Tests for typed RDATA wire codecs."""
 
+import ipaddress
+import random
+
 import pytest
 
 from repro.dnswire.constants import QTYPE
@@ -52,6 +55,36 @@ class TestAddressRecords:
     def test_aaaa_rejects_bad_length(self):
         with pytest.raises(ValueError):
             AAAA.from_wire(b"\x00" * 8, 0, 8)
+
+    def test_from_wire_rejects_rdata_past_the_buffer(self):
+        with pytest.raises(ValueError):
+            A.from_wire(b"\x01\x02\x03", 0, 4)
+        with pytest.raises(ValueError):
+            AAAA.from_wire(b"\x00" * 15, 0, 16)
+
+    def test_from_wire_text_equals_ipaddress(self):
+        """from_wire decodes the view directly; the text must be what
+        ``ipaddress`` (the constructor's canonical form) produces."""
+        rng = random.Random(2019)
+        v4 = ["0.0.0.0", "255.255.255.255", "192.0.2.1"] + [
+            str(ipaddress.IPv4Address(rng.getrandbits(32)))
+            for _ in range(200)]
+        v6 = ["::", "::1", "::ffff:1.2.3.4", "2001:db8::", "fe80::1:0:0:1",
+              "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"] + [
+            str(ipaddress.IPv6Address(rng.getrandbits(128)))
+            for _ in range(200)]
+        for text in v4:
+            packed = ipaddress.IPv4Address(text).packed
+            wire = memoryview(b"\xaa\xbb" + packed + b"\xcc")
+            decoded = A.from_wire(wire, 2, 4)
+            assert decoded.address == str(ipaddress.IPv4Address(text))
+            assert decoded == A(text)
+        for text in v6:
+            packed = ipaddress.IPv6Address(text).packed
+            wire = memoryview(b"\xaa\xbb" + packed + b"\xcc")
+            decoded = AAAA.from_wire(wire, 2, 16)
+            assert decoded.address == str(ipaddress.IPv6Address(text))
+            assert decoded == AAAA(text)
 
 
 class TestNameRecords:

@@ -42,6 +42,48 @@ class TestTracker:
         assert len(t) == 1
         assert t.top(1)[0].state.hits == 0
 
+    def test_reset_window_stats_skips_idle_sets(self, monkeypatch):
+        """An object that saw no traffic this window is already clear:
+        reset leaves it alone, and its state equals a cleared one's."""
+        from repro.observatory.features import FeatureSet
+
+        t = tracker()
+        t.observe(make_txn(server_ip="192.0.2.1"))
+        t.observe(make_txn(server_ip="192.0.2.2"))
+        t.reset_window_stats()
+        t.observe(make_txn(server_ip="192.0.2.1", ts=61.0))
+        cleared = []
+        clear = FeatureSet.clear
+        monkeypatch.setattr(
+            FeatureSet, "clear",
+            lambda self: (cleared.append(self), clear(self))[1])
+        t.reset_window_stats()
+        busy = t.cache.get("192.0.2.1").state
+        idle = t.cache.get("192.0.2.2").state
+        assert cleared == [busy]
+        reference = FeatureSet()
+        reference.update(make_txn())
+        clear(reference)
+        assert idle.to_buffers() == busy.to_buffers() \
+            == reference.to_buffers()
+
+    def test_observe_is_observe_batch_of_one(self):
+        """Same entry, counters and feature state either way -- also
+        for a filtered transaction and one the full cache drops."""
+        one, batch = tracker("aafqdn", k=1), tracker("aafqdn", k=1)
+        txns = [make_txn(aa=True, qname="a.example.com"),
+                make_txn(aa=False, qname="b.example.com", ts=1.0),
+                make_txn(aa=True, qname="a.example.com", ts=2.0)]
+        entries = [one.observe(txn) for txn in txns]
+        assert batch.observe_batch(txns, [None] * 3) == 2
+        assert entries[1] is None
+        key = entries[0].key
+        assert entries[0] is entries[2] is one.cache.get(key)
+        assert (one.filtered, one.processed) == \
+            (batch.filtered, batch.processed) == (1, 2)
+        assert entries[0].state.to_buffers() == \
+            batch.cache.get(key).state.to_buffers()
+
     def test_top_ranking(self):
         t = tracker()
         for i in range(5):

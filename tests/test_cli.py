@@ -36,6 +36,43 @@ def test_simulate_then_replay(tmp_path, capsys):
     assert list_series(str(outdir), "srvip", "minutely")
 
 
+def test_replay_skips_and_counts_malformed_lines(tmp_path, capsys):
+    """Garbage and out-of-domain numeric fields used to kill replay
+    with a traceback from deep inside the feature update; they are
+    dropped and counted, and the output equals the clean file's."""
+    clean = tmp_path / "clean.tsv"
+    main(["simulate", "--seed", "4", "--duration", "130", "--qps", "20",
+          "-o", str(clean)])
+    lines = clean.read_text().splitlines()
+
+    def corrupt(line, position, value):
+        fields = line.split("\t")
+        fields[position] = value
+        return "\t".join(fields)
+
+    answered = next(l for l in lines if l.split("\t")[7] == "1")
+    bad = ["not a transaction line",
+           corrupt(answered, 9, "-5.0"), corrupt(answered, 9, "nan"),
+           corrupt(answered, 10, "300"), corrupt(answered, 11, "-1")]
+    dirty = tmp_path / "dirty.tsv"
+    dirty.write_text("\n".join(
+        lines[:50] + bad[:3] + lines[50:] + bad[3:]) + "\n")
+    capsys.readouterr()
+    trees = []
+    for stream in (clean, dirty):
+        outdir = tmp_path / (stream.stem + "-out")
+        assert main(["replay", str(stream), str(outdir),
+                     "--datasets", "srvip", "qtype"]) == 0
+        trees.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert trees[0] == trees[1]
+    captured = capsys.readouterr()
+    summaries = [l for l in captured.out.splitlines()
+                 if l.startswith("replayed")]
+    assert "skipped" not in summaries[0]
+    assert summaries[1].endswith("; skipped 5 malformed lines")
+    assert "skipped 5 malformed input lines" in captured.err
+
+
 def test_replay_roundtrip_preserves_transactions(tmp_path):
     from repro.observatory.transaction import Transaction
 

@@ -98,6 +98,35 @@ class TestLiveDaemon:
         finally:
             reap(proc)
 
+    def test_file_input_skips_and_counts_malformed_lines(self, tmp_path):
+        """A line the feature update cannot take (negative delay) and
+        plain garbage are dropped and counted; ingest carries on and
+        the daemon still exits 0."""
+        stream = tmp_path / "stream.tsv"
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "simulate", "--preset",
+             "tiny", "--duration", "130", "--qps", "50",
+             "-o", str(stream)],
+            env=_env(), check=True, capture_output=True)
+        lines = stream.read_text().splitlines()
+        fields = next(l for l in lines
+                      if l.split("\t")[7] == "1").split("\t")
+        fields[9] = "-1.0"
+        lines[10:10] = ["\t".join(fields), "garbage"]
+        stream.write_text("\n".join(lines) + "\n")
+        series = tmp_path / "series"
+        proc, port = spawn_daemon(
+            series, "--window", "60", "--pace", "0", "--input",
+            str(stream), "--exit-when-done", "--datasets", "srvip")
+        try:
+            assert proc.wait(timeout=30) == 0
+            output = proc.stdout.read()
+            assert "Traceback" not in output
+            assert "skipped 2 malformed input lines" in output
+            assert len(srvip_files(series)) >= 2
+        finally:
+            reap(proc)
+
     def test_sse_frames_then_drains_on_sigterm(self, tmp_path):
         series = tmp_path / "series"
         proc, port = spawn_daemon(series, "--window", "1", "--pace", "3",

@@ -8,12 +8,10 @@ hoisted window-boundary check of ``consume_batch``.
 
 Run directly (``python benchmarks/bench_ingest_micro.py [--check]``)
 it becomes the ingest throughput trail: one fixed workload through
-single-process, sharded-pickle, sharded-binary, and sharded-ring
-ingest, written to ``benchmarks/results/BENCH_ingest.json`` (the
-committed perf trajectory).  ``--check`` additionally gates: the
-single-process rate must clear an absolute txn/s floor everywhere,
-and sharded-ring must beat sharded-binary by 1.5x where >= 2 cores
-provide real parallelism.
+single-process, sharded-pickle and sharded-binary ingest, written to
+``benchmarks/results/BENCH_ingest.json`` (the committed perf
+trajectory).  ``--check`` additionally gates: the single-process rate
+must clear an absolute txn/s floor.
 """
 
 import json
@@ -161,11 +159,6 @@ TRAIL_SHARDS = 2
 #: catching any order-of-magnitude regression.
 FLOOR_TXN_PER_S = 2000.0
 
-#: required sharded-ring advantage over sharded-binary, gated on >= 2
-#: cores (on one core every transport time-shares the same CPU and the
-#: ring's win shrinks to its constant-factor savings)
-RING_VS_BINARY_FLOOR = 1.5
-
 BENCH_JSON = os.path.join(RESULTS_DIR, "BENCH_ingest.json")
 
 #: the trail workload (same dataset mix as the throughput benches)
@@ -188,7 +181,7 @@ def _measure_single(txns):
 
 
 def run_ingest_trail(out_path=BENCH_JSON):
-    """Measure the four ingest configurations and write the JSON trail.
+    """Measure the three ingest configurations and write the JSON trail.
 
     Returns the payload dict (also written to *out_path*).
     """
@@ -197,14 +190,12 @@ def run_ingest_trail(out_path=BENCH_JSON):
         base_scenario(duration=120.0, client_qps=150.0)).run())
     configs = {"single-process": _measure_single(txns)}
     single_rate = configs["single-process"]["txn_per_s"]
-    for transport in ("pickle", "binary", "ring"):
+    for transport in ("pickle", "binary"):
         run = measure_sharded_run(
             txns, TRAIL_SHARDS, transport, TRAIL_DATASETS,
             use_bloom_gate=False)
         run["speedup_vs_single"] = round(run["txn_per_s"] / single_rate, 3)
         configs["sharded-" + transport] = run
-    ring_vs_binary = (configs["sharded-ring"]["txn_per_s"]
-                      / configs["sharded-binary"]["txn_per_s"])
     payload = {
         "bench": "ingest",
         "workload": {
@@ -215,9 +206,6 @@ def run_ingest_trail(out_path=BENCH_JSON):
         },
         "cores": cores,
         "floor_txn_per_s": FLOOR_TXN_PER_S,
-        "ring_vs_binary": round(ring_vs_binary, 3),
-        "ring_vs_binary_floor": RING_VS_BINARY_FLOOR,
-        "ring_gate_active": cores >= 2,
         "configs": configs,
     }
     os.makedirs(os.path.dirname(out_path), exist_ok=True)
@@ -235,13 +223,6 @@ def check_ingest_trail(payload):
         failures.append(
             "single-process ingest %.0f txn/s below the %.0f floor"
             % (single_rate, payload["floor_txn_per_s"]))
-    if payload["ring_gate_active"] and \
-            payload["ring_vs_binary"] < payload["ring_vs_binary_floor"]:
-        failures.append(
-            "sharded-ring is only %.2fx sharded-binary "
-            "(>= %.1fx required on %d cores)"
-            % (payload["ring_vs_binary"], payload["ring_vs_binary_floor"],
-               payload["cores"]))
     return failures
 
 
@@ -250,18 +231,16 @@ def main(argv=None):
 
     parser = argparse.ArgumentParser(
         description="measure the ingest throughput trail "
-                    "(single / sharded-pickle / sharded-binary / "
-                    "sharded-ring) and write BENCH_ingest.json")
+                    "(single / sharded-pickle / sharded-binary) "
+                    "and write BENCH_ingest.json")
     parser.add_argument("--check", action="store_true",
-                        help="exit non-zero when a throughput gate "
-                             "fails (txn/s floor; ring >= 1.5x binary "
-                             "where >= 2 cores are available)")
+                        help="exit non-zero when the single-process "
+                             "txn/s floor is missed")
     parser.add_argument("-o", "--output", default=BENCH_JSON,
                         help="JSON output path")
     args = parser.parse_args(argv)
     payload = run_ingest_trail(args.output)
-    for name in ("single-process", "sharded-pickle", "sharded-binary",
-                 "sharded-ring"):
+    for name in ("single-process", "sharded-pickle", "sharded-binary"):
         row = payload["configs"][name]
         extra = ""
         if "speedup_vs_single" in row:
@@ -269,10 +248,7 @@ def main(argv=None):
                 row["speedup_vs_single"],
                 100 * row["worker_utilization"])
         print("%-16s %8.0f txn/s%s" % (name, row["txn_per_s"], extra))
-    print("ring vs binary: %.2fx (gate %s, %d cores)  -> %s" % (
-        payload["ring_vs_binary"],
-        "active" if payload["ring_gate_active"] else "inactive",
-        payload["cores"], args.output))
+    print("%d cores  -> %s" % (payload["cores"], args.output))
     if args.check:
         failures = check_ingest_trail(payload)
         for failure in failures:

@@ -61,13 +61,13 @@ def test_throughput_all_datasets(benchmark, transaction_batch):
     assert rate > 1000
 
 
-@pytest.mark.parametrize("transport", ["pickle", "binary", "ring"])
+@pytest.mark.parametrize("transport", ["pickle", "binary"])
 @pytest.mark.parametrize("shards", [2, 4])
 def test_throughput_sharded(benchmark, transaction_batch, shards,
                             transport):
     """All-datasets ingest through N worker processes, for every shard
-    transport (default pickle, the binary line-block/out-of-band
-    codec, and the shared-memory ring).
+    transport (default pickle and the binary line-block/out-of-band
+    codec).
 
     Instead of asserting a hoped-for speedup behind a core-count
     guess, this records what actually happened: the measured speedup

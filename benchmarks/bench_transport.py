@@ -35,8 +35,8 @@ def transaction_batch():
 def shard_states(transaction_batch):
     """The states one worker ships at a cut: ingest the stream into a
     single-process Observatory with the shard state sink attached, so
-    the flushed windows come out as ShardWindowState objects instead
-    of being merged locally -- exactly the worker flush path."""
+    the flushed windows come out as WindowState objects instead of
+    being merged locally -- exactly the worker flush path."""
     obs = Observatory(datasets=ALL_DATASETS, use_bloom_gate=False,
                       keep_dumps=False)
     states = []
@@ -68,7 +68,7 @@ def test_state_bytes_per_window(benchmark, shard_states):
         "  binary codec   : %d bytes (%d/window, %d out-of-band buffers)\n"
         "  reduction      : %.2fx\n"
         "  binary pack+unpack round trip: %.1f ms"
-        % (windows, sum(s.stats.get("seen", 0) for s in shard_states),
+        % (windows, sum(s.seen for s in shard_states),
            default_bytes, default_bytes // windows,
            binary_bytes, binary_bytes // windows, len(buffers),
            ratio, benchmark.stats["mean"] * 1e3))

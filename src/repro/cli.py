@@ -30,7 +30,7 @@ import argparse
 import os
 import sys
 
-from repro.observatory.pipeline import Observatory
+from repro.observatory.pipeline import Observatory, build_pipeline
 from repro.observatory.transaction import TransactionLines
 from repro.simulation.scenario import Scenario
 from repro.simulation.sie import SieChannel
@@ -130,14 +130,67 @@ def _add_auth_args(parser):
                              "2 x RPS, at least 1)")
 
 
-def _detector_spec(args):
-    """``--detectors`` argparse value -> pipeline spec: absent ->
-    ``None``, bare flag (empty list) -> ``True`` (all registered
-    detectors), names -> the list."""
-    names = getattr(args, "detectors_on", None)
-    if names is None:
-        return None
-    return True if names == [] else names
+def _add_ingest_args(parser):
+    """The pipeline flags ``replay`` and ``run`` share."""
+    parser.add_argument("--datasets", nargs="+",
+                        default=["srvip", "qname", "esld", "qtype"])
+    parser.add_argument("--k", type=int, default=2000, help="Top-k size")
+    parser.add_argument("--window", type=float, default=60.0,
+                        help="statistics window seconds (the paper "
+                             "dumps every 60 s)")
+    parser.add_argument("--shards", type=int, default=1, metavar="N",
+                        help="ingest with N sharded worker processes "
+                             "(1 = single-process)")
+    parser.add_argument("--transport", choices=["pickle", "binary"],
+                        default="pickle",
+                        help="shard transport codec (with --shards > 1): "
+                             "default-pickle object graphs, or 'binary' "
+                             "line-block batches + protocol-5 "
+                             "out-of-band sketch buffers")
+    parser.add_argument("--segments", action="store_true",
+                        help="build a columnar sidecar segment next to "
+                             "every TSV window written, so cold queries "
+                             "scan binary columns instead of re-parsing "
+                             "text")
+    parser.add_argument("--detectors", dest="detectors_on", nargs="*",
+                        default=None, metavar="NAME",
+                        help="run streaming abuse detectors and write a "
+                             "_detector TSV per window (bare flag = all: "
+                             "exfil ddos noh); 'run' adds detect-* rules "
+                             "to /platform/health")
+    parser.add_argument("--vantage", metavar="FILE", default=None,
+                        help="derive per-ASN (_vantage_asn) and "
+                             "per-country (_vantage_cc) reachability / "
+                             "time-to-answer index TSVs from every srvip "
+                             "window, using the attribution db written "
+                             "by 'simulate --vantage-db'")
+
+
+def _check_ingest_args(args):
+    """Validate what :func:`_add_ingest_args` (plus the input stream)
+    takes from outside: the exit code of the first problem, else
+    None."""
+    if args.shards < 1:
+        raise SystemExit("error: --shards must be >= 1, got %d" % args.shards)
+    if args.input not in (None, "-") and not os.path.isfile(args.input):
+        return _missing_input("input stream", args.input)
+    if args.vantage is not None and not os.path.isfile(args.vantage):
+        return _missing_input("vantage db", args.vantage)
+    return None
+
+
+def _pipeline_options(args):
+    """:func:`_add_ingest_args` values as pipeline keyword options."""
+    names = args.detectors_on  # bare flag (empty list) = all detectors
+    vantage = None
+    if args.vantage is not None:
+        from repro.analysis.vantage import VantageDb, VantageEmitter
+
+        vantage = VantageEmitter(VantageDb.from_tsv(args.vantage))
+    return dict(datasets=[(name, args.k) for name in args.datasets],
+                window_seconds=args.window, shards=args.shards,
+                transport=args.transport,
+                detectors=True if names == [] else names, vantage=vantage)
 
 
 def cmd_simulate(args):
@@ -175,54 +228,16 @@ def cmd_simulate(args):
     return 0
 
 
-def _vantage_emitter(path):
-    """``--vantage FILE`` -> a :class:`VantageEmitter` (or None)."""
-    if path is None:
-        return None
-    from repro.analysis.vantage import VantageDb, VantageEmitter
-
-    return VantageEmitter(VantageDb.from_tsv(path))
-
-
 def cmd_replay(args):
-    if args.shards < 1:
-        raise SystemExit("error: --shards must be >= 1, got %d" % args.shards)
-    if args.input != "-" and not os.path.isfile(args.input):
-        return _missing_input("input stream", args.input)
-    if args.vantage is not None and not os.path.isfile(args.vantage):
-        return _missing_input("vantage db", args.vantage)
-    datasets = [(name, args.k) for name in args.datasets]
-    vantage = _vantage_emitter(args.vantage)
+    rc = _check_ingest_args(args)
+    if rc is not None:
+        return rc
     # The _encrypted channel is always armed: it costs nothing until
     # the first blinded record arrives, and a replay of an encrypted-
     # mix capture must never silently drop the blinded traffic.
-    if args.shards > 1:
-        from repro.observatory.sharded import ShardedObservatory
-        extra = {}
-        if getattr(args, "ring_bytes", None):
-            extra["ring_bytes"] = args.ring_bytes
-        obs = ShardedObservatory(
-            shards=args.shards,
-            datasets=datasets,
-            output_dir=args.output_dir,
-            window_seconds=args.window,
-            transport=args.transport,
-            telemetry=args.telemetry,
-            detectors=_detector_spec(args),
-            encrypted=True,
-            vantage=vantage,
-            **extra,
-        )
-    else:
-        obs = Observatory(
-            datasets=datasets,
-            output_dir=args.output_dir,
-            window_seconds=args.window,
-            telemetry=args.telemetry,
-            detectors=_detector_spec(args),
-            encrypted=True,
-            vantage=vantage,
-        )
+    obs = build_pipeline(output_dir=args.output_dir,
+                         telemetry=args.telemetry, encrypted=True,
+                         **_pipeline_options(args))
     with open(args.input) if args.input != "-" else sys.stdin as fh:
         parsed = TransactionLines(fh)
         obs.consume(parsed)
@@ -446,9 +461,9 @@ def _report_skipped(parsed):
 def cmd_run(args):
     from repro.daemon import LiveDaemon, stdin_lines
 
-    if args.shards < 1:
-        raise SystemExit("error: --shards must be >= 1, got %d"
-                         % args.shards)
+    rc = _check_ingest_args(args)
+    if rc is not None:
+        return rc
     if args.max_connections < 1:
         raise SystemExit("error: --max-connections must be >= 1")
     scenario = None if args.input is not None else _build_scenario(args)
@@ -479,12 +494,8 @@ def cmd_run(args):
         sys.stdout.flush()
 
     daemon = LiveDaemon(
-        source, args.output_dir, datasets=args.datasets, k=args.k,
-        window_seconds=args.window, shards=args.shards,
-        transport=args.transport, ring_bytes=args.ring_bytes,
-        detectors=_detector_spec(args),
-        vantage=_vantage_emitter(args.vantage),
-        pace=args.pace, host=args.host, port=args.port,
+        source, args.output_dir, pace=args.pace, host=args.host,
+        port=args.port,
         cache_windows=args.cache_windows,
         max_connections=args.max_connections,
         stream_threshold=args.stream_threshold,
@@ -492,7 +503,8 @@ def cmd_run(args):
         segments=args.segments,
         auth_tokens=args.token, rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
-        exit_when_done=args.exit_when_done, ready_callback=ready)
+        exit_when_done=args.exit_when_done, ready_callback=ready,
+        **_pipeline_options(args))
     rc = daemon.run()
     _report_skipped(parsed)
     return rc
@@ -522,46 +534,12 @@ def build_parser():
     p = sub.add_parser("replay", help="replay transactions into TSVs")
     p.add_argument("input", help="transaction-line file ('-' = stdin)")
     p.add_argument("output_dir", help="directory for TSV time series")
-    p.add_argument("--datasets", nargs="+",
-                   default=["srvip", "qname", "esld", "qtype"])
-    p.add_argument("--k", type=int, default=2000, help="Top-k size")
-    p.add_argument("--window", type=float, default=60.0)
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="ingest with N sharded worker processes "
-                        "(1 = single-process)")
-    p.add_argument("--transport", choices=["pickle", "binary", "ring"],
-                   default="pickle",
-                   help="shard transport codec (with --shards > 1): "
-                        "default-pickle object graphs, 'binary' "
-                        "line-block batches + protocol-5 out-of-band "
-                        "sketch buffers, or 'ring' carrying the binary "
-                        "line blocks over one shared-memory SPSC ring "
-                        "per shard (no upstream pickling or queue "
-                        "feeder threads)")
-    p.add_argument("--ring-bytes", type=int, default=None, metavar="BYTES",
-                   help="per-shard ring capacity for --transport ring "
-                        "(default 1 MiB)")
+    _add_ingest_args(p)
     p.add_argument("--telemetry", action="store_true",
                    help="emit platform self-telemetry: one _platform "
                         "TSV row per component per window (sketch "
                         "saturation, gate churn, flush latency, shard "
                         "queue depth)")
-    p.add_argument("--segments", action="store_true",
-                   help="after the replay, build a columnar sidecar "
-                        "segment next to every TSV window written, so "
-                        "cold queries scan binary columns instead of "
-                        "re-parsing text")
-    p.add_argument("--detectors", dest="detectors_on", nargs="*",
-                   default=None, metavar="NAME",
-                   help="run streaming abuse detectors and write a "
-                        "_detector TSV per window (bare flag = all: "
-                        "exfil ddos noh)")
-    p.add_argument("--vantage", metavar="FILE", default=None,
-                   help="derive per-ASN (_vantage_asn) and per-country "
-                        "(_vantage_cc) reachability / time-to-answer "
-                        "index TSVs from every srvip window, using the "
-                        "attribution db written by 'simulate "
-                        "--vantage-db'")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("report", help="simulate and print the Big Picture")
@@ -655,24 +633,11 @@ def build_parser():
     p.add_argument("--input", default=None, metavar="FILE",
                    help="ingest a transaction-line file ('-' = stdin, "
                         "an SIE-style pipe) instead of the simulator")
-    p.add_argument("--datasets", nargs="+",
-                   default=["srvip", "qname", "esld", "qtype"])
-    p.add_argument("--k", type=int, default=2000, help="Top-k size")
-    p.add_argument("--window", type=float, default=60.0,
-                   help="statistics window seconds (the paper dumps "
-                        "every 60 s)")
+    _add_ingest_args(p)
     p.add_argument("--pace", type=float, default=1.0, metavar="SPEED",
                    help="map stream time onto wall time at SPEED x "
                         "(1 = real time, 10 = 10x compressed; 0 = "
                         "ingest as fast as possible)")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="ingest with N sharded worker processes")
-    p.add_argument("--transport", choices=["pickle", "binary", "ring"],
-                   default="pickle",
-                   help="shard transport codec (with --shards > 1)")
-    p.add_argument("--ring-bytes", type=int, default=None,
-                   metavar="BYTES",
-                   help="per-shard ring capacity for --transport ring")
     p.add_argument("--exit-when-done", action="store_true",
                    help="exit once the input stream is exhausted "
                         "instead of continuing to serve")
@@ -692,20 +657,6 @@ def build_parser():
     p.add_argument("--rules", metavar="FILE", default=None,
                    help="alert-rule file for /platform/health (daemon "
                         "heartbeat rules are appended either way)")
-    p.add_argument("--segments", action="store_true",
-                   help="build a columnar sidecar segment for every "
-                        "flushed window, so windows evicted from the "
-                        "LRU cold-read as binary column scans")
-    p.add_argument("--detectors", dest="detectors_on", nargs="*",
-                   default=None, metavar="NAME",
-                   help="run streaming abuse detectors: a _detector "
-                        "TSV per window, detect-* rules added to "
-                        "/platform/health (bare flag = all: exfil "
-                        "ddos noh)")
-    p.add_argument("--vantage", metavar="FILE", default=None,
-                   help="derive _vantage_asn/_vantage_cc index TSVs "
-                        "from every srvip window (attribution db from "
-                        "'simulate --vantage-db'), served at /vantage")
     _add_auth_args(p)
     p.set_defaults(func=cmd_run)
     return parser

@@ -52,7 +52,7 @@ import traceback
 
 from repro.observatory import segments as segmentfmt
 from repro.observatory.alerts import DAEMON_RULES, DEFAULT_RULES
-from repro.observatory.pipeline import Observatory
+from repro.observatory.pipeline import build_pipeline
 from repro.observatory.store import SeriesStore
 from repro.observatory.telemetry import Telemetry
 from repro.server import build_server
@@ -109,8 +109,9 @@ class LiveDaemon:
         interruptible).
     output_dir:
         Directory TSV windows are written to and served from.
-    datasets / k / window_seconds / shards / transport / ring_bytes:
-        Ingest configuration, as for ``replay``.
+    datasets / window_seconds / shards / transport:
+        Ingest configuration, as for
+        :func:`~repro.observatory.pipeline.build_pipeline`.
     pace:
         Virtual-to-wall time speed-up factor; ``0`` disables pacing.
     host / port / cache_windows / max_connections / stream_threshold:
@@ -149,8 +150,7 @@ class LiveDaemon:
     """
 
     def __init__(self, source, output_dir, datasets=("srvip", "qname"),
-                 k=2000, window_seconds=60.0, shards=1,
-                 transport="pickle", ring_bytes=None, pace=1.0,
+                 window_seconds=60.0, shards=1, transport="pickle", pace=1.0,
                  host="127.0.0.1", port=8053, cache_windows=256,
                  max_connections=64, stream_threshold=None, rules=None,
                  segments=False, exit_when_done=False,
@@ -161,11 +161,9 @@ class LiveDaemon:
         self._source = source
         self.output_dir = output_dir
         self.datasets = list(datasets)
-        self.k = int(k)
         self.window_seconds = float(window_seconds)
         self.shards = int(shards)
         self.transport = transport
-        self.ring_bytes = ring_bytes
         self.pace = float(pace)
         self.host = host
         self.port = port
@@ -216,22 +214,9 @@ class LiveDaemon:
         return asyncio.run(self._main())
 
     def _build_observatory(self):
-        specs = [(name, self.k) for name in self.datasets]
-        if self.shards > 1:
-            from repro.observatory.sharded import ShardedObservatory
-            extra = {}
-            if self.ring_bytes:
-                extra["ring_bytes"] = self.ring_bytes
-            return ShardedObservatory(
-                shards=self.shards, datasets=specs,
-                output_dir=self.output_dir,
-                window_seconds=self.window_seconds,
-                transport=self.transport, keep_dumps=False,
-                telemetry=self.telemetry, flush_hook=self._on_flush,
-                detectors=self.detectors, encrypted=True,
-                vantage=self.vantage, **extra)
-        return Observatory(
-            datasets=specs, output_dir=self.output_dir,
+        return build_pipeline(
+            shards=self.shards, transport=self.transport,
+            datasets=self.datasets, output_dir=self.output_dir,
             window_seconds=self.window_seconds, keep_dumps=False,
             telemetry=self.telemetry, flush_hook=self._on_flush,
             detectors=self.detectors, encrypted=True,

@@ -105,7 +105,7 @@ class EncryptedWindowState:
     """One shard's ``_encrypted`` accumulators for one window.
 
     Shipped from shard workers to the coordinator over the normal
-    state transport (pickle/binary/ring), so the payload is a plain
+    state transport (pickle/binary), so the payload is a plain
     dict of integer lists -- nothing transport-specific.
     """
 

@@ -17,6 +17,8 @@ simulator's fast path) or as raw packets via :meth:`ingest_packets`
 
 import logging
 
+from repro.detect import DetectorSet, build_detectors
+from repro.observatory.encrypted import EncryptedChannelAggregator
 from repro.observatory.keys import DATASETS, DatasetSpec, make_dataset
 from repro.observatory.preprocess import summarize_transaction
 from repro.observatory.telemetry import resolve_telemetry
@@ -25,6 +27,85 @@ from repro.observatory.tsv import write_tsv
 from repro.observatory.window import WindowManager
 
 logger = logging.getLogger(__name__)
+
+
+def resolve_datasets(datasets):
+    """Dataset names, ``(name, k)`` tuples or ``DatasetSpec`` instances
+    -> a list of specs with distinct names."""
+    specs = []
+    for item in datasets:
+        if isinstance(item, DatasetSpec):
+            spec = item
+        elif isinstance(item, tuple):
+            spec = make_dataset(*item)
+        elif isinstance(item, str):
+            if item not in DATASETS:
+                raise ValueError("unknown dataset %r" % (item,))
+            spec = make_dataset(item)
+        else:
+            raise TypeError("cannot resolve dataset from %r" % (item,))
+        if any(spec.name == other.name for other in specs):
+            raise ValueError("duplicate dataset %r" % spec.name)
+        specs.append(spec)
+    return specs
+
+
+def resolve_detectors(detectors, psl=None):
+    """A ``detectors=`` argument -> a :class:`DetectorSet` or None."""
+    if detectors is None or isinstance(detectors, DetectorSet):
+        return detectors
+    return build_detectors(detectors, psl=psl)
+
+
+def feed_batches(consume_batch, transactions, batch_size):
+    """Hand an iterable of transactions to *consume_batch* in lists of
+    at most *batch_size* (a list goes through whole)."""
+    if isinstance(transactions, list):
+        consume_batch(transactions)
+        return
+    buffer = []
+    append = buffer.append
+    for txn in transactions:
+        append(txn)
+        if len(buffer) >= batch_size:
+            consume_batch(buffer)
+            buffer.clear()
+    if buffer:
+        consume_batch(buffer)
+
+
+class WindowEmitter:
+    """Where every finished :class:`WindowDump` goes, single-process
+    and sharded alike: kept in :attr:`dumps`, written as a minutely
+    TSV, announced to the flush hook, and -- for the vantage emitter's
+    source dataset -- followed by its derived ``_vantage_*`` dumps."""
+
+    def __init__(self, datasets, output_dir, keep_dumps, flush_hook,
+                 vantage):
+        self.dumps = {name: [] for name in datasets}
+        self.output_dir = output_dir
+        self.keep_dumps = keep_dumps
+        self.flush_hook = flush_hook
+        self.vantage = vantage
+
+    def __call__(self, dump):
+        if self.keep_dumps:
+            self.dumps.setdefault(dump.dataset, []).append(dump)
+        if self.output_dir is not None and dump.rows:
+            # Zero-row dumps (a window every tracker sat out) are not
+            # written: a gap must not litter the directory with
+            # header-only files, and aggregation treats a missing
+            # minutely file exactly like an all-zero one.
+            path = write_tsv(self.output_dir,
+                             dump.to_timeseries("minutely"))
+            if self.flush_hook is not None:
+                self.flush_hook(path)
+        if self.vantage is not None and \
+                dump.dataset == self.vantage.source:
+            # Derived dumps carry their own dataset names, so the
+            # recursion terminates after one level.
+            for derived in self.vantage.derive(dump):
+                self(derived)
 
 
 class Observatory:
@@ -88,53 +169,22 @@ class Observatory:
                  skip_recent_inserts=True, telemetry=False,
                  flush_hook=None, detectors=None, encrypted=None,
                  vantage=None):
-        self._trackers = {}
-        for item in datasets:
-            spec = self._resolve(item)
-            if spec.name in self._trackers:
-                raise ValueError("duplicate dataset %r" % spec.name)
-            self._trackers[spec.name] = TopKTracker(
+        self._trackers = {
+            spec.name: TopKTracker(
                 spec, tau=tau, use_bloom_gate=use_bloom_gate,
-                hll_precision=hll_precision, psl=psl,
-            )
-        self.output_dir = output_dir
-        self.keep_dumps = keep_dumps
-        self.flush_hook = flush_hook
-        self.dumps = {name: [] for name in self._trackers}
+                hll_precision=hll_precision, psl=psl)
+            for spec in resolve_datasets(datasets)}
+        self.emitter = WindowEmitter(self._trackers, output_dir,
+                                     keep_dumps, flush_hook, vantage)
+        self.dumps = self.emitter.dumps
         self.telemetry = resolve_telemetry(telemetry)
-        from repro.detect import DetectorSet, build_detectors
-
-        if detectors is not None and not isinstance(detectors,
-                                                    DetectorSet):
-            detectors = build_detectors(detectors, psl=psl)
-        self.detectors = detectors
-        if encrypted:
-            from repro.observatory.encrypted import \
-                EncryptedChannelAggregator
-            encrypted = EncryptedChannelAggregator()
-        else:
-            encrypted = None
-        self.encrypted = encrypted
-        self.vantage = vantage
         self.windows = WindowManager(
             self._trackers.values(), window_seconds=window_seconds,
-            sink=self._sink, skip_recent_inserts=skip_recent_inserts,
-            telemetry=self.telemetry, detectors=detectors,
-            encrypted=encrypted,
+            sink=self.emitter, skip_recent_inserts=skip_recent_inserts,
+            telemetry=self.telemetry,
+            detectors=resolve_detectors(detectors, psl),
+            encrypted=EncryptedChannelAggregator() if encrypted else None,
         )
-
-    @staticmethod
-    def _resolve(item):
-        if isinstance(item, DatasetSpec):
-            return item
-        if isinstance(item, tuple):
-            name, k = item
-            return make_dataset(name, k)
-        if isinstance(item, str):
-            if item not in DATASETS:
-                raise ValueError("unknown dataset %r" % (item,))
-            return make_dataset(item)
-        raise TypeError("cannot resolve dataset from %r" % (item,))
 
     # ------------------------------------------------------------------
 
@@ -149,19 +199,7 @@ class Observatory:
         :meth:`WindowManager.consume_batch` fast path, which hoists
         window-boundary checks out of the per-transaction loop.
         """
-        consume_batch = self.windows.consume_batch
-        if isinstance(transactions, list):
-            consume_batch(transactions)
-            return self
-        buffer = []
-        append = buffer.append
-        for txn in transactions:
-            append(txn)
-            if len(buffer) >= batch_size:
-                consume_batch(buffer)
-                buffer.clear()
-        if buffer:
-            consume_batch(buffer)
+        feed_batches(self.windows.consume_batch, transactions, batch_size)
         return self
 
     def consume_batch(self, txns):
@@ -210,23 +248,16 @@ class Observatory:
             for name, tracker in self._trackers.items()
         }
 
-    # ------------------------------------------------------------------
 
-    def _sink(self, dump):
-        if self.keep_dumps:
-            self.dumps.setdefault(dump.dataset, []).append(dump)
-        if self.output_dir is not None and dump.rows:
-            # Zero-row dumps (a window every tracker sat out) are not
-            # written: a gap must not litter the directory with
-            # header-only files, and aggregation treats a missing
-            # minutely file exactly like an all-zero one.
-            path = write_tsv(self.output_dir,
-                             dump.to_timeseries("minutely"))
-            if self.flush_hook is not None:
-                self.flush_hook(path)
-        if self.vantage is not None and \
-                dump.dataset == self.vantage.source:
-            # Derived dumps carry their own dataset names, so the
-            # recursion terminates after one level.
-            for derived in self.vantage.derive(dump):
-                self._sink(derived)
+def build_pipeline(shards=1, transport="pickle", **options):
+    """The ingest pipeline ``replay`` and the live daemon drive: an
+    in-process :class:`Observatory` for one shard,
+    :class:`~repro.observatory.sharded.ShardedObservatory` worker
+    processes for more.  *options* are the constructor arguments both
+    take."""
+    if shards > 1:
+        from repro.observatory.sharded import ShardedObservatory
+
+        return ShardedObservatory(shards=shards, transport=transport,
+                                  **options)
+    return Observatory(**options)

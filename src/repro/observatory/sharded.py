@@ -17,8 +17,8 @@ Architecture::
                  ├────────► worker 1: Observatory over shard 1
                  │              ...
                  │  at every 60 s boundary: broadcast ("cut", ts),
-                 │  collect one ShardWindowState per dataset per shard
-                 └──◄─────  merge sketches ──► WindowDump ──► TSV
+                 │  collect one WindowState per shard
+                 └──◄─────  absorb, cut ──► WindowDump ──► TSV
 
     Workers never see a transaction from the next window before the
     cut for the previous one: the coordinator detects boundaries in
@@ -31,6 +31,12 @@ pickles live object graphs, while the binary codec of
 :mod:`repro.observatory.transport` ships batches as pre-serialized
 line blocks and shard state as protocol-5 out-of-band sketch buffers,
 so coordinator time stops scaling with the feature payload size.
+
+A worker is an :class:`Observatory` whose window manager ships every
+window's state instead of merging it; the coordinator holds the same
+channel list (:mod:`repro.observatory.channels`) and the same
+:class:`~repro.observatory.pipeline.WindowEmitter` a single process
+does, absorbs the shards' states in shard-index order, and cuts.
 
 Merge semantics (why the output matches the single-process path):
 
@@ -70,42 +76,29 @@ What *can* differ from the single-process path:
 
 import logging
 import multiprocessing
-import os
 import time
 import zlib
 from queue import Empty
 
-from repro.detect import DETECTOR_DATASET, DetectorWindowState
-from repro.observatory.encrypted import (
-    ENCRYPTED_DATASET,
-    EncryptedChannelAggregator,
-    EncryptedWindowState,
+from repro.detect import DetectorSet
+from repro.observatory.channels import build_channels, merge_window, meta_dump
+from repro.observatory.encrypted import EncryptedChannelAggregator
+from repro.observatory.pipeline import (
+    Observatory,
+    WindowEmitter,
+    feed_batches,
+    resolve_datasets,
+    resolve_detectors,
 )
-from repro.observatory.pipeline import Observatory
-from repro.observatory.ringbuf import (
-    RING_LINK_DELTAS,
-    RingError,
-    RingHandle,
-    RingReceiver,
-    RingSender,
-    SpscRing,
-)
-from repro.observatory.telemetry import (
-    PLATFORM_DATASET,
-    resolve_telemetry,
-    union_columns,
-)
+from repro.observatory.telemetry import PLATFORM_DATASET, resolve_telemetry
+from repro.observatory.tracker import TopKTracker
 from repro.observatory.transport import get_transport
-from repro.observatory.tsv import write_tsv
-from repro.observatory.window import WindowDump, align_window
+from repro.observatory.window import align_window
 
 logger = logging.getLogger(__name__)
 
 #: transactions per queue message; amortizes pickling + queue overhead
 DEFAULT_BATCH_SIZE = 512
-
-#: default shared-memory ring capacity per shard (--transport ring)
-DEFAULT_RING_BYTES = 1 << 20
 
 #: bound on the feeder's partition-key -> shard memo (cleared when full)
 _SHARD_MEMO_LIMIT = 200_000
@@ -150,27 +143,14 @@ def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw,
       line block under the binary one);
     * ``("cut", ts)`` -- the global stream crossed *ts*; flush every
       window ending at or before it and ship the collected
-      :class:`ShardWindowState` list back on *out_q*, along with this
-      shard's telemetry snapshot rows (empty when telemetry is off);
+      :class:`~repro.observatory.channels.WindowState` list back on
+      *out_q*, along with this shard's telemetry snapshot rows (empty
+      when telemetry is off);
     * ``("finish",)`` -- flush the partial tail window, ship the
       remaining states plus final per-dataset statistics and telemetry
       rows, and exit.
-
-    Under ``--transport ring`` *in_q* is a
-    :class:`~repro.observatory.ringbuf.RingHandle` instead of a queue:
-    the worker attaches to the coordinator's shared-memory ring and
-    reads the same tagged messages as length-prefixed frames.  Replies
-    always travel on *out_q* (per-window volume, not per-transaction).
     """
-    receiver = None
     try:
-        if isinstance(in_q, RingHandle):
-            parent = os.getppid()
-            receiver = RingReceiver.attach(
-                in_q, peer_alive=lambda: os.getppid() == parent)
-            get_message = receiver.get
-        else:
-            get_message = in_q.get
         codec = get_transport(transport)
         unpack_batch = codec.unpack_batch
         pack_states = codec.pack_states
@@ -181,7 +161,7 @@ def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw,
         consume_batch = obs.windows.consume_batch
         telemetry = obs.telemetry
         while True:
-            message = get_message()
+            message = in_q.get()
             tag = message[0]
             if tag == "batch":
                 consume_batch(unpack_batch(message[1]))
@@ -194,31 +174,18 @@ def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw,
                 obs.windows.flush()
                 stats = {
                     "total_seen": obs.total_seen,
-                    "datasets": {
-                        name: {
-                            "filtered": tracker.filtered,
-                            "processed": tracker.processed,
-                            "offered": tracker.cache.offered,
-                            "tracked_hits": tracker.cache.tracked_hits,
-                            "gated": tracker.cache.gated,
-                            "evictions": tracker.cache.evictions,
-                        }
-                        for name, tracker in
-                        ((n, obs.tracker(n)) for n in obs.datasets)
-                    },
+                    "datasets": {name: obs.tracker(name).telemetry_row(None)
+                                 for name in obs.datasets},
                 }
                 out_q.put(("final", shard_id, pack_states(list(states)),
-                           stats,
-                           telemetry.snapshot(obs.windows.window_start)))
+                           telemetry.snapshot(obs.windows.window_start),
+                           stats))
                 return
             else:  # pragma: no cover - protocol misuse
                 raise ValueError("unknown message tag %r" % (tag,))
     except Exception:  # pragma: no cover - exercised via parent raise
         import traceback
         out_q.put(("error", shard_id, traceback.format_exc()))
-    finally:
-        if receiver is not None:
-            receiver.close()
 
 
 class ShardedObservatory:
@@ -234,7 +201,7 @@ class ShardedObservatory:
     ----------
     shards:
         Number of worker processes.
-    datasets / window_seconds / output_dir / keep_dumps:
+    datasets / window_seconds / output_dir / keep_dumps / flush_hook:
         As for :class:`Observatory`.
     tau / use_bloom_gate / hll_precision / skip_recent_inserts:
         Tracker knobs, forwarded to every worker.
@@ -245,15 +212,9 @@ class ShardedObservatory:
         ``txn -> str``.
     transport:
         Shard transport codec: ``"pickle"`` (default; queues pickle
-        live object graphs), ``"binary"`` (pre-serialized line
+        live object graphs) or ``"binary"`` (pre-serialized line
         blocks upstream, protocol-5 out-of-band sketch buffers
-        downstream -- see :mod:`repro.observatory.transport`), or
-        ``"ring"`` (the binary codec's line blocks carried over one
-        shared-memory SPSC ring per shard -- no upstream pickling or
-        queue feeder threads at all, see
-        :mod:`repro.observatory.ringbuf`).
-    ring_bytes:
-        Per-shard ring capacity in bytes (``--transport ring`` only).
+        downstream -- see :mod:`repro.observatory.transport`).
     mp_context:
         ``multiprocessing`` context or start-method name; defaults to
         ``fork`` where available (cheap worker startup).
@@ -278,10 +239,9 @@ class ShardedObservatory:
         ``True`` enables the ``_encrypted`` channel-feature dataset
         (see :class:`~repro.observatory.pipeline.Observatory`).
         Workers divert blinded DoH/DoT observations into per-shard
-        integer accumulators and ship them at every cut as
-        :class:`~repro.observatory.encrypted.EncryptedWindowState`;
-        the coordinator absorbs and emits, so the ``_encrypted``
-        series is bit-identical to a single-process run.
+        integer accumulators and ship them at every cut; the
+        coordinator absorbs and emits, so the ``_encrypted`` series is
+        bit-identical to a single-process run.
     vantage:
         A :class:`~repro.analysis.vantage.VantageEmitter` (or None):
         every emitted window of the emitter's source dataset also
@@ -290,11 +250,10 @@ class ShardedObservatory:
     """
 
     def __init__(self, shards=2, datasets=("srvip",), window_seconds=60.0,
-                 output_dir=None, keep_dumps=True, sink=None, tau=300.0,
+                 output_dir=None, keep_dumps=True, tau=300.0,
                  use_bloom_gate=True, hll_precision=8,
                  skip_recent_inserts=True, batch_size=DEFAULT_BATCH_SIZE,
-                 partition="srcsrv", transport="pickle",
-                 ring_bytes=DEFAULT_RING_BYTES, mp_context=None,
+                 partition="srcsrv", transport="pickle", mp_context=None,
                  timeout=300.0, telemetry=False, flush_hook=None,
                  detectors=None, encrypted=None, vantage=None):
         if shards < 1:
@@ -303,13 +262,6 @@ class ShardedObservatory:
         self.window_seconds = float(window_seconds)
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        self.output_dir = output_dir
-        self.keep_dumps = keep_dumps
-        self.sink = sink
-        #: called with the TSV path of every flushed window (see
-        #: :class:`~repro.observatory.pipeline.Observatory`)
-        self.flush_hook = flush_hook
-        self.skip_recent_inserts = skip_recent_inserts
         self.batch_size = int(batch_size)
         self.timeout = timeout
         if callable(partition):
@@ -317,15 +269,9 @@ class ShardedObservatory:
         else:
             self._partition = PARTITIONS[partition]
         self._transport = get_transport(transport)
-        self.ring_bytes = int(ring_bytes)
         self._shard_memo = {}
-        self._specs = [Observatory._resolve(item) for item in datasets]
-        names = [spec.name for spec in self._specs]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate dataset in %r" % (names,))
-        self._dataset_order = names
-        self._k = {spec.name: spec.k for spec in self._specs}
-        self.dumps = {name: [] for name in names}
+        specs = resolve_datasets(datasets)
+        self._dataset_order = [spec.name for spec in specs]
         self._window_start = None
         self._buffers = [[] for _ in range(self.shards)]
         #: transactions ingested so far
@@ -341,55 +287,44 @@ class ShardedObservatory:
         self._merge_timer = self.telemetry.timing("coordinator", "merge")
         self._gap_counter = self.telemetry.counter(
             "coordinator", "windows_skipped")
-        obs_kw = dict(tau=tau, use_bloom_gate=use_bloom_gate,
-                      hll_precision=hll_precision,
-                      skip_recent_inserts=skip_recent_inserts,
-                      telemetry=self.telemetry.enabled)
-        #: coordinator-side scorer detectors (EWMA baselines, Bloom
-        #: generations); workers get accumulator-only twins via obs_kw
-        self._detectors = None
-        if detectors:
-            from repro.detect import DetectorSet, build_detectors
-
-            if isinstance(detectors, DetectorSet):
-                self._detectors = detectors
-                obs_kw["detectors"] = list(detectors.names)
-            else:
-                self._detectors = build_detectors(detectors)
-                obs_kw["detectors"] = detectors
-        #: coordinator-side merge target for shard ``_encrypted``
-        #: accumulators; workers get their own via obs_kw
-        self._encrypted = None
-        if encrypted:
-            self._encrypted = EncryptedChannelAggregator()
-            obs_kw["encrypted"] = True
-        self.vantage = vantage
+        # The coordinator's half of every channel: its trackers never
+        # observe (they name the dataset and k to merge and cut by),
+        # its detectors are the scorers (EWMA baselines, Bloom
+        # generations) and its aggregator the merge target; workers
+        # build their own observing halves from obs_kw.  No registry:
+        # the "window" component of _platform belongs to processes
+        # that ingest (here: the shardN.window rows).
+        scorers = resolve_detectors(detectors)
+        self._channels = build_channels(
+            [TopKTracker(spec, use_bloom_gate=False) for spec in specs],
+            scorers, EncryptedChannelAggregator() if encrypted else None,
+            skip_recent_inserts, resolve_telemetry(None))
+        self.emitter = WindowEmitter(self._dataset_order, output_dir,
+                                     keep_dumps, flush_hook, vantage)
+        self.dumps = self.emitter.dumps
+        obs_kw = dict(
+            tau=tau, use_bloom_gate=use_bloom_gate,
+            hll_precision=hll_precision, telemetry=self.telemetry.enabled,
+            # a ready DetectorSet is the coordinator's scorer; workers
+            # rebuild its members by name
+            detectors=detectors.names if isinstance(detectors, DetectorSet)
+            else detectors,
+            encrypted=encrypted)
         context = self._resolve_context(mp_context)
-        use_ring = self._transport.is_ring
         self._out_q = context.Queue()
         self._in_qs = []
         self._workers = []
         try:
             for shard_id in range(self.shards):
-                if use_ring:
-                    ring = SpscRing.create(self.ring_bytes)
-                    in_q = RingSender(ring, name="shard %d ring" % shard_id,
-                                      timeout=self.timeout)
-                    worker_arg = ring.handle
-                else:
-                    in_q = context.Queue()
-                    worker_arg = in_q
+                in_q = context.Queue()
                 worker = context.Process(
                     target=_shard_worker,
-                    args=(shard_id, worker_arg, self._out_q, self._specs,
+                    args=(shard_id, in_q, self._out_q, specs,
                           self.window_seconds, obs_kw, self._transport),
                     daemon=True,
                     name="observatory-shard-%d" % shard_id,
                 )
                 worker.start()
-                if use_ring:
-                    # a stalled put now exits as soon as the worker dies
-                    in_q.peer_alive = worker.is_alive
                 self._in_qs.append(in_q)
                 self._workers.append(worker)
         except Exception:
@@ -398,12 +333,10 @@ class ShardedObservatory:
         if self.telemetry.enabled:
             self.telemetry.register(
                 "coordinator", self._telemetry_row, deltas=("txns",))
-            link_deltas = RING_LINK_DELTAS if use_ring else ()
             for shard_id in range(self.shards):
                 self.telemetry.register(
                     "shard%d.link" % shard_id,
-                    self._make_link_sampler(shard_id),
-                    deltas=link_deltas)
+                    self._make_link_sampler(shard_id))
 
     def _telemetry_row(self, now):
         return {
@@ -417,19 +350,13 @@ class ShardedObservatory:
         in_q = self._in_qs[shard_id]
         worker = self._workers[shard_id]
 
-        if isinstance(in_q, RingSender):
-            def sample(now):
-                row = in_q.telemetry_row()
-                row["alive"] = 1 if worker.is_alive() else 0
-                return row
-        else:
-            def sample(now):
-                try:
-                    depth = in_q.qsize()
-                except NotImplementedError:  # pragma: no cover - macOS
-                    depth = 0
-                return {"queue_depth": depth,
-                        "alive": 1 if worker.is_alive() else 0}
+        def sample(now):
+            try:
+                depth = in_q.qsize()
+            except NotImplementedError:  # pragma: no cover - macOS
+                depth = 0
+            return {"queue_depth": depth,
+                    "alive": 1 if worker.is_alive() else 0}
 
         return sample
 
@@ -502,15 +429,7 @@ class ShardedObservatory:
 
     def consume(self, transactions, batch_size=4096):
         """Process an iterable of transactions; returns self."""
-        buffer = []
-        append = buffer.append
-        for txn in transactions:
-            append(txn)
-            if len(buffer) >= batch_size:
-                self.consume_batch(buffer)
-                buffer.clear()
-        if buffer:
-            self.consume_batch(buffer)
+        feed_batches(self.consume_batch, transactions, batch_size)
         return self
 
     def finish(self):
@@ -519,24 +438,12 @@ class ShardedObservatory:
         the remaining windows (like :meth:`Observatory.finish`)."""
         if self._closed:
             return []
-        self._dispatch_all(force=True)
-        for shard_id in range(self.shards):
-            self._put(shard_id, ("finish",))
-        states = []
-        final_stats = {}
-        worker_rows = []
-        for _ in range(self.shards):
-            reply = self._next_reply(expect="final")
-            _, shard_id, packed, stats = reply[:4]
-            states.extend(self._transport.unpack_states(packed))
-            final_stats[shard_id] = stats
-            worker_rows.append((shard_id, reply[4]))
-        self._final_stats = final_stats
-        dumps = self._merge_and_emit(states)
-        if self.telemetry.enabled and self._window_start is not None:
-            dumps.append(self._emit_platform(
-                self._window_start,
-                self._window_start + self.window_seconds, worker_rows))
+        replies = self._barrier(("finish",), expect="final")
+        self._final_stats = {shard_id: reply[4]
+                             for shard_id, reply in enumerate(replies)}
+        start = self._window_start
+        dumps = [] if start is None else self._merge_and_emit(
+            replies, start, start + self.window_seconds)
         self.close()
         logger.info(
             "ShardedObservatory finished: %d transactions over %d windows "
@@ -585,18 +492,6 @@ class ShardedObservatory:
     # Coordinator internals
     # ------------------------------------------------------------------
 
-    def _put(self, shard_id, message):
-        """Send one upstream message, mapping ring faults (peer death,
-        watermark timeout) to the same named-RuntimeError teardown the
-        queue transport's reply timeout provides."""
-        try:
-            self._in_qs[shard_id].put(message)
-        except RingError as exc:
-            self.close()
-            raise RuntimeError(
-                "shard %d ring send failed: %s (%d shards)"
-                % (shard_id, exc, self.shards)) from None
-
     def _dispatch_all(self, force=False):
         """Ship every non-empty shard buffer (all of them when a cut
         or finish needs the workers fully caught up)."""
@@ -605,7 +500,7 @@ class ShardedObservatory:
         for shard_id, buffer in enumerate(self._buffers):
             if buffer and (force or len(buffer) >= self.batch_size):
                 payload = pack_batch(buffer)
-                self._put(shard_id, ("batch", payload))
+                self._in_qs[shard_id].put(("batch", payload))
                 if telemetry_on:
                     self._batch_counter.inc()
                     self._batch_txns.inc(len(buffer))
@@ -613,37 +508,25 @@ class ShardedObservatory:
                         self._batch_bytes.inc(len(payload))
                 self._buffers[shard_id] = []
 
+    def _barrier(self, message, expect):
+        """Have every worker catch up and answer *message*; returns the
+        replies by shard index, whatever order they arrived in."""
+        self._dispatch_all(force=True)
+        for in_q in self._in_qs:
+            in_q.put(message)
+        replies = [None] * self.shards
+        for _ in range(self.shards):
+            reply = self._next_reply(expect)
+            replies[reply[1]] = reply
+        return replies
+
     def _cut(self, new_start):
         """Barrier at a window boundary: flush batches, have every
         worker advance to *new_start*, merge the returned states."""
-        flushed_start = self._window_start
-        self._dispatch_all(force=True)
-        for shard_id in range(self.shards):
-            self._put(shard_id, ("cut", new_start))
-        states = []
-        worker_rows = []
-        for _ in range(self.shards):
-            reply = self._next_reply(expect="states")
-            states.extend(self._transport.unpack_states(reply[2]))
-            worker_rows.append((reply[1], reply[3]))
+        start = self._window_start
+        replies = self._barrier(("cut", new_start), expect="states")
         self._window_start = new_start
-        before = self.windows_completed
-        dumps = self._merge_and_emit(states)
-        # Every window between the flushed one and new_start is part
-        # of this cut, emitted or not: with the gap fast-forward (see
-        # WindowManager._catch_up) workers ship at most one non-empty
-        # window per cut, so credit the skipped empties here to keep
-        # windows_completed in lockstep with the single-process path.
-        emitted = self.windows_completed - before
-        elapsed = int(round((new_start - flushed_start) / self.window_seconds))
-        skipped = elapsed - emitted
-        if skipped > 0:
-            self.windows_completed += skipped
-            self._gap_counter.inc(skipped)
-        if self.telemetry.enabled:
-            dumps.append(
-                self._emit_platform(flushed_start, new_start, worker_rows))
-        return dumps
+        return self._merge_and_emit(replies, start, new_start)
 
     def _next_reply(self, expect):
         try:
@@ -666,157 +549,42 @@ class ShardedObservatory:
             raise RuntimeError("expected %r reply, got %r" % (expect, reply[0]))
         return reply
 
-    def _merge_and_emit(self, states):
-        """Group shard states by (window, dataset), merge each group
-        into a WindowDump, and emit in stream order.
-
-        Detector states ride the same transport but take a different
-        merge: per window, every shard's accumulator is absorbed into
-        the coordinator's detectors (order-invariant exact merges) and
-        the scorer cut emits one ``_detector`` dump -- the sharded
-        twin of ``WindowManager._detector_dump``.
-        """
-        started = time.perf_counter() if self.telemetry.enabled else 0.0
-        grouped = {}
-        detector_states = {}
-        encrypted_states = {}
-        for state in states:
-            if isinstance(state, DetectorWindowState):
-                detector_states.setdefault(state.start_ts, []).append(state)
-                continue
-            if isinstance(state, EncryptedWindowState):
-                encrypted_states.setdefault(state.start_ts, []).append(state)
-                continue
-            grouped.setdefault((state.start_ts, state.dataset), []).append(state)
+    def _merge_and_emit(self, replies, start, now):
+        """The one merge point, for the cut covering ``[start, now)``:
+        every shard's windows, taken in shard-index order, are
+        absorbed and cut window by window and emitted in stream order;
+        then (telemetry on) one ``_platform`` dump combines the
+        coordinator's snapshot with every shard's rows (re-keyed
+        ``shardN.component``)."""
+        telemetry = self.telemetry
+        started = time.perf_counter() if telemetry.enabled else 0.0
+        by_start = {}
+        for reply in replies:
+            for window in self._transport.unpack_states(reply[2]):
+                by_start.setdefault(window.start_ts, []).append(window)
         dumps = []
-        starts = sorted({start for start, _ in grouped}
-                        | set(detector_states) | set(encrypted_states))
-        for start in starts:
-            for dataset in self._dataset_order:
-                group = grouped.get((start, dataset))
-                if group is None:
-                    continue
-                dumps.append(self._merge_window(dataset, start, group))
-            if self._detectors is not None:
-                dumps.append(self._merge_detectors(
-                    start, detector_states.get(start, ()), grouped))
-            if self._encrypted is not None:
-                dumps.append(self._merge_encrypted(
-                    start, encrypted_states.get(start, ())))
-            self.windows_completed += 1
-        if self.telemetry.enabled:
+        for window_start in sorted(by_start):
+            dumps += merge_window(self._channels, window_start,
+                                  window_start + self.window_seconds,
+                                  by_start[window_start])
+        # Every window in [start, now) is part of this cut, emitted or
+        # not: with the gap fast-forward (see WindowManager._catch_up)
+        # workers ship at most one non-empty window per cut, so credit
+        # the skipped empties here to keep windows_completed in
+        # lockstep with the single-process path.
+        elapsed = int(round((now - start) / self.window_seconds))
+        self.windows_completed += max(elapsed, len(by_start))
+        self._gap_counter.inc(max(elapsed - len(by_start), 0))
+        if telemetry.enabled:
             self._merge_timer.observe(time.perf_counter() - started)
+            rows = telemetry.snapshot(now)
+            for shard_id, reply in enumerate(replies):
+                rows.extend(("shard%d.%s" % (shard_id, component), row)
+                            for component, row in reply[3])
+            dumps.append(meta_dump(PLATFORM_DATASET, start, rows, 0))
         for dump in dumps:
-            self._emit(dump)
+            self.emitter(dump)
         return dumps
-
-    def _merge_detectors(self, start, window_states, grouped):
-        """Absorb one window's shard accumulators, score, and wrap
-        the rows into a ``_detector`` dump identical to the one a
-        single process would emit for this window."""
-        for state in window_states:
-            self._detectors.absorb(state)
-        rows = self._detectors.cut(start, start + self.window_seconds)
-        # Mirror the single-process stats: "seen" is every transaction
-        # the window saw, which each tracker state reports per shard.
-        first = self._dataset_order[0]
-        seen = sum(s.stats["seen"]
-                   for s in grouped.get((start, first), ()))
-        return WindowDump(DETECTOR_DATASET, start, rows,
-                          {"seen": seen, "kept": len(rows)},
-                          columns=union_columns(rows))
-
-    def _merge_encrypted(self, start, window_states):
-        """Absorb one window's shard ``_encrypted`` accumulators and
-        emit -- the sharded twin of ``WindowManager._encrypted_dump``.
-        Every field is an integer sum/min/max, so the merged rows (and
-        the ``seen`` trailer, computed from the merged accumulators)
-        are byte-identical to a single process."""
-        for state in window_states:
-            self._encrypted.absorb(state)
-        seen = self._encrypted.seen()
-        rows = self._encrypted.cut(start, start + self.window_seconds)
-        return WindowDump(ENCRYPTED_DATASET, start, rows,
-                          {"seen": seen, "kept": len(rows)},
-                          columns=union_columns(rows))
-
-    def _emit(self, dump):
-        if self.keep_dumps:
-            self.dumps.setdefault(dump.dataset, []).append(dump)
-        if self.output_dir is not None and dump.rows:
-            # Same rule as Observatory._sink: gaps must not litter the
-            # directory with header-only files.
-            path = write_tsv(self.output_dir,
-                             dump.to_timeseries("minutely"))
-            if self.flush_hook is not None:
-                self.flush_hook(path)
-        if self.sink is not None:
-            self.sink(dump)
-        if self.vantage is not None and \
-                dump.dataset == self.vantage.source:
-            # One level of recursion: derived dumps have their own
-            # dataset names, never the emitter's source.
-            for derived in self.vantage.derive(dump):
-                self._emit(derived)
-
-    def _emit_platform(self, start, now, worker_rows):
-        """Combine the coordinator's snapshot with every shard's rows
-        (re-keyed ``shardN.component``) into one ``_platform`` dump
-        for the window starting at *start*."""
-        rows = self.telemetry.snapshot(now)
-        for shard_id, shard_rows in worker_rows:
-            rows.extend(
-                ("shard%d.%s" % (shard_id, component), row)
-                for component, row in shard_rows)
-        dump = WindowDump(PLATFORM_DATASET, start, rows,
-                          {"seen": 0, "kept": len(rows)},
-                          columns=union_columns(rows))
-        self._emit(dump)
-        return dump
-
-    def _merge_window(self, dataset, start, shard_states):
-        """The mergeable-summaries union of one dataset's window."""
-        merged = {}
-        seen = 0
-        kept = 0
-        for state in shard_states:
-            seen += state.stats["seen"]
-            kept += state.stats["kept"]
-            for key, rate, error, inserted_at, hits, features in state.entries:
-                current = merged.get(key)
-                if current is None:
-                    merged[key] = [rate, error, inserted_at, hits, features]
-                else:
-                    current[0] += rate
-                    current[1] += error
-                    if inserted_at < current[2]:
-                        current[2] = inserted_at
-                    current[3] += hits
-                    current[4].merge(features)
-        # A key may be long-tracked in a shard that happened to be
-        # idle for it this window.  Honor that shard's insertion time
-        # (survived-one-window rule) and fold its accumulated weight
-        # into the rank: the single cache orders by lifetime decayed
-        # weight, so the merged rate must include idle shards too.
-        for state in shard_states:
-            for key, inserted_at, rate in state.inserted:
-                current = merged.get(key)
-                if current is None:
-                    continue
-                current[0] += rate
-                if inserted_at < current[2]:
-                    current[2] = inserted_at
-        candidates = []
-        skip_recent = self.skip_recent_inserts
-        for key, (rate, _error, inserted_at, _hits, features) in merged.items():
-            if skip_recent and inserted_at > start:
-                continue  # did not survive a full window yet (§2.4)
-            candidates.append((key, rate, features))
-        candidates.sort(key=lambda item: (-item[1], item[0]))
-        rows = [(key, features.as_row())
-                for key, _rate, features in candidates[:self._k[dataset]]]
-        return WindowDump(dataset, start, rows,
-                          {"seen": seen, "kept": kept})
 
     # ------------------------------------------------------------------
     # Introspection (mirrors Observatory)
@@ -831,16 +599,11 @@ class ShardedObservatory:
 
         Available once :meth:`finish` has collected worker statistics.
         """
-        if self._final_stats is None:
-            raise RuntimeError("capture_ratios() requires finish() first")
+        shards = self.shard_stats().values()
         ratios = {}
         for name in self._dataset_order:
-            offered = 0
-            tracked = 0
-            for stats in self._final_stats.values():
-                dataset_stats = stats["datasets"][name]
-                offered += dataset_stats["offered"]
-                tracked += dataset_stats["tracked_hits"]
+            offered = sum(s["datasets"][name]["offered"] for s in shards)
+            tracked = sum(s["datasets"][name]["tracked_hits"] for s in shards)
             ratios[name] = tracked / offered if offered else 0.0
         return ratios
 

@@ -109,8 +109,6 @@ class PickleTransport:
     """The original transport: queues pickle live object graphs."""
 
     name = "pickle"
-    #: upstream direction runs over multiprocessing queues
-    is_ring = False
 
     @staticmethod
     def pack_batch(txns):
@@ -133,7 +131,6 @@ class BinaryTransport:
     """Line-block batches + protocol-5 out-of-band state buffers."""
 
     name = "binary"
-    is_ring = False
 
     def __init__(self):
         #: persistent encode buffer, reused across batches
@@ -157,29 +154,9 @@ class BinaryTransport:
         return unpack_states(*payload)
 
 
-class RingTransport(BinaryTransport):
-    """Binary codec over the shared-memory ring of
-    :mod:`repro.observatory.ringbuf`.
-
-    Same line-block batches and protocol-5 state buffers as
-    ``binary``, but the upstream direction bypasses the
-    multiprocessing queues entirely: ``pack_batch`` hands back the
-    reused encode buffer *itself* (no bytes snapshot), because the
-    ring sender copies it into the shared segment synchronously before
-    the next batch is encoded.
-    """
-
-    name = "ring"
-    is_ring = True
-
-    def pack_batch(self, txns):
-        return encode_batch_into(txns, self._buf)
-
-
 TRANSPORTS = {
     PickleTransport.name: PickleTransport,
     BinaryTransport.name: BinaryTransport,
-    RingTransport.name: RingTransport,
 }
 
 

@@ -105,6 +105,37 @@ class TimeSeriesData:
         return len(self.rows)
 
 
+class WindowDump:
+    """One dataset's dump for one completed window."""
+
+    __slots__ = ("dataset", "start_ts", "rows", "stats", "columns")
+
+    def __init__(self, dataset, start_ts, rows, stats, columns=None):
+        self.dataset = dataset
+        #: window start (virtual seconds)
+        self.start_ts = start_ts
+        #: list of (key, feature_row_dict) in rank order
+        self.rows = rows
+        #: {"seen": transactions seen, "kept": after filtering/capture}
+        self.stats = stats
+        #: TSV column order; None means the canonical feature columns.
+        #: Meta-datasets (``_platform`` telemetry) carry their own.
+        self.columns = columns
+
+    def row_map(self):
+        return dict(self.rows)
+
+    def to_timeseries(self, granularity="minutely"):
+        """Convert to :class:`TimeSeriesData` for the TSV writer."""
+        return TimeSeriesData(
+            self.dataset, granularity, self.start_ts,
+            columns=self.columns, rows=self.rows, stats=self.stats,
+        )
+
+    def __len__(self):
+        return len(self.rows)
+
+
 def write_tsv(directory, data):
     """Write *data* to ``directory`` using the canonical filename.
 

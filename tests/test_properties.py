@@ -238,11 +238,11 @@ def _tsv_tree(directory):
     return out
 
 
-@pytest.mark.parametrize("transport", ["binary", "ring"])
+@pytest.mark.parametrize("transport", ["binary"])
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_sharded_replay_matches_single_process(seed, transport, tmp_path):
     """simulate | replay == simulate | replay --shards 2 --transport
-    {binary,ring} --telemetry: same filenames, same rows, for five
+    binary --telemetry: same filenames, same rows, for five
     random workloads, through the real CLI."""
     from repro.cli import main as cli_main
 

@@ -10,8 +10,6 @@ output directory per question.  This bench quantifies that:
 * **warm** -- end-to-end HTTP queries (``/topk``, ``/series``) against
   a running :class:`~repro.server.http.ObservatoryServer` whose store
   LRU is warm, measured over a keep-alive connection;
-* **index rebuild** -- opening the store with no manifest (full scan +
-  first-parse) vs reopening with the persisted manifest;
 * **bisected range lookup** -- the store's sorted-`start_ts` bisect
   select vs a linear ``window_overlaps`` scan of the same ref list,
   on a 50k-window index (a month of minutely windows);
@@ -52,7 +50,7 @@ except ImportError:  # pragma: no cover - script mode without pytest
     pytest = None
 
 from repro.analysis.seriesops import accumulate_dumps, ranked_keys
-from repro.observatory.store import MANIFEST_NAME, SeriesStore
+from repro.observatory.store import SeriesStore
 from repro.observatory.tsv import (
     TimeSeriesData,
     filename_for,
@@ -187,24 +185,6 @@ def measure_warm(directory, target, queries=100):
     return asyncio.run(_measure_http(directory, target, queries))
 
 
-# -- index rebuild ------------------------------------------------------
-
-def measure_rebuild(directory):
-    """(cold_rebuild_s, manifest_open_s): full scan vs manifest reopen."""
-    manifest = os.path.join(directory, MANIFEST_NAME)
-    if os.path.exists(manifest):
-        os.remove(manifest)
-    started = time.perf_counter()
-    store = SeriesStore(directory)
-    store.read(DATASET)  # learn row counts/stats the manifest persists
-    cold_s = time.perf_counter() - started
-    store.flush_manifest()
-    started = time.perf_counter()
-    SeriesStore(directory).datasets()
-    warm_s = time.perf_counter() - started
-    return cold_s, warm_s
-
-
 # -- bisected range lookup vs linear scan -------------------------------
 
 def build_ref_index(directory, windows=INDEX_WINDOWS):
@@ -215,7 +195,7 @@ def build_ref_index(directory, windows=INDEX_WINDOWS):
             directory, filename_for("big", "minutely", w * 60))
         with open(path, "w"):
             pass
-    return SeriesStore(directory, manifest=False)
+    return SeriesStore(directory)
 
 
 def measure_range_lookup(store, dataset="big", queries=50):
@@ -282,11 +262,9 @@ async def _drain_chunked(reader):
 async def _stream_peak(directory, target):
     """Peak tracemalloc bytes while *target* streams to completion.
 
-    The first pass warms the index metadata (per-ref row counts and
-    stats learned on first parse, which the manifest retains by
-    design and which scale with the span); the measured second pass
-    shows what streaming itself holds: one in-flight window plus the
-    bounded LRU, regardless of span length.
+    The first pass warms the process (imports, the LRU); the measured
+    second pass shows what streaming itself holds: one in-flight
+    window plus the bounded LRU, regardless of span length.
     """
     server, app = await build_server(directory, port=0,
                                      stream_threshold=0,
@@ -382,12 +360,12 @@ def measure_segment_cold(directory, use_segments):
     Returns ``(snapshot, top, seconds, store)`` -- the second store is
     returned so the caller can check *how* the answer was computed
     (segment scans vs text parses)."""
-    store = SeriesStore(directory, cache_windows=0, manifest=False,
+    store = SeriesStore(directory, cache_windows=0,
                         use_segments=use_segments)
     started = time.perf_counter()
     rows = store.accumulate(SEGMENT_DATASET)
     elapsed = time.perf_counter() - started
-    store = SeriesStore(directory, cache_windows=0, manifest=False,
+    store = SeriesStore(directory, cache_windows=0,
                         use_segments=use_segments)
     started = time.perf_counter()
     top = store.topk(SEGMENT_DATASET, n=10)
@@ -440,17 +418,14 @@ def check_speedup(directory=None, bound=SPEEDUP_BOUND):
         cold_qps = measure_cold(directory)
         topk_qps = measure_warm(directory, TOPK_TARGET)
         series_qps = measure_warm(directory, SERIES_TARGET)
-        rebuild_s, reopen_s = measure_rebuild(directory)
         speedup_topk = topk_qps / cold_qps
         speedup_series = series_qps / cold_qps
         report = (
             "serve bench (%d windows x %d keys): cold %.1f q/s, warm "
-            "/topk %.0f q/s (%.0fx), warm /series %.0f q/s (%.0fx), "
-            "index rebuild %.1f ms cold / %.1f ms with manifest "
+            "/topk %.0f q/s (%.0fx), warm /series %.0f q/s (%.0fx) "
             "(bound %.0fx)"
             % (WINDOWS, KEYS, cold_qps, topk_qps, speedup_topk,
-               series_qps, speedup_series, rebuild_s * 1e3,
-               reopen_s * 1e3, bound))
+               series_qps, speedup_series, bound))
         ok = speedup_topk >= bound and speedup_series >= bound
         return ok, report
     finally:
@@ -466,7 +441,7 @@ def check_bisect(bound=BISECT_BOUND, windows=INDEX_WINDOWS):
         bisect_qps, linear_qps = measure_range_lookup(store)
         speedup = bisect_qps / linear_qps
         report = (
-            "range-lookup bench (%d-window manifest): bisect %.0f q/s, "
+            "range-lookup bench (%d-window index): bisect %.0f q/s, "
             "linear scan %.1f q/s -> %.0fx (bound %.0fx)"
             % (windows, bisect_qps, linear_qps, speedup, bound))
         return speedup >= bound, report
@@ -521,15 +496,6 @@ if pytest is not None:
             rounds=3, iterations=1)
         save_result("serve_warm_%s" % target.split("/")[1].split("?")[0],
                     "warm HTTP %s: %.0f queries/s" % (target, qps))
-
-    def test_index_rebuild_cost(series_dir):
-        from benchmarks.conftest import save_result
-
-        cold_s, warm_s = measure_rebuild(series_dir)
-        save_result("serve_rebuild",
-                    "index rebuild: %.1f ms cold scan, %.1f ms manifest "
-                    "reopen" % (cold_s * 1e3, warm_s * 1e3))
-        assert warm_s <= cold_s * 2  # manifest reopen must not regress
 
     def test_warm_speedup_within_bound(series_dir):
         cold_qps = measure_cold(series_dir, queries=4)

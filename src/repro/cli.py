@@ -112,7 +112,30 @@ def _build_scenario(args):
     return _PRESETS[args.preset](**overrides)
 
 
-def _add_auth_args(parser):
+def _add_server_args(parser):
+    """The serving flags ``serve`` and ``run`` share."""
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="bind address (default loopback only: "
+                             "without --token the API has no auth, so "
+                             "exposing it beyond the host is an "
+                             "explicit decision -- front 0.0.0.0 with "
+                             "a real proxy)")
+    parser.add_argument("--port", type=int, default=8053,
+                        help="listen port (0 = pick a free port)")
+    parser.add_argument("--stream-threshold", type=int, default=None,
+                        metavar="BYTES",
+                        help="stream (chunked) /series and /key answers "
+                             "whose backing files exceed BYTES (default "
+                             "256 KiB); 0 streams everything with a body")
+    parser.add_argument("--cache-windows", type=int, default=256,
+                        help="parsed windows held in the store LRU cache")
+    parser.add_argument("--max-connections", type=int, default=64,
+                        help="connection cap; past it requests get "
+                             "503 + Retry-After")
+    parser.add_argument("--rules", metavar="FILE", default=None,
+                        help="alert-rule file for /platform/health "
+                             "(default: built-in rules; 'run' appends "
+                             "its daemon heartbeat rules either way)")
     parser.add_argument("--token", action="append", default=None,
                         metavar="TOKEN",
                         help="require 'Authorization: Bearer TOKEN' on "
@@ -128,6 +151,21 @@ def _add_auth_args(parser):
                         metavar="N",
                         help="token-bucket burst capacity (default: "
                              "2 x RPS, at least 1)")
+
+
+def _server_options(args):
+    """:func:`_add_server_args` values as ``build_server`` options; a
+    flag left at ``None`` is left out (the default is its consumer's)."""
+    if args.max_connections < 1:
+        raise SystemExit("error: --max-connections must be >= 1")
+    options = dict(host=args.host, port=args.port,
+                   cache_windows=args.cache_windows,
+                   max_connections=args.max_connections,
+                   stream_threshold=args.stream_threshold,
+                   rules=_load_rules(args.rules), auth_tokens=args.token,
+                   rate_limit=args.rate_limit, rate_burst=args.rate_burst)
+    return {name: value for name, value in options.items()
+            if value is not None}
 
 
 def _add_ingest_args(parser):
@@ -189,7 +227,7 @@ def _pipeline_options(args):
         vantage = VantageEmitter(VantageDb.from_tsv(args.vantage))
     return dict(datasets=[(name, args.k) for name in args.datasets],
                 window_seconds=args.window, shards=args.shards,
-                transport=args.transport,
+                transport=args.transport, segments=args.segments,
                 detectors=True if names == [] else names, vantage=vantage)
 
 
@@ -249,10 +287,7 @@ def cmd_replay(args):
     for name, ratio in sorted(obs.capture_ratios().items()):
         print("  %-8s capture %.1f%%" % (name, ratio * 100))
     if args.segments:
-        from repro.observatory.aggregate import TimeAggregator
-
-        result = TimeAggregator(args.output_dir).compact()
-        print("  built %d columnar segment(s)" % len(result["built"]))
+        print("  built %d columnar segment(s)" % obs.emitter.segments_built)
     return 0
 
 
@@ -407,7 +442,6 @@ def cmd_aggregate(args):
         deleted = aggregator.apply_retention(args.retention_now,
                                              force=args.retention_force)
         print("retention deleted %d file(s)" % len(deleted))
-    store.flush_manifest()
     return 0
 
 
@@ -427,9 +461,6 @@ def cmd_compact(args):
 def cmd_serve(args):
     from repro import server as serving
 
-    if args.max_connections < 1:
-        raise SystemExit("error: --max-connections must be >= 1")
-
     def ready(srv):
         print("serving %s on http://%s:%d  "
               "(follow=%s, cache=%d windows, max %d connections)"
@@ -437,14 +468,8 @@ def cmd_serve(args):
                  args.cache_windows, args.max_connections))
         sys.stdout.flush()
 
-    return serving.run(
-        args.directory, host=args.host, port=args.port,
-        follow=args.follow, cache_windows=args.cache_windows,
-        rules=_load_rules(args.rules),
-        max_connections=args.max_connections, ready_callback=ready,
-        stream_threshold=args.stream_threshold,
-        auth_tokens=args.token, rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst)
+    return serving.run(args.directory, ready_callback=ready,
+                       follow=args.follow, **_server_options(args))
 
 
 def _report_skipped(parsed):
@@ -464,8 +489,7 @@ def cmd_run(args):
     rc = _check_ingest_args(args)
     if rc is not None:
         return rc
-    if args.max_connections < 1:
-        raise SystemExit("error: --max-connections must be >= 1")
+    server_options = _server_options(args)
     scenario = None if args.input is not None else _build_scenario(args)
     parsed = TransactionLines(())  # given its lines once there is a stop
 
@@ -494,17 +518,9 @@ def cmd_run(args):
         sys.stdout.flush()
 
     daemon = LiveDaemon(
-        source, args.output_dir, pace=args.pace, host=args.host,
-        port=args.port,
-        cache_windows=args.cache_windows,
-        max_connections=args.max_connections,
-        stream_threshold=args.stream_threshold,
-        rules=None if args.rules is None else _load_rules(args.rules),
-        segments=args.segments,
-        auth_tokens=args.token, rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        exit_when_done=args.exit_when_done, ready_callback=ready,
-        **_pipeline_options(args))
+        source, args.output_dir, _pipeline_options(args), server_options,
+        pace=args.pace, exit_when_done=args.exit_when_done,
+        ready_callback=ready)
     rc = daemon.run()
     _report_skipped(parsed)
     return rc
@@ -598,31 +614,11 @@ def build_parser():
 
     p = sub.add_parser("serve", help="HTTP query API over TSV series")
     p.add_argument("directory", help="replay/aggregate output directory")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default loopback only: the API "
-                        "has no auth, so exposing it beyond the host "
-                        "is an explicit decision -- front 0.0.0.0 "
-                        "with a real proxy)")
-    p.add_argument("--port", type=int, default=8053,
-                   help="listen port (0 = pick a free port)")
-    p.add_argument("--stream-threshold", type=int, default=None,
-                   metavar="BYTES",
-                   help="stream (chunked) /series and /key answers "
-                        "whose backing files exceed BYTES (default "
-                        "256 KiB); 0 streams everything with a body")
     p.add_argument("--follow", action="store_true",
                    help="re-scan the directory per query so windows "
                         "flushed by a live replay/aggregate writer "
                         "become visible immediately")
-    p.add_argument("--cache-windows", type=int, default=256,
-                   help="parsed windows held in the LRU cache")
-    p.add_argument("--max-connections", type=int, default=64,
-                   help="connection cap; past it requests get "
-                        "503 + Retry-After")
-    p.add_argument("--rules", metavar="FILE", default=None,
-                   help="alert-rule file for /platform/health "
-                        "(default: built-in rules)")
-    _add_auth_args(p)
+    _add_server_args(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("run", help="live daemon: ingest + HTTP API in "
@@ -641,23 +637,7 @@ def build_parser():
     p.add_argument("--exit-when-done", action="store_true",
                    help="exit once the input stream is exhausted "
                         "instead of continuing to serve")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default loopback only)")
-    p.add_argument("--port", type=int, default=8053,
-                   help="listen port (0 = pick a free port)")
-    p.add_argument("--cache-windows", type=int, default=256,
-                   help="parsed windows held in the store LRU cache")
-    p.add_argument("--max-connections", type=int, default=64,
-                   help="connection cap; past it requests get "
-                        "503 + Retry-After")
-    p.add_argument("--stream-threshold", type=int, default=None,
-                   metavar="BYTES",
-                   help="stream (chunked) /series and /key answers "
-                        "whose backing files exceed BYTES")
-    p.add_argument("--rules", metavar="FILE", default=None,
-                   help="alert-rule file for /platform/health (daemon "
-                        "heartbeat rules are appended either way)")
-    _add_auth_args(p)
+    _add_server_args(p)
     p.set_defaults(func=cmd_run)
     return parser
 

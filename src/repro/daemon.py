@@ -30,8 +30,8 @@ stdin (an SIE-style pipe).  ``pace`` maps the stream's virtual time
 onto wall time (1.0 = real time, 10 = 10x compressed, 0 = as fast as
 possible), so a simulated day can drive a live dashboard in minutes.
 
-Lifecycle: the daemon owns signal dispatch (the server's
-``serve_forever`` handlers stay uninstalled).  SIGTERM/SIGINT stops
+Lifecycle: the server's ``serve_forever`` installs the signal
+handlers and hands SIGTERM/SIGINT to the daemon's drain, which stops
 the pacer, drains the pending batch, cuts the final partial window
 (whose flush still reaches subscribers), closes the broker so every
 long-poll returns and every SSE stream ends with ``event: eof``, then
@@ -44,18 +44,16 @@ in the meantime.
 import asyncio
 import logging
 import select
-import signal
 import sys
 import threading
 import time
 import traceback
 
-from repro.observatory import segments as segmentfmt
-from repro.observatory.alerts import DAEMON_RULES, DEFAULT_RULES
+from repro.observatory.alerts import (
+    DAEMON_RULES, DEFAULT_RULES, DETECTOR_RULES)
 from repro.observatory.pipeline import build_pipeline
-from repro.observatory.store import SeriesStore
 from repro.observatory.telemetry import Telemetry
-from repro.server import build_server
+from repro.server import build_server, open_store
 from repro.server.push import FlushBroker
 
 logger = logging.getLogger(__name__)
@@ -109,38 +107,23 @@ class LiveDaemon:
         interruptible).
     output_dir:
         Directory TSV windows are written to and served from.
-    datasets / window_seconds / shards / transport:
-        Ingest configuration, as for
-        :func:`~repro.observatory.pipeline.build_pipeline`.
-    pace:
-        Virtual-to-wall time speed-up factor; ``0`` disables pacing.
-    host / port / cache_windows / max_connections / stream_threshold:
-        Serving configuration, as for ``serve``.
-    rules:
-        Alert rules; :data:`~repro.observatory.alerts.DAEMON_RULES`
-        are appended so ``/platform/health`` covers the daemon itself.
-    detectors:
-        Abuse-detection spec passed through to the pipeline (``True``
-        for all registered detectors, or a list of names; see
-        :mod:`repro.detect`).  When set, every window also emits a
-        ``_detector`` meta-dataset and
+    pipeline_options:
+        The ingest configuration (datasets, window, shards, transport,
+        detectors, vantage, segments, ...): keyword options handed to
+        :func:`~repro.observatory.pipeline.build_pipeline`, where
+        their meanings and defaults live.  With ``detectors`` set,
         :data:`~repro.observatory.alerts.DETECTOR_RULES` join the rule
         set, so a flagged eSLD trips ``/platform/health``.
-    vantage:
-        Optional :class:`~repro.analysis.vantage.VantageEmitter`:
-        every flushed ``srvip`` window additionally derives per-ASN
-        and per-country ``_vantage_*`` index windows through the same
-        flush path, served live at ``/vantage``.
-    auth_tokens / rate_limit / rate_burst:
-        Serving admission control, as for ``serve --token`` /
-        ``--rate-limit`` (bearer-token allowlist -> 401, per-client
-        token bucket -> 429 + ``Retry-After``).
-    segments:
-        Build a columnar sidecar segment
-        (:mod:`~repro.observatory.segments`) for every flushed window
-        before it is reconciled into the store, so a window evicted
-        from the LRU is re-read as a binary column scan, never a text
-        re-parse.
+    server_options:
+        The serving configuration (bind address, LRU size, connection
+        cap, stream threshold, admission control, ...): keyword
+        options handed to :func:`~repro.server.build_server`.  Its
+        ``rules`` (default
+        :data:`~repro.observatory.alerts.DEFAULT_RULES`) get
+        :data:`~repro.observatory.alerts.DAEMON_RULES` appended so
+        ``/platform/health`` covers the daemon itself.
+    pace:
+        Virtual-to-wall time speed-up factor; ``0`` disables pacing.
     exit_when_done:
         Shut down (exit 0) when the source is exhausted instead of
         continuing to serve the accumulated windows.
@@ -149,42 +132,21 @@ class LiveDaemon:
         the first transaction is ingested).
     """
 
-    def __init__(self, source, output_dir, datasets=("srvip", "qname"),
-                 window_seconds=60.0, shards=1, transport="pickle", pace=1.0,
-                 host="127.0.0.1", port=8053, cache_windows=256,
-                 max_connections=64, stream_threshold=None, rules=None,
-                 segments=False, exit_when_done=False,
-                 ready_callback=None, batch_size=BATCH_SIZE,
-                 dispatch_interval=DISPATCH_INTERVAL, detectors=None,
-                 vantage=None, auth_tokens=None, rate_limit=None,
-                 rate_burst=None):
+    def __init__(self, source, output_dir, pipeline_options,
+                 server_options, pace=1.0, exit_when_done=False,
+                 ready_callback=None):
         self._source = source
         self.output_dir = output_dir
-        self.datasets = list(datasets)
-        self.window_seconds = float(window_seconds)
-        self.shards = int(shards)
-        self.transport = transport
+        self.pipeline_options = dict(pipeline_options)
+        self.server_options = dict(server_options)
+        rules = list(self.server_options.get("rules", DEFAULT_RULES))
+        rules += DAEMON_RULES
+        if self.pipeline_options.get("detectors"):
+            rules += DETECTOR_RULES
+        self.server_options["rules"] = rules
         self.pace = float(pace)
-        self.host = host
-        self.port = port
-        self.cache_windows = cache_windows
-        self.max_connections = max_connections
-        self.stream_threshold = stream_threshold
-        self.detectors = detectors
-        self.vantage = vantage
-        self.auth_tokens = auth_tokens
-        self.rate_limit = rate_limit
-        self.rate_burst = rate_burst
-        base = DEFAULT_RULES if rules is None else rules
-        self.rules = list(base) + list(DAEMON_RULES)
-        if detectors:
-            from repro.observatory.alerts import DETECTOR_RULES
-            self.rules += list(DETECTOR_RULES)
-        self.segments = bool(segments)
         self.exit_when_done = exit_when_done
         self.ready_callback = ready_callback
-        self.batch_size = int(batch_size)
-        self.dispatch_interval = float(dispatch_interval)
 
         self._stop = threading.Event()
         self._loop = None
@@ -213,64 +175,43 @@ class LiveDaemon:
         """Blocking entry point; returns the process exit code."""
         return asyncio.run(self._main())
 
-    def _build_observatory(self):
-        return build_pipeline(
-            shards=self.shards, transport=self.transport,
-            datasets=self.datasets, output_dir=self.output_dir,
-            window_seconds=self.window_seconds, keep_dumps=False,
-            telemetry=self.telemetry, flush_hook=self._on_flush,
-            detectors=self.detectors, encrypted=True,
-            vantage=self.vantage)
-
     async def _main(self):
         loop = asyncio.get_running_loop()
         self._loop = loop
         self.broker = FlushBroker(loop)
-        self.store = SeriesStore(self.output_dir,
-                                 cache_windows=self.cache_windows,
-                                 follow=False, telemetry=self.telemetry)
+        options = dict(self.server_options)
+        self.store = open_store(self.output_dir, options, self.telemetry)
         self.telemetry.register("daemon", self._heartbeat_row,
                                 deltas=("txns",))
-        self.observatory = self._build_observatory()
-        self.server, app = await build_server(
-            self.output_dir, host=self.host, port=self.port,
-            store=self.store, telemetry=self.telemetry,
-            rules=self.rules, max_connections=self.max_connections,
-            stream_threshold=self.stream_threshold,
-            broker=self.broker, daemon_status=self.status,
-            auth_tokens=self.auth_tokens, rate_limit=self.rate_limit,
-            rate_burst=self.rate_burst)
-        saved = []
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                previous = signal.getsignal(sig)
-                loop.add_signal_handler(sig, self._request_shutdown)
-            except (NotImplementedError, RuntimeError):
-                continue  # non-POSIX event loop
-            saved.append((sig, previous))
+        # The _encrypted channel is always armed: it costs nothing
+        # until the first blinded record arrives.
+        self.observatory = build_pipeline(
+            output_dir=self.output_dir, keep_dumps=False,
+            telemetry=self.telemetry, flush_hook=self._on_flush,
+            encrypted=True, **self.pipeline_options)
+        self.server, _ = await build_server(
+            self.output_dir, store=self.store, telemetry=self.telemetry,
+            broker=self.broker, daemon_status=self.status, **options)
         self._ingest_thread = threading.Thread(
             target=self._ingest, name="daemon-ingest", daemon=True)
-        self._ingest_thread.start()
-        if self.ready_callback is not None:
-            self.ready_callback(self.server)
+        # On the loop's next turn, when serve_forever has installed the
+        # signal handlers: a SIGTERM right after the ready line drains.
+        loop.call_soon(self._start_ingest)
         try:
-            await self.server.wait_closed()
+            await self.server.serve_forever(
+                on_signal=self._request_shutdown)
         finally:
-            for sig, previous in saved:
-                try:
-                    loop.remove_signal_handler(sig)
-                    if previous is not None:
-                        signal.signal(sig, previous)
-                except (NotImplementedError, RuntimeError, OSError,
-                        ValueError):  # pragma: no cover - teardown race
-                    pass
             self._stop.set()
             await loop.run_in_executor(None, self._join_ingest)
             self.broker.close()
-            self.store.flush_manifest()
         return 1 if self.ingest_error else 0
 
     # -- lifecycle ------------------------------------------------------
+
+    def _start_ingest(self):
+        self._ingest_thread.start()
+        if self.ready_callback is not None:
+            self.ready_callback(self.server)
 
     def _request_shutdown(self):
         """Begin the drain sequence (idempotent; loop thread only)."""
@@ -341,8 +282,8 @@ class LiveDaemon:
             for txn in self._paced(source):
                 buffer.append(txn)
                 now = time.monotonic()
-                if len(buffer) >= self.batch_size or \
-                        now - last_dispatch >= self.dispatch_interval:
+                if len(buffer) >= BATCH_SIZE or \
+                        now - last_dispatch >= DISPATCH_INTERVAL:
                     consume_batch(buffer)
                     self.txns_ingested += len(buffer)
                     buffer = []
@@ -382,14 +323,6 @@ class LiveDaemon:
 
     def _on_flush(self, path):
         """Ingest-thread flush hook: reconcile one file, wake pushers."""
-        if self.segments:
-            # sidecar first, so the reconciled ref's cold read already
-            # finds a fresh segment; best effort -- a failed build just
-            # leaves the window on the text-parse path
-            try:
-                segmentfmt.build_segment(path)
-            except OSError:
-                logger.warning("segment build failed for %r", path)
         try:
             self.store.notify_flush(path)
         except Exception:  # pragma: no cover - defensive: keep ingest up
@@ -430,6 +363,6 @@ class LiveDaemon:
             "last_flush_unix": self.last_flush_unix,
             "started_at_unix": round(self._started_unix, 1),
             "pace": self.pace,
-            "window_seconds": self.window_seconds,
-            "shards": self.shards,
+            "window_seconds": self.observatory.window_seconds,
+            "shards": self.observatory.shards,
         }

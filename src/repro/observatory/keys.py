@@ -73,62 +73,19 @@ class DatasetSpec:
             return None
         return self.key_fn(txn)
 
-    def make_extractor(self, psl=None, cache_limit=100_000):
-        """Build the fastest extractor available for this dataset.
-
-        Returns a ``txn -> key-or-None`` callable with the PSL bound
-        (when the dataset uses one) and, when ``cache_key_attr`` is
-        set and no pre-filter interferes, a bounded memo of
-        ``attr value -> key`` in front (cleared wholesale when full,
-        like the PSL's own cache).
-        """
-        if self.key_factory is not None:
-            key_fn = self.key_factory(
-                psl if psl is not None else default_psl())
-        else:
-            key_fn = self.key_fn
-        filter_fn = self.filter_fn
-        if self.cache_key_attr is not None and filter_fn is None:
-            attr = self.cache_key_attr
-            cache = {}
-            intern = sys.intern
-
-            def extract(txn):
-                value = getattr(txn, attr)
-                try:
-                    return cache[value]
-                except KeyError:
-                    pass
-                if len(cache) >= cache_limit:
-                    cache.clear()
-                key = key_fn(txn)
-                if key is not None:
-                    # memoized keys are served many times over; intern
-                    # so every cache hit returns the singleton and the
-                    # Space-Saving dict compares by pointer first
-                    key = intern(key)
-                cache[value] = key
-                return key
-
-            return extract
-        if filter_fn is not None:
-            def extract(txn):
-                if not filter_fn(txn):
-                    return None
-                return key_fn(txn)
-
-            return extract
-        return key_fn
-
     def make_batch_extractor(self, psl=None, cache_limit=100_000):
         """Build a batch extractor: ``txns -> [key-or-None, ...]``.
 
-        The batch form of :meth:`make_extractor`: one call per batch
-        instead of one per transaction.  For memoizable datasets
-        (``cache_key_attr`` set, no pre-filter) the loop runs against
-        a local binding of the shared memo with interned keys, so the
-        steady-state per-transaction cost is one attribute read and
-        one dict hit -- no Python-level function call at all.
+        The fast form of :meth:`extract`, with the PSL bound (when
+        the dataset uses one): one call per batch instead of one per
+        transaction.  For memoizable datasets (``cache_key_attr`` set,
+        no pre-filter) the loop runs against a local binding of a
+        bounded ``attr value -> key`` memo (cleared wholesale when
+        full, like the PSL's own cache) with interned keys -- every
+        hit returns the singleton, so the Space-Saving dict compares
+        by pointer first -- and the steady-state per-transaction cost
+        is one attribute read and one dict hit, no Python-level
+        function call at all.
         """
         if self.key_factory is not None:
             key_fn = self.key_factory(

@@ -18,6 +18,7 @@ simulator's fast path) or as raw packets via :meth:`ingest_packets`
 import logging
 
 from repro.detect import DetectorSet, build_detectors
+from repro.observatory import segments as segmentfmt
 from repro.observatory.encrypted import EncryptedChannelAggregator
 from repro.observatory.keys import DATASETS, DatasetSpec, make_dataset
 from repro.observatory.preprocess import summarize_transaction
@@ -77,8 +78,13 @@ def feed_batches(consume_batch, transactions, batch_size):
 class WindowEmitter:
     """Where every finished :class:`WindowDump` goes, single-process
     and sharded alike: kept in :attr:`dumps`, written as a minutely
-    TSV, announced to the flush hook, and -- for the vantage emitter's
+    TSV (with :attr:`segments`, its columnar sidecar built next to
+    it), announced to the flush hook, and -- for the vantage emitter's
     source dataset -- followed by its derived ``_vantage_*`` dumps."""
+
+    #: build a ``.tsv.seg`` sidecar for every TSV written
+    #: (:func:`build_pipeline` sets it)
+    segments = False
 
     def __init__(self, datasets, output_dir, keep_dumps, flush_hook,
                  vantage):
@@ -87,6 +93,7 @@ class WindowEmitter:
         self.keep_dumps = keep_dumps
         self.flush_hook = flush_hook
         self.vantage = vantage
+        self.segments_built = 0
 
     def __call__(self, dump):
         if self.keep_dumps:
@@ -98,6 +105,15 @@ class WindowEmitter:
             # minutely file exactly like an all-zero one.
             path = write_tsv(self.output_dir,
                              dump.to_timeseries("minutely"))
+            if self.segments:
+                # before the hook, so the reconciled window's first
+                # cold read finds a fresh sidecar; best effort -- a
+                # failed build leaves the window on the text path
+                try:
+                    segmentfmt.build_segment(path)
+                    self.segments_built += 1
+                except OSError:
+                    logger.warning("segment build failed for %r", path)
             if self.flush_hook is not None:
                 self.flush_hook(path)
         if self.vantage is not None and \
@@ -228,6 +244,13 @@ class Observatory:
 
     # ------------------------------------------------------------------
 
+    #: the in-process pipeline is the one-shard case
+    shards = 1
+
+    @property
+    def window_seconds(self):
+        return self.windows.window_seconds
+
     def tracker(self, name):
         """The :class:`TopKTracker` for dataset *name*."""
         return self._trackers[name]
@@ -249,15 +272,22 @@ class Observatory:
         }
 
 
-def build_pipeline(shards=1, transport="pickle", **options):
+def build_pipeline(shards=1, transport="pickle", segments=False,
+                   **options):
     """The ingest pipeline ``replay`` and the live daemon drive: an
     in-process :class:`Observatory` for one shard,
     :class:`~repro.observatory.sharded.ShardedObservatory` worker
     processes for more.  *options* are the constructor arguments both
-    take."""
+    take; *segments* has the emitter build a columnar sidecar
+    (:mod:`~repro.observatory.segments`) next to every TSV window it
+    writes, so a cold read is a binary column scan, never a text
+    re-parse."""
     if shards > 1:
         from repro.observatory.sharded import ShardedObservatory
 
-        return ShardedObservatory(shards=shards, transport=transport,
-                                  **options)
-    return Observatory(**options)
+        pipeline = ShardedObservatory(shards=shards, transport=transport,
+                                      **options)
+    else:
+        pipeline = Observatory(**options)
+    pipeline.emitter.segments = bool(segments)
+    return pipeline

@@ -54,7 +54,7 @@ from repro.observatory.tsv import (
 #: sidecar suffix: ``<window>.tsv`` -> ``<window>.tsv.seg``.  The
 #: suffix keeps the TSV stem intact (``parse_filename`` ignores the
 #: sidecar because the extension is not ``.tsv``), so segments are
-#: invisible to ``list_series`` / the manifest scan by construction.
+#: invisible to ``list_series`` / the store scan by construction.
 SEGMENT_SUFFIX = ".seg"
 
 #: leading magic + format version (bump on incompatible layout change)

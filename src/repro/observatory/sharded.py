@@ -57,7 +57,7 @@ Merge semantics (why the output matches the single-process path):
   minimum across shards before the rule is applied, matching the
   single cache's notion of "first seen".
 
-With the default partition key ``resolver|server`` every dataset's
+With the partition key ``resolver|server`` every dataset's
 keys are spread over all shards and recombined by the merge; datasets
 keyed by the partition key itself (``srcsrv``) are trivially exact.
 
@@ -105,29 +105,12 @@ _SHARD_MEMO_LIMIT = 200_000
 
 
 def partition_srcsrv(txn):
-    """Default partition key: the (resolver, nameserver) pair.
+    """The partition key: the (resolver, nameserver) pair.
 
     Finer than either IP alone, so hot servers do not pin a whole
     shard; the mergeable sketches recombine the split datasets.
     """
     return txn.resolver_ip + "|" + txn.server_ip
-
-
-def partition_srvip(txn):
-    """Partition by nameserver IP (makes the srvip dataset exact)."""
-    return txn.server_ip
-
-
-def partition_qname(txn):
-    """Partition by QNAME (makes the qname dataset exact)."""
-    return txn.qname
-
-
-PARTITIONS = {
-    "srcsrv": partition_srcsrv,
-    "srvip": partition_srvip,
-    "qname": partition_qname,
-}
 
 
 def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw,
@@ -207,17 +190,11 @@ class ShardedObservatory:
         Tracker knobs, forwarded to every worker.
     batch_size:
         Transactions per queue message.
-    partition:
-        Partition key: a name from :data:`PARTITIONS` or a callable
-        ``txn -> str``.
     transport:
         Shard transport codec: ``"pickle"`` (default; queues pickle
         live object graphs) or ``"binary"`` (pre-serialized line
         blocks upstream, protocol-5 out-of-band sketch buffers
         downstream -- see :mod:`repro.observatory.transport`).
-    mp_context:
-        ``multiprocessing`` context or start-method name; defaults to
-        ``fork`` where available (cheap worker startup).
     timeout:
         Seconds to wait for any single worker reply before declaring
         the run dead.
@@ -253,8 +230,7 @@ class ShardedObservatory:
                  output_dir=None, keep_dumps=True, tau=300.0,
                  use_bloom_gate=True, hll_precision=8,
                  skip_recent_inserts=True, batch_size=DEFAULT_BATCH_SIZE,
-                 partition="srcsrv", transport="pickle", mp_context=None,
-                 timeout=300.0, telemetry=False, flush_hook=None,
+                 transport="pickle", timeout=300.0, telemetry=False, flush_hook=None,
                  detectors=None, encrypted=None, vantage=None):
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -264,10 +240,6 @@ class ShardedObservatory:
             raise ValueError("window_seconds must be positive")
         self.batch_size = int(batch_size)
         self.timeout = timeout
-        if callable(partition):
-            self._partition = partition
-        else:
-            self._partition = PARTITIONS[partition]
         self._transport = get_transport(transport)
         self._shard_memo = {}
         specs = resolve_datasets(datasets)
@@ -310,7 +282,11 @@ class ShardedObservatory:
             detectors=detectors.names if isinstance(detectors, DetectorSet)
             else detectors,
             encrypted=encrypted)
-        context = self._resolve_context(mp_context)
+        # fork where available: cheap worker startup
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            context = multiprocessing.get_context()
         self._out_q = context.Queue()
         self._in_qs = []
         self._workers = []
@@ -360,17 +336,6 @@ class ShardedObservatory:
 
         return sample
 
-    @staticmethod
-    def _resolve_context(mp_context):
-        if mp_context is not None:
-            if isinstance(mp_context, str):
-                return multiprocessing.get_context(mp_context)
-            return mp_context
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()
-
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
@@ -392,7 +357,7 @@ class ShardedObservatory:
             raise RuntimeError("ShardedObservatory is closed")
         window_seconds = self.window_seconds
         shards = self.shards
-        partition = self._partition
+        partition = partition_srcsrv
         buffers = self._buffers
         batch_size = self.batch_size
         crc32 = zlib.crc32

@@ -10,16 +10,15 @@ a store that a collector is appending to live.
 
 :class:`SeriesStore` is the missing read path:
 
-* a **manifest index** -- dataset -> granularity -> window offsets,
-  sorted by start time, with per-file identity (mtime + size).  The
-  manifest is persisted next to the data (``.observatory-manifest.json``)
-  so a fresh process -- or the HTTP server restarting -- reopens a
-  million-window directory without re-learning per-window metadata
-  (row counts, stats) that required parsing the files once;
+* an **in-memory index** -- dataset -> granularity -> window refs,
+  sorted by start time, with per-file identity (mtime + size + inode),
+  built by one ``scandir`` + ``stat`` pass on open.  Nothing is
+  persisted: the directory is the index, and reopening through a
+  saved copy of it measured slower than this scan (EXPERIMENTS.md);
 * **mtime/size invalidation** -- a changed or replaced file drops its
-  cache entry and manifest metadata, so the store can ``follow`` a
-  live writer (``replay`` appending windows, ``aggregate`` rolling
-  them up) and never serve stale or torn state.  Writes are atomic
+  cache entry, so the store can ``follow`` a live writer (``replay``
+  appending windows, ``aggregate`` rolling them up) and never serve
+  stale or torn state.  Writes are atomic
   (:func:`~repro.observatory.tsv.write_tsv` goes through
   ``os.replace``), so a file visible in the listing is complete;
 * a **bounded LRU** of parsed windows -- the hot working set (recent
@@ -44,10 +43,8 @@ a store that a collector is appending to live.
 
 import bisect
 import heapq
-import json
 import os
 import threading
-import time
 from collections import OrderedDict
 
 from repro.observatory import segments as segmentfmt
@@ -56,13 +53,6 @@ from repro.observatory.tsv import (
     parse_filename,
     read_tsv,
 )
-
-#: manifest filename, stored inside the series directory
-MANIFEST_NAME = ".observatory-manifest.json"
-
-#: manifest schema version (bump on incompatible layout changes);
-#: v2 added the inode to the per-file identity token
-MANIFEST_VERSION = 2
 
 #: distinct range-accumulations memoized per store (see ``accumulate``)
 ACCUMULATE_CACHE = 16
@@ -73,38 +63,27 @@ ACCUMULATE_CACHE = 16
 #: O(run) memory, not O(span)
 ACCUMULATE_RUN = 256
 
-#: minimum seconds between automatic manifest rewrites triggered by
-#: :meth:`SeriesStore.refresh`.  A follow-mode store re-scans before
-#: every query; without the debounce a live writer made every query
-#: rewrite the whole O(windows) manifest JSON.  ``flush_manifest``
-#: (shutdown) always persists regardless.
-MANIFEST_SAVE_INTERVAL = 5.0
-
 
 class WindowRef:
-    """One indexed window file: identity plus lazily-learned metadata."""
+    """One indexed window file and its identity."""
 
     __slots__ = ("path", "dataset", "granularity", "start_ts",
-                 "mtime_ns", "size", "ino", "rows", "stats")
+                 "mtime_ns", "size", "ino")
 
     def __init__(self, path, dataset, granularity, start_ts,
-                 mtime_ns, size, ino=0, rows=None, stats=None):
+                 mtime_ns, size, ino=0):
         self.path = path
         self.dataset = dataset
         self.granularity = granularity
         self.start_ts = start_ts
-        #: file identity: changed mtime/size/inode invalidates cache +
-        #: metadata.  The inode matters because the atomic write path
+        #: file identity: changed mtime/size/inode invalidates the
+        #: cache.  The inode matters because the atomic write path
         #: (``os.replace``) produces a *new* file every flush: on
         #: filesystems with coarse mtime granularity a same-size
         #: rewrite inside one mtime tick would otherwise be invisible.
         self.mtime_ns = mtime_ns
         self.size = size
         self.ino = ino
-        #: row count, learned on first parse (None = not parsed yet)
-        self.rows = rows
-        #: collection stats from the ``#stats`` line, learned on parse
-        self.stats = stats
 
     @property
     def end_ts(self):
@@ -127,8 +106,8 @@ class _SeriesIndex:
     """One (dataset, granularity) series: refs sorted by ``start_ts``.
 
     Appends are O(1) and only mark the order dirty; the sort happens
-    once per batch of changes (a refresh over a big directory, a
-    manifest load) instead of once per inserted ref, and every query
+    once per batch of changes (a refresh over a big directory)
+    instead of once per inserted ref, and every query
     then answers with :func:`bisect.bisect` over the parallel
     ``starts`` list -- no linear scan of the ref list.
     """
@@ -216,9 +195,8 @@ class SeriesStore:
         index is built once at construction and refreshed only via
         :meth:`refresh`.
     manifest:
-        Persist the index to ``.observatory-manifest.json`` inside the
-        directory (and load it on open).  Disable for read-only
-        directories.
+        Ignored: the index is the directory scan.  Kept only because
+        ``benchmarks/ledger/layers.py`` still passes it.
     use_segments:
         Prefer a fresh binary columnar sidecar
         (:mod:`~repro.observatory.segments`) over re-parsing the TSV
@@ -236,7 +214,6 @@ class SeriesStore:
         self.directory = directory
         self.follow = bool(follow)
         self.cache_windows = int(cache_windows)
-        self._use_manifest = bool(manifest)
         self.use_segments = bool(use_segments)
         #: path -> WindowRef, the live index
         self._index = {}
@@ -249,10 +226,6 @@ class SeriesStore:
         #: path -> _Flight: cold reads in progress (single-flight)
         self._inflight = {}
         self._lock = threading.RLock()
-        self._dirty = False
-        #: monotonic time of the last on-disk manifest write (None =
-        #: never written by this store)
-        self._manifest_saved_at = None
         #: cache statistics (exposed via telemetry + bench_serve)
         self.cache_hits = 0
         self.cache_misses = 0
@@ -260,15 +233,11 @@ class SeriesStore:
         #: cold reads answered from a columnar segment (no text parse)
         self.segment_reads = 0
         self.refreshes = 0
-        #: manifest files actually written to disk
-        self.manifest_saves = 0
         #: cold reads that piggybacked on another thread's in-progress
         #: parse of the same path instead of duplicating it
         self.flight_waits = 0
         #: single-file reconciliations via :meth:`notify_flush`
         self.notifications = 0
-        if self._use_manifest:
-            self._load_manifest()
         self.refresh()
         if telemetry is not None and getattr(telemetry, "enabled", False):
             telemetry.register("store", self.telemetry_row,
@@ -283,7 +252,7 @@ class SeriesStore:
 
         New files are added, vanished files dropped, and files whose
         (mtime, size) changed -- a rewritten window -- are invalidated:
-        their parsed cache entry and learned metadata are discarded.
+        their parsed cache entry is discarded.
         Returns the number of index entries that changed.
         """
         with self._lock:
@@ -319,9 +288,6 @@ class SeriesStore:
                 if path not in seen:
                     changed += 1
                     self._drop_ref(path)
-            if changed:
-                self._dirty = True
-                self._maybe_save_manifest()
             return changed
 
     def notify_flush(self, path):
@@ -333,8 +299,7 @@ class SeriesStore:
         window rather than O(indexed windows).  Stats the file, drops
         any stale cache entry, and returns the fresh
         :class:`WindowRef` (``None`` when the path does not parse as a
-        series file or has vanished).  The manifest is marked dirty
-        but not rewritten -- call :meth:`flush_manifest` at shutdown.
+        series file or has vanished).
         """
         name = os.path.basename(path)
         try:
@@ -346,9 +311,7 @@ class SeriesStore:
             st = os.stat(path)
         except OSError:
             with self._lock:
-                if path in self._index:
-                    self._drop_ref(path)
-                    self._dirty = True
+                self._drop_ref(path)
             return None
         with self._lock:
             self.notifications += 1
@@ -360,7 +323,6 @@ class SeriesStore:
             ref = WindowRef(path, dataset, gran, start,
                             st.st_mtime_ns, st.st_size, st.st_ino)
             self._set_ref(ref)
-            self._dirty = True
             return ref
 
     def _set_ref(self, ref):
@@ -390,84 +352,9 @@ class SeriesStore:
             if not grans:
                 del self._by_series[ref.dataset]
 
-    # -- manifest persistence ------------------------------------------
-
-    @property
-    def manifest_path(self):
-        return os.path.join(self.directory, MANIFEST_NAME)
-
-    def _load_manifest(self):
-        try:
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                blob = json.load(fh)
-        except (OSError, ValueError):
-            return
-        if not isinstance(blob, dict) or \
-                blob.get("version") != MANIFEST_VERSION:
-            return
-        for name, meta in blob.get("windows", {}).items():
-            try:
-                dataset, gran, start = parse_filename(name)
-                ref = WindowRef(
-                    os.path.join(self.directory, name), dataset, gran,
-                    start, int(meta["mtime_ns"]), int(meta["size"]),
-                    ino=int(meta["ino"]),
-                    rows=meta.get("rows"), stats=meta.get("stats"))
-            except (KeyError, TypeError, ValueError):
-                continue
-            self._set_ref(ref)
-
-    def _save_manifest(self):
-        """Persist the index atomically (best effort: a read-only
-        directory downgrades to an in-memory index, not an error)."""
-        if not self._use_manifest or not self._dirty:
-            return
-        windows = {
-            os.path.basename(ref.path): {
-                "mtime_ns": ref.mtime_ns,
-                "size": ref.size,
-                "ino": ref.ino,
-                "rows": ref.rows,
-                "stats": ref.stats,
-            }
-            for ref in self._index.values()
-        }
-        blob = {"version": MANIFEST_VERSION, "windows": windows}
-        tmp = "%s.tmp.%d" % (self.manifest_path, os.getpid())
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(blob, fh, separators=(",", ":"))
-            os.replace(tmp, self.manifest_path)
-            self._dirty = False
-            self.manifest_saves += 1
-            self._manifest_saved_at = time.monotonic()
-        except OSError:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-
-    def _maybe_save_manifest(self):
-        """Debounced manifest write for :meth:`refresh`.
-
-        A follow-mode store re-scans before every query; while a live
-        writer keeps appending windows, every scan finds changes.
-        Rewriting the whole O(windows) manifest JSON per query is pure
-        write amplification, so refresh-triggered saves are rate
-        limited to one per :data:`MANIFEST_SAVE_INTERVAL` seconds; the
-        index stays dirty in between and :meth:`flush_manifest`
-        (shutdown) always persists the final state.
-        """
-        if self._manifest_saved_at is not None and \
-                time.monotonic() - self._manifest_saved_at < \
-                MANIFEST_SAVE_INTERVAL:
-            return
-        self._save_manifest()
-
     def flush_manifest(self):
-        """Write learned metadata (row counts, stats) back to disk."""
-        with self._lock:
-            self._save_manifest()
+        """No-op: nothing is persisted.  Kept only because
+        ``benchmarks/ledger/layers.py`` still calls it."""
 
     # -- query primitives ----------------------------------------------
 
@@ -621,10 +508,6 @@ class SeriesStore:
                 self.segment_reads += 1
             else:
                 self.parses += 1
-            if ref.rows != len(data.rows) or ref.stats != data.stats:
-                ref.rows = len(data.rows)
-                ref.stats = dict(data.stats)
-                self._dirty = True
             if self.cache_windows > 0:
                 self._cache[path] = data
                 self._cache.move_to_end(path)
@@ -732,14 +615,7 @@ class SeriesStore:
                             run_cols = cols
                             run_keys = reader.keys()
                         run_vals.append(reader.columns_values())
-                        n_rows = reader.n_rows
-                        stats = reader.stats
                     segment_reads += 1
-                    if ref.rows != n_rows or ref.stats != stats:
-                        with self._lock:
-                            ref.rows = n_rows
-                            ref.stats = dict(stats)
-                            self._dirty = True
                     continue
             flush_run()
             acc.fold_rows(self._read_ref(ref).rows)
@@ -806,7 +682,6 @@ class SeriesStore:
                 "notifications": self.notifications,
                 "segment_reads": self.segment_reads,
                 "flight_waits": self.flight_waits,
-                "manifest_saves": self.manifest_saves,
             }
 
     def telemetry_row(self, now):

@@ -115,17 +115,6 @@ class TopKTracker:
         """Current top entries, heaviest first."""
         return self.cache.top(n)
 
-    def reset_window_stats(self):
-        """Clear per-object features, keeping the Top-k list (§2.4:
-        'we keep the list of the most popular objects, but we clear
-        their internal state used for traffic features')."""
-        for entry in self.cache:
-            state = entry.state
-            # An idle set is already clear: nothing has touched it
-            # since its last clear() (every update bumps hits).
-            if state is not None and state.hits:
-                state.clear()
-
     def capture_ratio(self):
         """Share of processed transactions landing on tracked objects."""
         return self.cache.capture_ratio()

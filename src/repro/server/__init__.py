@@ -12,12 +12,11 @@ alerting (:mod:`repro.observatory.alerts`).
 
 or from the command line::
 
-    dns-observatory serve out/ --port 8053 --follow
+    dns-observatory serve out/ --follow
 """
 
 import asyncio
 
-from repro.observatory.alerts import DEFAULT_RULES
 from repro.observatory.store import SeriesStore
 from repro.observatory.telemetry import Telemetry
 from repro.server.app import ObservatoryApp
@@ -30,77 +29,64 @@ __all__ = [
     "Request",
     "Response",
     "build_server",
+    "open_store",
     "run",
 ]
 
+#: the serving options the store and the listening server consume (the
+#: rest configure the app); each option's default is its consumer's
+STORE_OPTIONS = ("cache_windows", "follow")
+SERVER_OPTIONS = ("host", "port", "max_connections")
 
-async def build_server(directory, host="127.0.0.1", port=8053,
-                       follow=False, cache_windows=256, rules=None,
-                       max_connections=64, store=None, telemetry=None,
-                       stream_threshold=None, broker=None,
-                       daemon_status=None, auth_tokens=None,
-                       rate_limit=None, rate_burst=None):
+
+def _take(options, names):
+    return {name: options.pop(name) for name in names if name in options}
+
+
+def open_store(directory, options, telemetry=None):
+    """Open the serving store, taking its share out of *options* (the
+    live daemon opens it ahead of :func:`build_server`, so the store's
+    telemetry row keeps its place before the pipeline's)."""
+    return SeriesStore(directory, telemetry=telemetry,
+                       **_take(options, STORE_OPTIONS))
+
+
+async def build_server(directory, store=None, telemetry=None, **options):
     """Wire store + app + server and start listening.
 
-    The default bind is loopback with no authentication (the
-    historical trust model); *auth_tokens* puts a bearer-token
-    allowlist in front of every route (401 otherwise) and
-    *rate_limit* / *rate_burst* a per-client token bucket (429 +
-    ``Retry-After`` past it), which is what exposing the API beyond
-    the host should pair with.
-
-    *broker* (a :class:`~repro.server.push.FlushBroker`) and
-    *daemon_status* are the live-daemon hooks: with a broker wired,
-    ``/series?follow=`` and ``/stream`` subscribers wake on flush
-    notifications instead of polling, and *daemon_status* is merged
-    into ``/platform/health``.
+    *options* are the serving options under their consumer's names:
+    :class:`~repro.observatory.store.SeriesStore` (``cache_windows``,
+    ``follow``; not with a ready *store*), :class:`ObservatoryServer`
+    (``host``, ``port``, ``max_connections``) and, for everything
+    else, :class:`ObservatoryApp` -- where their defaults and meanings
+    are written down.  The default bind is loopback with no
+    authentication: pair exposing the API beyond the host with
+    ``auth_tokens`` and ``rate_limit``.
 
     Returns ``(server, app)``; the caller drives
     ``server.serve_forever()`` (or ``wait_closed`` after
     ``begin_shutdown`` in tests).
     """
-    from repro.server.app import STREAM_THRESHOLD_BYTES
-
     registry = telemetry if telemetry is not None else Telemetry()
     if store is None:
-        store = SeriesStore(directory, cache_windows=cache_windows,
-                            follow=follow, telemetry=registry)
-    app = ObservatoryApp(store,
-                         rules=DEFAULT_RULES if rules is None else rules,
-                         telemetry=registry,
-                         stream_threshold=STREAM_THRESHOLD_BYTES
-                         if stream_threshold is None
-                         else stream_threshold,
-                         broker=broker, daemon_status=daemon_status,
-                         auth_tokens=auth_tokens, rate_limit=rate_limit,
-                         rate_burst=rate_burst)
-    server = ObservatoryServer(app, host=host, port=port,
-                               max_connections=max_connections)
+        store = open_store(directory, options, registry)
+    server_options = _take(options, SERVER_OPTIONS)
+    app = ObservatoryApp(store, telemetry=registry, **options)
+    server = ObservatoryServer(app, **server_options)
     app.server = server
     await server.start()
     return server, app
 
 
-def run(directory, host="127.0.0.1", port=8053, follow=False,
-        cache_windows=256, rules=None, max_connections=64,
-        ready_callback=None, stream_threshold=None, auth_tokens=None,
-        rate_limit=None, rate_burst=None):
-    """Blocking entry point for ``dns-observatory serve``."""
+def run(directory, ready_callback=None, **options):
+    """Blocking entry point for ``dns-observatory serve``; *options*
+    as for :func:`build_server`."""
 
     async def _main():
-        server, app = await build_server(
-            directory, host=host, port=port, follow=follow,
-            cache_windows=cache_windows, rules=rules,
-            max_connections=max_connections,
-            stream_threshold=stream_threshold,
-            auth_tokens=auth_tokens, rate_limit=rate_limit,
-            rate_burst=rate_burst)
+        server, _ = await build_server(directory, **options)
         if ready_callback is not None:
             ready_callback(server)
-        try:
-            await server.serve_forever()
-        finally:
-            app.store.flush_manifest()
+        await server.serve_forever()
         return 0
 
     return asyncio.run(_main())

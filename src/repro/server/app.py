@@ -63,10 +63,12 @@ monitorable with the same machinery as the ingest pipeline.
 """
 
 import asyncio
+import contextlib
+import functools
 import hashlib
 import json
 import time
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 
 from repro.detect import DETECTOR_DATASET
 from repro.observatory import alerts
@@ -112,6 +114,16 @@ MAX_RATE_CLIENTS = 1024
 #: import-independent of the analysis package)
 VANTAGE_GROUPS = {"asn": "_vantage_asn", "cc": "_vantage_cc"}
 
+#: the one JSON text form (compact, sorted keys): the buffered path,
+#: the body cache and the streamed path must all produce the same
+#: entity for one ETag
+_dumps = functools.partial(json.dumps, separators=(",", ":"),
+                           sort_keys=True)
+
+#: one route's instruments in the shared telemetry registry
+_RouteStats = namedtuple(
+    "_RouteStats", "latency requests etag_hit streamed_bytes first_byte")
+
 
 class ObservatoryApp:
     """Async request handler bound to one store + rule set.
@@ -135,6 +147,14 @@ class ObservatoryApp:
         Byte size of the backing files above which ``/series`` and
         ``/key`` answers stream (chunked) instead of materializing;
         0 streams everything with a body.
+    broker:
+        Optional :class:`~repro.server.push.FlushBroker`; when wired
+        (the live daemon), follow/stream subscribers wake on flush
+        instead of polling the store on an interval.
+    daemon_status:
+        Optional callable returning the daemon's health row, merged
+        into ``/platform/health`` so the serving surface reports on
+        the process that feeds it.
     auth_tokens:
         Iterable of accepted bearer tokens.  When non-empty, every
         request must carry ``Authorization: Bearer <token>`` with one
@@ -172,37 +192,20 @@ class ObservatoryApp:
         #: client IP -> [tokens, last refill (monotonic)]
         self._buckets = {}
         self.telemetry = resolve_telemetry(telemetry)
-        #: optional :class:`~repro.server.push.FlushBroker`; when wired
-        #: (the live daemon), follow/stream subscribers wake on flush
-        #: instead of polling the store on an interval
         self.broker = broker
-        #: optional callable returning the daemon's health row, merged
-        #: into ``/platform/health`` so the serving surface reports on
-        #: the process that feeds it
         self.daemon_status = daemon_status
         #: wall-clock start, for display only -- uptime math must not
         #: use it (NTP steps would make uptime jump or go negative)
         self.started_at_unix = time.time()
         self._started_monotonic = time.monotonic()
-        self._latency = {
-            route: self.telemetry.timing("server.%s" % route, "latency")
-            for route in self.ROUTES
-        }
-        self._requests = {
-            route: self.telemetry.counter("server.%s" % route, "requests")
-            for route in self.ROUTES
-        }
-        self._etag_hits = {
-            route: self.telemetry.ratio("server.%s" % route, "etag_hit")
-            for route in self.ROUTES
-        }
-        self._streamed = {
-            route: self.telemetry.counter("server.%s" % route,
-                                          "streamed_bytes")
-            for route in self.ROUTES
-        }
-        self._first_byte = {
-            route: self.telemetry.timing("server.%s" % route, "first_byte")
+        registry = self.telemetry
+        self._stats = {
+            route: _RouteStats(
+                registry.timing("server.%s" % route, "latency"),
+                registry.counter("server.%s" % route, "requests"),
+                registry.ratio("server.%s" % route, "etag_hit"),
+                registry.counter("server.%s" % route, "streamed_bytes"),
+                registry.timing("server.%s" % route, "first_byte"))
             for route in self.ROUTES
         }
         self._errors = self.telemetry.counter("server", "errors")
@@ -286,8 +289,9 @@ class ObservatoryApp:
         gated = self._gate(request)
         if gated is not None:
             return gated
-        route, handler, args = self._route(request.path)
-        self._requests[route].inc()
+        route, handler, args = self._route(request)
+        stats = self._stats[route]
+        stats.requests.inc()
         started = time.perf_counter()
         try:
             response = handler(request, *args)
@@ -299,12 +303,12 @@ class ObservatoryApp:
                 self._errors.inc()
             raise
         finally:
-            self._latency[route].observe(time.perf_counter() - started)
-        self._etag_hits[route].mark(response.status == 304)
+            stats.latency.observe(time.perf_counter() - started)
+        stats.etag_hit.mark(response.status == 304)
         return response
 
-    def _route(self, path):
-        parts = [p for p in path.split("/") if p]
+    def _route(self, request):
+        parts = request.segments
         if parts == ["datasets"]:
             return "datasets", self.handle_datasets, ()
         if len(parts) == 2 and parts[0] == "series":
@@ -324,7 +328,7 @@ class ObservatoryApp:
             return "vantage", self.handle_vantage, (parts[1],)
         if parts == ["platform", "health"]:
             return "platform", self.handle_health, ()
-        raise HttpError(404, "no such endpoint: %s" % path)
+        raise HttpError(404, "no such endpoint: %s" % request.path)
 
     # -- parameter parsing ---------------------------------------------
 
@@ -392,22 +396,30 @@ class ObservatoryApp:
             digest.update(b"|")
         return '"%s"' % digest.hexdigest()
 
-    def _conditional_json(self, route, request, etag, build):
-        """304, cached rendered body, or build-encode-and-cache.
+    def _respond(self, route, request, etag, fragments, stream=False):
+        """The one responder of the store-backed routes: 304, cached
+        rendered body, streamed, or built-encoded-and-cached.
 
         An ETag names the exact file revisions (plus query) an answer
-        was computed from, so a matching cached body is byte-for-byte
-        what a rebuild would produce; *build* only runs on the first
-        request for a given revision set.  The cache key includes the
-        route because different endpoints over the same windows and
+        was computed from, so the conditional check runs before
+        anything is read -- a matching ``If-None-Match`` never parses a
+        window or emits a chunk -- and a cached body is byte-for-byte
+        what a rebuild would produce.  *fragments()* returns the body's
+        text fragments and runs once per revision set; what it must
+        decide before a status line goes out (the ``/key`` 404) it
+        decides when called, not when iterated.  Streamed answers
+        bypass the cache (they exist to *not* materialize); its key
+        includes the route because endpoints over the same windows and
         query string legitimately share an ETag.
         """
         if etag in request.if_none_match():
             return Response.not_modified(etag)
+        if stream:
+            return self._stream(route, fragments(), etag)
         key = (route, etag)
         body = self._body_cache.get(key)
         if body is None:
-            body = Response.json(build()).body
+            body = "".join(fragments()).encode("utf-8")
             self._body_cache[key] = body
             while len(self._body_cache) > RESPONSE_CACHE:
                 self._body_cache.popitem(last=False)
@@ -423,18 +435,15 @@ class ObservatoryApp:
 
         Yields text fragments whose concatenation is byte-identical to
         ``Response.json`` over the materialized payload (compact
-        separators, sorted keys, trailing newline) -- required because
-        the buffered path, the body cache and the streamed path must
-        all produce the same entity for one ETag.  *tail_key* must
+        separators, sorted keys, trailing newline).  *tail_key* must
         sort after every key in *meta* so the entry array can go last.
         """
-        head = json.dumps(meta, separators=(",", ":"), sort_keys=True)
+        head = _dumps(meta)
         yield "%s%s%s:[" % (head[:-1], "," if len(head) > 2 else "",
                             json.dumps(tail_key))
         first = True
         for entry in entries:
-            fragment = json.dumps(entry, separators=(",", ":"),
-                                  sort_keys=True)
+            fragment = _dumps(entry)
             yield fragment if first else "," + fragment
             first = False
         yield "]}\n"
@@ -464,35 +473,11 @@ class ObservatoryApp:
         it is known without opening anything."""
         return sum(ref.size for ref in refs) > self.stream_threshold
 
-    def _fragment_response(self, route, request, etag, fragments_fn,
-                           stream):
-        """304 / streamed / cached-or-materialized from one encoder.
-
-        The conditional check runs before anything is encoded, so a
-        matching ``If-None-Match`` never parses a window or emits a
-        chunk.  Streamed answers bypass the rendered-body cache (they
-        exist to *not* materialize); buffered ones join it.
-        """
-        if etag in request.if_none_match():
-            return Response.not_modified(etag)
-        if stream:
-            return self._stream(route, fragments_fn(), etag)
-        key = (route, etag)
-        body = self._body_cache.get(key)
-        if body is None:
-            body = "".join(fragments_fn()).encode("utf-8")
-            self._body_cache[key] = body
-            while len(self._body_cache) > RESPONSE_CACHE:
-                self._body_cache.popitem(last=False)
-        else:
-            self._body_cache.move_to_end(key)
-        return Response(200, body, {"ETag": etag})
-
     def _stream(self, route, fragments, etag):
         """Wrap *fragments* with the per-route streamed-bytes counter
         and first-byte-latency timing, return a StreamingResponse."""
-        streamed = self._streamed[route]
-        first_byte = self._first_byte[route]
+        streamed = self._stats[route].streamed_bytes
+        first_byte = self._stats[route].first_byte
         started = time.perf_counter()
 
         def instrumented():
@@ -571,9 +556,38 @@ class ObservatoryApp:
             return self._json_fragments(meta, "windows",
                                         self._window_entries(refs))
 
-        return self._fragment_response("series", request, etag,
-                                       fragments,
-                                       self._should_stream(refs))
+        return self._respond("series", request, etag, fragments,
+                             self._should_stream(refs))
+
+    def _subscription(self):
+        """Count a waiting follow/stream client on the broker."""
+        return self.broker.subscribe() if self.broker is not None \
+            else contextlib.nullcontext()
+
+    async def _next_page(self, selection, cursor, limit, deadline):
+        """The follow/stream wait: the next page of *selection*
+        (``store.select`` arguments) past *cursor*, else sleep until a
+        flush, the broker's close or *deadline*, and look again.
+        Returns ``(page, closed)``; an empty page means the deadline
+        passed or -- *closed* -- the daemon is draining.  With a flush
+        broker the wait is push-based; without (plain ``serve
+        --follow``) the store is re-polled every
+        :data:`FOLLOW_POLL_SECONDS`.
+        """
+        broker = self.broker
+        while True:
+            page, _ = self._page(self.store.select(*selection), cursor,
+                                 limit)
+            if page:
+                return page, False
+            closed = broker is not None and broker.closed
+            remaining = deadline - time.monotonic()
+            if closed or remaining <= 0:
+                return [], closed
+            if broker is not None:
+                await broker.wait(remaining)
+            else:
+                await asyncio.sleep(min(FOLLOW_POLL_SECONDS, remaining))
 
     async def _follow_series(self, request, dataset, granularity,
                              start, end, limit):
@@ -587,14 +601,12 @@ class ObservatoryApp:
         ``follow=`` value -- on an empty answer it echoes the request
         cursor.  Unknown datasets do not 404 here: at daemon start
         the first window has not flushed yet, and a dashboard must
-        be allowed to subscribe before it exists.  With a flush
-        broker wired the wait is push-based; otherwise (plain
-        ``serve --follow``) the store is re-polled every
-        :data:`FOLLOW_POLL_SECONDS`.
+        be allowed to subscribe before it exists.
         """
+        selection = (dataset, granularity, start, end)
         raw = request.params.get("follow", "")
         if raw == "":
-            refs = self.store.select(dataset, granularity, start, end)
+            refs = self.store.select(*selection)
             cursor = refs[-1].start_ts if refs else None
         else:
             try:
@@ -606,31 +618,9 @@ class ObservatoryApp:
         if timeout is None:
             timeout = FOLLOW_TIMEOUT_DEFAULT
         timeout = max(0.0, min(timeout, FOLLOW_TIMEOUT_MAX))
-        deadline = time.monotonic() + timeout
-        broker = self.broker
-
-        async def poll():
-            while True:
-                refs = self.store.select(dataset, granularity, start,
-                                         end)
-                page, _ = self._page(refs, cursor, limit)
-                if page:
-                    return page, False
-                closed = broker is not None and broker.closed
-                remaining = deadline - time.monotonic()
-                if closed or remaining <= 0:
-                    return [], closed
-                if broker is not None:
-                    await broker.wait(remaining)
-                else:
-                    await asyncio.sleep(min(FOLLOW_POLL_SECONDS,
-                                            remaining))
-
-        if broker is not None:
-            with broker.subscribe():
-                page, eof = await poll()
-        else:
-            page, eof = await poll()
+        with self._subscription():
+            page, eof = await self._next_page(
+                selection, cursor, limit, time.monotonic() + timeout)
         payload = {
             "dataset": dataset,
             "granularity": granularity,
@@ -656,7 +646,7 @@ class ObservatoryApp:
         broker close emits a final ``event: eof`` so SIGTERM drains
         subscribers instead of severing them.
         """
-        granularity = self._granularity(request)
+        selection = (dataset, self._granularity(request), None, None)
         cursor = self._float_param(request, "cursor")
         if cursor is None:
             last_id = request.headers.get("last-event-id")
@@ -667,50 +657,32 @@ class ObservatoryApp:
                     raise HttpError(400, "malformed Last-Event-ID %r"
                                     % last_id)
         if cursor is None:
-            refs = self.store.select(dataset, granularity, None, None)
+            refs = self.store.select(*selection)
             cursor = refs[-1].start_ts if refs else None
-        broker = self.broker
-        streamed = self._streamed["stream"]
+        streamed = self._stats["stream"].streamed_bytes
 
         async def events(cursor):
             def frame(text):
                 streamed.inc(len(text))
                 return text
 
-            subscription = broker.subscribe() \
-                if broker is not None else None
-            if subscription is not None:
-                subscription.__enter__()
-            try:
+            with self._subscription():
                 # reconnect backoff hint for EventSource clients
                 yield frame("retry: 2000\n\n")
-                last_emit = time.monotonic()
                 while True:
-                    refs = self.store.select(dataset, granularity,
-                                             None, None)
-                    page, _ = self._page(refs, cursor, MAX_WINDOWS)
+                    page, closed = await self._next_page(
+                        selection, cursor, MAX_WINDOWS,
+                        time.monotonic() + SSE_HEARTBEAT_SECONDS)
                     for entry in self._window_entries(page):
                         cursor = entry["start_ts"]
-                        body = json.dumps(entry, separators=(",", ":"),
-                                          sort_keys=True)
                         yield frame(
                             "id: %s\nevent: window\ndata: %s\n\n"
-                            % (json.dumps(cursor), body))
-                        last_emit = time.monotonic()
-                    if broker is not None and broker.closed:
+                            % (json.dumps(cursor), _dumps(entry)))
+                    if closed:
                         yield frame("event: eof\ndata: {}\n\n")
                         return
-                    if broker is not None:
-                        await broker.wait(SSE_HEARTBEAT_SECONDS)
-                    else:
-                        await asyncio.sleep(FOLLOW_POLL_SECONDS)
-                    if time.monotonic() - last_emit >= \
-                            SSE_HEARTBEAT_SECONDS:
+                    if not page:
                         yield frame(": heartbeat\n\n")
-                        last_emit = time.monotonic()
-            finally:
-                if subscription is not None:
-                    subscription.__exit__(None, None, None)
 
         return StreamingResponse(
             events(cursor), content_type="text/event-stream",
@@ -724,11 +696,11 @@ class ObservatoryApp:
         refs = self._select_known(dataset, granularity, start, end)
         etag = self._etag(refs, dataset, granularity, request.raw_query)
 
-        def build():
+        def fragments():
             top = self.store.topk(dataset, n=n, by=by,
                                   granularity=granularity,
                                   start_ts=start, end_ts=end)
-            return {
+            yield _dumps({
                 "dataset": dataset,
                 "granularity": granularity,
                 "by": by,
@@ -736,9 +708,9 @@ class ObservatoryApp:
                          "value": row.get(by, 0), "row": row}
                         for rank, (key, row) in enumerate(top)],
                 "windows": len(refs),
-            }
+            }) + "\n"
 
-        return self._conditional_json("topk", request, etag, build)
+        return self._respond("topk", request, etag, fragments)
 
     def handle_topk_windows(self, request, dataset):
         """Streamed per-window top-``n``: one ``{start_ts, top}``
@@ -776,9 +748,8 @@ class ObservatoryApp:
         def fragments():
             return self._json_fragments(meta, "windows", entries())
 
-        return self._fragment_response("topk_windows", request, etag,
-                                       fragments,
-                                       self._should_stream(refs))
+        return self._respond("topk_windows", request, etag, fragments,
+                             self._should_stream(refs))
 
     def handle_key(self, request, dataset, key):
         granularity = self._granularity(request)
@@ -790,18 +761,6 @@ class ObservatoryApp:
         refs = self._select_known(dataset, granularity, start, end)
         etag = self._etag(refs, dataset, granularity, key,
                           request.raw_query)
-        if etag in request.if_none_match():
-            return Response.not_modified(etag)
-        # the 404 contract must be decided before the first chunk goes
-        # out (a streamed status line cannot be unsent); the scan runs
-        # through the window LRU, so the 200 path reuses the parses.
-        # It is decided over the full selection, not the page: a key
-        # absent from one page of a series it does appear in is an
-        # empty page, not a 404.
-        if not self.store.has_key(dataset, key, granularity,
-                                  start_ts=start, end_ts=end):
-            raise HttpError(404, "key %r not found in dataset %r"
-                            % (key, dataset))
         next_cursor = None
         if cursor is not None:
             refs, next_cursor = self._page(refs, cursor, limit)
@@ -816,12 +775,22 @@ class ObservatoryApp:
         }
 
         def fragments():
+            # the 404 contract is decided here, on the call, before
+            # the first chunk goes out (a streamed status line cannot
+            # be unsent); the scan runs through the window LRU, so the
+            # 200 path reuses the parses.  It is decided over the full
+            # selection, not the page: a key absent from one page of a
+            # series it does appear in is an empty page, not a 404.
+            if not self.store.has_key(dataset, key, granularity,
+                                      start_ts=start, end_ts=end):
+                raise HttpError(404, "key %r not found in dataset %r"
+                                % (key, dataset))
             return self._json_fragments(meta, "series",
                                         self._key_points(refs, key,
                                                          column))
 
-        return self._fragment_response("key", request, etag, fragments,
-                                       self._should_stream(refs))
+        return self._respond("key", request, etag, fragments,
+                             self._should_stream(refs))
 
     def handle_vantage(self, request, group):
         """Latest per-ASN / per-country vantage indices.
@@ -854,7 +823,7 @@ class ObservatoryApp:
         etag = self._etag(refs, "vantage", granularity,
                           request.raw_query)
 
-        def build():
+        def fragments():
             groups = {}
             for name in names:
                 ref = latest[name]
@@ -870,24 +839,25 @@ class ObservatoryApp:
                     "entries": [{"key": key, "row": row}
                                 for key, row in ranked[:n]],
                 }
-            return {
-                "granularity": granularity,
-                "by": by,
-                "groups": groups,
-            }
+            yield _dumps({"granularity": granularity, "by": by,
+                          "groups": groups}) + "\n"
 
-        return self._conditional_json("vantage", request, etag, build)
+        return self._respond("vantage", request, etag, fragments)
 
     def handle_health(self, request):
         granularity = self._granularity(request)
         windows = self._int_param(request, "windows", 60, 1, MAX_WINDOWS)
-        series = self.store.read(PLATFORM_DATASET, granularity)[-windows:]
         # detector verdicts ride the same rule engine: the _detector
         # meta-dataset's summary components (exfil/ddos/noh) are
         # disjoint from every _platform component, so the two series
-        # evaluate side by side without cross-matching
-        detector = self.store.read(DETECTOR_DATASET,
-                                   granularity)[-windows:]
+        # evaluate side by side without cross-matching.  Slice the
+        # index, then read: a poll must not parse the whole history.
+        def latest(dataset):
+            refs = self.store.select(dataset, granularity)[-windows:]
+            return [self.store.read_window(ref) for ref in refs]
+
+        series = latest(PLATFORM_DATASET)
+        detector = latest(DETECTOR_DATASET)
         verdicts = alerts.evaluate(series + detector, self.rules)
         payload = alerts.summarize(verdicts)
         payload.update({

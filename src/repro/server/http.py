@@ -66,13 +66,16 @@ class HttpError(Exception):
 class Request:
     """One parsed GET request."""
 
-    __slots__ = ("method", "path", "raw_query", "params", "headers",
-                 "client")
+    __slots__ = ("method", "path", "segments", "raw_query", "params",
+                 "headers", "client")
 
     def __init__(self, method, target, headers):
         self.method = method
         parts = urlsplit(target)
         self.path = unquote(parts.path)
+        #: split on the raw ``/`` *then* decoded: ``%2F`` stays in a key
+        self.segments = [unquote(part)
+                         for part in parts.path.split("/") if part]
         self.raw_query = parts.query
         #: last-one-wins query parameters, keys/values decoded
         self.params = dict(parse_qsl(parts.query, keep_blank_values=True))
@@ -140,9 +143,8 @@ async def read_request(reader, timeout=KEEPALIVE_TIMEOUT):
     try:
         head = await asyncio.wait_for(
             reader.readuntil(b"\r\n\r\n"), timeout)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    except asyncio.TimeoutError:
+    except (asyncio.IncompleteReadError, ConnectionResetError,
+            asyncio.TimeoutError):
         return None
     except asyncio.LimitOverrunError:
         raise HttpError(431, "request head too large")
@@ -167,24 +169,40 @@ async def read_request(reader, timeout=KEEPALIVE_TIMEOUT):
     return Request(method, target, headers)
 
 
-def render_response(response, request=None, close=False):
-    """Serialize a :class:`Response`, applying gzip negotiation."""
-    body = response.body
+def _head(response, request, close):
+    """Status line + headers for either response shape and the one gzip
+    decision: client asked, status 200, body worth it (at least
+    :data:`GZIP_MIN_BYTES` materialized; a stream unless ``flush_each``).
+    Returns ``(head, gzipped, body)``: *body* as it goes on the wire,
+    ``None`` for a :class:`StreamingResponse` (framed chunked)."""
+    streamed = isinstance(response, StreamingResponse)
+    body = None if streamed else response.body
+    worth_it = not response.flush_each if streamed \
+        else len(body) >= GZIP_MIN_BYTES
+    gzipped = worth_it and request is not None \
+        and response.status == 200 and request.wants_gzip()
     headers = dict(response.headers)
-    if (request is not None and body and len(body) >= GZIP_MIN_BYTES
-            and request.wants_gzip() and response.status == 200):
-        body = gzip.compress(body, compresslevel=6)
+    if gzipped:
+        if not streamed:
+            body = gzip.compress(body, compresslevel=6)
         headers["Content-Encoding"] = "gzip"
         headers["Vary"] = "Accept-Encoding"
-    lines = ["HTTP/1.1 %d %s" % (response.status,
-                                 REASONS.get(response.status, "Unknown"))]
-    if body or response.status != 304:
+    if streamed or body or response.status != 304:
         headers.setdefault("Content-Type", response.content_type)
-    headers["Content-Length"] = str(len(body))
+    if streamed:
+        headers["Transfer-Encoding"] = "chunked"
+    else:
+        headers["Content-Length"] = str(len(body))
     headers["Connection"] = "close" if close else "keep-alive"
-    for name, value in headers.items():
-        lines.append("%s: %s" % (name, value))
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    head = "HTTP/1.1 %d %s\r\n" % (
+        response.status, REASONS.get(response.status, "Unknown"))
+    head += "".join("%s: %s\r\n" % item for item in headers.items())
+    return (head + "\r\n").encode("latin-1"), gzipped, body
+
+
+def render_response(response, request=None, close=False):
+    """Serialize a :class:`Response`, applying gzip negotiation."""
+    head, _, body = _head(response, request, close)
     return head + body
 
 
@@ -248,24 +266,11 @@ async def write_streaming_response(writer, response, request=None,
     iterator is closed, and a ``False`` return obliges the caller to
     drop the connection (the framing is unfinished).
     """
-    compressor = None
-    flush_each = response.flush_each
-    headers = dict(response.headers)
-    if request is not None and request.wants_gzip() and \
-            response.status == 200 and not flush_each:
-        compressor = zlib.compressobj(6, zlib.DEFLATED,
-                                      16 + zlib.MAX_WBITS)
-        headers["Content-Encoding"] = "gzip"
-        headers["Vary"] = "Accept-Encoding"
-    headers.setdefault("Content-Type", response.content_type)
-    headers["Transfer-Encoding"] = "chunked"
-    headers["Connection"] = "close" if close else "keep-alive"
-    lines = ["HTTP/1.1 %d %s" % (response.status,
-                                 REASONS.get(response.status, "Unknown"))]
-    for name, value in headers.items():
-        lines.append("%s: %s" % (name, value))
-    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-    chunks = response.chunks
+    head, gzipped, _ = _head(response, request, close)
+    compressor = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS) \
+        if gzipped else None
+    writer.write(head)
+    chunks, flush_each = response.chunks, response.flush_each
     pending = bytearray()
 
     async def emit(fragment):
@@ -384,33 +389,30 @@ class ObservatoryServer:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
 
-    async def serve_forever(self, install_signals=True):
+    async def serve_forever(self, on_signal=None):
         """Run until SIGTERM/SIGINT (or :meth:`begin_shutdown`).
 
-        With *install_signals* the SIGTERM/SIGINT dispositions that
-        were in place before are saved and restored on exit: an
-        embedding process (the ``run`` daemon, a test harness) that
-        installed its own handlers must get them back, not find them
-        silently clobbered by a server that has already shut down.
-        An embedder that owns signal dispatch itself passes
-        ``install_signals=False``.
+        The one place signal handlers are installed: both signals call
+        *on_signal* (default :meth:`begin_shutdown`; the ``run`` daemon
+        passes its drain sequence, which ends there).  The dispositions
+        in place before are restored on exit, so an embedding process
+        gets its own handlers back, not a stopped server's.
         """
         if self._server is None:
             await self.start()
+        loop = asyncio.get_running_loop()
         saved = []
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    previous = signal.getsignal(sig)
-                    loop.add_signal_handler(sig, self.begin_shutdown)
-                except (NotImplementedError, RuntimeError):
-                    continue  # non-POSIX event loop
-                saved.append((loop, sig, previous))
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                previous = signal.getsignal(sig)
+                loop.add_signal_handler(sig, on_signal or self.begin_shutdown)
+            except (NotImplementedError, RuntimeError):
+                continue  # non-POSIX event loop
+            saved.append((sig, previous))
         try:
             await self.wait_closed()
         finally:
-            for loop, sig, previous in saved:
+            for sig, previous in saved:
                 try:
                     loop.remove_signal_handler(sig)
                     if previous is not None:
@@ -477,8 +479,6 @@ class ObservatoryServer:
                         response = await self.handler(request)
                     except HttpError as exc:
                         response = Response.error(exc.status, exc.message)
-                    except asyncio.CancelledError:
-                        raise
                     except Exception:
                         logger.exception("unhandled error serving %s",
                                          request.path)

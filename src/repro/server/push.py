@@ -66,12 +66,6 @@ class FlushBroker:
         if not self._future.done():
             self._future.set_result(None)
 
-    def close_threadsafe(self):
-        try:
-            self._loop.call_soon_threadsafe(self.close)
-        except RuntimeError:
-            pass
-
     # -- subscriber side ------------------------------------------------
 
     async def wait(self, timeout):

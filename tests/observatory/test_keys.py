@@ -110,10 +110,9 @@ class TestBatchExtraction:
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_matches_scalar_extractor(self, name):
         spec = DATASETS[name]
-        scalar = spec.make_extractor()
         batch = spec.make_batch_extractor()
         txns = self._txns()
-        assert batch(txns) == [scalar(txn) for txn in txns]
+        assert batch(txns) == [spec.extract(txn) for txn in txns]
 
     def test_memoized_keys_are_interned(self):
         spec = DATASETS["esld"]

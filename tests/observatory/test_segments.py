@@ -198,7 +198,7 @@ class TestScan:
     def test_sidecars_invisible_to_store_index(self, tmp_path):
         path = make_window(tmp_path, 0)
         segmentfmt.build_segment(path)
-        store = SeriesStore(str(tmp_path), manifest=False)
+        store = SeriesStore(str(tmp_path))
         assert len(store) == 1  # the .seg never becomes a window ref
 
 
@@ -213,7 +213,7 @@ class TestStoreIntegration:
 
     def test_cold_read_prefers_segment(self, tmp_path):
         self.fill(tmp_path)
-        store = SeriesStore(str(tmp_path), manifest=False)
+        store = SeriesStore(str(tmp_path))
         raw = read_series(str(tmp_path), "srvip")
         assert self.snapshot(store.read("srvip")) == self.snapshot(raw)
         assert store.segment_reads == 6
@@ -221,7 +221,7 @@ class TestStoreIntegration:
 
     def test_use_segments_false_parses_text(self, tmp_path):
         self.fill(tmp_path)
-        store = SeriesStore(str(tmp_path), manifest=False,
+        store = SeriesStore(str(tmp_path),
                             use_segments=False)
         store.read("srvip")
         assert store.parses == 6
@@ -233,7 +233,7 @@ class TestStoreIntegration:
         make_window(tmp_path, 0, rows=[
             ("fresh", {"hits": 42, "ok": 1, "delay_q50": 1.0})])
         os.utime(path, ns=(1, 1))
-        store = SeriesStore(str(tmp_path), manifest=False)
+        store = SeriesStore(str(tmp_path))
         data = store.read("srvip")[0]
         assert data.rows[0][0] == "fresh"  # never the stale sidecar
         assert store.parses == 1
@@ -241,8 +241,8 @@ class TestStoreIntegration:
 
     def test_accumulate_matches_tsv_only_store(self, tmp_path):
         self.fill(tmp_path, count=8)
-        seg = SeriesStore(str(tmp_path), cache_windows=0, manifest=False)
-        tsv = SeriesStore(str(tmp_path), cache_windows=0, manifest=False,
+        seg = SeriesStore(str(tmp_path), cache_windows=0)
+        tsv = SeriesStore(str(tmp_path), cache_windows=0,
                           use_segments=False)
         assert seg.accumulate("srvip") == tsv.accumulate("srvip")
         assert seg.topk("srvip", n=5) == tsv.topk("srvip", n=5)
@@ -253,11 +253,10 @@ class TestStoreIntegration:
         must split the run (fold order is window order) without
         changing the answer."""
         self.fill(tmp_path, count=8)
-        store = SeriesStore(str(tmp_path), manifest=False)
+        store = SeriesStore(str(tmp_path))
         middle = store.select("srvip")[4]
         store._read_ref(middle)  # warm exactly one window
-        plain = SeriesStore(str(tmp_path), cache_windows=0,
-                            manifest=False, use_segments=False)
+        plain = SeriesStore(str(tmp_path), cache_windows=0, use_segments=False)
         assert store.accumulate("srvip") == plain.accumulate("srvip")
 
     def test_accumulate_mixed_key_tuples_split_runs(self, tmp_path):
@@ -269,8 +268,8 @@ class TestStoreIntegration:
                     for j in range(2 + i % 3)]
             make_window(tmp_path, i * 60, rows=rows)
         TimeAggregator(str(tmp_path)).compact()
-        seg = SeriesStore(str(tmp_path), cache_windows=0, manifest=False)
-        tsv = SeriesStore(str(tmp_path), cache_windows=0, manifest=False,
+        seg = SeriesStore(str(tmp_path), cache_windows=0)
+        tsv = SeriesStore(str(tmp_path), cache_windows=0,
                           use_segments=False)
         assert seg.accumulate("srvip") == tsv.accumulate("srvip")
         assert seg.segment_reads == 9
@@ -280,9 +279,8 @@ class TestStoreIntegration:
             make_window(tmp_path, i * 60)
         segmentfmt.build_segment(
             os.path.join(str(tmp_path), "srvip.minutely.0000000060.tsv"))
-        store = SeriesStore(str(tmp_path), cache_windows=0, manifest=False)
-        plain = SeriesStore(str(tmp_path), cache_windows=0,
-                            manifest=False, use_segments=False)
+        store = SeriesStore(str(tmp_path), cache_windows=0)
+        plain = SeriesStore(str(tmp_path), cache_windows=0, use_segments=False)
         assert store.accumulate("srvip") == plain.accumulate("srvip")
         assert store.segment_reads == 1
         assert store.parses == 3
@@ -370,7 +368,7 @@ class TestBugfixRegressions:
         d = str(tmp_path)
         for i in range(10):
             make_window(tmp_path, i * 60)
-        store = SeriesStore(d, manifest=False)
+        store = SeriesStore(d)
         agg = TimeAggregator(d, retention={"minutely": 100}, store=store)
         agg.aggregate_directory("srvip")
         victim = os.path.join(d, "srvip.minutely.0000000120.tsv")
@@ -397,28 +395,12 @@ class TestBugfixRegressions:
         # and the store was reconciled per-file, not via a full rescan
         assert agg.store.select("srvip", "minutely") == []
 
-    def test_manifest_saves_debounced_across_refreshes(self, tmp_path):
-        """Regression: every refresh that found changes rewrote the
-        whole manifest; a follow-mode store re-scanning per query
-        turned each poll into an O(windows) JSON write."""
-        make_window(tmp_path, 0)
-        store = SeriesStore(str(tmp_path))
-        assert store.manifest_saves == 1  # first save is immediate
-        for i in range(1, 6):
-            make_window(tmp_path, i * 60)
-            store.refresh()  # finds changes every time
-        assert store.manifest_saves == 1  # debounced
-        store.flush_manifest()  # shutdown always persists
-        assert store.manifest_saves == 2
-        reopened = SeriesStore(str(tmp_path))
-        assert len(reopened.select("srvip")) == 6
-
     def test_cold_reads_single_flight(self, tmp_path):
         """Regression: N threads cold-reading the same window each ran
         their own parse (the lock was released around the disk read),
         multiplying the most expensive operation in the store."""
         path = make_window(tmp_path, 0)
-        store = SeriesStore(str(tmp_path), manifest=False)
+        store = SeriesStore(str(tmp_path))
         from repro.observatory import store as storemod
         real_read = storemod.read_tsv
         started = threading.Event()
@@ -479,7 +461,7 @@ class TestBugfixRegressions:
 
     def test_failed_cold_read_propagates_to_waiters(self, tmp_path):
         path = make_window(tmp_path, 0)
-        store = SeriesStore(str(tmp_path), manifest=False)
+        store = SeriesStore(str(tmp_path))
         from repro.observatory import store as storemod
         real_read = storemod.read_tsv
         started = threading.Event()

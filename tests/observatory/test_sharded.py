@@ -15,8 +15,7 @@ import pytest
 
 from repro.observatory import Observatory, ShardedObservatory, TopKTracker
 from repro.observatory.keys import make_dataset
-from repro.observatory.sharded import (
-    PARTITIONS, partition_qname, partition_srcsrv, partition_srvip)
+from repro.observatory.sharded import partition_srcsrv
 from repro.observatory.window import WindowManager, align_window
 from repro.simulation import Scenario, SieChannel
 from tests.util import make_txn
@@ -195,8 +194,6 @@ class TestShardedMechanics:
             ShardedObservatory(shards=2, window_seconds=0)
         with pytest.raises(ValueError):
             ShardedObservatory(shards=2, datasets=["srvip", "srvip"])
-        with pytest.raises(KeyError):
-            ShardedObservatory(shards=2, partition="nope")
         with pytest.raises(ValueError):
             ShardedObservatory(shards=2, transport="carrier-pigeon")
 
@@ -212,19 +209,6 @@ class TestShardedMechanics:
         txn = make_txn(resolver_ip="10.0.0.9", server_ip="192.0.2.7",
                        qname="a.example.com")
         assert partition_srcsrv(txn) == "10.0.0.9|192.0.2.7"
-        assert partition_srvip(txn) == "192.0.2.7"
-        assert partition_qname(txn) == "a.example.com"
-        assert set(PARTITIONS) == {"srcsrv", "srvip", "qname"}
-
-    def test_custom_partition_callable(self):
-        obs = ShardedObservatory(
-            shards=2, datasets=[("srvip", 16)],
-            partition=lambda txn: txn.server_ip)
-        for i in range(10):
-            obs.ingest(make_txn(ts=float(i), server_ip="192.0.2.%d" % i))
-        obs.finish()
-        per_shard = [s["total_seen"] for s in obs.shard_stats().values()]
-        assert sum(per_shard) == 10
 
 
 class TestWorkerFailure:

@@ -6,8 +6,12 @@ import threading
 
 import pytest
 
-from repro.observatory.store import MANIFEST_NAME, SeriesStore
+from repro.observatory.store import SeriesStore
 from repro.observatory.tsv import TimeSeriesData, read_series, write_tsv
+
+
+#: what a store from before the manifest was retired left behind
+MANIFEST_NAME = ".observatory-manifest.json"
 
 
 def make_window(tmp_path, start, dataset="srvip", granularity="minutely",
@@ -60,7 +64,7 @@ class TestIndex:
         assert store.datasets() == {}
 
     def test_missing_directory(self, tmp_path):
-        store = SeriesStore(str(tmp_path / "nope"), manifest=False)
+        store = SeriesStore(str(tmp_path / "nope"))
         assert len(store) == 0
 
 
@@ -157,27 +161,35 @@ class TestFollow:
 
 
 class TestManifest:
-    def test_manifest_persisted_and_reloaded(self, tmp_path):
-        for start in (0, 60):
-            make_window(tmp_path, start)
-        store = SeriesStore(str(tmp_path))
-        store.read("srvip")  # learn row counts + stats
-        store.flush_manifest()
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        name = "srvip.minutely.0000000000.tsv"
-        assert manifest["windows"][name]["rows"] == 2
-        assert manifest["windows"][name]["stats"]["seen"] == 20
+    """The index is the directory scan: nothing is persisted, and a
+    manifest an older version left behind is just a foreign file."""
 
+    def test_reopen_answers_equal_first_open(self, tmp_path):
+        starts = (0, 60, 120)
+        for start in starts:
+            make_window(tmp_path, start)
+
+        def answers(store):
+            return (store.datasets(),
+                    [(d.start_ts, d.rows, d.stats)
+                     for d in store.read("srvip")],
+                    store.topk("srvip", n=5),
+                    store.key_series("srvip", "192.0.2.1"),
+                    [ref.etag_token() for ref in store.select("srvip")])
+
+        first = SeriesStore(str(tmp_path))
+        expected = answers(first)
+        first.flush_manifest()  # the ledger-pinned no-op
         reopened = SeriesStore(str(tmp_path))
-        ref = reopened.select("srvip")[0]
-        assert ref.rows == 2  # metadata survived without a parse
-        assert reopened.parses == 0
+        assert reopened.parses == 0  # opening reads no window
+        assert answers(reopened) == expected
+        assert sorted(os.listdir(tmp_path)) == [
+            "srvip.minutely.%010d.tsv" % start for start in starts]
 
     def test_stale_manifest_entry_invalidated(self, tmp_path):
         path = make_window(tmp_path, 0)
         store = SeriesStore(str(tmp_path))
         store.read("srvip")
-        store.flush_manifest()
         make_window(tmp_path, 0,
                     rows=[("x", {"hits": 1, "ok": 1}),
                           ("y", {"hits": 1, "ok": 1}),
@@ -188,14 +200,32 @@ class TestManifest:
         assert len(data.rows) == 3
 
     def test_corrupt_manifest_ignored(self, tmp_path):
+        """Garbage, or a well-formed v2 manifest naming a window that
+        is not there: either way never read, listed or rewritten."""
+        stale = json.dumps({"version": 2, "windows": {
+            "srvip.minutely.0000000060.tsv": {
+                "mtime_ns": 1, "size": 1, "ino": 1, "rows": 9,
+                "stats": {"seen": 9}}}})
         make_window(tmp_path, 0)
-        (tmp_path / MANIFEST_NAME).write_text("{not json")
-        store = SeriesStore(str(tmp_path))
-        assert len(store.select("srvip")) == 1
+        for content in ("{not json", stale):
+            (tmp_path / MANIFEST_NAME).write_text(content)
+            store = SeriesStore(str(tmp_path))
+            assert [r.start_ts for r in store.select("srvip")] == [0]
+            assert list(store.datasets()) == ["srvip"]
+            store.flush_manifest()
+            assert (tmp_path / MANIFEST_NAME).read_text() == content
 
     def test_manifest_disabled(self, tmp_path):
+        """No way of using the store writes a manifest, with or
+        without the ignored ledger-pinned keyword."""
         make_window(tmp_path, 0)
-        SeriesStore(str(tmp_path), manifest=False)
+        for kw in ({}, {"manifest": True}, {"manifest": False}):
+            store = SeriesStore(str(tmp_path), follow=True, **kw)
+            store.read("srvip")
+            store.topk("srvip")
+            make_window(tmp_path, 60)
+            store.refresh()
+            store.flush_manifest()
         assert not (tmp_path / MANIFEST_NAME).exists()
 
 
@@ -338,18 +368,6 @@ class TestInodeIdentity:
         store.refresh()
         assert store.read("srvip")[0].rows[0][1]["hits"] == 99
         assert store.select("srvip")[0].etag_token() != before
-
-    def test_manifest_v2_roundtrips_inode(self, tmp_path):
-        path = make_window(tmp_path, 0)
-        store = SeriesStore(str(tmp_path))
-        store.flush_manifest()
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert manifest["version"] == 2
-        name = os.path.basename(path)
-        assert manifest["windows"][name]["ino"] == os.stat(path).st_ino
-        reopened = SeriesStore(str(tmp_path))
-        assert reopened.select("srvip")[0].ino == os.stat(path).st_ino
-        assert reopened.parses == 0
 
 
 def test_telemetry_registration(tmp_path):

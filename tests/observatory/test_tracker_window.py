@@ -35,38 +35,6 @@ class TestTracker:
         assert entry.key == "192.0.2.2"
         assert entry.state.hits == 1  # fresh stats, not the victim's
 
-    def test_reset_window_stats_keeps_toplist(self):
-        t = tracker()
-        t.observe(make_txn(server_ip="192.0.2.1"))
-        t.reset_window_stats()
-        assert len(t) == 1
-        assert t.top(1)[0].state.hits == 0
-
-    def test_reset_window_stats_skips_idle_sets(self, monkeypatch):
-        """An object that saw no traffic this window is already clear:
-        reset leaves it alone, and its state equals a cleared one's."""
-        from repro.observatory.features import FeatureSet
-
-        t = tracker()
-        t.observe(make_txn(server_ip="192.0.2.1"))
-        t.observe(make_txn(server_ip="192.0.2.2"))
-        t.reset_window_stats()
-        t.observe(make_txn(server_ip="192.0.2.1", ts=61.0))
-        cleared = []
-        clear = FeatureSet.clear
-        monkeypatch.setattr(
-            FeatureSet, "clear",
-            lambda self: (cleared.append(self), clear(self))[1])
-        t.reset_window_stats()
-        busy = t.cache.get("192.0.2.1").state
-        idle = t.cache.get("192.0.2.2").state
-        assert cleared == [busy]
-        reference = FeatureSet()
-        reference.update(make_txn())
-        clear(reference)
-        assert idle.to_buffers() == busy.to_buffers() \
-            == reference.to_buffers()
-
     def test_observe_is_observe_batch_of_one(self):
         """Same entry, counters and feature state either way -- also
         for a filtered transaction and one the full cache drops."""

@@ -379,7 +379,7 @@ class TestSignalRestore:
                 await server.start()
                 asyncio.get_running_loop().call_later(
                     0.05, server.begin_shutdown)
-                await server.serve_forever(install_signals=True)
+                await server.serve_forever()
 
             asyncio.run(main())
             # the embedding process's handlers are back, not SIG_DFL

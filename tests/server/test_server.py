@@ -10,6 +10,7 @@ import pytest
 
 from repro.observatory.pipeline import Observatory
 from repro.observatory.store import SeriesStore
+from repro.observatory.tsv import TimeSeriesData, write_tsv
 from repro.server import build_server
 from repro.server.app import ObservatoryApp
 from repro.server.http import ObservatoryServer
@@ -129,6 +130,31 @@ class TestEndpoints:
         assert failing[0]["value"] is not None
 
 
+    def test_health_poll_reads_only_the_windows_it_uses(self, tmp_path):
+        """Regression: health read (and pushed through the LRU) every
+        _platform and _detector window on disk, then sliced."""
+        for dataset, rows in (
+                ("_platform", [("window", {"txns": 5, "seen": 5})]),
+                ("_detector", [("exfil", {"flagged": 0})])):
+            for start in range(0, 20 * 60, 60):
+                write_tsv(str(tmp_path), TimeSeriesData(
+                    dataset, "minutely", start,
+                    columns=sorted(rows[0][1]), rows=rows, stats={}))
+
+        async def scenario(server, app):
+            resp = await http_get(server.port,
+                                  "/platform/health?windows=3")
+            return resp.json()
+
+        # an LRU smaller than either series: nothing hides a re-read
+        payload = run_with_server(tmp_path, scenario, cache_windows=4)
+        assert payload["platform_windows"] == 3
+        assert payload["detector_windows"] == 3
+        assert payload["latest_window_ts"] == 19 * 60
+        assert payload["store"]["misses"] <= 2 * 3
+        assert payload["store"]["indexed_windows"] == 40
+
+
 class TestConditionalAndCompression:
     def test_etag_roundtrip_yields_304(self, series_dir):
         async def scenario(server, app):
@@ -236,6 +262,30 @@ class TestErrorSurface:
         resp = run_with_server(series_dir, scenario)
         assert resp.status == 404
         assert "10.9.9.9" in resp.json()["error"]
+
+    def test_escaped_slash_stays_inside_the_key(self, tmp_path):
+        """Regression: the path was unquoted before it was split, so a
+        key holding ``/`` (an RFC 2317 reverse name) was unaddressable;
+        ``%7C`` keys (srcsrv, aafqdn) answer as they always did."""
+        keys = ["0/25.2.0.192.in-addr.arpa", "10.0.0.1|192.0.2.1"]
+        write_tsv(str(tmp_path), TimeSeriesData(
+            "qname", "minutely", 0, columns=["hits"],
+            rows=[(key, {"hits": 7}) for key in keys], stats={}))
+
+        async def scenario(server, app):
+            return [await http_get(server.port, "/key/qname/" + escaped)
+                    for escaped in ("0%2F25.2.0.192.in-addr.arpa",
+                                    "10.0.0.1%7C192.0.2.1",
+                                    "0/25.2.0.192.in-addr.arpa")]
+
+        slash, pipe, unescaped = run_with_server(tmp_path, scenario)
+        for resp, key in zip((slash, pipe), keys):
+            assert resp.status == 200
+            assert resp.json()["key"] == key
+            assert resp.json()["series"] == [[0, 7]]
+        # a literal slash still separates segments: no such endpoint
+        assert unescaped.status == 404
+        assert "no such endpoint" in unescaped.json()["error"]
 
     def test_unknown_endpoint_404(self, series_dir):
         async def scenario(server, app):
@@ -388,7 +438,7 @@ class TestGracefulShutdown:
             server = ObservatoryServer(slow_handler, port=0)
             await server.start()
             serve_task = asyncio.ensure_future(
-                server.serve_forever(install_signals=True))
+                server.serve_forever())
             inflight = asyncio.ensure_future(
                 http_get(server.port, "/datasets"))
             await asyncio.wait_for(entered.wait(), 5)

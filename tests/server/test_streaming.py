@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.analysis.vantage import VantageDb, VantageEmitter
 from repro.observatory.pipeline import Observatory
 from repro.server import build_server
 from repro.server.http import ObservatoryServer, Response, StreamingResponse
@@ -28,11 +29,15 @@ NEVER_STREAM = 1 << 30
 
 @pytest.fixture(scope="module")
 def series_dir(tmp_path_factory):
-    """Windows wide enough that /series/qname spans many chunk frames."""
+    """Windows wide enough that /series/qname spans many chunk frames
+    (plus the ``_vantage_*`` series ``/vantage`` answers from)."""
     directory = tmp_path_factory.mktemp("streaming")
+    db = VantageDb()
+    db.add("192.0.2.0/24", 64500, country="US", org="Example")
     obs = Observatory(datasets=[("srvip", 64), ("qname", 512)],
                       output_dir=str(directory), use_bloom_gate=False,
-                      skip_recent_inserts=False)
+                      skip_recent_inserts=False,
+                      vantage=VantageEmitter(db))
     for i in range(600):
         obs.ingest(make_txn(ts=i * 0.5,
                             qname="host%03d.example.com" % (i % 150),
@@ -189,8 +194,9 @@ class TestChunkedFraming:
         async def scenario(server, app):
             _, _, raw = await raw_get(server.port, "/series/qname")
             body, _ = decode_chunked(raw)
-            return (len(body), app._streamed["series"].value,
-                    app._first_byte["series"]._hist.count)
+            stats = app._stats["series"]
+            return (len(body), stats.streamed_bytes.value,
+                    stats.first_byte._hist.count)
 
         body_len, streamed, observed = run_with_server(
             series_dir, scenario, stream_threshold=0)
@@ -377,23 +383,64 @@ class TestDefaultBind:
 
         assert run_with_server(series_dir, scenario) == "127.0.0.1"
 
-class TestTopkWindowsStreaming:
-    def test_streamed_body_is_byte_identical_to_buffered(self, series_dir):
-        """/topk/windows rides the same fragment renderer as /series:
-        the chunked entity equals the buffered one byte for byte."""
-        async def scenario(server, app):
-            return await raw_get(server.port, "/topk/windows/qname?n=4")
+#: the five store-backed routes, all answered by ObservatoryApp._respond
+RESPONDER_ROUTES = {
+    "series": "/series/qname",
+    "key": "/key/srvip/192.0.2.1",
+    "topk": "/topk/srvip?n=5",
+    "topk_windows": "/topk/windows/qname?n=4",
+    "vantage": "/vantage?n=3",
+}
 
-        b_status, b_headers, b_raw = run_with_server(
+#: ... of which these stream past the threshold; /topk and /vantage
+#: always keep Content-Length framing
+STREAMABLE = {"series", "key", "topk_windows"}
+
+
+class TestOneResponder:
+    @pytest.mark.parametrize("route", sorted(RESPONDER_ROUTES))
+    def test_one_body_per_etag(self, series_dir, route):
+        """First body == second (cached) body == streamed body, byte
+        for byte, under one ETag; and a matching If-None-Match reads
+        no window, buffered or streamed."""
+        target = RESPONDER_ROUTES[route]
+
+        async def scenario(server, app):
+            first = await raw_get(server.port, target)
+            second = await raw_get(server.port, target)
+            before = app.store.cache_info()
+            conditional = await raw_get(
+                server.port, target,
+                headers={"If-None-Match": first[1]["etag"]})
+            return first, second, conditional, \
+                before == app.store.cache_info()
+
+        first, second, conditional, untouched = run_with_server(
             series_dir, scenario, stream_threshold=NEVER_STREAM)
-        s_status, s_headers, s_raw = run_with_server(
+        s_first, s_second, s_conditional, s_untouched = run_with_server(
             series_dir, scenario, stream_threshold=0)
-        assert b_status == s_status == 200
-        assert "transfer-encoding" not in b_headers
-        assert s_headers["transfer-encoding"] == "chunked"
-        body, frames = decode_chunked(s_raw)
-        assert frames >= 1  # small fixture: frames may coalesce to one
-        assert body == b_raw
-        assert s_headers["etag"] == b_headers["etag"]
-        payload = json.loads(body.decode("utf-8"))
-        assert payload["windows"] and payload["n"] == 4
+
+        status, headers, body = first
+        assert status == 200
+        assert int(headers["content-length"]) == len(body)
+        assert "transfer-encoding" not in headers
+        json.loads(body.decode("utf-8"))
+        assert second == first  # the (route, ETag) body cache
+        for response in (s_first, s_second):
+            s_status, s_headers, s_raw = response
+            assert s_status == 200
+            assert s_headers["etag"] == headers["etag"]
+            if route in STREAMABLE:
+                assert s_headers["transfer-encoding"] == "chunked"
+                assert "content-length" not in s_headers
+                assert decode_chunked(s_raw)[0] == body
+            else:
+                assert "transfer-encoding" not in s_headers
+                assert s_raw == body
+        for response, clean in ((conditional, untouched),
+                                (s_conditional, s_untouched)):
+            c_status, c_headers, c_raw = response
+            assert (c_status, c_raw) == (304, b"")
+            assert c_headers["etag"] == headers["etag"]
+            assert "transfer-encoding" not in c_headers
+            assert clean, "a 304 read windows on %s" % route

@@ -414,3 +414,103 @@ def test_ring_transport_flags_are_gone(command, flag, capsys):
         main(command + flag)
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+# -- one assembly for `serve` and `run` ---------------------------------
+
+#: the serving flags and their defaults as they were before the two
+#: subcommands shared `_add_server_args` (`--follow` is `serve` only)
+SERVING_FLAGS = {
+    "--host": "127.0.0.1", "--port": 8053, "--stream-threshold": None,
+    "--cache-windows": 256, "--max-connections": 64, "--rules": None,
+    "--token": None, "--rate-limit": None, "--rate-burst": None,
+}
+
+
+def _flag_defaults(command):
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    return {action.option_strings[0]: action.default
+            for action in subparsers[command]._actions
+            if action.option_strings and action.dest != "help"}
+
+
+def test_serve_and_run_share_the_serving_flags():
+    serve, run = _flag_defaults("serve"), _flag_defaults("run")
+    assert serve == dict(SERVING_FLAGS, **{"--follow": False})
+    assert {flag: run[flag] for flag in SERVING_FLAGS} == SERVING_FLAGS
+    assert "--follow" not in run
+
+
+def test_live_daemon_names_no_serving_or_ingest_option():
+    """The daemon hands two dicts on; an option added to the pipeline
+    or the server needs no edit there."""
+    import inspect
+
+    from repro.daemon import LiveDaemon
+
+    assert list(inspect.signature(LiveDaemon).parameters) == [
+        "source", "output_dir", "pipeline_options", "server_options",
+        "pace", "exit_when_done", "ready_callback"]
+
+
+def test_no_command_writes_a_manifest(tmp_path, capsys):
+    """replay, aggregate, serve and run: the directory holds window
+    files and sidecars only, and a manifest an older version left is
+    neither rewritten nor served as a series."""
+    import asyncio
+    import os
+    import threading
+
+    from repro import server as serving
+    from tests.server.util import http_get
+
+    stream = tmp_path / "stream.tsv"
+    main(["simulate", "--seed", "6", "--duration", "700", "--qps", "8",
+          "-o", str(stream)])
+    outdir = tmp_path / "tsv"
+    stale = outdir / ".observatory-manifest.json"
+
+    def check(leftover=None):
+        names = os.listdir(outdir)
+        assert all(name.endswith((".tsv", ".tsv.seg"))
+                   for name in names if name != stale.name), names
+        if leftover is None:
+            assert stale.name not in names
+        else:
+            assert stale.read_text() == leftover
+
+    assert main(["replay", str(stream), str(outdir), "--datasets",
+                 "qtype", "--segments"]) == 0
+    check()
+    assert main(["aggregate", str(outdir), "--segments"]) == 0
+    check()
+    leftover = '{"version": 2, "windows": {}}'
+    stale.write_text(leftover)
+    ready = threading.Event()
+    box = {}
+
+    def on_ready(srv):
+        box["server"] = srv
+        box["loop"] = asyncio.get_running_loop()
+        ready.set()
+
+    thread = threading.Thread(target=lambda: serving.run(
+        str(outdir), port=0, follow=True, ready_callback=on_ready))
+    thread.start()
+    try:
+        assert ready.wait(10)
+        port = box["server"].port
+        listing = asyncio.run(http_get(port, "/datasets")).json()
+        assert list(listing["datasets"]) == ["qtype"]
+        assert asyncio.run(http_get(port, "/topk/qtype")).status == 200
+    finally:
+        if "loop" in box:
+            box["loop"].call_soon_threadsafe(box["server"].begin_shutdown)
+        thread.join(10)
+    assert not thread.is_alive()
+    check(leftover)
+    assert main(["run", str(outdir), "--port", "0", "--input", str(stream),
+                 "--pace", "0", "--exit-when-done", "--datasets", "qtype",
+                 "--segments"]) == 0
+    check(leftover)
+    capsys.readouterr()

@@ -282,7 +282,7 @@ def differential_tree(tmp_path_factory):
 
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_store_answers_match_raw_read_series(differential_tree, seed):
-    """The bisected, manifest-indexed, LRU-cached store answers every
+    """The bisected, LRU-cached store answers every
     randomized range query exactly like a raw directory scan."""
     rng = random.Random(seed)
     store = SeriesStore(differential_tree)
@@ -421,8 +421,8 @@ def test_segment_store_matches_text_parse(segment_tree, seed):
     """Randomized ranges: read/accumulate/topk from segments equal the
     same queries re-parsing the TSV text, exactly."""
     rng = random.Random(seed)
-    seg = SeriesStore(segment_tree, cache_windows=0, manifest=False)
-    tsv = SeriesStore(segment_tree, cache_windows=0, manifest=False,
+    seg = SeriesStore(segment_tree, cache_windows=0)
+    tsv = SeriesStore(segment_tree, cache_windows=0,
                       use_segments=False)
 
     def snapshot(series):
@@ -463,7 +463,6 @@ def test_segment_backed_http_responses_byte_identical(segment_tree):
     def collect(use_segments):
         async def _main():
             store = SeriesStore(segment_tree, cache_windows=0,
-                                manifest=False,
                                 use_segments=use_segments)
             server, app = await build_server(segment_tree, port=0,
                                              store=store)

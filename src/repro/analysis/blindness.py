@@ -71,7 +71,7 @@ class DatasetSummary:
 
     def absorb(self, data):
         self.windows += 1
-        self.rows += len(data.rows)
+        self.rows += len(data)
         for _key, row in data.rows:
             self.weight += row_weight(row)
         self.seen += float(data.stats.get("seen", 0))

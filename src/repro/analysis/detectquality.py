@@ -129,8 +129,7 @@ def evaluate_detection(series, labels, detectors=None):
     Parameters
     ----------
     series:
-        Iterable of ``_detector`` window objects (``WindowDump`` or
-        ``TimeSeriesData``).
+        Iterable of ``_detector`` windows (``TimeSeriesData``).
     labels:
         Ground-truth dicts from :func:`load_labels`.
     detectors:

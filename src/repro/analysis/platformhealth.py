@@ -36,8 +36,7 @@ def platform_health(source, rules=alerts.DEFAULT_RULES, windows=60,
     ----------
     source:
         A :class:`~repro.observatory.store.SeriesStore`, or an
-        iterable of ``_platform`` window objects (``WindowDump`` /
-        ``TimeSeriesData``).
+        iterable of ``_platform`` windows (``TimeSeriesData``).
     windows:
         Most-recent windows considered.
 

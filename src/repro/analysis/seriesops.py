@@ -1,11 +1,12 @@
 """Window-series operations shared by the analysis modules.
 
-Observatory output is a sequence of per-window rows (in memory as
-:class:`~repro.observatory.window.WindowDump`, on disk as TSV
-time-series files).  The analyses typically need whole-run per-object
-statistics, so this module accumulates windows: counters are summed
-(total transactions), gauges are averaged weighted by the window's
-``hits`` (an object's median delay should count when it had traffic).
+Observatory output is a sequence of per-window rows (one
+:class:`~repro.observatory.tsv.TimeSeriesData` per window, whether it
+came from a cut, a TSV file or a segment).  The analyses typically
+need whole-run per-object statistics, so this module accumulates
+windows: counters are summed (total transactions), gauges are averaged
+weighted by the window's ``hits`` (an object's median delay should
+count when it had traffic).
 """
 
 from repro.observatory.features import COUNTER_COLUMNS
@@ -34,16 +35,11 @@ class AccumulatedRow(dict):
 class Accumulator:
     """Incremental window folder behind :func:`accumulate_dumps`.
 
-    Windows are folded one at a time -- row-major
-    (:meth:`fold_rows`, a list of ``(key, row_dict)``) or column-major
-    (:meth:`fold_columns`, parallel value lists straight out of a
-    columnar segment, no per-row dicts ever built).  Both folds apply
-    the *same operations in the same order* per ``(key, column)``
-    cell, so mixing them across windows -- cached parses for some,
-    segment column scans for others -- produces bit-identical results
-    to one row-major pass (the store's differential tests hold it to
-    that).  Call :meth:`finish` exactly once to resolve mode columns
-    and take the ``{key: AccumulatedRow}`` result.
+    Windows are folded column-major, a run of consecutive windows at a
+    time (:meth:`fold_columns_run`, the one fold); per ``(key,
+    column)`` cell the windows are applied in window order.  Call
+    :meth:`finish` exactly once to resolve mode columns and take the
+    ``{key: AccumulatedRow}`` result.
     """
 
     __slots__ = ("totals", "_weights", "_modes")
@@ -62,43 +58,11 @@ class Accumulator:
             self._modes[key] = {}
         return acc
 
-    def fold_rows(self, rows):
-        """Fold one window's ``(key, row_dict)`` list."""
-        totals = self.totals
-        weights = self._weights
-        modes = self._modes
-        for key, row in rows:
-            acc = totals.get(key)
-            if acc is None:
-                acc = self._acc_for(key)
-            acc.windows += 1
-            hits = row.get("hits", 0) or 0
-            for col, value in row.items():
-                if col in _COUNTERS:
-                    acc[col] = acc.get(col, 0) + value
-                elif col in MAX_COLUMNS:
-                    if value > acc.get(col, 0):
-                        acc[col] = value
-                elif col in MODE_COLUMNS:
-                    # 0 means "no TTL observed this window" (e.g. only
-                    # NoData responses): not a vote against real values.
-                    if value:
-                        votes = modes[key].setdefault(col, {})
-                        votes[value] = votes.get(value, 0.0) + max(hits, 1)
-                else:
-                    wsum = weights[key].get(col, 0.0)
-                    acc[col] = (acc.get(col, 0.0) * wsum + value * hits) / \
-                        (wsum + hits) if (wsum + hits) else 0.0
-                    weights[key][col] = wsum + hits
-
-    def fold_columns(self, keys, columns, columns_values):
-        """Fold one window given as parallel columns (segment layout).
-
-        *keys* is the window's key list; *columns_values* holds one
-        value list per name in *columns*.  Per-column type dispatch is
-        decided once instead of once per cell, which is where the
-        columnar accumulate speed comes from.
-        """
+    def _fold_one(self, keys, columns, columns_values):
+        """:meth:`fold_columns_run` for a run of one, which is what
+        windows whose rank order moves fold as: the same operations
+        without the per-cell loop over the run (EXPERIMENTS.md, "One
+        window shape")."""
         accs = [self._acc_for(key) for key in keys]
         for acc in accs:
             acc.windows += 1
@@ -134,31 +98,24 @@ class Accumulator:
     def fold_columns_run(self, keys, columns, runs):
         """Fold a *run* of consecutive windows sharing one key tuple.
 
-        *runs* is a list of ``columns_values`` (one per window, in
-        window order), every window holding exactly the ordered *keys*
-        and *columns*.  Stable key tuples are what a columnar engine
-        calls clustered data, and they let the per-window Python
-        overhead amortize across the run: counters collapse to one
-        C-level ``sum(vals, start)`` per ``(key, column)`` cell --
-        bit-identical to the sequential additions, since ``sum`` is
-        exactly that left fold -- and the gauge recurrence keeps its
-        state in locals instead of two dict round-trips per cell.
-        Per ``(key, column)`` cell the windows are still applied in
-        window order, so the result is bit-identical to folding each
-        window through :meth:`fold_columns`.
+        *runs* holds one ``values`` list (a value list per column)
+        per window, in window order, every window having exactly the
+        ordered *keys* and *columns*; a window on its own is a run of
+        one.  Stable key tuples are what a columnar engine calls
+        clustered data, and they let the per-window Python overhead
+        amortize across the run: counters collapse to one C-level
+        ``sum(vals, start)`` per ``(key, column)`` cell -- the same
+        left fold as sequential additions -- and the gauge recurrence
+        keeps its state in locals instead of two dict round-trips per
+        cell.
         """
         n = len(runs)
-        totals = self.totals
-        weights = self._weights
+        if n == 1:
+            return self._fold_one(keys, columns, runs[0])
         modes = self._modes
-        accs = []
-        wdicts = []
-        for key in keys:
-            acc = totals.get(key)
-            if acc is None:
-                acc = self._acc_for(key)
-            accs.append(acc)
-            wdicts.append(weights[key])
+        accs = [self._acc_for(key) for key in keys]
+        wdicts = [self._weights[key] for key in keys]
+        for acc in accs:
             acc.windows += n
         try:
             hi = columns.index("hits")
@@ -214,15 +171,15 @@ def accumulate_dumps(dumps):
     Parameters
     ----------
     dumps:
-        Iterable of objects with ``.rows`` (list of ``(key, row)``) --
-        WindowDumps or TimeSeriesData alike.
+        Iterable of :class:`~repro.observatory.tsv.TimeSeriesData`
+        windows, in window order.
 
     Returns ``{key: AccumulatedRow}`` where counters are summed and
     gauges are hits-weighted means.
     """
     acc = Accumulator()
     for dump in dumps:
-        acc.fold_rows(dump.rows)
+        acc.fold_columns_run(dump.keys, dump.columns, [dump.values])
     return acc.finish()
 
 
@@ -252,9 +209,4 @@ def split_dumps_at(dumps, ts):
 def key_series(dumps, key, column="hits"):
     """Time series of one key's column: list of (start_ts, value);
     windows where the key is absent yield 0 for counters."""
-    series = []
-    for dump in dumps:
-        row = dump.row_map().get(key)
-        value = row.get(column, 0) if row is not None else 0
-        series.append((dump.start_ts, value))
-    return series
+    return [(dump.start_ts, dump.cell(key, column)) for dump in dumps]

@@ -73,7 +73,7 @@ class TtlChangeDetector:
         )
 
     def observe_dump(self, dump):
-        """Feed one aafqdn WindowDump (or TimeSeriesData)."""
+        """Feed one aafqdn window."""
         for key, row in dump.rows:
             fqdn, kind_specs = self._kinds_for(key)
             for kind, ttl_cols, share_col in kind_specs:

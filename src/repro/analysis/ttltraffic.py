@@ -20,12 +20,10 @@ def ttl_traffic_timeseries(dumps, key):
     """Figure 7: per-window (start_ts, hits, ttl_top1) for one object."""
     series = []
     for dump in dumps:
-        row = dump.row_map().get(key)
-        if row is None:
-            series.append((dump.start_ts, 0, None))
-        else:
-            series.append((dump.start_ts, row.get("hits", 0),
-                           row.get("ttl_top1", None)))
+        known = dump.position(key) is not None and \
+            "ttl_top1" in dump.columns
+        series.append((dump.start_ts, dump.cell(key, "hits"),
+                       dump.cell(key, "ttl_top1") if known else None))
     return series
 
 

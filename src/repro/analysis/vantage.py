@@ -18,14 +18,13 @@ computed per group:
 The derived ``_vantage_asn`` / ``_vantage_cc`` meta-datasets ride the
 normal TSV/segments/serving chain (``/vantage`` on the HTTP API) and
 are byte-identical between sharded and single-process runs: the
-derivation is a pure function of the emitted ``srvip`` dump, with
-every input value first quantized through the TSV number format -- so
-the indices are exactly reproducible from the ``srvip`` files alone.
+derivation is a pure function of the emitted ``srvip`` dump, whose
+cells are the values its file holds -- so the indices are exactly
+reproducible from the ``srvip`` files alone.
 """
 
 from repro.netsim.asdb import AsDatabase
-from repro.observatory.tsv import _format, _parse, escape_key, unescape_key
-from repro.observatory.window import WindowDump
+from repro.observatory.tsv import TimeSeriesData, escape_key, unescape_key
 
 #: derived meta-dataset names (reserved, like ``_platform``)
 VANTAGE_ASN_DATASET = "_vantage_asn"
@@ -191,23 +190,16 @@ class _Group:
         }
 
 
-def _quantized(value):
-    """Round-trip *value* through the TSV number format, so derived
-    indices depend only on the bytes the source series writes."""
-    if isinstance(value, float):
-        return _parse(_format(value))
-    return value
-
-
 class VantageEmitter:
     """Derive ``_vantage_asn`` / ``_vantage_cc`` dumps from ``srvip``.
 
     Hooked into the pipeline sinks: every emitted window of *source*
-    produces two derived :class:`~repro.observatory.window.WindowDump`
-    objects that flow through the same sink (and hence TSV/serving
-    chain).  Derivation is deterministic and side-effect free, so the
-    sharded and single-process paths -- whose *source* dumps are
-    byte-identical -- emit byte-identical vantage series too.
+    produces two derived windows that flow through the same sink (and
+    hence TSV/serving chain).  Derivation reads the source window's
+    cells -- the values its file holds -- and is deterministic and
+    side-effect free, so the sharded and single-process paths, whose
+    *source* dumps are byte-identical, emit byte-identical vantage
+    series too.
     """
 
     def __init__(self, db, source="srvip"):
@@ -220,19 +212,18 @@ class VantageEmitter:
     def derive(self, dump):
         """Return the ``[_vantage_asn, _vantage_cc]`` dumps for one
         *source* window (empty list for a zero-row window)."""
-        if not dump.rows:
+        if not dump.keys:
             return []
         by_asn = {}
         by_cc = {}
-        for key, row in dump.rows:
+        for key, hits, unans, delay in zip(
+                dump.keys, dump.column("hits"), dump.column("unans"),
+                dump.column("delay_q50")):
             asn, country, _org = self.db.lookup(key)
             if asn is None:
                 asn_key, cc_key = UNROUTED_ASN_KEY, UNROUTED_CC_KEY
             else:
                 asn_key, cc_key = "AS%d" % asn, country
-            hits = _quantized(row.get("hits", 0))
-            unans = _quantized(row.get("unans", 0))
-            delay = _quantized(row.get("delay_q50", 0))
             for groups, group_key in ((by_asn, asn_key), (by_cc, cc_key)):
                 group = groups.get(group_key)
                 if group is None:
@@ -246,8 +237,9 @@ class VantageEmitter:
         for dataset, groups in ((VANTAGE_ASN_DATASET, by_asn),
                                 (VANTAGE_CC_DATASET, by_cc)):
             rows = [(key, groups[key].row()) for key in sorted(groups)]
-            dumps.append(WindowDump(
-                dataset, dump.start_ts, rows,
-                {"seen": dump.stats.get("seen", 0), "kept": len(rows)},
-                columns=list(VANTAGE_COLUMNS)))
+            dumps.append(TimeSeriesData(
+                dataset, "minutely", dump.start_ts,
+                columns=VANTAGE_COLUMNS, rows=rows,
+                stats={"seen": dump.stats.get("seen", 0),
+                       "kept": len(rows)}))
         return dumps

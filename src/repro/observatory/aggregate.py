@@ -63,7 +63,7 @@ def aggregate_series(series_list, dataset, granularity, start_ts,
                 if col not in seen_columns:
                     seen_columns.add(col)
                     columns.append(col)
-        for key, _ in series.rows:
+        for key in series.keys:
             if key not in seen_keys:
                 seen_keys.add(key)
                 keys.append(key)
@@ -175,11 +175,11 @@ class TimeAggregator:
             series = [self._read(path) for _, path in sorted(members)]
             data = aggregate_series(series, dataset, coarser, window_start,
                                     expected_points=points)
-            written.append(write_tsv(self.directory, data))
-        for path in written:
+            path = write_tsv(self.directory, data)
+            written.append(path)
             if self.segments:
                 try:
-                    segmentfmt.build_segment(path)
+                    segmentfmt.write_sidecar(data, path)
                 except OSError:
                     pass  # sidecar is an optimization, never a failure
             if self.store is not None:
@@ -266,10 +266,9 @@ class TimeAggregator:
                 st = os.stat(path)
             except OSError:
                 continue  # vanished mid-walk
-            reader = segmentfmt.open_if_fresh(
-                path, (st.st_mtime_ns, st.st_size, st.st_ino))
-            if reader is not None:
-                reader.close()
+            if segmentfmt.open_if_fresh(
+                    path, (st.st_mtime_ns, st.st_size,
+                           st.st_ino)) is not None:
                 fresh += 1
                 continue
             try:

@@ -210,9 +210,8 @@ def evaluate(platform_series, rules=DEFAULT_RULES):
     Parameters
     ----------
     platform_series:
-        Iterable of per-window objects with ``rows`` / ``start_ts``
-        (``TimeSeriesData`` from the store, or ``WindowDump`` straight
-        from a live pipeline).
+        Iterable of ``TimeSeriesData`` windows, from the store or
+        straight from a live pipeline.
     rules:
         Iterable of :class:`Rule`.
 

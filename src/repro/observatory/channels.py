@@ -15,7 +15,7 @@ set, the ``_encrypted`` aggregator -- is a *channel* with one shape:
   (anything picklable) and reset for the next window;
 * ``absorb(state)`` -- fold one shard's state into the merge target;
 * ``cut(start, end, seen)`` -- turn everything absorbed into the
-  window's :class:`WindowDump` and reset.
+  window (a :class:`~repro.observatory.tsv.TimeSeriesData`) and reset.
 
 A window is always flushed the same way: ``take_state`` on every
 channel, ``absorb`` per shard in shard-index order, ``cut``.  A single
@@ -31,16 +31,15 @@ from repro.detect import DETECTOR_DATASET
 from repro.observatory.encrypted import ENCRYPTED_DATASET
 from repro.observatory.telemetry import union_columns
 from repro.observatory.tracker import TrackerChannel
-from repro.observatory.tsv import WindowDump
+from repro.observatory.tsv import TimeSeriesData
 
 
 def meta_dump(dataset, start, rows, seen):
-    """A meta-dataset's rows as a :class:`WindowDump` carrying its own
-    column set, so it rides the exact TSV/aggregation path paper data
-    does."""
-    return WindowDump(dataset, start, rows,
-                      {"seen": seen, "kept": len(rows)},
-                      columns=union_columns(rows))
+    """A meta-dataset's rows as a window carrying its own column set,
+    so it rides the exact TSV/aggregation path paper data does."""
+    return TimeSeriesData(dataset, "minutely", start,
+                          columns=union_columns(rows), rows=rows,
+                          stats={"seen": seen, "kept": len(rows)})
 
 
 #: One shard's whole window, what crosses the shard link per cut: the
@@ -114,7 +113,7 @@ def build_channels(trackers, detectors, encrypted, skip_recent_inserts,
 def merge_window(channels, start, end, shard_windows):
     """Absorb *shard_windows* (:class:`WindowState` objects of the
     window starting at *start*) in the order given, then cut every
-    channel; returns the WindowDumps in channel order.
+    channel; returns the cut windows in channel order.
 
     The order matters: a few sketch merges break ties by insertion
     order (``TopValues`` recycling), so callers pass shards in

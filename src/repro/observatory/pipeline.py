@@ -76,13 +76,14 @@ def feed_batches(consume_batch, transactions, batch_size):
 
 
 class WindowEmitter:
-    """Where every finished :class:`WindowDump` goes, single-process
-    and sharded alike: kept in :attr:`dumps`, written as a minutely
-    TSV (with :attr:`segments`, its columnar sidecar built next to
-    it), announced to the flush hook, and -- for the vantage emitter's
-    source dataset -- followed by its derived ``_vantage_*`` dumps."""
+    """Where every finished window goes, single-process and sharded
+    alike: kept in :attr:`dumps`, written as a minutely TSV (with
+    :attr:`segments`, its columnar sidecar packed from the same
+    object), announced to the flush hook, and -- for the vantage
+    emitter's source dataset -- followed by its derived ``_vantage_*``
+    dumps."""
 
-    #: build a ``.tsv.seg`` sidecar for every TSV written
+    #: write a ``.tsv.seg`` sidecar for every TSV written
     #: (:func:`build_pipeline` sets it)
     segments = False
 
@@ -98,22 +99,21 @@ class WindowEmitter:
     def __call__(self, dump):
         if self.keep_dumps:
             self.dumps.setdefault(dump.dataset, []).append(dump)
-        if self.output_dir is not None and dump.rows:
+        if self.output_dir is not None and dump.keys:
             # Zero-row dumps (a window every tracker sat out) are not
             # written: a gap must not litter the directory with
             # header-only files, and aggregation treats a missing
             # minutely file exactly like an all-zero one.
-            path = write_tsv(self.output_dir,
-                             dump.to_timeseries("minutely"))
+            path = write_tsv(self.output_dir, dump)
             if self.segments:
                 # before the hook, so the reconciled window's first
                 # cold read finds a fresh sidecar; best effort -- a
-                # failed build leaves the window on the text path
+                # failed write leaves the window on the text path
                 try:
-                    segmentfmt.build_segment(path)
+                    segmentfmt.write_sidecar(dump, path)
                     self.segments_built += 1
                 except OSError:
-                    logger.warning("segment build failed for %r", path)
+                    logger.warning("segment write failed for %r", path)
             if self.flush_hook is not None:
                 self.flush_hook(path)
         if self.vantage is not None and \
@@ -138,8 +138,9 @@ class Observatory:
         When given, every completed window is written as a minutely
         TSV file there (step E of Figure 1).
     keep_dumps:
-        Keep completed :class:`WindowDump` objects in memory, grouped
-        per dataset -- the analysis modules consume these.
+        Keep completed windows
+        (:class:`~repro.observatory.tsv.TimeSeriesData`) in memory,
+        grouped per dataset -- the analysis modules consume these.
     tau / use_bloom_gate / hll_precision / psl:
         Tracker tuning knobs, see :class:`TopKTracker`.
     telemetry:
@@ -278,7 +279,7 @@ def build_pipeline(shards=1, transport="pickle", segments=False,
     in-process :class:`Observatory` for one shard,
     :class:`~repro.observatory.sharded.ShardedObservatory` worker
     processes for more.  *options* are the constructor arguments both
-    take; *segments* has the emitter build a columnar sidecar
+    take; *segments* has the emitter write a columnar sidecar
     (:mod:`~repro.observatory.segments`) next to every TSV window it
     writes, so a cold read is a binary column scan, never a text
     re-parse."""

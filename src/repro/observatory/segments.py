@@ -23,30 +23,30 @@ same parsed values as typed column blocks:
   the last 8 bytes) naming every block's offset/length/kind, the
   column order, row count, stats, and the **source TSV identity**
   (mtime + size + inode) the segment was built from;
-* **mmap-able layout** -- the reader maps the file and unpacks blocks
-  straight out of the mapping; nothing is materialized until a block
-  is asked for, so a columnar consumer (the store's accumulate fast
-  path) never builds per-row dicts at all.
+* **block-addressable layout** -- the footer says where every block
+  is, so a reader unpacks the blocks it is asked for and no others.
 
-Segments are *derived data*: always built **from the parsed TSV**
-(:func:`build_segment` goes through :func:`~repro.observatory.tsv.read_tsv`),
-so the values a segment yields are bit-identical to what a text parse
-would have produced -- the store can swap one for the other under the
-same query surface, and the PR 5 differential harness can hold it to
-byte-identical HTTP responses.  A segment whose recorded source
-identity no longer matches the TSV on disk (the window was rewritten)
-is *stale* and ignored; the compactor
+A segment holds the cells of a
+:class:`~repro.observatory.tsv.TimeSeriesData`, and those are by
+construction the values a parse of its TSV returns, so the store can
+swap one read for the other under the same query surface.  The writers
+(:class:`~repro.observatory.pipeline.WindowEmitter`, the aggregator's
+roll-up step) pack the sidecar from the window they just wrote
+(:func:`write_sidecar`); :func:`build_segment` is the from-disk entry
+the compactor needs for windows that have no sidecar yet.  A segment
+whose recorded source identity no longer matches the TSV on disk (the
+window was rewritten) is *stale* and ignored; the compactor
 (:meth:`~repro.observatory.aggregate.TimeAggregator.compact`) rebuilds
 it and removes orphans whose TSV vanished under retention.
 """
 
 import json
-import mmap
 import os
 import struct
 
 from repro.observatory.tsv import (
     TimeSeriesData,
+    atomic_write,
     parse_filename,
     read_tsv,
 )
@@ -118,83 +118,68 @@ def write_segment(data, path, source=None):
 
     *source* is the ``(mtime_ns, size, ino)`` identity of the TSV file
     the values came from; a reader compares it against the live file
-    to detect staleness.  The write is atomic (tmp + ``os.replace``),
-    matching the TSV write contract.  Returns *path*.
+    to detect staleness.  The write is atomic, matching the TSV write
+    contract.  Returns *path*.
     """
-    keys = [key for key, _ in data.rows]
-    columns = list(data.columns)
-    blocks = []  # (name, kind, payload)
+    keys = data.keys
     unique = list(dict.fromkeys(keys))
+    key_block = {"encoding": "raw", "unique": len(unique)}
+    payloads = list(zip(("offsets", "blob"), _pack_strings(unique)))
     if len(unique) < len(keys):
         # dict encoding pays: store each distinct key once + indexes
         table = {key: i for i, key in enumerate(unique)}
-        offsets, blob = _pack_strings(unique)
-        indexes = struct.pack("<%dI" % len(keys),
-                              *(table[key] for key in keys))
-        key_block = {"encoding": "dict", "unique": len(unique)}
-        key_payloads = (offsets, blob, indexes)
-    else:
-        offsets, blob = _pack_strings(keys)
-        key_block = {"encoding": "raw", "unique": len(keys)}
-        key_payloads = (offsets, blob)
-    for col in columns:
-        values = [row.get(col, 0) for _, row in data.rows]
-        kind, payload = _pack_column(values)
-        blocks.append((col, kind, payload))
+        key_block["encoding"] = "dict"
+        payloads.append(("indexes", struct.pack(
+            "<%dI" % len(keys), *(table[key] for key in keys))))
     footer = {
         "dataset": data.dataset,
         "granularity": data.granularity,
-        "start_ts": data.start_ts,
-        "rows": len(data.rows),
-        "columns": columns,
+        "start_ts": int(data.start_ts),  # as the file name has it
+        "rows": len(keys),
+        "columns": list(data.columns),
         "stats": data.stats,
         "key": key_block,
         "blocks": {},
     }
     if source is not None:
-        footer["source"] = {"mtime_ns": source[0], "size": source[1],
-                            "ino": source[2]}
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<HH", VERSION, 0))
-            offset = fh.tell()
-            for name, payload in zip(("offsets", "blob", "indexes"),
-                                     key_payloads):
-                key_block[name] = [offset, len(payload)]
-                fh.write(payload)
-                offset += len(payload)
-            for col, kind, payload in blocks:
-                footer["blocks"][col] = [kind, offset, len(payload)]
-                fh.write(payload)
-                offset += len(payload)
-            encoded = json.dumps(footer, separators=(",", ":")).encode(
-                "utf-8")
-            fh.write(encoded)
-            fh.write(_TAIL.pack(len(encoded), TAIL_MAGIC))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+        footer["source"] = dict(zip(("mtime_ns", "size", "ino"), source))
+    parts = [MAGIC + struct.pack("<HH", VERSION, 0)]
+    offset = len(parts[0])
+    for name, payload in payloads:
+        key_block[name] = [offset, len(payload)]
+        parts.append(payload)
+        offset += len(payload)
+    for col, cells in zip(data.columns, data.values):
+        kind, payload = _pack_column(cells)
+        footer["blocks"][col] = [kind, offset, len(payload)]
+        parts.append(payload)
+        offset += len(payload)
+    encoded = json.dumps(footer, separators=(",", ":")).encode("utf-8")
+    parts += [encoded, _TAIL.pack(len(encoded), TAIL_MAGIC)]
+    return atomic_write(path, b"".join(parts))
 
 
-def build_segment(tsv_path, path=None):
-    """Build (or rebuild) the sidecar segment for one TSV window.
-
-    The values are taken from a fresh :func:`read_tsv` of the file --
-    *not* from any in-memory window state -- so what the segment
-    yields is exactly what a text parse yields, down to float
-    formatting round-trips.  Returns the segment path.
-    """
+def _identity(tsv_path):
     st = os.stat(tsv_path)
-    data = read_tsv(tsv_path)
-    return write_segment(
-        data, segment_path(tsv_path) if path is None else path,
-        source=(st.st_mtime_ns, st.st_size, st.st_ino))
+    return st.st_mtime_ns, st.st_size, st.st_ino
+
+
+def write_sidecar(data, tsv_path):
+    """Write the sidecar of *tsv_path* from *data*, the window
+    :func:`~repro.observatory.tsv.write_tsv` just wrote there."""
+    return write_segment(data, segment_path(tsv_path),
+                         source=_identity(tsv_path))
+
+
+def build_segment(tsv_path):
+    """Build (or rebuild) the sidecar of a TSV window from the file
+    alone -- the compactor's entry, for windows whose writer left no
+    sidecar.  The identity is taken before the parse, so a rewrite
+    racing the build leaves a stale segment, never a wrong one.
+    Returns the segment path."""
+    source = _identity(tsv_path)
+    return write_segment(read_tsv(tsv_path), segment_path(tsv_path),
+                         source=source)
 
 
 def remove_segment_for(tsv_path):
@@ -209,33 +194,31 @@ def remove_segment_for(tsv_path):
 
 
 class SegmentReader:
-    """Zero-copy view over one segment file (context manager).
+    """One segment file, read whole (one ``read`` beats mapping a
+    file this size) and decoded block by block.
 
-    Parses only the 8-byte tail plus the JSON footer on open; column
-    blocks are unpacked lazily from the mmap when asked for.  Raises
-    ``ValueError`` on a malformed or truncated file and ``OSError``
-    when the file cannot be opened -- callers treat both as "no
-    segment" and fall back to the TSV.
+    Parses only the 8-byte tail plus the JSON footer on open and
+    checks the footer's block spans against the file; column blocks
+    are unpacked when asked for.  Raises ``ValueError`` on a
+    malformed, truncated or damaged file and ``OSError`` when the file
+    cannot be opened -- callers treat both as "no segment" and fall
+    back to the TSV.
     """
+
+    #: (key_signature, decoded keys) of the last key block decoded
+    _last_keys = (None, None)
 
     def __init__(self, path):
         self.path = path
-        self._fh = open(path, "rb")
-        try:
-            self._map = mmap.mmap(self._fh.fileno(), 0,
-                                  access=mmap.ACCESS_READ)
-        except (ValueError, OSError):  # empty or unmappable file
-            self._fh.close()
-            raise ValueError("not a segment file: %r" % (path,))
+        with open(path, "rb") as fh:
+            self._raw = fh.read()
         try:
             self._parse_footer()
-        except (ValueError, KeyError, TypeError, struct.error,
-                json.JSONDecodeError, IndexError):
-            self.close()
+        except (ValueError, KeyError, TypeError, struct.error, IndexError):
             raise ValueError("corrupt segment file: %r" % (path,))
 
     def _parse_footer(self):
-        view = self._map
+        view = self._raw
         if len(view) < 8 + _TAIL.size or view[:4] != MAGIC:
             raise ValueError("bad magic")
         version, = struct.unpack_from("<H", view, 4)
@@ -260,115 +243,124 @@ class SegmentReader:
         #: (mtime_ns, size, ino) of the TSV this was built from, or None
         self.source = None if src is None else (
             src["mtime_ns"], src["size"], src["ino"])
+        self._check_tiling(start)
 
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self):
-        try:
-            self._map.close()
-        finally:
-            self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+    def _check_tiling(self, footer_start):
+        """The blocks, in footer order, must tile ``[8, footer_start)``
+        exactly, the fixed-width ones at their row count's length: a
+        file that lost or gained bytes in the block area would
+        otherwise decode, shifted, into plausible wrong rows."""
+        key = self._key_block
+        rows = self.n_rows
+        spans = [key["offsets"], key["blob"]]
+        if key["encoding"] == "dict":
+            spans.append(key["indexes"])
+            sized = key["indexes"][1] == 4 * rows
+        else:
+            sized = key["encoding"] == "raw" and key["unique"] == rows
+        if not sized or key["offsets"][1] != 4 * (key["unique"] + 1):
+            raise ValueError("bad key block")
+        if list(self._blocks) != self.columns:
+            raise ValueError("column blocks do not match the header")
+        cursor = 8
+        for off, length in spans:
+            if off != cursor or length < 0:
+                raise ValueError("blocks do not tile the file")
+            cursor += length
+        for kind, off, length in self._blocks.values():
+            if off != cursor or length < 0 or \
+                    (kind != KIND_JSON and length != 8 * rows):
+                raise ValueError("blocks do not tile the file")
+            cursor += length
+        if cursor != footer_start:
+            raise ValueError("blocks do not tile the file")
 
     # -- block decoding ------------------------------------------------
-
-    def _strings(self, offsets_span, blob_span, count):
-        off = offsets_span[0]
-        offsets = struct.unpack_from("<%dI" % (count + 1), self._map, off)
-        blob_off = blob_span[0]
-        view = self._map
-        return [
-            view[blob_off + offsets[i]:blob_off + offsets[i + 1]].decode(
-                "utf-8")
-            for i in range(count)
-        ]
 
     def key_signature(self):
         """Cheap identity of the ordered key tuple: the encoding name
         plus the raw encoded key payload bytes, compared without
         decoding a single string.  Two windows with equal signatures
         hold the exact same ordered keys (the encoding is a pure
-        function of the key tuple), which is what lets the store
-        batch consecutive windows into one clustered accumulate run.
-        """
+        function of the key tuple)."""
         block = self._key_block
         first = block["offsets"][0]
         last = block["indexes"] if block["encoding"] == "dict" \
             else block["blob"]
-        return (block["encoding"],
-                bytes(self._map[first:last[0] + last[1]]))
+        return block["encoding"], self._raw[first:last[0] + last[1]]
 
     def keys(self):
-        """The key column, decoded (dict encoding resolved)."""
+        """The key column, decoded (dict encoding resolved).  A steady
+        top-k population writes the same key block window after
+        window, so the last decode is kept by signature and handed out
+        again: such windows share one key list (read-only, like every
+        cached window)."""
+        signature = self.key_signature()
+        last_signature, keys = SegmentReader._last_keys
+        if signature == last_signature:
+            return keys
         block = self._key_block
-        unique = self._strings(block["offsets"], block["blob"],
-                               block["unique"])
-        if block["encoding"] == "raw":
-            return unique
-        off, length = block["indexes"]
-        indexes = struct.unpack_from("<%dI" % self.n_rows, self._map, off)
-        return [unique[i] for i in indexes]
+        view = self._raw
+        count = block["unique"]
+        offsets = struct.unpack_from("<%dI" % (count + 1), view,
+                                     block["offsets"][0])
+        start, length = block["blob"]
+        blob = view[start:start + length]
+        keys = [blob[a:b].decode("utf-8")
+                for a, b in zip(offsets, offsets[1:])]
+        if block["encoding"] == "dict":
+            indexes = struct.unpack_from("<%dI" % self.n_rows, view,
+                                         block["indexes"][0])
+            keys = [keys[i] for i in indexes]
+        SegmentReader._last_keys = (signature, keys)
+        return keys
 
     def column(self, name):
         """One feature column as a list of values (parsed types)."""
         kind, off, length = self._blocks[name]
         if kind == KIND_I64:
             return list(struct.unpack_from("<%dq" % self.n_rows,
-                                           self._map, off))
+                                           self._raw, off))
         if kind == KIND_F64:
             return list(struct.unpack_from("<%dd" % self.n_rows,
-                                           self._map, off))
-        return json.loads(self._map[off:off + length].decode("utf-8"))
-
-    def columns_values(self):
-        """Every column's value list, in column order."""
-        return [self.column(name) for name in self.columns]
+                                           self._raw, off))
+        cells = json.loads(self._raw[off:off + length].decode("utf-8"))
+        if type(cells) is not list or len(cells) != self.n_rows:
+            raise ValueError("JSON block is not a column")
+        return cells
 
     def to_data(self):
-        """Materialize the full :class:`TimeSeriesData` (row dicts),
-        exactly as :func:`read_tsv` of the source file would."""
-        keys = self.keys()
-        columns = self.columns
-        if columns:
-            rows = [
-                (key, dict(zip(columns, values)))
-                for key, values in zip(keys,
-                                       zip(*self.columns_values()))
-            ]
-        else:
-            rows = [(key, {}) for key in keys]
-        return TimeSeriesData(self.dataset, self.granularity,
-                              self.start_ts, columns=columns,
-                              rows=rows, stats=dict(self.stats))
+        """The whole window, exactly as
+        :func:`~repro.observatory.tsv.read_tsv` of the source file
+        returns it.  ``ValueError`` when a block does not decode."""
+        try:
+            keys = self.keys()
+            values = [self.column(name) for name in self.columns]
+        except (ValueError, struct.error, IndexError):
+            raise ValueError("corrupt segment file: %r" % (self.path,))
+        return TimeSeriesData.from_columns(
+            self.dataset, self.granularity, self.start_ts, self.columns,
+            keys, values, dict(self.stats))
 
 
 def open_if_fresh(tsv_path, identity):
     """Open the sidecar for *tsv_path* iff it matches *identity*.
 
     *identity* is the live TSV's ``(mtime_ns, size, ino)``.  Returns a
-    :class:`SegmentReader` (caller closes it) or ``None`` when the
-    sidecar is absent, unreadable, or stale -- every case where the
-    caller must fall back to parsing the text.
+    :class:`SegmentReader` or ``None`` when the sidecar is absent,
+    unreadable, or stale -- every case where the caller must fall back
+    to parsing the text.
     """
     try:
         reader = SegmentReader(segment_path(tsv_path))
     except (OSError, ValueError):
         return None
-    if reader.source != tuple(identity):
-        reader.close()
-        return None
-    return reader
+    return reader if reader.source == tuple(identity) else None
 
 
 def read_segment(path):
     """Read a whole segment into a :class:`TimeSeriesData`."""
-    with SegmentReader(path) as reader:
-        return reader.to_data()
+    return SegmentReader(path).to_data()
 
 
 def scan_segments(directory):

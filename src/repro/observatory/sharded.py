@@ -6,7 +6,7 @@ running compiled code across machines (§2.1).  A single pure-Python
 that, so this module partitions the transaction stream by key-hash
 across N worker processes, each running a full Observatory over its
 shard, and merges the per-shard window state back into the exact same
-:class:`~repro.observatory.window.WindowDump` / TSV output the
+:class:`~repro.observatory.tsv.TimeSeriesData` / TSV output the
 single-process path produces.
 
 Architecture::
@@ -18,7 +18,7 @@ Architecture::
                  │              ...
                  │  at every 60 s boundary: broadcast ("cut", ts),
                  │  collect one WindowState per shard
-                 └──◄─────  absorb, cut ──► WindowDump ──► TSV
+                 └──◄─────  absorb, cut ──► window ──► TSV
 
     Workers never see a transaction from the next window before the
     cut for the previous one: the coordinator detects boundaries in
@@ -342,7 +342,7 @@ class ShardedObservatory:
 
     def ingest(self, txn):
         """Route one transaction to its shard.  Returns the merged
-        WindowDumps of any boundary this transaction crossed."""
+        dumps of any boundary this transaction crossed."""
         return self.consume_batch((txn,))
 
     def consume_batch(self, txns):
@@ -350,7 +350,7 @@ class ShardedObservatory:
 
         Window boundaries inside the batch trigger a cut-and-merge
         barrier, exactly like the single-process path flushing
-        mid-batch.  Returns the merged WindowDumps produced.
+        mid-batch.  Returns the merged dumps produced.
         """
         dumps = []
         if self._closed:

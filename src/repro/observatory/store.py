@@ -21,9 +21,10 @@ a store that a collector is appending to live.
   stale or torn state.  Writes are atomic
   (:func:`~repro.observatory.tsv.write_tsv` goes through
   ``os.replace``), so a file visible in the listing is complete;
-* a **bounded LRU** of parsed windows -- the hot working set (recent
-  windows, popular ranges) is served from memory; everything else
-  falls back to one bounded parse, not a directory scan;
+* a **bounded LRU** of windows -- the one column-major
+  :class:`~repro.observatory.tsv.TimeSeriesData`, whether a window
+  was read from its segment or its text -- so the hot working set is
+  served from memory and everything else costs one bounded read;
 * a **bisected range index** -- each series' refs stay sorted by
   ``start_ts``, so a range query is two :func:`bisect.bisect` calls
   and a slice, O(log n + answer) instead of a linear scan of every
@@ -57,10 +58,10 @@ from repro.observatory.tsv import (
 #: distinct range-accumulations memoized per store (see ``accumulate``)
 ACCUMULATE_CACHE = 16
 
-#: max consecutive same-key-tuple segment windows folded as one
-#: clustered run in :meth:`SeriesStore.accumulate` -- bounds the
-#: buffered column values so a year-long range still accumulates in
-#: O(run) memory, not O(span)
+#: max consecutive same-key-tuple windows folded as one clustered run
+#: in :meth:`SeriesStore.accumulate` -- bounds the windows held beyond
+#: the LRU so a year-long range still accumulates in O(run) memory,
+#: not O(span)
 ACCUMULATE_RUN = 256
 
 
@@ -200,9 +201,9 @@ class SeriesStore:
     use_segments:
         Prefer a fresh binary columnar sidecar
         (:mod:`~repro.observatory.segments`) over re-parsing the TSV
-        on cold reads.  A sidecar whose recorded source identity does
-        not match the live TSV is ignored, so this never changes an
-        answer -- only how fast it is computed.
+        on cold reads.  A sidecar that is stale, damaged or does not
+        decode is ignored, so this never changes an answer -- only how
+        fast it is computed.  Off, this is the text-only reference.
     telemetry:
         Optional :class:`~repro.observatory.telemetry.Telemetry`
         registry; the store registers a ``store`` component sampler
@@ -219,7 +220,7 @@ class SeriesStore:
         self._index = {}
         #: dataset -> granularity -> [WindowRef sorted by start_ts]
         self._by_series = {}
-        #: path -> TimeSeriesData, LRU order (oldest first)
+        #: path -> TimeSeriesData (column lists), LRU order (oldest first)
         self._cache = OrderedDict()
         #: selection signature -> accumulated rows (see :meth:`accumulate`)
         self._accumulated = OrderedDict()
@@ -232,6 +233,8 @@ class SeriesStore:
         self.parses = 0
         #: cold reads answered from a columnar segment (no text parse)
         self.segment_reads = 0
+        #: fresh segments whose blocks did not decode: read as text
+        self.segment_rejects = 0
         self.refreshes = 0
         #: cold reads that piggybacked on another thread's in-progress
         #: parse of the same path instead of duplicating it
@@ -445,9 +448,10 @@ class SeriesStore:
         n = max(int(n), 0)
         for data in self.iter_range(dataset, granularity,
                                     start_ts, end_ts):
-            top = heapq.nlargest(
-                n, data.rows, key=lambda kv: kv[1].get(by, 0))
-            yield data.start_ts, top
+            top = heapq.nlargest(n, range(len(data)),
+                                 key=data.column(by).__getitem__)
+            yield data.start_ts, [(data.keys[i], data.row(i))
+                                  for i in top]
 
     def read_path(self, path):
         """Read one window by file path through the LRU.
@@ -493,10 +497,7 @@ class SeriesStore:
                 self.flight_waits += 1
             return flight.data
         try:
-            data = self._segment_data(ref)
-            from_segment = data is not None
-            if data is None:
-                data = read_tsv(path)
+            data, from_segment = self._load(ref)
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(path, None)
@@ -518,17 +519,21 @@ class SeriesStore:
         flight.done.set()
         return data
 
-    def _segment_data(self, ref):
-        """Cold-read fast path: materialize *ref* from a fresh sidecar
-        segment (no text parse), or ``None`` to fall back to TSV."""
-        if not self.use_segments:
-            return None
+    def _load(self, ref):
+        """One cold read: the fresh sidecar when its blocks decode,
+        else the text (whose own errors propagate).  Returns
+        ``(window, came from the segment)``; a sidecar only ever
+        changes how fast, never what."""
         reader = segmentfmt.open_if_fresh(
-            ref.path, (ref.mtime_ns, ref.size, ref.ino))
-        if reader is None:
-            return None
-        with reader:
-            return reader.to_data()
+            ref.path, (ref.mtime_ns, ref.size, ref.ino)) \
+            if self.use_segments else None
+        if reader is not None:
+            try:
+                return reader.to_data(), True
+            except ValueError:
+                with self._lock:
+                    self.segment_rejects += 1
+        return read_tsv(ref.path), False
 
     def accumulate(self, dataset, granularity="minutely",
                    start_ts=None, end_ts=None):
@@ -543,17 +548,10 @@ class SeriesStore:
         O(windows x keys) re-merge.  Treat the returned mapping as
         read-only -- it is shared between callers.
 
-        Windows already in the LRU fold row-major from the parsed
-        cache; cold windows with a fresh sidecar segment fold
-        column-major straight off the mmap (no per-row dicts are ever
-        built), and consecutive segment windows carrying the identical
-        ordered key tuple -- recognized by comparing the raw encoded
-        key bytes, no string decode -- batch into one clustered run of
-        up to :data:`ACCUMULATE_RUN` windows so counters collapse to
-        C-level sums; everything else takes one bounded text parse.
-        All fold orders apply identical operations per ``(key,
-        column)`` cell (:class:`~repro.analysis.seriesops.Accumulator`),
-        so the mix is bit-identical to a pure row-major pass.
+        Windows stream through the LRU one at a time; consecutive
+        windows carrying the identical ordered key tuple and columns
+        batch into one clustered run of up to :data:`ACCUMULATE_RUN`
+        so counters collapse to C-level sums.
         """
         from repro.analysis.seriesops import Accumulator
 
@@ -565,65 +563,23 @@ class SeriesStore:
             if rows is not None:
                 self._accumulated.move_to_end(signature)
                 return rows
-        # stream one window (or one bounded clustered run) at a time:
-        # accumulating a year-long range must not hold every parsed
-        # window at once
         acc = Accumulator()
-        run_sig = None
-        run_keys = None
-        run_cols = None
-        run_vals = []
-        segment_reads = 0
 
-        def flush_run():
-            nonlocal run_sig, run_keys, run_cols, run_vals
-            if not run_vals:
-                return
-            if len(run_vals) == 1:
-                acc.fold_columns(run_keys, run_cols, run_vals[0])
-            else:
-                acc.fold_columns_run(run_keys, run_cols, run_vals)
-            run_sig = None
-            run_keys = None
-            run_cols = None
-            run_vals = []
+        def fold(run):
+            if run:
+                acc.fold_columns_run(run[0].keys, run[0].columns,
+                                     [window.values for window in run])
 
+        run = []
         for ref in refs:
-            with self._lock:
-                data = self._cache.get(ref.path)
-                if data is not None:
-                    self.cache_hits += 1
-                    self._cache.move_to_end(ref.path)
-            if data is not None:
-                flush_run()  # window order is the fold order
-                acc.fold_rows(data.rows)
-                continue
-            if self.use_segments:
-                reader = segmentfmt.open_if_fresh(
-                    ref.path, (ref.mtime_ns, ref.size, ref.ino))
-                if reader is not None:
-                    with reader:
-                        sig = reader.key_signature()
-                        cols = reader.columns
-                        if run_vals and (sig != run_sig
-                                         or cols != run_cols
-                                         or len(run_vals) >=
-                                         ACCUMULATE_RUN):
-                            flush_run()
-                        if not run_vals:
-                            run_sig = sig
-                            run_cols = cols
-                            run_keys = reader.keys()
-                        run_vals.append(reader.columns_values())
-                    segment_reads += 1
-                    continue
-            flush_run()
-            acc.fold_rows(self._read_ref(ref).rows)
-        flush_run()
-        if segment_reads:
-            with self._lock:
-                self.cache_misses += segment_reads
-                self.segment_reads += segment_reads
+            data = self._read_ref(ref)
+            if run and (len(run) >= ACCUMULATE_RUN
+                        or data.columns != run[0].columns
+                        or data.keys != run[0].keys):
+                fold(run)
+                run = []
+            run.append(data)
+        fold(run)
         rows = acc.finish()
         with self._lock:
             self._accumulated[signature] = rows
@@ -646,22 +602,16 @@ class SeriesStore:
                    granularity="minutely", start_ts=None, end_ts=None):
         """One key's per-window time series: ``[(start_ts, value)]``
         over every window in the range (0 where the key is absent)."""
-        series = []
-        for data in self.iter_range(dataset, granularity,
-                                    start_ts, end_ts):
-            row = data.row_map().get(key)
-            series.append((data.start_ts,
-                           row.get(column, 0) if row is not None else 0))
-        return series
+        return [(data.start_ts, data.cell(key, column))
+                for data in self.iter_range(dataset, granularity,
+                                            start_ts, end_ts)]
 
     def has_key(self, dataset, key, granularity="minutely",
                 start_ts=None, end_ts=None):
         """Does *key* appear in any window of the range?"""
-        for data in self.iter_range(dataset, granularity,
-                                    start_ts, end_ts):
-            if key in data.row_map():
-                return True
-        return False
+        return any(data.position(key) is not None
+                   for data in self.iter_range(dataset, granularity,
+                                               start_ts, end_ts))
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -681,6 +631,7 @@ class SeriesStore:
                 "indexed_windows": len(self._index),
                 "notifications": self.notifications,
                 "segment_reads": self.segment_reads,
+                "segment_rejects": self.segment_rejects,
                 "flight_waits": self.flight_waits,
             }
 

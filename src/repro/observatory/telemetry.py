@@ -11,7 +11,7 @@ Detection*) goes further: sketch-health signals such as fill-ratio
 spikes, eviction churn and capture-ratio collapse *are* the
 attack-detection signal.  So telemetry snapshots are emitted once per
 window as a ``_platform`` meta-dataset through the ordinary
-``WindowDump -> write_tsv`` path, flowing through the same minutely ->
+``cut -> write_tsv`` path, flowing through the same minutely ->
 decaminutely -> ... aggregation chain and report tooling as paper
 data.
 
@@ -161,7 +161,7 @@ class Telemetry:
     ``shard0.window``, ``coordinator``); the per-window snapshot
     yields one ``(component, {column: value})`` row per component,
     which :class:`~repro.observatory.window.WindowManager` wraps into
-    a ``_platform`` :class:`WindowDump`.
+    a ``_platform`` window.
     """
 
     enabled = True

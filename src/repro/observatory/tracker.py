@@ -19,7 +19,7 @@ from pickle import PickleBuffer
 
 from repro.dnswire.psl import default_psl
 from repro.observatory.features import FeatureSet
-from repro.observatory.tsv import WindowDump
+from repro.observatory.tsv import TimeSeriesData
 from repro.sketches.bloom import RotatingBloomFilter
 from repro.sketches.spacesaving import SpaceSaving
 
@@ -165,7 +165,7 @@ class TopKTracker:
 class ShardWindowState:
     """One dataset's *mergeable* window state from one ingest shard.
 
-    Where :class:`WindowDump` carries flattened feature rows, this
+    Where the cut window carries flattened feature rows, this
     carries the raw per-object state a shard accumulated during one
     window -- everything the merging side needs to combine
     independently built shard summaries into the exact-enough global
@@ -182,7 +182,7 @@ class ShardWindowState:
 
     def __init__(self, dataset, start_ts, entries, inserted, stats):
         self.dataset = dataset
-        #: window start (virtual seconds), same grid as WindowDump
+        #: window start (virtual seconds), same grid as the cut window
         self.start_ts = start_ts
         #: list of (key, rate, error_rate, inserted_at, hits, FeatureSet)
         self.entries = entries
@@ -323,7 +323,8 @@ class TrackerChannel:
         rows = [(key, current[2].as_row())
                 for key, current in ranked[:self.tracker.spec.k]]
         self._rows.inc(len(rows))
-        dump = WindowDump(self.dataset, start, rows,
-                          {"seen": seen, "kept": self._merged_kept})
+        dump = TimeSeriesData(
+            self.dataset, "minutely", start, rows=rows,
+            stats={"seen": seen, "kept": self._merged_kept})
         self._reset()
         return dump

@@ -8,6 +8,7 @@ the total number of DNS transactions seen before and after filtering."
 """
 
 import os
+from itertools import repeat
 
 from repro.observatory.features import ALL_COLUMNS
 
@@ -83,89 +84,125 @@ def parse_filename(filename):
 
 
 class TimeSeriesData:
-    """In-memory representation of one time-series file."""
+    """One window of one dataset, column-major: the shape a window has
+    from the cut to the query.
+
+    :attr:`keys` holds the row keys in rank order and :attr:`values`
+    one list per name in :attr:`columns`.  Every cell is what
+    :func:`read_tsv` of the window's file returns: producer rows are
+    quantized once, here (integral float -> int, other float ->
+    ``float("%.4f" % v)``, missing cell -> 0), so a float left in a
+    window always renders ``%.4f`` and an int ``str()`` -- the TSV text
+    and the segment blocks are pure functions of the stored values.
+    """
+
+    __slots__ = ("dataset", "granularity", "start_ts", "columns", "keys",
+                 "values", "stats", "_positions")
 
     def __init__(self, dataset, granularity, start_ts, columns=None,
                  rows=None, stats=None):
+        rows = list(rows) if rows else []
+        stats = stats or {"seen": 0, "kept": 0}
         self.dataset = dataset
         self.granularity = granularity
-        self.start_ts = int(start_ts)
+        #: window start (virtual seconds)
+        self.start_ts = start_ts
         #: feature column names, in file order (without the key column)
         self.columns = list(columns if columns is not None else ALL_COLUMNS)
-        #: list of (key, {column: value}) pairs, rank order preserved
-        self.rows = list(rows or [])
-        #: collection stats: transactions seen before/after filtering
-        self.stats = dict(stats or {"seen": 0, "kept": 0})
+        #: row keys, rank order preserved
+        self.keys = [key for key, _ in rows]
+        #: one value list per column, parallel to :attr:`keys`
+        self.values = [[_quantize(row.get(col, 0)) for _, row in rows]
+                       for col in self.columns]
+        #: collection stats: transactions seen before/after filtering,
+        #: in name order (the trailer's, hence a parsed window's)
+        self.stats = {name: _quantize(stats[name]) for name in sorted(stats)}
+        self._positions = None
+
+    @classmethod
+    def from_columns(cls, dataset, granularity, start_ts, columns, keys,
+                     values, stats):
+        """A window over cells that already are file values (a text
+        parse, a segment decode): no cell is quantized or copied."""
+        self = cls.__new__(cls)
+        self.dataset, self.granularity = dataset, granularity
+        self.start_ts, self.columns = start_ts, columns
+        self.keys, self.values, self.stats = keys, values, stats
+        self._positions = None
+        return self
+
+    def to_timeseries(self, granularity="minutely"):
+        """This window labelled *granularity*.  A cut already yields
+        the writer's input; kept for ``benchmarks/ledger/layers.py``,
+        which only a benchmark PR may edit."""
+        return self.from_columns(self.dataset, granularity, self.start_ts,
+                                 self.columns, self.keys, self.values,
+                                 self.stats)
+
+    def column(self, name):
+        """The value list of column *name* (zeros when absent)."""
+        try:
+            return self.values[self.columns.index(name)]
+        except ValueError:
+            return [0] * len(self.keys)
+
+    def row(self, position):
+        """``{column: value}`` of the row at *position*."""
+        return dict(zip(self.columns,
+                        [cells[position] for cells in self.values]))
+
+    @property
+    def rows(self):
+        """``[(key, {column: value})]`` in rank order, for the callers
+        that want dicts.  Built per access and never kept: a cached
+        window must not hold both shapes."""
+        cells = zip(*self.values) if self.values else repeat(())
+        return [(key, dict(zip(self.columns, row)))
+                for key, row in zip(self.keys, cells)]
 
     def row_map(self):
         """Return ``{key: row_dict}`` (last occurrence wins)."""
         return dict(self.rows)
 
-    def __len__(self):
-        return len(self.rows)
+    def position(self, key):
+        """Row position of *key* (its last occurrence, as
+        :meth:`row_map` resolves repeats) or ``None``.  The key index
+        is built on first use and stays with the window."""
+        positions = self._positions
+        if positions is None:
+            positions = self._positions = {
+                key: i for i, key in enumerate(self.keys)}
+        return positions.get(key)
 
-
-class WindowDump:
-    """One dataset's dump for one completed window."""
-
-    __slots__ = ("dataset", "start_ts", "rows", "stats", "columns")
-
-    def __init__(self, dataset, start_ts, rows, stats, columns=None):
-        self.dataset = dataset
-        #: window start (virtual seconds)
-        self.start_ts = start_ts
-        #: list of (key, feature_row_dict) in rank order
-        self.rows = rows
-        #: {"seen": transactions seen, "kept": after filtering/capture}
-        self.stats = stats
-        #: TSV column order; None means the canonical feature columns.
-        #: Meta-datasets (``_platform`` telemetry) carry their own.
-        self.columns = columns
-
-    def row_map(self):
-        return dict(self.rows)
-
-    def to_timeseries(self, granularity="minutely"):
-        """Convert to :class:`TimeSeriesData` for the TSV writer."""
-        return TimeSeriesData(
-            self.dataset, granularity, self.start_ts,
-            columns=self.columns, rows=self.rows, stats=self.stats,
-        )
+    def cell(self, key, column):
+        """*key*'s value in *column*; 0 where either is absent."""
+        position = self.position(key)
+        return 0 if position is None else self.column(column)[position]
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.keys)
 
 
-def write_tsv(directory, data):
-    """Write *data* to ``directory`` using the canonical filename.
+def _render(data):
+    """The TSV text of *data*, rendered column-major."""
+    texts = [["%.4f" % v if type(v) is float else str(v) for v in cells]
+             for cells in data.values] or [[""] * len(data.keys)]
+    lines = ["key\t" + "\t".join(data.columns)]
+    lines.extend(map("\t".join, zip(map(escape_key, data.keys), *texts)))
+    lines.append(_STATS_PREFIX + "\t" + "\t".join(
+        "%s=%s" % (name, "%.4f" % v if type(v) is float else v)
+        for name, v in data.stats.items()))
+    return "\n".join(lines) + "\n"
 
-    The write is atomic: rows go to a ``.tmp`` sibling which is then
-    :func:`os.replace`-d onto the final name, so a concurrent reader
-    (``aggregate`` racing ``replay``, or a follow-mode
-    :class:`~repro.observatory.store.SeriesStore` behind the HTTP
-    server) either sees the complete file or no file at all -- never a
-    torn window.  The ``.tmp`` sibling has no ``.tsv`` extension, so
-    :func:`list_series` cannot pick it up even if a crash strands it.
 
-    Returns the full file path.
-    """
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(
-        directory, filename_for(data.dataset, data.granularity, data.start_ts)
-    )
+def atomic_write(path, payload):
+    """Write the bytes *payload* at *path* through a ``.tmp`` sibling
+    and :func:`os.replace`, so a concurrent reader sees the complete
+    file or no file at all, never a torn one."""
     tmp_path = "%s.tmp.%d" % (path, os.getpid())
     try:
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            fh.write("key\t" + "\t".join(data.columns) + "\n")
-            for key, row in data.rows:
-                values = "\t".join(
-                    _format(row.get(col, 0)) for col in data.columns)
-                fh.write("%s\t%s\n" % (escape_key(key), values))
-            stats = "\t".join(
-                "%s=%s" % (name, _format(value))
-                for name, value in sorted(data.stats.items())
-            )
-            fh.write("%s\t%s\n" % (_STATS_PREFIX, stats))
+        with open(tmp_path, "wb") as fh:
+            fh.write(payload)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -174,6 +211,25 @@ def write_tsv(directory, data):
             pass
         raise
     return path
+
+
+def write_tsv(directory, data):
+    """Write *data* to ``directory`` using the canonical filename.
+
+    The write is atomic (:func:`atomic_write`): a concurrent reader
+    (``aggregate`` racing ``replay``, or a follow-mode
+    :class:`~repro.observatory.store.SeriesStore` behind the HTTP
+    server) never sees a torn window.  The ``.tmp`` sibling has no
+    ``.tsv`` extension, so :func:`list_series` cannot pick it up even
+    if a crash strands it.
+
+    Returns the full file path.
+    """
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(
+        directory, filename_for(data.dataset, data.granularity, data.start_ts)
+    )
+    return atomic_write(path, _render(data).encode("utf-8"))
 
 
 def read_tsv(path):
@@ -187,7 +243,7 @@ def read_tsv(path):
     if header[0] != "key":
         raise ValueError("missing key column in %r" % (path,))
     columns = header[1:]
-    rows = []
+    records = []
     stats = {}
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
@@ -202,12 +258,13 @@ def read_tsv(path):
             raise ValueError(
                 "%s line %d: expected %d columns, got %d"
                 % (path, lineno, len(columns) + 1, len(fields)))
-        key = unescape_key(fields[0])
-        row = {
-            col: _parse(value) for col, value in zip(columns, fields[1:])
-        }
-        rows.append((key, row))
-    return TimeSeriesData(dataset, granularity, start_ts, columns, rows, stats)
+        records.append(fields)
+    texts = list(zip(*records)) or [()] * (len(columns) + 1)
+    return TimeSeriesData.from_columns(
+        dataset, granularity, start_ts, columns,
+        [unescape_key(text) for text in texts[0]],
+        [[_parse(text) for text in cells] for cells in texts[1:]],
+        stats or {"seen": 0, "kept": 0})
 
 
 def window_overlaps(granularity, window_start, start_ts=None, end_ts=None):
@@ -267,12 +324,20 @@ def read_series(directory, dataset, granularity="minutely",
                                              end_ts)]
 
 
-def _format(value):
-    if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
-            return str(int(value))
-        return "%.4f" % value
-    return str(value)
+def _quantize(value):
+    """The value :func:`read_tsv` returns for a producer's cell."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, float):
+        # bools, strings: whatever their text reads back as -- a
+        # string that spells a number is that number from here on
+        # ("1.5" renders ``1.5000``, "007" ``7``); producers emit numbers
+        value = _parse(str(value))
+        if not isinstance(value, float):
+            return value
+    if abs(value) < 1e15 and value == int(value):
+        return int(value)
+    return float("%.4f" % value)
 
 
 def _parse(text):

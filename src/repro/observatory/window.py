@@ -12,7 +12,6 @@ from repro.observatory.channels import WindowState, build_channels, meta_dump
 from repro.observatory.features import TxnHashes
 from repro.observatory.telemetry import PLATFORM_DATASET, resolve_telemetry
 from repro.observatory.tracker import ShardWindowState  # noqa: F401 - re-export
-from repro.observatory.tsv import WindowDump  # noqa: F401 - re-export
 
 
 #: most transactions (hence prepared per-transaction records) that
@@ -43,7 +42,8 @@ class WindowManager:
     Transactions must arrive in non-decreasing timestamp order (the
     SIE stream is time-ordered).  When a transaction crosses the
     current window's end, the window is flushed: every channel's state
-    is taken, merged and cut into a :class:`WindowDump`; the dumps are
+    is taken, merged and cut into a
+    :class:`~repro.observatory.tsv.TimeSeriesData`; the dumps are
     handed to *sink* (a callable ``sink(window_dump)``) and also
     returned from :meth:`observe`.
 
@@ -69,7 +69,7 @@ class WindowManager:
         rows dumped, skipped-recent counts, gap fast-forwards, plus
         each tracker's sketch-health sample.  Without a *state_sink*
         every window boundary additionally emits a ``_platform``
-        :class:`WindowDump` with one row per component.
+        dump with one row per component.
         Falsy (the default) wires the shared no-op registry: nothing
         is recorded and the hot path is untouched.
     detectors:
@@ -127,7 +127,7 @@ class WindowManager:
         return self._window_start
 
     def observe(self, txn):
-        """Feed one transaction.  Returns the list of WindowDumps
+        """Feed one transaction.  Returns the list of dumps
         produced by any window boundary this transaction crossed
         (usually empty)."""
         return self.consume_batch((txn,))
@@ -149,7 +149,7 @@ class WindowManager:
         bucket and counter bumps only.  Channels are independent, so
         channel-major order produces byte-identical state to
         transaction-major order; the chunk bound keeps at most
-        :data:`_CHUNK` prepared records alive.  Returns the WindowDumps
+        :data:`_CHUNK` prepared records alive.  Returns the dumps
         of all boundaries crossed.
         """
         dumps = []

@@ -463,9 +463,7 @@ class ObservatoryApp:
     def _key_points(self, refs, key, column):
         """One ``[start_ts, value]`` point per window for ``/key``."""
         for data in self.store.iter_windows(refs):
-            row = data.row_map().get(key)
-            yield [data.start_ts,
-                   row.get(column, 0) if row is not None else 0]
+            yield [data.start_ts, data.cell(key, column)]
 
     def _should_stream(self, refs):
         """Stream when the backing files outweigh the threshold --

@@ -16,13 +16,14 @@ from repro.analysis.distributions import TrafficDistribution
 from repro.analysis.qtypes import QtypeRow
 from repro.netsim.asdb import AsDatabase
 from repro.netsim.asnames import AsNameRegistry
-from repro.observatory.window import WindowDump
+from repro.observatory.tsv import TimeSeriesData
 
 
 def dump(rows, dataset="srvip", start=0, seen=0):
-    return WindowDump(dataset, start, rows,
-                      {"seen": seen or sum(r.get("hits", 0)
-                                           for _, r in rows), "kept": 0})
+    return TimeSeriesData(
+        dataset, "minutely", start, rows=rows,
+        stats={"seen": seen or sum(r.get("hits", 0) for _, r in rows),
+               "kept": 0})
 
 
 class FakeObs:

@@ -9,13 +9,12 @@ from repro.analysis.platformhealth import (
 from repro.observatory.alerts import parse_rules
 from repro.observatory.pipeline import Observatory
 from repro.observatory.store import SeriesStore
-from repro.observatory.window import WindowDump
+from repro.observatory.channels import meta_dump
 from tests.util import make_txn
 
 
 def platform_window(ts, rows):
-    return WindowDump("_platform", ts, list(rows.items()),
-                      {"seen": 0, "kept": len(rows)})
+    return meta_dump("_platform", ts, list(rows.items()), 0)
 
 
 def sample_series():

@@ -2,11 +2,11 @@
 
 from repro.analysis.qmin import detect_qmin, detect_qmin_from_srcsrv
 from repro.observatory.pipeline import Observatory
-from repro.observatory.window import WindowDump
+from repro.observatory.tsv import TimeSeriesData
 
 
 def dump(rows):
-    return WindowDump("srcsrv", 0, rows, {})
+    return TimeSeriesData("srcsrv", "minutely", 0, rows=rows)
 
 
 ROOT = {"192.0.2.1"}

@@ -9,11 +9,11 @@ from repro.analysis.seriesops import (
     split_dumps_at,
     total_hits,
 )
-from repro.observatory.window import WindowDump
+from repro.observatory.tsv import TimeSeriesData
 
 
 def dump(start, rows):
-    return WindowDump("x", start, rows, {"seen": 0, "kept": 0})
+    return TimeSeriesData("x", "minutely", start, rows=rows)
 
 
 def test_counters_summed():

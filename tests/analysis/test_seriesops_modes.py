@@ -3,11 +3,11 @@
 import pytest
 
 from repro.analysis.seriesops import MAX_COLUMNS, MODE_COLUMNS, accumulate_dumps
-from repro.observatory.window import WindowDump
+from repro.observatory.tsv import TimeSeriesData
 
 
 def dump(start, rows):
-    return WindowDump("x", start, rows, {})
+    return TimeSeriesData("x", "minutely", start, rows=rows)
 
 
 def test_ttl_mode_weighted_by_hits():

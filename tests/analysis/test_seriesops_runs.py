@@ -1,16 +1,22 @@
 """Equivalence tests for the clustered-run fold (fold_columns_run).
 
-The store batches consecutive segment windows sharing one ordered key
-tuple into a single :meth:`Accumulator.fold_columns_run` call.  The
-contract backing that batching is *bit*-identity: per ``(key, column)``
-cell the run fold applies the same operations in the same window order
-as the row-major fold, so every mix of folds over the same windows
-yields the exact same floats -- not approximately, exactly.
+The store batches consecutive windows sharing one ordered key tuple
+into a single :meth:`Accumulator.fold_columns_run` call.  The contract
+backing that batching is *bit*-identity: per ``(key, column)`` cell the
+run fold applies the same operations in the same window order as a
+row-major fold, so every split of the same windows into runs yields
+the exact same floats -- not approximately, exactly.  The row-major
+fold lives here, as the independent reference (:func:`fold_rows`).
 """
 
 import random
 
-from repro.analysis.seriesops import Accumulator
+from repro.analysis.seriesops import (
+    _COUNTERS,
+    MAX_COLUMNS,
+    MODE_COLUMNS,
+    Accumulator,
+)
 
 COLUMNS = ["hits", "ok", "qdots_max", "ttl_top1", "delay_q50"]
 
@@ -42,6 +48,30 @@ def rows_of(keys, cols):
             for key, values in zip(keys, zip(*cols))]
 
 
+def fold_rows(acc, rows):
+    """Reference: fold one window's ``(key, row_dict)`` list into
+    *acc*, one cell at a time, row by row."""
+    for key, row in rows:
+        total = acc._acc_for(key)
+        total.windows += 1
+        hits = row.get("hits", 0) or 0
+        for col, value in row.items():
+            if col in _COUNTERS:
+                total[col] = total.get(col, 0) + value
+            elif col in MAX_COLUMNS:
+                if value > total.get(col, 0):
+                    total[col] = value
+            elif col in MODE_COLUMNS:
+                if value:  # 0 = no TTL observed: not a vote
+                    votes = acc._modes[key].setdefault(col, {})
+                    votes[value] = votes.get(value, 0.0) + max(hits, 1)
+            else:
+                wsum = acc._weights[key].get(col, 0.0)
+                total[col] = (total.get(col, 0.0) * wsum + value * hits) \
+                    / (wsum + hits) if (wsum + hits) else 0.0
+                acc._weights[key][col] = wsum + hits
+
+
 def finish(acc):
     rows = acc.finish()
     return {key: (row.windows, dict(row)) for key, row in rows.items()}
@@ -52,7 +82,7 @@ def test_run_fold_matches_row_major_exactly():
     windows = random_windows(1, 40, keys)
     row_major = Accumulator()
     for cols in windows:
-        row_major.fold_rows(rows_of(keys, cols))
+        fold_rows(row_major, rows_of(keys, cols))
     run = Accumulator()
     run.fold_columns_run(keys, COLUMNS, windows)
     assert finish(run) == finish(row_major)
@@ -63,36 +93,29 @@ def test_run_fold_matches_per_window_columnar_exactly():
     windows = random_windows(2, 25, keys)
     one_by_one = Accumulator()
     for cols in windows:
-        one_by_one.fold_columns(keys, COLUMNS, cols)
+        one_by_one.fold_columns_run(keys, COLUMNS, [cols])
     run = Accumulator()
     run.fold_columns_run(keys, COLUMNS, windows)
     assert finish(run) == finish(one_by_one)
 
 
 def test_interleaved_folds_agree_with_pure_row_major():
-    """The store's real access pattern: cached windows fold row-major,
-    segment runs fold clustered, single stragglers fold columnar --
-    in window order.  The mix must equal one row-major pass."""
+    """The store's real access pattern: clustered runs of every
+    length, single stragglers as runs of one, in window order.  The
+    mix must equal one row-major pass."""
     keys = ["k%d" % i for i in range(6)]
     windows = random_windows(3, 30, keys)
     pure = Accumulator()
     for cols in windows:
-        pure.fold_rows(rows_of(keys, cols))
+        fold_rows(pure, rows_of(keys, cols))
     mixed = Accumulator()
     rng = random.Random(99)
     i = 0
     while i < len(windows):
-        mode = rng.randrange(3)
-        if mode == 0:
-            mixed.fold_rows(rows_of(keys, windows[i]))
-            i += 1
-        elif mode == 1:
-            mixed.fold_columns(keys, COLUMNS, windows[i])
-            i += 1
-        else:
-            n = min(rng.randrange(1, 6), len(windows) - i)
-            mixed.fold_columns_run(keys, COLUMNS, windows[i:i + n])
-            i += n
+        n = 1 if rng.randrange(3) == 0 \
+            else min(rng.randrange(1, 6), len(windows) - i)
+        mixed.fold_columns_run(keys, COLUMNS, windows[i:i + n])
+        i += n
     assert finish(mixed) == finish(pure)
 
 
@@ -134,7 +157,8 @@ def test_run_fold_max_keeps_first_peak_semantics():
 
 def test_run_fold_gauge_zero_hits_windows():
     """Windows with hits == 0 contribute no gauge weight; an all-zero
-    prefix leaves the running mean at 0.0, exactly like fold_rows."""
+    prefix leaves the running mean at 0.0, exactly like the
+    reference."""
     keys = ["k"]
     windows = [
         [[0], [0], [0], [0], [99.0]],
@@ -145,7 +169,7 @@ def test_run_fold_gauge_zero_hits_windows():
     run.fold_columns_run(keys, COLUMNS, windows)
     rows = Accumulator()
     for cols in windows:
-        rows.fold_rows(rows_of(keys, cols))
+        fold_rows(rows, rows_of(keys, cols))
     assert finish(run) == finish(rows)
 
 
@@ -157,7 +181,7 @@ def test_run_fold_missing_hits_column():
     run.fold_columns_run(["k"], cols, windows)
     rows = Accumulator()
     for w in windows:
-        rows.fold_rows([("k", dict(zip(cols, [w[0][0], w[1][0]])))])
+        fold_rows(rows, [("k", dict(zip(cols, [w[0][0], w[1][0]])))])
     assert finish(run) == finish(rows)
 
 

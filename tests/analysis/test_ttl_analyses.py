@@ -20,7 +20,7 @@ from repro.analysis.ttltraffic import (
     render_figure8,
 )
 from repro.observatory.pipeline import Observatory
-from repro.observatory.window import WindowDump
+from repro.observatory.tsv import TimeSeriesData
 from repro.simulation.buildout import XMSECU_FQDN
 from repro.simulation.scenario import (
     EnableIpv6,
@@ -109,7 +109,8 @@ class TestTtlChangeDetector:
     def make_dump(self, ts, fqdn, ttl, share=1.0):
         row = {"hits": 50, "ttl_top1": ttl, "ttl_top1_share": share,
                "nsttl_top1": 0, "nsttl_top1_share": 0.0}
-        return WindowDump("aafqdn", ts, [(fqdn, row)], {})
+        return TimeSeriesData("aafqdn", "minutely", ts,
+                              rows=[(fqdn, row)])
 
     def test_detects_change(self):
         det = TtlChangeDetector()

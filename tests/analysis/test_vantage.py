@@ -21,8 +21,7 @@ from repro.analysis.vantage import (
     UNROUTED_ASN_KEY, UNROUTED_CC_KEY, VANTAGE_ASN_DATASET,
     VANTAGE_CC_DATASET, VantageDb, VantageEmitter, reachability_score,
     time_to_answer_index)
-from repro.observatory.tsv import read_tsv, write_tsv
-from repro.observatory.window import WindowDump
+from repro.observatory.tsv import TimeSeriesData, read_tsv, write_tsv
 
 #: registry-grade hostile text: TSV separators, escapes, comments,
 #: control chars, non-ASCII
@@ -151,10 +150,11 @@ class TestDerive:
     @settings(max_examples=80, deadline=None)
     def test_derive_no_crash_and_bounded(self, rows):
         emitter = VantageEmitter(_one_server_db())
-        dump = WindowDump("srvip", 60.0,
-                          [(ip, {"hits": h, "unans": u, "delay_q50": d})
+        dump = TimeSeriesData(
+            "srvip", "minutely", 60.0,
+            rows=[(ip, {"hits": h, "unans": u, "delay_q50": d})
                            for ip, h, u, d in rows],
-                          {"seen": len(rows), "kept": len(rows)})
+            stats={"seen": len(rows), "kept": len(rows)})
         derived = emitter.derive(dump)
         if not rows:
             assert derived == []
@@ -181,10 +181,11 @@ class TestDerive:
         """Derived windows survive the series TSV writer byte-wise:
         keys, columns, stats, and quantized values all round-trip."""
         emitter = VantageEmitter(_one_server_db())
-        dump = WindowDump("srvip", 120.0,
-                          [(ip, {"hits": h, "unans": u, "delay_q50": d})
+        dump = TimeSeriesData(
+            "srvip", "minutely", 120.0,
+            rows=[(ip, {"hits": h, "unans": u, "delay_q50": d})
                            for ip, h, u, d in rows],
-                          {"seen": len(rows), "kept": len(rows)})
+            stats={"seen": len(rows), "kept": len(rows)})
         for derived in emitter.derive(dump):
             with tempfile.TemporaryDirectory() as tmp:
                 path = write_tsv(tmp, derived.to_timeseries())
@@ -192,19 +193,19 @@ class TestDerive:
             assert back.dataset == derived.dataset
             assert [k for k, _ in back.rows] == \
                 [k for k, _ in derived.rows]
-            # values were quantized at derivation time, so the TSV
+            # a window's cells are its file's values, so the TSV
             # round-trip is exact, not approximate
-            for (_, got), (_, want) in zip(back.rows, derived.rows):
-                for column in ("hits", "reach", "tta", "delay_ms"):
-                    assert got[column] == _requantize(want[column])
+            assert back.rows == derived.rows
+            assert back.stats == derived.stats
 
     def test_zero_answer_window(self):
         """All-unanswered windows: reach 0, no division blowups."""
         emitter = VantageEmitter(_one_server_db())
-        dump = WindowDump("srvip", 0.0,
-                          [("10.0.0.1", {"hits": 5.0, "unans": 5.0,
+        dump = TimeSeriesData(
+            "srvip", "minutely", 0.0,
+            rows=[("10.0.0.1", {"hits": 5.0, "unans": 5.0,
                                          "delay_q50": 0.0})],
-                          {"seen": 5, "kept": 1})
+            stats={"seen": 5, "kept": 1})
         asn_dump, cc_dump = emitter.derive(dump)
         assert asn_dump.rows[0][0] == "AS64500"
         assert asn_dump.rows[0][1]["reach"] == 0.0
@@ -212,19 +213,14 @@ class TestDerive:
 
     def test_unrouted_falls_back_to_sentinel_groups(self):
         emitter = VantageEmitter(_one_server_db())
-        dump = WindowDump("srvip", 0.0,
-                          [("198.51.100.7", {"hits": 1.0, "unans": 0.0,
+        dump = TimeSeriesData(
+            "srvip", "minutely", 0.0,
+            rows=[("198.51.100.7", {"hits": 1.0, "unans": 0.0,
                                              "delay_q50": 10.0})],
-                          {"seen": 1, "kept": 1})
+            stats={"seen": 1, "kept": 1})
         asn_dump, cc_dump = emitter.derive(dump)
         assert asn_dump.rows[0][0] == UNROUTED_ASN_KEY
         assert cc_dump.rows[0][0] == UNROUTED_CC_KEY
-
-
-def _requantize(value):
-    from repro.observatory.tsv import _format, _parse
-
-    return _parse(_format(value)) if isinstance(value, float) else value
 
 
 def _summary(dataset, weight, seen=0):

@@ -10,12 +10,11 @@ from repro.observatory.alerts import (
     parse_rules,
     summarize,
 )
-from repro.observatory.window import WindowDump
+from repro.observatory.channels import meta_dump
 
 
 def platform_window(start_ts, rows):
-    return WindowDump("_platform", start_ts, list(rows.items()),
-                      {"seen": 0, "kept": len(rows)})
+    return meta_dump("_platform", start_ts, list(rows.items()), 0)
 
 
 class TestParse:

@@ -59,9 +59,9 @@ class TestFormat:
     def test_unique_keys_use_raw_encoding(self, tmp_path):
         path = make_window(tmp_path, 0)
         segmentfmt.build_segment(path)
-        with segmentfmt.SegmentReader(path + ".seg") as reader:
-            assert reader._key_block["encoding"] == "raw"
-            assert reader.keys() == ["192.0.2.1", "192.0.2.2"]
+        reader = segmentfmt.SegmentReader(path + ".seg")
+        assert reader._key_block["encoding"] == "raw"
+        assert reader.keys() == ["192.0.2.1", "192.0.2.2"]
 
     def test_repeated_keys_dict_encoded(self, tmp_path):
         # Key columns are not necessarily unique across a whole file
@@ -72,11 +72,11 @@ class TestFormat:
                 ("a", {"hits": 5})]
         path = make_window(tmp_path, 0, rows=rows, columns=["hits"])
         segmentfmt.build_segment(path)
-        with segmentfmt.SegmentReader(path + ".seg") as reader:
-            assert reader._key_block["encoding"] == "dict"
-            assert reader._key_block["unique"] == 2
-            assert reader.keys() == ["a", "b", "a", "b", "a"]
-            assert reader.column("hits") == [1, 2, 3, 4, 5]
+        reader = segmentfmt.SegmentReader(path + ".seg")
+        assert reader._key_block["encoding"] == "dict"
+        assert reader._key_block["unique"] == 2
+        assert reader.keys() == ["a", "b", "a", "b", "a"]
+        assert reader.column("hits") == [1, 2, 3, 4, 5]
 
     def test_hostile_keys_roundtrip(self, tmp_path):
         keys = ["a\tb", "c\nd", "e\\f", "é☃名", "", "# .x"]
@@ -97,17 +97,17 @@ class TestFormat:
             columns=["ints", "floats", "mixed", "big", "text"])
         want = read_tsv(path)
         segmentfmt.build_segment(path)
-        with segmentfmt.SegmentReader(path + ".seg") as reader:
-            kinds = {name: blk[0]
-                     for name, blk in reader._blocks.items()}
-            assert kinds["ints"] == segmentfmt.KIND_I64
-            assert kinds["floats"] == segmentfmt.KIND_F64
-            # mixed int/float, bignum and text all fall back to JSON
-            assert kinds["mixed"] == segmentfmt.KIND_JSON
-            assert kinds["big"] == segmentfmt.KIND_JSON
-            assert kinds["text"] == segmentfmt.KIND_JSON
-            # and every value survives with its parsed type intact
-            assert reader.to_data().rows == want.rows
+        reader = segmentfmt.SegmentReader(path + ".seg")
+        kinds = {name: blk[0]
+                 for name, blk in reader._blocks.items()}
+        assert kinds["ints"] == segmentfmt.KIND_I64
+        assert kinds["floats"] == segmentfmt.KIND_F64
+        # mixed int/float, bignum and text all fall back to JSON
+        assert kinds["mixed"] == segmentfmt.KIND_JSON
+        assert kinds["big"] == segmentfmt.KIND_JSON
+        assert kinds["text"] == segmentfmt.KIND_JSON
+        # and every value survives with its parsed type intact
+        assert reader.to_data().rows == want.rows
 
     def test_mixed_column_preserves_int_float_distinction(self, tmp_path):
         rows = [("a", {"v": 3}), ("b", {"v": 3.5})]
@@ -128,8 +128,8 @@ class TestFormat:
         sigs = []
         for path in (a, b, c):
             segmentfmt.build_segment(path)
-            with segmentfmt.SegmentReader(path + ".seg") as reader:
-                sigs.append(reader.key_signature())
+            sigs.append(segmentfmt.SegmentReader(path + ".seg")
+                        .key_signature())
         assert sigs[0] == sigs[1]
         assert sigs[0] != sigs[2]
 
@@ -138,9 +138,7 @@ class TestStaleness:
     def test_fresh_segment_opens(self, tmp_path):
         path = make_window(tmp_path, 0)
         segmentfmt.build_segment(path)
-        reader = segmentfmt.open_if_fresh(path, identity(path))
-        assert reader is not None
-        reader.close()
+        assert segmentfmt.open_if_fresh(path, identity(path)) is not None
 
     def test_rewritten_tsv_makes_segment_stale(self, tmp_path):
         path = make_window(tmp_path, 0)
@@ -497,3 +495,82 @@ class TestBugfixRegressions:
         # the failed flight is gone: the next read starts fresh
         assert store._inflight == {}
         assert len(store.read_path(path).rows) == 2
+
+    @staticmethod
+    def five_rows(tmp_path):
+        rows = [("k%d" % i, {"hits": i + 1, "ok": i, "mix": i + (i % 2) / 2,
+                             "delay_q50": i + 1.5}) for i in range(5)]
+        path = make_window(tmp_path, 0, rows=rows,
+                           columns=["hits", "ok", "mix", "delay_q50"])
+        return path, segmentfmt.build_segment(path)
+
+    @staticmethod
+    def rewrite_footer(seg, edit):
+        """Apply *edit* to the decoded footer and re-encode the tail."""
+        raw = open(seg, "rb").read()
+        length, = struct.unpack_from("<I", raw, len(raw) - 8)
+        start = len(raw) - 8 - length
+        footer = json.loads(raw[start:start + length])
+        edit(footer)
+        encoded = json.dumps(footer, separators=(",", ":")).encode()
+        with open(seg, "wb") as fh:
+            fh.write(raw[:start] + encoded
+                     + struct.pack("<I4s", len(encoded), b"GSEO"))
+
+    @pytest.mark.parametrize("damage", ["bytes_lost", "lengths_shifted"])
+    def test_damaged_block_area_never_changes_an_answer(self, tmp_path,
+                                                        damage):
+        """Footer and source identity intact, block area not: the
+        sidecar used to decode, shifted, into plausible wrong rows
+        (``k0: hits=3`` where the TSV says 1).  The blocks must tile
+        the file at their row count's length, else it is no segment."""
+        path, seg = self.five_rows(tmp_path)
+        reader = segmentfmt.SegmentReader(seg)
+        hits_off = reader._blocks["hits"][1]
+        if damage == "bytes_lost":
+            raw = open(seg, "rb").read()
+            with open(seg, "wb") as fh:
+                fh.write(raw[:hits_off] + raw[hits_off + 16:])
+        else:  # still tiling, but two <q blocks are not 8 * rows long
+            def edit(footer):
+                footer["blocks"]["hits"][2] -= 8
+                footer["blocks"]["ok"][1] -= 8
+                footer["blocks"]["ok"][2] += 8
+            self.rewrite_footer(seg, edit)
+        with pytest.raises(ValueError):
+            segmentfmt.SegmentReader(seg)
+        assert segmentfmt.open_if_fresh(path, identity(path)) is None
+        store = SeriesStore(str(tmp_path))
+        text = SeriesStore(str(tmp_path), use_segments=False)
+        assert store.read("srvip")[0].rows == text.read("srvip")[0].rows
+        assert store.accumulate("srvip") == text.accumulate("srvip")
+        assert store.accumulate("srvip")["k0"]["hits"] == 1
+        assert (store.segment_reads, store.parses) == (0, 1)
+
+    @pytest.mark.parametrize("block", ["blob", "mix"])
+    def test_undecodable_block_reads_as_text_and_is_counted(self, tmp_path,
+                                                            block):
+        """A fresh sidecar whose key blob or JSON block does not decode
+        used to raise UnicodeDecodeError / JSONDecodeError out of
+        ``read()`` and ``accumulate()`` although the TSV beside it is
+        fine: the read falls back to the text and counts the reject."""
+        path, seg = self.five_rows(tmp_path)
+        reader = segmentfmt.SegmentReader(seg)
+        off, length = reader._key_block["blob"] if block == "blob" \
+            else reader._blocks["mix"][1:]
+        with open(seg, "r+b") as fh:
+            fh.seek(off)
+            fh.write(b"\xff" * length)
+        # same size, footer intact: still the fresh sidecar of its TSV
+        reader = segmentfmt.open_if_fresh(path, identity(path))
+        assert reader is not None
+        with pytest.raises(ValueError):
+            reader.to_data()
+        store = SeriesStore(str(tmp_path))
+        text = SeriesStore(str(tmp_path), use_segments=False)
+        assert store.read("srvip")[0].rows == text.read("srvip")[0].rows
+        assert store.accumulate("srvip") == text.accumulate("srvip")
+        info = store.cache_info()
+        assert info["segment_rejects"] == 1 and info["segment_reads"] == 0
+        assert store.parses == 1
+        assert text.cache_info()["segment_rejects"] == 0

@@ -150,6 +150,22 @@ class TestStrictReads:
         assert back.rows[0][1]["ok"] == 0
         assert back.rows[0][1]["hits"] == 100
 
+    def test_string_cells_that_spell_numbers_are_normalized(self, tmp_path):
+        """A window's cells are what its file reads back as, so a
+        producer's numeric-looking *string* is stored as that number
+        and renders like one (``"1.5"`` used to be written verbatim);
+        text that is no number, and bools, stay as their text."""
+        cells = ["1.5", "007", "1e5", " 4 ", "2.0", "n/a", True]
+        data = TimeSeriesData(
+            "srvip", "minutely", 0, columns=["v"],
+            rows=[("k%d" % i, {"v": cell}) for i, cell in enumerate(cells)])
+        assert data.column("v") == [1.5, 7, 100000, 4, 2, "n/a", "True"]
+        path = write_tsv(str(tmp_path), data)
+        assert open(path).read().splitlines()[1:-1] == [
+            "k0\t1.5000", "k1\t7", "k2\t100000", "k3\t4", "k4\t2",
+            "k5\tn/a", "k6\tTrue"]
+        assert read_tsv(path).column("v") == data.column("v")
+
 
 class TestListSeries:
     def test_sorted_and_filtered(self, tmp_path):

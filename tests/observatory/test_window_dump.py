@@ -1,17 +1,16 @@
-"""Tests for WindowDump conversions and stats bookkeeping."""
+"""Tests for cut-window conversions and stats bookkeeping."""
 
 import pytest
 
 from repro.observatory.pipeline import Observatory
-from repro.observatory.tsv import write_tsv, read_tsv
-from repro.observatory.window import WindowDump
+from repro.observatory.tsv import TimeSeriesData, write_tsv, read_tsv
 from tests.util import make_txn
 
 
 def test_to_timeseries_roundtrip(tmp_path):
-    dump = WindowDump("srvip", 120,
-                      [("192.0.2.1", {"hits": 7, "ok": 6})],
-                      {"seen": 10, "kept": 7})
+    dump = TimeSeriesData("srvip", "minutely", 120,
+                          rows=[("192.0.2.1", {"hits": 7, "ok": 6})],
+                          stats={"seen": 10, "kept": 7})
     data = dump.to_timeseries()
     assert data.granularity == "minutely"
     assert data.start_ts == 120
@@ -21,7 +20,8 @@ def test_to_timeseries_roundtrip(tmp_path):
 
 
 def test_dump_len_and_row_map():
-    dump = WindowDump("x", 0, [("a", {"hits": 1}), ("b", {"hits": 2})], {})
+    dump = TimeSeriesData("x", "minutely", 0,
+                          rows=[("a", {"hits": 1}), ("b", {"hits": 2})])
     assert len(dump) == 2
     assert dump.row_map()["b"]["hits"] == 2
 

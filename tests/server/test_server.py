@@ -287,6 +287,33 @@ class TestErrorSurface:
         assert unescaped.status == 404
         assert "no such endpoint" in unescaped.json()["error"]
 
+    def test_damaged_sidecar_is_never_a_5xx(self, tmp_path):
+        """Regression: a fresh sidecar whose key blob does not decode
+        raised out of the store into a 500; the TSV beside it answers,
+        byte for byte, and ``/platform/health`` counts the reject."""
+        from repro.observatory import segments
+
+        path = write_tsv(str(tmp_path), TimeSeriesData(
+            "qname", "minutely", 0, columns=["hits"],
+            rows=[("a.example", {"hits": 7}), ("b.example", {"hits": 2})]))
+        targets = ("/series/qname", "/topk/qname?n=1", "/key/qname/a.example")
+
+        async def scenario(server, app):
+            bodies = [await http_get(server.port, t) for t in targets]
+            return bodies, await http_get(server.port, "/platform/health")
+
+        text, _ = run_with_server(tmp_path, scenario)
+        seg = segments.build_segment(path)
+        reader = segments.SegmentReader(seg)
+        off, length = reader._key_block["blob"]
+        with open(seg, "r+b") as fh:
+            fh.seek(off)
+            fh.write(b"\xff" * length)
+        damaged, health = run_with_server(tmp_path, scenario)
+        assert [r.status for r in damaged] == [200, 200, 200]
+        assert [r.body for r in damaged] == [r.body for r in text]
+        assert health.json()["store"]["segment_rejects"] == 1
+
     def test_unknown_endpoint_404(self, series_dir):
         async def scenario(server, app):
             return await http_get(server.port, "/nope")

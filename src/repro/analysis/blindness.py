@@ -76,15 +76,6 @@ class DatasetSummary:
             self.weight += row_weight(row)
         self.seen += float(data.stats.get("seen", 0))
 
-    def as_dict(self):
-        return {
-            "dataset": self.dataset,
-            "windows": self.windows,
-            "rows": self.rows,
-            "weight": self.weight,
-            "seen": self.seen,
-        }
-
 
 def summarize_directory(path, granularity="minutely"):
     """``{dataset: DatasetSummary}`` over every *granularity* file in

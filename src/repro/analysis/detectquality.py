@@ -90,20 +90,6 @@ class DetectorScore:
         values = list(self.time_to_detection.values())
         return sum(values) / len(values)
 
-    def as_dict(self):
-        return {
-            "detector": self.name,
-            "targets": sorted(self.targets),
-            "detections": list(self.detections),
-            "true_positives": sorted(self.true_positives),
-            "false_positives": sorted(self.false_positives),
-            "missed": sorted(self.missed),
-            "precision": self.precision,
-            "recall": self.recall,
-            "time_to_detection": dict(self.time_to_detection),
-            "mean_time_to_detection": self.mean_time_to_detection,
-        }
-
     def __repr__(self):
         fmt = lambda v: "-" if v is None else "%.3f" % v
         return "DetectorScore(%s, p=%s, r=%s)" % (

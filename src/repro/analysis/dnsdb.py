@@ -74,10 +74,6 @@ class DnsdbStore:
         states = self._history.get((name, int(rtype)), {})
         return sorted(states.values(), key=lambda o: o.first_seen)
 
-    def distinct_value_sets(self, name, rtype):
-        """Number of distinct value sets ever observed."""
-        return len({obs.values for obs in self.states(name, rtype)})
-
     def distinct_ttls(self, name, rtype):
         """Number of distinct TTLs ever observed."""
         return len({obs.ttl for obs in self.states(name, rtype)})
@@ -103,9 +99,3 @@ class DnsdbStore:
         if len(seen) < 2:
             return None
         return seen[-2], seen[-1]
-
-    def __len__(self):
-        return len(self._history)
-
-    def names(self):
-        return sorted({name for name, _ in self._history})

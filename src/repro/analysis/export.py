@@ -139,33 +139,6 @@ def export_figure5(series, directory):
     return path
 
 
-def export_figure7(result, key, directory):
-    path, fh = _open_csv(directory, "fig7_ttl_drop.csv")
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "queries", "ttl_top1", "key"])
-        for ts, hits, ttl in result["series"]:
-            writer.writerow([ts, hits, ttl if ttl else "", key])
-    return path
-
-
-def export_figure8(changes, directory):
-    path, fh = _open_csv(directory, "fig8_ttl_vs_traffic.csv")
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sld", "ttl_before", "ttl_after",
-                         "queries_before", "queries_after",
-                         "responses_before", "responses_after",
-                         "query_only_growth"])
-        for c in changes:
-            writer.writerow([
-                c.key, c.ttl_before, c.ttl_after, c.queries_before,
-                c.queries_after, c.responses_before, c.responses_after,
-                int(c.query_only_growth),
-            ])
-    return path
-
-
 def export_figure9(points, directory):
     path, fh = _open_csv(directory, "fig9_happy_eyeballs.csv")
     with fh:

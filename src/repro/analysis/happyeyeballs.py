@@ -14,7 +14,6 @@ flat when negTTL ~ TTL.
 
 from repro.analysis.seriesops import (
     accumulate_dumps,
-    key_series,
     ranked_keys,
     split_dumps_at,
 )

@@ -204,9 +204,3 @@ def split_dumps_at(dumps, ts):
     before = [d for d in dumps if d.start_ts < ts]
     after = [d for d in dumps if d.start_ts >= ts]
     return before, after
-
-
-def key_series(dumps, key, column="hits"):
-    """Time series of one key's column: list of (start_ts, value);
-    windows where the key is absent yield 0 for counters."""
-    return [(dump.start_ts, dump.cell(key, column)) for dump in dumps]

@@ -98,9 +98,6 @@ class TtlChangeDetector:
                         known.add(value)
         return self
 
-    def changed_fqdns(self):
-        return sorted({e.fqdn for e in self.events})
-
 
 def classify_events(events, dnsdb, dynamic_ttl_threshold=4):
     """Classify detected changes against the DNSDB history (Table 4).

@@ -10,7 +10,6 @@
 
 from repro.analysis.seriesops import (
     accumulate_dumps,
-    key_series,
     split_dumps_at,
 )
 from repro.analysis.tables import format_series, format_table

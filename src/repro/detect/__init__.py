@@ -19,11 +19,6 @@ from repro.detect.base import (DEFAULT_DETECTORS, DETECTOR_DATASET,
 from repro.detect.ddos import DdosDetector
 from repro.detect.exfil import ExfilDetector
 from repro.detect.noh import NohDetector
-from repro.sketches._hashing import hash64
-
-#: shared qname-prep memo bound (raw qname -> (esld, norm, hash));
-#: benign traffic repeats names heavily, attack floods churn it
-_MEMO_MAX = 1 << 16
 
 #: name -> class registry; iteration order is the canonical emit order
 REGISTRY = {
@@ -70,56 +65,11 @@ class DetectorSet:
                 raise ValueError("duplicate detector %r" % det.name)
             by_name[det.name] = det
         self._by_name = by_name
-        #: the hot-path prep (one PSL walk + one qname hash per
-        #: transaction, shared by every detector) is only sound when
-        #: all members resolve eSLDs identically
-        self._shared_psl = bool(self.detectors) and all(
-            det._effective_sld is self.detectors[0]._effective_sld
-            for det in self.detectors)
-        self._memo = {}
-
-    def __iter__(self):
-        return iter(self.detectors)
-
-    def __len__(self):
-        return len(self.detectors)
-
-    @property
-    def names(self):
-        return [det.name for det in self.detectors]
-
-    def observe(self, txn):
-        self.observe_batch((txn,))
 
     def observe_batch(self, txns):
-        """Feed transactions to every detector.
-
-        When all detectors share one PSL, the eSLD split, the
-        normalized qname and its 64-bit hash are computed once per
-        transaction (memoized across repeats) and handed to each
-        detector's ``observe_prepared`` -- the same values the plain
-        ``observe`` path derives per detector, so both paths emit
-        identical windows."""
-        if not self._shared_psl:
-            for det in self.detectors:
-                det.observe_batch(txns)
-            return
-        detectors = self.detectors
-        esld_of = detectors[0].esld
-        memo = self._memo
-        for txn in txns:
-            qname = txn.qname
-            prep = memo.get(qname)
-            if prep is None:
-                norm = qname.lower().rstrip(".")
-                if len(memo) >= _MEMO_MAX:
-                    memo.clear()
-                prep = memo[qname] = (esld_of(norm), norm, hash64(norm))
-            esld = prep[0]
-            if esld is None:
-                continue
-            for det in detectors:
-                det.observe_prepared(txn, esld, prep[1], prep[2])
+        """Feed transactions to every detector."""
+        for det in self.detectors:
+            det.observe_batch(txns)
 
     def take_states(self, start_ts):
         """Window states for the shard transport, one per detector."""

@@ -120,13 +120,6 @@ class Detector:
             esld = self._effective_tld(qname)
         return esld
 
-    def subdomain(self, qname, esld):
-        """The part of *qname* below *esld* (empty at the apex)."""
-        qname = qname.lower().rstrip(".")
-        if len(qname) > len(esld) and qname.endswith(esld):
-            return qname[: -(len(esld) + 1)]
-        return ""
-
     def observe(self, txn):
         raise NotImplementedError
 
@@ -134,14 +127,6 @@ class Detector:
         observe = self.observe
         for txn in txns:
             observe(txn)
-
-    def observe_prepared(self, txn, esld, norm, qname_hash):
-        """Observe with the per-transaction prep already done: a
-        non-None *esld*, the normalized qname and its 64-bit hash
-        (what :class:`~repro.detect.DetectorSet` computes once and
-        shares).  Must emit exactly what :meth:`observe` would; the
-        default falls back to it."""
-        self.observe(txn)
 
     # -- shard transport ------------------------------------------------
 

@@ -40,9 +40,6 @@ class DdosDetector(Detector):
             return
         self._sketch.offer(esld, hash64(txn.qname.lower().rstrip(".")))
 
-    def observe_prepared(self, txn, esld, norm, qname_hash):
-        self._sketch.offer(esld, qname_hash)
-
     def take_state(self):
         sketch = self._sketch
         self._sketch = DistinctSpaceSaving(self.capacity, self.precision)

@@ -39,9 +39,6 @@ class ExfilDetector(Detector):
         if esld is None:
             return
         norm = txn.qname.lower().rstrip(".")
-        self.observe_prepared(txn, esld, norm, 0)
-
-    def observe_prepared(self, txn, esld, norm, qname_hash):
         cell = self._acc.get(esld)
         if cell is None:
             cell = self._acc[esld] = [0, 0]

@@ -44,10 +44,7 @@ class NohDetector(Detector):
         esld = self.esld(txn.qname)
         if esld is None:
             return
-        h = hash64(txn.qname.lower().rstrip("."))
-        self.observe_prepared(txn, esld, None, h)
-
-    def observe_prepared(self, txn, esld, norm, qname_hash):
+        qname_hash = hash64(txn.qname.lower().rstrip("."))
         hashes = self._acc.get(esld)
         if hashes is None:
             self._acc[esld] = {qname_hash}

@@ -6,7 +6,7 @@ a self-contained RFC 1035 implementation with the pieces the paper's
 feature set needs:
 
 * :mod:`~repro.dnswire.name` -- domain name handling (labels, wire
-  codec with message compression, subdomain arithmetic);
+  codec with message compression);
 * :mod:`~repro.dnswire.constants` -- QTYPE / RCODE / flag registries;
 * :mod:`~repro.dnswire.rdata` -- typed RDATA for A, AAAA, NS, CNAME,
   SOA, MX, TXT, PTR, SRV, DS, RRSIG and OPT;
@@ -24,9 +24,7 @@ from repro.dnswire.name import (
     count_labels,
     decode_name,
     encode_name,
-    is_subdomain,
     normalize_name,
-    parent_name,
     split_labels,
 )
 from repro.dnswire.psl import PublicSuffixList, default_psl
@@ -42,9 +40,7 @@ __all__ = [
     "count_labels",
     "decode_name",
     "encode_name",
-    "is_subdomain",
     "normalize_name",
-    "parent_name",
     "split_labels",
     "PublicSuffixList",
     "default_psl",

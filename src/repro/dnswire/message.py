@@ -34,9 +34,6 @@ class Question:
             == (other.qname, other.qtype, other.qclass)
         )
 
-    def __hash__(self):
-        return hash((self.qname, self.qtype, self.qclass))
-
     def __repr__(self):
         return "Question(%r, %s)" % (self.qname, QTYPE.name_of(self.qtype))
 
@@ -81,10 +78,6 @@ class Message:
     # -- header flag helpers ------------------------------------------
 
     @property
-    def is_response(self):
-        return bool(self.flags & FLAGS.QR)
-
-    @property
     def authoritative(self):
         return bool(self.flags & FLAGS.AA)
 
@@ -95,10 +88,6 @@ class Message:
     @property
     def rcode(self):
         return self.flags & FLAGS.RCODE_MASK
-
-    @rcode.setter
-    def rcode(self, value):
-        self.flags = (self.flags & ~FLAGS.RCODE_MASK) | (int(value) & 0xF)
 
     def set_flag(self, mask, on=True):
         """Set or clear a header flag bit (e.g. ``FLAGS.AA``)."""
@@ -218,15 +207,11 @@ class Message:
             raise ValueError("malformed DNS message") from exc
         return msg
 
-    def __len__(self):
-        """Wire size in bytes (the resp_size feature)."""
-        return len(self.to_wire())
-
     def __repr__(self):
         return (
             "Message(id=%d, %s, rcode=%s, q=%r, an=%d, ns=%d, ar=%d)" % (
                 self.msg_id,
-                "response" if self.is_response else "query",
+                "response" if self.flags & FLAGS.QR else "query",
                 RCODE.name_of(self.rcode),
                 self.question[0] if self.question else None,
                 len(self.answer), len(self.authority), len(self.additional),

@@ -42,27 +42,6 @@ def count_labels(name):
     return len(split_labels(name))
 
 
-def parent_name(name):
-    """Strip the leftmost label: ``www.example.com`` -> ``example.com``.
-
-    The root's parent is the root itself.
-    """
-    name = normalize_name(name)
-    if not name:
-        return ""
-    _, _, rest = name.partition(".")
-    return rest
-
-
-def is_subdomain(name, ancestor):
-    """True when *name* equals or is below *ancestor* in the DNS tree."""
-    name = normalize_name(name)
-    ancestor = normalize_name(ancestor)
-    if not ancestor:
-        return True
-    return name == ancestor or name.endswith("." + ancestor)
-
-
 def last_labels(name, n):
     """Return the name formed by the last *n* labels of *name*.
 

@@ -9,7 +9,7 @@ This module implements the standard PSL matching algorithm
 (https://publicsuffix.org/list/), including wildcard rules (``*.ck``)
 and exception rules (``!www.ck``).  An embedded snapshot of common
 ICANN suffixes is provided for offline use; production deployments can
-load the full list via :meth:`PublicSuffixList.from_lines`.
+load the full list by handing its lines to :class:`PublicSuffixList`.
 """
 
 from repro.dnswire.name import normalize_name, split_labels
@@ -138,17 +138,9 @@ class PublicSuffixList:
                 self._exact.add(rule)
 
     @classmethod
-    def from_lines(cls, lines):
-        """Build from an iterable of PSL file lines."""
-        return cls(lines)
-
-    @classmethod
     def builtin(cls):
         """Build from the embedded ICANN snapshot."""
         return cls(BUILTIN_SUFFIXES.splitlines())
-
-    def __len__(self):
-        return len(self._exact) + len(self._wildcards) + len(self._exceptions)
 
     def effective_tld(self, name):
         """Return the public suffix (eTLD) of *name*, or None.
@@ -202,23 +194,6 @@ class PublicSuffixList:
         remainder = name[: -(len(etld) + 1)]
         last_label = remainder.rsplit(".", 1)[-1]
         return "%s.%s" % (last_label, etld)
-
-    def is_public_suffix(self, name):
-        """True when *name* exactly matches a public suffix."""
-        name = normalize_name(name)
-        return bool(name) and self.effective_tld(name) == name
-
-
-def tld(name):
-    """Plain TLD: the last label (Section 2: "the last 1 label")."""
-    labels = split_labels(name)
-    return labels[-1] if labels else None
-
-
-def sld(name):
-    """Plain SLD: the last two labels (Section 2: "the last 2 labels")."""
-    labels = split_labels(name)
-    return ".".join(labels[-2:]) if len(labels) >= 2 else None
 
 
 _DEFAULT = None

@@ -32,9 +32,6 @@ class Rdata:
     def __eq__(self, other):
         return type(self) is type(other) and self.__dict__ == other.__dict__
 
-    def __hash__(self):
-        return hash((type(self).__name__, tuple(sorted(self.__dict__.items()))))
-
     def __repr__(self):
         fields = ", ".join("%s=%r" % kv for kv in sorted(self.__dict__.items()))
         return "%s(%s)" % (type(self).__name__, fields)

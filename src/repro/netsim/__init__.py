@@ -21,7 +21,6 @@ from repro.netsim.addr import (
     ipv4_from_int,
     ipv4_prefix_of,
     ipv4_to_int,
-    prefix_contains,
     slash24_of,
 )
 from repro.netsim.asdb import AsDatabase
@@ -35,7 +34,6 @@ __all__ = [
     "ipv4_from_int",
     "ipv4_prefix_of",
     "ipv4_to_int",
-    "prefix_contains",
     "slash24_of",
     "AsDatabase",
     "AsNameRegistry",

@@ -5,7 +5,6 @@ paths, where ``ipaddress`` object churn would dominate runtime.
 """
 
 import ipaddress
-import struct
 
 
 def ipv4_to_int(address):
@@ -52,11 +51,6 @@ def slash24_of(address):
     return "%s/24" % ipv4_from_int(network)
 
 
-def prefix_contains(network, prefixlen, address):
-    """True when IPv4 *address* falls inside ``network/prefixlen``."""
-    return ipv4_prefix_of(address, prefixlen) == ipv4_prefix_of(network, prefixlen)
-
-
 def is_ipv6(address):
     """Cheap IPv6 test: presence of a colon."""
     return ":" in address
@@ -65,19 +59,3 @@ def is_ipv6(address):
 def ipv6_to_int(address):
     """Full 128-bit integer of an IPv6 address string."""
     return int(ipaddress.IPv6Address(address))
-
-
-def ipv6_from_int(value):
-    """128-bit integer -> canonical IPv6 string."""
-    return str(ipaddress.IPv6Address(value))
-
-
-def pack_ipv4(address):
-    """IPv4 string -> 4 packed bytes."""
-    return struct.pack(">I", ipv4_to_int(address))
-
-
-def unpack_ipv4(data):
-    """4 packed bytes -> IPv4 string."""
-    (value,) = struct.unpack(">I", data)
-    return ipv4_from_int(value)

@@ -67,10 +67,6 @@ class AsDatabase:
                 return asn
         return None
 
-    def __len__(self):
-        return sum(len(t) for t in self._v4.values()) + \
-            sum(len(t) for t in self._v6.values())
-
     @classmethod
     def from_tsv(cls, lines):
         """Load from Route-Views-style TSV lines: ``prefix<TAB>asn``."""
@@ -82,13 +78,3 @@ class AsDatabase:
             prefix, asn = line.split("\t")[:2]
             db.add_prefix(prefix, int(asn))
         return db
-
-    def to_tsv(self):
-        """Dump as TSV lines (IPv4 only, for readability in tests)."""
-        from repro.netsim.addr import ipv4_from_int
-
-        lines = []
-        for prefixlen in sorted(self._v4):
-            for network, asn in sorted(self._v4[prefixlen].items()):
-                lines.append("%s/%d\t%d" % (ipv4_from_int(network), prefixlen, asn))
-        return lines

@@ -58,30 +58,12 @@ class AsNameRegistry:
         """Register *as_name* for *asn*."""
         self._names[int(asn)] = as_name
 
-    def name(self, asn):
-        """Return the raw AS Name string, or ``"AS<asn>"`` if unknown."""
-        if asn is None:
-            return "UNKNOWN"
-        return self._names.get(int(asn), "AS%d" % asn)
-
     def org(self, asn):
         """Return the extracted organization name for *asn*."""
         if asn is None:
             return "UNKNOWN"
         name = self._names.get(int(asn))
         return extract_org(name) if name else "AS%d" % asn
-
-    def __len__(self):
-        return len(self._names)
-
-    def __contains__(self, asn):
-        return int(asn) in self._names
-
-    def asns_of_org(self, org):
-        """Return the sorted list of ASNs whose org name equals *org*."""
-        return sorted(
-            asn for asn, name in self._names.items() if extract_org(name) == org
-        )
 
     @classmethod
     def from_tsv(cls, lines):

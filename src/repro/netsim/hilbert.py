@@ -83,12 +83,6 @@ class HilbertHeatmap:
         index = ipv4_to_int(address) >> 8  # /24 index, 24 bits
         self._counts[index] = self._counts.get(index, 0) + 1
 
-    def add_count(self, slash24_index, count=1):
-        """Record *count* addresses for a raw /24 index (0..2^24-1)."""
-        if not 0 <= slash24_index < (1 << 24):
-            raise ValueError("slash24 index out of range")
-        self._counts[slash24_index] = self._counts.get(slash24_index, 0) + count
-
     @property
     def populated_prefixes(self):
         """Number of distinct /24 prefixes with at least one address."""

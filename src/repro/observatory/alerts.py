@@ -183,10 +183,6 @@ class Verdict:
         #: consecutive most-recent windows violating the condition
         self.failing_windows = failing_windows
 
-    @property
-    def failed(self):
-        return self.status == FAIL
-
     def as_dict(self):
         return {
             "rule": self.rule.name,

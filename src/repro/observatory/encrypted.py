@@ -53,11 +53,6 @@ def padded_size(size, block):
     return -(-int(size) // block) * block
 
 
-def is_blinded(txn):
-    """True when *txn* is a ciphertext-only observation."""
-    return txn.source[:1] == BLIND_MARK
-
-
 def blind_transport(txn):
     """Transport tag of a blinded transaction (``"doh"``/``"dot"``)."""
     return txn.source[1:].partition(":")[0]

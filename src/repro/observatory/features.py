@@ -495,24 +495,6 @@ class FeatureSet:
             row["%s_q75" % prefix] = round(q75, 3)
         return row
 
-    def clear(self):
-        """Reset all statistics (window boundary, §2.4) in place."""
-        for name in COUNTER_COLUMNS:
-            setattr(self, name, 0)
-        for sketch in (self.srvips, self.srcips, self.qnamesa, self.qnames,
-                       self.tlds, self.eslds, self.ip4s, self.ip6s):
-            sketch.clear()
-        self._sources.clear()
-        self._qtypes.clear()
-        for mean in (self.qdots, self.lvl, self.nslvl):
-            mean.clear()
-        self.qdots_max = 0
-        self.ttl.clear()
-        self.nsttl.clear()
-        self.resp_delays.clear()
-        self.network_hops.clear()
-        self.resp_size.clear()
-
 
 #: buffer-meta tag -> sketch class, for :meth:`FeatureSet.from_buffers`
 _SKETCH_CODECS = {

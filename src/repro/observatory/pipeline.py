@@ -10,9 +10,9 @@ aggregation into a single object:
 >>> obs.finish()                      # doctest: +SKIP
 >>> top = obs.tracker("srvip").top(10)
 
-Transactions can be supplied as :class:`Transaction` objects (the
-simulator's fast path) or as raw packets via :meth:`ingest_packets`
-(the full parsing path used in integration tests).
+Transactions are supplied as :class:`Transaction` objects; raw packets
+become one through
+:func:`~repro.observatory.preprocess.summarize_transaction` first.
 """
 
 import logging
@@ -21,7 +21,6 @@ from repro.detect import DetectorSet, build_detectors
 from repro.observatory import segments as segmentfmt
 from repro.observatory.encrypted import EncryptedChannelAggregator
 from repro.observatory.keys import DATASETS, DatasetSpec, make_dataset
-from repro.observatory.preprocess import summarize_transaction
 from repro.observatory.telemetry import resolve_telemetry
 from repro.observatory.tracker import TopKTracker
 from repro.observatory.tsv import write_tsv
@@ -222,15 +221,6 @@ class Observatory:
     def consume_batch(self, txns):
         """Process a time-ordered list of transactions (fast path)."""
         return self.windows.consume_batch(txns)
-
-    def ingest_packets(self, query_packet, response_packet, query_ts,
-                       response_ts=None, source="src0"):
-        """Full-path ingestion: parse raw packets, then process."""
-        txn = summarize_transaction(
-            query_packet, response_packet, query_ts, response_ts, source
-        )
-        self.ingest(txn)
-        return txn
 
     def finish(self):
         """Flush the trailing partial window."""

@@ -279,8 +279,8 @@ class ShardedObservatory:
             hll_precision=hll_precision, telemetry=self.telemetry.enabled,
             # a ready DetectorSet is the coordinator's scorer; workers
             # rebuild its members by name
-            detectors=detectors.names if isinstance(detectors, DetectorSet)
-            else detectors,
+            detectors=[det.name for det in detectors.detectors]
+            if isinstance(detectors, DetectorSet) else detectors,
             encrypted=encrypted)
         # fork where available: cheap worker startup
         try:
@@ -339,11 +339,6 @@ class ShardedObservatory:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-
-    def ingest(self, txn):
-        """Route one transaction to its shard.  Returns the merged
-        dumps of any boundary this transaction crossed."""
-        return self.consume_batch((txn,))
 
     def consume_batch(self, txns):
         """Route a time-ordered batch of transactions to the shards.
@@ -447,12 +442,6 @@ class ShardedObservatory:
         for queue in self._in_qs + [self._out_q]:
             queue.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-
     # ------------------------------------------------------------------
     # Coordinator internals
     # ------------------------------------------------------------------
@@ -554,10 +543,6 @@ class ShardedObservatory:
     # ------------------------------------------------------------------
     # Introspection (mirrors Observatory)
     # ------------------------------------------------------------------
-
-    @property
-    def datasets(self):
-        return list(self._dataset_order)
 
     def capture_ratios(self):
         """Per-dataset capture ratios summed over all shards.

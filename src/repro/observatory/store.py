@@ -31,7 +31,7 @@ a store that a collector is appending to live.
   indexed window (a year of minutely windows is ~525k refs;
   ``benchmarks/bench_serve.py --check`` gates the speedup);
 * **query primitives** -- :meth:`datasets`, :meth:`select`,
-  :meth:`read`, :meth:`accumulate`, :meth:`topk`, :meth:`key_series`
+  :meth:`read`, :meth:`accumulate`, :meth:`topk`, :meth:`has_key`
   -- the vocabulary the analysis modules, ``repro report`` and
   :mod:`repro.server` share instead of each re-implementing loops
   over ``read_series``; plus the **streaming iterators**
@@ -235,6 +235,9 @@ class SeriesStore:
         self.segment_reads = 0
         #: fresh segments whose blocks did not decode: read as text
         self.segment_rejects = 0
+        #: cold reads that found the file gone (retention in another
+        #: process, an operator's ``rm``): ref dropped, window absent
+        self.vanished_reads = 0
         self.refreshes = 0
         #: cold reads that piggybacked on another thread's in-progress
         #: parse of the same path instead of duplicating it
@@ -402,12 +405,12 @@ class SeriesStore:
         time-ordered :class:`~repro.observatory.tsv.TimeSeriesData`
         list the analysis modules already consume.
         """
-        return [self._read_ref(ref)
-                for ref in self.select(dataset, granularity,
-                                       start_ts, end_ts)]
+        return list(self.iter_range(dataset, granularity,
+                                    start_ts, end_ts))
 
     def read_window(self, ref):
-        """Parse (or fetch from cache) one indexed window."""
+        """Parse (or fetch from cache) one indexed window; ``None``
+        when its file has vanished since it was indexed."""
         return self._read_ref(ref)
 
     # -- streaming iterators -------------------------------------------
@@ -425,10 +428,13 @@ class SeriesStore:
         parse instead of duplicating it.  Abandoning the generator
         mid-range (an HTTP client disconnecting mid-stream) leaves the
         LRU with only complete entries: a window is inserted only
-        after its read finished.
+        after its read finished.  A window whose file has vanished is
+        skipped, as if it had never been indexed.
         """
         for ref in refs:
-            yield self._read_ref(ref)
+            data = self._read_ref(ref)
+            if data is not None:
+                yield data
 
     def iter_range(self, dataset, granularity="minutely",
                    start_ts=None, end_ts=None):
@@ -466,11 +472,16 @@ class SeriesStore:
             self.refresh()
             with self._lock:
                 ref = self._index.get(path)
-        if ref is None:
-            return read_tsv(path)
-        return self._read_ref(ref)
+        data = self._read_ref(ref) if ref is not None else None
+        return data if data is not None else read_tsv(path)
 
     def _read_ref(self, ref):
+        """The one read: *ref*'s window through the LRU, cold reads
+        single-flight.  A ref whose text and sidecar are both gone is
+        dropped from the index and counted (``vanished_reads``), and
+        the answer -- to the leader and every waiter -- is ``None``:
+        the query goes on as if the window were absent.  Any other
+        failure (a corrupt file) raises, to waiters too."""
         path = ref.path
         with self._lock:
             data = self._cache.get(path)
@@ -498,6 +509,14 @@ class SeriesStore:
             return flight.data
         try:
             data, from_segment = self._load(ref)
+        except FileNotFoundError:
+            with self._lock:
+                self.vanished_reads += 1
+                if self._index.get(path) is ref:
+                    self._drop_ref(path)
+                self._inflight.pop(path, None)
+            flight.done.set()
+            return None
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(path, None)
@@ -571,8 +590,7 @@ class SeriesStore:
                                      [window.values for window in run])
 
         run = []
-        for ref in refs:
-            data = self._read_ref(ref)
+        for data in self.iter_windows(refs):
             if run and (len(run) >= ACCUMULATE_RUN
                         or data.columns != run[0].columns
                         or data.keys != run[0].keys):
@@ -597,14 +615,6 @@ class SeriesStore:
         rows = self.accumulate(dataset, granularity, start_ts, end_ts)
         return [(key, rows[key])
                 for key in ranked_keys(rows, by=by)[:max(int(n), 0)]]
-
-    def key_series(self, dataset, key, column="hits",
-                   granularity="minutely", start_ts=None, end_ts=None):
-        """One key's per-window time series: ``[(start_ts, value)]``
-        over every window in the range (0 where the key is absent)."""
-        return [(data.start_ts, data.cell(key, column))
-                for data in self.iter_range(dataset, granularity,
-                                            start_ts, end_ts)]
 
     def has_key(self, dataset, key, granularity="minutely",
                 start_ts=None, end_ts=None):
@@ -632,6 +642,7 @@ class SeriesStore:
                 "notifications": self.notifications,
                 "segment_reads": self.segment_reads,
                 "segment_rejects": self.segment_rejects,
+                "vanished_reads": self.vanished_reads,
                 "flight_waits": self.flight_waits,
             }
 
@@ -650,10 +661,6 @@ class SeriesStore:
             "notifications": self.notifications,
         }
 
-    def __len__(self):
-        with self._lock:
-            return len(self._index)
-
     def __repr__(self):
         return "SeriesStore(%r, windows=%d, follow=%r)" % (
-            self.directory, len(self), self.follow)
+            self.directory, len(self._index), self.follow)

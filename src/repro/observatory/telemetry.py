@@ -57,18 +57,6 @@ class Counter:
         return d
 
 
-class Gauge:
-    """Last-value-wins instrument (queue depth, fill ratio, ...)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value):
-        self.value = value
-
-
 class Timing:
     """Duration histogram (milliseconds), drained at each snapshot.
 
@@ -141,9 +129,6 @@ class _NullInstrument:
     def inc(self, n=1):
         pass
 
-    def set(self, value):
-        pass
-
     def observe(self, seconds):
         pass
 
@@ -177,9 +162,6 @@ class Telemetry:
     def counter(self, component, name):
         return self._instrument(component, name, Counter)
 
-    def gauge(self, component, name):
-        return self._instrument(component, name, Gauge)
-
     def timing(self, component, name):
         return self._instrument(component, name, Timing)
 
@@ -205,7 +187,7 @@ class Telemetry:
 
     def snapshot(self, now=None):
         """Collect one row per component: counters as per-window
-        deltas, gauges as current values, timings drained, samplers
+        deltas, timings and ratios drained, samplers
         invoked with *now* (the window end, virtual seconds)."""
         rows = {}
         for component, instruments in self._components.items():
@@ -213,8 +195,6 @@ class Telemetry:
             for name, instrument in instruments.items():
                 if isinstance(instrument, Counter):
                     out[name] = instrument.delta()
-                elif isinstance(instrument, Gauge):
-                    out[name] = instrument.value
                 else:
                     out.update(instrument.drain(name))
         for entry in self._samplers:
@@ -241,9 +221,6 @@ class NullTelemetry:
     __slots__ = ()
 
     def counter(self, component, name):
-        return NULL_INSTRUMENT
-
-    def gauge(self, component, name):
         return NULL_INSTRUMENT
 
     def timing(self, component, name):

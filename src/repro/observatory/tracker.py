@@ -153,9 +153,6 @@ class TopKTracker:
             row["gate_overflow_rotations"] = gate.overflow_rotations
         return row
 
-    def __len__(self):
-        return len(self.cache)
-
     def __repr__(self):
         return "TopKTracker(%s, k=%d, tracked=%d)" % (
             self.spec.name, self.spec.k, len(self.cache)

@@ -104,34 +104,6 @@ class Transaction:
         return self.answered and self.rcode == RCODE.NOERROR
 
     @property
-    def nxdomain(self):
-        return self.answered and self.rcode == RCODE.NXDOMAIN
-
-    @property
-    def refused(self):
-        return self.answered and self.rcode == RCODE.REFUSED
-
-    @property
-    def servfail(self):
-        return self.answered and self.rcode == RCODE.SERVFAIL
-
-    @property
-    def has_answer_data(self):
-        """NoError with a non-empty ANSWER section (ok_ans)."""
-        return self.noerror and self.answer_count > 0
-
-    @property
-    def has_delegation(self):
-        """NoError with NS records in AUTHORITY (ok_ns)."""
-        return self.noerror and self.authority_ns_count > 0
-
-    @property
-    def nodata(self):
-        """NoError with neither answer nor delegation (ok_nil / NoData)."""
-        return self.noerror and self.answer_count == 0 \
-            and self.authority_ns_count == 0
-
-    @property
     def qdots(self):
         """Number of QNAME labels (the *qdots* feature)."""
         return count_labels(self.qname)

@@ -15,8 +15,8 @@ register blobs -- dense even when nearly empty.
 
 This module provides the explicit **binary** codec:
 
-* :func:`encode_batch` / :func:`decode_batch` turn a transaction batch
-  into one pre-serialized line block (the §2.1 "line of text" format
+* :func:`encode_batch_into` / :func:`decode_batch` turn a transaction
+  batch into one pre-serialized line block (the §2.1 "line of text" format
   with exact float round-tripping) -- one flat ``bytes`` per queue
   message instead of a pickled object list;
 * :func:`pack_states` / :func:`unpack_states` pickle shard state with
@@ -39,17 +39,11 @@ from repro.observatory.transaction import Transaction
 _LINE_SEP = b"\n"
 
 
-def encode_batch(txns):
-    """Encode a transaction batch as one newline-joined line block.
-
-    Floats are serialized exactly (``repr``), so a decoded transaction
-    is indistinguishable from the original to the window/decay logic.
-    """
-    return bytes(encode_batch_into(txns, bytearray()))
-
-
 def encode_batch_into(txns, buf):
-    """Encode a batch into the reusable bytearray *buf* and return it.
+    """Encode a batch as one newline-joined line block in the reusable
+    bytearray *buf* and return it.  Floats are serialized exactly
+    (``repr``), so a decoded transaction is indistinguishable from the
+    original to the window/decay logic.
 
     The join-based encoder allocated one bytes object per transaction
     plus the joined block per batch; profiles showed that churn as the
@@ -68,7 +62,7 @@ def encode_batch_into(txns, buf):
 
 
 def decode_batch(data):
-    """Decode a line block produced by :func:`encode_batch`."""
+    """Decode a line block produced by :func:`encode_batch_into`."""
     if not data:
         return []
     if not isinstance(data, bytes):  # memoryview from out-of-band paths

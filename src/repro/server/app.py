@@ -396,15 +396,18 @@ class ObservatoryApp:
             digest.update(b"|")
         return '"%s"' % digest.hexdigest()
 
-    def _respond(self, route, request, etag, fragments, stream=False):
+    def _respond(self, route, request, refs, extra, fragments,
+                 stream=False):
         """The one responder of the store-backed routes: 304, cached
         rendered body, streamed, or built-encoded-and-cached.
 
-        An ETag names the exact file revisions (plus query) an answer
-        was computed from, so the conditional check runs before
-        anything is read -- a matching ``If-None-Match`` never parses a
-        window or emits a chunk -- and a cached body is byte-for-byte
-        what a rebuild would produce.  *fragments()* returns the body's
+        The ETag names the exact file revisions (*refs*, the
+        selection) plus query (*extra*) an answer is computed from, so
+        the conditional check runs before anything is read -- a
+        matching ``If-None-Match`` (weak comparison, RFC 7232 §3.2;
+        ``*`` matches any non-empty selection) never parses a window
+        or emits a chunk -- and a cached body is byte-for-byte what a
+        rebuild would produce.  *fragments()* returns the body's
         text fragments and runs once per revision set; what it must
         decide before a status line goes out (the ``/key`` 404) it
         decides when called, not when iterated.  Streamed answers
@@ -412,7 +415,9 @@ class ObservatoryApp:
         includes the route because endpoints over the same windows and
         query string legitimately share an ETag.
         """
-        if etag in request.if_none_match():
+        etag = self._etag(refs, *extra)
+        validators = request.if_none_match()
+        if etag in validators or (refs and "*" in validators):
             return Response.not_modified(etag)
         if stream:
             return self._stream(route, fragments(), etag)
@@ -453,6 +458,8 @@ class ObservatoryApp:
         through the store LRU (one window in flight at a time)."""
         for ref in refs:
             data = self.store.read_window(ref)
+            if data is None:
+                continue  # vanished since it was selected
             yield {
                 "start_ts": data.start_ts,
                 "end_ts": ref.end_ts,
@@ -542,7 +549,6 @@ class ObservatoryApp:
             refs, next_cursor = self._page(refs, cursor, limit)
         else:
             refs = refs[-limit:]  # newest windows win under a limit
-        etag = self._etag(refs, dataset, granularity, request.raw_query)
         meta = {
             "dataset": dataset,
             "granularity": granularity,
@@ -554,8 +560,10 @@ class ObservatoryApp:
             return self._json_fragments(meta, "windows",
                                         self._window_entries(refs))
 
-        return self._respond("series", request, etag, fragments,
-                             self._should_stream(refs))
+        return self._respond(
+            "series", request, refs,
+            (dataset, granularity, request.raw_query), fragments,
+            self._should_stream(refs))
 
     def _subscription(self):
         """Count a waiting follow/stream client on the broker."""
@@ -692,7 +700,6 @@ class ObservatoryApp:
         n = self._int_param(request, "n", 10, 1, MAX_TOPK)
         by = request.params.get("by", "hits")
         refs = self._select_known(dataset, granularity, start, end)
-        etag = self._etag(refs, dataset, granularity, request.raw_query)
 
         def fragments():
             top = self.store.topk(dataset, n=n, by=by,
@@ -708,7 +715,9 @@ class ObservatoryApp:
                 "windows": len(refs),
             }) + "\n"
 
-        return self._respond("topk", request, etag, fragments)
+        return self._respond(
+            "topk", request, refs,
+            (dataset, granularity, request.raw_query), fragments)
 
     def handle_topk_windows(self, request, dataset):
         """Streamed per-window top-``n``: one ``{start_ts, top}``
@@ -722,7 +731,6 @@ class ObservatoryApp:
         n = self._int_param(request, "n", 10, 1, MAX_TOPK)
         by = request.params.get("by", "hits")
         refs = self._select_known(dataset, granularity, start, end)
-        etag = self._etag(refs, dataset, granularity, request.raw_query)
         meta = {
             "dataset": dataset,
             "granularity": granularity,
@@ -746,8 +754,10 @@ class ObservatoryApp:
         def fragments():
             return self._json_fragments(meta, "windows", entries())
 
-        return self._respond("topk_windows", request, etag, fragments,
-                             self._should_stream(refs))
+        return self._respond(
+            "topk_windows", request, refs,
+            (dataset, granularity, request.raw_query), fragments,
+            self._should_stream(refs))
 
     def handle_key(self, request, dataset, key):
         granularity = self._granularity(request)
@@ -757,13 +767,11 @@ class ObservatoryApp:
                                 MAX_WINDOWS)
         cursor = self._float_param(request, "cursor")
         refs = self._select_known(dataset, granularity, start, end)
-        etag = self._etag(refs, dataset, granularity, key,
-                          request.raw_query)
         next_cursor = None
         if cursor is not None:
-            refs, next_cursor = self._page(refs, cursor, limit)
+            page, next_cursor = self._page(refs, cursor, limit)
         else:
-            refs = refs[-limit:]  # newest windows win under a limit
+            page = refs[-limit:]  # newest windows win under a limit
         meta = {
             "dataset": dataset,
             "key": key,
@@ -784,11 +792,13 @@ class ObservatoryApp:
                 raise HttpError(404, "key %r not found in dataset %r"
                                 % (key, dataset))
             return self._json_fragments(meta, "series",
-                                        self._key_points(refs, key,
+                                        self._key_points(page, key,
                                                          column))
 
-        return self._respond("key", request, etag, fragments,
-                             self._should_stream(refs))
+        return self._respond(
+            "key", request, refs,
+            (dataset, granularity, key, request.raw_query), fragments,
+            self._should_stream(page))
 
     def handle_vantage(self, request, group):
         """Latest per-ASN / per-country vantage indices.
@@ -818,17 +828,16 @@ class ObservatoryApp:
             latest[name] = selection[-1] if selection else None
             if selection:
                 refs.append(selection[-1])
-        etag = self._etag(refs, "vantage", granularity,
-                          request.raw_query)
 
         def fragments():
             groups = {}
             for name in names:
                 ref = latest[name]
-                if ref is None:
+                data = self.store.read_window(ref) \
+                    if ref is not None else None
+                if data is None:
                     groups[name] = {"window_ts": None, "entries": []}
                     continue
-                data = self.store.read_window(ref)
                 ranked = sorted(
                     data.rows,
                     key=lambda item: (-item[1].get(by, 0), item[0]))
@@ -840,7 +849,9 @@ class ObservatoryApp:
             yield _dumps({"granularity": granularity, "by": by,
                           "groups": groups}) + "\n"
 
-        return self._respond("vantage", request, etag, fragments)
+        return self._respond(
+            "vantage", request, refs,
+            ("vantage", granularity, request.raw_query), fragments)
 
     def handle_health(self, request):
         granularity = self._granularity(request)
@@ -852,7 +863,7 @@ class ObservatoryApp:
         # index, then read: a poll must not parse the whole history.
         def latest(dataset):
             refs = self.store.select(dataset, granularity)[-windows:]
-            return [self.store.read_window(ref) for ref in refs]
+            return list(self.store.iter_windows(refs))
 
         series = latest(PLATFORM_DATASET)
         detector = latest(DETECTOR_DATASET)

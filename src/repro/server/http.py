@@ -100,11 +100,16 @@ class Request:
                    for token in accept.split(","))
 
     def if_none_match(self):
-        """Client ETags from ``If-None-Match`` (quotes preserved)."""
+        """Client validators from ``If-None-Match``, quotes preserved,
+        for RFC 7232 §3.2's weak comparison: a ``W/`` prefix (what a
+        compressing proxy makes of our strong ETag) is stripped; ``*``
+        is passed through for the responder to interpret."""
         raw = self.headers.get("if-none-match")
         if not raw:
             return ()
-        return tuple(token.strip() for token in raw.split(","))
+        tokens = (token.strip() for token in raw.split(","))
+        return tuple(token[2:] if token.startswith("W/") else token
+                     for token in tokens)
 
 
 class Response:

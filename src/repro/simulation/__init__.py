@@ -30,12 +30,11 @@ Everything is deterministic given the scenario seed.
 
 from repro.simulation.buildout import GlobalDns, build_global_dns
 from repro.simulation.scenario import Scenario
-from repro.simulation.sie import SieChannel, simulate_stream
+from repro.simulation.sie import SieChannel
 
 __all__ = [
     "GlobalDns",
     "build_global_dns",
     "Scenario",
     "SieChannel",
-    "simulate_stream",
 ]

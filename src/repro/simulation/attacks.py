@@ -39,10 +39,6 @@ class ResolvedAttack:
         self.esld = esld
         self.index = index
 
-    @property
-    def kind(self):
-        return self.event.kind
-
     def label(self, duration):
         end = self.event.until
         end = duration if end is None else min(end, duration)

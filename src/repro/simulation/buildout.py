@@ -115,10 +115,6 @@ class GlobalDns:
             return None
         return tld_zone.delegation_for(name)
 
-    def all_nameserver_ips(self):
-        """Every allocated authoritative nameserver IP."""
-        return list(self.topology.nameservers_by_ip)
-
     # -- scripted infrastructure events ---------------------------------
 
     def apply_events_until(self, now):

@@ -217,11 +217,5 @@ class RecursiveResolver:
                 break
         return ".".join(labels[-depth:]) if len(labels) >= depth else qname
 
-    def cache_hit_ratio(self):
-        """Share of client queries answered without upstream traffic."""
-        if not self.client_queries:
-            return 0.0
-        return self.cache_answers / self.client_queries
-
     def __repr__(self):
         return "RecursiveResolver(%s, qmin=%s)" % (self.ip, self.qmin)

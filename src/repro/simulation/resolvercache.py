@@ -65,16 +65,6 @@ class TtlCache:
         """Drop *key* if present."""
         self._entries.pop(key, None)
 
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, key):
-        return key in self._entries
-
-    def hit_ratio(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 #: sentinel payloads for the negative cache
 NEG_NXDOMAIN = "NXDOMAIN"
@@ -106,14 +96,3 @@ class NegativeCache:
         if self._cache.get(("nodata", qname, int(qtype)), now) is not None:
             return NEG_NODATA
         return None
-
-    def __len__(self):
-        return len(self._cache)
-
-    @property
-    def hits(self):
-        return self._cache.hits
-
-    @property
-    def misses(self):
-        return self._cache.misses

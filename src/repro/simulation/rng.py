@@ -67,16 +67,3 @@ class ZipfSampler:
         """Draw one rank (0 = most popular)."""
         r = (rng or self._rng).random() * self._total
         return bisect.bisect_left(self._cdf, r)
-
-    def probability(self, rank):
-        """Exact probability of *rank* under this distribution."""
-        if not 0 <= rank < self.n:
-            raise ValueError("rank out of range")
-        return (1.0 / (rank + 1.0) ** self.s) / self._total
-
-
-def exponential_gap(rng, rate):
-    """Next inter-arrival gap of a Poisson process with *rate* (ev/s)."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    return rng.expovariate(rate)

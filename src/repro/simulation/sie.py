@@ -128,21 +128,3 @@ class SieChannel:
         """Ground truth for scripted attacks (see
         :meth:`WorkloadMix.attack_labels`)."""
         return self.workload.attack_labels()
-
-
-def simulate_stream(scenario):
-    """Convenience: yield the transaction stream for *scenario*.
-
-    The channel object is attached to the generator as ``channel``
-    metadata is not available; use :class:`SieChannel` directly when
-    accounting is needed.
-    """
-    channel = SieChannel(scenario)
-    return channel.run()
-
-
-def simulate_transactions(scenario):
-    """Run the full scenario and return ``(channel, transactions)``."""
-    channel = SieChannel(scenario)
-    transactions = list(channel.run())
-    return channel, transactions

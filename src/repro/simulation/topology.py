@@ -240,15 +240,6 @@ class Topology:
 
     # -- fleet management ------------------------------------------------
 
-    def org(self, name):
-        return self.orgs[name]
-
-    def major_org_names(self):
-        return [spec[0] for spec in MAJOR_ORGS]
-
-    def tail_org_names(self):
-        return [n for n in self.orgs if n.startswith("HOSTER")]
-
     def allocate_nameserver(self, org_name, hostname=None,
                             unanswered_rate=0.0):
         """Create a new nameserver IP inside *org_name*'s space."""

@@ -20,12 +20,20 @@ Section 2 of the paper:
   value counter used for the "top-3 TTL values" feature.
 * :class:`~repro.sketches.ewma.ForwardDecay` -- shared-landmark
   exponential decay used by the Space-Saving rate estimates.
-* :class:`~repro.sketches.reservoir.ReservoirSample` -- uniform
-  reservoir sampling, used for validation experiments.
+* :class:`~repro.sketches.distinct.DistinctSpaceSaving` -- Space-Saving
+  ranked by per-key distinct counts (the water-torture detector).
+* :class:`~repro.sketches.countmin.CmsTopK` -- Count-Min top-k, the
+  ablation comparator for the Space-Saving choice.
 
-All structures are deterministic given their seeds, mergeable where the
-paper's aggregation pipeline requires it, and implemented in pure
-Python with no third-party dependencies.
+All structures are deterministic given their seeds and implemented in
+pure Python with no third-party dependencies.  The ones a window's
+per-object state is made of -- ``HyperLogLog``, ``LogHistogram``,
+``RunningMean``, ``TopValues`` -- and ``DistinctSpaceSaving`` have a
+``merge()``: :meth:`~repro.observatory.features.FeatureSet.merge` and
+the ddos detector's ``absorb`` call them when shard states recombine.
+Space-Saving state itself merges in one place only,
+:class:`~repro.observatory.tracker.TrackerChannel` (``absorb`` /
+``cut``); ``SpaceSaving`` and the Bloom gate have no ``merge()``.
 """
 
 from repro.sketches.bloom import BloomFilter, RotatingBloomFilter
@@ -34,7 +42,6 @@ from repro.sketches.distinct import DistinctSpaceSaving
 from repro.sketches.ewma import ForwardDecay
 from repro.sketches.histogram import LogHistogram
 from repro.sketches.hyperloglog import HyperLogLog
-from repro.sketches.reservoir import ReservoirSample
 from repro.sketches.spacesaving import SpaceSaving, SpaceSavingEntry
 from repro.sketches.topvalues import TopValues
 
@@ -47,7 +54,6 @@ __all__ = [
     "ForwardDecay",
     "LogHistogram",
     "HyperLogLog",
-    "ReservoirSample",
     "SpaceSaving",
     "SpaceSavingEntry",
     "TopValues",

@@ -78,29 +78,6 @@ class BloomFilter:
         self._count = 0
         self._bits_set = 0
 
-    def merge(self, other):
-        """Fold *other* into this filter (bitwise OR of the bit arrays).
-
-        Filters built from split streams OR-merge into exactly the
-        filter the union stream would have built -- the property the
-        newly-observed-hostname detector's generation merges rely on.
-        Only filters with identical sizing and seed are compatible."""
-        if not isinstance(other, BloomFilter):
-            raise TypeError("can only merge BloomFilter instances")
-        if (self.num_bits, self.num_hashes, self.seed) != \
-                (other.num_bits, other.num_hashes, other.seed):
-            raise ValueError("cannot merge filters with different "
-                             "parameters")
-        mine, theirs = self._bits, other._bits
-        bits_set = 0
-        for i in range(len(mine)):
-            merged = mine[i] | theirs[i]
-            mine[i] = merged
-            bits_set += bin(merged).count("1")
-        self._bits_set = bits_set
-        self._count += other._count
-        return self
-
     def fill_ratio(self):
         """Fraction of bits set -- a saturation indicator."""
         return self._bits_set / self.num_bits
@@ -168,28 +145,6 @@ class RotatingBloomFilter:
         if now is not None:
             self._last_rotation = now
         self.rotations += 1
-
-    def merge(self, other):
-        """Fold *other*'s generations into this filter pairwise.
-
-        Active merges with active, previous with previous, so two
-        rotating filters that rotated in lockstep (same windows, same
-        rotation schedule) combine into the filter a single observer
-        of the union stream would hold."""
-        if not isinstance(other, RotatingBloomFilter):
-            raise TypeError("can only merge RotatingBloomFilter instances")
-        if (self.rotations & 1) != (other.rotations & 1):
-            # After an odd rotation-count difference the underlying
-            # filters (distinct seeds) are swapped relative to ours.
-            self._active.merge(other._previous)
-            self._previous.merge(other._active)
-        else:
-            self._active.merge(other._active)
-            self._previous.merge(other._previous)
-        # self.rotations is untouched: its parity encodes which
-        # underlying filter (which seed) is currently active here.
-        self.overflow_rotations += other.overflow_rotations
-        return self
 
     def fill_ratio(self):
         """Fraction of bits set in the *active* filter -- the gate's

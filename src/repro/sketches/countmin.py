@@ -58,19 +58,6 @@ class CountMinSketch:
         return min(row[pos]
                    for row, pos in zip(self._rows, self._positions(key)))
 
-    def error_bound(self):
-        """The classic eps*N overestimate bound: e/width * total."""
-        return 2.718281828 / self.width * self.total
-
-    def memory_counters(self):
-        return self.width * self.depth
-
-    def clear(self):
-        for row in self._rows:
-            for i in range(len(row)):
-                row[i] = 0
-        self.total = 0
-
 
 class CmsTopK:
     """Top-k tracking with a Count-Min Sketch + candidate min-heap.
@@ -126,9 +113,3 @@ class CmsTopK:
         if n is not None:
             ranked = ranked[:n]
         return ranked
-
-    def __len__(self):
-        return len(self._members)
-
-    def __contains__(self, key):
-        return key in self._members

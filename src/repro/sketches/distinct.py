@@ -83,12 +83,6 @@ class DistinctSpaceSaving:
         self._heap = []
         self.evictions = 0
 
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, key):
-        return key in self._entries
-
     def offer(self, key, value_hash):
         """Feed one (key, 64-bit value hash) observation."""
         entry = self._entries.get(key)
@@ -130,21 +124,12 @@ class DistinctSpaceSaving:
             return entry
         raise RuntimeError("heap empty with entries tracked")
 
-    def estimate(self, key):
-        """Distinct estimate for *key* (0 when untracked)."""
-        entry = self._entries.get(key)
-        return entry.estimate() if entry is not None else 0
-
     def top(self, n=None):
         """``(key, estimate)`` pairs sorted by (-estimate, key)."""
         ranked = sorted(((e.key, e.estimate())
                          for e in self._entries.values()),
                         key=lambda kv: (-kv[1], kv[0]))
         return ranked if n is None else ranked[:n]
-
-    def clear(self):
-        self._entries = {}
-        self._heap = []
 
     # -- merge ----------------------------------------------------------
 

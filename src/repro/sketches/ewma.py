@@ -73,41 +73,8 @@ class ForwardDecay:
         Weights accumulated under two different landmarks are not
         directly comparable; rebasing both decays onto the same
         landmark (and rescaling their stored weights by the returned
-        factors) makes them so.  This is what allows independently
-        built Space-Saving caches to be merged.
+        factors) makes them so.
         """
         factor = math.exp((self.landmark - landmark) / self.tau)
         self.landmark = float(landmark)
         return factor
-
-
-class DecayingRate:
-    """A standalone exponentially decaying events-per-second estimate.
-
-    Convenience wrapper for callers that track a single rate and do not
-    need cross-entry comparability (for that, share one
-    :class:`ForwardDecay` instead).  Uses classic backward decay.
-    """
-
-    def __init__(self, tau=60.0):
-        if tau <= 0:
-            raise ValueError("tau must be positive, got %r" % (tau,))
-        self.tau = float(tau)
-        self._value = 0.0
-        self._last = None
-
-    def observe(self, now, count=1.0):
-        """Record *count* events at time *now*."""
-        if self._last is not None and now > self._last:
-            self._value *= math.exp((self._last - now) / self.tau)
-        if self._last is None or now > self._last:
-            self._last = now
-        self._value += count / self.tau
-
-    def rate(self, now):
-        """Return the decayed rate (events/second) at time *now*."""
-        if self._last is None:
-            return 0.0
-        if now <= self._last:
-            return self._value
-        return self._value * math.exp((self._last - now) / self.tau)

@@ -85,17 +85,10 @@ class LogHistogram:
         if value > self._max:
             self._max = value
 
-    def __len__(self):
-        return self.count
-
     @property
     def mean(self):
         """Exact arithmetic mean of all recorded values."""
         return self._sum / self.count if self.count else 0.0
-
-    @property
-    def min(self):
-        return self._min if self.count else 0.0
 
     @property
     def max(self):
@@ -142,10 +135,6 @@ class LogHistogram:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-
-    def buckets(self):
-        """Return the sparse ``{bucket_index: count}`` map (read-only use)."""
-        return dict(self._buckets)
 
     # -- flat-buffer codec (zero-copy shard transport) -----------------
 
@@ -217,10 +206,6 @@ class RunningMean:
         self.count += other.count
         self._sum += other._sum
         return self
-
-    def clear(self):
-        self.count = 0
-        self._sum = 0.0
 
     # -- flat-buffer codec: two scalars, no buffers needed -------------
 

@@ -127,9 +127,6 @@ class HyperLogLog:
             return m * math.log(m / zeros)
         return raw
 
-    def __len__(self):
-        return int(round(self.cardinality()))
-
     def merge(self, other):
         """Fold *other* into this sketch (register-wise max)."""
         if not isinstance(other, HyperLogLog):
@@ -147,29 +144,6 @@ class HyperLogLog:
         clone = HyperLogLog(self.precision, self.seed)
         clone._registers[:] = self._registers
         return clone
-
-    def clear(self):
-        """Reset to the empty multiset."""
-        # Bulk zero: the window manager clears every feature of every
-        # tracked object once a minute, so this is a hot path.
-        self._registers[:] = bytes(len(self._registers))
-
-    def standard_error(self):
-        """The theoretical relative standard error of this precision."""
-        return 1.04 / math.sqrt(self.num_registers)
-
-    def to_bytes(self):
-        """Serialize the registers (for the TSV footer / tests)."""
-        return bytes(self._registers)
-
-    @classmethod
-    def from_bytes(cls, data, precision, seed=0):
-        """Rebuild a sketch serialized with :meth:`to_bytes`."""
-        sketch = cls(precision, seed)
-        if len(data) != sketch.num_registers:
-            raise ValueError("register blob has wrong length")
-        sketch._registers[:] = data
-        return sketch
 
     # -- flat-buffer codec (zero-copy shard transport) -----------------
 

@@ -31,7 +31,6 @@ periodic compaction), O(k) memory.
 """
 
 import heapq
-import math
 
 from repro.sketches.ewma import ForwardDecay
 
@@ -158,11 +157,6 @@ class SpaceSaving:
                 return 0.0
         return self.decay.rate(entry.weight, now)
 
-    def guaranteed_rate(self, entry, now):
-        """Lower bound on the entry's own rate (weight minus the
-        inherited Space-Saving error)."""
-        return self.decay.rate(max(entry.weight - entry.error, 0.0), now)
-
     def top(self, n=None, now=None):
         """Return entries ranked by estimated frequency, heaviest first.
 
@@ -173,97 +167,6 @@ class SpaceSaving:
             self._entries.values(), key=lambda e: (-e.weight, e.key)
         )
         return ranked if n is None else ranked[:n]
-
-    def merge(self, other):
-        """Fold *other* into this cache (mergeable-summaries union).
-
-        Implements the Space-Saving merge of Agarwal et al.,
-        *Mergeable Summaries* (PODS 2012), adapted to forward-decay
-        weights: both caches are rebased onto a common decay landmark,
-        entries present in both are combined entry-wise (weights and
-        errors add, exact hit counts add, the earlier ``inserted_at``
-        wins), and a key absent from one side is credited that side's
-        minimum weight -- the classic overestimate floor -- only when
-        that side's cache is full (otherwise an absent key truly has
-        zero weight there).  The union is then truncated back to this
-        cache's capacity, heaviest first.
-
-        The invariants of a single-pass cache are preserved: every
-        merged ``weight`` is an overestimate of the key's true
-        combined weight, and ``weight - error`` remains a lower bound.
-        The worst-case overestimate is the sum of both inputs' errors,
-        so per-shard summaries of a partitioned stream merge into a
-        global Top-k whose error bounds add across shards.
-
-        Attached per-entry ``state`` objects are merged via their own
-        ``state.merge()`` when both sides carry one, and adopted
-        as-is from *other* otherwise -- *other* must be discarded
-        after this call (its entries and states are absorbed, not
-        copied).
-
-        Both caches must share the same decay time constant *tau*.
-        Returns self.
-        """
-        if not isinstance(other, SpaceSaving):
-            raise TypeError("can only merge SpaceSaving instances")
-        if self.decay.tau != other.decay.tau:
-            raise ValueError("cannot merge caches with different tau")
-        # Rebase both weight sets onto the later landmark so the
-        # accumulated forward-decay weights are directly comparable
-        # (rebasing onto the earlier one could overflow exp()).
-        target = max(self.decay.landmark, other.decay.landmark)
-        if self.decay.landmark != target:
-            factor = self.decay.rebase(target)
-            for entry in self._entries.values():
-                entry.weight *= factor
-                entry.error *= factor
-        scale = math.exp((other.decay.landmark - target) / other.decay.tau)
-
-        other_floor = 0.0
-        if len(other._entries) >= other.capacity:
-            other_floor = scale * min(
-                e.weight for e in other._entries.values())
-        self_floor = 0.0
-        if len(self._entries) >= self.capacity:
-            self_floor = min(e.weight for e in self._entries.values())
-
-        entries = self._entries
-        for key, oe in other._entries.items():
-            ow = oe.weight * scale
-            oerr = oe.error * scale
-            se = entries.get(key)
-            if se is None:
-                se = SpaceSavingEntry(
-                    key, ow + self_floor, oerr + self_floor, oe.inserted_at)
-                se.hits = oe.hits
-                se.state = oe.state
-                entries[key] = se
-            else:
-                se.weight += ow
-                se.error += oerr
-                se.hits += oe.hits
-                if oe.inserted_at < se.inserted_at:
-                    se.inserted_at = oe.inserted_at
-                if se.state is None:
-                    se.state = oe.state
-                elif oe.state is not None:
-                    se.state.merge(oe.state)
-        if other_floor:
-            other_keys = other._entries
-            for key, se in entries.items():
-                if key not in other_keys:
-                    se.weight += other_floor
-                    se.error += other_floor
-        if len(entries) > self.capacity:
-            ranked = sorted(
-                entries.values(), key=lambda e: (-e.weight, e.key))
-            self._entries = {e.key: e for e in ranked[:self.capacity]}
-        self.offered += other.offered
-        self.tracked_hits += other.tracked_hits
-        self.gated += other.gated
-        self.evictions += other.evictions
-        self._rebuild_heap()
-        return self
 
     def min_rate(self, now):
         """Decayed rate estimate (events/second) of the weakest tracked

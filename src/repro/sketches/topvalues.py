@@ -69,25 +69,11 @@ class TopValues:
         ranked = sorted(self._counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
         return ranked[:n]
 
-    def top_value(self):
-        """Return the single most frequent value, or None when empty."""
-        ranked = self.top(1)
-        return ranked[0][0] if ranked else None
-
     def distribution(self):
         """Return ``{value: share}`` over all observations."""
         if not self.total:
             return {}
         return {v: c / self.total for v, c in self._counts.items()}
-
-    def distinct_pressure(self):
-        """Recycling events per observation -- ~0 for well-behaved
-        objects, approaches 1 when nearly every observation carries a
-        fresh value (the dynamic-TTL signature of Table 4)."""
-        return self.replaced / self.total if self.total else 0.0
-
-    def __len__(self):
-        return len(self._counts)
 
     def merge(self, other):
         """Fold *other* into this tracker (approximate, like SS merge)."""
@@ -101,11 +87,6 @@ class TopValues:
         self.total += max(0, other.total - tracked)
         self.replaced += other.replaced
         return self
-
-    def clear(self):
-        self._counts.clear()
-        self.total = 0
-        self.replaced = 0
 
     # -- flat-buffer codec (zero-copy shard transport) -----------------
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.seriesops import (
     accumulate_dumps,
-    key_series,
     ranked_keys,
     split_dumps_at,
     total_hits,
@@ -63,12 +62,3 @@ def test_split_dumps_at():
     before, after = split_dumps_at(dumps, 60)
     assert [d.start_ts for d in before] == [0]
     assert [d.start_ts for d in after] == [60, 120]
-
-
-def test_key_series():
-    dumps = [
-        dump(0, [("a", {"hits": 3})]),
-        dump(60, []),
-        dump(120, [("a", {"hits": 7})]),
-    ]
-    assert key_series(dumps, "a") == [(0, 3), (60, 0), (120, 7)]

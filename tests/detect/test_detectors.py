@@ -46,12 +46,12 @@ class TestBuildDetectors:
 
     def test_true_builds_all_in_canonical_order(self):
         detectors = build_detectors(True)
-        assert detectors.names == ["exfil", "ddos", "noh"]
+        assert [d.name for d in detectors.detectors] == ["exfil", "ddos", "noh"]
 
     def test_names_and_instances_mix(self):
         custom = DdosDetector(min_distinct=5.0)
         detectors = build_detectors(["exfil", custom])
-        assert detectors.names == ["exfil", "ddos"]
+        assert [d.name for d in detectors.detectors] == ["exfil", "ddos"]
         assert detectors.detectors[1] is custom
 
     def test_unknown_name_rejected(self):
@@ -158,7 +158,7 @@ class TestNohDetector:
 class TestDetectorSet:
     def test_cut_concatenates_in_order(self):
         detectors = build_detectors(True)
-        detectors.observe(make_txn(qname="www.example.com"))
+        detectors.observe_batch([make_txn(qname="www.example.com")])
         rows = detectors.cut(0.0, 60.0)
         names = [key for key, _ in rows if "." not in key]
         assert names == ["exfil", "ddos", "noh"]
@@ -172,8 +172,8 @@ class TestDetectorSet:
         coordinator = build_detectors(True)
         for qname in qnames:
             txn = make_txn(qname=qname)
-            local.observe(txn)
-            worker.observe(txn)
+            local.observe_batch((txn,))
+            worker.observe_batch((txn,))
         for state in worker.take_states(0.0):
             assert isinstance(state, DetectorWindowState)
             assert state.dataset == DETECTOR_DATASET
@@ -197,7 +197,7 @@ class TestDetectorSet:
         for stream in streams:
             worker = build_detectors(True)
             for qname in stream:
-                worker.observe(make_txn(qname=qname))
+                worker.observe_batch((make_txn(qname=qname),))
             states.append(worker.take_states(0.0))
         forward = build_detectors(True)
         backward = build_detectors(True)

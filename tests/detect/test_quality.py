@@ -63,10 +63,10 @@ def test_every_detector_clears_the_floors(adversarial_run):
         assert score.precision is not None, name
         assert score.precision >= PRECISION_FLOOR, \
             "%s precision %.3f: %r" % (name, score.precision,
-                                       score.as_dict())
+                                       score)
         assert score.recall is not None, name
         assert score.recall >= RECALL_FLOOR, \
-            "%s recall %.3f: %r" % (name, score.recall, score.as_dict())
+            "%s recall %.3f: %r" % (name, score.recall, score)
     assert meets_floors(scores, PRECISION_FLOOR, RECALL_FLOOR)
 
 

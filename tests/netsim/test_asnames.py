@@ -37,29 +37,12 @@ class TestRegistry:
         reg.add(13335, "CLOUDFLARENET - Cloudflare, Inc., US")
         return reg
 
-    def test_name_lookup(self):
-        reg = self.make()
-        assert reg.name(16509).startswith("AMAZON-02")
-        assert reg.name(99999) == "AS99999"
-        assert reg.name(None) == "UNKNOWN"
-
     def test_org_lookup(self):
         reg = self.make()
         assert reg.org(16509) == "AMAZON"
         assert reg.org(13335) == "CLOUDFLARE"
         assert reg.org(99999) == "AS99999"
         assert reg.org(None) == "UNKNOWN"
-
-    def test_asns_of_org(self):
-        reg = self.make()
-        assert reg.asns_of_org("AMAZON") == [14618, 16509]
-        assert reg.asns_of_org("NONE") == []
-
-    def test_len_contains(self):
-        reg = self.make()
-        assert len(reg) == 3
-        assert 13335 in reg
-        assert 1 not in reg
 
     def test_from_tsv(self):
         reg = AsNameRegistry.from_tsv([

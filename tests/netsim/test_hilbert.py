@@ -69,13 +69,6 @@ class TestHeatmap:
         assert sum(sum(row) for row in rows) == 10
         assert len(rows) == 8 and all(len(r) == 8 for r in rows)
 
-    def test_add_count_raw_index(self):
-        hm = HilbertHeatmap(order=2)
-        hm.add_count(0, count=5)
-        assert hm.prefix_density_histogram() == {5: 1}
-        with pytest.raises(ValueError):
-            hm.add_count(1 << 24)
-
     def test_ascii_rendering(self):
         hm = HilbertHeatmap(order=3)
         art = hm.to_ascii()

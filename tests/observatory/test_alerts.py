@@ -4,6 +4,7 @@ import pytest
 
 from repro.observatory.alerts import (
     DEFAULT_RULES,
+    FAIL,
     Rule,
     evaluate,
     parse_rule,
@@ -81,7 +82,7 @@ class TestEvaluate:
         })]
         rule = parse_rule("cap: tracker.*.capture_ratio >= 0.5")
         (verdict,) = evaluate(series, [rule])
-        assert verdict.failed
+        assert verdict.status == FAIL
         assert verdict.window_ts == 0
 
     def test_wildcard_matches_every_component(self):
@@ -108,7 +109,7 @@ class TestEvaluate:
             platform_window(120, {"tracker.srvip": {"capture_ratio": 0.1}}),
         ]
         (verdict,) = evaluate(two_bad, [rule])
-        assert verdict.failed
+        assert verdict.status == FAIL
         assert verdict.failing_windows == 2
 
     def test_recovery_resets_failure_streak(self):
@@ -145,7 +146,7 @@ class TestEvaluate:
             platform_window(0, {"tracker.srvip": {"capture_ratio": 0.9}}),
         ]
         (verdict,) = evaluate(series, [rule])
-        assert verdict.failed  # ts=60 is the latest despite list order
+        assert verdict.status == FAIL  # ts=60 is the latest despite list order
         assert verdict.window_ts == 60
 
     def test_worker_liveness_failure(self):
@@ -156,7 +157,7 @@ class TestEvaluate:
         rule = parse_rule("live: shard*.alive >= 1")
         verdicts = {v.component: v for v in evaluate(series, [rule])}
         assert verdicts["shard0.link"].status == "ok"
-        assert verdicts["shard1.link"].failed
+        assert verdicts["shard1.link"].status == FAIL
 
 
 class TestSummarize:

@@ -9,6 +9,7 @@ from repro.dnswire.message import Message, ResourceRecord
 from repro.dnswire.rdata import A
 from repro.netsim.packet import build_udp_ipv4
 from repro.observatory.pipeline import Observatory
+from repro.observatory.preprocess import summarize_transaction
 from repro.observatory.tsv import list_series, read_tsv
 from tests.util import make_nxdomain, make_txn
 
@@ -88,8 +89,10 @@ class TestObservatory:
                                   query.to_wire())
             rpkt = build_udp_ipv4("192.0.2.53", "10.0.0.1", 53, 30000 + i,
                                   response.to_wire(), ttl=57)
-            txn = obs.ingest_packets(qpkt, rpkt, float(i), float(i) + 0.015)
+            txn = summarize_transaction(qpkt, rpkt, float(i),
+                                        float(i) + 0.015)
             assert txn.noerror
+            obs.ingest(txn)
         obs.finish()
         top = obs.tracker("srvip").top(1)
         assert top[0].key == "192.0.2.53"

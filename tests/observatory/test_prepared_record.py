@@ -208,7 +208,7 @@ def test_add_indexed_equals_add_hash_and_add():
                     for i in range(500))):
             by_hash.add_hash(h)
             by_pair.add_indexed(*index_rank(h, precision))
-        assert by_hash.to_bytes() == by_pair.to_bytes()
+        assert by_hash._registers == by_pair._registers
     plain, indexed = LogHistogram(min_value=0.05), LogHistogram(min_value=0.05)
     for value in (0, 0.0, 0.05, 0.051, 1, 7.5, 120, 1e9):
         plain.add(value)

@@ -197,7 +197,7 @@ class TestScan:
         path = make_window(tmp_path, 0)
         segmentfmt.build_segment(path)
         store = SeriesStore(str(tmp_path))
-        assert len(store) == 1  # the .seg never becomes a window ref
+        assert len(store._index) == 1  # the .seg never becomes a window ref
 
 
 class TestStoreIntegration:
@@ -495,6 +495,61 @@ class TestBugfixRegressions:
         # the failed flight is gone: the next read starts fresh
         assert store._inflight == {}
         assert len(store.read_path(path).rows) == 2
+
+    def test_vanished_window_reads_as_absent(self, tmp_path):
+        """Regression: a window removed under a store that does not
+        ``follow`` (retention in another process, an operator's rm)
+        stayed indexed, so every query whose range touched it raised
+        FileNotFoundError -- a 500 until restart."""
+        paths = [make_window(tmp_path, start) for start in (0, 60, 120)]
+        segmentfmt.build_segment(paths[2])
+        store = SeriesStore(str(tmp_path))
+        os.remove(paths[1])
+        os.remove(paths[2])  # text gone, fresh sidecar left: still read
+        rows = store.accumulate("srvip")
+        assert rows["192.0.2.1"]["hits"] == 10 + (10 + 120)
+        info = store.cache_info()
+        assert info["vanished_reads"] == 1
+        assert info["indexed_windows"] == 2
+        assert [w.start_ts for w in store.read("srvip")] == [0, 120]
+        assert store.has_key("srvip", "192.0.2.2")
+        assert store.cache_info()["vanished_reads"] == 1  # dropped once
+
+    def test_vanished_window_reaches_waiters_as_absent(self, tmp_path):
+        path = make_window(tmp_path, 0)
+        store = SeriesStore(str(tmp_path))
+        ref, = store.select("srvip")
+        from repro.observatory import store as storemod
+        real_read = storemod.read_tsv
+        started = threading.Event()
+        release = threading.Event()
+
+        def vanishing_read(p):
+            started.set()
+            assert release.wait(5)
+            return real_read(p)  # removed by then: FileNotFoundError
+
+        outcomes = []
+
+        def reader():
+            outcomes.append(store.read_window(ref))
+
+        try:
+            storemod.read_tsv = vanishing_read
+            leader = threading.Thread(target=reader)
+            leader.start()
+            assert started.wait(5)
+            follower = threading.Thread(target=reader)
+            follower.start()
+            os.remove(path)
+            release.set()
+            leader.join(5)
+            follower.join(5)
+        finally:
+            storemod.read_tsv = real_read
+        assert outcomes == [None, None]
+        assert store._inflight == {} and store._index == {}
+        assert store.read("srvip") == []
 
     @staticmethod
     def five_rows(tmp_path):

@@ -140,8 +140,8 @@ class TestShardedMechanics:
     def test_ingest_single_transactions(self):
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
         for i in range(5):
-            assert obs.ingest(make_txn(ts=float(i))) == []
-        dumps = obs.ingest(make_txn(ts=61.0))
+            assert obs.consume_batch((make_txn(ts=float(i)),)) == []
+        dumps = obs.consume_batch((make_txn(ts=61.0),))
         assert [d.start_ts for d in dumps] == [0]
         obs.finish()
         assert obs.total_seen == 6
@@ -152,8 +152,8 @@ class TestShardedMechanics:
         data, nothing for the idle ones, but windows_completed still
         counts them (parity with WindowManager)."""
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
-        obs.ingest(make_txn(ts=10.0))
-        dumps = obs.ingest(make_txn(ts=200.0))
+        obs.consume_batch((make_txn(ts=10.0),))
+        dumps = obs.consume_batch((make_txn(ts=200.0),))
         obs.finish()
         assert [d.start_ts for d in dumps] == [0]
         # window 0's only key was inserted mid-window, so the
@@ -165,19 +165,11 @@ class TestShardedMechanics:
 
     def test_finish_is_idempotent_and_closes(self):
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
-        obs.ingest(make_txn(ts=1.0))
+        obs.consume_batch((make_txn(ts=1.0),))
         obs.finish()
         assert obs.finish() == []
         with pytest.raises(RuntimeError):
-            obs.ingest(make_txn(ts=2.0))
-
-    def test_context_manager_closes_workers(self):
-        with ShardedObservatory(shards=2, datasets=[("srvip", 16)]) as obs:
-            obs.ingest(make_txn(ts=1.0))
-            workers = list(obs._workers)
-        for worker in workers:
-            worker.join(timeout=5.0)
-            assert not worker.is_alive()
+            obs.consume_batch((make_txn(ts=2.0),))
 
     def test_worker_error_propagates(self):
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
@@ -228,7 +220,7 @@ class TestWorkerFailure:
             obs._workers[0].join(timeout=5.0)
             started = time.monotonic()
             with pytest.raises(RuntimeError, match="timed out after"):
-                obs.ingest(make_txn(ts=61.0))  # forces a cut barrier
+                obs.consume_batch((make_txn(ts=61.0),))  # forces a cut barrier
             elapsed = time.monotonic() - started
             assert elapsed < 3 * obs.timeout
             assert obs._closed
@@ -241,7 +233,7 @@ class TestWorkerFailure:
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)],
                                  timeout=2.0)
         try:
-            obs.ingest(make_txn(ts=1.0))
+            obs.consume_batch((make_txn(ts=1.0),))
             os.kill(obs._workers[1].pid, signal.SIGKILL)
             obs._workers[1].join(timeout=5.0)
             with pytest.raises(RuntimeError, match="timed out after"):
@@ -253,7 +245,7 @@ class TestWorkerFailure:
 
     def test_consume_batch_after_close_raises_cleanly(self):
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
-        obs.ingest(make_txn(ts=1.0))
+        obs.consume_batch((make_txn(ts=1.0),))
         obs.close()
         with pytest.raises(RuntimeError, match="closed"):
             obs.consume_batch([make_txn(ts=2.0)])

@@ -65,7 +65,7 @@ class TestIndex:
 
     def test_missing_directory(self, tmp_path):
         store = SeriesStore(str(tmp_path / "nope"))
-        assert len(store) == 0
+        assert store._index == {}
 
 
 class TestCache:
@@ -174,7 +174,6 @@ class TestManifest:
                     [(d.start_ts, d.rows, d.stats)
                      for d in store.read("srvip")],
                     store.topk("srvip", n=5),
-                    store.key_series("srvip", "192.0.2.1"),
                     [ref.etag_token() for ref in store.select("srvip")])
 
         first = SeriesStore(str(tmp_path))
@@ -250,10 +249,16 @@ class TestQueries:
         assert [key for key, _ in top] == ["a"]
 
     def test_key_series_fills_absent_windows_with_zero(self, tmp_path):
+        """What ``/key`` renders: one ``cell()`` per window."""
         self.setup_windows(tmp_path)
         store = SeriesStore(str(tmp_path))
-        assert store.key_series("srvip", "b") == [(0, 1), (60, 20)]
-        assert store.key_series("srvip", "a") == [(0, 10), (60, 0)]
+
+        def points(key):
+            return [(data.start_ts, data.cell(key, "hits"))
+                    for data in store.iter_range("srvip")]
+
+        assert points("b") == [(0, 1), (60, 20)]
+        assert points("a") == [(0, 10), (60, 0)]
 
     def test_has_key(self, tmp_path):
         self.setup_windows(tmp_path)
@@ -338,7 +343,7 @@ class TestNotifyFlush:
     def test_notify_non_series_path_ignored(self, tmp_path):
         store = SeriesStore(str(tmp_path))
         assert store.notify_flush(str(tmp_path / "junk.txt")) is None
-        assert len(store) == 0
+        assert store._index == {}
 
     def test_notifications_counted(self, tmp_path):
         store = SeriesStore(str(tmp_path))

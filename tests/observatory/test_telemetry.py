@@ -9,7 +9,6 @@ from repro.observatory.telemetry import (
     NULL_INSTRUMENT,
     PLATFORM_DATASET,
     Counter,
-    Gauge,
     NullTelemetry,
     Ratio,
     Telemetry,
@@ -31,12 +30,6 @@ class TestInstruments:
         c.inc(2)
         assert c.delta() == 2  # only the increment since last snapshot
         assert c.delta() == 0
-
-    def test_gauge_last_value_wins(self):
-        g = Gauge()
-        g.set(3)
-        g.set(7.5)
-        assert g.value == 7.5
 
     def test_timing_drains_and_resets(self):
         t = Timing()
@@ -61,7 +54,6 @@ class TestInstruments:
 
     def test_null_instrument_absorbs_everything(self):
         NULL_INSTRUMENT.inc()
-        NULL_INSTRUMENT.set(1)
         NULL_INSTRUMENT.observe(0.1)
         NULL_INSTRUMENT.mark(True)
 
@@ -71,15 +63,15 @@ class TestRegistry:
         t = Telemetry()
         assert t.counter("a", "x") is t.counter("a", "x")
         with pytest.raises(TypeError):
-            t.gauge("a", "x")  # same name, different kind
+            t.timing("a", "x")  # same name, different kind
 
     def test_snapshot_rows_per_component(self):
         t = Telemetry()
         t.counter("window", "rows").inc(5)
-        t.gauge("coordinator", "depth").set(3)
+        t.counter("coordinator", "cuts").inc(3)
         rows = dict(t.snapshot())
         assert rows["window"]["rows"] == 5
-        assert rows["coordinator"]["depth"] == 3
+        assert rows["coordinator"]["cuts"] == 3
 
     def test_sampler_with_delta_columns(self):
         t = Telemetry()
@@ -194,10 +186,10 @@ class TestShardedTelemetry:
 
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)],
                                  window_seconds=60, telemetry=True)
-        for i in range(120):
-            obs.ingest(make_txn(ts=float(i),
-                                server_ip="192.0.2.%d" % (i % 4),
-                                resolver_ip="198.51.100.%d" % (i % 5)))
+        obs.consume(make_txn(ts=float(i),
+                             server_ip="192.0.2.%d" % (i % 4),
+                             resolver_ip="198.51.100.%d" % (i % 5))
+                    for i in range(120))
         obs.finish()
         plats = obs.dumps[PLATFORM_DATASET]
         assert len(plats) >= 2
@@ -219,6 +211,6 @@ class TestShardedTelemetry:
 
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
         assert obs.telemetry is NULL
-        obs.ingest(make_txn(ts=0.0))
+        obs.consume([make_txn(ts=0.0)])
         obs.finish()
         assert PLATFORM_DATASET not in obs.dumps

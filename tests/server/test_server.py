@@ -155,6 +155,38 @@ class TestEndpoints:
         assert payload["store"]["indexed_windows"] == 40
 
 
+    def test_window_removed_under_the_server_is_not_a_500(
+            self, series_dir, tmp_path):
+        """Regression: without ``--follow`` a removed window stayed in
+        the index and every range touching it answered 500 until
+        restart; now it is dropped on first touch and counted."""
+        import shutil
+
+        live = tmp_path / "live"
+        shutil.copytree(series_dir, live)
+
+        async def scenario(server, app):
+            before = (await http_get(server.port,
+                                     "/series/srvip?limit=999")).json()
+            victim = app.store.select("srvip")[1]
+            os.remove(victim.path)
+            answers = [await http_get(server.port, target) for target in (
+                "/series/srvip", "/topk/srvip", "/key/srvip/192.0.2.1",
+                "/topk/windows/srvip", "/series/srvip?limit=2")]
+            health = await http_get(server.port, "/platform/health")
+            return before, victim.start_ts, answers, health.json()
+
+        # no LRU: nothing answers from memory what is gone from disk
+        before, gone, answers, health = run_with_server(
+            live, scenario, cache_windows=0)
+        assert [resp.status for resp in answers] == [200] * 5
+        starts = [w["start_ts"] for w in answers[0].json()["windows"]]
+        assert starts == [w["start_ts"] for w in before["windows"]
+                          if w["start_ts"] != gone]
+        assert health["store"]["vanished_reads"] == 1
+        assert health["store"]["indexed_windows"] == len(os.listdir(live))
+
+
 class TestConditionalAndCompression:
     def test_etag_roundtrip_yields_304(self, series_dir):
         async def scenario(server, app):
@@ -172,6 +204,33 @@ class TestConditionalAndCompression:
         assert second.body == b""
         assert second.headers["etag"] == first.headers["etag"]
         assert differs.status == 200  # different query, different entity
+
+    @pytest.mark.parametrize("validator, status", [
+        ("W/%s", 304),            # a gzip-ing proxy weakened our ETag
+        ('"other", W/%s', 304),
+        ("*", 304),
+        ('W/"not-ours"', 200),
+    ])
+    def test_if_none_match_is_a_weak_comparison(self, series_dir,
+                                                validator, status):
+        """RFC 7232 §3.2: ``If-None-Match`` compares weakly, and ``*``
+        matches whatever the selection currently is."""
+        async def scenario(server, app):
+            first = await http_get(server.port, "/topk/srvip?n=5")
+            header = validator % first.headers["etag"] \
+                if "%s" in validator else validator
+            again = await http_get(server.port, "/topk/srvip?n=5",
+                                   headers={"If-None-Match": header})
+            empty = await http_get(
+                server.port, "/topk/srvip?start=9e9&end=9.1e9",
+                headers={"If-None-Match": "*"})
+            return first, again, empty
+
+        first, again, empty = run_with_server(series_dir, scenario)
+        assert again.status == status
+        if status == 304:  # the 304 still carries our strong ETag
+            assert again.headers["etag"] == first.headers["etag"]
+        assert empty.status == 200  # nothing selected: nothing to match
 
     def test_etag_changes_when_data_changes(self, series_dir, tmp_path):
         import shutil

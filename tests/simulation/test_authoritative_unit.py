@@ -64,7 +64,7 @@ def test_serve_nxdomain_fields(world):
     zone = world.slds[0]
     txn, answer = service.serve(resolver, zone.nameservers[0], zone,
                                 "missing123." + zone.name, QTYPE.A, 0.0)
-    assert txn.nxdomain
+    assert txn.rcode == RCODE.NXDOMAIN
     assert txn.answer_count == 0
     assert txn.answer_ips == ()
 

@@ -101,13 +101,15 @@ class TestBuildout:
         a = build_global_dns(Scenario.tiny(seed=33))
         b = build_global_dns(Scenario.tiny(seed=33))
         assert [z.name for z in a.slds] == [z.name for z in b.slds]
-        assert a.all_nameserver_ips() == b.all_nameserver_ips()
+        assert list(a.topology.nameservers_by_ip) == \
+            list(b.topology.nameservers_by_ip)
         assert [f for f, _ in a.catalog] == [f for f, _ in b.catalog]
 
     def test_different_seeds_differ(self):
         a = build_global_dns(Scenario.tiny(seed=1))
         b = build_global_dns(Scenario.tiny(seed=2))
-        assert a.all_nameserver_ips() != b.all_nameserver_ips()
+        assert list(a.topology.nameservers_by_ip) != \
+            list(b.topology.nameservers_by_ip)
 
 
 class TestScriptedEvents:

@@ -7,8 +7,8 @@ import pytest
 from repro.netsim.addr import is_ipv6
 from repro.simulation.rng import RngHub
 from repro.simulation.scenario import Scenario
-from repro.simulation.sie import SieChannel, simulate_transactions
 from repro.simulation.topology import Topology
+from tests.util import run_scenario
 
 
 class TestTopologyV6:
@@ -42,7 +42,7 @@ class TestTopologyV6:
 
     def test_tail_orgs_less_dual_stack(self):
         topo = Topology(RngHub(8), n_tail_orgs=6)
-        tail = topo.tail_org_names()[0]
+        tail = next(n for n in topo.orgs if n.startswith("HOSTER"))
         counts = {"cdn": 0, "tail": 0}
         for _ in range(60):
             if topo.allocate_nameserver("CLOUDFLARE").ipv6:
@@ -55,7 +55,7 @@ class TestTopologyV6:
 class TestV6Transport:
     @pytest.fixture(scope="class")
     def run(self):
-        return simulate_transactions(Scenario.tiny(
+        return run_scenario(Scenario.tiny(
             seed=91, duration=120.0, client_qps=40.0,
             resolver_ipv6_fraction=0.5))
 
@@ -78,7 +78,7 @@ class TestV6Transport:
         assert v6_servers <= set(registry)
 
     def test_disabled_when_fraction_zero(self):
-        _, txns = simulate_transactions(Scenario.tiny(
+        _, txns = run_scenario(Scenario.tiny(
             seed=91, duration=60.0, client_qps=20.0,
             resolver_ipv6_fraction=0.0))
         assert not any(is_ipv6(t.server_ip) for t in txns)

@@ -47,7 +47,7 @@ class TestTtlCache:
         cache.put("b", 2, 100, 0.0)
         cache.get("a", 1.0)  # refresh a
         cache.put("c", 3, 100, 1.0)  # evicts b
-        assert "a" in cache and "c" in cache and "b" not in cache
+        assert list(cache._entries) == ["a", "c"]
         assert cache.evictions == 1
 
     def test_remaining_ttl(self):
@@ -61,7 +61,7 @@ class TestTtlCache:
         cache.put("k", "v", 10, 0.0)
         cache.get("k", 1.0)
         cache.get("x", 1.0)
-        assert cache.hit_ratio() == pytest.approx(0.5)
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
@@ -221,7 +221,7 @@ class TestResolution:
         fqdn, _zone = popular_fqdn(world)
         resolver.resolve(fqdn, QTYPE.A, 0.0, lambda t: None)
         resolver.resolve(fqdn, QTYPE.A, 1.0, lambda t: None)
-        assert resolver.cache_hit_ratio() == pytest.approx(0.5)
+        assert (resolver.cache_answers, resolver.client_queries) == (1, 2)
 
 
 class TestUnansweredQueries:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation.rng import RngHub, ZipfSampler, exponential_gap
+from repro.simulation.rng import RngHub, ZipfSampler
 
 
 class TestRngHub:
@@ -43,14 +43,10 @@ class TestZipfSampler:
         assert counts[0] == max(counts)
         assert counts[0] > 5 * max(counts[50:] or [1])
 
-    def test_probability_sums_to_one(self):
-        z = ZipfSampler(50, s=1.2)
-        assert abs(sum(z.probability(r) for r in range(50)) - 1.0) < 1e-9
-
     def test_s_zero_is_uniform(self):
         z = ZipfSampler(10, s=0.0)
-        assert z.probability(0) == pytest.approx(0.1)
-        assert z.probability(9) == pytest.approx(0.1)
+        assert [c / z._total for c in z._cdf] == \
+            pytest.approx([(r + 1) / 10 for r in range(10)])
 
     def test_samples_in_range(self):
         z = ZipfSampler(5, s=2.0)
@@ -61,16 +57,3 @@ class TestZipfSampler:
             ZipfSampler(0)
         with pytest.raises(ValueError):
             ZipfSampler(5, s=-1)
-        with pytest.raises(ValueError):
-            ZipfSampler(5).probability(5)
-
-
-def test_exponential_gap():
-    import random
-
-    rng = random.Random(0)
-    gaps = [exponential_gap(rng, 10.0) for _ in range(2000)]
-    assert all(g > 0 for g in gaps)
-    assert abs(sum(gaps) / len(gaps) - 0.1) < 0.02
-    with pytest.raises(ValueError):
-        exponential_gap(rng, 0.0)

@@ -6,13 +6,13 @@ import pytest
 
 from repro.dnswire.constants import QTYPE, RCODE
 from repro.simulation.scenario import Scenario, TtlChange
-from repro.simulation.sie import SieChannel, simulate_transactions
 from repro.simulation.workload import WorkloadMix
+from tests.util import run_scenario
 
 
 @pytest.fixture(scope="module")
 def run():
-    channel, txns = simulate_transactions(Scenario.tiny(seed=21))
+    channel, txns = run_scenario(Scenario.tiny(seed=21))
     return channel, txns
 
 
@@ -27,8 +27,8 @@ class TestStream:
         assert len(txns) > 1000
 
     def test_deterministic(self):
-        _, a = simulate_transactions(Scenario.tiny(seed=77))
-        _, b = simulate_transactions(Scenario.tiny(seed=77))
+        _, a = run_scenario(Scenario.tiny(seed=77))
+        _, b = run_scenario(Scenario.tiny(seed=77))
         assert len(a) == len(b)
         assert [t.qname for t in a[:200]] == [t.qname for t in b[:200]]
         assert [t.ts for t in a[:200]] == [t.ts for t in b[:200]]
@@ -53,7 +53,7 @@ class TestStream:
         """NXDOMAIN is a large minority (botnet), NoError majority."""
         _, txns = run
         noerror = sum(1 for t in txns if t.noerror)
-        nxd = sum(1 for t in txns if t.nxdomain)
+        nxd = sum(1 for t in txns if t.rcode == RCODE.NXDOMAIN)
         assert noerror > nxd > 0
         assert 0.1 < nxd / len(txns) < 0.45
 
@@ -99,7 +99,7 @@ class TestStream:
                   and t.server_ip not in root_ips]  # skip delegation lookups
         assert botnet
         assert all(t.server_ip in gtld_ips for t in botnet if t.answered)
-        assert all(t.nxdomain for t in botnet if t.answered)
+        assert all(t.rcode == RCODE.NXDOMAIN for t in botnet if t.answered)
 
     def test_delays_positive_and_plausible(self, run):
         _, txns = run
@@ -124,7 +124,7 @@ class TestScriptedRun:
         # (600 s) expire, so the epochs must be longer than that TTL.
         duration, change_at = 1800.0, 600.0
         events = [TtlChange(at=change_at, name=XMSECU_FQDN, new_ttl=5)]
-        channel, txns = simulate_transactions(
+        channel, txns = run_scenario(
             Scenario.tiny(seed=9, duration=duration, client_qps=30.0,
                           scripted_events=events))
         first = sum(1 for t in txns
@@ -141,7 +141,7 @@ class TestWireCheck:
     def test_wire_path_agrees_with_fast_path(self):
         scenario = Scenario.tiny(seed=4, duration=60.0,
                                  wire_check_fraction=1.0)
-        channel, txns = simulate_transactions(scenario)
+        channel, txns = run_scenario(scenario)
         assert channel.service.wire_checks > 100
         # Wire-parsed transactions carry real response sizes.
         answered = [t for t in txns if t.answered]

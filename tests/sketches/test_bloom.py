@@ -107,67 +107,6 @@ class TestRotatingBloomFilter:
         assert rb.add("z", now=15.0) is True
 
 
-class TestBloomMerge:
-    def test_or_merge_equals_union_stream(self):
-        """Split adds OR-merge into byte-identical bits to one filter
-        over the union stream."""
-        whole = BloomFilter(capacity=500, seed=7)
-        parts = [BloomFilter(capacity=500, seed=7) for _ in range(2)]
-        for i in range(400):
-            key = "key-%d" % i
-            whole.add(key)
-            parts[i % 2].add(key)
-        parts[0].merge(parts[1])
-        assert parts[0]._bits == whole._bits
-        assert parts[0]._bits_set == whole._bits_set
-        assert len(parts[0]) == len(whole)
-        assert parts[0].fill_ratio() == whole.fill_ratio()
-
-    def test_merge_parameter_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            BloomFilter(capacity=100).merge(BloomFilter(capacity=200))
-        with pytest.raises(ValueError):
-            BloomFilter(capacity=100, seed=1).merge(
-                BloomFilter(capacity=100, seed=2))
-        with pytest.raises(TypeError):
-            BloomFilter(capacity=100).merge(object())
-
-    def test_rotating_merge_in_lockstep(self):
-        """Rotating filters that rotated in lockstep merge pairwise
-        into the single-observer filter, bit for bit."""
-        whole = RotatingBloomFilter(capacity=500, rotate_interval=1e9)
-        parts = [RotatingBloomFilter(capacity=500, rotate_interval=1e9)
-                 for _ in range(2)]
-        for generation in range(3):
-            for i in range(100):
-                key = "g%d-key-%d" % (generation, i)
-                whole.add(key)
-                parts[i % 2].add(key)
-            for rb in [whole] + parts:
-                rb._rotate(None)
-        parts[0].merge(parts[1])
-        assert parts[0]._active._bits == whole._active._bits
-        assert parts[0]._previous._bits == whole._previous._bits
-        assert parts[0].rotations == whole.rotations
-
-    def test_rotating_merge_with_odd_parity(self):
-        """A merge across an odd rotation-count difference crosses
-        active over previous (the underlying seeds are swapped), so
-        membership is preserved instead of landing in the wrong
-        generation."""
-        left = RotatingBloomFilter(capacity=500, rotate_interval=1e9)
-        right = RotatingBloomFilter(capacity=500, rotate_interval=1e9)
-        right._rotate(None)  # parity now differs
-        left.add("in-left-active")
-        right.add("in-right-active")
-        left.merge(right)
-        assert "in-left-active" in left._active
-        # the right's active filter was built with the swapped seed,
-        # so it must land in left's previous (same-seed) generation
-        assert "in-right-active" in left._previous
-        assert "in-right-active" in left
-
-
 class TestOverflowRotation:
     """Regression: a key surge (PRSD attack, botnet ramp-up) within one
     rotate_interval used to saturate both filters -- once the fill

@@ -1,4 +1,4 @@
-"""Tests for forward-decay and the standalone decaying rate."""
+"""Tests for forward decay."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.ewma import DecayingRate, ForwardDecay
+from repro.sketches.ewma import ForwardDecay
 
 
 class TestForwardDecay:
@@ -55,31 +55,3 @@ class TestForwardDecay:
             assert fd.weight(t1) <= fd.weight(t2)
         else:
             assert fd.weight(t1) >= fd.weight(t2)
-
-
-class TestDecayingRate:
-    def test_initial_rate_zero(self):
-        assert DecayingRate().rate(0.0) == 0.0
-
-    def test_steady_stream_converges(self):
-        dr = DecayingRate(tau=10.0)
-        t = 0.0
-        for i in range(1000):
-            t = i * 0.5  # 2 events per second
-            dr.observe(t)
-        assert dr.rate(t) == pytest.approx(2.0, rel=0.2)
-
-    def test_decays_when_idle(self):
-        dr = DecayingRate(tau=10.0)
-        dr.observe(0.0)
-        assert dr.rate(100.0) < dr.rate(1.0)
-
-    def test_out_of_order_observation_tolerated(self):
-        dr = DecayingRate(tau=10.0)
-        dr.observe(10.0)
-        dr.observe(5.0)  # late arrival: no crash, value grows
-        assert dr.rate(10.0) > 0.0
-
-    def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            DecayingRate(tau=-1.0)

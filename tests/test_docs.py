@@ -70,3 +70,23 @@ def test_all_benches_are_documented():
     for name in os.listdir(os.path.join(ROOT, "benchmarks")):
         if name.startswith("bench_") and name.endswith(".py"):
             assert name in docs, "%s is undocumented" % name
+
+
+def test_unreached_allow_list_names_real_functions():
+    """Every line of ``tests/tools/unreached_allow.txt`` parses, carries
+    a reason from the closed set (``load_allow`` raises otherwise) and
+    names a function that exists; whether the list is *complete* is the
+    CI ``reach`` job's question (it has to run the traffic)."""
+    from tests.tools import unreached
+
+    allowed = unreached.load_allow()
+    assert allowed
+    known = set(unreached.functions().values())
+    assert sorted(name for name in allowed if name not in known) == []
+    # each paper-experiment entry has its sentence in DESIGN §4
+    design = read("DESIGN.md")
+    section = design.split("## 4. Per-experiment index")[1].split("## 5.")[0]
+    for name, reason in allowed.items():
+        if reason.startswith("paper"):
+            function = name.split(":")[1].split(".")[0]
+            assert function in section, "%s is not in DESIGN §4" % name

@@ -5,7 +5,7 @@ import random
 import threading
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.dnswire.constants import QTYPE, RCODE
@@ -179,35 +179,68 @@ def test_featureset_merge_matches_single_pass(tagged):
     assert left.as_row() == whole.as_row()
 
 
+def _keyed(ts, qname):
+    return make_txn(ts=ts, qname=qname)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.lists(transactions(), min_size=1, max_size=120),
        st.integers(0, 2**32 - 1))
+# bit i of the salt is transaction i's shard.  In window [100, 200):
+# example.com is active in both shards, inserted at 150 in shard 0 and
+# at 10 in shard 1 (absorb must keep the minimum); www.example.com is
+# active only in shard 0 (inserted 170) and idle in shard 1 (inserted
+# 20, three earlier hits): the cut must honour the idle shard's
+# insertion time, and rank it above bbc.co.uk by the idle shard's rate
+@example([_keyed(10, "example.com"), _keyed(20, "www.example.com"),
+          _keyed(21, "www.example.com"), _keyed(22, "www.example.com"),
+          _keyed(30, "bbc.co.uk"), _keyed(150, "example.com"),
+          _keyed(160, "example.com"), _keyed(165, "bbc.co.uk"),
+          _keyed(170, "www.example.com")], 0b001001111)
 def test_split_streams_merge_like_one_observatory(txns, salt):
-    """Partitioning a stream across independent trackers and merging
-    their Space-Saving caches agrees with one tracker over the whole
-    stream (uncapped, so the merge must be exact)."""
-    import zlib
-
+    """Splitting a stream across two trackers and merging their window
+    states the way the coordinator does -- ``take_state`` on each part,
+    ``absorb`` in shard-index order, ``cut`` -- dumps what one tracker
+    over the whole stream dumps (uncapped, so the merge must be exact):
+    the same keys with the same rows in the same rank order.  The split
+    cuts through keys, so a key is regularly active in one shard and
+    idle in the other: the survived-one-window rule has to see the
+    *minimum* insertion time, and the rank the idle shard's rate."""
     from repro.observatory.keys import make_dataset
-    from repro.observatory.tracker import TopKTracker
+    from repro.observatory.telemetry import NullTelemetry
+    from repro.observatory.tracker import TopKTracker, TrackerChannel
 
-    txns = sorted(txns, key=lambda t: t.ts)
-    spec = make_dataset("qname", 1000)
-    parts = [TopKTracker(make_dataset("qname", 1000), use_bloom_gate=False)
-             for _ in range(2)]
-    whole = TopKTracker(spec, use_bloom_gate=False)
-    for txn in txns:
-        shard = zlib.crc32(("%d|%s" % (salt, txn.qname)).encode()) % 2
-        parts[shard].observe(txn)
-        whole.observe(txn)
-    merged = parts[0].cache
-    merged.merge(parts[1].cache)
-    assert {e.key for e in merged} == {e.key for e in whole.cache}
-    now = txns[-1].ts
-    for entry in whole.cache:
-        assert merged.rate(entry.key, now) == \
-            pytest.approx(whole.cache.rate(entry.key, now), rel=1e-9)
-        assert merged.get(entry.key).hits == entry.hits
+    def channel():
+        return TrackerChannel(
+            TopKTracker(make_dataset("qname", 1000), use_bloom_gate=False),
+            True, NullTelemetry())
+
+    parts, merged, whole = [channel(), channel()], channel(), channel()
+    window = 100.0
+
+    def flush(start):
+        end = start + window
+        for part in parts:  # shard-index order, as merge_window does
+            merged.absorb(part.take_state(start, end))
+        whole.absorb(whole.take_state(start, end))
+        cache = whole.tracker.cache
+        rate = {entry.key: cache.rate(entry, end) for entry in cache}
+        got, want = merged.cut(start, end, 0), whole.cut(start, end, 0)
+        assert dict(got.rows) == dict(want.rows)
+        # same rank order: where the two orders differ, the rates are
+        # equal up to the rounding of summing per-shard rates
+        for heavier, lighter in zip(got.keys, got.keys[1:]):
+            assert rate[heavier] >= rate[lighter] * (1 - 1e-9)
+        assert got.stats["kept"] == want.stats["kept"]
+        return end
+
+    start = 0.0
+    for index, txn in enumerate(sorted(txns, key=lambda t: t.ts)):
+        while txn.ts >= start + window:
+            start = flush(start)
+        parts[salt >> index % 32 & 1].observe_batch((txn,), (None,))
+        whole.observe_batch((txn,), (None,))
+    flush(start)
 
 
 # -- randomized differential harness ------------------------------------
@@ -669,7 +702,7 @@ def test_detector_rows_survive_tsv_roundtrip(qnames):
 
     detectors = build_detectors(True)
     for qname in qnames:
-        detectors.observe(make_txn(qname=qname))
+        detectors.observe_batch([make_txn(qname=qname)])
     rows = detectors.cut(0.0, 60.0)
     columns = sorted({c for _, row in rows for c in row})
     data = TimeSeriesData("_detector", "minutely", 0, columns=columns,

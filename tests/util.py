@@ -44,3 +44,11 @@ def make_nxdomain(ts=0.0, qname="nope.example.com", **kw):
     kw.setdefault("answer_ttls", ())
     kw.setdefault("answer_ips", ())
     return make_txn(ts=ts, qname=qname, rcode=RCODE.NXDOMAIN, **kw)
+
+
+def run_scenario(scenario):
+    """Run the full scenario: ``(channel, transactions)``."""
+    from repro.simulation.sie import SieChannel
+
+    channel = SieChannel(scenario)
+    return channel, list(channel.run())

@@ -49,8 +49,7 @@ def _build_batch(duration=120.0, client_qps=120.0, seed=2019):
 
 
 def _ingest(batch, detectors):
-    obs = Observatory(datasets=ALL_DATASETS, detectors=detectors,
-                      keep_dumps=False)
+    obs = Observatory(datasets=ALL_DATASETS, detectors=detectors)
     obs.consume(batch)
     obs.finish()
     return obs

@@ -42,8 +42,7 @@ def _build_batch(duration=120.0, client_qps=120.0, seed=2019):
 
 
 def _ingest(batch, telemetry):
-    obs = Observatory(datasets=DATASETS, telemetry=telemetry,
-                      keep_dumps=False)
+    obs = Observatory(datasets=DATASETS, telemetry=telemetry)
     obs.consume(batch)
     obs.finish()
     return obs

@@ -113,8 +113,7 @@ def measure_sharded_run(txns, shards, transport, datasets, **obs_kw):
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     obs = ShardedObservatory(shards=shards, datasets=datasets,
-                             transport=transport, keep_dumps=False,
-                             **obs_kw)
+                             transport=transport, **obs_kw)
     obs.consume(txns)
     obs.finish()
     wall = time.perf_counter() - t0

@@ -22,7 +22,7 @@ the sweep directories are not a nested-blinding sweep of one workload
 
 import os
 
-from repro.observatory.tsv import list_series, read_tsv
+from repro.observatory.store import SeriesStore
 
 try:
     from repro.observatory.encrypted import ENCRYPTED_DATASET
@@ -85,13 +85,13 @@ def summarize_directory(path, granularity="minutely"):
     if not os.path.isdir(path):
         raise FileNotFoundError(
             "blindness sweep directory not found: %s" % (path,))
+    store = SeriesStore(path, cache_windows=0)
     summaries = {}
-    for file_path, dataset, _gran, _start in list_series(
-            path, granularity=granularity):
-        summary = summaries.get(dataset)
-        if summary is None:
+    for dataset, grans in store.datasets().items():
+        if granularity in grans:
             summary = summaries[dataset] = DatasetSummary(dataset)
-        summary.absorb(read_tsv(file_path))
+            for data in store.iter_range(dataset, granularity):
+                summary.absorb(data)
     return summaries
 
 

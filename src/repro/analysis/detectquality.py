@@ -157,20 +157,16 @@ def evaluate_detection(series, labels, detectors=None):
     return scores
 
 
-def detect_quality(source, labels, granularity="minutely",
-                   detectors=None):
-    """Evaluate detection quality from a store or a dump list.
+def detect_quality(dumps, labels, detectors=None):
+    """Evaluate detection quality from windows.
 
-    *source* is a :class:`~repro.observatory.store.SeriesStore` (the
-    ``report --detect`` path) or an iterable of ``_detector`` windows
-    straight from a pipeline.  Returns ``(series, scores)``.
+    *dumps* is an iterable of windows -- straight from a pipeline, or
+    ``store.read("_detector")`` (the ``report --detect`` path); other
+    datasets are ignored.  Returns ``(series, scores)``.
     """
-    if hasattr(source, "read"):
-        series = source.read(DETECTOR_DATASET, granularity)
-    else:
-        series = [dump for dump in source
-                  if dump.dataset == DETECTOR_DATASET]
-    series = sorted(series, key=lambda d: d.start_ts)
+    series = sorted((dump for dump in dumps
+                     if dump.dataset == DETECTOR_DATASET),
+                    key=lambda d: d.start_ts)
     return series, evaluate_detection(series, labels,
                                       detectors=detectors)
 

@@ -28,25 +28,21 @@ TREND_SERIES = (
 )
 
 
-def platform_health(source, rules=alerts.DEFAULT_RULES, windows=60,
-                    granularity="minutely"):
-    """Evaluate platform health from a store or a dump list.
+def platform_health(dumps, rules=alerts.DEFAULT_RULES, windows=60):
+    """Evaluate platform health from windows.
 
     Parameters
     ----------
-    source:
-        A :class:`~repro.observatory.store.SeriesStore`, or an
-        iterable of ``_platform`` windows (``TimeSeriesData``).
+    dumps:
+        An iterable of windows (``TimeSeriesData``) -- a pipeline's
+        dumps, or ``store.read("_platform")``; other datasets are
+        ignored.
     windows:
         Most-recent windows considered.
 
     Returns ``(series, verdicts, summary)``.
     """
-    if hasattr(source, "read"):
-        series = source.read(PLATFORM_DATASET, granularity)
-    else:
-        series = [dump for dump in source
-                  if dump.dataset == PLATFORM_DATASET]
+    series = [dump for dump in dumps if dump.dataset == PLATFORM_DATASET]
     series = sorted(series, key=lambda d: d.start_ts)[-windows:]
     verdicts = alerts.evaluate(series, rules)
     return series, verdicts, alerts.summarize(verdicts)

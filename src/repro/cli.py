@@ -365,36 +365,34 @@ def cmd_report(args):
 
 
 def _missing_input(what, path):
-    """Uniform missing-input contract for the report sub-modes: a
-    one-line stderr message and exit code 2 (argparse's own usage-
-    error code), never a traceback.  An *existing* but empty input
-    still renders its 'nothing found' report with exit 0."""
+    """Uniform missing-input contract (the report sub-modes, the
+    ingest inputs, ``aggregate`` and ``compact``): a one-line stderr
+    message and exit code 2 (argparse's own usage-error code), never
+    a traceback.  An *existing* but empty input still renders its
+    'nothing found' report with exit 0."""
     print("error: %s not found: %s" % (what, path), file=sys.stderr)
     return 2
 
 
 def _report_platform(args):
-    import os
-
     from repro.analysis.platformhealth import (
-        platform_health, render_platform_health)
+        PLATFORM_DATASET, platform_health, render_platform_health)
     from repro.observatory.store import SeriesStore
 
     if not os.path.isdir(args.platform):
         return _missing_input("--platform directory", args.platform)
-    store = SeriesStore(args.platform)
     series, verdicts, summary = platform_health(
-        store, rules=_load_rules(args.rules))
+        SeriesStore(args.platform).read(PLATFORM_DATASET),
+        rules=_load_rules(args.rules))
     print(render_platform_health(series, verdicts, summary))
     # scripting contract: nonzero exit when an alert rule is tripping
     return 3 if summary["status"] == "fail" else 0
 
 
 def _report_detect(args):
-    import os
-
     from repro.analysis.detectquality import (
-        detect_quality, load_labels, meets_floors, render_detect_quality)
+        DETECTOR_DATASET, detect_quality, load_labels, meets_floors,
+        render_detect_quality)
     from repro.observatory.store import SeriesStore
 
     if args.labels is None:
@@ -405,7 +403,8 @@ def _report_detect(args):
     if not os.path.isfile(args.labels):
         return _missing_input("--labels file", args.labels)
     labels = load_labels(args.labels)
-    series, scores = detect_quality(SeriesStore(args.detect), labels)
+    series, scores = detect_quality(
+        SeriesStore(args.detect).read(DETECTOR_DATASET), labels)
     print(render_detect_quality(series, scores))
     # scripting contract: nonzero exit when a quality floor is missed
     return 3 if not meets_floors(scores) else 0
@@ -427,12 +426,11 @@ def _report_blindness(args):
 
 def cmd_aggregate(args):
     from repro.observatory.aggregate import TimeAggregator
-    from repro.observatory.store import SeriesStore
 
-    store = SeriesStore(args.directory)
-    aggregator = TimeAggregator(args.directory, store=store,
-                                segments=args.segments)
-    datasets = sorted(store.datasets())
+    if not os.path.isdir(args.directory):
+        return _missing_input("directory", args.directory)
+    aggregator = TimeAggregator(args.directory, segments=args.segments)
+    datasets = list(aggregator.store.datasets())
     written = []
     for dataset in datasets:
         written.extend(aggregator.aggregate_directory(dataset))
@@ -448,6 +446,8 @@ def cmd_aggregate(args):
 def cmd_compact(args):
     from repro.observatory.aggregate import TimeAggregator
 
+    if not os.path.isdir(args.directory):
+        return _missing_input("directory", args.directory)
     aggregator = TimeAggregator(args.directory)
     result = aggregator.compact(dataset=args.dataset,
                                 granularity=args.granularity)

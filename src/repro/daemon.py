@@ -186,7 +186,7 @@ class LiveDaemon:
         # The _encrypted channel is always armed: it costs nothing
         # until the first blinded record arrives.
         self.observatory = build_pipeline(
-            output_dir=self.output_dir, keep_dumps=False,
+            output_dir=self.output_dir,
             telemetry=self.telemetry, flush_hook=self._on_flush,
             encrypted=True, **self.pipeline_options)
         self.server, _ = await build_server(

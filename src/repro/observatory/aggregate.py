@@ -14,14 +14,13 @@ import os
 
 from repro.observatory import segments as segmentfmt
 from repro.observatory.features import COUNTER_COLUMNS
+from repro.observatory.store import SeriesStore, write_window
 from repro.observatory.tsv import (
     GRANULARITIES,
     GRANULARITY_CHAIN,
     TimeSeriesData,
-    list_series,
     parse_filename,
-    read_tsv,
-    write_tsv,
+    quantize,
 )
 
 _COUNTERS = frozenset(COUNTER_COLUMNS)
@@ -46,60 +45,44 @@ def aggregate_series(series_list, dataset, granularity, start_ts,
         expected_points = len(series_list)
     if expected_points <= 0:
         raise ValueError("expected_points must be positive")
-    keys = []
-    seen_keys = set()
-    # Union of the input column sets, preserving first-seen order.
-    # Taking the first file's header verbatim silently dropped columns
-    # introduced mid-window (schema drift -- e.g. a ``_platform`` file
-    # gaining gate columns once the Bloom gate engages).
-    columns = []
-    seen_columns = set()
-    last_header = None
+    # The union of the inputs' columns and keys, first-seen order: a
+    # column introduced mid-window (schema drift -- a ``_platform``
+    # file gaining gate columns once the Bloom gate engages) survives.
+    columns = list(dict.fromkeys(
+        col for series in series_list for col in series.columns))
+    keys = list(dict.fromkeys(
+        key for series in series_list for key in series.keys))
+    slot = {key: at for at, key in enumerate(keys)}
+    sums = {col: [0.0] * len(keys) for col in columns}
+    present = {col: [0] * len(keys) for col in columns}
     for series in series_list:
-        header = series.columns
-        if header is not last_header:  # shared list fast path
-            last_header = header
-            for col in header:
-                if col not in seen_columns:
-                    seen_columns.add(col)
-                    columns.append(col)
-        for key in series.keys:
-            if key not in seen_keys:
-                seen_keys.add(key)
-                keys.append(key)
-    sums = {key: {} for key in keys}
-    presence = {key: {} for key in keys}
-    for series in series_list:
-        rmap = series.row_map()
-        for key in keys:
-            row = rmap.get(key)
-            if row is None:
-                continue
-            key_sums = sums[key]
-            key_presence = presence[key]
-            for col, value in row.items():
-                key_sums[col] = key_sums.get(col, 0.0) + value
-                key_presence[col] = key_presence.get(col, 0) + 1
-    rows = []
-    for key in keys:
-        row = {}
-        for col in (columns or []):
-            total = sums[key].get(col, 0.0)
-            if col in _COUNTERS:
-                row[col] = total / expected_points
-            else:
-                count = presence[key].get(col, 0)
-                row[col] = total / count if count else 0.0
-        rows.append((key, row))
-    # Order by aggregated hits, heaviest first (rank order of the file).
-    rows.sort(key=lambda kv: -kv[1].get("hits", 0.0))
-    stats = {
-        "seen": sum(s.stats.get("seen", 0) for s in series_list),
-        "kept": sum(s.stats.get("kept", 0) for s in series_list),
-        "points": len(series_list),
-    }
-    return TimeSeriesData(dataset, granularity, start_ts,
-                          columns=columns, rows=rows, stats=stats)
+        # key slot -> row; a key (or column) repeated inside one
+        # window counts once, by its last occurrence
+        rows = {slot[key]: i for i, key in enumerate(series.keys)}.items()
+        for col, cells in dict(zip(series.columns, series.values)).items():
+            col_sums, col_present = sums[col], present[col]
+            for at, i in rows:
+                # in window order, from 0.0: the order fixes every bit
+                col_sums[at] += cells[i]
+                col_present[at] += 1
+    means = {
+        col: [total / expected_points for total in sums[col]]
+        if col in _COUNTERS else
+        [total / count if count else 0.0
+         for total, count in zip(sums[col], present[col])]
+        for col in columns}
+    # Order by aggregated hits, heaviest first (rank order of the
+    # file); the sort is stable, so ties keep first-seen order.
+    order = range(len(keys))
+    if "hits" in means:
+        order = sorted(order, key=lambda at: -means["hits"][at])
+    return TimeSeriesData.from_columns(
+        dataset, granularity, start_ts, columns,
+        [keys[at] for at in order],
+        [[quantize(means[col][at]) for at in order] for col in columns],
+        {"kept": quantize(sum(s.stats.get("kept", 0) for s in series_list)),
+         "points": len(series_list),
+         "seen": quantize(sum(s.stats.get("seen", 0) for s in series_list))})
 
 
 class TimeAggregator:
@@ -109,6 +92,10 @@ class TimeAggregator:
     every complete coarser window that is not on disk yet;
     :meth:`apply_retention` deletes fine-grained files past their
     configured age, mirroring the paper's disk-usage policy.
+
+    Every question about the directory goes to :attr:`store`: its
+    index is refreshed once per public call, and each file written or
+    deleted during the call is reconciled into it (``notify_flush``).
     """
 
     #: default retention: how many seconds of each granularity to keep
@@ -127,11 +114,9 @@ class TimeAggregator:
         self.retention = dict(self.DEFAULT_RETENTION)
         if retention:
             self.retention.update(retention)
-        #: optional :class:`~repro.observatory.store.SeriesStore` over
-        #: the same directory: fine windows are then read through its
-        #: LRU (hot when a server shares the store), and files written
-        #: or deleted here are reconciled into its index immediately.
-        self.store = store
+        #: the store over *directory*: the one handed in (fine windows
+        #: are then hot in a server's LRU), else one opened here
+        self.store = SeriesStore(directory) if store is None else store
         #: write a columnar sidecar segment
         #: (:mod:`~repro.observatory.segments`) next to every coarse
         #: window this aggregator writes, so cold reads of rolled-up
@@ -143,102 +128,83 @@ class TimeAggregator:
 
         Returns the list of file paths written.
         """
+        store = self.store
+        store.refresh()
         written = []
         for finer, coarser in zip(GRANULARITY_CHAIN, GRANULARITY_CHAIN[1:]):
-            written.extend(self._aggregate_step(dataset, finer, coarser))
-        return written
-
-    def _aggregate_step(self, dataset, finer, coarser):
-        finer_len = GRANULARITIES[finer]
-        coarser_len = GRANULARITIES[coarser]
-        points = coarser_len // finer_len
-        existing = {
-            start for _, _, _, start in
-            list_series(self.directory, dataset, coarser)
-        }
-        finer_files = list_series(self.directory, dataset, finer)
-        if not finer_files:
-            return []
-        by_window = {}
-        for path, _, _, start in finer_files:
-            window_start = (start // coarser_len) * coarser_len
-            by_window.setdefault(window_start, []).append((start, path))
-        latest_fine = max(start for _, _, _, start in finer_files)
-        written = []
-        for window_start, members in sorted(by_window.items()):
-            if window_start in existing:
+            fine = store.select(dataset, finer)
+            if not fine:
                 continue
+            span = GRANULARITIES[coarser]
+            existing = {ref.start_ts for ref in store.select(dataset, coarser)}
             # Only aggregate complete windows: the coarse window must
             # have fully elapsed relative to the newest fine file.
-            if window_start + coarser_len > latest_fine + finer_len:
-                continue
-            series = [self._read(path) for _, path in sorted(members)]
-            data = aggregate_series(series, dataset, coarser, window_start,
-                                    expected_points=points)
-            path = write_tsv(self.directory, data)
-            written.append(path)
-            if self.segments:
-                try:
-                    segmentfmt.write_sidecar(data, path)
-                except OSError:
-                    pass  # sidecar is an optimization, never a failure
-            if self.store is not None:
-                # O(1) per-file reconcile, not an O(windows) directory
-                # re-scan per aggregation step
-                self.store.notify_flush(path)
+            complete_by = fine[-1].start_ts + GRANULARITIES[finer]
+            by_window = {}  # in time order, as ``fine`` is
+            for ref in fine:
+                by_window.setdefault(
+                    ref.start_ts // span * span, []).append(ref)
+            for window_start, members in by_window.items():
+                if window_start in existing \
+                        or window_start + span > complete_by:
+                    continue
+                # a fine window removed since the call began is
+                # skipped: missing, like one that was never written
+                series = list(store.iter_windows(members))
+                if not series:
+                    continue
+                data = aggregate_series(
+                    series, dataset, coarser, window_start,
+                    expected_points=span // GRANULARITIES[finer])
+                written.append(
+                    write_window(self.directory, data, self.segments))
+                store.notify_flush(written[-1])
         return written
-
-    def _read(self, path):
-        if self.store is not None:
-            return self.store.read_path(path)
-        return read_tsv(path)
 
     def apply_retention(self, now_ts, force=False):
         """Delete expired fine-grained files; returns deleted paths.
 
         A file past its retention age is only deleted when a coarser
         file covering its window already exists on disk -- i.e. the
-        data has been rolled up.  Retention running ahead of
+        data has been rolled up -- so retention running ahead of
         aggregation (a stalled aggregator, a crash between the two
-        passes) used to silently destroy data that had never made it
-        into any coarser granularity.  ``force=True`` restores the
-        unconditional age-based behavior.
+        passes) never destroys data no coarser granularity holds.
+        ``force=True`` deletes by age alone.
         """
-        entries = list_series(self.directory)
-        on_disk = {(dataset, gran, start)
-                   for _, dataset, gran, start in entries}
-        coarser_of = dict(zip(GRANULARITY_CHAIN, GRANULARITY_CHAIN[1:]))
+        store = self.store
+        store.refresh()
         deleted = []
-        for path, dataset, gran, start in entries:
-            max_age = self.retention.get(gran)
-            if max_age is None:
-                continue
-            window_end = start + GRANULARITIES[gran]
-            if now_ts - window_end <= max_age:
-                continue
-            if not force:
-                coarser = coarser_of.get(gran)
-                if coarser is None:
-                    continue  # top of the chain: nothing can cover it
-                coarser_len = GRANULARITIES[coarser]
-                covering = (start // coarser_len) * coarser_len
-                if (dataset, coarser, covering) not in on_disk:
-                    continue  # not rolled up yet: deleting would lose data
-            try:
-                os.remove(path)
-            except OSError:
-                # already gone -- a concurrent retention pass or an
-                # operator cleanup beat us to it.  The sweep must keep
-                # going (aborting mid-pass left every later expired
-                # file undeleted), and the index reconcile below still
-                # needs to drop the vanished entry.
-                pass
-            segmentfmt.remove_segment_for(path)
-            deleted.append(path)
-            if self.store is not None:
-                # per-file reconcile: notify_flush on a vanished path
-                # drops its index entry without a full refresh() scan
-                self.store.notify_flush(path)
+        for dataset in store.datasets():
+            # finest first: a file is judged against the coarser files
+            # on disk before this pass has expired any of them
+            for gran, coarser in zip(GRANULARITY_CHAIN,
+                                     GRANULARITY_CHAIN[1:] + (None,)):
+                max_age = self.retention.get(gran)
+                if max_age is None or (coarser is None and not force):
+                    continue  # kept forever, or nothing above covers it
+                # expired: the window ended more than max_age ago
+                expired = store.select(
+                    dataset, gran,
+                    end_ts=now_ts - max_age - GRANULARITIES[gran])
+                if not force:
+                    # not rolled up yet: deleting would lose data
+                    span = GRANULARITIES[coarser]
+                    rolled_up = {ref.start_ts
+                                 for ref in store.select(dataset, coarser)}
+                    expired = [ref for ref in expired
+                               if ref.start_ts // span * span in rolled_up]
+                for ref in expired:
+                    try:
+                        os.remove(ref.path)
+                    except OSError:
+                        # already gone -- a concurrent retention pass
+                        # or an operator cleanup beat us to it: the
+                        # sweep goes on, and the reconcile below drops
+                        # the vanished entry
+                        pass
+                    segmentfmt.remove_segment_for(ref.path)
+                    store.notify_flush(ref.path)
+                    deleted.append(ref.path)
         return deleted
 
     def compact(self, dataset=None, granularity=None):
@@ -255,42 +221,30 @@ class TimeAggregator:
 
         Returns ``{"built": [paths], "fresh": n, "removed": [paths]}``.
         """
+        store = self.store
+        store.refresh()
         built = []
         removed = []
         fresh = 0
-        live = set()
-        for path, _ds, _gran, _start in list_series(
-                self.directory, dataset, granularity):
-            live.add(os.path.basename(path))
-            try:
-                st = os.stat(path)
-            except OSError:
-                continue  # vanished mid-walk
-            if segmentfmt.open_if_fresh(
-                    path, (st.st_mtime_ns, st.st_size,
-                           st.st_ino)) is not None:
-                fresh += 1
-                continue
-            try:
-                built.append(segmentfmt.build_segment(path))
-            except OSError:
-                continue  # unreadable window: skip, never abort
-        for stem, name in sorted(
-                segmentfmt.scan_segments(self.directory).items()):
-            if stem in live:
-                continue
-            try:
-                sds, sgran, _ = parse_filename(stem)
-            except ValueError:
-                continue
-            if dataset is not None and sds != dataset:
-                continue
-            if granularity is not None and sgran != granularity:
-                continue
-            orphan = os.path.join(self.directory, name)
-            try:
-                os.remove(orphan)
-                removed.append(orphan)
-            except OSError:
-                pass
+        sidecars = segmentfmt.scan_segments(self.directory)
+        for name in [dataset] if dataset else store.datasets():
+            for gran in [granularity] if granularity else GRANULARITY_CHAIN:
+                for ref in store.select(name, gran):
+                    sidecars.pop(os.path.basename(ref.path), None)
+                    if segmentfmt.open_if_fresh(
+                            ref.path,
+                            (ref.mtime_ns, ref.size, ref.ino)) is not None:
+                        fresh += 1
+                        continue
+                    try:
+                        built.append(segmentfmt.build_segment(ref.path))
+                    except OSError:
+                        continue  # unreadable or vanished window: skip
+        # the sidecars left have no TSV: orphans, inside the narrowing
+        for stem, name in sorted(sidecars.items()):
+            sds, sgran, _ = parse_filename(stem)
+            if dataset in (None, sds) and granularity in (None, sgran) \
+                    and segmentfmt.remove_segment_for(
+                        os.path.join(self.directory, stem)):
+                removed.append(os.path.join(self.directory, name))
         return {"built": built, "fresh": fresh, "removed": removed}

@@ -18,12 +18,11 @@ become one through
 import logging
 
 from repro.detect import DetectorSet, build_detectors
-from repro.observatory import segments as segmentfmt
 from repro.observatory.encrypted import EncryptedChannelAggregator
 from repro.observatory.keys import DATASETS, DatasetSpec, make_dataset
+from repro.observatory.store import write_window
 from repro.observatory.telemetry import resolve_telemetry
 from repro.observatory.tracker import TopKTracker
-from repro.observatory.tsv import write_tsv
 from repro.observatory.window import WindowManager
 
 logger = logging.getLogger(__name__)
@@ -76,43 +75,34 @@ def feed_batches(consume_batch, transactions, batch_size):
 
 class WindowEmitter:
     """Where every finished window goes, single-process and sharded
-    alike: kept in :attr:`dumps`, written as a minutely TSV (with
-    :attr:`segments`, its columnar sidecar packed from the same
-    object), announced to the flush hook, and -- for the vantage
-    emitter's source dataset -- followed by its derived ``_vantage_*``
-    dumps."""
+    alike, and the one place it is kept: with an output directory it
+    is written there as a minutely TSV (with :attr:`segments`, plus
+    its columnar sidecar) and announced to the flush hook; without
+    one it is appended to :attr:`dumps`.  For the vantage emitter's
+    source dataset its derived ``_vantage_*`` dumps follow."""
 
     #: write a ``.tsv.seg`` sidecar for every TSV written
     #: (:func:`build_pipeline` sets it)
     segments = False
 
-    def __init__(self, datasets, output_dir, keep_dumps, flush_hook,
-                 vantage):
+    def __init__(self, datasets, output_dir, flush_hook, vantage):
         self.dumps = {name: [] for name in datasets}
         self.output_dir = output_dir
-        self.keep_dumps = keep_dumps
         self.flush_hook = flush_hook
         self.vantage = vantage
+        #: sidecars asked for (a failed write is logged, not deducted)
         self.segments_built = 0
 
     def __call__(self, dump):
-        if self.keep_dumps:
+        if self.output_dir is None:
             self.dumps.setdefault(dump.dataset, []).append(dump)
-        if self.output_dir is not None and dump.keys:
+        elif dump.keys:
             # Zero-row dumps (a window every tracker sat out) are not
             # written: a gap must not litter the directory with
             # header-only files, and aggregation treats a missing
             # minutely file exactly like an all-zero one.
-            path = write_tsv(self.output_dir, dump)
-            if self.segments:
-                # before the hook, so the reconciled window's first
-                # cold read finds a fresh sidecar; best effort -- a
-                # failed write leaves the window on the text path
-                try:
-                    segmentfmt.write_sidecar(dump, path)
-                    self.segments_built += 1
-                except OSError:
-                    logger.warning("segment write failed for %r", path)
+            path = write_window(self.output_dir, dump, self.segments)
+            self.segments_built += self.segments
             if self.flush_hook is not None:
                 self.flush_hook(path)
         if self.vantage is not None and \
@@ -135,11 +125,10 @@ class Observatory:
         Statistics window length (the paper dumps every 60 s).
     output_dir:
         When given, every completed window is written as a minutely
-        TSV file there (step E of Figure 1).
-    keep_dumps:
-        Keep completed windows
-        (:class:`~repro.observatory.tsv.TimeSeriesData`) in memory,
-        grouped per dataset -- the analysis modules consume these.
+        TSV file there (step E of Figure 1).  Without one, completed
+        windows (:class:`~repro.observatory.tsv.TimeSeriesData`) are
+        kept in :attr:`dumps`, grouped per dataset -- the analysis
+        modules consume these.
     tau / use_bloom_gate / hll_precision / psl:
         Tracker tuning knobs, see :class:`TopKTracker`.
     telemetry:
@@ -180,18 +169,17 @@ class Observatory:
     """
 
     def __init__(self, datasets=("srvip",), window_seconds=60.0,
-                 output_dir=None, keep_dumps=True, tau=300.0,
-                 use_bloom_gate=True, hll_precision=8, psl=None,
-                 skip_recent_inserts=True, telemetry=False,
-                 flush_hook=None, detectors=None, encrypted=None,
-                 vantage=None):
+                 output_dir=None, tau=300.0, use_bloom_gate=True,
+                 hll_precision=8, psl=None, skip_recent_inserts=True,
+                 telemetry=False, flush_hook=None, detectors=None,
+                 encrypted=None, vantage=None):
         self._trackers = {
             spec.name: TopKTracker(
                 spec, tau=tau, use_bloom_gate=use_bloom_gate,
                 hll_precision=hll_precision, psl=psl)
             for spec in resolve_datasets(datasets)}
         self.emitter = WindowEmitter(self._trackers, output_dir,
-                                     keep_dumps, flush_hook, vantage)
+                                     flush_hook, vantage)
         self.dumps = self.emitter.dumps
         self.telemetry = resolve_telemetry(telemetry)
         self.windows = WindowManager(

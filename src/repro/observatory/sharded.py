@@ -139,7 +139,7 @@ def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw,
         pack_states = codec.pack_states
         states = []
         obs = Observatory(datasets=specs, window_seconds=window_seconds,
-                          keep_dumps=False, **obs_kw)
+                          **obs_kw)
         obs.windows.state_sink = states.append
         consume_batch = obs.windows.consume_batch
         telemetry = obs.telemetry
@@ -184,7 +184,7 @@ class ShardedObservatory:
     ----------
     shards:
         Number of worker processes.
-    datasets / window_seconds / output_dir / keep_dumps / flush_hook:
+    datasets / window_seconds / output_dir / flush_hook:
         As for :class:`Observatory`.
     tau / use_bloom_gate / hll_precision / skip_recent_inserts:
         Tracker knobs, forwarded to every worker.
@@ -227,10 +227,10 @@ class ShardedObservatory:
     """
 
     def __init__(self, shards=2, datasets=("srvip",), window_seconds=60.0,
-                 output_dir=None, keep_dumps=True, tau=300.0,
-                 use_bloom_gate=True, hll_precision=8,
-                 skip_recent_inserts=True, batch_size=DEFAULT_BATCH_SIZE,
-                 transport="pickle", timeout=300.0, telemetry=False, flush_hook=None,
+                 output_dir=None, tau=300.0, use_bloom_gate=True,
+                 hll_precision=8, skip_recent_inserts=True,
+                 batch_size=DEFAULT_BATCH_SIZE, transport="pickle",
+                 timeout=300.0, telemetry=False, flush_hook=None,
                  detectors=None, encrypted=None, vantage=None):
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -272,7 +272,7 @@ class ShardedObservatory:
             scorers, EncryptedChannelAggregator() if encrypted else None,
             skip_recent_inserts, resolve_telemetry(None))
         self.emitter = WindowEmitter(self._dataset_order, output_dir,
-                                     keep_dumps, flush_hook, vantage)
+                                     flush_hook, vantage)
         self.dumps = self.emitter.dumps
         obs_kw = dict(
             tau=tau, use_bloom_gate=use_bloom_gate,

@@ -1,14 +1,18 @@
-"""Indexed read path over a directory of TSV time series.
+"""The output tree: one indexed reader, one writer.
 
 The write pipeline (``replay`` / ``aggregate``) produces one TSV file
-per dataset per window; every consumer so far re-listed and re-parsed
-the whole directory per question (:func:`~repro.observatory.tsv.read_series`).
-That is fine for a one-shot study and hopeless for a query service:
-the paper's Observatory is an *operated platform* whose operators ask
-"top-k FQDNs now" and "this nameserver's TTL series" (§3--§5) against
-a store that a collector is appending to live.
+per dataset per window, each through :func:`write_window`.  Re-listing
+and re-parsing the whole directory per question
+(:func:`~repro.observatory.tsv.read_series`, kept as the reference the
+differentials compare against) is fine for a one-shot study and
+hopeless for a query service: the paper's Observatory is an *operated
+platform* whose operators ask "top-k FQDNs now" and "this
+nameserver's TTL series" (§3--§5) against a store that a collector is
+appending to live.
 
-:class:`SeriesStore` is the missing read path:
+:class:`SeriesStore` is the read path -- for the server, the roll-up
+side (:mod:`~repro.observatory.aggregate`) and the analysis modules
+alike:
 
 * an **in-memory index** -- dataset -> granularity -> window refs,
   sorted by start time, with per-file identity (mtime + size + inode),
@@ -44,6 +48,7 @@ a store that a collector is appending to live.
 
 import bisect
 import heapq
+import logging
 import os
 import threading
 from collections import OrderedDict
@@ -53,7 +58,10 @@ from repro.observatory.tsv import (
     GRANULARITIES,
     parse_filename,
     read_tsv,
+    write_tsv,
 )
+
+logger = logging.getLogger(__name__)
 
 #: distinct range-accumulations memoized per store (see ``accumulate``)
 ACCUMULATE_CACHE = 16
@@ -63,6 +71,22 @@ ACCUMULATE_CACHE = 16
 #: the LRU so a year-long range still accumulates in O(run) memory,
 #: not O(span)
 ACCUMULATE_RUN = 256
+
+
+def write_window(directory, window, sidecar=False):
+    """The one way a window lands in a tree: its TSV, atomically,
+    then -- with *sidecar* -- its columnar segment packed from the
+    same object, so the window's first cold read finds a fresh one.
+    The sidecar is best effort: a failed write leaves the window on
+    the text path.  Returns the TSV path; a store over *directory*
+    learns of it through :meth:`SeriesStore.notify_flush`."""
+    path = write_tsv(directory, window)
+    if sidecar:
+        try:
+            segmentfmt.write_sidecar(window, path)
+        except OSError:
+            logger.warning("segment write failed for %r", path)
+    return path
 
 
 class WindowRef:
@@ -408,11 +432,6 @@ class SeriesStore:
         return list(self.iter_range(dataset, granularity,
                                     start_ts, end_ts))
 
-    def read_window(self, ref):
-        """Parse (or fetch from cache) one indexed window; ``None``
-        when its file has vanished since it was indexed."""
-        return self._read_ref(ref)
-
     # -- streaming iterators -------------------------------------------
 
     def iter_windows(self, refs):
@@ -432,7 +451,7 @@ class SeriesStore:
         skipped, as if it had never been indexed.
         """
         for ref in refs:
-            data = self._read_ref(ref)
+            data = self.read_window(ref)
             if data is not None:
                 yield data
 
@@ -459,23 +478,7 @@ class SeriesStore:
             yield data.start_ts, [(data.keys[i], data.row(i))
                                   for i in top]
 
-    def read_path(self, path):
-        """Read one window by file path through the LRU.
-
-        A path the index has not met yet triggers one reconciliation
-        scan; a path outside the directory entirely falls back to a
-        plain uncached parse (the :class:`TimeAggregator` contract).
-        """
-        with self._lock:
-            ref = self._index.get(path)
-        if ref is None:
-            self.refresh()
-            with self._lock:
-                ref = self._index.get(path)
-        data = self._read_ref(ref) if ref is not None else None
-        return data if data is not None else read_tsv(path)
-
-    def _read_ref(self, ref):
+    def read_window(self, ref):
         """The one read: *ref*'s window through the LRU, cold reads
         single-flight.  A ref whose text and sidecar are both gone is
         dropped from the index and counted (``vanished_reads``), and

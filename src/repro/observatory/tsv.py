@@ -112,11 +112,11 @@ class TimeSeriesData:
         #: row keys, rank order preserved
         self.keys = [key for key, _ in rows]
         #: one value list per column, parallel to :attr:`keys`
-        self.values = [[_quantize(row.get(col, 0)) for _, row in rows]
+        self.values = [[quantize(row.get(col, 0)) for _, row in rows]
                        for col in self.columns]
         #: collection stats: transactions seen before/after filtering,
         #: in name order (the trailer's, hence a parsed window's)
-        self.stats = {name: _quantize(stats[name]) for name in sorted(stats)}
+        self.stats = {name: quantize(stats[name]) for name in sorted(stats)}
         self._positions = None
 
     @classmethod
@@ -324,7 +324,7 @@ def read_series(directory, dataset, granularity="minutely",
                                              end_ts)]
 
 
-def _quantize(value):
+def quantize(value):
     """The value :func:`read_tsv` returns for a producer's cell."""
     if type(value) is int:
         return value

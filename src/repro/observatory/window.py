@@ -11,7 +11,6 @@ import time
 from repro.observatory.channels import WindowState, build_channels, meta_dump
 from repro.observatory.features import TxnHashes
 from repro.observatory.telemetry import PLATFORM_DATASET, resolve_telemetry
-from repro.observatory.tracker import ShardWindowState  # noqa: F401 - re-export
 
 
 #: most transactions (hence prepared per-transaction records) that

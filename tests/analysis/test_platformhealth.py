@@ -70,7 +70,7 @@ def test_platform_health_from_store(tmp_path):
                             server_ip="192.0.2.%d" % (1 + i % 3)))
     obs.finish()
     store = SeriesStore(str(tmp_path))
-    series, verdicts, summary = platform_health(store)
+    series, verdicts, summary = platform_health(store.read("_platform"))
     assert series, "telemetry replay should emit _platform windows"
     assert any(v.component.startswith("tracker.") for v in verdicts)
 

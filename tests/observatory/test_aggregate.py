@@ -3,8 +3,11 @@
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.observatory.aggregate import TimeAggregator, aggregate_series
+from repro.observatory.aggregate import (
+    _COUNTERS, TimeAggregator, aggregate_series)
 from repro.observatory.tsv import TimeSeriesData, list_series, read_tsv, write_tsv
 
 
@@ -75,6 +78,57 @@ class TestAggregateSeries:
         # Non-counter column: mean over present points only.
         assert row["gate_fill"] == pytest.approx(0.5)
         assert row["txns"] == pytest.approx(15.0)
+
+
+def row_major_reference(series_list, expected_points):
+    """``aggregate_series`` as the paper words it, one row dict at a
+    time: the oracle the column fold is pinned to."""
+    sums, presence, columns = {}, {}, []
+    for series in series_list:
+        for col in series.columns:
+            if col not in columns:
+                columns.append(col)
+        for key, row in series.row_map().items():
+            for col, value in row.items():
+                cell = (key, col)
+                sums[cell] = sums.get(cell, 0.0) + value
+                presence[cell] = presence.get(cell, 0) + 1
+    rows = [(key, {col: sums.get((key, col), 0.0) / (
+        expected_points if col in _COUNTERS
+        else presence.get((key, col)) or 1) for col in columns})
+        for key in dict.fromkeys(k for s in series_list for k in s.keys)]
+    rows.sort(key=lambda kv: -kv[1].get("hits", 0.0))
+    return TimeSeriesData("x", "decaminutely", 0, columns=columns, rows=rows)
+
+
+#: hostile on purpose: schema drift mid-window, keys that come and go,
+#: zero ``hits`` (ties), a column the first file lacks, empty windows,
+#: keys and columns named twice in one window
+cells = st.one_of(st.integers(0, 50), st.floats(0, 1e17, allow_nan=False))
+windows = st.lists(st.tuples(
+    st.lists(st.sampled_from(["delay_q50", "hits", "ok", "nsset", "txns"]),
+             max_size=5),
+    st.lists(st.tuples(st.sampled_from("abcdefgh"), st.lists(
+        cells, min_size=5, max_size=5)), max_size=8),
+), max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows, st.integers(0, 4))
+# 1e16 + 1 + 1 is 1e16, 1 + 1 + 1e16 is not: window order shows
+@example([(["hits"], [("a", [hits])]) for hits in (1e16, 1.0, 1.0)], 0)
+def test_column_fold_equals_row_major_reference(spec, extra_points):
+    series_list = [
+        TimeSeriesData("x", "minutely", i * 60, columns=columns,
+                       rows=[(key, dict(zip(columns, values)))
+                             for key, values in rows])
+        for i, (columns, rows) in enumerate(spec)]
+    points = len(series_list) + extra_points or 1
+    got = aggregate_series(series_list, "x", "decaminutely", 0,
+                           expected_points=points)
+    want = row_major_reference(series_list, points)
+    assert (got.keys, got.columns) == (want.keys, want.columns)
+    assert repr(got.values) == repr(want.values)  # bit for bit, typed
 
 
 class TestTimeAggregator:
@@ -161,3 +215,48 @@ class TestTimeAggregator:
         write_tsv(d, series(0, [], granularity="yearly"))
         agg = TimeAggregator(d)
         assert agg.apply_retention(now_ts=10**12) == []
+
+    def test_fine_window_vanishing_mid_call_counts_as_missing(
+            self, tmp_path):
+        """A minutely file removed after the aggregator took its
+        selection (retention elsewhere, an operator's rm) is the
+        paper's missing file -- "a value of 0 for counters" -- not a
+        FileNotFoundError out of ``aggregate``."""
+        d = str(tmp_path)
+        self.fill_minutely(d, count=10)
+        agg = TimeAggregator(d)
+        victim = os.path.join(d, "srvip.minutely.0000000420.tsv")
+        real_read = agg.store.read_window
+
+        def racing_read(ref):
+            if os.path.exists(victim):
+                os.remove(victim)  # after the selection, before the read
+            return real_read(ref)
+
+        agg.store.read_window = racing_read
+        path, = agg.aggregate_directory("srvip")
+        data = read_tsv(path)
+        assert data.stats["points"] == 9
+        # hits 0..9 without the 7, still over ten expected points
+        assert data.cell("k1", "hits") == pytest.approx(3.8)
+        assert agg.store.cache_info()["vanished_reads"] == 1
+
+    def test_directory_is_listed_once_per_call(self, tmp_path, monkeypatch):
+        """``aggregate`` puts its directory questions to the store's
+        index: one scan when the store opens, one per
+        ``aggregate_directory`` / ``apply_retention`` call."""
+        from repro.cli import main
+
+        d = str(tmp_path)
+        datasets = ["ds%d" % i for i in range(8)]
+        for dataset in datasets:
+            self.fill_minutely(d, count=11, dataset=dataset)
+        scans = []
+        for name in ("scandir", "listdir"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda path=".", _real=real: (
+                scans.append(path), _real(path))[1])
+        assert main(["aggregate", d, "--retention-now", "100000"]) == 0
+        listed = [path for path in scans if str(path) == d]
+        assert 0 < len(listed) <= len(datasets) + 2
+        assert len(list_series(d, granularity="decaminutely")) == 8

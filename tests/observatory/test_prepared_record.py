@@ -270,7 +270,7 @@ def replay_tree_digest(out):
                              encrypted_fraction=0.1)
     obs = Observatory(datasets=[(name, 2000) for name in LEDGER_DATASETS],
                       output_dir=out, window_seconds=60.0, telemetry=True,
-                      detectors=True, encrypted=True, keep_dumps=False)
+                      detectors=True, encrypted=True)
     obs.consume(SieChannel(scenario).run())
     obs.finish()
     digest = hashlib.sha256()

@@ -253,7 +253,7 @@ class TestStoreIntegration:
         self.fill(tmp_path, count=8)
         store = SeriesStore(str(tmp_path))
         middle = store.select("srvip")[4]
-        store._read_ref(middle)  # warm exactly one window
+        store.read_window(middle)  # warm exactly one window
         plain = SeriesStore(str(tmp_path), cache_windows=0, use_segments=False)
         assert store.accumulate("srvip") == plain.accumulate("srvip")
 
@@ -399,6 +399,7 @@ class TestBugfixRegressions:
         multiplying the most expensive operation in the store."""
         path = make_window(tmp_path, 0)
         store = SeriesStore(str(tmp_path))
+        ref, = store.select("srvip")
         from repro.observatory import store as storemod
         real_read = storemod.read_tsv
         started = threading.Event()
@@ -414,7 +415,7 @@ class TestBugfixRegressions:
 
         def reader():
             try:
-                results.append(store.read_path(path))
+                results.append(store.read_window(ref))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -458,8 +459,9 @@ class TestBugfixRegressions:
         assert store.flight_waits == 4
 
     def test_failed_cold_read_propagates_to_waiters(self, tmp_path):
-        path = make_window(tmp_path, 0)
+        make_window(tmp_path, 0)
         store = SeriesStore(str(tmp_path))
+        ref, = store.select("srvip")
         from repro.observatory import store as storemod
         real_read = storemod.read_tsv
         started = threading.Event()
@@ -474,7 +476,7 @@ class TestBugfixRegressions:
 
         def reader():
             try:
-                store.read_path(path)
+                store.read_window(ref)
                 outcomes.append("ok")
             except OSError:
                 outcomes.append("oserror")
@@ -494,7 +496,7 @@ class TestBugfixRegressions:
         assert outcomes == ["oserror", "oserror"]
         # the failed flight is gone: the next read starts fresh
         assert store._inflight == {}
-        assert len(store.read_path(path).rows) == 2
+        assert len(store.read_window(ref).rows) == 2
 
     def test_vanished_window_reads_as_absent(self, tmp_path):
         """Regression: a window removed under a store that does not

@@ -13,10 +13,10 @@ import pytest
 
 from repro.dnswire.constants import RCODE
 from repro.observatory.features import FeatureSet
+from repro.observatory.tracker import ShardWindowState
 from repro.observatory.transport import (
     BinaryTransport, PickleTransport, decode_batch, encode_batch_into,
     get_transport, pack_states, unpack_states)
-from repro.observatory.window import ShardWindowState
 from repro.sketches.histogram import LogHistogram, RunningMean
 from repro.sketches.hyperloglog import HyperLogLog
 from repro.sketches.topvalues import TopValues

@@ -363,6 +363,18 @@ class TestMissingInputExitCodes:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["aggregate", "compact"])
+    def test_rollup_commands_missing_dir(self, command, tmp_path, capsys):
+        """A cron entry with a typo'd path must say so, not report
+        "0 file(s)" and exit 0 forever."""
+        rc = main([command, str(tmp_path / "nope")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "not found" in captured.err and captured.out == ""
+        assert not (tmp_path / "nope").exists()
+        assert main([command, str(tmp_path)]) == 0  # empty, but there
+        assert " 0 " in capsys.readouterr().out
+
     def test_report_detect_missing_dir(self, tmp_path, capsys):
         labels = tmp_path / "labels.json"
         labels.write_text("[]")

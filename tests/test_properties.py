@@ -460,9 +460,10 @@ def test_window_in_memory_is_its_file_and_its_segment(rows, columns, stats,
 
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_kept_dumps_equal_the_files_they_wrote(seed, tmp_path):
-    """Every window the pipeline keeps in memory -- feature datasets,
-    ``_platform`` timings, ``_detector`` scores -- is ``read_tsv`` of
-    the file it wrote, cell types included."""
+    """Every window the pipeline hands back from ``consume_batch`` /
+    ``finish`` -- feature datasets, ``_platform`` timings,
+    ``_detector`` scores -- is ``read_tsv`` of the file it wrote, cell
+    types included."""
     from repro.cli import main as cli_main
 
     stream = tmp_path / "stream.txt"
@@ -472,30 +473,46 @@ def test_kept_dumps_equal_the_files_they_wrote(seed, tmp_path):
                      "-o", str(stream)]) == 0
     out = tmp_path / "out"
     obs = Observatory(datasets=["srvip", "qname", "aafqdn"],
-                      output_dir=str(out), keep_dumps=True,
+                      output_dir=str(out),
                       telemetry=True, detectors=True, encrypted=True)
     with open(stream, encoding="utf-8") as fh:
-        obs.consume(Transaction.from_line(line) for line in fh
-                    if line.strip())
-    obs.finish()
+        dumps = obs.consume_batch([Transaction.from_line(line)
+                                   for line in fh if line.strip()])
+    dumps += obs.finish()
     written = 0
-    for dumps in obs.dumps.values():
-        for dump in dumps:
-            path = out / filename_for(dump.dataset, "minutely",
-                                      dump.start_ts)
-            if not dump.keys:
-                assert not path.exists()
-                continue
-            written += 1
-            parsed = read_tsv(str(path))
-            assert dump.keys == parsed.keys
-            assert dump.columns == parsed.columns
-            assert list(map(_typed, dump.values)) == \
-                list(map(_typed, parsed.values))
-            assert _typed(dump.stats.items()) == \
-                _typed(parsed.stats.items())
-            assert dump.rows == parsed.rows
-    assert written >= 8 and {"_platform", "_detector"} <= set(obs.dumps)
+    for dump in dumps:
+        path = out / filename_for(dump.dataset, "minutely", dump.start_ts)
+        if not dump.keys:
+            assert not path.exists()
+            continue
+        written += 1
+        parsed = read_tsv(str(path))
+        assert dump.keys == parsed.keys
+        assert dump.columns == parsed.columns
+        assert list(map(_typed, dump.values)) == \
+            list(map(_typed, parsed.values))
+        assert _typed(dump.stats.items()) == _typed(parsed.stats.items())
+        assert dump.rows == parsed.rows
+    assert written >= 8 and \
+        {"_platform", "_detector"} <= {dump.dataset for dump in dumps}
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_pipeline_with_a_directory_retains_no_window(shards, tmp_path):
+    """A finished window is kept in one place: with an output
+    directory that is the directory, and ``dumps`` stays empty however
+    long the stream (``replay`` must not grow with its input)."""
+    from repro.observatory.pipeline import build_pipeline
+
+    obs = build_pipeline(shards=shards, transport="binary",
+                         datasets=["srvip", "qtype"],
+                         output_dir=str(tmp_path), telemetry=True)
+    obs.consume([make_txn(ts=i * 0.5, server_ip="192.0.2.%d" % (1 + i % 5))
+                 for i in range(400)])
+    obs.finish()
+    assert len(list_series(str(tmp_path), "srvip")) >= 3
+    assert list_series(str(tmp_path), "_platform")
+    assert all(kept == [] for kept in obs.dumps.values())
 
 
 def test_concurrent_reader_never_sees_a_torn_window(tmp_path):

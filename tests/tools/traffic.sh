@@ -11,6 +11,7 @@ W=$(mkdir -p "$1" && cd "$1" && pwd)
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 R="python -m repro"
 ok3() { "$@" || [ $? -eq 3 ]; }   # report modes exit 3 on a failing verdict
+no2() { if "$@"; then return 1; else [ $? -eq 2 ]; fi; }   # missing input: exit 2
 trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 
 # -- simulate ---------------------------------------------------------
@@ -47,6 +48,12 @@ $R aggregate "$W/single" --segments --retention-now 1e9
 $R aggregate "$W/pickle" --retention-now 1e9 --retention-force
 $R compact "$W/plain"
 $R compact "$W/plain" --dataset srvip --granularity minutely
+no2 $R aggregate "$W/no-such-tree"
+no2 $R compact "$W/no-such-tree"
+# many short windows: the fold, roll-up sidecars and retention at depth
+$R replay "$W/stream.tsv" "$W/short" --window 2 --datasets srvip qtype \
+    --segments --telemetry --detectors
+$R aggregate "$W/short" --segments --retention-now 1e9
 
 # -- report: all four modes --------------------------------------------
 $R report --preset tiny --duration 180 --csv-dir "$W/csv" > /dev/null

@@ -92,43 +92,6 @@ def base_run():
     )
 
 
-def measure_sharded_run(txns, shards, transport, datasets, **obs_kw):
-    """One measured sharded ingest: wall time plus *worker* CPU time.
-
-    Worker CPU comes from ``getrusage(RUSAGE_CHILDREN)`` deltas --
-    the workers are joined during ``finish()``/``close()``, so their
-    usage has been folded into the parent's children-counters by the
-    time the measurement ends.  ``worker_utilization`` is the mean
-    fraction of one core each worker kept busy; on a single-core box
-    the whole run time-shares one CPU and utilization lands around
-    ``1/shards`` even though the code would scale given real cores --
-    which is exactly why throughput gates must look at the measured
-    core count, not assume parallel hardware.
-    """
-    import resource
-    import time
-
-    from repro.observatory.sharded import ShardedObservatory
-
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    t0 = time.perf_counter()
-    obs = ShardedObservatory(shards=shards, datasets=datasets,
-                             transport=transport, **obs_kw)
-    obs.consume(txns)
-    obs.finish()
-    wall = time.perf_counter() - t0
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    worker_cpu = ((after.ru_utime - before.ru_utime)
-                  + (after.ru_stime - before.ru_stime))
-    assert obs.total_seen == len(txns)
-    return {
-        "txn_per_s": round(len(txns) / wall, 1),
-        "wall_s": round(wall, 3),
-        "worker_cpu_s": round(worker_cpu, 3),
-        "worker_utilization": round(worker_cpu / (shards * wall), 3),
-    }
-
-
 def save_result(name, text):
     """Persist a rendered table/figure under benchmarks/results/."""
     os.makedirs(RESULTS_DIR, exist_ok=True)

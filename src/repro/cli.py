@@ -30,7 +30,9 @@ import argparse
 import os
 import sys
 
-from repro.observatory.pipeline import Observatory, build_pipeline
+from repro.detect import build_detectors
+from repro.observatory.pipeline import (
+    Observatory, build_pipeline, resolve_datasets)
 from repro.observatory.transaction import TransactionLines
 from repro.simulation.scenario import Scenario
 from repro.simulation.sie import SieChannel
@@ -179,12 +181,6 @@ def _add_ingest_args(parser):
     parser.add_argument("--shards", type=int, default=1, metavar="N",
                         help="ingest with N sharded worker processes "
                              "(1 = single-process)")
-    parser.add_argument("--transport", choices=["pickle", "binary"],
-                        default="pickle",
-                        help="shard transport codec (with --shards > 1): "
-                             "default-pickle object graphs, or 'binary' "
-                             "line-block batches + protocol-5 "
-                             "out-of-band sketch buffers")
     parser.add_argument("--segments", action="store_true",
                         help="build a columnar sidecar segment next to "
                              "every TSV window written, so cold queries "
@@ -206,10 +202,19 @@ def _add_ingest_args(parser):
 
 def _check_ingest_args(args):
     """Validate what :func:`_add_ingest_args` (plus the input stream)
-    takes from outside: the exit code of the first problem, else
-    None."""
-    if args.shards < 1:
-        raise SystemExit("error: --shards must be >= 1, got %d" % args.shards)
+    takes from outside: the exit code of the first problem (a one-line
+    ``error:`` message on stderr, exit 2), else None.  Dataset and
+    detector names go through the library's own resolvers."""
+    try:
+        for flag in ("shards", "window", "k"):
+            if getattr(args, flag) <= 0:
+                raise ValueError("--%s must be positive, got %g"
+                                 % (flag, getattr(args, flag)))
+        resolve_datasets([(name, args.k) for name in args.datasets])
+        build_detectors(args.detectors_on)  # [] (all) checks nothing
+    except ValueError as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return 2
     if args.input not in (None, "-") and not os.path.isfile(args.input):
         return _missing_input("input stream", args.input)
     if args.vantage is not None and not os.path.isfile(args.vantage):
@@ -227,7 +232,7 @@ def _pipeline_options(args):
         vantage = VantageEmitter(VantageDb.from_tsv(args.vantage))
     return dict(datasets=[(name, args.k) for name in args.datasets],
                 window_seconds=args.window, shards=args.shards,
-                transport=args.transport, segments=args.segments,
+                segments=args.segments,
                 detectors=True if names == [] else names, vantage=vantage)
 
 
@@ -282,8 +287,8 @@ def cmd_replay(args):
     obs.finish()
     print("replayed %d transactions into %s%s%s" % (
         obs.total_seen, args.output_dir,
-        " (%d shards, %s transport)" % (args.shards, args.transport)
-        if args.shards > 1 else "", _report_skipped(parsed)))
+        " (%d shards)" % args.shards if args.shards > 1 else "",
+        _report_skipped(parsed)))
     for name, ratio in sorted(obs.capture_ratios().items()):
         print("  %-8s capture %.1f%%" % (name, ratio * 100))
     if args.segments:

@@ -108,8 +108,8 @@ class LiveDaemon:
     output_dir:
         Directory TSV windows are written to and served from.
     pipeline_options:
-        The ingest configuration (datasets, window, shards, transport,
-        detectors, vantage, segments, ...): keyword options handed to
+        The ingest configuration (datasets, window, shards, detectors,
+        vantage, segments, ...): keyword options handed to
         :func:`~repro.observatory.pipeline.build_pipeline`, where
         their meanings and defaults live.  With ``detectors`` set,
         :data:`~repro.observatory.alerts.DETECTOR_RULES` join the rule

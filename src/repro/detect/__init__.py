@@ -72,7 +72,7 @@ class DetectorSet:
             det.observe_batch(txns)
 
     def take_states(self, start_ts):
-        """Window states for the shard transport, one per detector."""
+        """Window states a shard ships, one per detector."""
         return [DetectorWindowState(det.name, start_ts, det.take_state())
                 for det in self.detectors]
 

@@ -21,9 +21,9 @@ cross-window **scorer**.  The accumulator ingests transactions and is
 *mergeable with order-invariant exact operations only* -- integer
 sums (per-qname entropy is quantized to integer milli-bits before
 summing), HLL register max, set union.  Shard workers run accumulators
-and ship them at every cut as :class:`DetectorWindowState` through the
-same transport as the tracker states; the coordinator absorbs them in
-shard order and scores.  The scorer (EWMA baselines, Bloom
+and ship them at every cut as :class:`DetectorWindowState` in the same
+pickled ``WindowState`` as the tracker states; the coordinator absorbs
+them in shard order and scores.  The scorer (EWMA baselines, Bloom
 generations, flag logic) runs only where windows are emitted -- the
 single-process :class:`~repro.observatory.pipeline.Observatory` or the
 sharded coordinator -- so its floating-point path is single-threaded
@@ -128,7 +128,7 @@ class Detector:
         for txn in txns:
             observe(txn)
 
-    # -- shard transport ------------------------------------------------
+    # -- shard state ----------------------------------------------------
 
     def take_state(self):
         """Export and reset the window accumulator (shard flush)."""

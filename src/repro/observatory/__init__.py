@@ -36,7 +36,6 @@ from repro.observatory.sharded import ShardedObservatory
 from repro.observatory.store import SeriesStore
 from repro.observatory.tracker import TopKTracker
 from repro.observatory.transaction import Transaction
-from repro.observatory.transport import BinaryTransport, PickleTransport
 from repro.observatory.window import WindowManager
 
 __all__ = [
@@ -48,7 +47,5 @@ __all__ = [
     "ShardedObservatory",
     "TopKTracker",
     "Transaction",
-    "BinaryTransport",
-    "PickleTransport",
     "WindowManager",
 ]

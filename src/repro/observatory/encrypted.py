@@ -99,9 +99,8 @@ def encrypt_observation(txn, transport, padding_block=128):
 class EncryptedWindowState:
     """One shard's ``_encrypted`` accumulators for one window.
 
-    Shipped from shard workers to the coordinator over the normal
-    state transport (pickle/binary), so the payload is a plain
-    dict of integer lists -- nothing transport-specific.
+    Shipped from shard workers to the coordinator inside the pickled
+    ``WindowState``; the payload is a plain dict of integer lists.
     """
 
     __slots__ = ("start_ts", "payload")

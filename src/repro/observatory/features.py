@@ -8,8 +8,6 @@ qdots), a histogram (e.g., resp_delays), or a cardinality estimate
 (e.g., ip4s)".
 """
 
-from pickle import PickleBuffer
-
 from repro.dnswire.constants import QTYPE, RCODE
 from repro.dnswire.psl import default_psl
 from repro.netsim.addr import is_ipv6
@@ -365,7 +363,8 @@ class FeatureSet:
         self.resp_size.merge(other.resp_size)
         return self
 
-    # -- flat-buffer codec (zero-copy shard transport) -----------------
+    # -- flat-buffer view (state comparison; the ledger's
+    #    features.to_buffers_us row) -----------------------------------
 
     #: sketch-valued fields, in canonical buffer order
     _SKETCH_FIELDS = (
@@ -378,8 +377,7 @@ class FeatureSet:
         """Serialize to ``(meta, buffers)``: counters and bounded sets
         in *meta*, every child sketch contributing its own
         ``(child_meta, buffer_count)`` pair plus contiguous buffers.
-        Like the sketches' codecs, buffers may alias live state --
-        serialize them before mutating this FeatureSet again."""
+        Like the sketches' views, buffers may alias live state."""
         buffers = []
         children = []
         for name in self._SKETCH_FIELDS:
@@ -393,38 +391,6 @@ class FeatureSet:
             tuple(children),
         )
         return meta, buffers
-
-    @classmethod
-    def from_buffers(cls, meta, buffers):
-        """Rebuild a FeatureSet from :meth:`to_buffers` output.  The
-        process-default PSL is reattached (see :meth:`__getstate__`)."""
-        precision, counters, sources, qtypes, qdots_max, children = meta
-        if len(children) != len(cls._SKETCH_FIELDS):
-            raise ValueError("FeatureSet buffer meta has %d sketches, "
-                             "expected %d" % (len(children),
-                                              len(cls._SKETCH_FIELDS)))
-        features = cls.__new__(cls)
-        features._psl = default_psl()
-        features._hll_precision = precision
-        for name, value in zip(COUNTER_COLUMNS, counters):
-            setattr(features, name, value)
-        features._sources = set(sources)
-        features._qtypes = set(qtypes)
-        features.qdots_max = qdots_max
-        offset = 0
-        for name, (child_meta, count) in zip(cls._SKETCH_FIELDS, children):
-            sketch_cls = _SKETCH_CODECS[child_meta[0]]
-            setattr(features, name, sketch_cls.from_buffers(
-                child_meta, buffers[offset:offset + count]))
-            offset += count
-        return features
-
-    def __reduce_ex__(self, protocol):
-        if protocol >= 5:
-            meta, buffers = self.to_buffers()
-            return (self.from_buffers,
-                    (meta, [PickleBuffer(b) for b in buffers]))
-        return super().__reduce_ex__(protocol)
 
     # -- pickling (sharded ingest ships FeatureSets between processes) --
 
@@ -494,14 +460,3 @@ class FeatureSet:
             row["%s_q50" % prefix] = round(q50, 3)
             row["%s_q75" % prefix] = round(q75, 3)
         return row
-
-
-#: buffer-meta tag -> sketch class, for :meth:`FeatureSet.from_buffers`
-_SKETCH_CODECS = {
-    "hll-dense": HyperLogLog,
-    "hll-sparse": HyperLogLog,
-    "loghist": LogHistogram,
-    "rmean": RunningMean,
-    "topv-int": TopValues,
-    "topv-obj": TopValues,
-}

@@ -35,12 +35,11 @@ def resolve_datasets(datasets):
     for item in datasets:
         if isinstance(item, DatasetSpec):
             spec = item
-        elif isinstance(item, tuple):
-            spec = make_dataset(*item)
-        elif isinstance(item, str):
-            if item not in DATASETS:
-                raise ValueError("unknown dataset %r" % (item,))
-            spec = make_dataset(item)
+        elif isinstance(item, (str, tuple)):
+            name, *k = (item,) if isinstance(item, str) else item
+            if name not in DATASETS:
+                raise ValueError("unknown dataset %r" % (name,))
+            spec = make_dataset(name, *k)
         else:
             raise TypeError("cannot resolve dataset from %r" % (item,))
         if any(spec.name == other.name for other in specs):
@@ -251,8 +250,7 @@ class Observatory:
         }
 
 
-def build_pipeline(shards=1, transport="pickle", segments=False,
-                   **options):
+def build_pipeline(shards=1, segments=False, **options):
     """The ingest pipeline ``replay`` and the live daemon drive: an
     in-process :class:`Observatory` for one shard,
     :class:`~repro.observatory.sharded.ShardedObservatory` worker
@@ -264,8 +262,7 @@ def build_pipeline(shards=1, transport="pickle", segments=False,
     if shards > 1:
         from repro.observatory.sharded import ShardedObservatory
 
-        pipeline = ShardedObservatory(shards=shards, transport=transport,
-                                      **options)
+        pipeline = ShardedObservatory(shards=shards, **options)
     else:
         pipeline = Observatory(**options)
     pipeline.emitter.segments = bool(segments)

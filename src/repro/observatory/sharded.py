@@ -26,11 +26,14 @@ Architecture::
     then dispatches newer transactions.  Every worker window is
     therefore aligned to the same global grid.
 
-What crosses the queues is pluggable (``transport=``): the default
-pickles live object graphs, while the binary codec of
-:mod:`repro.observatory.transport` ships batches as pre-serialized
-line blocks and shard state as protocol-5 out-of-band sketch buffers,
-so coordinator time stops scaling with the feature payload size.
+What crosses the queues is the objects themselves: a batch is a list
+of :class:`~repro.observatory.transaction.Transaction`, a reply a list
+of :class:`~repro.observatory.channels.WindowState`, and the queue's
+feeder thread pickles each after ``put`` has returned -- so nothing is
+mutated once put (the coordinator starts a new list per shard buffer,
+a worker puts a copy of its state list).  ``FeatureSet.__getstate__``
+leaves the Public Suffix List behind; the receiving process reattaches
+its own.
 
 A worker is an :class:`Observatory` whose window manager ships every
 window's state instead of merging it; the coordinator holds the same
@@ -92,16 +95,12 @@ from repro.observatory.pipeline import (
 )
 from repro.observatory.telemetry import PLATFORM_DATASET, resolve_telemetry
 from repro.observatory.tracker import TopKTracker
-from repro.observatory.transport import get_transport
 from repro.observatory.window import align_window
 
 logger = logging.getLogger(__name__)
 
 #: transactions per queue message; amortizes pickling + queue overhead
 DEFAULT_BATCH_SIZE = 512
-
-#: bound on the feeder's partition-key -> shard memo (cleared when full)
-_SHARD_MEMO_LIMIT = 200_000
 
 
 def partition_srcsrv(txn):
@@ -113,17 +112,12 @@ def partition_srcsrv(txn):
     return txn.resolver_ip + "|" + txn.server_ip
 
 
-def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw,
-                  transport="pickle"):
+def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw):
     """Worker main loop: a full Observatory over one stream shard.
 
-    Speaks a tiny message protocol on *in_q*, with batch and state
-    payloads encoded by the configured transport (see
-    :mod:`repro.observatory.transport`):
+    Speaks a tiny message protocol on *in_q*:
 
-    * ``("batch", payload)`` -- ingest a window-aligned batch (a
-      transaction list under the pickle transport, a pre-serialized
-      line block under the binary one);
+    * ``("batch", txns)`` -- ingest a window-aligned transaction list;
     * ``("cut", ts)`` -- the global stream crossed *ts*; flush every
       window ending at or before it and ship the collected
       :class:`~repro.observatory.channels.WindowState` list back on
@@ -134,9 +128,6 @@ def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw,
       rows, and exit.
     """
     try:
-        codec = get_transport(transport)
-        unpack_batch = codec.unpack_batch
-        pack_states = codec.pack_states
         states = []
         obs = Observatory(datasets=specs, window_seconds=window_seconds,
                           **obs_kw)
@@ -147,10 +138,10 @@ def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw,
             message = in_q.get()
             tag = message[0]
             if tag == "batch":
-                consume_batch(unpack_batch(message[1]))
+                consume_batch(message[1])
             elif tag == "cut":
                 obs.windows.advance_to(message[1])
-                out_q.put(("states", shard_id, pack_states(list(states)),
+                out_q.put(("states", shard_id, list(states),
                            telemetry.snapshot(message[1])))
                 del states[:]  # state_sink stays bound to this list
             elif tag == "finish":
@@ -160,7 +151,7 @@ def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw,
                     "datasets": {name: obs.tracker(name).telemetry_row(None)
                                  for name in obs.datasets},
                 }
-                out_q.put(("final", shard_id, pack_states(list(states)),
+                out_q.put(("final", shard_id, states,
                            telemetry.snapshot(obs.windows.window_start),
                            stats))
                 return
@@ -191,10 +182,8 @@ class ShardedObservatory:
     batch_size:
         Transactions per queue message.
     transport:
-        Shard transport codec: ``"pickle"`` (default; queues pickle
-        live object graphs) or ``"binary"`` (pre-serialized line
-        blocks upstream, protocol-5 out-of-band sketch buffers
-        downstream -- see :mod:`repro.observatory.transport`).
+        Only ``"pickle"``, the queue's own pickling, is accepted
+        (``benchmarks/ledger/child_pass.py`` still passes it).
     timeout:
         Seconds to wait for any single worker reply before declaring
         the run dead.
@@ -202,7 +191,7 @@ class ShardedObservatory:
         ``True`` (or a registry) enables platform self-telemetry on
         the coordinator *and* every worker: each cut also emits one
         merged ``_platform`` dump combining coordinator rows (queue
-        depth, batch codec bytes, merge latency, worker liveness)
+        depth, batches shipped, merge latency, worker liveness)
         with every shard's own rows under a ``shardN.`` key prefix.
     detectors:
         ``True`` / detector names / instances (see
@@ -234,14 +223,16 @@ class ShardedObservatory:
                  detectors=None, encrypted=None, vantage=None):
         if shards < 1:
             raise ValueError("shards must be >= 1")
+        if transport != "pickle":
+            raise ValueError("unknown transport %r: the shard link is the "
+                             "queue's pickling, other transports were "
+                             "removed" % (transport,))
         self.shards = int(shards)
         self.window_seconds = float(window_seconds)
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
         self.batch_size = int(batch_size)
         self.timeout = timeout
-        self._transport = get_transport(transport)
-        self._shard_memo = {}
         specs = resolve_datasets(datasets)
         self._dataset_order = [spec.name for spec in specs]
         self._window_start = None
@@ -255,7 +246,6 @@ class ShardedObservatory:
         self.telemetry = resolve_telemetry(telemetry)
         self._batch_counter = self.telemetry.counter("coordinator", "batches")
         self._batch_txns = self.telemetry.counter("coordinator", "batch_txns")
-        self._batch_bytes = self.telemetry.counter("coordinator", "batch_bytes")
         self._merge_timer = self.telemetry.timing("coordinator", "merge")
         self._gap_counter = self.telemetry.counter(
             "coordinator", "windows_skipped")
@@ -296,7 +286,7 @@ class ShardedObservatory:
                 worker = context.Process(
                     target=_shard_worker,
                     args=(shard_id, in_q, self._out_q, specs,
-                          self.window_seconds, obs_kw, self._transport),
+                          self.window_seconds, obs_kw),
                     daemon=True,
                     name="observatory-shard-%d" % shard_id,
                 )
@@ -356,11 +346,6 @@ class ShardedObservatory:
         buffers = self._buffers
         batch_size = self.batch_size
         crc32 = zlib.crc32
-        # Partition keys repeat heavily (resolver/server pairs follow a
-        # Zipf law, §3), so memoize key -> shard: the steady-state cost
-        # per transaction is one dict hit instead of encode + crc32.
-        memo = self._shard_memo
-        memo_get = memo.get
         start = self._window_start
         end = None if start is None else start + window_seconds
         for txn in txns:
@@ -373,14 +358,7 @@ class ShardedObservatory:
                 dumps.extend(self._cut(align_window(ts, window_seconds)))
                 start = self._window_start
                 end = start + window_seconds
-            key = partition(txn)
-            shard = memo_get(key)
-            if shard is None:
-                if len(memo) >= _SHARD_MEMO_LIMIT:
-                    memo.clear()
-                shard = crc32(key.encode()) % shards
-                memo[key] = shard
-            buffer = buffers[shard]
+            buffer = buffers[crc32(partition(txn).encode()) % shards]
             buffer.append(txn)
             if len(buffer) >= batch_size:
                 self._dispatch_all()
@@ -448,18 +426,16 @@ class ShardedObservatory:
 
     def _dispatch_all(self, force=False):
         """Ship every non-empty shard buffer (all of them when a cut
-        or finish needs the workers fully caught up)."""
-        pack_batch = self._transport.pack_batch
+        or finish needs the workers fully caught up).  A shipped buffer
+        is never touched again: the queue pickles it later, in its
+        feeder thread, and the shard gets a new list."""
         telemetry_on = self.telemetry.enabled
         for shard_id, buffer in enumerate(self._buffers):
             if buffer and (force or len(buffer) >= self.batch_size):
-                payload = pack_batch(buffer)
-                self._in_qs[shard_id].put(("batch", payload))
+                self._in_qs[shard_id].put(("batch", buffer))
                 if telemetry_on:
                     self._batch_counter.inc()
                     self._batch_txns.inc(len(buffer))
-                    if isinstance(payload, (bytes, bytearray, str)):
-                        self._batch_bytes.inc(len(payload))
                 self._buffers[shard_id] = []
 
     def _barrier(self, message, expect):
@@ -514,7 +490,7 @@ class ShardedObservatory:
         started = time.perf_counter() if telemetry.enabled else 0.0
         by_start = {}
         for reply in replies:
-            for window in self._transport.unpack_states(reply[2]):
+            for window in reply[2]:
                 by_start.setdefault(window.start_ts, []).append(window)
         dumps = []
         for window_start in sorted(by_start):

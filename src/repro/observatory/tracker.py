@@ -15,8 +15,6 @@ state as a mergeable :class:`ShardWindowState` and turns merged states
 into the window's dump.
 """
 
-from pickle import PickleBuffer
-
 from repro.dnswire.psl import default_psl
 from repro.observatory.features import FeatureSet
 from repro.observatory.tsv import TimeSeriesData
@@ -171,8 +169,8 @@ class ShardWindowState:
     shards with different decay landmarks are directly comparable),
     the insertion time (for the §2.4 survived-one-window rule, applied
     only after taking the minimum across shards), the exact hit count,
-    and the live :class:`FeatureSet`, detached so it can be shipped
-    over a process boundary without copying.
+    and the live :class:`FeatureSet`, detached so it can be pickled
+    across a process boundary while the tracker keeps running.
     """
 
     __slots__ = ("dataset", "start_ts", "entries", "inserted", "stats")
@@ -193,42 +191,6 @@ class ShardWindowState:
         self.inserted = inserted
         #: {"kept": ...} -- this shard's share
         self.stats = stats
-
-    # -- flat-buffer codec (zero-copy shard transport) -----------------
-
-    def to_buffers(self):
-        """Serialize to ``(meta, buffers)``: per-entry scalars and the
-        idle-entry triples in *meta*, every entry's FeatureSet
-        contributing its contiguous buffers to one flat list."""
-        buffers = []
-        packed = []
-        for key, rate, error, inserted_at, hits, features in self.entries:
-            child_meta, child_buffers = features.to_buffers()
-            packed.append((key, rate, error, inserted_at, hits,
-                           child_meta, len(child_buffers)))
-            buffers.extend(child_buffers)
-        meta = (self.dataset, self.start_ts, tuple(packed),
-                tuple(self.inserted), dict(self.stats))
-        return meta, buffers
-
-    @classmethod
-    def from_buffers(cls, meta, buffers):
-        dataset, start_ts, packed, inserted, stats = meta
-        entries = []
-        offset = 0
-        for key, rate, error, inserted_at, hits, child_meta, count in packed:
-            features = FeatureSet.from_buffers(
-                child_meta, buffers[offset:offset + count])
-            offset += count
-            entries.append((key, rate, error, inserted_at, hits, features))
-        return cls(dataset, start_ts, entries, list(inserted), stats)
-
-    def __reduce_ex__(self, protocol):
-        if protocol >= 5:
-            meta, buffers = self.to_buffers()
-            return (self.from_buffers,
-                    (meta, [PickleBuffer(b) for b in buffers]))
-        return super().__reduce_ex__(protocol)
 
 
 class TrackerChannel:

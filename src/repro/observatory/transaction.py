@@ -119,10 +119,8 @@ class Transaction:
 
         With ``exact=True`` the two float fields (timestamp, delay) use
         ``repr`` -- the shortest string that round-trips the exact
-        float -- instead of the human-friendly fixed precision.  The
-        sharded binary transport needs this: a worker re-parses the
-        line, and a microsecond-truncated timestamp would perturb the
-        forward-decay rates the merge compares across shards.
+        float -- instead of the human-friendly fixed precision; only
+        ``tests/observatory/test_preprocess.py`` compares with it.
         """
         fields = [
             repr(self.ts) if exact else "%.6f" % self.ts,

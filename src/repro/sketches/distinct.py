@@ -25,7 +25,6 @@ sharded ingest differential relies on.
 """
 
 import heapq
-from pickle import PickleBuffer
 
 from repro.sketches.hyperloglog import HyperLogLog
 
@@ -162,7 +161,7 @@ class DistinctSpaceSaving:
         heapq.heapify(self._heap)
         return self
 
-    # -- flat-buffer codec (zero-copy shard transport) -----------------
+    # -- flat-buffer view (state comparison) ----------------------------
 
     def to_buffers(self):
         """Serialize to ``(meta, buffers)``; one HLL blob per slot."""
@@ -176,27 +175,3 @@ class DistinctSpaceSaving:
         meta = ("dss", self.capacity, self.precision, self.seed,
                 self.evictions, tuple(entry_meta))
         return meta, buffers
-
-    @classmethod
-    def from_buffers(cls, meta, buffers):
-        tag, capacity, precision, seed, evictions, entry_meta = meta
-        if tag != "dss":
-            raise ValueError("unknown DistinctSpaceSaving mode %r" % (tag,))
-        sketch = cls(capacity, precision, seed)
-        sketch.evictions = evictions
-        pos = 0
-        for key, base, hmeta, nbufs in entry_meta:
-            hll = HyperLogLog.from_buffers(hmeta, buffers[pos:pos + nbufs])
-            pos += nbufs
-            sketch._entries[key] = DistinctEntry(key, hll, base)
-        sketch._heap = [(e.estimate(), k)
-                        for k, e in sketch._entries.items()]
-        heapq.heapify(sketch._heap)
-        return sketch
-
-    def __reduce_ex__(self, protocol):
-        if protocol >= 5:
-            meta, buffers = self.to_buffers()
-            return (self.from_buffers,
-                    (meta, [PickleBuffer(b) for b in buffers]))
-        return super().__reduce_ex__(protocol)

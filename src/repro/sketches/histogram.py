@@ -14,7 +14,6 @@ with few observations stay tiny.
 
 import math
 import struct
-from pickle import PickleBuffer
 
 
 class LogHistogram:
@@ -136,7 +135,7 @@ class LogHistogram:
         self._min = math.inf
         self._max = -math.inf
 
-    # -- flat-buffer codec (zero-copy shard transport) -----------------
+    # -- flat-buffer view (FeatureSet.to_buffers) ----------------------
 
     _PAIR = struct.Struct("<iq")
 
@@ -154,35 +153,6 @@ class LogHistogram:
         meta = ("loghist", self.base, self.min_value, self.count,
                 self._sum, self._min, self._max)
         return meta, [bytes(buf)]
-
-    @classmethod
-    def from_buffers(cls, meta, buffers):
-        """Rebuild a histogram from :meth:`to_buffers` output.
-
-        Restores ``base`` bit-exactly (bypassing the ``relative_error``
-        constructor round-trip) so merged histograms keep identical
-        bucket boundaries."""
-        tag, base, min_value, count, total, min_, max_ = meta
-        if tag != "loghist":
-            raise ValueError("unknown LogHistogram buffer tag %r" % (tag,))
-        hist = cls.__new__(cls)
-        hist.base = base
-        hist._log_base = math.log(base)
-        hist.min_value = min_value
-        hist.count = count
-        hist._sum = total
-        hist._min = min_
-        hist._max = max_
-        hist._buckets = {idx: cnt for idx, cnt
-                         in cls._PAIR.iter_unpack(buffers[0])}
-        return hist
-
-    def __reduce_ex__(self, protocol):
-        if protocol >= 5:
-            meta, buffers = self.to_buffers()
-            return (self.from_buffers,
-                    (meta, [PickleBuffer(b) for b in buffers]))
-        return super().__reduce_ex__(protocol)
 
 
 class RunningMean:
@@ -207,23 +177,7 @@ class RunningMean:
         self._sum += other._sum
         return self
 
-    # -- flat-buffer codec: two scalars, no buffers needed -------------
+    # -- flat-buffer view: two scalars, no buffers needed --------------
 
     def to_buffers(self):
         return ("rmean", self.count, self._sum), []
-
-    @classmethod
-    def from_buffers(cls, meta, buffers):
-        tag, count, total = meta
-        if tag != "rmean":
-            raise ValueError("unknown RunningMean buffer tag %r" % (tag,))
-        mean = cls()
-        mean.count = count
-        mean._sum = total
-        return mean
-
-    def __reduce_ex__(self, protocol):
-        if protocol >= 5:
-            meta, buffers = self.to_buffers()
-            return (self.from_buffers, (meta, buffers))
-        return super().__reduce_ex__(protocol)

@@ -22,7 +22,6 @@ minutely files into coarser granularities.
 """
 
 import math
-from pickle import PickleBuffer
 
 from repro.sketches._hashing import hash64
 
@@ -145,7 +144,7 @@ class HyperLogLog:
         clone._registers[:] = self._registers
         return clone
 
-    # -- flat-buffer codec (zero-copy shard transport) -----------------
+    # -- flat-buffer view (FeatureSet.to_buffers) ----------------------
 
     def _index_size(self):
         if self.precision <= 8:
@@ -161,8 +160,7 @@ class HyperLogLog:
         Heule et al. (EDBT 2013): a mostly-empty sketch encodes as
         sparse ``(index, rank)`` pairs, a populated one exposes the
         live register ``bytearray`` itself -- no copy is made, so the
-        caller must serialize the buffers before this sketch mutates
-        again (the sharded ingest path only ships *detached* state).
+        buffers are a view of this sketch's state, not a snapshot.
         """
         registers = self._registers
         idx_size = self._index_size()
@@ -178,34 +176,3 @@ class HyperLogLog:
                     pos += pair
             return ("hll-sparse", self.precision, self.seed), [bytes(buf)]
         return ("hll-dense", self.precision, self.seed), [registers]
-
-    @classmethod
-    def from_buffers(cls, meta, buffers):
-        """Rebuild a sketch from :meth:`to_buffers` output.  Buffers
-        may be any bytes-like object (bytes, bytearray, memoryview)."""
-        mode, precision, seed = meta
-        sketch = cls(precision, seed)
-        data = buffers[0]
-        if mode == "hll-dense":
-            if len(data) != sketch.num_registers:
-                raise ValueError("register blob has wrong length")
-            sketch._registers[:] = data
-        elif mode == "hll-sparse":
-            idx_size = sketch._index_size()
-            pair = idx_size + 1
-            if len(data) % pair:
-                raise ValueError("sparse register blob has wrong length")
-            registers = sketch._registers
-            for pos in range(0, len(data), pair):
-                idx = int.from_bytes(data[pos:pos + idx_size], "little")
-                registers[idx] = data[pos + idx_size]
-        else:
-            raise ValueError("unknown HyperLogLog buffer mode %r" % (mode,))
-        return sketch
-
-    def __reduce_ex__(self, protocol):
-        if protocol >= 5:
-            meta, buffers = self.to_buffers()
-            return (self.from_buffers,
-                    (meta, [PickleBuffer(b) for b in buffers]))
-        return super().__reduce_ex__(protocol)

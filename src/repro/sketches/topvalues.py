@@ -16,7 +16,6 @@ with high probability.
 """
 
 import struct
-from pickle import PickleBuffer
 
 _INT_PAIR = struct.Struct("<qq")
 _INT64_MIN = -(1 << 63)
@@ -88,7 +87,7 @@ class TopValues:
         self.replaced += other.replaced
         return self
 
-    # -- flat-buffer codec (zero-copy shard transport) -----------------
+    # -- flat-buffer view (FeatureSet.to_buffers) ----------------------
 
     def to_buffers(self):
         """Serialize to ``(meta, buffers)``.  Integer values (the TTL
@@ -107,25 +106,3 @@ class TopValues:
                 pos += _INT_PAIR.size
             return ("topv-int",) + header, [bytes(buf)]
         return ("topv-obj",) + header + (tuple(counts.items()),), []
-
-    @classmethod
-    def from_buffers(cls, meta, buffers):
-        tag, max_values, total, replaced = meta[:4]
-        top = cls(max_values)
-        top.total = total
-        top.replaced = replaced
-        if tag == "topv-int":
-            top._counts = {value: count for value, count
-                           in _INT_PAIR.iter_unpack(buffers[0])}
-        elif tag == "topv-obj":
-            top._counts = dict(meta[4])
-        else:
-            raise ValueError("unknown TopValues buffer tag %r" % (tag,))
-        return top
-
-    def __reduce_ex__(self, protocol):
-        if protocol >= 5:
-            meta, buffers = self.to_buffers()
-            return (self.from_buffers,
-                    (meta, [PickleBuffer(b) for b in buffers]))
-        return super().__reduce_ex__(protocol)

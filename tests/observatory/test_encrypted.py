@@ -48,8 +48,8 @@ def test_encrypt_observation_rejects_unknown_transport():
 
 
 def test_blinded_transaction_survives_line_roundtrip():
-    """The binary shard transport re-parses transaction lines, so a
-    blinded observation must roundtrip the frozen line format."""
+    """``simulate`` writes and ``replay`` re-parses transaction lines,
+    so a blinded observation must roundtrip the frozen line format."""
     from repro.observatory.transaction import Transaction
 
     blinded = encrypt_observation(

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from tests.util import make_txn
 
 
 def test_parser_requires_command():
@@ -203,8 +206,7 @@ def test_serve_rejects_bad_max_connections(tmp_path):
         main(["serve", str(tmp_path), "--max-connections", "0"])
 
 
-@pytest.mark.parametrize("transport", ["pickle", "binary"])
-def test_replay_sharded_matches_single(tmp_path, capsys, transport):
+def test_replay_sharded_matches_single(tmp_path, capsys):
     stream = tmp_path / "stream.tsv"
     main(["simulate", "--seed", "8", "--duration", "130", "--qps", "20",
           "-o", str(stream)])
@@ -214,11 +216,10 @@ def test_replay_sharded_matches_single(tmp_path, capsys, transport):
                "--datasets", "srvip", "qtype", "--k", "500"])
     assert rc == 0
     rc = main(["replay", str(stream), str(sharded_dir), "--shards", "2",
-               "--transport", transport,
                "--datasets", "srvip", "qtype", "--k", "500"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "(2 shards, %s transport)" % transport in out
+    assert "(2 shards)" in out
     import os
 
     names = sorted(os.listdir(single_dir))
@@ -414,14 +415,40 @@ class TestMissingInputExitCodes:
         assert "not found" in capsys.readouterr().err
 
 
+class TestBadIngestArgs:
+    """An out-of-range ingest flag is a usage error like a missing
+    input: one ``error:`` line on stderr and exit 2, never a
+    traceback, whatever check in the library rejects it."""
+
+    @pytest.mark.parametrize("command", ["replay", "run"])
+    @pytest.mark.parametrize("flags", [
+        ["--window", "0"], ["--window", "-5"], ["--k", "0"],
+        ["--k", "0", "--shards", "2"], ["--datasets", "bogus"],
+        ["--datasets", "srvip", "srvip"], ["--detectors", "bogus"],
+        ["--shards", "0"]], ids=" ".join)
+    def test_exits_2_with_one_line(self, command, flags, tmp_path, capsys):
+        stream = tmp_path / "stream.tsv"
+        stream.write_text(make_txn().to_line() + "\n")
+        out = str(tmp_path / "out")
+        argv = {"replay": ["replay", str(stream), out],
+                "run": ["run", out, "--port", "0", "--exit-when-done",
+                        "--input", str(stream)]}[command]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", [
     ["replay", "in.tsv", "out"], ["run", "out"]])
 @pytest.mark.parametrize("flag", [
     # spelled in two pieces so a grep for the retired flag stays empty
-    ["--transport", "ring"], ["--ring" "-bytes", "65536"]])
+    ["--transport", "ring"], ["--ring" "-bytes", "65536"],
+    ["--transport", "binary"]])
 def test_ring_transport_flags_are_gone(command, flag, capsys):
-    """The shared-memory ring was retired: argparse rejects its flags
-    (exit 2) on both ingest subcommands."""
+    """The shared-memory ring and the binary codec were retired (the
+    queue's own pickling is the one shard link): argparse rejects
+    their flags (exit 2) on both ingest subcommands."""
     with pytest.raises(SystemExit) as excinfo:
         main(command + flag)
     assert excinfo.value.code == 2

@@ -273,12 +273,11 @@ def _tsv_tree(directory):
     return out
 
 
-@pytest.mark.parametrize("transport", ["binary"])
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
-def test_sharded_replay_matches_single_process(seed, transport, tmp_path):
-    """simulate | replay == simulate | replay --shards 2 --transport
-    binary --telemetry: same filenames, same rows, for five
-    random workloads, through the real CLI."""
+def test_sharded_replay_matches_single_process(seed, tmp_path):
+    """simulate | replay == simulate | replay --shards 2 --telemetry:
+    same filenames, same rows, for five random workloads, through the
+    real CLI."""
     from repro.cli import main as cli_main
 
     stream = tmp_path / "stream.txt"
@@ -289,8 +288,7 @@ def test_sharded_replay_matches_single_process(seed, transport, tmp_path):
     sharded = tmp_path / "sharded"
     assert cli_main(["replay", str(stream), str(single)]) == 0
     assert cli_main(["replay", str(stream), str(sharded),
-                     "--shards", "2", "--transport", transport,
-                     "--telemetry"]) == 0
+                     "--shards", "2", "--telemetry"]) == 0
     ours, theirs = _tsv_tree(str(single)), _tsv_tree(str(sharded))
     assert sorted(ours) == sorted(theirs)
     for name in ours:
@@ -504,8 +502,7 @@ def test_pipeline_with_a_directory_retains_no_window(shards, tmp_path):
     long the stream (``replay`` must not grow with its input)."""
     from repro.observatory.pipeline import build_pipeline
 
-    obs = build_pipeline(shards=shards, transport="binary",
-                         datasets=["srvip", "qtype"],
+    obs = build_pipeline(shards=shards, datasets=["srvip", "qtype"],
                          output_dir=str(tmp_path), telemetry=True)
     obs.consume([make_txn(ts=i * 0.5, server_ip="192.0.2.%d" % (1 + i % 5))
                  for i in range(400)])
@@ -691,7 +688,7 @@ def test_sharded_detector_series_bit_identical(seed, tmp_path):
     assert cli_main(["replay", str(stream), str(single),
                      "--detectors"]) == 0
     assert cli_main(["replay", str(stream), str(sharded), "--detectors",
-                     "--shards", "2", "--transport", "binary"]) == 0
+                     "--shards", "2"]) == 0
     ours, theirs = _detector_tree(str(single)), _detector_tree(str(sharded))
     assert ours, "no _detector series written"
     assert sorted(ours) == sorted(theirs)
@@ -849,7 +846,7 @@ def _meta_series_tree(directory, prefixes=("_encrypted.", "_vantage_")):
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_sharded_encrypted_and_vantage_bit_identical(seed, tmp_path):
     """replay --vantage of an encrypted-mix stream == the same with
-    --shards 2 --transport binary: the _encrypted and _vantage_* files
+    --shards 2: the _encrypted and _vantage_* files
     agree byte for byte, #stats trailers included."""
     from repro.cli import main as cli_main
 
@@ -862,8 +859,7 @@ def test_sharded_encrypted_and_vantage_bit_identical(seed, tmp_path):
     assert cli_main(["replay", str(stream), str(single),
                      "--vantage", str(vdb)]) == 0
     assert cli_main(["replay", str(stream), str(sharded),
-                     "--vantage", str(vdb),
-                     "--shards", "2", "--transport", "binary"]) == 0
+                     "--vantage", str(vdb), "--shards", "2"]) == 0
     ours = _meta_series_tree(str(single))
     theirs = _meta_series_tree(str(sharded))
     assert any(name.startswith("_encrypted.") for name in ours), \

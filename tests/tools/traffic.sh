@@ -29,11 +29,11 @@ $R simulate --preset tiny --seed 2019 --duration 240 --qps 25 \
     -o "$W/enc50.tsv"
 $R simulate --preset tiny --duration 30 --qps 10 > /dev/null
 
-# -- replay: single, both sharded transports, stdin -------------------
+# -- replay: single, sharded (one tree aggregated, one served), stdin --
 FULL="--segments --telemetry --detectors --vantage $W/vantage.tsv"
 $R replay "$W/stream.tsv" "$W/single" $FULL
 $R replay "$W/stream.tsv" "$W/pickle" --shards 2 $FULL
-$R replay "$W/stream.tsv" "$W/binary" --shards 2 --transport binary $FULL
+$R replay "$W/stream.tsv" "$W/sharded" --shards 2 $FULL
 $R replay "$W/attacks.tsv" "$W/attacked" --detectors exfil ddos noh \
     --datasets srvip esld --k 500 --window 60
 $R replay "$W/enc0.tsv" "$W/enc-out-0" --vantage "$W/vantage.tsv"
@@ -58,13 +58,13 @@ $R aggregate "$W/short" --segments --retention-now 1e9
 # -- report: all four modes --------------------------------------------
 $R report --preset tiny --duration 180 --csv-dir "$W/csv" > /dev/null
 printf 'latency: flush.flush_mean_ms > 100000\n' > "$W/rules.txt"
-ok3 $R report --platform "$W/binary"
-ok3 $R report --platform "$W/binary" --rules "$W/rules.txt"
+ok3 $R report --platform "$W/sharded"
+ok3 $R report --platform "$W/sharded" --rules "$W/rules.txt"
 ok3 $R report --detect "$W/attacked" --labels "$W/labels.json"
 ok3 $R report --blindness "$W/enc-out-0" "$W/enc-out-50"
 
 # -- serve: every route, 304/404/SSE/long-poll, auth, rate limit ------
-$R serve "$W/binary" --port 18053 --follow --token t0k --rate-limit 5 \
+$R serve "$W/sharded" --port 18053 --follow --token t0k --rate-limit 5 \
     --rate-burst 60 --stream-threshold 0 --rules "$W/rules.txt" &
 SERVE=$!
 $R serve "$W/enc-out-0" --port 18054 --cache-windows 8 &
@@ -159,7 +159,7 @@ else:
 EOF
 wait $RUN
 $R run "$W/live-file" --input "$W/enc50.tsv" --pace 0 --port 18056 \
-    --shards 2 --transport binary --vantage "$W/vantage.tsv" \
+    --shards 2 --vantage "$W/vantage.tsv" \
     --exit-when-done
 head -2000 "$W/stream.tsv" | $R run "$W/live-stdin" --input - --pace 0 \
     --port 18057 --exit-when-done

@@ -31,19 +31,14 @@ alike:
   served from memory and everything else costs one bounded read;
 * a **bisected range index** -- each series' refs stay sorted by
   ``start_ts``, so a range query is two :func:`bisect.bisect` calls
-  and a slice, O(log n + answer) instead of a linear scan of every
-  indexed window (a year of minutely windows is ~525k refs;
-  ``benchmarks/bench_serve.py --check`` gates the speedup);
+  and a slice, O(log n + answer), not a scan of every indexed window;
 * **query primitives** -- :meth:`datasets`, :meth:`select`,
-  :meth:`read`, :meth:`accumulate`, :meth:`topk`, :meth:`has_key`
-  -- the vocabulary the analysis modules, ``repro report`` and
-  :mod:`repro.server` share instead of each re-implementing loops
-  over ``read_series``; plus the **streaming iterators**
+  :meth:`read`, :meth:`accumulate`, :meth:`topk` (which ranks before
+  it folds: one column for every key, every column only for the *n*
+  winners), :meth:`has_key` and the **streaming iterators**
   :meth:`iter_windows` / :meth:`iter_range` /
-  :meth:`iter_topk_windows`, which yield parsed windows one at a
-  time through the LRU so a long-range consumer (the chunked
-  ``/series`` response, a whole-range accumulation) never holds more
-  than one window plus the LRU in memory.
+  :meth:`iter_topk_windows`, which read one window at a time through
+  the LRU, so a long range never holds more than that in memory.
 """
 
 import bisect
@@ -54,6 +49,7 @@ import threading
 from collections import OrderedDict
 
 from repro.observatory import segments as segmentfmt
+from repro.observatory.features import COUNTER_COLUMNS
 from repro.observatory.tsv import (
     GRANULARITIES,
     parse_filename,
@@ -63,13 +59,8 @@ from repro.observatory.tsv import (
 
 logger = logging.getLogger(__name__)
 
-#: distinct range-accumulations memoized per store (see ``accumulate``)
-ACCUMULATE_CACHE = 16
-
-#: max consecutive same-key-tuple windows folded as one clustered run
-#: in :meth:`SeriesStore.accumulate` -- bounds the windows held beyond
-#: the LRU so a year-long range still accumulates in O(run) memory,
-#: not O(span)
+#: max consecutive same-key-tuple windows folded as one clustered run:
+#: a year-long range folds in O(run) memory beyond the LRU, not O(span)
 ACCUMULATE_RUN = 256
 
 
@@ -246,8 +237,6 @@ class SeriesStore:
         self._by_series = {}
         #: path -> TimeSeriesData (column lists), LRU order (oldest first)
         self._cache = OrderedDict()
-        #: selection signature -> accumulated rows (see :meth:`accumulate`)
-        self._accumulated = OrderedDict()
         #: path -> _Flight: cold reads in progress (single-flight)
         self._inflight = {}
         self._lock = threading.RLock()
@@ -422,13 +411,8 @@ class SeriesStore:
 
     def read(self, dataset, granularity="minutely",
              start_ts=None, end_ts=None):
-        """Parsed windows for the range, served through the LRU.
-
-        Drop-in replacement for
-        :func:`~repro.observatory.tsv.read_series` -- returns the same
-        time-ordered :class:`~repro.observatory.tsv.TimeSeriesData`
-        list the analysis modules already consume.
-        """
+        """Parsed windows for the range through the LRU: the list
+        :func:`~repro.observatory.tsv.read_series` returns."""
         return list(self.iter_range(dataset, granularity,
                                     start_ts, end_ts))
 
@@ -436,20 +420,11 @@ class SeriesStore:
 
     def iter_windows(self, refs):
         """Yield parsed windows for *refs* one at a time through the
-        LRU.
-
-        The incremental read path: a consumer (the chunked ``/series``
-        encoder) holds one parsed window at a time instead of the
-        whole range, so memory stays O(LRU), not O(span).  Cold reads
-        run *outside* the store lock -- a slow parse must not block
-        unrelated queries -- with per-path single-flight, so N
-        concurrent consumers missing on the same window share one
-        parse instead of duplicating it.  Abandoning the generator
-        mid-range (an HTTP client disconnecting mid-stream) leaves the
-        LRU with only complete entries: a window is inserted only
-        after its read finished.  A window whose file has vanished is
-        skipped, as if it had never been indexed.
-        """
+        LRU (:meth:`read_window`), so a consumer such as the chunked
+        ``/series`` encoder holds O(LRU) in memory, not O(span).
+        Abandoning the generator mid-range leaves the LRU with only
+        complete entries; a window whose file has vanished is skipped,
+        as if it had never been indexed."""
         for ref in refs:
             data = self.read_window(ref)
             if data is not None:
@@ -479,12 +454,14 @@ class SeriesStore:
                                   for i in top]
 
     def read_window(self, ref):
-        """The one read: *ref*'s window through the LRU, cold reads
-        single-flight.  A ref whose text and sidecar are both gone is
-        dropped from the index and counted (``vanished_reads``), and
-        the answer -- to the leader and every waiter -- is ``None``:
-        the query goes on as if the window were absent.  Any other
-        failure (a corrupt file) raises, to waiters too."""
+        """The one read: *ref*'s window through the LRU.  Cold reads
+        run outside the store lock, single-flight: N threads missing
+        on one path share one parse.  A ref whose text and sidecar are
+        both gone is dropped from the index and counted
+        (``vanished_reads``), and the answer -- to the leader and every
+        waiter -- is ``None``: the query goes on as if the window were
+        absent.  Any other failure (a corrupt file) raises, to waiters
+        too."""
         path = ref.path
         with self._lock:
             data = self._cache.get(path)
@@ -557,67 +534,73 @@ class SeriesStore:
                     self.segment_rejects += 1
         return read_tsv(ref.path), False
 
+    def _fold(self, refs, project):
+        """Fold the windows of *refs*, each projected by *project* to
+        ``(keys, columns, values)``; consecutive equal projections
+        fold as one clustered run of up to :data:`ACCUMULATE_RUN`.
+        Returns ``(rows, refs read)``: a vanished window is skipped."""
+        from repro.analysis.seriesops import Accumulator
+
+        acc = Accumulator()
+        read, run = [], []
+        for ref in refs:
+            data = self.read_window(ref)
+            if data is None:
+                continue
+            read.append(ref)
+            keys, columns, values = project(data)
+            if run and (len(run) >= ACCUMULATE_RUN
+                        or columns != run_columns or keys != run_keys):
+                acc.fold_columns_run(run_keys, run_columns, run)
+                run = []
+            if not run:
+                run_keys, run_columns = keys, columns
+            run.append(values)
+        if run:
+            acc.fold_columns_run(run_keys, run_columns, run)
+        return acc.finish(), read
+
     def accumulate(self, dataset, granularity="minutely",
                    start_ts=None, end_ts=None):
         """Whole-range per-key rows (counters summed, gauges
         hits-weighted) -- the accumulation every ranking and
-        distribution analysis starts from.
-
-        Accumulations are memoized by the exact file revisions they
-        were computed from (the same ``mtime + size`` identity that
-        backs the window LRU and HTTP ETags), so a repeated ``/topk``
-        over unchanged windows is a dictionary lookup, not an
-        O(windows x keys) re-merge.  Treat the returned mapping as
-        read-only -- it is shared between callers.
-
-        Windows stream through the LRU one at a time; consecutive
-        windows carrying the identical ordered key tuple and columns
-        batch into one clustered run of up to :data:`ACCUMULATE_RUN`
-        so counters collapse to C-level sums.
-        """
-        from repro.analysis.seriesops import Accumulator
-
-        refs = self.select(dataset, granularity, start_ts, end_ts)
-        signature = (dataset, granularity,
-                     tuple(ref.etag_token() for ref in refs))
-        with self._lock:
-            rows = self._accumulated.get(signature)
-            if rows is not None:
-                self._accumulated.move_to_end(signature)
-                return rows
-        acc = Accumulator()
-
-        def fold(run):
-            if run:
-                acc.fold_columns_run(run[0].keys, run[0].columns,
-                                     [window.values for window in run])
-
-        run = []
-        for data in self.iter_windows(refs):
-            if run and (len(run) >= ACCUMULATE_RUN
-                        or data.columns != run[0].columns
-                        or data.keys != run[0].keys):
-                fold(run)
-                run = []
-            run.append(data)
-        fold(run)
-        rows = acc.finish()
-        with self._lock:
-            self._accumulated[signature] = rows
-            self._accumulated.move_to_end(signature)
-            while len(self._accumulated) > ACCUMULATE_CACHE:
-                self._accumulated.popitem(last=False)
-        return rows
+        distribution analysis starts from."""
+        return self._fold(
+            self.select(dataset, granularity, start_ts, end_ts),
+            lambda data: (data.keys, data.columns, data.values))[0]
 
     def topk(self, dataset, n=10, by="hits", granularity="minutely",
              start_ts=None, end_ts=None):
-        """Top-*n* keys of *dataset* over the range, ranked by column
-        *by*: list of ``(key, row_dict)`` heaviest first."""
-        from repro.analysis.seriesops import ranked_keys
+        """Top-*n* ``(key, row)`` pairs of *dataset* over the range in
+        ``ranked_keys(accumulate(...), by)`` order.  The rank pass
+        folds only *by* (plus the ``hits`` weighting a gauge or mode
+        vote) for every key; the row pass folds every column for the
+        *n* winners only, over the windows the rank pass read.  A
+        cell's recurrence reads only its own key's cells in window
+        order, so each value is the float a full fold computes."""
+        from repro.analysis.seriesops import MAX_COLUMNS
 
-        rows = self.accumulate(dataset, granularity, start_ts, end_ts)
-        return [(key, rows[key])
-                for key in ranked_keys(rows, by=by)[:max(int(n), 0)]]
+        wanted = {by} if by in COUNTER_COLUMNS or by in MAX_COLUMNS \
+            else {by, "hits"}
+
+        def ranking(data):
+            columns = [col for col in data.columns if col in wanted]
+            return data.keys, columns, [data.column(c) for c in columns]
+
+        ranks, read = self._fold(
+            self.select(dataset, granularity, start_ts, end_ts), ranking)
+        winners = [key for _, key in heapq.nsmallest(
+            max(int(n), 0),
+            ((-row.get(by, 0), key) for key, row in ranks.items()))]
+        chosen = set(winners)
+
+        def winning_rows(data):
+            at = [i for i, key in enumerate(data.keys) if key in chosen]
+            return ([data.keys[i] for i in at], data.columns,
+                    [[cells[i] for i in at] for cells in data.values])
+
+        rows = self._fold(read, winning_rows)[0]
+        return [(key, rows[key]) for key in winners if key in rows]
 
     def has_key(self, dataset, key, granularity="minutely",
                 start_ts=None, end_ts=None):

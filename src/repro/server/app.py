@@ -409,11 +409,12 @@ class ObservatoryApp:
         or emits a chunk -- and a cached body is byte-for-byte what a
         rebuild would produce.  *fragments()* returns the body's
         text fragments and runs once per revision set; what it must
-        decide before a status line goes out (the ``/key`` 404) it
-        decides when called, not when iterated.  Streamed answers
-        bypass the cache (they exist to *not* materialize); its key
-        includes the route because endpoints over the same windows and
-        query string legitimately share an ETag.
+        decide before a status line goes out (the ``/key`` 404, the
+        ``by=`` 400) it decides when called, not when iterated.
+        Streamed answers bypass the cache (they exist to *not*
+        materialize); its key includes the route because endpoints
+        over the same windows and query string legitimately share an
+        ETag.
         """
         etag = self._etag(refs, *extra)
         validators = request.if_none_match()
@@ -466,6 +467,19 @@ class ObservatoryApp:
                 "stats": data.stats,
                 "rows": [[key, row] for key, row in data.rows],
             }
+
+    def _known_column(self, refs, column):
+        """The ``by=`` 400: some window of *refs* must carry *column*.
+        The scan stops at the first that does (an LRU read the ranking
+        reuses); an empty selection names no columns and is no error."""
+        columns = set()
+        for data in self.store.iter_windows(refs):
+            if column in data.columns:
+                return
+            columns.update(data.columns)
+        if columns:
+            raise HttpError(400, "unknown column %r (the selection has: %s)"
+                            % (column, ", ".join(sorted(columns))))
 
     def _key_points(self, refs, key, column):
         """One ``[start_ts, value]`` point per window for ``/key``."""
@@ -702,10 +716,11 @@ class ObservatoryApp:
         refs = self._select_known(dataset, granularity, start, end)
 
         def fragments():
+            self._known_column(refs, by)
             top = self.store.topk(dataset, n=n, by=by,
                                   granularity=granularity,
                                   start_ts=start, end_ts=end)
-            yield _dumps({
+            return [_dumps({
                 "dataset": dataset,
                 "granularity": granularity,
                 "by": by,
@@ -713,7 +728,7 @@ class ObservatoryApp:
                          "value": row.get(by, 0), "row": row}
                         for rank, (key, row) in enumerate(top)],
                 "windows": len(refs),
-            }) + "\n"
+            }) + "\n"]
 
         return self._respond(
             "topk", request, refs,
@@ -752,6 +767,7 @@ class ObservatoryApp:
                 }
 
         def fragments():
+            self._known_column(refs, by)
             return self._json_fragments(meta, "windows", entries())
 
         return self._respond(

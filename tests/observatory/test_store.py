@@ -5,6 +5,8 @@ import os
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observatory.store import SeriesStore
 from repro.observatory.tsv import TimeSeriesData, read_series, write_tsv
@@ -275,26 +277,70 @@ class TestQueries:
         assert store.accumulate("srvip") == \
             accumulate_dumps(read_series(str(tmp_path), "srvip"))
 
-    def test_accumulate_memoized_over_unchanged_windows(self, tmp_path):
+    def test_topk_reads_each_window_once_per_pass(self, tmp_path):
+        """The rank pass and the row pass each read the range once:
+        from disk twice without an LRU, once with one."""
         self.setup_windows(tmp_path)
-        store = SeriesStore(str(tmp_path))
-        first = store.accumulate("srvip")
-        parses = store.parses
-        # same selection, same file revisions: the exact same mapping
-        assert store.accumulate("srvip") is first
-        assert store.parses == parses
-        # a different range is a different accumulation
-        assert store.accumulate("srvip", end_ts=60) is not first
+        cold = SeriesStore(str(tmp_path), cache_windows=0)
+        cold.topk("srvip", n=1)
+        assert cold.parses == 4
+        warm = SeriesStore(str(tmp_path))
+        warm.topk("srvip", n=1)
+        assert warm.parses == 2 and warm.cache_hits == 2
 
-    def test_accumulate_memo_invalidated_by_new_window(self, tmp_path):
-        self.setup_windows(tmp_path)
-        store = SeriesStore(str(tmp_path))
-        first = store.accumulate("srvip")
-        make_window(tmp_path, 120, rows=[("d", {"hits": 5, "ok": 5})])
-        store.refresh()
-        second = store.accumulate("srvip")
-        assert second is not first
-        assert second["d"]["hits"] == 5
+
+#: one column of each kind the fold treats apart
+_KINDS = ("hits", "ok", "delay_q50", "qdots_max", "ttl_top1")
+
+
+@st.composite
+def _windows(draw):
+    """Windows over overlapping key sets in shuffled order, each
+    missing one column or carrying an extra one; small integer cells
+    make ties and zero hits common."""
+    pool = ["k%d" % i for i in range(draw(st.integers(1, 9)))]
+    cell = st.one_of(st.integers(0, 6),
+                     st.floats(0, 99, allow_nan=False).map(
+                         lambda v: round(v, 4)))
+    windows = []
+    for start in range(0, 60 * draw(st.integers(1, 6)), 60):
+        keys = draw(st.permutations(pool))
+        keys = keys[:draw(st.integers(0, len(keys)))]
+        drop = draw(st.sampled_from((None,) + _KINDS))
+        columns = [col for col in _KINDS if col != drop]
+        if draw(st.booleans()):
+            columns.append("extra")
+        columns = draw(st.permutations(columns))
+        rows = [(key, {col: draw(cell) for col in columns})
+                for key in keys]
+        windows.append(TimeSeriesData("srvip", "minutely", start,
+                                      columns=list(columns), rows=rows))
+    return windows
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows=_windows(), by=st.sampled_from(_KINDS + ("nosuch",)),
+       n=st.integers(0, 12), cache=st.sampled_from((0, 256)))
+def test_topk_pushdown_matches_full_fold(tmp_path_factory, windows, by, n,
+                                         cache):
+    """``topk`` ranking one column, then folding only the winners,
+    equals ranking the full fold: same keys in the same order, rows
+    with the same float bits, key sets and window counts."""
+    from repro.analysis.seriesops import accumulate_dumps, ranked_keys
+    from repro.server.app import _dumps
+
+    directory = tmp_path_factory.mktemp("pushdown")
+    for window in windows:
+        write_tsv(str(directory), window)
+    full = accumulate_dumps(read_series(str(directory), "srvip"))
+    want = [(key, full[key]) for key in ranked_keys(full, by)[:n]]
+    got = SeriesStore(str(directory), cache_windows=cache).topk(
+        "srvip", n=n, by=by)
+
+    def text(top):
+        return _dumps([[key, row, row.windows] for key, row in top])
+
+    assert text(got) == text(want)
 
 
 class TestNotifyFlush:

@@ -314,6 +314,26 @@ class TestErrorSurface:
         assert "nosuch" in payload["error"]
         assert payload["status"] == 404
 
+    def test_unknown_by_400_names_the_columns(self, series_dir):
+        """Regression: a ``by=`` no window carries answered 200, every
+        key ranked at 0 in key order.  The streamed per-window route
+        decides it before its status line; an empty selection of a
+        known dataset stays an empty 200."""
+        async def scenario(server, app):
+            return [await http_get(server.port, target) for target in (
+                "/topk/srvip?by=nosuch", "/topk/windows/srvip?by=nosuch",
+                "/topk/srvip?by=nosuch&start=9e9&end=9.1e9",
+                "/topk/srvip?by=delay_q50")]
+
+        ranked, windows, empty, known = run_with_server(
+            series_dir, scenario, stream_threshold=0)
+        for resp in (ranked, windows):
+            assert resp.status == 400
+            error = resp.json()["error"]
+            assert "nosuch" in error and "hits" in error
+        assert empty.status == 200 and empty.json()["top"] == []
+        assert known.status == 200 and known.json()["top"]
+
     def test_unknown_key_404_json(self, series_dir):
         async def scenario(server, app):
             return await http_get(server.port, "/key/srvip/10.9.9.9")

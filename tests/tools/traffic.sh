@@ -32,8 +32,8 @@ $R simulate --preset tiny --duration 30 --qps 10 > /dev/null
 # -- replay: single, sharded (one tree aggregated, one served), stdin --
 FULL="--segments --telemetry --detectors --vantage $W/vantage.tsv"
 $R replay "$W/stream.tsv" "$W/single" $FULL
-$R replay "$W/stream.tsv" "$W/pickle" --shards 2 $FULL
 $R replay "$W/stream.tsv" "$W/sharded" --shards 2 $FULL
+cp -r "$W/sharded" "$W/pickle"
 $R replay "$W/attacks.tsv" "$W/attacked" --detectors exfil ddos noh \
     --datasets srvip esld --k 500 --window 60
 $R replay "$W/enc0.tsv" "$W/enc-out-0" --vantage "$W/vantage.tsv"
@@ -101,6 +101,10 @@ expect(304, 18053, "/topk/srvip?n=5&by=hits",
 expect(200, 18053, "/topk/srvip?n=5", headers={"Accept-Encoding": "gzip"})
 expect(200, 18053, "/topk/windows/srvip?n=3&by=hits&start=0&end=3600")
 expect(200, 18053, "/topk/windows/_detector?n=5&by=flagged")
+expect(200, 18053, "/topk/srvip?by=delay_q50&start=0&end=600")
+expect(200, 18053, "/topk/srvip?by=ttl_top1")
+expect(400, 18053, "/topk/srvip?by=nosuch")
+expect(400, 18053, "/topk/windows/srvip?by=nosuch")
 expect(200, 18053, "/series/qtype?limit=4")
 expect(200, 18053, "/series/qname?limit=2&cursor=0",
        headers={"Accept-Encoding": "gzip"})

@@ -12,7 +12,7 @@ from repro.analysis.distributions import figure2, render_figure2
 
 def test_fig2_traffic_distributions(benchmark, base_run):
     results = benchmark.pedantic(
-        figure2, args=(base_run.obs,),
+        figure2, args=(base_run.store,),
         kwargs={"datasets": ("srvip", "qname", "esld")},
         rounds=3, iterations=1)
     out = render_figure2(results)

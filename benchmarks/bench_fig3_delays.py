@@ -18,14 +18,14 @@ from repro.analysis.delays import (
 )
 
 
-def _figure3(obs, root_ips, gtld_ips):
+def _figure3(store, root_ips, gtld_ips):
     return (
-        delay_cdf(obs),
-        rank_vs_delay(obs, group_size=100),
-        letter_stats(obs, root_ips),
-        letter_stats(obs, gtld_ips),
-        hierarchy_shares(obs, root_ips),
-        hierarchy_shares(obs, gtld_ips),
+        delay_cdf(store),
+        rank_vs_delay(store, group_size=100),
+        letter_stats(store, root_ips),
+        letter_stats(store, gtld_ips),
+        hierarchy_shares(store, root_ips),
+        hierarchy_shares(store, gtld_ips),
     )
 
 
@@ -34,7 +34,7 @@ def test_fig3_response_delays(benchmark, base_run):
     gtld_ips = base_run.gtld_letter_ips()
     (cdf, groups, root_stats, gtld_stats, root_sh,
      gtld_sh) = benchmark.pedantic(
-        _figure3, args=(base_run.obs, root_ips, gtld_ips),
+        _figure3, args=(base_run.store, root_ips, gtld_ips),
         rounds=3, iterations=1)
     save_result("fig3_delays", render_figure3(
         cdf, groups, root_stats, gtld_stats, root_sh, gtld_sh))

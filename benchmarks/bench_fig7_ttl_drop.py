@@ -31,7 +31,7 @@ def ttl_drop_run():
 
 def test_fig7_ttl_drop_amplifies_queries(benchmark, ttl_drop_run):
     result = benchmark.pedantic(
-        figure7, args=(ttl_drop_run.obs, "xmsecu.com"),
+        figure7, args=(ttl_drop_run.store, "xmsecu.com"),
         kwargs={"change_at": CHANGE_AT}, rounds=3, iterations=1)
     save_result("fig7_ttl_drop", render_figure7(result, "xmsecu.com"))
 

@@ -18,7 +18,7 @@ from repro.analysis.happyeyeballs import (
 
 def test_fig9_negative_caching(benchmark, base_run):
     points = benchmark.pedantic(
-        figure9, args=(base_run.obs, base_run.negttl_lookup),
+        figure9, args=(base_run.store, base_run.negttl_lookup),
         kwargs={"top_n": 300, "horizon": base_run.scenario.duration},
         rounds=3, iterations=1)
     save_result("fig9_happy_eyeballs", render_figure9(points))

@@ -36,7 +36,7 @@ def rollout_run():
 
 def test_sec53_ipv6_rollout(benchmark, rollout_run):
     result = benchmark.pedantic(
-        ipv6_rollout, args=(rollout_run.obs, FQDN, ROLLOUT_AT),
+        ipv6_rollout, args=(rollout_run.store, FQDN, ROLLOUT_AT),
         rounds=3, iterations=1)
     save_result("sec53_ipv6_rollout", render_ipv6_rollout(result, FQDN))
 

@@ -12,7 +12,7 @@ from repro.analysis.qtypes import render_table2, table2
 
 def test_table2_qtype_profiles(benchmark, base_run):
     rows, total = benchmark.pedantic(
-        table2, args=(base_run.obs,), rounds=3, iterations=1)
+        table2, args=(base_run.store,), rounds=3, iterations=1)
     save_result("table2_qtypes", render_table2(rows))
 
     by_type = {r.qtype: r for r in rows}

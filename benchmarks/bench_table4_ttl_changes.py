@@ -55,10 +55,10 @@ def table4_run():
     return run, dnsdb
 
 
-def _table4(obs_dumps, dnsdb):
+def _table4(store, dnsdb):
     detector = TtlChangeDetector()
-    for dump in obs_dumps:
-        detector.observe_dump(dump)
+    for window in store.iter_range("aafqdn"):
+        detector.observe_dump(window)
     events = classify_events(detector.events, dnsdb)
     return table4(events)
 
@@ -66,7 +66,7 @@ def _table4(obs_dumps, dnsdb):
 def test_table4_ttl_change_classification(benchmark, table4_run):
     run, dnsdb = table4_run
     counts, per_fqdn = benchmark.pedantic(
-        _table4, args=(run.obs.dumps["aafqdn"], dnsdb),
+        _table4, args=(run.store, dnsdb),
         rounds=2, iterations=1)
     save_result("table4_ttl_changes", render_table4(counts, per_fqdn))
 

@@ -5,16 +5,20 @@ figure of the paper: each bench times the analysis computation and
 writes the rendered result to ``benchmarks/results/<name>.txt`` (the
 numbers recorded in EXPERIMENTS.md come from these files).
 
-The expensive part -- simulating the DNS and feeding the Observatory
--- happens once per scenario in session-scoped fixtures; the timed
-portions are the per-experiment computations.
+The expensive part -- simulating the DNS and feeding the Observatory,
+which writes its windows to a temporary tree -- happens once per
+scenario in session-scoped fixtures; the timed portions are the
+per-experiment computations, which read that tree through a
+:class:`~repro.observatory.store.SeriesStore`.
 """
 
 import os
+import tempfile
 
 import pytest
 
 from repro.observatory.pipeline import Observatory
+from repro.observatory.store import SeriesStore
 from repro.simulation.scenario import Scenario
 from repro.simulation.sie import SieChannel
 
@@ -22,20 +26,24 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
 class BenchRun:
-    """One simulated run loaded into an Observatory."""
+    """One simulated run through an Observatory; its windows are in
+    the temporary tree :attr:`store` reads (removed with the run)."""
 
     def __init__(self, scenario, datasets, keep_transactions=True,
                  **obs_kw):
         self.scenario = scenario
         self.channel = SieChannel(scenario)
+        self.tree = tempfile.TemporaryDirectory(prefix="bench-run-")
         obs_kw.setdefault("use_bloom_gate", False)
-        self.obs = Observatory(datasets=datasets, **obs_kw)
+        self.obs = Observatory(datasets=datasets, output_dir=self.tree.name,
+                               **obs_kw)
         self.transactions = [] if keep_transactions else None
         for txn in self.channel.run():
             if self.transactions is not None:
                 self.transactions.append(txn)
             self.obs.ingest(txn)
         self.obs.finish()
+        self.store = SeriesStore(self.tree.name)
 
     @property
     def dns(self):

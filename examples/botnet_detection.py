@@ -15,9 +15,12 @@ signature from the aggregated data alone:
 Run:  python examples/botnet_detection.py
 """
 
-from repro.analysis.seriesops import accumulate_dumps, total_hits
+import tempfile
+
+from repro.analysis.seriesops import total_hits
 from repro.analysis.tables import format_percent, format_table
 from repro.observatory import Observatory
+from repro.observatory.store import SeriesStore
 from repro.simulation import Scenario, SieChannel
 
 
@@ -26,12 +29,15 @@ def main():
     scenario = Scenario.tiny(seed=13, duration=300.0, client_qps=80.0,
                              botnet_share=0.20)
     channel = SieChannel(scenario)
-    obs = Observatory(datasets=[("srvip", 800), ("etld", 300), "rcode"])
+    tree = tempfile.TemporaryDirectory()
+    obs = Observatory(datasets=[("srvip", 800), ("etld", 300), "rcode"],
+                      output_dir=tree.name)
     obs.consume(channel.run())
     obs.finish()
+    store = SeriesStore(tree.name)
 
     # --- signal 1: global RCODE mix -------------------------------
-    rcode_rows = accumulate_dumps(obs.dumps["rcode"])
+    rcode_rows = store.accumulate("rcode")
     total = total_hits(rcode_rows)
     print(format_table(
         ["RCODE", "share"],
@@ -43,7 +49,7 @@ def main():
 
     # --- signal 2: NXD concentration at the gTLD servers ----------
     gtld_ips = {ns.ip for ns in channel.dns.root.tlds["com"].nameservers}
-    srvip_rows = accumulate_dumps(obs.dumps["srvip"])
+    srvip_rows = store.accumulate("srvip")
     gtld_hits = sum(r["hits"] for ip, r in srvip_rows.items()
                     if ip in gtld_ips)
     gtld_nxd = sum(r["nxd"] for ip, r in srvip_rows.items()
@@ -54,7 +60,7 @@ def main():
     print()
 
     # --- signal 3: DGA cardinality signature per eTLD --------------
-    etld_rows = accumulate_dumps(obs.dumps["etld"])
+    etld_rows = store.accumulate("etld")
     rows = []
     for etld, row in sorted(etld_rows.items(),
                             key=lambda kv: -kv[1]["nxd"])[:5]:

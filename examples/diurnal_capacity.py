@@ -22,6 +22,7 @@ import tempfile
 from repro.analysis.heatmap import build_heatmap
 from repro.analysis.tables import format_series
 from repro.observatory import Observatory
+from repro.observatory.store import SeriesStore
 from repro.simulation import Scenario, SieChannel
 
 
@@ -32,7 +33,8 @@ def main():
         diurnal_amplitude=0.7, diurnal_period=day,
     )
     channel = SieChannel(scenario)
-    obs = Observatory(datasets=[("srvip", 800)])
+    tree = tempfile.TemporaryDirectory()
+    obs = Observatory(datasets=[("srvip", 800)], output_dir=tree.name)
     transactions = []
     for txn in channel.run():
         transactions.append(txn)
@@ -41,7 +43,8 @@ def main():
 
     # --- 1. the diurnal load curve --------------------------------
     per_window = [(d.start_ts, d.stats["seen"])
-                  for d in obs.dumps["srvip"]]
+                  for d in SeriesStore(tree.name).iter_range("srvip")]
+    tree.cleanup()
     print(format_series(
         [("%dm" % (ts // 60), seen) for ts, seen in per_window],
         x_label="minute", y_label="transactions/min", max_points=20))

@@ -14,6 +14,8 @@ domain publishes AAAA records, the junk traffic collapses.
 Run:  python examples/happy_eyeballs_audit.py
 """
 
+import tempfile
+
 from repro.analysis.happyeyeballs import (
     figure9,
     high_empty_fqdns,
@@ -22,29 +24,31 @@ from repro.analysis.happyeyeballs import (
     render_ipv6_rollout,
 )
 from repro.observatory import Observatory
+from repro.observatory.store import SeriesStore
 from repro.simulation import Scenario, SieChannel
 from repro.simulation.scenario import EnableIpv6
 
 
-def run(scenario):
+def run(scenario, tree):
     channel = SieChannel(scenario)
-    obs = Observatory(datasets=[("qname", 2000)])
+    obs = Observatory(datasets=[("qname", 2000)], output_dir=tree)
     obs.consume(channel.run())
     obs.finish()
-    return channel, obs
+    return channel, SeriesStore(tree)
 
 
 def main():
     # --- phase 1: the audit -----------------------------------------
     scenario = Scenario.tiny(seed=19, duration=600.0, client_qps=60.0,
                              dualstack_fraction=0.6)
-    channel, obs = run(scenario)
+    audit_tree = tempfile.TemporaryDirectory()
+    channel, store = run(scenario, audit_tree.name)
 
     def negttl(fqdn):
         zone = channel.dns.find_sld_zone(fqdn)
         return zone.soa_negttl if zone else None
 
-    points = figure9(obs, negttl, top_n=250, horizon=scenario.duration)
+    points = figure9(store, negttl, top_n=250, horizon=scenario.duration)
     print(render_figure9(points))
 
     flagged = high_empty_fqdns(points, threshold=0.5)
@@ -61,10 +65,13 @@ def main():
             EnableIpv6(at=rollout_at, fqdn="time-a.ntpsync.com"),
         ],
     )
-    _, fixed_obs = run(fix_scenario)
-    result = ipv6_rollout(fixed_obs, "time-a.ntpsync.com", rollout_at)
+    fixed_tree = tempfile.TemporaryDirectory()
+    _, fixed_store = run(fix_scenario, fixed_tree.name)
+    result = ipv6_rollout(fixed_store, "time-a.ntpsync.com", rollout_at)
     print()
     print(render_ipv6_rollout(result, "time-a.ntpsync.com"))
+    audit_tree.cleanup()
+    fixed_tree.cleanup()
 
 
 if __name__ == "__main__":

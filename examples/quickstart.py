@@ -7,14 +7,19 @@ This is the 60-second tour of the library:
 2. run the SIE-style channel to get a stream of resolver-to-
    authoritative transactions;
 3. feed the stream into a :class:`~repro.observatory.Observatory`
-   tracking several Top-k datasets;
-4. inspect the live top lists and the per-window feature rows.
+   tracking several Top-k datasets, which writes every finished
+   window to a TSV tree;
+4. inspect the live top lists, and the per-window feature rows
+   through a :class:`~repro.observatory.store.SeriesStore`.
 
 Run:  python examples/quickstart.py
 """
 
+import tempfile
+
 from repro.analysis.tables import format_percent, format_table
 from repro.observatory import Observatory
+from repro.observatory.store import SeriesStore
 from repro.simulation import Scenario, SieChannel
 
 
@@ -25,7 +30,9 @@ def main():
     channel = SieChannel(scenario)
 
     # 2+3. Stream the cache-miss transactions into the Observatory.
-    obs = Observatory(datasets=[("srvip", 500), ("qname", 1000), "qtype"])
+    tree = tempfile.TemporaryDirectory()
+    obs = Observatory(datasets=[("srvip", 500), ("qname", 1000), "qtype"],
+                      output_dir=tree.name)
     for txn in channel.run():
         obs.ingest(txn)
     obs.finish()
@@ -51,8 +58,8 @@ def main():
                        rows, title="Top-10 nameservers"))
     print()
 
-    # 4b. Per-window feature rows (what gets written to TSV files).
-    last_dump = obs.dumps["qtype"][-1]
+    # 4b. Per-window feature rows, read back from the TSV tree.
+    last_dump = SeriesStore(tree.name).read("qtype")[-1]
     rows = []
     for key, row in last_dump.rows[:6]:
         rows.append([key, int(row["hits"]), int(row["nxd"]),
@@ -62,6 +69,7 @@ def main():
         title="QTYPE features, window @%ds" % last_dump.start_ts))
     print("\ncapture ratios:", {
         k: round(v, 3) for k, v in obs.capture_ratios().items()})
+    tree.cleanup()
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ history store.
 Run:  python examples/ttl_change_monitoring.py
 """
 
+import tempfile
+
 from repro.analysis.dnsdb import DnsdbStore
 from repro.analysis.ttlchanges import (
     TtlChangeDetector,
@@ -20,6 +22,7 @@ from repro.analysis.ttlchanges import (
 )
 from repro.analysis.ttltraffic import figure7, render_figure7
 from repro.observatory import Observatory
+from repro.observatory.store import SeriesStore
 from repro.simulation import Scenario, SieChannel
 from repro.simulation.scenario import NsChange, Renumber, TtlChange
 
@@ -40,22 +43,26 @@ def main():
         ],
     )
     channel = SieChannel(scenario)
-    obs = Observatory(datasets=[("esld", 800), ("aafqdn", 1200)])
+    tree = tempfile.TemporaryDirectory()
+    obs = Observatory(datasets=[("esld", 800), ("aafqdn", 1200)],
+                      output_dir=tree.name)
     dnsdb = DnsdbStore()
     for txn in channel.run():
         obs.ingest(txn)
         dnsdb.observe_transaction(txn)
     obs.finish()
+    store = SeriesStore(tree.name)
 
     # --- the Figure 7 view: TTL slash drives query volume ----------
-    result = figure7(obs, "xmsecu.com", change_at=change_at)
+    result = figure7(store, "xmsecu.com", change_at=change_at)
     print(render_figure7(result, "xmsecu.com"))
     print()
 
     # --- the Table 4 view: detect + classify all changes ------------
     detector = TtlChangeDetector()
-    for dump in obs.dumps["aafqdn"]:
-        detector.observe_dump(dump)
+    for window in store.iter_range("aafqdn"):
+        detector.observe_dump(window)
+    tree.cleanup()
     events = classify_events(detector.events, dnsdb)
     counts, per_fqdn = table4(events)
     print(render_table4(counts, per_fqdn))

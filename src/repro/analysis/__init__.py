@@ -1,8 +1,9 @@
 """The measurement study: reproductions of every table and figure.
 
 Each module computes one of the paper's results from Observatory
-output (window dumps / TSV time series) and renders it as a text
-table or data series:
+output -- the TSV tree a pipeline writes, read through a
+:class:`~repro.observatory.store.SeriesStore` -- and renders it as a
+text table or data series:
 
 * :mod:`~repro.analysis.distributions`   -- Figure 2 (traffic CDFs);
 * :mod:`~repro.analysis.asattribution`   -- Table 1 (top AS orgs);
@@ -28,7 +29,3 @@ Beyond the paper's own results:
 Shared plumbing lives in :mod:`~repro.analysis.seriesops` (window
 accumulation) and :mod:`~repro.analysis.tables` (text rendering).
 """
-
-from repro.analysis.seriesops import accumulate_dumps, ranked_keys
-
-__all__ = ["accumulate_dumps", "ranked_keys"]

@@ -7,7 +7,7 @@ that the IP prefixes managed by just 10 organizations receive more
 than half of the world's DNS queries."
 """
 
-from repro.analysis.seriesops import accumulate_dumps, total_hits
+from repro.analysis.seriesops import total_hits
 from repro.analysis.tables import format_count, format_percent, format_table
 
 
@@ -33,13 +33,14 @@ class OrgRow:
         return self.hops_sum / self.hits if self.hits else 0.0
 
 
-def table1(obs, asdb, asnames, dataset="srvip", top_orgs=10):
-    """Compute Table 1 from the srvip tracker and the AS databases.
+def table1(store, asdb, asnames, dataset="srvip", top_orgs=10):
+    """Compute Table 1 from the stored srvip series and the AS
+    databases.
 
     Returns ``(rows, total_traffic, attributed_traffic)`` where rows
     are :class:`OrgRow`, ranked by transaction volume.
     """
-    rows = accumulate_dumps(obs.dumps[dataset])
+    rows = store.accumulate(dataset)
     total = total_hits(rows)
     orgs = {}
     attributed = 0.0

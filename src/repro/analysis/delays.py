@@ -12,19 +12,19 @@ c) the 13 root letters: delay quartiles + hops, plus the 96.2 %-NXD
 d) the 13 gTLD letters, grouped behaviour with B fastest.
 """
 
-from repro.analysis.seriesops import accumulate_dumps, ranked_keys, total_hits
+from repro.analysis.seriesops import ranked_keys, total_hits
 from repro.analysis.tables import format_percent, format_table
 
 #: Figure 3a regime boundaries in milliseconds.
 DELAY_SECTIONS = ((0.0, 5.0), (5.0, 35.0), (35.0, 350.0), (350.0, None))
 
 
-def delay_cdf(obs, dataset="srvip"):
+def delay_cdf(store, dataset="srvip"):
     """Panel (a): sorted per-nameserver median delays + section shares.
 
     Returns ``(sorted_delays, section_shares)``.
     """
-    rows = accumulate_dumps(obs.dumps[dataset])
+    rows = store.accumulate(dataset)
     delays = sorted(
         row.get("delay_q50", 0.0) for row in rows.values()
         if row.get("hits", 0) > 0 and (row.get("hits", 0) - row.get("unans", 0)) > 0
@@ -38,12 +38,12 @@ def delay_cdf(obs, dataset="srvip"):
     return delays, shares
 
 
-def rank_vs_delay(obs, dataset="srvip", group_size=100, top_n=None):
+def rank_vs_delay(store, dataset="srvip", group_size=100, top_n=None):
     """Panel (b): mean delay and hops per group of neighbouring ranks.
 
     Returns a list of ``(rank_start, mean_delay, mean_hops)``.
     """
-    rows = accumulate_dumps(obs.dumps[dataset])
+    rows = store.accumulate(dataset)
     ranked = ranked_keys(rows, by="hits")
     if top_n is not None:
         ranked = ranked[:top_n]
@@ -89,9 +89,9 @@ class LetterStats:
         self.nxd_share = row.get("nxd", 0) / answered
 
 
-def letter_stats(obs, letter_ips, dataset="srvip"):
+def letter_stats(store, letter_ips, dataset="srvip"):
     """Panels (c)/(d): stats for a {letter: ip} map (root or gTLD)."""
-    rows = accumulate_dumps(obs.dumps[dataset])
+    rows = store.accumulate(dataset)
     stats = []
     for letter in sorted(letter_ips):
         ip = letter_ips[letter]
@@ -102,9 +102,9 @@ def letter_stats(obs, letter_ips, dataset="srvip"):
     return stats
 
 
-def hierarchy_shares(obs, letter_ips, dataset="srvip"):
+def hierarchy_shares(store, letter_ips, dataset="srvip"):
     """Traffic share and NXD rate of a server group (root or gTLD)."""
-    rows = accumulate_dumps(obs.dumps[dataset])
+    rows = store.accumulate(dataset)
     total = total_hits(rows)
     ips = set(letter_ips.values())
     hits = sum(rows[ip].get("hits", 0) for ip in ips if ip in rows)

@@ -11,7 +11,7 @@ case."  The headline findings the reproduction targets:
   one (many FQDNs are ephemeral).
 """
 
-from repro.analysis.seriesops import accumulate_dumps, ranked_keys, total_hits
+from repro.analysis.seriesops import ranked_keys
 from repro.analysis.tables import format_percent, format_table
 
 
@@ -85,17 +85,16 @@ class TrafficDistribution:
         return self._totals[category] / total if total else 0.0
 
 
-def figure2(obs, datasets=("srvip", "qname", "esld")):
-    """Compute the Figure 2 distributions from an Observatory run."""
+def figure2(store, datasets=("srvip", "qname", "esld")):
+    """Compute the Figure 2 distributions from a run's
+    :class:`~repro.observatory.store.SeriesStore`."""
     results = {}
     for name in datasets:
-        dumps = obs.dumps[name]
-        rows = accumulate_dumps(dumps)
-        stats = {
-            "seen": sum(d.stats.get("seen", 0) for d in dumps),
-            "kept": sum(d.stats.get("kept", 0) for d in dumps),
-        }
-        results[name] = TrafficDistribution(rows, stats)
+        stats = {"seen": 0, "kept": 0}
+        for window in store.iter_range(name):
+            for field in stats:
+                stats[field] += window.stats.get(field, 0)
+        results[name] = TrafficDistribution(store.accumulate(name), stats)
     return results
 
 

@@ -12,11 +12,7 @@ its empty-AAAA share collapses while total query volume stays roughly
 flat when negTTL ~ TTL.
 """
 
-from repro.analysis.seriesops import (
-    accumulate_dumps,
-    ranked_keys,
-    split_dumps_at,
-)
+from repro.analysis.seriesops import epoch_ranges, ranked_keys
 from repro.analysis.tables import format_percent, format_table
 
 
@@ -52,7 +48,8 @@ class FqdnHappyEyeballs:
                 and self.aaaa_data <= 0.01 * self.aaaa_queries)
 
 
-def figure9(obs, negttl_lookup, dataset="qname", top_n=200, horizon=None):
+def figure9(store, negttl_lookup, dataset="qname", top_n=200,
+            horizon=None):
     """Compute the Figure 9 series for the top-*top_n* FQDNs.
 
     *negttl_lookup(fqdn)* returns the domain's negative-caching TTL
@@ -60,7 +57,7 @@ def figure9(obs, negttl_lookup, dataset="qname", top_n=200, horizon=None):
     active-lookup source in a real deployment.  *horizon* (seconds)
     clamps TTLs to the analyzed duration when computing quotients.
     """
-    rows = accumulate_dumps(obs.dumps[dataset])
+    rows = store.accumulate(dataset)
     ranked = ranked_keys(rows, by="hits")[:top_n]
     points = []
     for rank, fqdn in enumerate(ranked, start=1):
@@ -97,18 +94,18 @@ def quotient_correlation(points, quotient_threshold=2.0):
     }
 
 
-def ipv6_rollout(obs, fqdn, rollout_ts, dataset="qname"):
+def ipv6_rollout(store, fqdn, rollout_ts, dataset="qname"):
     """Section 5.3: empty-AAAA share and query volume before/after a
-    domain enables IPv6."""
-    before_dumps, after_dumps = split_dumps_at(obs.dumps[dataset],
-                                               rollout_ts)
+    domain enables IPv6 (epochs split at *rollout_ts*)."""
     result = {}
-    for label, dumps in (("before", before_dumps), ("after", after_dumps)):
-        rows = accumulate_dumps(dumps)
-        row = rows.get(fqdn, {})
+    for label, (start, end) in zip(("before", "after"),
+                                   epoch_ranges(rollout_ts)):
+        row = store.accumulate(dataset, start_ts=start,
+                               end_ts=end).get(fqdn, {})
         hits = row.get("hits", 0)
         answered = max(hits - row.get("unans", 0), 1)
-        windows = len(dumps) or 1
+        windows = len(store.select(dataset, start_ts=start,
+                                   end_ts=end)) or 1
         result[label] = {
             "hits_per_window": hits / windows,
             "empty_aaaa_share": row.get("ok6nil", 0) / answered,

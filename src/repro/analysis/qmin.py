@@ -112,9 +112,10 @@ def detect_qmin(transactions, root_ips, tld_ips, whitelisted_tld_ips=()):
     return detector
 
 
-def detect_qmin_from_srcsrv(dumps, root_ips, tld_ips,
+def detect_qmin_from_srcsrv(store, root_ips, tld_ips,
                             whitelisted_tld_ips=()):
-    """Run the detection from the *aggregated* srcsrv dataset.
+    """Run the detection from the *aggregated* srcsrv series of
+    *store*.
 
     This is how the production platform works: the srcsrv rows (§3.1,
     "Top-30K pairs of resolvers and nameservers") carry the
@@ -122,11 +123,8 @@ def detect_qmin_from_srcsrv(dumps, root_ips, tld_ips,
     exchanged -- which is exactly the Table 3 evidence, without
     keeping raw transactions around.
     """
-    from repro.analysis.seriesops import accumulate_dumps
-
     detector = QminDetector(root_ips, tld_ips, whitelisted_tld_ips)
-    rows = accumulate_dumps(dumps)
-    for key, row in rows.items():
+    for key, row in store.accumulate("srcsrv").items():
         resolver_ip, _, server_ip = key.partition("|")
         labels = int(row.get("qdots_max", 0))
         hits = int(row.get("hits", 0))

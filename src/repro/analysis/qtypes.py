@@ -8,7 +8,7 @@ NoData ~40x A's, NS traffic dominated by NXDOMAIN, PTR slow and
 deep-labelled, TXT with tiny TTLs.
 """
 
-from repro.analysis.seriesops import accumulate_dumps, ranked_keys, total_hits
+from repro.analysis.seriesops import ranked_keys, total_hits
 from repro.analysis.tables import format_percent, format_table
 
 
@@ -48,9 +48,9 @@ class QtypeRow:
         self.size = row.get("size_q50", 0.0)
 
 
-def table2(obs, dataset="qtype", top_n=10):
-    """Compute Table 2 rows from the qtype tracker."""
-    rows = accumulate_dumps(obs.dumps[dataset])
+def table2(store, dataset="qtype", top_n=10):
+    """Compute Table 2 rows from the stored qtype series."""
+    rows = store.accumulate(dataset)
     total = total_hits(rows)
     ranked = ranked_keys(rows, by="hits")[:top_n]
     return [QtypeRow(name, rows[name], total) for name in ranked], total

@@ -3,13 +3,16 @@
 Observatory output is a sequence of per-window rows (one
 :class:`~repro.observatory.tsv.TimeSeriesData` per window, whether it
 came from a cut, a TSV file or a segment).  The analyses typically
-need whole-run per-object statistics, so this module accumulates
-windows: counters are summed (total transactions), gauges are averaged
-weighted by the window's ``hits`` (an object's median delay should
-count when it had traffic).
+need whole-run per-object statistics, so ``SeriesStore.accumulate``
+folds windows through an :class:`Accumulator`: counters are summed
+(total transactions), gauges are averaged weighted by the window's
+``hits`` (an object's median delay should count when it had traffic).
 """
 
+import math
+
 from repro.observatory.features import COUNTER_COLUMNS
+from repro.observatory.tsv import GRANULARITIES
 
 _COUNTERS = frozenset(COUNTER_COLUMNS)
 
@@ -33,7 +36,7 @@ class AccumulatedRow(dict):
 
 
 class Accumulator:
-    """Incremental window folder behind :func:`accumulate_dumps`.
+    """Incremental window folder behind ``SeriesStore.accumulate``.
 
     Windows are folded column-major, a run of consecutive windows at a
     time (:meth:`fold_columns_run`, the one fold); per ``(key,
@@ -166,7 +169,8 @@ class Accumulator:
 
 
 def accumulate_dumps(dumps):
-    """Fold per-window rows into per-key whole-run rows.
+    """The reference fold, one window at a time: per-window rows into
+    per-key whole-run rows.
 
     Parameters
     ----------
@@ -199,8 +203,12 @@ def total_hits(rows):
     return sum(row.get("hits", 0) for row in rows.values())
 
 
-def split_dumps_at(dumps, ts):
-    """Split a dump list into (before, after) by window start time."""
-    before = [d for d in dumps if d.start_ts < ts]
-    after = [d for d in dumps if d.start_ts >= ts]
-    return before, after
+def epoch_ranges(split_ts):
+    """The ``(start_ts, end_ts)`` minutely store ranges of the two
+    epochs a study splits at *split_ts*.  A window belongs to the
+    epoch its start lies in, so the boundary is the first window start
+    at or after the split: a window straddling a non-aligned split
+    counts before it."""
+    width = GRANULARITIES["minutely"]
+    boundary = math.ceil(split_ts / width) * width
+    return (None, boundary), (boundary, None)

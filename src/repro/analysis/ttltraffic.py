@@ -8,10 +8,7 @@
   (NXDOMAIN/junk), which the paper traces via response rates.
 """
 
-from repro.analysis.seriesops import (
-    accumulate_dumps,
-    split_dumps_at,
-)
+from repro.analysis.seriesops import epoch_ranges
 from repro.analysis.tables import format_series, format_table
 
 
@@ -26,17 +23,16 @@ def ttl_traffic_timeseries(dumps, key):
     return series
 
 
-def figure7(obs, key, dataset="esld", change_at=None):
+def figure7(store, key, dataset="esld", change_at=None):
     """The Figure 7 case study for one domain key.
 
     Returns a dict with the raw series and before/after rates (the
     after-epoch starts one old-TTL past the change to let caches
     drain, when *change_at* is given).
     """
-    dumps = obs.dumps[dataset]
-    series = ttl_traffic_timeseries(dumps, key)
+    series = ttl_traffic_timeseries(store.iter_range(dataset), key)
     result = {"series": series}
-    if change_at is not None and dumps:
+    if change_at is not None and series:
         before = [hits for ts, hits, _ in series if ts < change_at]
         # Old TTL: traffic-weighted mode of the pre-change windows.
         votes = {}
@@ -95,23 +91,23 @@ class SldChange:
                 and self.responses_after <= self.responses_before * 1.1)
 
 
-def figure8(obs, split_ts, dataset="esld", top_n=100):
-    """Two-epoch TTL-vs-traffic comparison.
+def figure8(store, split_ts, dataset="esld", top_n=100):
+    """Two-epoch TTL-vs-traffic comparison (epochs split at
+    *split_ts*).
 
     Returns the top-*top_n* :class:`SldChange` by absolute traffic
-    change, restricted to keys present in both epochs with a TTL
-    reading.
+    change (ties broken by key), restricted to keys present in both
+    epochs with a TTL reading.
     """
-    before_dumps, after_dumps = split_dumps_at(obs.dumps[dataset], split_ts)
-    before = accumulate_dumps(before_dumps)
-    after = accumulate_dumps(after_dumps)
+    before, after = (store.accumulate(dataset, start_ts=start, end_ts=end)
+                     for start, end in epoch_ranges(split_ts))
     changes = []
     for key in set(before) & set(after):
         b, a = before[key], after[key]
         if not b.get("ttl_top1") or not a.get("ttl_top1"):
             continue
         changes.append(SldChange(key, b, a))
-    changes.sort(key=lambda c: -abs(c.traffic_change))
+    changes.sort(key=lambda c: (-abs(c.traffic_change), c.key))
     return changes[:top_n]
 
 

@@ -29,10 +29,12 @@ Subcommands:
 import argparse
 import os
 import sys
+import tempfile
 
 from repro.detect import build_detectors
 from repro.observatory.pipeline import (
     Observatory, build_pipeline, resolve_datasets)
+from repro.observatory.store import SeriesStore
 from repro.observatory.transaction import TransactionLines
 from repro.simulation.scenario import Scenario
 from repro.simulation.sie import SieChannel
@@ -312,6 +314,21 @@ def cmd_report(args):
         return _report_detect(args)
     if args.blindness:
         return _report_blindness(args)
+    scenario = _build_scenario(args)
+    channel = SieChannel(scenario)
+    # the study reads the tree the run wrote, as the other modes do
+    with tempfile.TemporaryDirectory() as tree:
+        obs = Observatory(datasets=[
+            ("srvip", 2000), ("qname", 4000), ("esld", 2000), "qtype",
+        ], output_dir=tree)
+        obs.consume(channel.run())
+        obs.finish()
+        _report_study(args, scenario, channel, SeriesStore(tree))
+    return 0
+
+
+def _report_study(args, scenario, channel, store):
+    """The Big Picture tables over *store*, the default ``report``."""
     from repro.analysis import export as csv_export
     from repro.analysis.asattribution import render_table1, table1
     from repro.analysis.delays import (
@@ -321,40 +338,33 @@ def cmd_report(args):
     from repro.analysis.happyeyeballs import figure9, render_figure9
     from repro.analysis.qtypes import render_table2, table2
 
-    scenario = _build_scenario(args)
-    channel = SieChannel(scenario)
-    obs = Observatory(datasets=[
-        ("srvip", 2000), ("qname", 4000), ("esld", 2000), "qtype",
-    ])
-    obs.consume(channel.run())
-    obs.finish()
-
-    distributions = figure2(obs, datasets=("srvip", "qname", "esld"))
+    distributions = figure2(store, datasets=("srvip", "qname", "esld"))
     print(render_figure2(distributions))
     topo = channel.dns.topology
-    rows, total, _ = table1(obs, topo.asdb, topo.asnames)
+    rows, total, _ = table1(store, topo.asdb, topo.asnames)
     print(render_table1(rows, total))
     print()
-    qrows, _ = table2(obs)
+    qrows, _ = table2(store)
     print(render_table2(qrows))
     print()
     root_ips = {ns.hostname.split(".")[0]: ns.ip
                 for ns in channel.dns.root.nameservers}
     gtld_ips = {ns.hostname.split(".")[0]: ns.ip
                 for ns in channel.dns.root.tlds["com"].nameservers}
-    cdf = delay_cdf(obs)
-    groups = rank_vs_delay(obs)
-    root_stats = letter_stats(obs, root_ips)
-    gtld_stats = letter_stats(obs, gtld_ips)
+    cdf = delay_cdf(store)
+    groups = rank_vs_delay(store)
+    root_stats = letter_stats(store, root_ips)
+    gtld_stats = letter_stats(store, gtld_ips)
     print(render_figure3(
         cdf, groups, root_stats, gtld_stats,
-        hierarchy_shares(obs, root_ips), hierarchy_shares(obs, gtld_ips)))
+        hierarchy_shares(store, root_ips),
+        hierarchy_shares(store, gtld_ips)))
 
     def negttl(fqdn):
         zone = channel.dns.find_sld_zone(fqdn)
         return zone.soa_negttl if zone else None
 
-    points = figure9(obs, negttl, top_n=200, horizon=scenario.duration)
+    points = figure9(store, negttl, top_n=200, horizon=scenario.duration)
     print(render_figure9(points))
 
     if args.csv_dir:
@@ -366,7 +376,6 @@ def cmd_report(args):
                                   args.csv_dir)
         csv_export.export_figure9(points, args.csv_dir)
         print("\nCSV data series written to %s" % args.csv_dir)
-    return 0
 
 
 def _missing_input(what, path):
@@ -382,7 +391,6 @@ def _missing_input(what, path):
 def _report_platform(args):
     from repro.analysis.platformhealth import (
         PLATFORM_DATASET, platform_health, render_platform_health)
-    from repro.observatory.store import SeriesStore
 
     if not os.path.isdir(args.platform):
         return _missing_input("--platform directory", args.platform)
@@ -398,7 +406,6 @@ def _report_detect(args):
     from repro.analysis.detectquality import (
         DETECTOR_DATASET, detect_quality, load_labels, meets_floors,
         render_detect_quality)
-    from repro.observatory.store import SeriesStore
 
     if args.labels is None:
         raise SystemExit("error: --detect requires --labels FILE "

@@ -74,18 +74,18 @@ def feed_batches(consume_batch, transactions, batch_size):
 
 class WindowEmitter:
     """Where every finished window goes, single-process and sharded
-    alike, and the one place it is kept: with an output directory it
-    is written there as a minutely TSV (with :attr:`segments`, plus
-    its columnar sidecar) and announced to the flush hook; without
-    one it is appended to :attr:`dumps`.  For the vantage emitter's
-    source dataset its derived ``_vantage_*`` dumps follow."""
+    alike: with an output directory it is written there as a minutely
+    TSV (with :attr:`segments`, plus its columnar sidecar) and
+    announced to the flush hook, and for the vantage emitter's source
+    dataset its derived ``_vantage_*`` windows follow.  Without one it
+    goes nowhere: the pipeline keeps no window, and the caller has
+    only what ``consume_batch`` / ``finish`` return."""
 
     #: write a ``.tsv.seg`` sidecar for every TSV written
     #: (:func:`build_pipeline` sets it)
     segments = False
 
-    def __init__(self, datasets, output_dir, flush_hook, vantage):
-        self.dumps = {name: [] for name in datasets}
+    def __init__(self, output_dir, flush_hook, vantage):
         self.output_dir = output_dir
         self.flush_hook = flush_hook
         self.vantage = vantage
@@ -94,8 +94,8 @@ class WindowEmitter:
 
     def __call__(self, dump):
         if self.output_dir is None:
-            self.dumps.setdefault(dump.dataset, []).append(dump)
-        elif dump.keys:
+            return
+        if dump.keys:
             # Zero-row dumps (a window every tracker sat out) are not
             # written: a gap must not litter the directory with
             # header-only files, and aggregation treats a missing
@@ -124,10 +124,10 @@ class Observatory:
         Statistics window length (the paper dumps every 60 s).
     output_dir:
         When given, every completed window is written as a minutely
-        TSV file there (step E of Figure 1).  Without one, completed
-        windows (:class:`~repro.observatory.tsv.TimeSeriesData`) are
-        kept in :attr:`dumps`, grouped per dataset -- the analysis
-        modules consume these.
+        TSV file there (step E of Figure 1): the tree the analysis
+        modules and the server read through a ``SeriesStore``.
+        Without one nothing is written or kept; completed windows are
+        only what :meth:`consume_batch` / :meth:`finish` return.
     tau / use_bloom_gate / hll_precision / psl:
         Tracker tuning knobs, see :class:`TopKTracker`.
     telemetry:
@@ -177,9 +177,7 @@ class Observatory:
                 spec, tau=tau, use_bloom_gate=use_bloom_gate,
                 hll_precision=hll_precision, psl=psl)
             for spec in resolve_datasets(datasets)}
-        self.emitter = WindowEmitter(self._trackers, output_dir,
-                                     flush_hook, vantage)
-        self.dumps = self.emitter.dumps
+        self.emitter = WindowEmitter(output_dir, flush_hook, vantage)
         self.telemetry = resolve_telemetry(telemetry)
         self.windows = WindowManager(
             self._trackers.values(), window_seconds=window_seconds,

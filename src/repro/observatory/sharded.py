@@ -166,10 +166,10 @@ class ShardedObservatory:
     """Scale-out Observatory: N worker processes + sketch merging.
 
     Drop-in for :class:`Observatory` on the ingest side: ``ingest``,
-    ``consume`` / ``consume_batch``, ``finish``, ``dumps``,
-    ``capture_ratios`` (after ``finish``) all behave the same; the
-    merged window dumps and TSV files match the single-process output
-    (exactly for counters, within standard error for cardinalities).
+    ``consume`` / ``consume_batch``, ``finish``, ``capture_ratios``
+    (after ``finish``) all behave the same; the merged window dumps
+    and TSV files match the single-process output (exactly for
+    counters, within standard error for cardinalities).
 
     Parameters
     ----------
@@ -261,9 +261,7 @@ class ShardedObservatory:
             [TopKTracker(spec, use_bloom_gate=False) for spec in specs],
             scorers, EncryptedChannelAggregator() if encrypted else None,
             skip_recent_inserts, resolve_telemetry(None))
-        self.emitter = WindowEmitter(self._dataset_order, output_dir,
-                                     flush_hook, vantage)
-        self.dumps = self.emitter.dumps
+        self.emitter = WindowEmitter(output_dir, flush_hook, vantage)
         obs_kw = dict(
             tau=tau, use_bloom_gate=use_bloom_gate,
             hll_precision=hll_precision, telemetry=self.telemetry.enabled,

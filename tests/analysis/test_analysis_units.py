@@ -1,4 +1,5 @@
-"""Unit tests for analysis modules on hand-built rows (no simulation)."""
+"""Unit tests for analysis modules on hand-built rows (no simulation),
+written as one-window trees and read back through a store."""
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.analysis.distributions import TrafficDistribution
 from repro.analysis.qtypes import QtypeRow
 from repro.netsim.asdb import AsDatabase
 from repro.netsim.asnames import AsNameRegistry
+from repro.observatory.store import SeriesStore, write_window
 from repro.observatory.tsv import TimeSeriesData
 
 
@@ -26,9 +28,10 @@ def dump(rows, dataset="srvip", start=0, seen=0):
                "kept": 0})
 
 
-class FakeObs:
-    def __init__(self, dumps_map):
-        self.dumps = dumps_map
+def one_window_store(directory, rows):
+    """A store over a tree holding one srvip window of *rows*."""
+    write_window(str(directory), dump(rows))
+    return SeriesStore(str(directory))
 
 
 class TestTrafficDistribution:
@@ -82,7 +85,7 @@ class TestTrafficDistribution:
 
 
 class TestTable1Units:
-    def make_world(self):
+    def make_world(self, tmp_path):
         asdb = AsDatabase()
         names = AsNameRegistry()
         asdb.add_prefix("10.0.0.0/8", 100)
@@ -95,33 +98,32 @@ class TestTable1Units:
             ("20.0.0.1", {"hits": 50, "delay_q50": 100.0, "hops_q50": 14.0}),
             ("172.16.0.1", {"hits": 10, "delay_q50": 1.0, "hops_q50": 1.0}),
         ]
-        obs = FakeObs({"srvip": [dump(rows)]})
-        return obs, asdb, names
+        return one_window_store(tmp_path, rows), asdb, names
 
-    def test_grouping_and_ranking(self):
-        obs, asdb, names = self.make_world()
-        ranked, total, attributed = table1(obs, asdb, names)
+    def test_grouping_and_ranking(self, tmp_path):
+        store, asdb, names = self.make_world(tmp_path)
+        ranked, total, attributed = table1(store, asdb, names)
         assert total == 160
         assert attributed == 160  # unrouted IP still counted (UNKNOWN)
         assert ranked[0].org == "BIGCDN"
         assert ranked[0].hits == 100
         assert ranked[0].servers == 2
 
-    def test_weighted_delay(self):
-        obs, asdb, names = self.make_world()
-        ranked, _, _ = table1(obs, asdb, names)
+    def test_weighted_delay(self, tmp_path):
+        store, asdb, names = self.make_world(tmp_path)
+        ranked, _, _ = table1(store, asdb, names)
         bigcdn = ranked[0]
         # (10*80 + 20*20) / 100 = 12.
         assert bigcdn.mean_delay == pytest.approx(12.0)
 
-    def test_unknown_org_for_unrouted(self):
-        obs, asdb, names = self.make_world()
-        ranked, _, _ = table1(obs, asdb, names, top_orgs=10)
+    def test_unknown_org_for_unrouted(self, tmp_path):
+        store, asdb, names = self.make_world(tmp_path)
+        ranked, _, _ = table1(store, asdb, names, top_orgs=10)
         assert any(r.org == "UNKNOWN" for r in ranked)
 
-    def test_top_share(self):
-        obs, asdb, names = self.make_world()
-        ranked, total, _ = table1(obs, asdb, names, top_orgs=1)
+    def test_top_share(self, tmp_path):
+        store, asdb, names = self.make_world(tmp_path)
+        ranked, total, _ = table1(store, asdb, names, top_orgs=1)
         assert top_share(ranked, total) == pytest.approx(100 / 160)
         assert top_share(ranked, 0) == 0.0
 
@@ -157,7 +159,7 @@ class TestQtypeRowUnits:
 
 
 class TestDelayUnits:
-    def make_obs(self):
+    def make_store(self, tmp_path):
         rows = [
             ("ns1", {"hits": 100, "unans": 0, "delay_q25": 1.0,
                      "delay_q50": 2.0, "delay_q75": 3.0,
@@ -172,16 +174,16 @@ class TestDelayUnits:
                      "delay_q50": 400.0, "delay_q75": 500.0,
                      "hops_q50": 20.0, "nxd": 0}),
         ]
-        return FakeObs({"srvip": [dump(rows)]})
+        return one_window_store(tmp_path, rows)
 
-    def test_delay_cdf_sections(self):
-        delays, shares = delay_cdf(self.make_obs())
+    def test_delay_cdf_sections(self, tmp_path):
+        delays, shares = delay_cdf(self.make_store(tmp_path))
         assert delays == [2.0, 20.0, 200.0, 400.0]
         assert shares == [0.25, 0.25, 0.25, 0.25]
         assert len(DELAY_SECTIONS) == 4
 
-    def test_rank_vs_delay_groups(self):
-        groups = rank_vs_delay(self.make_obs(), group_size=2)
+    def test_rank_vs_delay_groups(self, tmp_path):
+        groups = rank_vs_delay(self.make_store(tmp_path), group_size=2)
         assert len(groups) == 2
         assert groups[0][0] == 1 and groups[1][0] == 3
         assert groups[0][1] == pytest.approx(11.0)   # (2+20)/2
@@ -192,14 +194,14 @@ class TestDelayUnits:
         assert popularity_speed_correlation(groups) == 1.0
         assert popularity_speed_correlation([(1, 1.0, 1.0)]) == 0.5
 
-    def test_letter_stats_and_shares(self):
-        obs = self.make_obs()
-        stats = letter_stats(obs, {"a": "ns1", "b": "ns2", "z": "gone"})
+    def test_letter_stats_and_shares(self, tmp_path):
+        store = self.make_store(tmp_path)
+        stats = letter_stats(store, {"a": "ns1", "b": "ns2", "z": "gone"})
         assert [s.letter for s in stats] == ["a", "b"]
         assert stats[0].nxd_share == pytest.approx(0.9)
-        shares = hierarchy_shares(obs, {"a": "ns1"})
+        shares = hierarchy_shares(store, {"a": "ns1"})
         assert shares["share"] == pytest.approx(100 / 165)
         assert shares["nxd_share"] == pytest.approx(0.9)
 
-    def test_letterstats_requires_no_letters(self):
-        assert letter_stats(self.make_obs(), {}) == []
+    def test_letterstats_requires_no_letters(self, tmp_path):
+        assert letter_stats(self.make_store(tmp_path), {}) == []

@@ -32,7 +32,7 @@ def read_csv(path):
 
 
 def test_export_figure2(run, tmp_path):
-    dists = figure2(run.obs, datasets=("srvip",))
+    dists = figure2(run.store, datasets=("srvip",))
     paths = export_figure2(dists, str(tmp_path), max_rank=50)
     rows = read_csv(paths[0])
     assert rows[0][0] == "rank"
@@ -44,7 +44,7 @@ def test_export_figure2(run, tmp_path):
 
 def test_export_table1(run, tmp_path):
     topo = run.dns.topology
-    rows, total, _ = table1(run.obs, topo.asdb, topo.asnames)
+    rows, total, _ = table1(run.store, topo.asdb, topo.asnames)
     path = export_table1(rows, total, str(tmp_path))
     data = read_csv(path)
     assert data[0][1] == "org"
@@ -52,7 +52,7 @@ def test_export_table1(run, tmp_path):
 
 
 def test_export_table2(run, tmp_path):
-    rows, _ = table2(run.obs)
+    rows, _ = table2(run.store)
     path = export_table2(rows, str(tmp_path))
     data = read_csv(path)
     assert data[1][1] == "A"
@@ -60,9 +60,9 @@ def test_export_table2(run, tmp_path):
 
 def test_export_figure3(run, tmp_path):
     paths = export_figure3(
-        delay_cdf(run.obs), rank_vs_delay(run.obs, group_size=50),
-        letter_stats(run.obs, run.root_letter_ips()),
-        letter_stats(run.obs, run.gtld_letter_ips()),
+        delay_cdf(run.store), rank_vs_delay(run.store, group_size=50),
+        letter_stats(run.store, run.root_letter_ips()),
+        letter_stats(run.store, run.gtld_letter_ips()),
         str(tmp_path))
     assert len(paths) == 4
     for path in paths:
@@ -79,7 +79,7 @@ def test_export_figure4_and_5(run, tmp_path):
 
 
 def test_export_figure9(run, tmp_path):
-    points = figure9(run.obs, run.negttl_lookup, top_n=100)
+    points = figure9(run.store, run.negttl_lookup, top_n=100)
     path = export_figure9(points, str(tmp_path))
     data = read_csv(path)
     assert data[0][:2] == ["rank", "fqdn"]

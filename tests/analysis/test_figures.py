@@ -37,7 +37,7 @@ from repro.analysis.representativeness import (
 
 class TestFigure2:
     def test_concentration(self, run):
-        results = figure2(run.obs, datasets=("srvip",))
+        results = figure2(run.store, datasets=("srvip",))
         dist = results["srvip"]
         assert len(dist.keys) > 50
         # Heavy tail: a small fraction of nameservers covers half the
@@ -52,7 +52,7 @@ class TestFigure2:
                 assert cdf[-1] == pytest.approx(1.0)
 
     def test_nxdomain_concentrated_on_popular_servers(self, run):
-        dist = figure2(run.obs, datasets=("srvip",))["srvip"]
+        dist = figure2(run.store, datasets=("srvip",))["srvip"]
         # Botnet NXD goes to gTLDs, which are top servers: the NXD CDF
         # at the top ranks exceeds the all-traffic CDF there.
         k = max(1, len(dist.keys) // 20)
@@ -60,13 +60,13 @@ class TestFigure2:
             dist.share_of_top(k, "all") * 0.8
 
     def test_qname_capture_lower_than_srvip(self, run):
-        results = figure2(run.obs, datasets=("srvip", "qname"))
+        results = figure2(run.store, datasets=("srvip", "qname"))
         # Many FQDNs are ephemeral: per-FQDN aggregation captures less.
         assert results["qname"].capture_ratio() < \
             results["srvip"].capture_ratio()
 
     def test_render(self, run):
-        out = render_figure2(figure2(run.obs, datasets=("srvip",)))
+        out = render_figure2(figure2(run.store, datasets=("srvip",)))
         assert "Figure 2" in out
         assert "50%" in out
 
@@ -74,7 +74,7 @@ class TestFigure2:
 class TestTable1:
     def test_major_orgs_dominate(self, run):
         topo = run.dns.topology
-        rows, total, attributed = table1(run.obs, topo.asdb, topo.asnames)
+        rows, total, attributed = table1(run.store, topo.asdb, topo.asnames)
         assert rows
         assert attributed / total > 0.95  # synthetic ASdb covers all
         names = [r.org for r in rows]
@@ -87,7 +87,7 @@ class TestTable1:
 
     def test_cdn_delays_lower_than_cloud(self, run):
         topo = run.dns.topology
-        rows, _, _ = table1(run.obs, topo.asdb, topo.asnames, top_orgs=30)
+        rows, _, _ = table1(run.store, topo.asdb, topo.asnames, top_orgs=30)
         by_name = {r.org: r for r in rows}
         if "AKAMAI" in by_name and "AMAZON" in by_name:
             assert by_name["AKAMAI"].mean_delay < by_name["AMAZON"].mean_delay
@@ -97,14 +97,14 @@ class TestTable1:
 
     def test_anycast_uses_fewer_ips(self, run):
         topo = run.dns.topology
-        rows, _, _ = table1(run.obs, topo.asdb, topo.asnames, top_orgs=30)
+        rows, _, _ = table1(run.store, topo.asdb, topo.asnames, top_orgs=30)
         by_name = {r.org: r for r in rows}
         if "CLOUDFLARE" in by_name and "AKAMAI" in by_name:
             assert by_name["CLOUDFLARE"].servers < by_name["AKAMAI"].servers
 
     def test_render(self, run):
         topo = run.dns.topology
-        rows, total, _ = table1(run.obs, topo.asdb, topo.asnames)
+        rows, total, _ = table1(run.store, topo.asdb, topo.asnames)
         out = render_table1(rows, total)
         assert "Table 1" in out
         assert "VERISIGN" in out
@@ -112,51 +112,51 @@ class TestTable1:
 
 class TestTable2:
     def test_a_dominates(self, run):
-        rows, _ = table2(run.obs)
+        rows, _ = table2(run.store)
         by_type = {r.qtype: r for r in rows}
         assert rows[0].qtype == "A"
         assert by_type["A"].global_share > 2 * by_type["AAAA"].global_share
 
     def test_aaaa_nodata_far_higher_than_a(self, run):
-        rows, _ = table2(run.obs)
+        rows, _ = table2(run.store)
         by_type = {r.qtype: r for r in rows}
         assert by_type["AAAA"].nodata > 3 * max(by_type["A"].nodata, 0.001)
 
     def test_ns_mostly_nxdomain(self, run):
-        rows, _ = table2(run.obs)
+        rows, _ = table2(run.store)
         by_type = {r.qtype: r for r in rows}
         if "NS" in by_type:
             assert by_type["NS"].nxd > 0.5
 
     def test_ptr_deep_labels(self, run):
-        rows, _ = table2(run.obs)
+        rows, _ = table2(run.store)
         by_type = {r.qtype: r for r in rows}
         if "PTR" in by_type:
             assert by_type["PTR"].qdots > by_type["A"].qdots
             assert by_type["PTR"].ttl == 86400
 
     def test_txt_tiny_ttl(self, run):
-        rows, _ = table2(run.obs)
+        rows, _ = table2(run.store)
         by_type = {r.qtype: r for r in rows}
         if "TXT" in by_type:
             assert by_type["TXT"].ttl <= 60
 
     def test_render(self, run):
-        rows, _ = table2(run.obs)
+        rows, _ = table2(run.store)
         out = render_table2(rows)
         assert "Table 2" in out and "AAAA" in out
 
 
 class TestFigure3:
     def test_delay_cdf_sections(self, run):
-        delays, shares = delay_cdf(run.obs)
+        delays, shares = delay_cdf(run.store)
         assert len(delays) > 50
         assert sum(shares) == pytest.approx(1.0)
         # Distant is the biggest regime (paper: 71.5%).
         assert shares[2] == max(shares)
 
     def test_popular_servers_faster(self, run):
-        groups = rank_vs_delay(run.obs, group_size=50)
+        groups = rank_vs_delay(run.store, group_size=50)
         assert len(groups) >= 4
         # At unit-test scale individual groups are noisy; the paper's
         # head-vs-tail contrast must still hold on average.
@@ -168,7 +168,7 @@ class TestFigure3:
         assert head_hops < tail_hops * 1.2
 
     def test_root_letters(self, run):
-        stats = letter_stats(run.obs, run.root_letter_ips())
+        stats = letter_stats(run.store, run.root_letter_ips())
         assert len(stats) >= 10
         by_letter = {s.letter: s for s in stats}
         # Heavily mirrored letters are fastest (E/F/L colocated).
@@ -180,17 +180,17 @@ class TestFigure3:
             assert s.delay_q25 <= s.delay_q50 <= s.delay_q75
 
     def test_root_mostly_nxdomain(self, run):
-        shares = hierarchy_shares(run.obs, run.root_letter_ips())
+        shares = hierarchy_shares(run.store, run.root_letter_ips())
         assert 0.0 < shares["share"] < 0.2
         assert shares["nxd_share"] > 0.3
 
     def test_gtld_shares(self, run):
-        shares = hierarchy_shares(run.obs, run.gtld_letter_ips())
+        shares = hierarchy_shares(run.store, run.gtld_letter_ips())
         assert shares["share"] > 0.03
         assert shares["nxd_share"] > 0.15
 
     def test_gtld_b_fastest(self, run):
-        stats = letter_stats(run.obs, run.gtld_letter_ips())
+        stats = letter_stats(run.store, run.gtld_letter_ips())
         by_letter = {s.letter: s for s in stats}
         if "b" in by_letter:
             others = [s.delay_q50 for s in stats if s.letter != "b"]
@@ -198,11 +198,11 @@ class TestFigure3:
 
     def test_render(self, run):
         out = render_figure3(
-            delay_cdf(run.obs), rank_vs_delay(run.obs, group_size=50),
-            letter_stats(run.obs, run.root_letter_ips()),
-            letter_stats(run.obs, run.gtld_letter_ips()),
-            hierarchy_shares(run.obs, run.root_letter_ips()),
-            hierarchy_shares(run.obs, run.gtld_letter_ips()))
+            delay_cdf(run.store), rank_vs_delay(run.store, group_size=50),
+            letter_stats(run.store, run.root_letter_ips()),
+            letter_stats(run.store, run.gtld_letter_ips()),
+            hierarchy_shares(run.store, run.root_letter_ips()),
+            hierarchy_shares(run.store, run.gtld_letter_ips()))
         assert "Figure 3a" in out and "Figure 3d" in out
 
 
@@ -296,7 +296,7 @@ class TestFigure6Heatmap:
 
 class TestFigure9:
     def test_specials_have_high_empty_shares(self, run):
-        points = figure9(run.obs, run.negttl_lookup, top_n=300)
+        points = figure9(run.store, run.negttl_lookup, top_n=300)
         assert points
         by_fqdn = {p.fqdn: p for p in points}
         ntp = by_fqdn.get("time-a.ntpsync.com")
@@ -306,7 +306,7 @@ class TestFigure9:
             assert ntp.empty_aaaa_share > 0.5
 
     def test_quotient_correlates_with_empty_share(self, run):
-        points = figure9(run.obs, run.negttl_lookup, top_n=300,
+        points = figure9(run.store, run.negttl_lookup, top_n=300,
                          horizon=run.scenario.duration)
         corr = quotient_correlation(points)
         if corr["high_quotient_count"] and corr["low_quotient_count"]:
@@ -314,10 +314,10 @@ class TestFigure9:
                 corr["low_quotient_mean_share"]
 
     def test_some_high_empty_fqdns_found(self, run):
-        points = figure9(run.obs, run.negttl_lookup, top_n=300)
+        points = figure9(run.store, run.negttl_lookup, top_n=300)
         assert len(high_empty_fqdns(points, threshold=0.5)) >= 1
 
     def test_render(self, run):
-        points = figure9(run.obs, run.negttl_lookup, top_n=300)
+        points = figure9(run.store, run.negttl_lookup, top_n=300)
         out = render_figure9(points)
         assert "Figure 9" in out

@@ -20,6 +20,7 @@ from repro.analysis.ttltraffic import (
     render_figure8,
 )
 from repro.observatory.pipeline import Observatory
+from repro.observatory.store import SeriesStore, write_window
 from repro.observatory.tsv import TimeSeriesData
 from repro.simulation.buildout import XMSECU_FQDN
 from repro.simulation.scenario import (
@@ -37,7 +38,7 @@ CHANGE_AT = 900.0
 
 
 @pytest.fixture(scope="module")
-def scripted_run():
+def scripted_run(tmp_path_factory):
     """A run with the Figure 7 TTL slash plus Table 4 events."""
     scenario = Scenario.tiny(
         seed=31, duration=DURATION, client_qps=40.0,
@@ -46,61 +47,77 @@ def scripted_run():
         ],
     )
     channel = SieChannel(scenario)
+    tree = str(tmp_path_factory.mktemp("scripted-run"))
     obs = Observatory(datasets=[("esld", 800), ("aafqdn", 800)],
-                      use_bloom_gate=False)
+                      use_bloom_gate=False, output_dir=tree)
     dnsdb = DnsdbStore()
     for txn in channel.run():
         obs.ingest(txn)
         dnsdb.observe_transaction(txn)
     obs.finish()
-    return channel, obs, dnsdb
+    return channel, SeriesStore(tree), dnsdb
 
 
 class TestFigure7:
     def test_ttl_slash_amplifies_queries(self, scripted_run):
-        _, obs, _ = scripted_run
-        result = figure7(obs, "xmsecu.com", change_at=CHANGE_AT)
+        _, store, _ = scripted_run
+        result = figure7(store, "xmsecu.com", change_at=CHANGE_AT)
         assert result["rate_before"] > 0
         assert result["amplification"] > 2.0
 
     def test_series_covers_run(self, scripted_run):
-        _, obs, _ = scripted_run
-        result = figure7(obs, "xmsecu.com", change_at=CHANGE_AT)
+        _, store, _ = scripted_run
+        result = figure7(store, "xmsecu.com", change_at=CHANGE_AT)
         assert len(result["series"]) >= DURATION / 60 - 2
 
     def test_render(self, scripted_run):
-        _, obs, _ = scripted_run
-        out = render_figure7(figure7(obs, "xmsecu.com",
+        _, store, _ = scripted_run
+        out = render_figure7(figure7(store, "xmsecu.com",
                                      change_at=CHANGE_AT), "xmsecu.com")
         assert "amplification" in out
 
 
 class TestFigure8:
     def test_changes_found_and_sorted(self, scripted_run):
-        _, obs, _ = scripted_run
-        changes = figure8(obs, split_ts=CHANGE_AT, top_n=50)
+        _, store, _ = scripted_run
+        changes = figure8(store, split_ts=CHANGE_AT, top_n=50)
         assert changes
         diffs = [abs(c.traffic_change) for c in changes]
         assert diffs == sorted(diffs, reverse=True)
 
     def test_xmsecu_is_ttl_down_traffic_up(self, scripted_run):
-        _, obs, _ = scripted_run
-        changes = figure8(obs, split_ts=CHANGE_AT, top_n=100)
+        _, store, _ = scripted_run
+        changes = figure8(store, split_ts=CHANGE_AT, top_n=100)
         xm = next((c for c in changes if c.key == "xmsecu.com"), None)
         assert xm is not None
         assert xm.ttl_change < 0
         assert xm.traffic_change > 0
 
     def test_summary_counts_consistent(self, scripted_run):
-        _, obs, _ = scripted_run
-        changes = figure8(obs, split_ts=CHANGE_AT, top_n=100)
+        _, store, _ = scripted_run
+        changes = figure8(store, split_ts=CHANGE_AT, top_n=100)
         summary = figure8_summary(changes)
         assert summary["ttl_down_traffic_up"] >= 1
         assert summary["ttl_down"] + summary["ttl_up"] <= len(changes)
 
+    def test_ties_at_the_cut_break_by_key(self, tmp_path):
+        """Keys tied on traffic change keep key order, so which of
+        them make the ``top_n`` cut does not follow string-hash (set)
+        order and ``figure8`` is repeatable across processes."""
+        keys = ["sld%02d.example" % i for i in range(12)]
+        for start, hits in ((0, 10), (60, 30)):
+            write_window(str(tmp_path), TimeSeriesData(
+                "esld", "minutely", start,
+                rows=[(key, {"hits": hits, "ttl_top1": 300})
+                      for key in reversed(keys)]))
+        changes = figure8(SeriesStore(str(tmp_path)), split_ts=60,
+                          top_n=5)
+        assert [c.key for c in changes] == keys[:5]
+        assert {c.traffic_change for c in changes} == {20}
+
     def test_render(self, scripted_run):
-        _, obs, _ = scripted_run
-        changes = figure8(obs, split_ts=CHANGE_AT, top_n=50)
+        _, store, _ = scripted_run
+        changes = figure8(store, split_ts=CHANGE_AT, top_n=50)
         out = render_figure8(changes, figure8_summary(changes))
         assert "Figure 8" in out
 
@@ -180,7 +197,7 @@ class TestTtlChangeDetector:
 
 
 class TestTable4EndToEnd:
-    def test_scripted_events_classified(self):
+    def test_scripted_events_classified(self, tmp_path):
         """Renumber + NS change + TTL-only events end-to-end."""
         scenario = Scenario.tiny(
             seed=37, duration=1800.0, client_qps=40.0,
@@ -192,15 +209,16 @@ class TestTable4EndToEnd:
             ],
         )
         channel = SieChannel(scenario)
-        obs = Observatory(datasets=[("aafqdn", 800)], use_bloom_gate=False)
+        obs = Observatory(datasets=[("aafqdn", 800)], use_bloom_gate=False,
+                          output_dir=str(tmp_path))
         dnsdb = DnsdbStore()
         for txn in channel.run():
             obs.ingest(txn)
             dnsdb.observe_transaction(txn)
         obs.finish()
         detector = TtlChangeDetector()
-        for dump in obs.dumps["aafqdn"]:
-            detector.observe_dump(dump)
+        for window in SeriesStore(str(tmp_path)).iter_range("aafqdn"):
+            detector.observe_dump(window)
         events = classify_events(detector.events, dnsdb)
         counts, per_fqdn = table4(events)
         assert sum(counts.values()) >= 1

@@ -16,6 +16,7 @@ from repro.observatory import Observatory
 from repro.simulation.scenario import (Scenario, TunnelAttack,
                                        WaterTorture)
 from repro.simulation.sie import SieChannel
+from tests.util import cut_windows
 
 PRECISION_FLOOR = 0.9
 RECALL_FLOOR = 0.8
@@ -38,9 +39,7 @@ def adversarial_run():
     labels = channel.attack_labels()
     obs = Observatory(datasets=[("qname", 512)], window_seconds=60.0,
                       detectors=True)
-    obs.consume(channel.run())
-    obs.finish()
-    return labels, obs.dumps["_detector"]
+    return labels, cut_windows(obs, channel.run())["_detector"]
 
 
 def test_ground_truth_labels(adversarial_run):

@@ -6,7 +6,7 @@ from repro.observatory.encrypted import (
     ENCRYPTED_DATASET, TRANSPORT_OVERHEAD, EncryptedChannelAggregator,
     BLIND_MARK, blind_transport, encrypt_observation, padded_size)
 from repro.observatory.pipeline import Observatory
-from tests.util import make_txn
+from tests.util import cut_windows, make_txn
 
 
 def test_padded_size_rounds_up_to_block():
@@ -107,14 +107,14 @@ def test_pipeline_diverts_blinded_from_trackers():
     trackers; they surface only in the _encrypted dump."""
     obs = Observatory(datasets=[("qname", 100)], encrypted=True,
                       use_bloom_gate=False, skip_recent_inserts=False)
-    obs.ingest(make_txn(ts=1.0, qname="plain.example.com"))
-    obs.ingest(encrypt_observation(
-        make_txn(ts=2.0, qname="hidden.example.com"), "dot"))
-    obs.finish()
+    windows = cut_windows(obs, [
+        make_txn(ts=1.0, qname="plain.example.com"),
+        encrypt_observation(make_txn(ts=2.0, qname="hidden.example.com"),
+                            "dot")])
     assert obs.total_seen == 2
-    qname_keys = {key for d in obs.dumps["qname"] for key, _ in d.rows}
+    qname_keys = {key for d in windows["qname"] for key, _ in d.rows}
     assert qname_keys == {"plain.example.com"}
-    enc = obs.dumps[ENCRYPTED_DATASET]
+    enc = windows[ENCRYPTED_DATASET]
     assert len(enc) == 1 and dict(enc[0].rows)["dot"]["queries"] == 1
 
 
@@ -123,11 +123,10 @@ def test_pipeline_without_encrypted_channel_drops_nothing():
     record, blinded or not, feeds the trackers."""
     obs = Observatory(datasets=[("srvip", 100)], use_bloom_gate=False,
                       skip_recent_inserts=False)
-    obs.ingest(make_txn(ts=1.0))
-    obs.ingest(encrypt_observation(make_txn(ts=2.0), "doh"))
-    obs.finish()
+    windows = cut_windows(obs, [
+        make_txn(ts=1.0), encrypt_observation(make_txn(ts=2.0), "doh")])
     assert obs.total_seen == 2
-    assert ENCRYPTED_DATASET not in obs.dumps
-    hits = sum(row["hits"] for d in obs.dumps["srvip"]
+    assert ENCRYPTED_DATASET not in windows
+    hits = sum(row["hits"] for d in windows["srvip"]
                for _, row in d.rows)
     assert hits == 2

@@ -11,7 +11,7 @@ from repro.netsim.packet import build_udp_ipv4
 from repro.observatory.pipeline import Observatory
 from repro.observatory.preprocess import summarize_transaction
 from repro.observatory.tsv import list_series, read_tsv
-from tests.util import make_nxdomain, make_txn
+from tests.util import cut_windows, make_nxdomain, make_txn
 
 
 def stream(n=500, servers=5, seed=1):
@@ -43,12 +43,11 @@ class TestObservatory:
     def test_dumps_accumulate_per_dataset(self):
         obs = Observatory(datasets=[("srvip", 16), ("qname", 32)],
                           use_bloom_gate=False)
-        obs.consume(stream())
-        obs.finish()
-        assert len(obs.dumps["srvip"]) >= 4
-        assert len(obs.dumps["qname"]) >= 4
+        windows = cut_windows(obs, stream())
+        assert len(windows["srvip"]) >= 4
+        assert len(windows["qname"]) >= 4
         # Rows carry feature values.
-        last = obs.dumps["srvip"][-1]
+        last = windows["srvip"][-1]
         if last.rows:
             assert "hits" in last.rows[0][1]
 
@@ -80,6 +79,7 @@ class TestObservatory:
         """End-to-end: raw wire packets through parsing to top lists."""
         obs = Observatory(datasets=[("srvip", 8)], use_bloom_gate=False,
                           skip_recent_inserts=False)
+        windows = []
         for i in range(20):
             query = Message.make_query("www.example.com", QTYPE.A, msg_id=i)
             response = Message.make_response(query, authoritative=True)
@@ -92,11 +92,11 @@ class TestObservatory:
             txn = summarize_transaction(qpkt, rpkt, float(i),
                                         float(i) + 0.015)
             assert txn.noerror
-            obs.ingest(txn)
-        obs.finish()
+            windows += obs.ingest(txn)
+        windows += obs.finish()
         top = obs.tracker("srvip").top(1)
         assert top[0].key == "192.0.2.53"
-        dump = obs.dumps["srvip"][-1]
+        dump = windows[-1]
         row = dump.row_map()["192.0.2.53"]
         assert row["hits"] == 20
         assert row["ttl_top1"] == 300

@@ -20,7 +20,7 @@ from repro.observatory.telemetry import PLATFORM_DATASET
 from repro.observatory.tsv import read_series
 from repro.observatory.window import WindowManager, align_window
 from repro.simulation import Scenario, SieChannel
-from tests.util import make_txn
+from tests.util import cut_windows, make_txn
 
 
 def _stream(duration=150.0, qps=25.0, seed=11):
@@ -35,17 +35,14 @@ DATASETS = [("srvip", 2000), ("qname", 2000), ("esld", 1000), ("qtype", 64)]
 
 
 def _run_single(txns, **kw):
+    """``(pipeline, {dataset: windows it cut})`` after the stream."""
     obs = Observatory(datasets=DATASETS, **kw)
-    obs.consume(txns)
-    obs.finish()
-    return obs
+    return obs, cut_windows(obs, txns)
 
 
 def _run_sharded(txns, shards, **kw):
     obs = ShardedObservatory(shards=shards, datasets=DATASETS, **kw)
-    obs.consume(txns)
-    obs.finish()
-    return obs
+    return obs, cut_windows(obs, txns)
 
 
 class TestEquivalence:
@@ -61,11 +58,12 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_dumps_match_single_process(self, txns, single, shards):
-        sharded = _run_sharded(txns, shards)
+        single, single_windows = single
+        sharded, windows = _run_sharded(txns, shards)
         assert sharded.total_seen == single.total_seen
         assert sharded.windows_completed == single.windows.windows_completed
         for name in single.datasets:
-            sd, hd = single.dumps[name], sharded.dumps[name]
+            sd, hd = single_windows[name], windows[name]
             assert [d.start_ts for d in hd] == [d.start_ts for d in sd]
             for a, b in zip(sd, hd):
                 assert [k for k, _ in b.rows] == [k for k, _ in a.rows], \
@@ -76,13 +74,14 @@ class TestEquivalence:
                 assert b.stats["seen"] == a.stats["seen"]
 
     def test_seen_stats_partition_the_stream(self, txns):
-        sharded = _run_sharded(txns, 2)
-        total = sum(d.stats["seen"] for d in sharded.dumps["qtype"])
+        _, windows = _run_sharded(txns, 2)
+        total = sum(d.stats["seen"] for d in windows["qtype"])
         assert total == len(txns)
 
     def test_capture_ratios_close_to_single(self, txns, single):
         """Per-shard cold starts lower capture slightly, never wildly."""
-        sharded = _run_sharded(txns, 2)
+        single, _ = single
+        sharded, _ = _run_sharded(txns, 2)
         for name, ratio in single.capture_ratios().items():
             assert sharded.capture_ratios()[name] == \
                 pytest.approx(ratio, abs=0.12)
@@ -94,14 +93,11 @@ class TestEquivalence:
         table -- but the Top-k head must stay stable: near-total
         top-50 overlap and a long exact ranking prefix."""
         datasets = [("srvip", 150), ("qname", 300)]
-        one = Observatory(datasets=datasets)
-        one.consume(txns)
-        one.finish()
-        sharded = ShardedObservatory(shards=4, datasets=datasets)
-        sharded.consume(txns)
-        sharded.finish()
+        one = cut_windows(Observatory(datasets=datasets), txns)
+        sharded = cut_windows(ShardedObservatory(shards=4, datasets=datasets),
+                              txns)
         for name in ("srvip", "qname"):
-            for a, b in zip(one.dumps[name], sharded.dumps[name]):
+            for a, b in zip(one[name], sharded[name]):
                 head_a = [k for k, _ in a.rows[:50]]
                 head_b = [k for k, _ in b.rows[:50]]
                 if not head_a:
@@ -170,13 +166,12 @@ class TestShardedMechanics:
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
         obs.consume_batch((make_txn(ts=10.0),))
         dumps = obs.consume_batch((make_txn(ts=200.0),))
-        obs.finish()
+        tail = obs.finish()
         assert [d.start_ts for d in dumps] == [0]
         # window 0's only key was inserted mid-window, so the
         # survived-one-window rule leaves the dump empty
         assert [len(d) for d in dumps] == [0]
-        starts = [d.start_ts for d in obs.dumps["srvip"]]
-        assert starts == [0, 180]
+        assert [d.start_ts for d in tail] == [180]
         assert obs.windows_completed == 4  # 0, two skipped, 180
 
     def test_finish_is_idempotent_and_closes(self):
@@ -396,7 +391,6 @@ class TestFractionalWindows:
     def test_observatory_fractional_window_end_to_end(self):
         obs = Observatory(datasets=[("srvip", 8)], window_seconds=0.25,
                           skip_recent_inserts=False)
-        obs.consume([make_txn(ts=0.1 * i) for i in range(10)])
-        obs.finish()
-        starts = [d.start_ts for d in obs.dumps["srvip"]]
+        windows = cut_windows(obs, [make_txn(ts=0.1 * i) for i in range(10)])
+        starts = [d.start_ts for d in windows["srvip"]]
         assert starts == [0, 0.25, 0.5, 0.75]

@@ -6,7 +6,7 @@ qmin study (§3.6) draws its per-pair query behaviour from.
 """
 
 from repro.observatory.pipeline import Observatory
-from tests.util import make_txn
+from tests.util import cut_windows, make_txn
 
 
 def test_pairs_tracked_independently():
@@ -28,12 +28,11 @@ def test_pairs_tracked_independently():
 def test_pair_features_are_per_pair():
     obs = Observatory(datasets=[("srcsrv", 64)], use_bloom_gate=False,
                       skip_recent_inserts=False)
-    obs.ingest(make_txn(ts=0.0, resolver_ip="10.0.0.1",
-                        server_ip="192.0.2.1", qname="a.example.com"))
-    obs.ingest(make_txn(ts=1.0, resolver_ip="10.0.0.2",
-                        server_ip="192.0.2.1", qname="b.example.com"))
-    obs.finish()
-    dump = obs.dumps["srcsrv"][-1]
+    dump = cut_windows(obs, [
+        make_txn(ts=0.0, resolver_ip="10.0.0.1", server_ip="192.0.2.1",
+                 qname="a.example.com"),
+        make_txn(ts=1.0, resolver_ip="10.0.0.2", server_ip="192.0.2.1",
+                 qname="b.example.com")])["srcsrv"][-1]
     rows = dump.row_map()
     assert round(rows["10.0.0.1|192.0.2.1"]["qnamesa"]) == 1
     assert round(rows["10.0.0.2|192.0.2.1"]["qnamesa"]) == 1

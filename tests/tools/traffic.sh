@@ -116,8 +116,12 @@ expect(404, 18053, "/series/nosuch")
 expect(404, 18053, "/nosuch")
 expect(400, 18053, "/topk/srvip?n=zero")
 expect(400, 18053, "/series/srvip?granularity=weekly")
-expect(401, 18053, "/datasets", headers={"Authorization": "Bearer no"})
-expect(200, 18053, "/vantage")
+_, headers, _ = expect(401, 18053, "/datasets",
+                       headers={"Authorization": "Bearer no"})
+assert any(k.lower() == "www-authenticate" for k in headers), headers
+_, _, body = expect(200, 18053, "/vantage")
+groups = json.loads(body)["groups"]
+assert set(groups) == {"asn", "cc"} and groups["asn"]["entries"], groups
 expect(200, 18053, "/vantage/cc?n=10&by=reach")
 expect(404, 18053, "/vantage/continent")
 expect(200, 18053, "/platform/health")
@@ -126,7 +130,10 @@ expect(200, 18053, "/series/srvip?follow=0&timeout=1")
 expect(200, 18053, "/stream/srvip?cursor=0", raw=True)     # SSE
 expect(200, 18053, "/stream/srvip", raw=True,
        headers={"Last-Event-ID": "0"})
-assert 429 in {get(18053, "/datasets")[0] for _ in range(120)}
+throttled = [headers for status, headers, _ in
+             (get(18053, "/datasets") for _ in range(120)) if status == 429]
+assert throttled and all(any(k.lower() == "retry-after" for k in headers)
+                         for headers in throttled), throttled[:1]
 expect(200, 18054, "/datasets", headers={"Authorization": ""})
 expect(200, 18054, "/topk/srvip")
 expect(200, 18054, "/series/srvip")
@@ -165,6 +172,10 @@ wait $RUN
 $R run "$W/live-file" --input "$W/enc50.tsv" --pace 0 --port 18056 \
     --shards 2 --vantage "$W/vantage.tsv" \
     --exit-when-done
+# the encrypted mix and the vantage index both reach the tree
+for dataset in _encrypted _vantage_asn _vantage_cc; do
+    ls "$W/live-file/$dataset".minutely.*.tsv > /dev/null
+done
 head -2000 "$W/stream.tsv" | $R run "$W/live-stdin" --input - --pace 0 \
     --port 18057 --exit-when-done
 

@@ -52,3 +52,14 @@ def run_scenario(scenario):
 
     channel = SieChannel(scenario)
     return channel, list(channel.run())
+
+
+def cut_windows(pipeline, txns):
+    """Feed time-ordered *txns* through *pipeline* and finish it.
+    Returns ``{dataset: [window, ...]}`` of every window it cut, in
+    order: the windows ``consume_batch`` / ``finish`` hand back, since
+    a pipeline keeps none itself."""
+    windows = {}
+    for window in pipeline.consume_batch(list(txns)) + pipeline.finish():
+        windows.setdefault(window.dataset, []).append(window)
+    return windows

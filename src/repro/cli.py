@@ -283,7 +283,8 @@ def cmd_replay(args):
     obs = build_pipeline(output_dir=args.output_dir,
                          telemetry=args.telemetry, encrypted=True,
                          **_pipeline_options(args))
-    with open(args.input) if args.input != "-" else sys.stdin as fh:
+    with open(args.input, "rb") if args.input != "-" \
+            else sys.stdin.buffer as fh:
         parsed = TransactionLines(fh)
         obs.consume(parsed)
     obs.finish()
@@ -510,7 +511,7 @@ def cmd_run(args):
             return SieChannel(scenario).run()
 
         def file_lines():
-            with open(args.input) as fh:
+            with open(args.input, "rb") as fh:
                 for line in fh:
                     if stop.is_set():
                         return

@@ -43,6 +43,8 @@ in the meantime.
 
 import asyncio
 import logging
+import math
+import os
 import select
 import sys
 import threading
@@ -53,13 +55,15 @@ from repro.observatory.alerts import (
     DAEMON_RULES, DEFAULT_RULES, DETECTOR_RULES)
 from repro.observatory.pipeline import build_pipeline
 from repro.observatory.telemetry import Telemetry
+from repro.observatory.window import align_window
 from repro.server import build_server, open_store
 from repro.server.push import FlushBroker
 
 logger = logging.getLogger(__name__)
 
-#: ingest dispatches a partial batch after this many wall seconds, so
-#: a slow paced stream still advances windows promptly
+#: ingest also dispatches a partial batch after this many wall
+#: seconds, so little of a window is left to fold when its boundary
+#: line arrives (the boundary itself dispatches at once)
 DISPATCH_INTERVAL = 0.25
 
 #: transactions per ingest dispatch (amortizes the batch fast path)
@@ -74,25 +78,33 @@ PACE_SLICE = 0.1
 JOIN_TIMEOUT = 30.0
 
 
-def stdin_lines(stop, fh=None, poll_seconds=0.25):
-    """Yield *fh*'s (default stdin) lines as they arrive.
+def stdin_lines(stop, fd=None, poll_seconds=0.25):
+    """Yield the lines (bytes) of file descriptor *fd* (default stdin)
+    as they arrive, a last one without its newline at end of file.
 
     Polls with :func:`select.select` so a shutdown request interrupts
     an idle pipe instead of leaving the ingest thread wedged in a
-    blocking read past the join timeout.
+    blocking read past the join timeout.  Each wake-up reads the fd
+    itself and yields every complete line it has: a buffered reader
+    would hold the rest of a write back until the producer writes
+    again.
     """
-    fh = sys.stdin if fh is None else fh
+    fd = sys.stdin.fileno() if fd is None else fd
+    pending = b""
     while not stop.is_set():
         try:
-            ready, _, _ = select.select([fh], [], [], poll_seconds)
+            ready, _, _ = select.select([fd], [], [], poll_seconds)
+            if not ready:
+                continue
+            chunk = os.read(fd, 65536)
         except (OSError, ValueError):  # fd closed under us
             return
-        if not ready:
-            continue
-        line = fh.readline()
-        if not line:
+        if not chunk:
+            if pending:
+                yield pending
             return
-        yield line
+        *lines, pending = (pending + chunk).split(b"\n")
+        yield from lines
 
 
 class LiveDaemon:
@@ -277,12 +289,20 @@ class LiveDaemon:
             if callable(source):
                 source = source(self._stop)
             consume_batch = self.observatory.consume_batch
+            window_seconds = self.observatory.window_seconds
             buffer = []
+            end = -math.inf  # of the open window, on the pipeline's grid
             last_dispatch = time.monotonic()
             for txn in self._paced(source):
                 buffer.append(txn)
                 now = time.monotonic()
-                if len(buffer) >= BATCH_SIZE or \
+                # The first line past the window hands it over: the
+                # pipeline cuts the window as this batch reaches it.
+                crossed = txn.ts >= end
+                if crossed:
+                    end = align_window(txn.ts, window_seconds) + \
+                        window_seconds
+                if crossed or len(buffer) >= BATCH_SIZE or \
                         now - last_dispatch >= DISPATCH_INTERVAL:
                     consume_batch(buffer)
                     self.txns_ingested += len(buffer)

@@ -225,13 +225,13 @@ class Transaction:
 
 
 class TransactionLines:
-    """Transactions parsed from an iterable of text lines.
+    """Transactions parsed from an iterable of byte lines.
 
-    Blank lines are ignored.  A malformed line is skipped and counted
-    in :attr:`skipped` -- the platform drops what it cannot parse
-    rather than stalling the stream, as
-    :func:`~repro.observatory.preprocess.summarize_batch` does for
-    malformed packets.
+    Blank lines are ignored.  A malformed line -- one that is not
+    UTF-8 included -- is skipped and counted in :attr:`skipped`: the
+    platform drops what it cannot parse rather than stalling the
+    stream, as :func:`~repro.observatory.preprocess.summarize_batch`
+    does for malformed packets.
     """
 
     def __init__(self, lines):
@@ -243,7 +243,7 @@ class TransactionLines:
         from_line = Transaction.from_line
         for line in self.lines:
             if line.strip():
-                try:
-                    yield from_line(line)
+                try:  # UnicodeDecodeError is a ValueError
+                    yield from_line(line.rstrip(b"\r\n").decode("utf-8"))
                 except ValueError:
                     self.skipped += 1

@@ -3,7 +3,9 @@
 These spawn the real CLI in a subprocess and talk to it over TCP:
 the window must become queryable within one window period of being
 cut, SSE framing must conform on a raw socket, and SIGTERM must cut
-the in-progress window, drain subscribers, and exit 0.
+the in-progress window, drain subscribers, and exit 0.  A window is
+handed over on its boundary line, and ``run`` writes the tree
+``replay`` writes from the same lines.
 """
 
 import glob
@@ -13,10 +15,14 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+
+from repro.daemon import stdin_lines
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,6 +60,15 @@ def get_json(port, target, timeout=15.0):
 def srvip_files(series_dir):
     return sorted(glob.glob(os.path.join(str(series_dir),
                                          "srvip.*.tsv")))
+
+
+def simulate(path, duration, qps):
+    subprocess.run(
+        [sys.executable, "-m", "repro.cli", "simulate", "--preset",
+         "tiny", "--duration", str(duration), "--qps", str(qps),
+         "-o", str(path)],
+        env=_env(), check=True, capture_output=True)
+    return path
 
 
 def reap(proc):
@@ -102,12 +117,7 @@ class TestLiveDaemon:
         """A line the feature update cannot take (negative delay) and
         plain garbage are dropped and counted; ingest carries on and
         the daemon still exits 0."""
-        stream = tmp_path / "stream.tsv"
-        subprocess.run(
-            [sys.executable, "-m", "repro.cli", "simulate", "--preset",
-             "tiny", "--duration", "130", "--qps", "50",
-             "-o", str(stream)],
-            env=_env(), check=True, capture_output=True)
+        stream = simulate(tmp_path / "stream.tsv", 130, 50)
         lines = stream.read_text().splitlines()
         fields = next(l for l in lines
                       if l.split("\t")[7] == "1").split("\t")
@@ -168,12 +178,7 @@ class TestLiveDaemon:
             reap(proc)
 
     def test_file_input_exit_when_done(self, tmp_path):
-        stream = tmp_path / "stream.tsv"
-        subprocess.run(
-            [sys.executable, "-m", "repro.cli", "simulate", "--preset",
-             "tiny", "--duration", "180", "--qps", "50",
-             "-o", str(stream)],
-            env=_env(), check=True, capture_output=True)
+        stream = simulate(tmp_path / "stream.tsv", 180, 50)
         series = tmp_path / "series"
         proc, port = spawn_daemon(
             series, "--window", "60", "--pace", "0", "--input",
@@ -254,3 +259,134 @@ def test_run_detectors_fire_health_rule_during_attack(tmp_path):
         assert "Traceback" not in proc.stdout.read()
     finally:
         reap(proc)
+
+
+def test_stdin_lines_yields_every_line_of_one_write():
+    """Every complete line of a write is yielded without waiting for
+    the next write; a last line without a newline comes at EOF."""
+    read_fd, write_fd = os.pipe()
+    stop = threading.Event()
+    guard = threading.Timer(2.0, stop.set)  # a held-back line ends it
+    guard.start()
+    try:
+        lines = stdin_lines(stop, read_fd, poll_seconds=0.05)
+        os.write(write_fd, b"one\ntwo\nthr")
+        assert next(lines, None) == b"one"
+        assert next(lines, None) == b"two"  # the pipe is still open
+        os.write(write_fd, b"ee\nlast")
+        assert next(lines, None) == b"three"
+        os.close(write_fd)
+        write_fd = None
+        assert list(lines) == [b"last"]
+    finally:
+        guard.cancel()
+        os.close(read_fd)
+        if write_fd is not None:
+            os.close(write_fd)
+
+
+def test_stdin_boundary_line_hands_window_over(tmp_path):
+    """The first line past a window cuts it at once: windows 0 and 1
+    plus one line of window 2 in one write, stdin left open, and a
+    parked follow long-poll gets window 1 (window 0 is the cold start,
+    whose srvip file has no rows and is not written)."""
+    lines = simulate(tmp_path / "stream.tsv", 4, 50).read_bytes() \
+        .splitlines(keepends=True)
+    crossing = next(i for i, line in enumerate(lines)
+                    if float(line.split(b"\t", 1)[0]) >= 2.0)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "run", str(tmp_path / "series"),
+         "--input", "-", "--window", "1", "--pace", "0", "--port", "0",
+         "--datasets", "srvip", "--exit-when-done"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, env=_env())
+    try:
+        ready = proc.stdout.readline().decode()
+        assert "live daemon:" in ready, ready
+        port = int(ready.split("http://", 1)[1].split()[0]
+                   .rsplit(":", 1)[1])
+        with ThreadPoolExecutor(1) as pool:
+            parked = pool.submit(get_json, port,
+                                 "/series/srvip?follow=&timeout=2")
+            time.sleep(0.3)  # parked before the lines go out
+            proc.stdin.write(b"".join(lines[:crossing + 1]))
+            proc.stdin.flush()
+            doc = parked.result(timeout=15)
+        assert doc["timed_out"] is False
+        assert [w["start_ts"] for w in doc["windows"]] == [1]
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        reap(proc)
+
+
+def test_non_utf8_line_is_skipped_by_every_line_source(tmp_path):
+    """``replay FILE``, ``run --input FILE`` and ``run --input -`` each
+    drop and count a line that is not UTF-8, and exit 0."""
+    stream = simulate(tmp_path / "stream.tsv", 60, 20)
+    lines = stream.read_bytes().splitlines(keepends=True)
+    lines.insert(10, b"\xff\xfe garbage\n")
+    stream.write_bytes(b"".join(lines))
+    base = [sys.executable, "-m", "repro.cli"]
+    live = ["--pace", "0", "--port", "0", "--exit-when-done"]
+    for argv, stdin in (
+            (["replay", str(stream), str(tmp_path / "replayed")], None),
+            (["run", str(tmp_path / "file"), "--input", str(stream)]
+             + live, None),
+            (["run", str(tmp_path / "stdin"), "--input", "-"] + live,
+             stream)):
+        with open(stdin or os.devnull, "rb") as fh:
+            done = subprocess.run(base + argv, stdin=fh, env=_env(),
+                                  capture_output=True, timeout=60)
+        assert done.returncode == 0, (argv, done.stderr[-600:])
+        assert b"skipped 1 malformed input lines" in done.stderr, argv
+
+
+@pytest.fixture(scope="module")
+def minute_stream(tmp_path_factory):
+    return simulate(tmp_path_factory.mktemp("minute") / "stream.tsv",
+                    60, 80)
+
+
+def _tree(directory):
+    """``{name: comparable content}`` of a written tree: TSV bytes,
+    and a sidecar's decoded window (its bytes embed the TSV's file
+    identity); ``_platform`` rows carry wall-clock timings."""
+    from repro.observatory import segments as segmentfmt
+
+    tree = {}
+    for name in sorted(os.listdir(directory)):
+        if name.startswith("_platform."):
+            continue
+        path = os.path.join(directory, name)
+        if name.endswith(segmentfmt.SEGMENT_SUFFIX):
+            data = segmentfmt.read_segment(path)
+            tree[name] = (data.dataset, data.granularity, data.start_ts,
+                          data.columns, data.keys, data.values, data.stats)
+        else:
+            with open(path, "rb") as fh:
+                tree[name] = fh.read()
+    return tree
+
+
+@pytest.mark.parametrize("shards", ["1", "2"])
+def test_daemon_writes_the_replay_tree(minute_stream, tmp_path, shards):
+    """``run`` over a file and over stdin writes the tree ``replay``
+    writes: its batch cuts fall elsewhere, the windows do not."""
+    flags = ["--window", "1", "--segments", "--detectors",
+             "--shards", shards]
+    base = [sys.executable, "-m", "repro.cli"]
+    live = ["--pace", "0", "--port", "0", "--exit-when-done"]
+    stream = str(minute_stream)
+    for name, argv in (
+            ("replay", ["replay", stream, "replay", "--telemetry"]),
+            ("file", ["run", "file", "--input", stream] + live),
+            ("stdin", ["run", "stdin", "--input", "-"] + live)):
+        with open(stream if name == "stdin" else os.devnull, "rb") as fh:
+            subprocess.run(base + argv + flags, stdin=fh, cwd=tmp_path,
+                           env=_env(), check=True, capture_output=True,
+                           timeout=120)
+    expected = _tree(tmp_path / "replay")
+    assert any(name.startswith("srvip.") for name in expected)
+    assert _tree(tmp_path / "file") == expected
+    assert _tree(tmp_path / "stdin") == expected

@@ -144,30 +144,37 @@ kill -TERM $SERVE $PLAIN
 wait $SERVE $PLAIN
 
 # -- run: simulator, file, stdin ---------------------------------------
-$R run "$W/live-sim" --preset tiny --duration 40 --qps 60 --window 5 \
-    --pace 8 --port 18055 --detectors --attack watertorture:10:60 \
-    --segments --exit-when-done &
-RUN=$!
-python - <<'EOF'
-import json, time, urllib.request
+# a parked follow= long-poll gets a window, SSE sends one, and
+# /platform/health shows the daemon running with the broker open
+live_checks() {
+    python - "$1" <<'EOF'
+import json, sys, time, urllib.request
+base = "http://127.0.0.1:%s" % sys.argv[1]
 for _ in range(100):
     try:
         with urllib.request.urlopen(
-                "http://127.0.0.1:18055/series/srvip?follow=&timeout=10",
-                timeout=20) as resp:
-            assert json.load(resp)["windows"]
-        with urllib.request.urlopen(
-                "http://127.0.0.1:18055/stream/srvip", timeout=20) as resp:
-            assert resp.read(200)
-        with urllib.request.urlopen(
-                "http://127.0.0.1:18055/platform/health", timeout=20) as resp:
-            assert json.load(resp)["daemon"]["running"]
+                base + "/series/srvip?follow=&timeout=10", timeout=20) as resp:
+            doc = json.load(resp)
         break
     except OSError:
         time.sleep(0.2)
 else:
     raise SystemExit("daemon never came up")
+assert doc["windows"] and doc["timed_out"] is False, doc
+with urllib.request.urlopen(base + "/stream/srvip", timeout=20) as resp:
+    assert resp.read(200)
+with urllib.request.urlopen(base + "/platform/health", timeout=20) as resp:
+    health = json.load(resp)
+assert health["daemon"]["running"], health
+assert health["daemon"]["windows_flushed"] >= 1, health
+assert health["broker"]["closed"] == 0, health
 EOF
+}
+$R run "$W/live-sim" --preset tiny --duration 40 --qps 60 --window 5 \
+    --pace 8 --port 18055 --detectors --attack watertorture:10:60 \
+    --segments --exit-when-done &
+RUN=$!
+live_checks 18055
 wait $RUN
 $R run "$W/live-file" --input "$W/enc50.tsv" --pace 0 --port 18056 \
     --shards 2 --vantage "$W/vantage.tsv" \
@@ -176,8 +183,14 @@ $R run "$W/live-file" --input "$W/enc50.tsv" --pace 0 --port 18056 \
 for dataset in _encrypted _vantage_asn _vantage_cc; do
     ls "$W/live-file/$dataset".minutely.*.tsv > /dev/null
 done
-head -2000 "$W/stream.tsv" | $R run "$W/live-stdin" --input - --pace 0 \
-    --port 18057 --exit-when-done
+# SIGTERM mid-stream: the daemon cuts the open window and exits 0
+head -2000 "$W/stream.tsv" | $R run "$W/live-stdin" --input - --window 5 \
+    --pace 8 --port 18057 &
+RUN=$!
+live_checks 18057
+kill -TERM $RUN
+wait $RUN
+ls "$W/live-stdin"/srvip.minutely.*.tsv > /dev/null
 
 # -- paper benches (timed calls escape sys.setprofile: disable them) --
 # The telemetry/detector overhead tests read benchmark.stats and gate a

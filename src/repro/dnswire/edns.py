@@ -5,8 +5,8 @@ requestor's maximum UDP payload size and the *TTL* packs the extended
 RCODE, EDNS version, and the flags word whose high bit is DO
 ("DNSSEC OK").  Section 2.3 uses the DO flag for the ok_sec feature,
 and Section 2.5 notes that other EDNS0 payload data (cookies, client
-subnet) is dropped early for privacy -- our decoder therefore exposes
-only size/flags, leaving options opaque.
+subnet) is dropped early for privacy: the preprocessor reads only the
+DO bit of the first OPT record, and the codec keeps options opaque.
 """
 
 from repro.dnswire.constants import EDNS_DEFAULT_PAYLOAD, EDNS_DO, QTYPE
@@ -22,46 +22,3 @@ def make_opt(payload_size=EDNS_DEFAULT_PAYLOAD, dnssec_ok=False,
     return ResourceRecord(
         name="", rtype=QTYPE.OPT, ttl=ttl, rdata=OPT(), rclass=payload_size
     )
-
-
-class EdnsInfo:
-    """Decoded view of an OPT pseudo-record."""
-
-    __slots__ = ("payload_size", "ext_rcode", "version", "dnssec_ok")
-
-    def __init__(self, payload_size, ext_rcode, version, dnssec_ok):
-        self.payload_size = payload_size
-        self.ext_rcode = ext_rcode
-        self.version = version
-        self.dnssec_ok = dnssec_ok
-
-    def __repr__(self):
-        return "EdnsInfo(payload=%d, version=%d, do=%s)" % (
-            self.payload_size, self.version, self.dnssec_ok
-        )
-
-
-def parse_opt(rr):
-    """Decode an OPT :class:`ResourceRecord` into an :class:`EdnsInfo`."""
-    if rr is None:
-        return None
-    if rr.rtype != QTYPE.OPT:
-        raise ValueError("not an OPT record: %r" % rr)
-    ttl = rr.ttl & 0xFFFFFFFF
-    return EdnsInfo(
-        payload_size=rr.rclass,
-        ext_rcode=(ttl >> 24) & 0xFF,
-        version=(ttl >> 16) & 0xFF,
-        dnssec_ok=bool(ttl & EDNS_DO),
-    )
-
-
-def edns_info(message):
-    """Return the :class:`EdnsInfo` of *message*, or None if not EDNS."""
-    return parse_opt(message.opt_record())
-
-
-def dnssec_ok(message):
-    """True when the message carries an OPT record with the DO bit set."""
-    info = edns_info(message)
-    return bool(info and info.dnssec_ok)

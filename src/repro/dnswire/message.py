@@ -116,14 +116,7 @@ class Message:
         return cls(msg_id=query.msg_id, flags=flags,
                    question=list(query.question))
 
-    # -- section inspection helpers (used by feature extraction) ------
-
-    def records(self, section, rtype=None):
-        """Iterate records of *section* ('answer'/'authority'/'additional'),
-        optionally filtered by *rtype*."""
-        for rr in getattr(self, section):
-            if rtype is None or rr.rtype == rtype:
-                yield rr
+    # -- section inspection helpers ----------------------------------
 
     def opt_record(self):
         """Return the EDNS0 OPT pseudo-record, or None."""

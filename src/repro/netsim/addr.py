@@ -5,6 +5,7 @@ paths, where ``ipaddress`` object churn would dominate runtime.
 """
 
 import ipaddress
+from socket import AF_INET6, inet_ntop
 
 
 def ipv4_to_int(address):
@@ -54,6 +55,20 @@ def slash24_of(address):
 def is_ipv6(address):
     """Cheap IPv6 test: presence of a colon."""
     return ":" in address
+
+
+def ipv6_from_bytes(packed):
+    """16 packed bytes -> the text ``str(ipaddress.IPv6Address(packed))``
+    writes (RFC 5952: lowercase, longest zero run as ``::``).
+
+    The C library's ``inet_ntop`` writes the same text at a tenth of
+    the cost, except that it may write an embedded IPv4 address in
+    dotted form (``::ffff:192.0.2.1``), which ``ipaddress`` does not.
+    """
+    text = inet_ntop(AF_INET6, packed)
+    if "." in text:
+        return str(ipaddress.IPv6Address(bytes(packed)))
+    return text
 
 
 def ipv6_to_int(address):

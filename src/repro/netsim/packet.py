@@ -10,8 +10,10 @@ including a correct IPv4 header checksum.
 
 import ipaddress
 import struct
+from collections import namedtuple
+from socket import inet_ntoa
 
-from repro.netsim.addr import ipv4_from_int, ipv4_to_int
+from repro.netsim.addr import ipv4_to_int, ipv6_from_bytes
 
 PROTO_UDP = 17
 PROTO_TCP = 6
@@ -25,29 +27,20 @@ class PacketError(ValueError):
     """Raised for malformed or unsupported packets."""
 
 
-class UdpDatagram:
+class UdpDatagram(namedtuple("UdpDatagram", (
+        "src_ip", "dst_ip", "src_port", "dst_port", "ttl", "payload",
+        "ip_version", "transport"))):
     """Parsed view of an IP packet carrying DNS (UDP/53 or TCP/53).
 
-    For TCP segments the ``payload`` already has the RFC 1035 §4.2.2
-    two-byte length prefix stripped, so it is a bare DNS message in
-    both cases.  (The name is historical; ``transport`` tells which.)
+    ``ttl`` is the IPv4 TTL or IPv6 hop limit as observed on the wire;
+    ``transport`` is "udp" or "tcp".  For TCP segments the ``payload``
+    already has the RFC 1035 §4.2.2 two-byte length prefix stripped,
+    so it is a bare DNS message in both cases.  (The name is
+    historical.)  A tuple, so a caller on the ingest path can unpack
+    it without attribute lookups.
     """
 
-    __slots__ = ("src_ip", "dst_ip", "src_port", "dst_port", "ttl",
-                 "payload", "ip_version", "transport")
-
-    def __init__(self, src_ip, dst_ip, src_port, dst_port, ttl, payload,
-                 ip_version=4, transport="udp"):
-        self.src_ip = src_ip
-        self.dst_ip = dst_ip
-        self.src_port = src_port
-        self.dst_port = dst_port
-        #: IPv4 TTL or IPv6 hop limit as observed on the wire
-        self.ttl = ttl
-        self.payload = payload
-        self.ip_version = ip_version
-        #: "udp" or "tcp"
-        self.transport = transport
+    __slots__ = ()
 
     def __repr__(self):
         return "UdpDatagram(%s:%d -> %s:%d, %s, ttl=%d, %d bytes)" % (
@@ -152,7 +145,8 @@ def parse_ip_packet(packet):
     """Parse an IPv4 or IPv6 packet into a :class:`UdpDatagram`.
 
     UDP/53 and single-segment TCP/53 (with the RFC 1035 length
-    prefix) are supported.
+    prefix) are supported.  The headers are read in place: the DNS
+    payload is the only slice copied out of *packet*.
     """
     if not packet:
         raise PacketError("empty packet")
@@ -171,17 +165,16 @@ def _parse_ipv4(packet):
     if ihl < IPV4_HEADER_LEN or len(packet) < ihl:
         raise PacketError("bad IPv4 IHL")
     total_length, = struct.unpack_from(">H", packet, 2)
-    ttl = packet[8]
-    proto = packet[9]
-    src = ipv4_from_int(struct.unpack_from(">I", packet, 12)[0])
-    dst = ipv4_from_int(struct.unpack_from(">I", packet, 16)[0])
     if total_length > len(packet):
         raise PacketError("IPv4 total length exceeds capture")
-    transport = packet[ihl:total_length]
+    proto = packet[9]
+    # inet_ntoa writes the same dotted quad as addr.ipv4_from_int
+    src = inet_ntoa(packet[12:16])
+    dst = inet_ntoa(packet[16:20])
     if proto == PROTO_UDP:
-        return _parse_udp(transport, src, dst, ttl, 4)
+        return _parse_udp(packet, ihl, total_length, src, dst, packet[8], 4)
     if proto == PROTO_TCP:
-        return _parse_tcp(transport, src, dst, ttl, 4)
+        return _parse_tcp(packet, ihl, total_length, src, dst, packet[8], 4)
     raise PacketError("unsupported protocol %d" % proto)
 
 
@@ -189,39 +182,45 @@ def _parse_ipv6(packet):
     if len(packet) < IPV6_HEADER_LEN:
         raise PacketError("truncated IPv6 header")
     payload_length, next_header, hop_limit = struct.unpack_from(">HBB", packet, 4)
-    src = str(ipaddress.IPv6Address(packet[8:24]))
-    dst = str(ipaddress.IPv6Address(packet[24:40]))
-    transport = packet[IPV6_HEADER_LEN:IPV6_HEADER_LEN + payload_length]
+    src = ipv6_from_bytes(packet[8:24])
+    dst = ipv6_from_bytes(packet[24:40])
+    stop = min(IPV6_HEADER_LEN + payload_length, len(packet))
     if next_header == PROTO_UDP:
-        return _parse_udp(transport, src, dst, hop_limit, 6)
+        return _parse_udp(packet, IPV6_HEADER_LEN, stop, src, dst,
+                          hop_limit, 6)
     if next_header == PROTO_TCP:
-        return _parse_tcp(transport, src, dst, hop_limit, 6)
+        return _parse_tcp(packet, IPV6_HEADER_LEN, stop, src, dst,
+                          hop_limit, 6)
     raise PacketError("unsupported next header %d" % next_header)
 
 
-def _parse_tcp(tcp, src, dst, ttl, version):
-    if len(tcp) < TCP_HEADER_LEN:
+# The transport parsers read the segment packet[start:stop] in place.
+
+
+def _parse_tcp(packet, start, stop, src, dst, ttl, version):
+    if stop - start < TCP_HEADER_LEN:
         raise PacketError("truncated TCP header")
-    src_port, dst_port = struct.unpack_from(">HH", tcp, 0)
-    data_offset = (tcp[12] >> 4) * 4
-    if data_offset < TCP_HEADER_LEN or data_offset > len(tcp):
+    src_port, dst_port = struct.unpack_from(">HH", packet, start)
+    data_offset = (packet[start + 12] >> 4) * 4
+    if data_offset < TCP_HEADER_LEN or data_offset > stop - start:
         raise PacketError("bad TCP data offset")
-    segment = tcp[data_offset:]
-    if len(segment) < 2:
+    segment = start + data_offset
+    if stop - segment < 2:
         raise PacketError("TCP segment without DNS length prefix")
-    (dns_length,) = struct.unpack_from(">H", segment, 0)
-    if 2 + dns_length > len(segment):
+    (dns_length,) = struct.unpack_from(">H", packet, segment)
+    if 2 + dns_length > stop - segment:
         raise PacketError("truncated DNS-over-TCP message")
-    payload = segment[2:2 + dns_length]
-    return UdpDatagram(src, dst, src_port, dst_port, ttl, payload,
-                       version, transport="tcp")
+    payload = packet[segment + 2:segment + 2 + dns_length]
+    return UdpDatagram(src, dst, src_port, dst_port, ttl, payload, version,
+                       "tcp")
 
 
-def _parse_udp(udp, src, dst, ttl, version):
-    if len(udp) < UDP_HEADER_LEN:
+def _parse_udp(packet, start, stop, src, dst, ttl, version):
+    if stop - start < UDP_HEADER_LEN:
         raise PacketError("truncated UDP header")
-    src_port, dst_port, udp_length, _ = struct.unpack_from(">HHHH", udp, 0)
-    if udp_length < UDP_HEADER_LEN or udp_length > len(udp):
+    src_port, dst_port, udp_length = struct.unpack_from(">HHH", packet, start)
+    if udp_length < UDP_HEADER_LEN or udp_length > stop - start:
         raise PacketError("bad UDP length")
-    payload = udp[UDP_HEADER_LEN:udp_length]
-    return UdpDatagram(src, dst, src_port, dst_port, ttl, payload, version)
+    payload = packet[start + UDP_HEADER_LEN:start + udp_length]
+    return UdpDatagram(src, dst, src_port, dst_port, ttl, payload, version,
+                       "udp")

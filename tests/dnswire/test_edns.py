@@ -1,50 +1,36 @@
 """Tests for EDNS0 OPT handling."""
 
-import pytest
-
-from repro.dnswire.constants import QTYPE
-from repro.dnswire.edns import dnssec_ok, edns_info, make_opt, parse_opt
-from repro.dnswire.message import Message, ResourceRecord
-from repro.dnswire.rdata import A
+from repro.dnswire.constants import EDNS_DO, QTYPE
+from repro.dnswire.edns import make_opt
+from repro.dnswire.message import Message
 
 
 def test_make_and_parse_opt():
-    opt = make_opt(payload_size=4096, dnssec_ok=True, version=0)
-    info = parse_opt(opt)
-    assert info.payload_size == 4096
-    assert info.dnssec_ok is True
-    assert info.version == 0
-    assert info.ext_rcode == 0
+    msg = Message.make_query("example.com", QTYPE.A)
+    msg.additional.append(make_opt(payload_size=4096, dnssec_ok=True,
+                                   version=0))
+    opt = Message.from_wire(msg.to_wire()).opt_record()
+    assert opt.rclass == 4096  # payload size
+    assert opt.ttl & EDNS_DO
+    assert (opt.ttl >> 16) & 0xFF == 0  # version
+    assert (opt.ttl >> 24) & 0xFF == 0  # extended RCODE
 
 
 def test_do_flag_off_by_default():
-    info = parse_opt(make_opt())
-    assert info.dnssec_ok is False
-    assert info.payload_size == 1232
+    opt = make_opt()
+    assert not opt.ttl & EDNS_DO
+    assert opt.rclass == 1232
 
 
 def test_ext_rcode_packing():
-    info = parse_opt(make_opt(ext_rcode=0x16))
-    assert info.ext_rcode == 0x16
-
-
-def test_parse_opt_none_passthrough():
-    assert parse_opt(None) is None
-
-
-def test_parse_opt_rejects_non_opt():
-    rr = ResourceRecord("example.com", QTYPE.A, 300, A("192.0.2.1"))
-    with pytest.raises(ValueError):
-        parse_opt(rr)
+    assert (make_opt(ext_rcode=0x16).ttl >> 24) & 0xFF == 0x16
 
 
 def test_edns_info_from_message():
     msg = Message.make_query("example.com", QTYPE.A)
-    assert edns_info(msg) is None
-    assert dnssec_ok(msg) is False
+    assert msg.opt_record() is None
     msg.additional.append(make_opt(dnssec_ok=True))
-    assert edns_info(msg).dnssec_ok
-    assert dnssec_ok(msg) is True
+    assert msg.opt_record().ttl & EDNS_DO
 
 
 def test_opt_name_is_root():
@@ -52,4 +38,4 @@ def test_opt_name_is_root():
 
 
 def test_repr():
-    assert "payload=1232" in repr(parse_opt(make_opt()))
+    assert repr(make_opt()) == "RR('', OPT, ttl=0, OPT(options=b''))"

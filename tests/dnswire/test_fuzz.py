@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.dnswire.message import Message
 from repro.dnswire.name import decode_name
-from repro.netsim.packet import PacketError, parse_ip_packet
+from repro.netsim.packet import PacketError, build_udp_ipv4, parse_ip_packet
+from repro.observatory.preprocess import PreprocessError, summarize_transaction
 from repro.observatory.transaction import Transaction
 
 
@@ -50,6 +51,34 @@ def test_packet_parser_with_valid_ipv4_prefix(data):
     try:
         parse_ip_packet(packet)
     except PacketError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=256), st.one_of(st.none(), st.binary(max_size=256)))
+def test_summarizer_never_crashes(query, response):
+    """Arbitrary bytes in either packet: a summary or a PreprocessError,
+    never a framing PacketError, IndexError or struct.error."""
+    try:
+        summarize_transaction(query, response, 0.0, 0.01)
+    except PreprocessError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=256), st.binary(max_size=256))
+def test_summarizer_never_crashes_past_the_framing(query, response):
+    """As above with valid IPv4/UDP framing, so the garbage reaches the
+    DNS walk: the query is a valid header and part of a question
+    followed by the garbage, the response a matching id and garbage."""
+    question = Message.make_query("example.com", 1, msg_id=7).to_wire()
+    qpkt = build_udp_ipv4("10.0.0.1", "192.0.2.53", 30000, 53,
+                          question[:12 + len(query) % 18] + query)
+    rpkt = build_udp_ipv4("192.0.2.53", "10.0.0.1", 53, 30000,
+                          b"\x00\x07" + response)
+    try:
+        summarize_transaction(qpkt, rpkt, 0.0, 0.01)
+    except PreprocessError:
         pass
 
 

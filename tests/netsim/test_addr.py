@@ -10,6 +10,7 @@ from repro.netsim.addr import (
     ipv4_from_int,
     ipv4_prefix_of,
     ipv4_to_int,
+    ipv6_from_bytes,
     ipv6_to_int,
     is_ipv6,
     slash24_of,
@@ -72,3 +73,23 @@ def test_ipv4_roundtrip_property(value):
 def test_prefix_is_idempotent(value, plen):
     prefix = ipv4_prefix_of(value, plen)
     assert ipv4_prefix_of(prefix, plen) == prefix
+
+
+#: hextets drawn mostly from zero and ffff, so zero runs of every length
+#: and position and the embedded-IPv4 shapes (::ffff:a.b.c.d, ::a.b.c.d)
+#: come up often
+HEXTETS = st.lists(st.sampled_from([0, 0, 0, 1, 0xFFFF, 0xDB8, 0x2001]),
+                   min_size=8, max_size=8)
+
+
+@given(st.one_of(HEXTETS.map(lambda words: b"".join(
+    word.to_bytes(2, "big") for word in words)),
+    st.binary(min_size=16, max_size=16)))
+def test_ipv6_from_bytes_writes_what_ipaddress_writes(packed):
+    assert ipv6_from_bytes(packed) == str(ipaddress.IPv6Address(packed))
+
+
+@pytest.mark.parametrize("text", ["::ffff:c000:201", "::c000:201", "::1",
+                                  "::", "2001:db8::1:0:0:1"])
+def test_ipv6_from_bytes_pinned(text):
+    assert ipv6_from_bytes(ipaddress.IPv6Address(text).packed) == text

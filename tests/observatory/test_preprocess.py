@@ -194,3 +194,50 @@ class TestSummarizeBatch:
         assert len(txns) == 1 and txns[0].ts == 1.0
         assert len(errors) == 1
         assert isinstance(errors[0], PreprocessError)
+
+    def test_batch_skips_bad_ip_framing(self):
+        """Framing errors are PreprocessErrors: the batch skips them and
+        reports each, instead of raising out of the loop."""
+        import struct
+
+        from repro.observatory.preprocess import summarize_batch
+
+        good_q, good_r = query_response_pair()
+        short_capture = bytearray(good_q)
+        struct.pack_into(">H", short_capture, 2, len(good_q) + 40)
+        version_7 = bytes([0x75]) + good_q[1:]
+        bad = [b"", good_q[:10], bytes(short_capture), version_7]
+        records = [(good_q, good_r, 1.0, 1.01)]
+        records += [(packet, None, 2.0) for packet in bad]
+        records += [(good_q, good_r, 3.0, 3.01)]
+        errors = []
+        txns = summarize_batch(
+            records, on_error=lambda record, exc: errors.append(exc))
+        assert [txn.ts for txn in txns] == [1.0, 3.0]
+        assert len(errors) == 4
+        assert all(isinstance(exc, PreprocessError) for exc in errors)
+
+    @pytest.mark.parametrize("ts", [float("nan"), float("inf"),
+                                    float("-inf")])
+    def test_batch_skips_non_finite_timestamp(self, ts):
+        """A capture timestamp outside Transaction.check_domains() is
+        rejected here, as a line carrying it is rejected by from_line:
+        the window grid is undefined there (a nan timestamp used to
+        hang the window manager)."""
+        from repro.observatory.preprocess import summarize_batch
+
+        good_q, good_r = query_response_pair()
+        records = [(good_q, good_r, 1.0, 1.01), (good_q, good_r, ts, 1.01),
+                   (good_q, None, ts), (good_q, good_r, 2.0, 2.01)]
+        errors = []
+        txns = summarize_batch(
+            records, on_error=lambda record, exc: errors.append(exc))
+        assert [txn.ts for txn in txns] == [1.0, 2.0]
+        assert len(errors) == 2
+        assert all(isinstance(exc, PreprocessError) for exc in errors)
+
+
+def test_infinite_delay_rejected():
+    qpkt, rpkt = query_response_pair()
+    with pytest.raises(PreprocessError):
+        summarize_transaction(qpkt, rpkt, 1.0, float("inf"))

@@ -33,7 +33,9 @@ $R simulate --preset tiny --duration 30 --qps 10 > /dev/null
 FULL="--segments --telemetry --detectors --vantage $W/vantage.tsv"
 $R replay "$W/stream.tsv" "$W/single" $FULL
 $R replay "$W/stream.tsv" "$W/sharded" --shards 2 $FULL
-cp -r "$W/sharded" "$W/pickle"
+# forced retention below prunes this copy; the sharded tree stays whole
+# for report --platform and serve
+cp -r "$W/sharded" "$W/sharded-retained"
 $R replay "$W/attacks.tsv" "$W/attacked" --detectors exfil ddos noh \
     --datasets srvip esld --k 500 --window 60
 $R replay "$W/enc0.tsv" "$W/enc-out-0" --vantage "$W/vantage.tsv"
@@ -45,7 +47,7 @@ $R replay "$W/enc0.tsv" "$W/all-keys" --k 300 \
 # -- aggregate (660 s: a decaminutely roll-up is written), compact ----
 cp -r "$W/single" "$W/plain"
 $R aggregate "$W/single" --segments --retention-now 1e9
-$R aggregate "$W/pickle" --retention-now 1e9 --retention-force
+$R aggregate "$W/sharded-retained" --retention-now 1e9 --retention-force
 $R compact "$W/plain"
 $R compact "$W/plain" --dataset srvip --granularity minutely
 no2 $R aggregate "$W/no-such-tree"

@@ -35,8 +35,8 @@ def _run(batch, skip_recent):
         # strict tree holds no file for it (no row survived a whole
         # window yet), the loose tree does.
         first = align_window(batch[0].ts, obs.window_seconds)
-        dumps = SeriesStore(tree).read(
-            "qname", start_ts=first + obs.window_seconds)
+        dumps = list(SeriesStore(tree).iter_range(
+            "qname", start_ts=first + obs.window_seconds))
     rows_per_window = [len(d) for d in dumps] or [0]
     top_keys = [set(k for k, _ in sorted(
         d.rows, key=lambda kv: -kv[1].get("hits", 0))[:20]) for d in dumps]

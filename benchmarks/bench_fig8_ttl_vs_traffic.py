@@ -63,7 +63,7 @@ def epoch_run():
 
 def test_fig8_ttl_vs_traffic(benchmark, epoch_run):
     changes = benchmark.pedantic(
-        figure8, args=(epoch_run.store, SPLIT_AT), kwargs={"top_n": 100},
+        figure8, args=(epoch_run.store, SPLIT_AT),
         rounds=3, iterations=1)
     summary = figure8_summary(changes)
     save_result("fig8_ttl_vs_traffic", render_figure8(changes, summary))

@@ -13,7 +13,7 @@ from repro.analysis.asattribution import render_table1, table1, top_share
 def test_table1_as_organizations(benchmark, base_run):
     topo = base_run.dns.topology
     rows, total, attributed = benchmark.pedantic(
-        table1, args=(base_run.store, topo.asdb, topo.asnames),
+        table1, args=(base_run.store, topo.asdb, topo.asnames, 10),
         rounds=3, iterations=1)
     save_result("table1_asorgs", render_table1(rows, total))
 

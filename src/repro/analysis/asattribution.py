@@ -33,14 +33,15 @@ class OrgRow:
         return self.hops_sum / self.hits if self.hits else 0.0
 
 
-def table1(store, asdb, asnames, dataset="srvip", top_orgs=10):
+def table1(store, asdb, asnames, top_orgs):
     """Compute Table 1 from the stored srvip series and the AS
     databases.
 
     Returns ``(rows, total_traffic, attributed_traffic)`` where rows
-    are :class:`OrgRow`, ranked by transaction volume.
+    are the *top_orgs* heaviest :class:`OrgRow` (the paper's table has
+    10), ranked by transaction volume.
     """
-    rows = store.accumulate(dataset)
+    rows = store.accumulate("srvip")
     total = total_hits(rows)
     orgs = {}
     attributed = 0.0

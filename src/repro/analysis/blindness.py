@@ -77,8 +77,8 @@ class DatasetSummary:
         self.seen += float(data.stats.get("seen", 0))
 
 
-def summarize_directory(path, granularity="minutely"):
-    """``{dataset: DatasetSummary}`` over every *granularity* file in
+def summarize_directory(path):
+    """``{dataset: DatasetSummary}`` over every minutely file in
     *path*.  Raises :class:`FileNotFoundError` for a missing directory
     (``report --blindness`` turns that into exit 2); an existing but
     empty directory summarizes to ``{}``."""
@@ -88,9 +88,9 @@ def summarize_directory(path, granularity="minutely"):
     store = SeriesStore(path, cache_windows=0)
     summaries = {}
     for dataset, grans in store.datasets().items():
-        if granularity in grans:
+        if "minutely" in grans:
             summary = summaries[dataset] = DatasetSummary(dataset)
-            for data in store.iter_range(dataset, granularity):
+            for data in store.iter_range(dataset):
                 summary.absorb(data)
     return summaries
 
@@ -158,7 +158,7 @@ def evaluate_blindness(summaries_by_dir):
     return violations
 
 
-def blindness_report(directories, granularity="minutely"):
+def blindness_report(directories):
     """Summarize and gate a sweep of directories.
 
     Returns ``(summaries_by_dir, ratios_by_dir, violations)`` where
@@ -168,8 +168,7 @@ def blindness_report(directories, granularity="minutely"):
     summaries_by_dir = []
     for path in directories:
         label = os.path.basename(os.path.normpath(path)) or path
-        summaries_by_dir.append((label, summarize_directory(
-            path, granularity=granularity)))
+        summaries_by_dir.append((label, summarize_directory(path)))
     baseline = summaries_by_dir[0][1]
     ratios_by_dir = [
         (label, capture_ratios(baseline, summaries))

@@ -19,12 +19,12 @@ from repro.analysis.tables import format_percent, format_table
 DELAY_SECTIONS = ((0.0, 5.0), (5.0, 35.0), (35.0, 350.0), (350.0, None))
 
 
-def delay_cdf(store, dataset="srvip"):
+def delay_cdf(store):
     """Panel (a): sorted per-nameserver median delays + section shares.
 
     Returns ``(sorted_delays, section_shares)``.
     """
-    rows = store.accumulate(dataset)
+    rows = store.accumulate("srvip")
     delays = sorted(
         row.get("delay_q50", 0.0) for row in rows.values()
         if row.get("hits", 0) > 0 and (row.get("hits", 0) - row.get("unans", 0)) > 0
@@ -38,15 +38,14 @@ def delay_cdf(store, dataset="srvip"):
     return delays, shares
 
 
-def rank_vs_delay(store, dataset="srvip", group_size=100, top_n=None):
-    """Panel (b): mean delay and hops per group of neighbouring ranks.
+def rank_vs_delay(store, group_size):
+    """Panel (b): mean delay and hops per group of *group_size*
+    neighbouring ranks (the paper's figure groups 100).
 
     Returns a list of ``(rank_start, mean_delay, mean_hops)``.
     """
-    rows = store.accumulate(dataset)
-    ranked = ranked_keys(rows, by="hits")
-    if top_n is not None:
-        ranked = ranked[:top_n]
+    rows = store.accumulate("srvip")
+    ranked = ranked_keys(rows)
     groups = []
     for start in range(0, len(ranked), group_size):
         chunk = ranked[start:start + group_size]
@@ -89,9 +88,9 @@ class LetterStats:
         self.nxd_share = row.get("nxd", 0) / answered
 
 
-def letter_stats(store, letter_ips, dataset="srvip"):
+def letter_stats(store, letter_ips):
     """Panels (c)/(d): stats for a {letter: ip} map (root or gTLD)."""
-    rows = store.accumulate(dataset)
+    rows = store.accumulate("srvip")
     stats = []
     for letter in sorted(letter_ips):
         ip = letter_ips[letter]
@@ -102,9 +101,9 @@ def letter_stats(store, letter_ips, dataset="srvip"):
     return stats
 
 
-def hierarchy_shares(store, letter_ips, dataset="srvip"):
+def hierarchy_shares(store, letter_ips):
     """Traffic share and NXD rate of a server group (root or gTLD)."""
-    rows = store.accumulate(dataset)
+    rows = store.accumulate("srvip")
     total = total_hits(rows)
     ips = set(letter_ips.values())
     hits = sum(rows[ip].get("hits", 0) for ip in ips if ip in rows)

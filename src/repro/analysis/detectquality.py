@@ -109,7 +109,7 @@ def first_flags(series):
     return flags
 
 
-def evaluate_detection(series, labels, detectors=None):
+def evaluate_detection(series, labels):
     """Score a ``_detector`` series against ground-truth *labels*.
 
     Parameters
@@ -118,13 +118,11 @@ def evaluate_detection(series, labels, detectors=None):
         Iterable of ``_detector`` windows (``TimeSeriesData``).
     labels:
         Ground-truth dicts from :func:`load_labels`.
-    detectors:
-        Detector names to score; default: every detector appearing in
-        the series plus every key of :data:`DETECTOR_KINDS` with a
-        labeled target (so a detector that never emitted still scores
-        recall = 0 rather than silently vanishing).
 
-    Returns ``{detector: DetectorScore}``.
+    Scores every detector appearing in the series plus every key of
+    :data:`DETECTOR_KINDS` with a labeled target (so a detector that
+    never emitted still scores recall = 0 rather than silently
+    vanishing).  Returns ``{detector: DetectorScore}``.
     """
     malicious = {label["esld"] for label in labels}
     starts = {}
@@ -133,14 +131,12 @@ def evaluate_detection(series, labels, detectors=None):
         starts[esld] = min(starts.get(esld, label["start"]),
                            label["start"])
     flags = first_flags(series)
-    if detectors is None:
-        names = set(flags)
-        for name, kinds in DETECTOR_KINDS.items():
-            if any(label["kind"] in kinds for label in labels):
-                names.add(name)
-        detectors = sorted(names)
+    names = set(flags)
+    for name, kinds in DETECTOR_KINDS.items():
+        if any(label["kind"] in kinds for label in labels):
+            names.add(name)
     scores = {}
-    for name in detectors:
+    for name in sorted(names):
         kinds = DETECTOR_KINDS.get(name, ())
         targets = {label["esld"] for label in labels
                    if label["kind"] in kinds}
@@ -157,7 +153,7 @@ def evaluate_detection(series, labels, detectors=None):
     return scores
 
 
-def detect_quality(dumps, labels, detectors=None):
+def detect_quality(dumps, labels):
     """Evaluate detection quality from windows.
 
     *dumps* is an iterable of windows -- straight from a pipeline, or
@@ -167,34 +163,35 @@ def detect_quality(dumps, labels, detectors=None):
     series = sorted((dump for dump in dumps
                      if dump.dataset == DETECTOR_DATASET),
                     key=lambda d: d.start_ts)
-    return series, evaluate_detection(series, labels,
-                                      detectors=detectors)
+    return series, evaluate_detection(series, labels)
 
 
-def meets_floors(scores, precision_floor=0.9, recall_floor=0.8):
-    """True when every detector with targets meets both floors (the
-    acceptance gate of ``report --detect``)."""
+#: the acceptance gate of ``report --detect``
+PRECISION_FLOOR, RECALL_FLOOR = 0.9, 0.8
+
+
+def meets_floors(scores):
+    """True when every detector with targets meets both floors."""
     for score in scores.values():
         if score.precision is not None \
-                and score.precision < precision_floor:
+                and score.precision < PRECISION_FLOOR:
             return False
-        if score.recall is not None and score.recall < recall_floor:
+        if score.recall is not None and score.recall < RECALL_FLOOR:
             return False
         if score.recall is None and score.targets:
             return False  # unreachable, but fail closed
     return True
 
 
-def render_detect_quality(series, scores, precision_floor=0.9,
-                          recall_floor=0.8):
+def render_detect_quality(series, scores):
     """The full ``report --detect`` text block."""
     from repro.analysis.tables import format_table
 
     out = []
-    ok = meets_floors(scores, precision_floor, recall_floor)
+    ok = meets_floors(scores)
     out.append("Detection quality: %s  (floors: precision >= %g, "
                "recall >= %g)" % ("PASS" if ok else "FAIL",
-                                  precision_floor, recall_floor))
+                                  PRECISION_FLOOR, RECALL_FLOOR))
     if not series:
         out.append("")
         out.append("No _detector series found -- run replay/run with "

@@ -22,7 +22,7 @@ class TrafficDistribution:
 
     def __init__(self, rows, captured_stats=None):
         #: keys ranked by total hits, heaviest first
-        self.keys = ranked_keys(rows, by="hits")
+        self.keys = ranked_keys(rows)
         self.rows = rows
         #: {"seen": ..., "kept": ...} from the window stats, if known
         self.captured_stats = captured_stats or {}
@@ -64,9 +64,10 @@ class TrafficDistribution:
         index = min(n, len(self.keys)) - 1
         return self._cumulative[category][index] / total
 
-    def objects_for_share(self, share, category="all"):
-        """Smallest rank whose cumulative share reaches *share*."""
-        cdf = self.cdf(category)
+    def objects_for_share(self, share):
+        """Smallest rank whose cumulative share of all traffic reaches
+        *share*."""
+        cdf = self.cdf("all")
         for i, value in enumerate(cdf):
             if value >= share:
                 return i + 1
@@ -85,8 +86,9 @@ class TrafficDistribution:
         return self._totals[category] / total if total else 0.0
 
 
-def figure2(store, datasets=("srvip", "qname", "esld")):
-    """Compute the Figure 2 distributions from a run's
+def figure2(store, datasets):
+    """Compute the Figure 2 distributions of *datasets* (the paper
+    plots srvip, qname and esld) from a run's
     :class:`~repro.observatory.store.SeriesStore`."""
     results = {}
     for name in datasets:
@@ -98,13 +100,13 @@ def figure2(store, datasets=("srvip", "qname", "esld")):
     return results
 
 
-def render_figure2(results, sample_ranks=(1, 10, 100, 1000, 10000)):
+def render_figure2(results):
     """Text rendering of the Figure 2 CDF curves."""
     sections = []
     for name, dist in results.items():
         n = len(dist.keys)
         rows = []
-        for rank in sample_ranks:
+        for rank in (1, 10, 100, 1000, 10000):
             if rank > n:
                 break
             rows.append([

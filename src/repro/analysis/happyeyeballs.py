@@ -48,8 +48,7 @@ class FqdnHappyEyeballs:
                 and self.aaaa_data <= 0.01 * self.aaaa_queries)
 
 
-def figure9(store, negttl_lookup, dataset="qname", top_n=200,
-            horizon=None):
+def figure9(store, negttl_lookup, top_n=200, horizon=None):
     """Compute the Figure 9 series for the top-*top_n* FQDNs.
 
     *negttl_lookup(fqdn)* returns the domain's negative-caching TTL
@@ -57,8 +56,8 @@ def figure9(store, negttl_lookup, dataset="qname", top_n=200,
     active-lookup source in a real deployment.  *horizon* (seconds)
     clamps TTLs to the analyzed duration when computing quotients.
     """
-    rows = store.accumulate(dataset)
-    ranked = ranked_keys(rows, by="hits")[:top_n]
+    rows = store.accumulate("qname")
+    ranked = ranked_keys(rows)[:top_n]
     points = []
     for rank, fqdn in enumerate(ranked, start=1):
         neg_ttl = negttl_lookup(fqdn)
@@ -75,17 +74,17 @@ def high_empty_fqdns(points, threshold=0.70):
     return [p for p in points if p.empty_aaaa_share > threshold]
 
 
-def quotient_correlation(points, quotient_threshold=2.0):
+def quotient_correlation(points):
     """The paper's qualitative claim: large TTL/negTTL quotients go
     with large empty-AAAA shares.  Computed among IPv4-only FQDNs
     (domains with AAAA data have near-zero empty shares regardless of
     the quotient).  Returns the mean empty share for high-quotient vs
-    low-quotient FQDNs."""
+    low-quotient FQDNs, split at a quotient of 2."""
     v4only = [p for p in points if p.ipv4_only and p.a_ttl > 0]
     high = [p.empty_aaaa_share for p in v4only
-            if p.quotient >= quotient_threshold]
+            if p.quotient >= 2.0]
     low = [p.empty_aaaa_share for p in v4only
-           if p.quotient < quotient_threshold]
+           if p.quotient < 2.0]
     return {
         "high_quotient_mean_share": sum(high) / len(high) if high else 0.0,
         "low_quotient_mean_share": sum(low) / len(low) if low else 0.0,
@@ -94,17 +93,17 @@ def quotient_correlation(points, quotient_threshold=2.0):
     }
 
 
-def ipv6_rollout(store, fqdn, rollout_ts, dataset="qname"):
+def ipv6_rollout(store, fqdn, rollout_ts):
     """Section 5.3: empty-AAAA share and query volume before/after a
     domain enables IPv6 (epochs split at *rollout_ts*)."""
     result = {}
     for label, (start, end) in zip(("before", "after"),
                                    epoch_ranges(rollout_ts)):
-        row = store.accumulate(dataset, start_ts=start,
+        row = store.accumulate("qname", start_ts=start,
                                end_ts=end).get(fqdn, {})
         hits = row.get("hits", 0)
         answered = max(hits - row.get("unans", 0), 1)
-        windows = len(store.select(dataset, start_ts=start,
+        windows = len(store.select("qname", start_ts=start,
                                    end_ts=end)) or 1
         result[label] = {
             "hits_per_window": hits / windows,
@@ -116,7 +115,7 @@ def ipv6_rollout(store, fqdn, rollout_ts, dataset="qname"):
     return result
 
 
-def render_figure9(points, highlight_threshold=0.70):
+def render_figure9(points):
     interesting = sorted(points, key=lambda p: -p.empty_aaaa_share)[:10]
     rows = [(p.rank, p.fqdn, format_percent(p.empty_aaaa_share),
              p.a_ttl, p.neg_ttl, "%.1f" % p.quotient)
@@ -124,9 +123,9 @@ def render_figure9(points, highlight_threshold=0.70):
     lines = [format_table(
         ["rank", "FQDN", "empty AAAA", "A TTL", "negTTL", "quotient"],
         rows, title="Figure 9: empty AAAA responses vs negative TTL")]
-    high = high_empty_fqdns(points, highlight_threshold)
+    high = high_empty_fqdns(points)
     lines.append("FQDNs with >%s empty AAAA: %d of %d"
-                 % (format_percent(highlight_threshold, 0), len(high),
+                 % (format_percent(0.70, 0), len(high),
                     len(points)))
     corr = quotient_correlation(points)
     lines.append(

@@ -29,13 +29,13 @@ def build_heatmap(transactions, order=6):
     return heatmap
 
 
-def render_figure6(heatmap, max_rows=32):
-    """ASCII rendering + the §3.7 density summary."""
+def render_figure6(heatmap):
+    """ASCII rendering (at most 32 rows) + the §3.7 density summary."""
     art = heatmap.to_ascii()
     lines = art.splitlines()
-    if len(lines) > max_rows:
-        step = len(lines) / max_rows
-        lines = [lines[int(i * step)] for i in range(max_rows)]
+    if len(lines) > 32:
+        step = len(lines) / 32
+        lines = [lines[int(i * step)] for i in range(32)]
     histogram = heatmap.prefix_density_histogram()
     total = sum(histogram.values()) or 1
     summary = ", ".join(

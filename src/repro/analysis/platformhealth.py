@@ -28,8 +28,12 @@ TREND_SERIES = (
 )
 
 
-def platform_health(dumps, rules=alerts.DEFAULT_RULES, windows=60):
-    """Evaluate platform health from windows.
+#: most-recent windows considered
+WINDOWS = 60
+
+
+def platform_health(dumps, rules=alerts.DEFAULT_RULES):
+    """Evaluate platform health from the :data:`WINDOWS` latest windows.
 
     Parameters
     ----------
@@ -37,13 +41,11 @@ def platform_health(dumps, rules=alerts.DEFAULT_RULES, windows=60):
         An iterable of windows (``TimeSeriesData``) -- a pipeline's
         dumps, or ``store.read("_platform")``; other datasets are
         ignored.
-    windows:
-        Most-recent windows considered.
 
     Returns ``(series, verdicts, summary)``.
     """
     series = [dump for dump in dumps if dump.dataset == PLATFORM_DATASET]
-    series = sorted(series, key=lambda d: d.start_ts)[-windows:]
+    series = sorted(series, key=lambda d: d.start_ts)[-WINDOWS:]
     verdicts = alerts.evaluate(series, rules)
     return series, verdicts, alerts.summarize(verdicts)
 

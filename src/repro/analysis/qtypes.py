@@ -48,11 +48,12 @@ class QtypeRow:
         self.size = row.get("size_q50", 0.0)
 
 
-def table2(store, dataset="qtype", top_n=10):
-    """Compute Table 2 rows from the stored qtype series."""
-    rows = store.accumulate(dataset)
+def table2(store):
+    """Compute Table 2 rows (the ten heaviest QTYPEs) from the stored
+    qtype series."""
+    rows = store.accumulate("qtype")
     total = total_hits(rows)
-    ranked = ranked_keys(rows, by="hits")[:top_n]
+    ranked = ranked_keys(rows)[:10]
     return [QtypeRow(name, rows[name], total) for name in ranked], total
 
 

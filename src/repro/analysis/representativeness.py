@@ -22,16 +22,19 @@ def _resolvers_of(transactions):
     return sorted({t.resolver_ip for t in transactions})
 
 
-def vp_sample_curves(transactions, fractions=(0.05, 0.1, 0.2, 0.4, 0.6,
-                                              0.8, 1.0),
-                     repetitions=20, top_k=100, seed=7, psl=None):
+#: VP fractions the Figure 4 curves sample
+FRACTIONS = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
+
+
+def vp_sample_curves(transactions, repetitions=20, top_k=100):
     """Figures 4a-c: resample VP subsets and measure coverage.
 
-    Returns a list of dicts per fraction with keys ``fraction``,
+    Returns a list of dicts per :data:`FRACTIONS` entry with keys
+    ``fraction``,
     ``nameservers`` (mean distinct servers), ``top_coverage`` (mean
     share of the full-data top-*top_k* visible), ``tlds``.
     """
-    psl = psl or default_psl()
+    psl = default_psl()
     resolvers = _resolvers_of(transactions)
     by_resolver = {r: [] for r in resolvers}
     for txn in transactions:
@@ -44,9 +47,9 @@ def vp_sample_curves(transactions, fractions=(0.05, 0.1, 0.2, 0.4, 0.6,
     full_top = set(sorted(full_counts, key=full_counts.get,
                           reverse=True)[:top_k])
 
-    rng = random.Random(seed)
+    rng = random.Random(7)
     curves = []
-    for fraction in fractions:
+    for fraction in FRACTIONS:
         size = max(1, int(round(fraction * len(resolvers))))
         ns_counts = []
         coverages = []

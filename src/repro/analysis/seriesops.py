@@ -187,15 +187,11 @@ def accumulate_dumps(dumps):
     return acc.finish()
 
 
-def ranked_keys(rows, by="hits", descending=True):
-    """Keys of *rows* ranked by column *by* (ties broken by key)."""
-    return [
-        key for key, _ in sorted(
-            rows.items(),
-            key=lambda kv: ((-kv[1].get(by, 0)) if descending
-                            else kv[1].get(by, 0), kv[0]),
-        )
-    ]
+def ranked_keys(rows, by="hits"):
+    """Keys of *rows* ranked by column *by*, heaviest first (ties
+    broken by key)."""
+    return [key for key, _ in sorted(
+        rows.items(), key=lambda kv: (-kv[1].get(by, 0), kv[0]))]
 
 
 def total_hits(rows):

@@ -5,12 +5,10 @@ this module keeps the formatting in one place.
 """
 
 
-def format_table(headers, rows, title=None, align=None):
-    """Render *rows* (sequences of cells) under *headers* as text.
-
-    ``align`` is an optional string of 'l'/'r' per column (default:
-    right-align numbers, left-align everything else, judged per cell).
-    """
+def format_table(headers, rows, title=None):
+    """Render *rows* (sequences of cells) under *headers* as text:
+    numbers right-aligned, everything else left-aligned, judged per
+    cell."""
     headers = [str(h) for h in headers]
     str_rows = [[_cell(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
@@ -31,14 +29,11 @@ def format_table(headers, rows, title=None, align=None):
                 parts.append(cell.ljust(width))
         return "  ".join(parts).rstrip()
 
-    if align is None:
-        pads = ["l"] * len(widths)
-        for row in str_rows:
-            for i, cell in enumerate(row):
-                if _is_number(cell):
-                    pads[i] = "r"
-    else:
-        pads = list(align) + ["l"] * (len(widths) - len(align))
+    pads = ["l"] * len(widths)
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            if _is_number(cell):
+                pads[i] = "r"
 
     lines = []
     if title:

@@ -49,8 +49,9 @@ class TtlChangeDetector:
     responses (the paper's 10 % rule applied to the top value).
     """
 
-    def __init__(self, min_share=0.10):
-        self.min_share = float(min_share)
+    min_share = 0.10
+
+    def __init__(self):
         self._last_ttl = {}      # (fqdn, kind) -> dominant ttl
         self._known_ttls = {}    # (fqdn, kind) -> TTLs seen in top-3
         self.events = []
@@ -99,17 +100,18 @@ class TtlChangeDetector:
         return self
 
 
-def classify_events(events, dnsdb, dynamic_ttl_threshold=4):
+def classify_events(events, dnsdb):
     """Classify detected changes against the DNSDB history (Table 4).
 
     Mutates and returns *events*.  One category per FQDN: the most
-    specific evidence wins (Non-conforming > Change NS > Renumbering >
-    TTL Decrease/Increase > Unknown).
+    specific evidence wins (Non-conforming -- four or more distinct A
+    TTLs -- > Change NS > Renumbering > TTL Decrease/Increase >
+    Unknown).
     """
     for event in events:
         fqdn = event.fqdn
         a_ttls = dnsdb.distinct_ttls(fqdn, QTYPE.A)
-        if a_ttls >= dynamic_ttl_threshold:
+        if a_ttls >= 4:
             event.category = "Non-conforming"
             event.comment = "Dynamic TTL (%d distinct values)" % a_ttls
             continue
@@ -149,7 +151,7 @@ def table4(events):
     return counts, per_fqdn
 
 
-def render_table4(counts, per_fqdn, max_examples=1):
+def render_table4(counts, per_fqdn):
     rows = []
     for category in CATEGORIES:
         examples = [e for e in per_fqdn.values() if e.category == category]

@@ -23,14 +23,14 @@ def ttl_traffic_timeseries(dumps, key):
     return series
 
 
-def figure7(store, key, dataset="esld", change_at=None):
+def figure7(store, key, change_at=None):
     """The Figure 7 case study for one domain key.
 
     Returns a dict with the raw series and before/after rates (the
     after-epoch starts one old-TTL past the change to let caches
     drain, when *change_at* is given).
     """
-    series = ttl_traffic_timeseries(store.iter_range(dataset), key)
+    series = ttl_traffic_timeseries(store.iter_range("esld"), key)
     result = {"series": series}
     if change_at is not None and series:
         before = [hits for ts, hits, _ in series if ts < change_at]
@@ -91,15 +91,15 @@ class SldChange:
                 and self.responses_after <= self.responses_before * 1.1)
 
 
-def figure8(store, split_ts, dataset="esld", top_n=100):
+def figure8(store, split_ts):
     """Two-epoch TTL-vs-traffic comparison (epochs split at
     *split_ts*).
 
-    Returns the top-*top_n* :class:`SldChange` by absolute traffic
+    Returns the top-100 :class:`SldChange` by absolute traffic
     change (ties broken by key), restricted to keys present in both
     epochs with a TTL reading.
     """
-    before, after = (store.accumulate(dataset, start_ts=start, end_ts=end)
+    before, after = (store.accumulate("esld", start_ts=start, end_ts=end)
                      for start, end in epoch_ranges(split_ts))
     changes = []
     for key in set(before) & set(after):
@@ -108,7 +108,7 @@ def figure8(store, split_ts, dataset="esld", top_n=100):
             continue
         changes.append(SldChange(key, b, a))
     changes.sort(key=lambda c: (-abs(c.traffic_change), c.key))
-    return changes[:top_n]
+    return changes[:100]
 
 
 def figure8_summary(changes):

@@ -202,10 +202,11 @@ class VantageEmitter:
     series too.
     """
 
-    def __init__(self, db, source="srvip"):
+    #: dataset whose dumps feed the derivation
+    source = "srvip"
+
+    def __init__(self, db):
         self.db = db
-        #: dataset whose dumps feed the derivation
-        self.source = source
         #: derived windows so far (observability)
         self.windows_derived = 0
 

@@ -27,6 +27,7 @@ Subcommands:
 """
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -160,8 +161,6 @@ def _add_server_args(parser):
 def _server_options(args):
     """:func:`_add_server_args` values as ``build_server`` options; a
     flag left at ``None`` is left out (the default is its consumer's)."""
-    if args.max_connections < 1:
-        raise SystemExit("error: --max-connections must be >= 1")
     options = dict(host=args.host, port=args.port,
                    cache_windows=args.cache_windows,
                    max_connections=args.max_connections,
@@ -170,6 +169,25 @@ def _server_options(args):
                    rate_limit=args.rate_limit, rate_burst=args.rate_burst)
     return {name: value for name, value in options.items()
             if value is not None}
+
+
+def _check_server_args(args):
+    """Validate what :func:`_add_server_args` takes, like
+    :func:`_check_ingest_args`: exit code 2 after a one-line
+    ``error:`` message for the first problem, else None."""
+    if args.max_connections < 1:
+        problem = "--max-connections must be >= 1, got %d" \
+            % args.max_connections
+    elif args.rate_limit is not None and not (
+            math.isfinite(args.rate_limit) and args.rate_limit > 0):
+        problem = "--rate-limit must be a finite number > 0, got %s" \
+            % args.rate_limit
+    elif args.rate_burst is not None and args.rate_burst < 1:
+        problem = "--rate-burst must be >= 1, got %d" % args.rate_burst
+    else:
+        return None
+    print("error: %s" % problem, file=sys.stderr)
+    return 2
 
 
 def _add_ingest_args(parser):
@@ -342,7 +360,7 @@ def _report_study(args, scenario, channel, store):
     distributions = figure2(store, datasets=("srvip", "qname", "esld"))
     print(render_figure2(distributions))
     topo = channel.dns.topology
-    rows, total, _ = table1(store, topo.asdb, topo.asnames)
+    rows, total, _ = table1(store, topo.asdb, topo.asnames, 10)
     print(render_table1(rows, total))
     print()
     qrows, _ = table2(store)
@@ -353,7 +371,7 @@ def _report_study(args, scenario, channel, store):
     gtld_ips = {ns.hostname.split(".")[0]: ns.ip
                 for ns in channel.dns.root.tlds["com"].nameservers}
     cdf = delay_cdf(store)
-    groups = rank_vs_delay(store)
+    groups = rank_vs_delay(store, 100)
     root_stats = letter_stats(store, root_ips)
     gtld_stats = letter_stats(store, gtld_ips)
     print(render_figure3(
@@ -474,6 +492,10 @@ def cmd_compact(args):
 def cmd_serve(args):
     from repro import server as serving
 
+    rc = _check_server_args(args)
+    if rc is not None:
+        return rc
+
     def ready(srv):
         print("serving %s on http://%s:%d  "
               "(follow=%s, cache=%d windows, max %d connections)"
@@ -499,7 +521,7 @@ def _report_skipped(parsed):
 def cmd_run(args):
     from repro.daemon import LiveDaemon, stdin_lines
 
-    rc = _check_ingest_args(args)
+    rc = _check_ingest_args(args) or _check_server_args(args)
     if rc is not None:
         return rc
     server_options = _server_options(args)

@@ -78,22 +78,22 @@ PACE_SLICE = 0.1
 JOIN_TIMEOUT = 30.0
 
 
-def stdin_lines(stop, fd=None, poll_seconds=0.25):
+def stdin_lines(stop, fd=None):
     """Yield the lines (bytes) of file descriptor *fd* (default stdin)
     as they arrive, a last one without its newline at end of file.
 
-    Polls with :func:`select.select` so a shutdown request interrupts
-    an idle pipe instead of leaving the ingest thread wedged in a
-    blocking read past the join timeout.  Each wake-up reads the fd
-    itself and yields every complete line it has: a buffered reader
-    would hold the rest of a write back until the producer writes
-    again.
+    Polls with :func:`select.select` (every 0.25 s) so a shutdown
+    request interrupts an idle pipe instead of leaving the ingest
+    thread wedged in a blocking read past the join timeout.  Each
+    wake-up reads the fd itself and yields every complete line it has:
+    a buffered reader would hold the rest of a write back until the
+    producer writes again.
     """
     fd = sys.stdin.fileno() if fd is None else fd
     pending = b""
     while not stop.is_set():
         try:
-            ready, _, _ = select.select([fd], [], [], poll_seconds)
+            ready, _, _ = select.select([fd], [], [], 0.25)
             if not ready:
                 continue
             chunk = os.read(fd, 65536)

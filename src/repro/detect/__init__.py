@@ -28,13 +28,12 @@ REGISTRY = {
 }
 
 
-def build_detectors(spec, psl=None):
+def build_detectors(spec):
     """Build a :class:`DetectorSet` from *spec*.
 
     *spec* may be True (all registered detectors), an iterable of
     registry names and/or ready :class:`Detector` instances, or a
-    falsy value (returns None).  Names are instantiated with their
-    default thresholds; pass instances to customize.
+    falsy value (returns None).
     """
     if not spec:
         return None
@@ -50,7 +49,7 @@ def build_detectors(spec, psl=None):
         except KeyError:
             raise ValueError("unknown detector %r (have: %s)"
                              % (item, ", ".join(sorted(REGISTRY))))
-        detectors.append(cls(psl=psl))
+        detectors.append(cls())
     return DetectorSet(detectors)
 
 

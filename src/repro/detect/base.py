@@ -88,25 +88,28 @@ class Detector:
     are ``<name>.<esld>`` plus one summary row keyed by the bare
     detector name -- the component the ``DETECTOR_RULES`` alert rules
     match on.
+
+    The thresholds are class attributes, the same in every process: a
+    shard worker builds its detectors by name and the coordinator's
+    scorer must agree with it.
     """
 
     name = "detector"
+    #: absolute floor a window value must reach to flag
+    min_value = 0.0
+    #: multiple of the EWMA baseline a window value must reach
+    ratio = 4.0
+    #: EWMA smoothing factor for the per-key baseline
+    alpha = 0.3
+    #: windows to observe before flagging (baseline warm-up)
+    warmup = 2
+    #: per-key rows emitted per window (summary row always emitted)
+    topn = 20
 
-    def __init__(self, psl=None, min_value=0.0, ratio=4.0, alpha=0.3,
-                 warmup=2, topn=20):
-        psl = psl if psl is not None else default_psl()
+    def __init__(self):
+        psl = default_psl()
         self._effective_sld = psl.effective_sld
         self._effective_tld = psl.effective_tld
-        #: absolute floor a window value must reach to flag
-        self.min_value = float(min_value)
-        #: multiple of the EWMA baseline a window value must reach
-        self.ratio = float(ratio)
-        #: EWMA smoothing factor for the per-key baseline
-        self.alpha = float(alpha)
-        #: windows to observe before flagging (baseline warm-up)
-        self.warmup = int(warmup)
-        #: per-key rows emitted per window (summary row always emitted)
-        self.topn = int(topn)
         self._baseline = {}
         self._windows = 0
 

@@ -24,14 +24,13 @@ class DdosDetector(Detector):
     """Per-eSLD distinct-subdomain counting (water-torture DDoS)."""
 
     name = "ddos"
+    min_value = 400.0  # distinct FQDNs
+    #: eSLD slots and per-slot HLL precision of the window sketch
+    capacity = 2048
+    precision = 11
 
-    def __init__(self, psl=None, min_distinct=400.0, ratio=4.0,
-                 alpha=0.3, warmup=2, topn=20, capacity=2048,
-                 precision=11):
-        super().__init__(psl=psl, min_value=min_distinct, ratio=ratio,
-                         alpha=alpha, warmup=warmup, topn=topn)
-        self.capacity = int(capacity)
-        self.precision = int(precision)
+    def __init__(self):
+        super().__init__()
         self._sketch = DistinctSpaceSaving(self.capacity, self.precision)
 
     def observe(self, txn):

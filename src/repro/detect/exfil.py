@@ -24,11 +24,10 @@ class ExfilDetector(Detector):
     """Per-eSLD information-content scoring (bits per window)."""
 
     name = "exfil"
+    min_value = 5000.0  # bits
 
-    def __init__(self, psl=None, min_bits=5000.0, ratio=4.0, alpha=0.3,
-                 warmup=2, topn=20):
-        super().__init__(psl=psl, min_value=min_bits, ratio=ratio,
-                         alpha=alpha, warmup=warmup, topn=topn)
+    def __init__(self):
+        super().__init__()
         self._acc = {}
         #: normalized qname -> quantized information content; benign
         #: names repeat every window, tunnel payloads never do

@@ -25,18 +25,15 @@ class NohDetector(Detector):
     """Per-eSLD newly-observed-hostname counting (tunneling)."""
 
     name = "noh"
+    min_value = 120.0  # newly observed hostnames
+    #: hostname memory: each generation holds *generation_windows*
+    #: windows, membership spans one-to-two generations
+    generation_windows = 10
 
-    def __init__(self, psl=None, min_noh=120.0, ratio=4.0, alpha=0.3,
-                 warmup=2, topn=20, capacity=1 << 17, error_rate=0.01,
-                 generation_windows=10):
-        super().__init__(psl=psl, min_value=min_noh, ratio=ratio,
-                         alpha=alpha, warmup=warmup, topn=topn)
+    def __init__(self):
+        super().__init__()
         self._acc = {}
-        #: hostname memory: each generation holds *generation_windows*
-        #: windows, membership spans one-to-two generations
-        self.generation_windows = int(generation_windows)
-        self._bloom = RotatingBloomFilter(capacity=capacity,
-                                          error_rate=error_rate,
+        self._bloom = RotatingBloomFilter(capacity=1 << 17,
                                           rotate_interval=float("inf"))
         self._cuts = 0
 

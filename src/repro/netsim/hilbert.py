@@ -138,8 +138,9 @@ class HilbertHeatmap:
                     for c in row) + "\n")
         return path
 
-    def to_ascii(self, shades=" .:-=+*#%@"):
+    def to_ascii(self):
         """Render the grid as ASCII art (log-scaled density)."""
+        shades = " .:-=+*#%@"
         rows = self.grid()
         peak = max((c for row in rows for c in row), default=0)
         if peak == 0:

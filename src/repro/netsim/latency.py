@@ -23,18 +23,17 @@ class PathProfile:
 
     __slots__ = ("hops", "base_delay_ms", "server_delay_ms", "initial_ttl")
 
-    def __init__(self, hops, base_delay_ms, server_delay_ms=1.0,
-                 initial_ttl=64):
+    def __init__(self, hops, base_delay_ms, initial_ttl=64):
         if hops < 1:
             raise ValueError("a path has at least one hop")
-        if base_delay_ms < 0 or server_delay_ms < 0:
+        if base_delay_ms < 0:
             raise ValueError("delays must be non-negative")
         #: router hops between resolver and nameserver
         self.hops = int(hops)
         #: one-way-ish base network RTT contribution in milliseconds
         self.base_delay_ms = float(base_delay_ms)
         #: nameserver processing time in milliseconds
-        self.server_delay_ms = float(server_delay_ms)
+        self.server_delay_ms = 1.0
         #: initial TTL the nameserver's OS uses (for hop inference)
         self.initial_ttl = int(initial_ttl)
 
@@ -69,9 +68,8 @@ class DelayModel:
     processing.  Deterministic given the caller's RNG.
     """
 
-    def __init__(self, jitter_sigma=0.25, min_delay_ms=0.1):
-        self.jitter_sigma = float(jitter_sigma)
-        self.min_delay_ms = float(min_delay_ms)
+    jitter_sigma = 0.25
+    min_delay_ms = 0.1
 
     def sample_ms(self, profile, rng):
         """Return one response delay in milliseconds."""

@@ -108,15 +108,13 @@ class TimeAggregator:
         "yearly": None,  # keep forever
     }
 
-    def __init__(self, directory, retention=None, store=None,
-                 segments=False):
+    def __init__(self, directory, retention=None, segments=False):
         self.directory = directory
         self.retention = dict(self.DEFAULT_RETENTION)
         if retention:
             self.retention.update(retention)
-        #: the store over *directory*: the one handed in (fine windows
-        #: are then hot in a server's LRU), else one opened here
-        self.store = SeriesStore(directory) if store is None else store
+        #: the store over *directory*
+        self.store = SeriesStore(directory)
         #: write a columnar sidecar segment
         #: (:mod:`~repro.observatory.segments`) next to every coarse
         #: window this aggregator writes, so cold reads of rolled-up

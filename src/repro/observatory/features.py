@@ -45,6 +45,10 @@ ALL_COLUMNS = COUNTER_COLUMNS + GAUGE_COLUMNS
 
 _MAX_SOURCES = 1024  # contributor count is small; cap defensively
 
+#: register exponent of every HyperLogLog feature (~6.5 % error,
+#: per-object memory near 2 KiB)
+HLL_PRECISION = 8
+
 
 #: response classes of a prepared record
 _UNANSWERED, _NOERROR, _NXDOMAIN, _REFUSED, _SERVFAIL, _OTHER = range(6)
@@ -71,8 +75,7 @@ class TxnHashes:
     admitting tracker's :class:`FeatureSet` needs the same facts about
     it: HLL register/rank pairs of the same strings, the response
     class, histogram bucket indexes.  The record derives them once per
-    *transaction* -- bound to one ``(hll_precision, psl)``, the
-    pipeline's -- so that :meth:`FeatureSet.update`, which runs once
+    *transaction* so that :meth:`FeatureSet.update`, which runs once
     per admitting *dataset*, only bumps registers, buckets and
     counters.
 
@@ -87,13 +90,10 @@ class TxnHashes:
     tuple :meth:`FeatureSet.update` unpacks.
     """
 
-    __slots__ = ("txn", "hll_precision", "psl",
-                 "server", "resolver", "qname", "qdots", "prepared")
+    __slots__ = ("txn", "server", "resolver", "qname", "qdots", "prepared")
 
-    def __init__(self, txn, hll_precision=8, psl=None):
+    def __init__(self, txn):
         self.txn = txn
-        self.hll_precision = hll_precision
-        self.psl = psl if psl is not None else default_psl()
 
     def __getattr__(self, name):
         # Reached only while the slot is still unset (slot reads that
@@ -123,7 +123,7 @@ class TxnHashes:
         outside its domain, so a bad transaction fails here, before
         any FeatureSet changed."""
         txn = self.txn
-        precision = self.hll_precision
+        precision = HLL_PRECISION
         qname_hash = self.qname
         head = index_rank(derive64(self.server, 1), precision) \
             + index_rank(derive64(self.resolver, 2), precision) \
@@ -143,8 +143,9 @@ class TxnHashes:
         if response != _NOERROR:
             return head + (response, None, answered)
         qname, qtype = txn.qname, txn.qtype
-        tld = self.psl.effective_tld(qname)
-        esld = self.psl.effective_sld(qname)
+        psl = default_psl()
+        tld = psl.effective_tld(qname)
+        esld = psl.effective_sld(qname)
         nodata = answer_count == 0 and ns_count == 0
         ips = ()
         if qtype in _ADDRESS_QTYPES:
@@ -164,18 +165,9 @@ class TxnHashes:
 
 
 class FeatureSet:
-    """Traffic statistics of one Top-k DNS object.
-
-    Parameters
-    ----------
-    hll_precision:
-        Register exponent for the HyperLogLog cardinality features.
-        The default (8, ~6.5 % error) keeps per-object memory near
-        2 KiB; raise for tighter qname counts.
-    psl:
-        Public Suffix List used for the tlds/eslds features; defaults
-        to the builtin snapshot.
-    """
+    """Traffic statistics of one Top-k DNS object: HyperLogLogs of
+    :data:`HLL_PRECISION`, the builtin Public Suffix List for the
+    tlds/eslds features."""
 
     __slots__ = (
         "hits", "unans", "ok", "nxd", "rfs", "fail",
@@ -184,12 +176,9 @@ class FeatureSet:
         "qnamesa", "qnames", "tlds", "eslds", "_qtypes",
         "qdots", "qdots_max", "lvl", "nslvl", "ip4s", "ip6s",
         "ttl", "nsttl", "resp_delays", "network_hops", "resp_size",
-        "_psl", "_hll_precision",
     )
 
-    def __init__(self, hll_precision=8, psl=None):
-        self._psl = psl if psl is not None else default_psl()
-        self._hll_precision = hll_precision
+    def __init__(self):
         # counters
         self.hits = 0          #: total transactions
         self.unans = 0         #: unanswered queries
@@ -205,16 +194,16 @@ class FeatureSet:
         self.ok6nil = 0        #: AAAA queries answered NoData
         self.ok_sec = 0        #: DNSSEC-signed responses (DO + RRSIG)
         # cardinality estimates
-        self.srvips = HyperLogLog(hll_precision, seed=1)
-        self.srcips = HyperLogLog(hll_precision, seed=2)
+        self.srvips = HyperLogLog(HLL_PRECISION, seed=1)
+        self.srcips = HyperLogLog(HLL_PRECISION, seed=2)
         self._sources = set()
-        self.qnamesa = HyperLogLog(hll_precision, seed=3)
-        self.qnames = HyperLogLog(hll_precision, seed=4)
-        self.tlds = HyperLogLog(hll_precision, seed=5)
-        self.eslds = HyperLogLog(hll_precision, seed=6)
+        self.qnamesa = HyperLogLog(HLL_PRECISION, seed=3)
+        self.qnames = HyperLogLog(HLL_PRECISION, seed=4)
+        self.tlds = HyperLogLog(HLL_PRECISION, seed=5)
+        self.eslds = HyperLogLog(HLL_PRECISION, seed=6)
         self._qtypes = set()
-        self.ip4s = HyperLogLog(hll_precision, seed=7)
-        self.ip6s = HyperLogLog(hll_precision, seed=8)
+        self.ip4s = HyperLogLog(HLL_PRECISION, seed=7)
+        self.ip6s = HyperLogLog(HLL_PRECISION, seed=8)
         # averages
         self.qdots = RunningMean()
         #: deepest QNAME seen -- the per-pair qmin evidence of §3.6
@@ -223,8 +212,8 @@ class FeatureSet:
         self.lvl = RunningMean()
         self.nslvl = RunningMean()
         # top values
-        self.ttl = TopValues()
-        self.nsttl = TopValues()
+        self.ttl = TopValues(16)
+        self.nsttl = TopValues(16)
         # histograms
         self.resp_delays = LogHistogram(min_value=_DELAY_MIN)
         self.network_hops = LogHistogram(min_value=_HOPS_MIN)
@@ -238,14 +227,12 @@ class FeatureSet:
         *hashes* is the transaction's shared :class:`TxnHashes`: when
         the Observatory runs several trackers, the record is prepared
         once and every admitting FeatureSet only applies its values.
-        Without one -- or with one bound to another ``(hll_precision,
-        psl)`` -- a fresh record is prepared here.  All-or-nothing:
+        Without one, a fresh record is prepared here.  All-or-nothing:
         preparation validates the transaction before anything below
         mutates state.
         """
-        if hashes is None or hashes.hll_precision != self._hll_precision \
-                or hashes.psl is not self._psl:
-            hashes = TxnHashes(txn, self._hll_precision, self._psl)
+        if hashes is None:
+            hashes = TxnHashes(txn)
         (srvip_index, srvip_rank, srcip_index, srcip_rank,
          qnamea_index, qnamea_rank, source, qtype, qdots,
          response, noerror, answered) = hashes.prepared
@@ -325,14 +312,10 @@ class FeatureSet:
         add exactly, and the top-TTL counters merge with the usual
         Space-Saving-style overestimate.
 
-        Both sides must use the same HLL precision (seeds are fixed
-        per feature).  Returns self.
+        Returns self.
         """
         if not isinstance(other, FeatureSet):
             raise TypeError("can only merge FeatureSet instances")
-        if self._hll_precision != other._hll_precision:
-            raise ValueError("cannot merge FeatureSets with different "
-                             "HLL precision")
         for name in COUNTER_COLUMNS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.srvips.merge(other.srvips)
@@ -385,26 +368,11 @@ class FeatureSet:
             children.append((child_meta, len(child_buffers)))
             buffers.extend(child_buffers)
         meta = (
-            self._hll_precision,
             tuple(getattr(self, name) for name in COUNTER_COLUMNS),
             tuple(self._sources), tuple(self._qtypes), self.qdots_max,
             tuple(children),
         )
         return meta, buffers
-
-    # -- pickling (sharded ingest ships FeatureSets between processes) --
-
-    def __getstate__(self):
-        # The PSL is a large shared object and is only consulted by
-        # update(); merged/dumped state never calls update() again, so
-        # the unpickled copy reattaches the process-default PSL.
-        return {name: getattr(self, name)
-                for name in self.__slots__ if name != "_psl"}
-
-    def __setstate__(self, state):
-        self._psl = default_psl()
-        for name, value in state.items():
-            setattr(self, name, value)
 
     # ------------------------------------------------------------------
 

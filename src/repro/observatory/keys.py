@@ -31,6 +31,10 @@ from repro.dnswire.psl import default_psl
 #: memo-miss sentinel (None is a valid memoized result: "filtered out")
 _MISSING = object()
 
+#: entries a batch extractor's ``attr value -> key`` memo holds before
+#: it is cleared wholesale
+MEMO_LIMIT = 100_000
+
 
 class DatasetSpec:
     """Specification of one Top-k aggregation dataset.
@@ -73,23 +77,23 @@ class DatasetSpec:
             return None
         return self.key_fn(txn)
 
-    def make_batch_extractor(self, psl=None, cache_limit=100_000):
+    def make_batch_extractor(self, psl):
         """Build a batch extractor: ``txns -> [key-or-None, ...]``.
 
-        The fast form of :meth:`extract`, with the PSL bound (when
-        the dataset uses one): one call per batch instead of one per
+        The fast form of :meth:`extract`, with *psl* bound (when the
+        dataset uses one): one call per batch instead of one per
         transaction.  For memoizable datasets (``cache_key_attr`` set,
         no pre-filter) the loop runs against a local binding of a
-        bounded ``attr value -> key`` memo (cleared wholesale when
-        full, like the PSL's own cache) with interned keys -- every
+        :data:`MEMO_LIMIT`-bounded ``attr value -> key`` memo (cleared
+        wholesale when full, like the PSL's own cache) with interned
+        keys -- every
         hit returns the singleton, so the Space-Saving dict compares
         by pointer first -- and the steady-state per-transaction cost
         is one attribute read and one dict hit, no Python-level
         function call at all.
         """
         if self.key_factory is not None:
-            key_fn = self.key_factory(
-                psl if psl is not None else default_psl())
+            key_fn = self.key_factory(psl)
         else:
             key_fn = self.key_fn
         filter_fn = self.filter_fn
@@ -106,7 +110,7 @@ class DatasetSpec:
                     value = getattr(txn, attr)
                     key = cache_get(value, _MISSING)
                     if key is _MISSING:
-                        if len(cache) >= cache_limit:
+                        if len(cache) >= MEMO_LIMIT:
                             cache.clear()
                         key = key_fn(txn)
                         if key is not None:
@@ -144,10 +148,9 @@ def key_qname(txn):
     return txn.qname or "."
 
 
-def key_etld(txn, _psl=None):
+def key_etld(txn):
     """Effective TLD of the QNAME (NXDOMAIN traffic included)."""
-    psl = _psl if _psl is not None else default_psl()
-    return psl.effective_tld(txn.qname)
+    return default_psl().effective_tld(txn.qname)
 
 
 def key_etld_factory(psl):
@@ -160,10 +163,10 @@ def key_etld_factory(psl):
     return key
 
 
-def key_esld(txn, _psl=None):
+def key_esld(txn):
     """Effective SLD of the QNAME; falls back to the eTLD for names
     that are themselves public suffixes (so the traffic is not lost)."""
-    psl = _psl if _psl is not None else default_psl()
+    psl = default_psl()
     esld = psl.effective_sld(txn.qname)
     return esld if esld is not None else psl.effective_tld(txn.qname)
 

@@ -48,11 +48,11 @@ def resolve_datasets(datasets):
     return specs
 
 
-def resolve_detectors(detectors, psl=None):
+def resolve_detectors(detectors):
     """A ``detectors=`` argument -> a :class:`DetectorSet` or None."""
     if detectors is None or isinstance(detectors, DetectorSet):
         return detectors
-    return build_detectors(detectors, psl=psl)
+    return build_detectors(detectors)
 
 
 def feed_batches(consume_batch, transactions, batch_size):
@@ -128,8 +128,11 @@ class Observatory:
         modules and the server read through a ``SeriesStore``.
         Without one nothing is written or kept; completed windows are
         only what :meth:`consume_batch` / :meth:`finish` return.
-    tau / use_bloom_gate / hll_precision / psl:
-        Tracker tuning knobs, see :class:`TopKTracker`.
+    use_bloom_gate:
+        The Section 2.2 eviction gate, see :class:`TopKTracker`.
+    skip_recent_inserts:
+        Enforce the survived-one-window rule (§2.4), see
+        :class:`~repro.observatory.window.WindowManager`.
     telemetry:
         ``True`` (or a :class:`~repro.observatory.telemetry.Telemetry`
         registry) enables platform self-telemetry: every window also
@@ -168,14 +171,11 @@ class Observatory:
     """
 
     def __init__(self, datasets=("srvip",), window_seconds=60.0,
-                 output_dir=None, tau=300.0, use_bloom_gate=True,
-                 hll_precision=8, psl=None, skip_recent_inserts=True,
-                 telemetry=False, flush_hook=None, detectors=None,
-                 encrypted=None, vantage=None):
+                 output_dir=None, use_bloom_gate=True,
+                 skip_recent_inserts=True, telemetry=False, flush_hook=None,
+                 detectors=None, encrypted=None, vantage=None):
         self._trackers = {
-            spec.name: TopKTracker(
-                spec, tau=tau, use_bloom_gate=use_bloom_gate,
-                hll_precision=hll_precision, psl=psl)
+            spec.name: TopKTracker(spec, use_bloom_gate=use_bloom_gate)
             for spec in resolve_datasets(datasets)}
         self.emitter = WindowEmitter(output_dir, flush_hook, vantage)
         self.telemetry = resolve_telemetry(telemetry)
@@ -183,7 +183,7 @@ class Observatory:
             self._trackers.values(), window_seconds=window_seconds,
             sink=self.emitter, skip_recent_inserts=skip_recent_inserts,
             telemetry=self.telemetry,
-            detectors=resolve_detectors(detectors, psl),
+            detectors=resolve_detectors(detectors),
             encrypted=EncryptedChannelAggregator() if encrypted else None,
         )
 
@@ -193,14 +193,14 @@ class Observatory:
         """Process one summarized transaction."""
         return self.windows.observe(txn)
 
-    def consume(self, transactions, batch_size=1024):
+    def consume(self, transactions):
         """Process an iterable of transactions; returns self.
 
-        Internally chunks the iterable and runs the
+        Internally chunks the iterable (1,024 at a time) and runs the
         :meth:`WindowManager.consume_batch` fast path, which hoists
         window-boundary checks out of the per-transaction loop.
         """
-        feed_batches(self.windows.consume_batch, transactions, batch_size)
+        feed_batches(self.windows.consume_batch, transactions, 1024)
         return self
 
     def consume_batch(self, txns):

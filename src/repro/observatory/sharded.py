@@ -31,9 +31,7 @@ of :class:`~repro.observatory.transaction.Transaction`, a reply a list
 of :class:`~repro.observatory.channels.WindowState`, and the queue's
 feeder thread pickles each after ``put`` has returned -- so nothing is
 mutated once put (the coordinator starts a new list per shard buffer,
-a worker puts a copy of its state list).  ``FeatureSet.__getstate__``
-leaves the Public Suffix List behind; the receiving process reattaches
-its own.
+a worker puts a copy of its state list).
 
 A worker is an :class:`Observatory` whose window manager ships every
 window's state instead of merging it; the coordinator holds the same
@@ -98,9 +96,6 @@ from repro.observatory.tracker import TopKTracker
 from repro.observatory.window import align_window
 
 logger = logging.getLogger(__name__)
-
-#: transactions per queue message; amortizes pickling + queue overhead
-DEFAULT_BATCH_SIZE = 512
 
 
 def partition_srcsrv(txn):
@@ -176,17 +171,11 @@ class ShardedObservatory:
     shards:
         Number of worker processes.
     datasets / window_seconds / output_dir / flush_hook:
-        As for :class:`Observatory`.
-    tau / use_bloom_gate / hll_precision / skip_recent_inserts:
-        Tracker knobs, forwarded to every worker.
-    batch_size:
-        Transactions per queue message.
+        As for :class:`Observatory`; every worker runs its trackers
+        with the defaults (Bloom gate on, survived-one-window rule).
     transport:
         Only ``"pickle"``, the queue's own pickling, is accepted
         (``benchmarks/ledger/child_pass.py`` still passes it).
-    timeout:
-        Seconds to wait for any single worker reply before declaring
-        the run dead.
     telemetry:
         ``True`` (or a registry) enables platform self-telemetry on
         the coordinator *and* every worker: each cut also emits one
@@ -215,12 +204,16 @@ class ShardedObservatory:
         derivation is a pure function of the merged dump).
     """
 
-    def __init__(self, shards=2, datasets=("srvip",), window_seconds=60.0,
-                 output_dir=None, tau=300.0, use_bloom_gate=True,
-                 hll_precision=8, skip_recent_inserts=True,
-                 batch_size=DEFAULT_BATCH_SIZE, transport="pickle",
-                 timeout=300.0, telemetry=False, flush_hook=None,
-                 detectors=None, encrypted=None, vantage=None):
+    #: transactions per queue message; amortizes pickling + queue overhead
+    batch_size = 512
+    #: seconds to wait for any single worker reply before declaring the
+    #: run dead
+    timeout = 300.0
+
+    def __init__(self, shards, datasets=("srvip",), window_seconds=60.0,
+                 output_dir=None, transport="pickle", telemetry=False,
+                 flush_hook=None, detectors=None, encrypted=None,
+                 vantage=None):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if transport != "pickle":
@@ -231,8 +224,6 @@ class ShardedObservatory:
         self.window_seconds = float(window_seconds)
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        self.batch_size = int(batch_size)
-        self.timeout = timeout
         specs = resolve_datasets(datasets)
         self._dataset_order = [spec.name for spec in specs]
         self._window_start = None
@@ -260,11 +251,10 @@ class ShardedObservatory:
         self._channels = build_channels(
             [TopKTracker(spec, use_bloom_gate=False) for spec in specs],
             scorers, EncryptedChannelAggregator() if encrypted else None,
-            skip_recent_inserts, resolve_telemetry(None))
+            skip_recent_inserts=True, telemetry=resolve_telemetry(None))
         self.emitter = WindowEmitter(output_dir, flush_hook, vantage)
         obs_kw = dict(
-            tau=tau, use_bloom_gate=use_bloom_gate,
-            hll_precision=hll_precision, telemetry=self.telemetry.enabled,
+            telemetry=self.telemetry.enabled,
             # a ready DetectorSet is the coordinator's scorer; workers
             # rebuild its members by name
             detectors=[det.name for det in detectors.detectors]
@@ -363,9 +353,9 @@ class ShardedObservatory:
             self.total_seen += 1
         return dumps
 
-    def consume(self, transactions, batch_size=4096):
+    def consume(self, transactions):
         """Process an iterable of transactions; returns self."""
-        feed_batches(self.consume_batch, transactions, batch_size)
+        feed_batches(self.consume_batch, transactions, 4096)
         return self
 
     def finish(self):

@@ -409,12 +409,10 @@ class SeriesStore:
             return series.range(GRANULARITIES[granularity],
                                 start_ts, end_ts)
 
-    def read(self, dataset, granularity="minutely",
-             start_ts=None, end_ts=None):
-        """Parsed windows for the range through the LRU: the list
-        :func:`~repro.observatory.tsv.read_series` returns."""
-        return list(self.iter_range(dataset, granularity,
-                                    start_ts, end_ts))
+    def read(self, dataset):
+        """Every parsed minutely window of *dataset* through the LRU:
+        the list :func:`~repro.observatory.tsv.read_series` returns."""
+        return list(self.iter_range(dataset))
 
     # -- streaming iterators -------------------------------------------
 
@@ -560,13 +558,12 @@ class SeriesStore:
             acc.fold_columns_run(run_keys, run_columns, run)
         return acc.finish(), read
 
-    def accumulate(self, dataset, granularity="minutely",
-                   start_ts=None, end_ts=None):
-        """Whole-range per-key rows (counters summed, gauges
-        hits-weighted) -- the accumulation every ranking and
-        distribution analysis starts from."""
+    def accumulate(self, dataset, start_ts=None, end_ts=None):
+        """Whole-range per-key rows of the minutely windows (counters
+        summed, gauges hits-weighted) -- the accumulation every ranking
+        and distribution analysis starts from."""
         return self._fold(
-            self.select(dataset, granularity, start_ts, end_ts),
+            self.select(dataset, "minutely", start_ts, end_ts),
             lambda data: (data.keys, data.columns, data.values))[0]
 
     def topk(self, dataset, n=10, by="hits", granularity="minutely",

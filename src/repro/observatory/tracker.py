@@ -32,45 +32,30 @@ class TopKTracker:
     tau:
         Space-Saving rate decay constant (seconds).
     use_bloom_gate:
-        Enable the Section 2.2 Bloom-filter eviction gate.
-    hll_precision / psl:
-        Passed through to each object's :class:`FeatureSet`.
+        Enable the Section 2.2 Bloom-filter eviction gate (200 k
+        keys, rotated every 600 s).
     """
 
-    def __init__(self, spec, tau=300.0, use_bloom_gate=True,
-                 hll_precision=8, psl=None, bloom_capacity=200_000,
-                 bloom_rotate_interval=600.0):
+    def __init__(self, spec, tau=300.0, use_bloom_gate=True):
         self.spec = spec
         gate = None
         if use_bloom_gate:
-            gate = RotatingBloomFilter(
-                capacity=bloom_capacity,
-                rotate_interval=bloom_rotate_interval,
-            )
+            gate = RotatingBloomFilter(capacity=200_000,
+                                       rotate_interval=600.0)
         self.cache = SpaceSaving(capacity=spec.k, tau=tau, gate=gate)
-        self._hll_precision = hll_precision
-        self._psl = psl if psl is not None else default_psl()
         #: the specialized batch key extractor (PSL bound, memoized
         #: where the spec declares the key a function of one txn
         #: attribute): txns -> key list
-        self._extract_batch = spec.make_batch_extractor(self._psl)
+        self._extract_batch = spec.make_batch_extractor(default_psl())
         #: transactions skipped by the dataset pre-filter
         self.filtered = 0
         #: transactions processed (offered to the SS cache)
         self.processed = 0
 
-    @property
-    def feature_binding(self):
-        """The ``(hll_precision, psl)`` this tracker's FeatureSets are
-        built with -- what a shared
-        :class:`~repro.observatory.features.TxnHashes` must be bound
-        to for them to apply it without re-deriving."""
-        return self._hll_precision, self._psl
-
-    def observe(self, txn, hashes=None):
+    def observe(self, txn):
         """Process one transaction; returns the live entry or None.
         A batch of one through :meth:`observe_batch`."""
-        if self.observe_batch((txn,), (hashes,)):
+        if self.observe_batch((txn,), (None,)):
             return self.cache.get(self._extract_batch((txn,))[0])
         return None
 
@@ -86,8 +71,6 @@ class TopKTracker:
         """
         keys = self._extract_batch(txns)
         offer = self.cache.offer
-        hll_precision = self._hll_precision
-        psl = self._psl
         kept = 0
         filtered = 0
         index = 0
@@ -101,7 +84,7 @@ class TopKTracker:
             if entry is not None:
                 state = entry.state
                 if state is None:
-                    state = entry.state = FeatureSet(hll_precision, psl)
+                    state = entry.state = FeatureSet()
                 state.update(txn, hashes_list[index])
                 kept += 1
             index += 1

@@ -114,16 +114,10 @@ class Transaction:
     # -- line serialization (§2.1 "summarize each transaction with a
     #    line of text") ------------------------------------------------
 
-    def to_line(self, exact=False):
-        """Serialize to a single TSV line.
-
-        With ``exact=True`` the two float fields (timestamp, delay) use
-        ``repr`` -- the shortest string that round-trips the exact
-        float -- instead of the human-friendly fixed precision; only
-        ``tests/observatory/test_preprocess.py`` compares with it.
-        """
+    def to_line(self):
+        """Serialize to a single TSV line."""
         fields = [
-            repr(self.ts) if exact else "%.6f" % self.ts,
+            "%.6f" % self.ts,
             self.resolver_ip,
             self.server_ip,
             self.source,
@@ -132,7 +126,7 @@ class Transaction:
             _NONE if self.rcode is None else str(self.rcode),
             "1" if self.answered else "0",
             "%d%d%d%d" % (self.aa, self.tc, self.edns_do, self.has_rrsig),
-            repr(self.delay_ms) if exact else "%.3f" % self.delay_ms,
+            "%.3f" % self.delay_ms,
             str(self.observed_ttl),
             str(self.response_size),
             "%d/%d/%d" % (self.answer_count, self.authority_ns_count,

@@ -131,7 +131,7 @@ class TimeSeriesData:
         self._positions = None
         return self
 
-    def to_timeseries(self, granularity="minutely"):
+    def to_timeseries(self, granularity):
         """This window labelled *granularity*.  A cut already yields
         the writer's input; kept for ``benchmarks/ledger/layers.py``,
         which only a benchmark PR may edit."""

@@ -140,8 +140,7 @@ class WindowManager:
         channels that ask for them.  Then, per chunk, the
         per-*transaction* work happens once: one
         :class:`~repro.observatory.features.TxnHashes` record each,
-        bound to the trackers' ``(hll_precision, psl)`` and prepared
-        lazily by the first FeatureSet that needs it.  The chunk then
+        prepared lazily by the first FeatureSet that needs it.  The chunk then
         runs channel-major -- every channel processes it in one
         ``observe_batch`` call over the shared records, so key
         extraction is batched and per-*dataset* work is register,
@@ -160,7 +159,6 @@ class WindowManager:
                                               self.window_seconds)
         plain = [c.observe_batch for c in self.channels if not c.blinded]
         diverted = [c.observe_batch for c in self.channels if c.blinded]
-        binding = self.trackers[0].feature_binding if self.trackers else ()
         window_seconds = self.window_seconds
         i = 0
         while i < n:
@@ -177,7 +175,7 @@ class WindowManager:
                         for observe in diverted:
                             observe(blinded, None)
                         chunk = [t for t in chunk if t.source[:1] != "!"]
-                hashes_list = [TxnHashes(txn, *binding) for txn in chunk]
+                hashes_list = [TxnHashes(txn) for txn in chunk]
                 for observe in plain:
                     observe(chunk, hashes_list)
             self.total_seen += j - i

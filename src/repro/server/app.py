@@ -67,6 +67,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import time
 from collections import OrderedDict, namedtuple
 
@@ -140,9 +141,6 @@ class ObservatoryApp:
         ``True`` / registry for per-endpoint latency + 304-hit-ratio
         instruments and a ``server`` pull-sampler; the *store* should
         be registered on the same registry for one unified health row.
-    server:
-        Optional :class:`~repro.server.http.ObservatoryServer`, used
-        to include connection stats in health output.
     stream_threshold:
         Byte size of the backing files above which ``/series`` and
         ``/key`` answers stream (chunked) instead of materializing;
@@ -171,19 +169,22 @@ class ObservatoryApp:
               "vantage", "platform", "stream")
 
     def __init__(self, store, rules=alerts.DEFAULT_RULES, telemetry=None,
-                 server=None, stream_threshold=STREAM_THRESHOLD_BYTES,
-                 broker=None, daemon_status=None, auth_tokens=None,
-                 rate_limit=None, rate_burst=None):
+                 stream_threshold=STREAM_THRESHOLD_BYTES, broker=None,
+                 daemon_status=None, auth_tokens=None, rate_limit=None,
+                 rate_burst=None):
         self.store = store
         self.rules = list(rules)
-        self.server = server
+        #: the :class:`~repro.server.http.ObservatoryServer` serving
+        #: this app (``build_server`` sets it), for connection stats in
+        #: health output
+        self.server = None
         self.stream_threshold = int(stream_threshold)
         self.auth_tokens = frozenset(
             token for token in (auth_tokens or ()) if token)
         if rate_limit is not None:
             rate_limit = float(rate_limit)
-            if rate_limit <= 0:
-                raise ValueError("rate_limit must be > 0")
+            if not (math.isfinite(rate_limit) and rate_limit > 0):
+                raise ValueError("rate_limit must be a finite number > 0")
         self.rate_limit = rate_limit
         if rate_burst is None:
             rate_burst = max(1.0, 2.0 * rate_limit) \

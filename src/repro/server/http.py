@@ -115,14 +115,14 @@ class Request:
 class Response:
     """Status + JSON-ready payload + extra headers."""
 
-    __slots__ = ("status", "body", "headers", "content_type")
+    __slots__ = ("status", "body", "headers")
 
-    def __init__(self, status, body=b"", headers=None,
-                 content_type="application/json"):
+    content_type = "application/json"
+
+    def __init__(self, status, body=b"", headers=None):
         self.status = status
         self.body = body
         self.headers = dict(headers or {})
-        self.content_type = content_type
 
     @classmethod
     def json(cls, payload, status=200, headers=None):
@@ -140,14 +140,15 @@ class Response:
         return cls(304, b"", {"ETag": etag})
 
 
-async def read_request(reader, timeout=KEEPALIVE_TIMEOUT):
-    """Read one request head; ``None`` on clean EOF / idle timeout.
+async def read_request(reader):
+    """Read one request head; ``None`` on clean EOF / idle timeout
+    (:data:`KEEPALIVE_TIMEOUT`).
 
     Raises :class:`HttpError` on malformed or oversized heads.
     """
     try:
         head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout)
+            reader.readuntil(b"\r\n\r\n"), KEEPALIVE_TIMEOUT)
     except (asyncio.IncompleteReadError, ConnectionResetError,
             asyncio.TimeoutError):
         return None
@@ -232,12 +233,12 @@ class StreamingResponse:
     delivery deadline).
     """
 
-    __slots__ = ("status", "chunks", "headers", "content_type",
-                 "flush_each")
+    __slots__ = ("chunks", "headers", "content_type", "flush_each")
 
-    def __init__(self, chunks, status=200, headers=None,
+    status = 200
+
+    def __init__(self, chunks, headers=None,
                  content_type="application/json", flush_each=False):
-        self.status = status
         self.chunks = chunks
         self.headers = dict(headers or {})
         self.content_type = content_type
@@ -334,18 +335,18 @@ class ObservatoryServer:
         past the cap are answered ``503`` with ``Retry-After`` and
         closed immediately -- the documented backpressure contract, so
         an overload sheds load instead of queueing unboundedly.
-    shutdown_grace:
-        Seconds to wait for in-flight requests on graceful shutdown
-        before cancelling them.
     """
 
+    #: seconds to wait for in-flight requests on graceful shutdown
+    #: before cancelling them
+    shutdown_grace = 10.0
+
     def __init__(self, handler, host="127.0.0.1", port=8053,
-                 max_connections=64, shutdown_grace=10.0):
+                 max_connections=64):
         self.handler = handler
         self.host = host
         self.port = port
         self.max_connections = int(max_connections)
-        self.shutdown_grace = shutdown_grace
         self._server = None
         self._conn_tasks = set()
         self._closing = asyncio.Event()

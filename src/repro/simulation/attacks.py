@@ -67,9 +67,7 @@ def resolve_attacks(mix):
     for index, event in enumerate(mix.scenario.scripted_events):
         if not isinstance(event, (TunnelAttack, WaterTorture)):
             continue
-        if event.sld is not None:
-            esld = event.sld
-        elif isinstance(event, TunnelAttack):
+        if isinstance(event, TunnelAttack):
             esld = _pick_tunnel_victim(mix.dns, used)
         else:
             esld = _pick_torture_victim(mix.dns, used)

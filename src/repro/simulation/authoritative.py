@@ -30,8 +30,7 @@ from repro.observatory.transaction import Transaction
 class AuthoritativeService:
     """Samples transactions for queries against the simulated zones."""
 
-    def __init__(self, topology, hub, unanswered_rate=0.02,
-                 wire_check_fraction=0.0):
+    def __init__(self, topology, hub, unanswered_rate, wire_check_fraction):
         self.topology = topology
         self._rng = hub.stream("authoritative")
         self.delay_model = DelayModel()
@@ -53,7 +52,7 @@ class AuthoritativeService:
                   and rng.random() < 0.5)
         resolver_ip = resolver.ipv6_addr if use_v6 else resolver.ip
         server_ip = ns.ipv6 if use_v6 else ns.ip
-        loss = max(self.unanswered_rate, ns.unanswered_rate)
+        loss = self.unanswered_rate
         if loss and rng.random() < loss:
             txn = Transaction(
                 ts=now, resolver_ip=resolver_ip, server_ip=server_ip,

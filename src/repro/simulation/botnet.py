@@ -24,9 +24,9 @@ DGA_SLD_POOL = 4000
 INFECTED_RESOLVER_FRACTION = 0.5
 
 
-def dga_name(rng, pool_size=DGA_SLD_POOL):
+def dga_name(rng):
     """One DGA FQDN: random host label under a pooled fake .com SLD."""
-    sld_index = rng.randrange(pool_size)
+    sld_index = rng.randrange(DGA_SLD_POOL)
     host = "%08x" % rng.getrandbits(32)
     return "%s.mylo%05d.com" % (host, sld_index)
 

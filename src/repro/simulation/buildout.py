@@ -251,8 +251,8 @@ def _build_gtld_servers(topology):
 
 
 def _build_tlds(scenario, topology, root, gtld_servers, rng):
-    com = TldZone("com", gtld_servers, soa_negttl=900)
-    net = TldZone("net", gtld_servers, soa_negttl=900)
+    com = TldZone("com", gtld_servers)
+    net = TldZone("net", gtld_servers)
     root.register(com)
     root.register(net)
     dns_orgs = ("PCH", "ULTRADNS", "DYNDNS")
@@ -266,7 +266,7 @@ def _build_tlds(scenario, topology, root, gtld_servers, rng):
             org = rng.choice(dns_orgs)
             servers.append(topology.allocate_nameserver(
                 org, hostname="ns%d.nic.%s" % (i + 1, tld_name)))
-        zone = TldZone(tld_name, servers, soa_negttl=900,
+        zone = TldZone(tld_name, servers,
                        registry_suffixes=_REGISTRY_SUFFIXES.get(tld_name, ()))
         root.register(zone)
 
@@ -426,8 +426,6 @@ def _build_slds(scenario, topology, root, rng):
 def _special_sld_plan(scenario):
     """SLD ranks reserved for the special-cast domains."""
     plan = {}
-    if not scenario.low_negttl_specials:
-        return plan
     # Figure 7: xmsecu.com at a busy rank, TTL 600, hosted on a tail org.
     plan[40] = {"sld": "xmsecu.com", "ttl": 600, "negttl": 3600,
                 "ipv6": False}

@@ -42,9 +42,14 @@ class ResolveResult:
 class RecursiveResolver:
     """One recursive resolver vantage point."""
 
+    #: entry limit of each of the resolver's caches
+    cache_size = 200_000
+    #: a prefetching resolver refreshes an entry this many seconds
+    #: before it expires
+    prefetch_window = 15.0
+
     def __init__(self, ip, global_dns, service, hub, source="src0",
-                 qmin=False, dnssec_ok=True, cache_size=200_000,
-                 prefetch=False, prefetch_window=15.0):
+                 qmin=False, dnssec_ok=True, prefetch=False):
         self.ip = ip
         self.global_dns = global_dns
         self.service = service
@@ -59,7 +64,6 @@ class RecursiveResolver:
         #: refresh popular entries shortly before expiry ("query
         #: prefetching", one of the §5.1 traffic factors)
         self.prefetch = prefetch
-        self.prefetch_window = float(prefetch_window)
         #: upstream refreshes triggered by prefetching
         self.prefetches = 0
         #: the resolver's own IPv6 address, when it can query
@@ -70,10 +74,10 @@ class RecursiveResolver:
         #: this resolver captures only size/timing observations)
         self.transport = "plain"
         self._rng = hub.fork("resolver:%s" % ip)
-        self.rrcache = TtlCache(cache_size)
-        self.negcache = NegativeCache(cache_size)
+        self.rrcache = TtlCache(self.cache_size)
+        self.negcache = NegativeCache(self.cache_size)
         #: zone apex -> (expire_ts, zone object) delegation cache
-        self._delegations = TtlCache(cache_size)
+        self._delegations = TtlCache(self.cache_size)
         #: client-facing accounting
         self.client_queries = 0
         self.cache_answers = 0

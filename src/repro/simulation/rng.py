@@ -47,14 +47,15 @@ class ZipfSampler:
     Sampling is O(log n) via a precomputed CDF.
     """
 
-    def __init__(self, n, s=1.0, rng=None):
+    def __init__(self, n, s=1.0):
         if n < 1:
             raise ValueError("n must be >= 1")
         if s < 0:
             raise ValueError("s must be >= 0")
         self.n = int(n)
         self.s = float(s)
-        self._rng = rng if rng is not None else random.Random(0)
+        #: the stream :meth:`sample` draws from when given none
+        self._rng = random.Random(0)
         cdf = []
         total = 0.0
         for rank in range(self.n):

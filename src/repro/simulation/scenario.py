@@ -88,57 +88,53 @@ class JunkSurge:
 
 class TunnelAttack:
     """From *at* until *until*, a DNS-tunnel client exfiltrates data
-    through *sld*: every query carries a fresh high-entropy payload
-    encoded in the subdomain labels (the detection target of the
-    ``exfil`` and ``noh`` detectors, see :mod:`repro.detect`).
+    through a victim SLD: every query carries a fresh high-entropy
+    payload encoded in the subdomain labels (the detection target of
+    the ``exfil`` and ``noh`` detectors, see :mod:`repro.detect`).
 
-    ``sld=None`` picks a deterministic wildcard-answering victim zone
-    at workload-build time, so queries are *answered* -- a live tunnel
+    The victim is a deterministic wildcard-answering zone picked at
+    workload-build time, so queries are *answered* -- a live tunnel
     endpoint, not an NXDOMAIN storm.  Ground truth for the resolved
     victim is exposed via ``WorkloadMix.attack_labels()``.
     """
 
     kind = "tunnel"
 
-    def __init__(self, at, qps, sld=None, until=None, label_len=40,
-                 payload_labels=2):
+    #: characters per payload label
+    label_len = 40
+    #: payload labels per query
+    payload_labels = 2
+
+    def __init__(self, at, qps, until=None):
         self.at = float(at)
         self.qps = float(qps)
-        self.sld = None if sld is None else sld.lower().rstrip(".")
         self.until = None if until is None else float(until)
-        #: characters per payload label
-        self.label_len = int(label_len)
-        #: payload labels per query
-        self.payload_labels = int(payload_labels)
 
     def __repr__(self):
-        return "TunnelAttack(%.0fs, %.1f qps, %s)" % (
-            self.at, self.qps, self.sld or "<auto>")
+        return "TunnelAttack(%.0fs, %.1f qps)" % (self.at, self.qps)
 
 
 class WaterTorture:
     """From *at* until *until*, a random-subdomain (water-torture)
-    DDoS floods *sld* with *qps* queries for random nonexistent
+    DDoS floods a victim SLD with *qps* queries for random nonexistent
     subdomains -- the ``ddos`` detector's target workload.  Unlike
     :class:`JunkSurge` (a PRSD nuisance against whatever SLD the
     Figure 8 experiment names), this is a labeled attack: the victim
-    (``sld=None`` picks a deterministic non-wildcard zone) appears in
+    (a deterministic non-wildcard zone) appears in
     ``WorkloadMix.attack_labels()`` ground truth.
     """
 
     kind = "watertorture"
+    #: characters in the random subdomain label
+    label_len = 12
 
-    def __init__(self, at, qps, sld=None, until=None, label_len=12):
+    def __init__(self, at, qps, until=None):
         self.at = float(at)
         self.qps = float(qps)
-        self.sld = None if sld is None else sld.lower().rstrip(".")
         self.until = None if until is None else float(until)
-        #: characters in the random subdomain label
-        self.label_len = int(label_len)
 
     def __repr__(self):
-        return "WaterTorture(%.0fs, %.1f qps, %s)" % (
-            self.at, self.qps, self.sld or "<auto>")
+        return "WaterTorture(%.0fs, %.1f qps)" % (self.at, self.qps)
 
 
 class Scenario:
@@ -151,19 +147,33 @@ class Scenario:
     IPv4-only domains with pathologically low negative-caching TTLs.
     """
 
+    # Model constants no run varies; a test sets one on its instance.
+    #: Zipf exponent of SLD popularity
+    sld_zipf_s = 1.05
+    #: probability a nameserver drops a query (unans feature)
+    unanswered_rate = 0.02
+    #: share of client events querying nonexistent TLDs (root NXD)
+    tld_typo_share = 0.01
+    #: fraction of SLDs with AAAA records (server-side IPv6)
+    ipv6_sld_fraction = 0.45
+    #: fraction of SLDs that are DNSSEC-signed
+    dnssec_sld_fraction = 0.25
+    #: fraction of transactions round-tripped through real wire bytes
+    #: (slow; integration tests set 1.0)
+    wire_check_fraction = 0.0
+    #: fraction of resolvers with query prefetching enabled (§5.1)
+    prefetch_resolver_fraction = 0.0
+    #: fraction of resolvers that reach dual-stack nameservers over
+    #: IPv6 (the srvip dataset tracks v4 and v6 addresses)
+    resolver_ipv6_fraction = 0.3
+
     def __init__(self, seed=2019, duration=600.0, client_qps=200.0,
                  n_resolvers=64, n_contributors=12, n_tlds=120,
                  n_slds=2000, fqdns_per_sld=4, popular_fqdns=2000,
-                 sld_zipf_s=1.05, dualstack_fraction=0.35,
-                 qmin_resolver_fraction=0.02, unanswered_rate=0.02,
-                 botnet_share=0.10, tld_typo_share=0.01,
-                 workload_weights=None, resolver_cache_size=200_000,
-                 scripted_events=(), ipv6_sld_fraction=0.45,
-                 dnssec_sld_fraction=0.25, wire_check_fraction=0.0,
-                 low_negttl_specials=True, prefetch_resolver_fraction=0.0,
-                 resolver_ipv6_fraction=0.3, diurnal_amplitude=0.0,
-                 diurnal_period=86400.0, encrypted_fraction=0.0,
-                 doh_share=0.5, padding_block=128):
+                 dualstack_fraction=0.35, qmin_resolver_fraction=0.02,
+                 botnet_share=0.10, scripted_events=(),
+                 diurnal_amplitude=0.0, diurnal_period=86400.0,
+                 encrypted_fraction=0.0, doh_share=0.5, padding_block=128):
         #: master seed for all RNG substreams
         self.seed = int(seed)
         #: simulated duration in seconds
@@ -183,39 +193,14 @@ class Scenario:
         self.fqdns_per_sld = int(fqdns_per_sld)
         #: size of the popular-FQDN list clients browse
         self.popular_fqdns = int(popular_fqdns)
-        #: Zipf exponent of SLD popularity
-        self.sld_zipf_s = float(sld_zipf_s)
         #: fraction of clients doing Happy Eyeballs (A + AAAA)
         self.dualstack_fraction = float(dualstack_fraction)
         #: fraction of resolvers with QNAME minimization enabled
         self.qmin_resolver_fraction = float(qmin_resolver_fraction)
-        #: probability a nameserver drops a query (unans feature)
-        self.unanswered_rate = float(unanswered_rate)
         #: share of client events that are botnet DGA queries
         self.botnet_share = float(botnet_share)
-        #: share of client events querying nonexistent TLDs (root NXD)
-        self.tld_typo_share = float(tld_typo_share)
-        #: QTYPE workload mixture weights (see workload.DEFAULT_WEIGHTS)
-        self.workload_weights = dict(workload_weights or {})
-        #: resolver cache entry limit
-        self.resolver_cache_size = int(resolver_cache_size)
         #: scripted infrastructure events (TtlChange, Renumber, ...)
         self.scripted_events = list(scripted_events)
-        #: fraction of SLDs with AAAA records (server-side IPv6)
-        self.ipv6_sld_fraction = float(ipv6_sld_fraction)
-        #: fraction of SLDs that are DNSSEC-signed
-        self.dnssec_sld_fraction = float(dnssec_sld_fraction)
-        #: fraction of transactions round-tripped through real wire
-        #: bytes (slow; integration tests set 1.0)
-        self.wire_check_fraction = float(wire_check_fraction)
-        #: install the Figure 9 cast (NTP/ad/CDN domains with low
-        #: negative-caching TTLs)
-        self.low_negttl_specials = bool(low_negttl_specials)
-        #: fraction of resolvers with query prefetching enabled (§5.1)
-        self.prefetch_resolver_fraction = float(prefetch_resolver_fraction)
-        #: fraction of resolvers that reach dual-stack nameservers
-        #: over IPv6 (the srvip dataset tracks v4 and v6 addresses)
-        self.resolver_ipv6_fraction = float(resolver_ipv6_fraction)
         #: diurnal traffic modulation: client rates swing by this
         #: fraction (0 = flat) over *diurnal_period* seconds -- the
         #: "user interest and diurnal patterns" behind the hourly top

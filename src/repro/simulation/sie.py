@@ -40,10 +40,8 @@ class SieChannel:
         self.dns = build_global_dns(scenario)
         hub = self.dns.hub
         self.service = AuthoritativeService(
-            self.dns.topology, hub,
-            unanswered_rate=scenario.unanswered_rate,
-            wire_check_fraction=scenario.wire_check_fraction,
-        )
+            self.dns.topology, hub, scenario.unanswered_rate,
+            scenario.wire_check_fraction)
         self.resolvers = []
         self.sensors = []
         for i in range(scenario.n_resolvers):
@@ -55,7 +53,6 @@ class SieChannel:
                 qmin=hub.uniform_hash("qmin:" + ip)
                 < scenario.qmin_resolver_fraction,
                 dnssec_ok=hub.uniform_hash("do:" + ip) < 0.9,
-                cache_size=scenario.resolver_cache_size,
                 prefetch=hub.uniform_hash("prefetch:" + ip)
                 < scenario.prefetch_resolver_fraction,
             )

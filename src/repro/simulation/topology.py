@@ -116,12 +116,10 @@ class Nameserver:
     """One authoritative nameserver (IPv4, optionally dual-stack)."""
 
     __slots__ = ("ip", "ipv6", "hostname", "org", "anycast",
-                 "distance_class", "server_delay_ms", "initial_ttl",
-                 "unanswered_rate")
+                 "distance_class", "server_delay_ms", "initial_ttl")
 
     def __init__(self, ip, hostname, org, anycast, distance_class,
-                 server_delay_ms, initial_ttl=64, unanswered_rate=0.0,
-                 ipv6=None):
+                 server_delay_ms, initial_ttl=64, ipv6=None):
         self.ip = ip
         #: optional IPv6 address of the same machine (the srvip
         #: dataset tracks "nameserver IPv4/IPv6 address", §3.1)
@@ -134,7 +132,6 @@ class Nameserver:
         self.distance_class = distance_class
         self.server_delay_ms = server_delay_ms
         self.initial_ttl = initial_ttl
-        self.unanswered_rate = unanswered_rate
 
     def __repr__(self):
         return "Nameserver(%s, %s, %s)" % (self.ip, self.hostname, self.org)
@@ -240,8 +237,7 @@ class Topology:
 
     # -- fleet management ------------------------------------------------
 
-    def allocate_nameserver(self, org_name, hostname=None,
-                            unanswered_rate=0.0):
+    def allocate_nameserver(self, org_name, hostname=None):
         """Create a new nameserver IP inside *org_name*'s space."""
         org = self.orgs[org_name]
         prefix = org.prefixes[len(org.nameservers) % len(org.prefixes)]
@@ -274,7 +270,6 @@ class Topology:
             distance_class=distance_class,
             server_delay_ms=org.server_delay_ms,
             initial_ttl=self._rng.choice((64, 64, 64, 255)),
-            unanswered_rate=unanswered_rate,
             ipv6=ipv6,
         )
         org.nameservers.append(ns)

@@ -61,8 +61,7 @@ class WorkloadMix:
         self.scenario = scenario
         self.dns = dns
         self.hub = dns.hub
-        weights = dict(DEFAULT_WEIGHTS)
-        weights.update(scenario.workload_weights)
+        weights = DEFAULT_WEIGHTS
         total = sum(weights.values())
         base_share = max(
             0.0, 1.0 - scenario.botnet_share - scenario.tld_typo_share)

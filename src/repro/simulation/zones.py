@@ -89,16 +89,17 @@ class Answer:
 class SldZone:
     """A second-level (registrable) zone with authoritative data."""
 
-    def __init__(self, name, nameservers, soa_negttl=3600, ns_ttl=86400,
-                 signed=False, dynamic_ttl=False):
+    #: TTL of the zone's NS records
+    ns_ttl = 86400
+
+    def __init__(self, name, nameservers, soa_negttl=3600, signed=False,
+                 dynamic_ttl=False):
         #: zone apex, canonical form (e.g. ``example.com``)
         self.name = name
         #: list of :class:`~repro.simulation.topology.Nameserver`
         self.nameservers = list(nameservers)
         #: RFC 2308 negative-caching TTL (SOA minimum)
         self.soa_negttl = int(soa_negttl)
-        #: TTL of the zone's NS records
-        self.ns_ttl = int(ns_ttl)
         #: DNSSEC-signed zone
         self.signed = signed
         #: non-conforming server: answers with a varying (decreasing)
@@ -211,12 +212,12 @@ class SldZone:
 class TldZone:
     """A top-level zone: delegations to SLD nameservers."""
 
-    def __init__(self, name, nameservers, ns_ttl=172800, soa_negttl=900,
-                 registry_suffixes=()):
+    ns_ttl = 172800
+    soa_negttl = 900
+
+    def __init__(self, name, nameservers, registry_suffixes=()):
         self.name = name
         self.nameservers = list(nameservers)
-        self.ns_ttl = int(ns_ttl)
-        self.soa_negttl = int(soa_negttl)
         #: extra public-suffix trees hosted in this TLD zone (e.g.
         #: ``co.uk`` inside ``uk``) -- the Table 3 whitelist cases
         self.registry_suffixes = tuple(registry_suffixes)

@@ -22,23 +22,23 @@ class BloomFilter:
     Parameters
     ----------
     capacity:
-        Number of distinct keys the filter is sized for.
-    error_rate:
-        Target false-positive probability at *capacity* insertions.
+        Number of distinct keys the filter is sized for, at a
+        false-positive probability of :attr:`error_rate`.
     seed:
         Hash seed; filters with different seeds are independent.
     """
 
-    def __init__(self, capacity=100_000, error_rate=0.01, seed=0):
+    #: target false-positive probability at *capacity* insertions
+    error_rate = 0.01
+
+    def __init__(self, capacity=100_000, seed=0):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if not 0.0 < error_rate < 1.0:
-            raise ValueError("error_rate must be in (0, 1)")
         self.capacity = int(capacity)
-        self.error_rate = float(error_rate)
         self.seed = int(seed)
         # Standard sizing: m = -n ln p / (ln 2)^2, k = m/n ln 2.
-        bits = int(math.ceil(-capacity * math.log(error_rate) / (math.log(2) ** 2)))
+        bits = int(math.ceil(-capacity * math.log(self.error_rate)
+                             / (math.log(2) ** 2)))
         self.num_bits = max(bits, 64)
         self.num_hashes = max(1, int(round(self.num_bits / capacity * math.log(2))))
         self._bits = bytearray((self.num_bits + 7) // 8)
@@ -97,12 +97,11 @@ class RotatingBloomFilter:
     at least one and at most two rotation periods.
     """
 
-    def __init__(self, capacity=100_000, error_rate=0.01, seed=0,
-                 rotate_interval=600.0):
+    def __init__(self, capacity=100_000, rotate_interval=600.0):
         self.capacity = int(capacity)
         self.rotate_interval = float(rotate_interval)
-        self._active = BloomFilter(capacity, error_rate, seed)
-        self._previous = BloomFilter(capacity, error_rate, seed ^ 0x5BF03635)
+        self._active = BloomFilter(capacity)
+        self._previous = BloomFilter(capacity, 0x5BF03635)
         self._last_rotation = None
         self.rotations = 0
         #: rotations forced by insert-count overflow rather than time --

@@ -28,27 +28,26 @@ from repro.sketches._hashing import hash_pair
 class CountMinSketch:
     """A (width x depth) Count-Min frequency sketch."""
 
-    def __init__(self, width=2048, depth=4, seed=0):
+    def __init__(self, width, depth):
         if width < 1 or depth < 1:
             raise ValueError("width and depth must be >= 1")
         self.width = int(width)
         self.depth = int(depth)
-        self.seed = int(seed)
         self._rows = [[0] * self.width for _ in range(self.depth)]
         #: total increments (for the eps*N error bound)
         self.total = 0
 
     def _positions(self, key):
-        h1, h2 = hash_pair(key, self.seed)
+        h1, h2 = hash_pair(key)
         width = self.width
         return [(h1 + i * h2) % width for i in range(self.depth)]
 
-    def add(self, key, count=1):
-        """Increment *key* by *count*; returns the new estimate."""
-        self.total += count
+    def add(self, key):
+        """Count one occurrence of *key*; returns the new estimate."""
+        self.total += 1
         estimate = None
         for row, pos in zip(self._rows, self._positions(key)):
-            row[pos] += count
+            row[pos] += 1
             if estimate is None or row[pos] < estimate:
                 estimate = row[pos]
         return estimate
@@ -68,19 +67,19 @@ class CmsTopK:
     ablation benchmark.
     """
 
-    def __init__(self, capacity, width=2048, depth=4, seed=0):
+    def __init__(self, capacity, width, depth):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self.sketch = CountMinSketch(width, depth, seed)
+        self.sketch = CountMinSketch(width, depth)
         self._heap = []      # (estimate, key) -- lazy values
         self._members = {}   # key -> latest estimate
         self.offered = 0
 
-    def offer(self, key, count=1):
+    def offer(self, key):
         """Observe *key*; maintain the top-k candidate set."""
         self.offered += 1
-        estimate = self.sketch.add(key, count)
+        estimate = self.sketch.add(key)
         if key in self._members:
             self._members[key] = estimate
             return

@@ -34,7 +34,7 @@ class DistinctEntry:
 
     __slots__ = ("key", "hll", "base", "_card", "_dirty")
 
-    def __init__(self, key, hll, base=0):
+    def __init__(self, key, hll, base):
         self.key = key
         self.hll = hll
         self.base = base
@@ -65,16 +65,15 @@ class DistinctSpaceSaving:
     precision:
         Per-slot HyperLogLog precision (``2**p`` one-byte registers
         per slot; p=11 keeps a 2048-slot sketch around 4 MB).
-    seed:
-        HLL hash seed; only sketches with equal parameters merge.
+
+    Only sketches with equal parameters merge.
     """
 
-    def __init__(self, capacity=2048, precision=11, seed=0):
+    def __init__(self, capacity, precision):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
         self.precision = int(precision)
-        self.seed = int(seed)
         self._entries = {}
         #: lazy min-heap of (estimate_at_push, key); estimates only
         #: grow, so a popped entry whose live estimate moved is pushed
@@ -96,8 +95,7 @@ class DistinctSpaceSaving:
             self.evictions += 1
         else:
             base = 0
-        entry = DistinctEntry(key, HyperLogLog(self.precision, self.seed),
-                              base)
+        entry = DistinctEntry(key, HyperLogLog(self.precision), base)
         entry.hll.add_hash(value_hash)
         entry._dirty = True
         self._entries[key] = entry
@@ -123,12 +121,11 @@ class DistinctSpaceSaving:
             return entry
         raise RuntimeError("heap empty with entries tracked")
 
-    def top(self, n=None):
+    def top(self):
         """``(key, estimate)`` pairs sorted by (-estimate, key)."""
-        ranked = sorted(((e.key, e.estimate())
-                         for e in self._entries.values()),
-                        key=lambda kv: (-kv[1], kv[0]))
-        return ranked if n is None else ranked[:n]
+        return sorted(((e.key, e.estimate())
+                       for e in self._entries.values()),
+                      key=lambda kv: (-kv[1], kv[0]))
 
     # -- merge ----------------------------------------------------------
 
@@ -136,8 +133,8 @@ class DistinctSpaceSaving:
         """Fold *other* into this sketch (mergeable-summaries union)."""
         if not isinstance(other, DistinctSpaceSaving):
             raise TypeError("can only merge DistinctSpaceSaving")
-        if (self.capacity, self.precision, self.seed) != \
-                (other.capacity, other.precision, other.seed):
+        if (self.capacity, self.precision) != \
+                (other.capacity, other.precision):
             raise ValueError("cannot merge sketches with different "
                              "parameters")
         for key, theirs in sorted(other._entries.items()):
@@ -172,6 +169,6 @@ class DistinctSpaceSaving:
             hmeta, hbufs = entry.hll.to_buffers()
             entry_meta.append((key, entry.base, hmeta, len(hbufs)))
             buffers.extend(hbufs)
-        meta = ("dss", self.capacity, self.precision, self.seed,
+        meta = ("dss", self.capacity, self.precision,
                 self.evictions, tuple(entry_meta))
         return meta, buffers

@@ -31,19 +31,19 @@ class ForwardDecay:
     tau:
         Decay time constant in seconds.  An observation's influence
         halves every ``tau * ln(2)`` seconds.
-    max_exponent:
-        When ``(now - landmark) / tau`` exceeds this threshold,
-        :meth:`needs_renormalize` returns True and the owner should
-        call :meth:`renormalize` and rescale its stored weights by the
-        returned factor.  The default keeps ``exp()`` far away from
-        overflow (which occurs near exponent 709 for doubles).
     """
 
-    def __init__(self, tau=60.0, max_exponent=200.0):
+    #: when ``(now - landmark) / tau`` exceeds this threshold,
+    #: :meth:`needs_renormalize` returns True and the owner should call
+    #: :meth:`renormalize` and rescale its stored weights by the
+    #: returned factor; 200 keeps ``exp()`` far away from overflow
+    #: (which occurs near exponent 709 for doubles)
+    max_exponent = 200.0
+
+    def __init__(self, tau=60.0):
         if tau <= 0:
             raise ValueError("tau must be positive, got %r" % (tau,))
         self.tau = float(tau)
-        self.max_exponent = float(max_exponent)
         self.landmark = 0.0
 
     def weight(self, now):

@@ -59,14 +59,14 @@ class LogHistogram:
         low = self.min_value * self.base ** (index - 1)
         return low * math.sqrt(self.base)
 
-    def add(self, value, count=1):
-        """Record *value* with multiplicity *count*."""
+    def add(self, value):
+        """Record one *value*."""
         if value < 0:
             raise ValueError("LogHistogram only accepts non-negative values")
         idx = self.bucket_index(value)
-        self._buckets[idx] = self._buckets.get(idx, 0) + count
-        self.count += count
-        self._sum += value * count
+        self._buckets[idx] = self._buckets.get(idx, 0) + 1
+        self.count += 1
+        self._sum += value
         if value < self._min:
             self._min = value
         if value > self._max:
@@ -164,9 +164,9 @@ class RunningMean:
         self.count = 0
         self._sum = 0.0
 
-    def add(self, value, count=1):
-        self.count += count
-        self._sum += value * count
+    def add(self, value):
+        self.count += 1
+        self._sum += value
 
     @property
     def mean(self):

@@ -100,7 +100,7 @@ class SpaceSaving:
     # Core operations
     # ------------------------------------------------------------------
 
-    def offer(self, key, now, count=1):
+    def offer(self, key, now):
         """Observe *key* at virtual time *now*.
 
         Returns the live :class:`SpaceSavingEntry` for *key*, or None
@@ -111,11 +111,11 @@ class SpaceSaving:
             self._renormalize(now)
         entries = self._entries
         entry = entries.get(key)
-        add_weight = self.decay.weight(now) * count
+        add_weight = self.decay.weight(now)
         if entry is not None:
             self.tracked_hits += 1
             entry.weight += add_weight
-            entry.hits += count
+            entry.hits += 1
             self._push(entry)
             return entry
         if len(entries) >= self.capacity:
@@ -129,7 +129,7 @@ class SpaceSaving:
         else:
             inherited = 0.0
         entry = SpaceSavingEntry(key, inherited + add_weight, inherited, now)
-        entry.hits = count
+        entry.hits = 1
         entries[key] = entry
         self._push(entry)
         return entry
@@ -157,12 +157,10 @@ class SpaceSaving:
                 return 0.0
         return self.decay.rate(entry.weight, now)
 
-    def top(self, n=None, now=None):
-        """Return entries ranked by estimated frequency, heaviest first.
-
-        *now* is accepted for interface symmetry; since all weights
-        share one landmark, decay does not change the ordering.
-        """
+    def top(self, n=None):
+        """Return entries ranked by estimated frequency, heaviest first
+        (all weights share one landmark, so decay does not change the
+        ordering)."""
         ranked = sorted(
             self._entries.values(), key=lambda e: (-e.weight, e.key)
         )

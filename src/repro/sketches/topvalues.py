@@ -30,13 +30,13 @@ class TopValues:
     max_values:
         Maximum number of distinct values tracked at once.  Should
         comfortably exceed the number of *frequent* values (the paper
-        reports 3, we default to tracking 16 to report a top-3 with
-        slack).
+        reports 3; :class:`~repro.observatory.features.FeatureSet`
+        tracks 16 to report a top-3 with slack).
     """
 
     __slots__ = ("max_values", "_counts", "total", "replaced")
 
-    def __init__(self, max_values=16):
+    def __init__(self, max_values):
         if max_values < 1:
             raise ValueError("max_values must be >= 1")
         self.max_values = int(max_values)

@@ -102,7 +102,7 @@ class TestTable1Units:
 
     def test_grouping_and_ranking(self, tmp_path):
         store, asdb, names = self.make_world(tmp_path)
-        ranked, total, attributed = table1(store, asdb, names)
+        ranked, total, attributed = table1(store, asdb, names, 10)
         assert total == 160
         assert attributed == 160  # unrouted IP still counted (UNKNOWN)
         assert ranked[0].org == "BIGCDN"
@@ -111,7 +111,7 @@ class TestTable1Units:
 
     def test_weighted_delay(self, tmp_path):
         store, asdb, names = self.make_world(tmp_path)
-        ranked, _, _ = table1(store, asdb, names)
+        ranked, _, _ = table1(store, asdb, names, 10)
         bigcdn = ranked[0]
         # (10*80 + 20*20) / 100 = 12.
         assert bigcdn.mean_delay == pytest.approx(12.0)

@@ -44,7 +44,7 @@ def test_export_figure2(run, tmp_path):
 
 def test_export_table1(run, tmp_path):
     topo = run.dns.topology
-    rows, total, _ = table1(run.store, topo.asdb, topo.asnames)
+    rows, total, _ = table1(run.store, topo.asdb, topo.asnames, 10)
     path = export_table1(rows, total, str(tmp_path))
     data = read_csv(path)
     assert data[0][1] == "org"

@@ -74,7 +74,8 @@ class TestFigure2:
 class TestTable1:
     def test_major_orgs_dominate(self, run):
         topo = run.dns.topology
-        rows, total, attributed = table1(run.store, topo.asdb, topo.asnames)
+        rows, total, attributed = table1(run.store, topo.asdb,
+                                         topo.asnames, 10)
         assert rows
         assert attributed / total > 0.95  # synthetic ASdb covers all
         names = [r.org for r in rows]
@@ -104,7 +105,7 @@ class TestTable1:
 
     def test_render(self, run):
         topo = run.dns.topology
-        rows, total, _ = table1(run.store, topo.asdb, topo.asnames)
+        rows, total, _ = table1(run.store, topo.asdb, topo.asnames, 10)
         out = render_table1(rows, total)
         assert "Table 1" in out
         assert "VERISIGN" in out

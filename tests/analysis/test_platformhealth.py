@@ -1,5 +1,6 @@
 """Tests for the platform-health renderer (report --platform)."""
 
+from repro.analysis import platformhealth
 from repro.analysis.platformhealth import (
     component_series,
     latest_rows,
@@ -92,8 +93,9 @@ def test_empty_series_renders_hint():
     assert summary["status"] == "no_data"
 
 
-def test_windows_limit():
+def test_windows_limit(monkeypatch):
+    monkeypatch.setattr(platformhealth, "WINDOWS", 3)
     series = [platform_window(ts, {"window": {"txns": ts}})
               for ts in range(0, 600, 60)]
-    kept, _, _ = platform_health(series, windows=3)
+    kept, _, _ = platform_health(series)
     assert [d.start_ts for d in kept] == [420, 480, 540]

@@ -31,11 +31,6 @@ def test_numeric_right_alignment():
     assert len(rows[0].rstrip()) == len(rows[1].rstrip())
 
 
-def test_explicit_alignment():
-    out = format_table(["k"], [["abc"]], align="r")
-    assert out.splitlines()[-1].endswith("abc")
-
-
 def test_float_formatting():
     out = format_table(["v"], [[3.14159], [2.0]])
     assert "3.14" in out

@@ -80,14 +80,14 @@ class TestFigure7:
 class TestFigure8:
     def test_changes_found_and_sorted(self, scripted_run):
         _, store, _ = scripted_run
-        changes = figure8(store, split_ts=CHANGE_AT, top_n=50)
+        changes = figure8(store, split_ts=CHANGE_AT)[:50]
         assert changes
         diffs = [abs(c.traffic_change) for c in changes]
         assert diffs == sorted(diffs, reverse=True)
 
     def test_xmsecu_is_ttl_down_traffic_up(self, scripted_run):
         _, store, _ = scripted_run
-        changes = figure8(store, split_ts=CHANGE_AT, top_n=100)
+        changes = figure8(store, split_ts=CHANGE_AT)
         xm = next((c for c in changes if c.key == "xmsecu.com"), None)
         assert xm is not None
         assert xm.ttl_change < 0
@@ -95,7 +95,7 @@ class TestFigure8:
 
     def test_summary_counts_consistent(self, scripted_run):
         _, store, _ = scripted_run
-        changes = figure8(store, split_ts=CHANGE_AT, top_n=100)
+        changes = figure8(store, split_ts=CHANGE_AT)
         summary = figure8_summary(changes)
         assert summary["ttl_down_traffic_up"] >= 1
         assert summary["ttl_down"] + summary["ttl_up"] <= len(changes)
@@ -110,14 +110,13 @@ class TestFigure8:
                 "esld", "minutely", start,
                 rows=[(key, {"hits": hits, "ttl_top1": 300})
                       for key in reversed(keys)]))
-        changes = figure8(SeriesStore(str(tmp_path)), split_ts=60,
-                          top_n=5)
+        changes = figure8(SeriesStore(str(tmp_path)), split_ts=60)[:5]
         assert [c.key for c in changes] == keys[:5]
         assert {c.traffic_change for c in changes} == {20}
 
     def test_render(self, scripted_run):
         _, store, _ = scripted_run
-        changes = figure8(store, split_ts=CHANGE_AT, top_n=50)
+        changes = figure8(store, split_ts=CHANGE_AT)[:50]
         out = render_figure8(changes, figure8_summary(changes))
         assert "Figure 8" in out
 
@@ -144,7 +143,7 @@ class TestTtlChangeDetector:
         assert det.events == []
 
     def test_low_share_ignored(self):
-        det = TtlChangeDetector(min_share=0.10)
+        det = TtlChangeDetector()
         det.observe_dump(self.make_dump(0, "a.example.com", 600))
         det.observe_dump(self.make_dump(3600, "a.example.com", 10,
                                         share=0.05))

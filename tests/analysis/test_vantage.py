@@ -188,7 +188,7 @@ class TestDerive:
             stats={"seen": len(rows), "kept": len(rows)})
         for derived in emitter.derive(dump):
             with tempfile.TemporaryDirectory() as tmp:
-                path = write_tsv(tmp, derived.to_timeseries())
+                path = write_tsv(tmp, derived.to_timeseries("minutely"))
                 back = read_tsv(path)
             assert back.dataset == derived.dataset
             assert [k for k, _ in back.rows] == \

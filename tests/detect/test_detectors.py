@@ -9,7 +9,7 @@ from repro.detect import (DETECTOR_DATASET, DetectorSet,
                           DetectorWindowState, DdosDetector,
                           ExfilDetector, NohDetector, build_detectors,
                           qname_info_millibits)
-from tests.util import make_txn
+from tests.util import make_txn, tuned
 
 
 def window(detector, qnames, start=0.0):
@@ -49,7 +49,7 @@ class TestBuildDetectors:
         assert [d.name for d in detectors.detectors] == ["exfil", "ddos", "noh"]
 
     def test_names_and_instances_mix(self):
-        custom = DdosDetector(min_distinct=5.0)
+        custom = tuned(DdosDetector(), min_value=5.0)
         detectors = build_detectors(["exfil", custom])
         assert [d.name for d in detectors.detectors] == ["exfil", "ddos"]
         assert detectors.detectors[1] is custom
@@ -65,7 +65,7 @@ class TestBuildDetectors:
 
 class TestFlagLogic:
     def test_warmup_windows_never_flag(self):
-        det = ExfilDetector(min_bits=1.0, warmup=2)
+        det = tuned(ExfilDetector(), min_value=1.0, warmup=2)
         loud = ["%08x.evil.com" % (i * 2654435761 % 2**32)
                 for i in range(50)]
         rows = window(det, loud, start=0.0)
@@ -74,7 +74,7 @@ class TestFlagLogic:
         assert rows["exfil"]["flagged"] == 0
 
     def test_flags_after_warmup_on_jump(self):
-        det = ExfilDetector(min_bits=10.0, warmup=1, ratio=4.0)
+        det = tuned(ExfilDetector(), min_value=10.0, warmup=1, ratio=4.0)
         window(det, ["www.quiet.com"], start=0.0)
         rows = window(det, ["%08x.quiet.com" % (i * 48271 % 2**32)
                             for i in range(40)], start=60.0)
@@ -82,7 +82,7 @@ class TestFlagLogic:
         assert rows["exfil"]["flagged"] == 1
 
     def test_steady_traffic_never_flags(self):
-        det = ExfilDetector(min_bits=1.0, warmup=1, ratio=4.0)
+        det = tuned(ExfilDetector(), min_value=1.0, warmup=1, ratio=4.0)
         steady = ["mail.steady.com", "www.steady.com", "api.steady.com"]
         for i in range(6):
             rows = window(det, steady, start=60.0 * i)
@@ -93,7 +93,7 @@ class TestFlagLogic:
     def test_attack_does_not_launder_its_baseline(self):
         """A sustained attack keeps flagging: flagged windows must not
         feed the EWMA baseline."""
-        det = ExfilDetector(min_bits=10.0, warmup=1, ratio=4.0)
+        det = tuned(ExfilDetector(), min_value=10.0, warmup=1, ratio=4.0)
         window(det, ["www.victim.com"], start=0.0)
         attack = ["%010x.victim.com" % (i * 69621 % 2**40)
                   for i in range(60)]
@@ -102,12 +102,12 @@ class TestFlagLogic:
             assert rows["exfil.victim.com"]["flagged"] == 1
 
     def test_absolute_floor_suppresses_small_keys(self):
-        det = ExfilDetector(min_bits=1e6, warmup=0)
+        det = tuned(ExfilDetector(), min_value=1e6, warmup=0)
         rows = window(det, ["%08x.small.com" % i for i in range(20)])
         assert rows["exfil.small.com"]["flagged"] == 0
 
     def test_topn_caps_per_key_rows(self):
-        det = ExfilDetector(topn=3)
+        det = tuned(ExfilDetector(), topn=3)
         rows = window(det, ["www.domain%02d.com" % i for i in range(10)])
         per_key = [k for k in rows if k.startswith("exfil.")]
         assert len(per_key) == 3
@@ -116,7 +116,7 @@ class TestFlagLogic:
 
 class TestDdosDetector:
     def test_counts_distinct_not_volume(self):
-        det = DdosDetector(min_distinct=10.0, warmup=0)
+        det = tuned(DdosDetector(), min_value=10.0, warmup=0)
         qnames = ["sub%04d.victim.net" % i for i in range(300)]
         rows = window(det, qnames + ["www.loud.net"] * 500)
         distinct = rows["ddos.victim.net"]["distinct"]
@@ -135,7 +135,7 @@ class TestDdosDetector:
 
 class TestNohDetector:
     def test_first_window_all_new_then_suppressed(self):
-        det = NohDetector(min_noh=5.0, warmup=0, ratio=4.0)
+        det = tuned(NohDetector(), min_value=5.0, warmup=0, ratio=4.0)
         qnames = ["host%02d.corp.org" % i for i in range(30)]
         rows = window(det, qnames, start=0.0)
         assert rows["noh.corp.org"]["noh"] == 30
@@ -144,7 +144,8 @@ class TestNohDetector:
         assert rows["noh.corp.org"]["noh"] == 0
 
     def test_generation_rotation_forgets_old_names(self):
-        det = NohDetector(min_noh=1.0, warmup=0, generation_windows=2)
+        det = tuned(NohDetector(), min_value=1.0, warmup=0,
+                    generation_windows=2)
         qnames = ["a.gen.org", "b.gen.org"]
         window(det, qnames, start=0.0)     # cut 1
         window(det, [], start=60.0)        # cut 2 -> rotation

@@ -6,11 +6,13 @@ import statistics
 import pytest
 
 from repro.netsim.latency import DelayModel, PathProfile
+from tests.util import tuned
 
 
 class TestPathProfile:
     def test_basic_construction(self):
-        p = PathProfile(hops=7, base_delay_ms=20.0, server_delay_ms=2.0)
+        p = tuned(PathProfile(hops=7, base_delay_ms=20.0),
+                  server_delay_ms=2.0)
         assert p.hops == 7
         assert p.initial_ttl == 64
 
@@ -57,15 +59,17 @@ class TestPathProfile:
 class TestDelayModel:
     def test_sample_positive_and_near_expected(self):
         model = DelayModel()
-        profile = PathProfile(hops=10, base_delay_ms=50.0, server_delay_ms=2.0)
+        profile = tuned(PathProfile(hops=10, base_delay_ms=50.0),
+                        server_delay_ms=2.0)
         rng = random.Random(4)
         samples = [model.sample_ms(profile, rng) for _ in range(2000)]
         assert all(s > 0 for s in samples)
         assert abs(statistics.mean(samples) - model.expected_ms(profile)) < 5.0
 
     def test_min_delay_enforced(self):
-        model = DelayModel(min_delay_ms=1.0)
-        profile = PathProfile(hops=1, base_delay_ms=0.0, server_delay_ms=0.0)
+        model = tuned(DelayModel(), min_delay_ms=1.0)
+        profile = tuned(PathProfile(hops=1, base_delay_ms=0.0),
+                        server_delay_ms=0.0)
         assert model.sample_ms(profile, random.Random(0)) == 1.0
 
     def test_deterministic_given_rng(self):

@@ -9,7 +9,7 @@ from tests.util import make_nodata, make_nxdomain, make_txn
 
 @pytest.fixture()
 def fs():
-    return FeatureSet(hll_precision=10)
+    return FeatureSet()
 
 
 class TestCounters:

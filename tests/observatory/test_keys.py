@@ -3,6 +3,8 @@
 import pytest
 
 from repro.dnswire.constants import QTYPE
+from repro.dnswire.psl import default_psl
+from repro.observatory import keys
 from repro.observatory.keys import (
     DATASETS,
     key_esld,
@@ -110,13 +112,13 @@ class TestBatchExtraction:
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_matches_scalar_extractor(self, name):
         spec = DATASETS[name]
-        batch = spec.make_batch_extractor()
+        batch = spec.make_batch_extractor(default_psl())
         txns = self._txns()
         assert batch(txns) == [spec.extract(txn) for txn in txns]
 
     def test_memoized_keys_are_interned(self):
         spec = DATASETS["esld"]
-        batch = spec.make_batch_extractor()
+        batch = spec.make_batch_extractor(default_psl())
         # distinct qname strings with equal eSLDs must yield the same
         # interned key object
         a = make_txn(qname="a.long.sub.example.com")
@@ -125,9 +127,10 @@ class TestBatchExtraction:
         assert keys[0] == keys[1] == "example.com"
         assert keys[0] is keys[1]
 
-    def test_memo_bound_clears_wholesale(self):
+    def test_memo_bound_clears_wholesale(self, monkeypatch):
+        monkeypatch.setattr(keys, "MEMO_LIMIT", 4)
         spec = DATASETS["esld"]
-        batch = spec.make_batch_extractor(cache_limit=4)
+        batch = spec.make_batch_extractor(default_psl())
         txns = [make_txn(qname="h%d.example%d.org" % (i, i))
                 for i in range(10)]
         assert batch(txns) == ["example%d.org" % i for i in range(10)]
@@ -136,7 +139,7 @@ class TestBatchExtraction:
 
     def test_filtered_dataset_yields_nones(self):
         spec = DATASETS["aafqdn"]
-        batch = spec.make_batch_extractor()
+        batch = spec.make_batch_extractor(default_psl())
         keys = batch([make_txn(aa=True), make_txn(aa=False)])
         assert keys[0] == "www.example.com|A"
         assert keys[1] is None

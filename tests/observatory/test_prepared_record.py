@@ -2,10 +2,9 @@
 
 ``FeatureSet.update`` has one code path: apply a prepared record.
 These tests pin what that path must keep true -- sharing a record
-between FeatureSets changes nothing, a record bound to another
-``(hll_precision, psl)`` is never misapplied, a bad transaction changes
-no state at all, and the TSV bytes of a fixed replay stay what they
-were before the record existed.
+between FeatureSets changes nothing, a bad transaction changes no
+state at all, and the TSV bytes of a fixed replay stay what they were
+before the record existed.
 """
 
 import hashlib
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dnswire.constants import QTYPE, RCODE
-from repro.dnswire.psl import PublicSuffixList
 from repro.observatory.features import FeatureSet, TxnHashes
 from repro.observatory.keys import make_dataset
 from repro.observatory.pipeline import Observatory
@@ -156,33 +154,6 @@ def test_consume_batch_chunks_a_long_segment():
     batched.consume_batch(txns)
     for left, right in zip(one_by_one.flush(), batched.flush()):
         assert left.rows == right.rows and left.stats == right.stats
-
-
-# -- (c) a record is bound to one (hll_precision, psl) ------------------
-
-def test_record_for_another_precision_is_rederived():
-    txn = make_txn(answer_ips=("198.51.100.1", "2001:db8::1"))
-    record = TxnHashes(txn)  # bound to the default precision, 8
-    FeatureSet().update(txn, record)  # prepared for precision 8
-    wide, expected = FeatureSet(hll_precision=12), FeatureSet(12)
-    wide.update(txn, record)
-    expected.update(txn)
-    assert frozen(wide) == frozen(expected)
-    assert wide.srvips.cardinality() == pytest.approx(1.0, abs=0.01)
-
-
-def test_record_for_another_psl_is_rederived():
-    txn = make_txn(qname="www.shop.example")
-    custom = PublicSuffixList(["shop.example"])
-    record = TxnHashes(txn)  # bound to the builtin list: eSLD shop.example
-    FeatureSet().update(txn, record)
-    features, expected = FeatureSet(psl=custom), FeatureSet(psl=custom)
-    features.update(txn, record)
-    expected.update(txn, TxnHashes(txn, psl=custom))
-    assert frozen(features) == frozen(expected)
-    builtin = FeatureSet()
-    builtin.update(txn)
-    assert frozen(features) != frozen(builtin)
 
 
 def test_record_stays_lazy_until_used():

@@ -31,7 +31,7 @@ from repro.netsim.packet import (
 from repro.observatory.preprocess import PreprocessError, summarize_transaction
 from repro.observatory.transaction import Transaction
 from repro.simulation.scenario import Scenario
-from tests.util import run_scenario
+from tests.util import run_scenario, tuned
 
 
 def _dnssec_ok(message):
@@ -143,8 +143,8 @@ def test_simulated_corpus_matches_reference(monkeypatch):
         return summarize_transaction(*args, **kwargs)
 
     monkeypatch.setattr(authoritative, "summarize_transaction", recording)
-    run_scenario(Scenario.tiny(seed=11, duration=40.0,
-                               wire_check_fraction=1.0))
+    run_scenario(tuned(Scenario.tiny(seed=11, duration=40.0),
+                       wire_check_fraction=1.0))
     assert len(records) > 300
     rtypes, versions = set(), set()
     for record in records:

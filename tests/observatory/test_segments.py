@@ -368,8 +368,8 @@ class TestBugfixRegressions:
         d = str(tmp_path)
         for i in range(10):
             make_window(tmp_path, i * 60)
-        store = SeriesStore(d)
-        agg = TimeAggregator(d, retention={"minutely": 100}, store=store)
+        agg = TimeAggregator(d, retention={"minutely": 100})
+        store = agg.store
         agg.aggregate_directory("srvip")
         victim = os.path.join(d, "srvip.minutely.0000000120.tsv")
 

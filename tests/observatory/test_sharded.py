@@ -222,8 +222,8 @@ class TestWorkerFailure:
     ``queue.Empty`` escape without ever calling ``close()``)."""
 
     def test_sigkill_mid_run_raises_and_reaps_workers(self):
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)],
-                                 timeout=2.0)
+        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs.timeout = 2.0
         try:
             obs.consume_batch([make_txn(ts=float(i), server_ip="192.0.2.%d" % i)
                                for i in range(8)])
@@ -241,8 +241,8 @@ class TestWorkerFailure:
             obs.close()
 
     def test_sigkill_during_finish(self):
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)],
-                                 timeout=2.0)
+        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs.timeout = 2.0
         try:
             obs.consume_batch((make_txn(ts=1.0),))
             os.kill(obs._workers[1].pid, signal.SIGKILL)
@@ -265,8 +265,8 @@ class TestWorkerFailure:
     def test_close_with_backlogged_queues(self):
         """close() must not deadlock on queue feeder threads even with
         undelivered batches sitting in every queue."""
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)],
-                                 batch_size=4)
+        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs.batch_size = 4
         obs.consume_batch([make_txn(ts=float(i), server_ip="192.0.2.%d" % i)
                            for i in range(64)])
         started = time.monotonic()
@@ -335,8 +335,7 @@ class TestOneMergePoint:
             replies = {0: self._shard_reply(0, 100),
                        1: self._shard_reply(1, 500)}
             pending = [replies[shard_id] for shard_id in order]
-            obs = ShardedObservatory(shards=2, datasets=[("srvip", 8)],
-                                     skip_recent_inserts=False)
+            obs = ShardedObservatory(shards=2, datasets=[("srvip", 8)])
             try:
                 monkeypatch.setattr(
                     obs, "_next_reply", lambda expect: pending.pop(0))

@@ -78,7 +78,7 @@ class TestCache:
         store.read("srvip")
         assert store.parses == 2
         store.read("srvip")
-        store.read("srvip", start_ts=60)
+        list(store.iter_range("srvip", start_ts=60))
         assert store.parses == 2
         assert store.cache_info()["hit_ratio"] > 0.5
 

@@ -84,7 +84,8 @@ class TestSketchBuffers:
     def test_runningmean_roundtrip(self):
         mean = RunningMean()
         mean.add(2.0)
-        mean.add(4.0, count=3)
+        for _ in range(3):
+            mean.add(4.0)
         back = roundtrip(mean)
         assert (back.count, back.mean) == (mean.count, mean.mean)
 
@@ -99,7 +100,7 @@ class TestSketchBuffers:
         assert back.to_buffers() == (meta, buffers)
 
     def test_topvalues_object_values_fall_back_inband(self):
-        top = TopValues()
+        top = TopValues(16)
         top.add("a")
         top.add(1.5)
         meta, buffers = top.to_buffers()

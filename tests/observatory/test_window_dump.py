@@ -11,7 +11,7 @@ def test_to_timeseries_roundtrip(tmp_path):
     dump = TimeSeriesData("srvip", "minutely", 120,
                           rows=[("192.0.2.1", {"hits": 7, "ok": 6})],
                           stats={"seen": 10, "kept": 7})
-    data = dump.to_timeseries()
+    data = dump.to_timeseries("minutely")
     assert data.granularity == "minutely"
     assert data.start_ts == 120
     back = read_tsv(write_tsv(str(tmp_path), data))

@@ -133,6 +133,13 @@ class TestRateLimit:
         with pytest.raises(ValueError):
             run_with_server(series_dir, lambda s, a: None, rate_limit=0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rate_limit_must_be_finite(self, series_dir, rate):
+        """nan passed the old ``<= 0`` check and turned the limiter
+        off; inf limited nothing either."""
+        with pytest.raises(ValueError, match="finite"):
+            run_with_server(series_dir, lambda s, a: None, rate_limit=rate)
+
 
 class TestVantageEndpoint:
     def test_vantage_groups(self, series_dir):

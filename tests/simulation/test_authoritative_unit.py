@@ -17,6 +17,7 @@ def world():
 
 def make_service(dns, **kw):
     kw.setdefault("unanswered_rate", 0.0)
+    kw.setdefault("wire_check_fraction", 0.0)
     return AuthoritativeService(dns.topology, dns.hub, **kw)
 
 

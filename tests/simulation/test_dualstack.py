@@ -8,7 +8,7 @@ from repro.netsim.addr import is_ipv6
 from repro.simulation.rng import RngHub
 from repro.simulation.scenario import Scenario
 from repro.simulation.topology import Topology
-from tests.util import run_scenario
+from tests.util import run_scenario, tuned
 
 
 class TestTopologyV6:
@@ -55,8 +55,8 @@ class TestTopologyV6:
 class TestV6Transport:
     @pytest.fixture(scope="class")
     def run(self):
-        return run_scenario(Scenario.tiny(
-            seed=91, duration=120.0, client_qps=40.0,
+        return run_scenario(tuned(Scenario.tiny(
+            seed=91, duration=120.0, client_qps=40.0),
             resolver_ipv6_fraction=0.5))
 
     def test_stream_contains_both_families(self, run):
@@ -78,8 +78,8 @@ class TestV6Transport:
         assert v6_servers <= set(registry)
 
     def test_disabled_when_fraction_zero(self):
-        _, txns = run_scenario(Scenario.tiny(
-            seed=91, duration=60.0, client_qps=20.0,
+        _, txns = run_scenario(tuned(Scenario.tiny(
+            seed=91, duration=60.0, client_qps=20.0),
             resolver_ipv6_fraction=0.0))
         assert not any(is_ipv6(t.server_ip) for t in txns)
 

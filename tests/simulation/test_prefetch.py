@@ -7,20 +7,21 @@ from repro.simulation.authoritative import AuthoritativeService
 from repro.simulation.buildout import build_global_dns
 from repro.simulation.resolver import RecursiveResolver
 from repro.simulation.scenario import Scenario
+from tests.util import tuned
 
 
 @pytest.fixture(scope="module")
 def world():
     dns = build_global_dns(Scenario.tiny(seed=71))
     service = AuthoritativeService(dns.topology, dns.hub,
-                                   unanswered_rate=0.0)
+                                   unanswered_rate=0.0,
+                                   wire_check_fraction=0.0)
     return dns, service
 
 
 def make_resolver(world, prefetch, ip="10.0.5.53"):
     dns, service = world
-    return RecursiveResolver(ip, dns, service, dns.hub,
-                             prefetch=prefetch, prefetch_window=15.0)
+    return RecursiveResolver(ip, dns, service, dns.hub, prefetch=prefetch)
 
 
 def target(world):
@@ -73,8 +74,8 @@ def test_disabled_by_default(world):
 def test_scenario_fraction_enables_prefetch():
     from repro.simulation.sie import SieChannel
 
-    channel = SieChannel(Scenario.tiny(
-        seed=72, duration=30.0, prefetch_resolver_fraction=1.0))
+    channel = SieChannel(tuned(Scenario.tiny(seed=72, duration=30.0),
+                               prefetch_resolver_fraction=1.0))
     assert all(r.prefetch for r in channel.resolvers)
     channel_off = SieChannel(Scenario.tiny(seed=72, duration=30.0))
     assert not any(r.prefetch for r in channel_off.resolvers)

@@ -14,7 +14,8 @@ from repro.simulation.scenario import Scenario
 def world():
     dns = build_global_dns(Scenario.tiny(seed=11))
     service = AuthoritativeService(dns.topology, dns.hub,
-                                   unanswered_rate=0.0)
+                                   unanswered_rate=0.0,
+                                   wire_check_fraction=0.0)
     return dns, service
 
 
@@ -228,7 +229,8 @@ class TestUnansweredQueries:
     def test_retries_and_servfail(self):
         dns = build_global_dns(Scenario.tiny(seed=12))
         service = AuthoritativeService(dns.topology, dns.hub,
-                                       unanswered_rate=1.0)  # total loss
+                                       unanswered_rate=1.0,  # total loss
+                                       wire_check_fraction=0.0)
         resolver = RecursiveResolver("10.0.0.53", dns, service, dns.hub)
         emitted = []
         result = resolver.resolve("www.example99.com", QTYPE.A, 0.0,

@@ -7,7 +7,7 @@ import pytest
 from repro.dnswire.constants import QTYPE, RCODE
 from repro.simulation.scenario import Scenario, TtlChange
 from repro.simulation.workload import WorkloadMix
-from tests.util import run_scenario
+from tests.util import run_scenario, tuned
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +139,8 @@ class TestScriptedRun:
 
 class TestWireCheck:
     def test_wire_path_agrees_with_fast_path(self):
-        scenario = Scenario.tiny(seed=4, duration=60.0,
-                                 wire_check_fraction=1.0)
+        scenario = tuned(Scenario.tiny(seed=4, duration=60.0),
+                         wire_check_fraction=1.0)
         channel, txns = run_scenario(scenario)
         assert channel.service.wire_checks > 100
         # Wire-parsed transactions carry real response sizes.

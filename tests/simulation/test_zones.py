@@ -119,7 +119,7 @@ class TestTldZone:
         tld = TldZone("com", [topo.allocate_nameserver("VERISIGN")],
                       registry_suffixes=())
         sld = SldZone("example.com",
-                      [topo.allocate_nameserver("AMAZON")], ns_ttl=86400)
+                      [topo.allocate_nameserver("AMAZON")])
         tld.register(sld)
         return tld, sld
 

@@ -9,7 +9,7 @@ from repro.sketches.bloom import BloomFilter, RotatingBloomFilter
 
 class TestBloomFilter:
     def test_no_false_negatives(self):
-        bf = BloomFilter(capacity=1000, error_rate=0.01)
+        bf = BloomFilter(capacity=1000)
         keys = ["key-%d" % i for i in range(500)]
         for key in keys:
             bf.add(key)
@@ -22,7 +22,7 @@ class TestBloomFilter:
         assert bf.add("x") is True
 
     def test_false_positive_rate_near_target(self):
-        bf = BloomFilter(capacity=2000, error_rate=0.01, seed=3)
+        bf = BloomFilter(capacity=2000, seed=3)
         for i in range(2000):
             bf.add("member-%d" % i)
         fp = sum(1 for i in range(10000) if ("other-%d" % i) in bf)
@@ -62,7 +62,7 @@ class TestBloomFilter:
         with pytest.raises(ValueError):
             BloomFilter(capacity=0)
         with pytest.raises(ValueError):
-            BloomFilter(capacity=10, error_rate=1.5)
+            BloomFilter(capacity=-10)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sets(st.text(min_size=1), min_size=1, max_size=50))
@@ -123,8 +123,7 @@ class TestOverflowRotation:
         assert len(rb._active) < rb.capacity
 
     def test_gate_keeps_gating_under_surge(self):
-        rb = RotatingBloomFilter(capacity=500, rotate_interval=1e9,
-                                 error_rate=0.01, seed=7)
+        rb = RotatingBloomFilter(capacity=500, rotate_interval=1e9)
         for i in range(20_000):
             rb.add("surge-%d" % i, now=float(i))
         # Bounded memory: the estimated FPR stays far from saturation.

@@ -27,7 +27,7 @@ class TestCountMinSketch:
             assert cms.estimate(key) >= count
 
     def test_overestimate_within_bound(self):
-        cms = CountMinSketch(width=1024, depth=5, seed=3)
+        cms = CountMinSketch(width=1024, depth=5)
         rng = random.Random(2)
         true = {}
         for _ in range(5000):
@@ -47,16 +47,17 @@ class TestCountMinSketch:
         assert cms.estimate("never-seen") <= error_bound(cms) + 1
 
     def test_add_with_count(self):
-        cms = CountMinSketch()
-        cms.add("x", count=10)
+        cms = CountMinSketch(2048, 4)
+        for _ in range(10):
+            cms.add("x")
         assert cms.estimate("x") >= 10
         assert cms.total == 10
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
-            CountMinSketch(width=0)
+            CountMinSketch(width=0, depth=4)
         with pytest.raises(ValueError):
-            CountMinSketch(depth=0)
+            CountMinSketch(width=2048, depth=0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=200))
@@ -84,13 +85,13 @@ class TestCmsTopK:
         assert {"heavy-%d" % i for i in range(5)} <= top_keys
 
     def test_capacity_respected(self):
-        topk = CmsTopK(capacity=3)
+        topk = CmsTopK(capacity=3, width=2048, depth=4)
         for i in range(100):
             topk.offer("k%d" % i)
         assert len(topk.top()) <= 3
 
     def test_top_ordering(self):
-        topk = CmsTopK(capacity=8, width=4096)
+        topk = CmsTopK(capacity=8, width=4096, depth=4)
         for count, key in ((30, "a"), (20, "b"), (10, "c")):
             for _ in range(count):
                 topk.offer(key)
@@ -98,10 +99,10 @@ class TestCmsTopK:
         assert ranked == ["a", "b", "c"]
 
     def test_membership(self):
-        topk = CmsTopK(capacity=4)
+        topk = CmsTopK(capacity=4, width=2048, depth=4)
         topk.offer("x")
         assert "x" in dict(topk.top())
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            CmsTopK(capacity=0)
+            CmsTopK(capacity=0, width=2048, depth=4)

@@ -24,17 +24,17 @@ def feed(sketch, pairs):
 
 class TestDistinctSpaceSaving:
     def test_ranks_by_distinct_not_volume(self):
-        sketch = DistinctSpaceSaving(capacity=16)
+        sketch = DistinctSpaceSaving(16, 11)
         # "loud" repeats one subdomain 1000x; "wide" sees 50 distinct
         feed(sketch, [("loud", "only-one")] * 1000)
         feed(sketch, [("wide", "sub-%d" % i) for i in range(50)])
-        top = sketch.top(2)
+        top = sketch.top()[:2]
         assert top[0][0] == "wide"
         assert top[0][1] == pytest.approx(50, abs=3)
         assert top[1] == ("loud", 1)
 
     def test_exact_while_capacity_unbound(self):
-        sketch = DistinctSpaceSaving(capacity=64)
+        sketch = DistinctSpaceSaving(64, 11)
         for k in range(10):
             feed(sketch, [("key%d" % k, "v%d" % v) for v in range(k + 1)])
         assert sketch.evictions == 0
@@ -42,7 +42,7 @@ class TestDistinctSpaceSaving:
             assert estimate(sketch, "key%d" % k) == k + 1
 
     def test_eviction_inherits_base(self):
-        sketch = DistinctSpaceSaving(capacity=2)
+        sketch = DistinctSpaceSaving(2, 11)
         feed(sketch, [("a", "v%d" % i) for i in range(10)])
         feed(sketch, [("b", "v%d" % i) for i in range(20)])
         before = estimate(sketch, "a")
@@ -55,7 +55,7 @@ class TestDistinctSpaceSaving:
 
     def test_estimate_never_underestimates_after_eviction(self):
         rng = random.Random(5)
-        sketch = DistinctSpaceSaving(capacity=8)
+        sketch = DistinctSpaceSaving(8, 11)
         truth = {}
         for _ in range(2000):
             key = "k%d" % rng.randrange(24)
@@ -68,24 +68,24 @@ class TestDistinctSpaceSaving:
 
     def test_merge_parameter_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            DistinctSpaceSaving(capacity=4).merge(
-                DistinctSpaceSaving(capacity=8))
+            DistinctSpaceSaving(4, 11).merge(
+                DistinctSpaceSaving(8, 11))
         with pytest.raises(TypeError):
-            DistinctSpaceSaving().merge(object())
+            DistinctSpaceSaving(2048, 11).merge(object())
 
     def test_pickle_roundtrip_protocol5(self):
-        sketch = feed(DistinctSpaceSaving(capacity=8),
+        sketch = feed(DistinctSpaceSaving(8, 11),
                       [("k%d" % (i % 5), "v%d" % i) for i in range(100)])
         clone = pickle.loads(pickle.dumps(sketch, protocol=5))
         assert clone.top() == sketch.top()
         assert clone.evictions == sketch.evictions
-        assert (clone.capacity, clone.precision, clone.seed) == \
-            (sketch.capacity, sketch.precision, sketch.seed)
+        assert (clone.capacity, clone.precision) == \
+            (sketch.capacity, sketch.precision)
         # the clone keeps working
         clone.offer("k0", hash64("new-value"))
 
     def test_buffer_roundtrip_identical(self):
-        sketch = feed(DistinctSpaceSaving(capacity=4),
+        sketch = feed(DistinctSpaceSaving(4, 11),
                       [("k%d" % (i % 6), "v%d" % i) for i in range(200)])
         clone = pickle.loads(pickle.dumps(sketch))
         assert clone.to_buffers() == sketch.to_buffers()
@@ -97,8 +97,8 @@ class TestDistinctSpaceSaving:
     def test_split_merge_matches_single_pass(self, pairs, salt):
         """Splitting a stream by hash and merging equals one pass --
         exactly, while capacity does not bind (no evictions)."""
-        whole = DistinctSpaceSaving(capacity=64)
-        parts = [DistinctSpaceSaving(capacity=64) for _ in range(2)]
+        whole = DistinctSpaceSaving(64, 11)
+        parts = [DistinctSpaceSaving(64, 11) for _ in range(2)]
         for key_id, value_id in pairs:
             key, value = "key%d" % key_id, "value%d" % value_id
             shard = hash64("%d|%s|%s" % (salt, key, value)) % 2
@@ -112,19 +112,19 @@ class TestDistinctSpaceSaving:
     def test_merge_is_order_insensitive(self):
         streams = [[("k%d" % ((i * j) % 7), "v%d" % (i + 97 * j))
                     for i in range(120)] for j in range(3)]
-        forward = DistinctSpaceSaving(capacity=32)
-        backward = DistinctSpaceSaving(capacity=32)
+        forward = DistinctSpaceSaving(32, 11)
+        backward = DistinctSpaceSaving(32, 11)
         for stream in streams:
-            forward.merge(feed(DistinctSpaceSaving(capacity=32), stream))
+            forward.merge(feed(DistinctSpaceSaving(32, 11), stream))
         for stream in reversed(streams):
-            backward.merge(feed(DistinctSpaceSaving(capacity=32), stream))
+            backward.merge(feed(DistinctSpaceSaving(32, 11), stream))
         assert forward.to_buffers() == backward.to_buffers()
 
     def test_merge_truncates_to_capacity(self):
-        left = feed(DistinctSpaceSaving(capacity=4),
+        left = feed(DistinctSpaceSaving(4, 11),
                     [("l%d" % k, "v%d" % v)
                      for k in range(4) for v in range(k + 1)])
-        right = feed(DistinctSpaceSaving(capacity=4),
+        right = feed(DistinctSpaceSaving(4, 11),
                      [("r%d" % k, "v%d" % v)
                       for k in range(4) for v in range(k + 10)])
         left.merge(right)

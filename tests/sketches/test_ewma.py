@@ -35,7 +35,8 @@ class TestForwardDecay:
         assert fd.rate(w, 60.0) == pytest.approx(rate_before)
 
     def test_needs_renormalize_threshold(self):
-        fd = ForwardDecay(tau=1.0, max_exponent=10.0)
+        fd = ForwardDecay(tau=1.0)
+        fd.max_exponent = 10.0
         assert not fd.needs_renormalize(9.0)
         assert fd.needs_renormalize(11.0)
 

@@ -53,7 +53,8 @@ class TestLogHistogram:
 
     def test_count_multiplicity(self):
         h = LogHistogram()
-        h.add(5.0, count=10)
+        for _ in range(10):
+            h.add(5.0)
         assert h.count == 10
         assert h.mean == pytest.approx(5.0)
 
@@ -166,8 +167,9 @@ class TestRunningMean:
 
     def test_weighted(self):
         m = RunningMean()
-        m.add(10.0, count=3)
-        m.add(0.0, count=1)
+        for _ in range(3):
+            m.add(10.0)
+        m.add(0.0)
         assert m.mean == pytest.approx(7.5)
 
     def test_merge(self):

@@ -17,7 +17,7 @@ def test_exact_when_under_capacity():
 
 
 def test_empty_tracker():
-    tv = TopValues()
+    tv = TopValues(16)
     assert tv.top() == []
     assert tv.distribution() == {}
     assert tv.replaced == 0
@@ -64,7 +64,7 @@ def test_distribution_sums_to_at_most_one():
 
 
 def test_count_multiplicity():
-    tv = TopValues()
+    tv = TopValues(16)
     tv.add(60, count=7)
     assert tv.top(1) == [(60, 7)]
     assert tv.total == 7
@@ -83,7 +83,7 @@ def test_merge_preserves_totals():
 
 def test_merge_rejects_wrong_type():
     with pytest.raises(TypeError):
-        TopValues().merge({})
+        TopValues(16).merge({})
 
 
 def test_rejects_bad_capacity():

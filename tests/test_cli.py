@@ -227,11 +227,6 @@ def test_serve_command_serves_fixture(tmp_path, capsys):
     assert box.get("rc") == 0
 
 
-def test_serve_rejects_bad_max_connections(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["serve", str(tmp_path), "--max-connections", "0"])
-
-
 def test_replay_sharded_matches_single(tmp_path, capsys):
     stream = tmp_path / "stream.tsv"
     main(["simulate", "--seed", "8", "--duration", "130", "--qps", "20",
@@ -457,6 +452,39 @@ class TestBadIngestArgs:
         stream.write_text(make_txn().to_line() + "\n")
         out = str(tmp_path / "out")
         argv = {"replay": ["replay", str(stream), out],
+                "run": ["run", out, "--port", "0", "--exit-when-done",
+                        "--input", str(stream)]}[command]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not os.path.exists(out)
+
+
+#: serving flags both subcommands used to die on (exit 1, traceback)
+CRASHING_SERVING_FLAGS = [["--rate-limit", "0"], ["--rate-limit", "-1"],
+                          ["--max-connections", "0"]]
+#: serving flags the server used to take silently (nan and inf turned
+#: the limiter off, a zero burst became 1); only ``run`` is driven
+#: with them, because at the old code ``serve`` would serve forever
+SILENT_SERVING_FLAGS = [["--rate-limit", "nan"], ["--rate-limit", "inf"],
+                        ["--rate-burst", "0"]]
+
+
+class TestBadServingArgs:
+    """An out-of-range serving flag is a usage error like an ingest
+    flag: one ``error:`` line on stderr and exit 2, on both
+    subcommands that serve."""
+
+    @pytest.mark.parametrize("given", [
+        [command] + flags for command in ("serve", "run")
+        for flags in CRASHING_SERVING_FLAGS] + [
+        ["run"] + flags for flags in SILENT_SERVING_FLAGS], ids=" ".join)
+    def test_exits_2_with_one_line(self, given, tmp_path, capsys):
+        command, *flags = given
+        stream = tmp_path / "stream.tsv"
+        stream.write_text(make_txn().to_line() + "\n")
+        out = str(tmp_path / "out")
+        argv = {"serve": ["serve", str(tmp_path), "--port", "0"],
                 "run": ["run", out, "--port", "0", "--exit-when-done",
                         "--input", str(stream)]}[command]
         assert main(argv + flags) == 2

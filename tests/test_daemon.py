@@ -269,7 +269,7 @@ def test_stdin_lines_yields_every_line_of_one_write():
     guard = threading.Timer(2.0, stop.set)  # a held-back line ends it
     guard.start()
     try:
-        lines = stdin_lines(stop, read_fd, poll_seconds=0.05)
+        lines = stdin_lines(stop, read_fd)
         os.write(write_fd, b"one\ntwo\nthr")
         assert next(lines, None) == b"one"
         assert next(lines, None) == b"two"  # the pipe is still open

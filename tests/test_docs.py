@@ -75,18 +75,24 @@ def test_all_benches_are_documented():
 def test_unreached_allow_list_names_real_functions():
     """Every line of ``tests/tools/unreached_allow.txt`` parses, carries
     a reason from the closed set (``load_allow`` raises otherwise) and
-    names a function that exists; whether the list is *complete* is the
-    CI ``reach`` job's question (it has to run the traffic)."""
+    names a function, a defaulted parameter (``path:function(param)``)
+    or a ``repro`` CLI flag (``--flag``) that exists; whether the list
+    is *complete* is the CI ``reach`` job's question (it has to run the
+    traffic)."""
     from tests.tools import unreached
 
     allowed = unreached.load_allow()
     assert allowed
-    known = set(unreached.functions().values())
+    assert any(name.endswith(")") for name in allowed)
+    assert any(name.startswith("--") for name in allowed)
+    known = set(unreached.functions().values()) | unreached.repro_flags()
+    for names in unreached.parameters().values():
+        known.update(names)
     assert sorted(name for name in allowed if name not in known) == []
     # each paper-experiment entry has its sentence in DESIGN §4
     design = read("DESIGN.md")
     section = design.split("## 4. Per-experiment index")[1].split("## 5.")[0]
     for name, reason in allowed.items():
         if reason.startswith("paper"):
-            function = name.split(":")[1].split(".")[0]
+            function = name.split(":")[1].split("(")[0].split(".")[0]
             assert function in section, "%s is not in DESIGN §4" % name

@@ -328,8 +328,8 @@ def test_store_answers_match_raw_read_series(differential_tree, seed):
         if lo is not None and hi is not None and hi <= lo:
             lo, hi = hi, lo
         raw = read_series(differential_tree, dataset, "minutely", lo, hi)
-        assert snapshot(store.read(dataset, "minutely", lo, hi)) == \
-            snapshot(raw)
+        assert snapshot(list(store.iter_range(
+            dataset, "minutely", lo, hi))) == snapshot(raw)
         # the streaming iterator walks the same windows in the same
         # order as the materializing read
         streamed = store.iter_range(dataset, "minutely", lo, hi)
@@ -580,10 +580,10 @@ def test_segment_store_matches_text_parse(segment_tree, seed):
         hi = rng.choice([None, rng.uniform(-60, 480)])
         if lo is not None and hi is not None and hi <= lo:
             lo, hi = hi, lo
-        assert snapshot(seg.read(dataset, "minutely", lo, hi)) == \
-            snapshot(tsv.read(dataset, "minutely", lo, hi))
-        assert seg.accumulate(dataset, "minutely", lo, hi) == \
-            tsv.accumulate(dataset, "minutely", lo, hi)
+        assert snapshot(list(seg.iter_range(dataset, "minutely", lo, hi))) \
+            == snapshot(list(tsv.iter_range(dataset, "minutely", lo, hi)))
+        assert seg.accumulate(dataset, lo, hi) == \
+            tsv.accumulate(dataset, lo, hi)
         assert seg.topk(dataset, n=5, start_ts=lo, end_ts=hi) == \
             tsv.topk(dataset, n=5, start_ts=lo, end_ts=hi)
     # the fast path really ran: all cold reads came from sidecars

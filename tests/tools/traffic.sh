@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # The program's traffic, defined once: every CLI subcommand with every
-# flag group the CI smokes and README use, the paper benches, the three
-# --check scripts, the perf ledger and the examples.  tests/ is not
-# traffic.  tests/tools/unreached.py runs this under its profile hook
-# and reports every function in src/repro that nothing here reaches.
+# flag group the CI smokes and README use (with the compact and
+# live-detection assertions), the paper benches, the three --check
+# scripts, the perf ledger and the examples.  tests/ is not traffic.
+# tests/tools/unreached.py runs this under its profile hook and reports
+# every function in src/repro that nothing here reaches, every
+# defaulted parameter and every CLI flag that nothing here sets.
 #
 #   usage: traffic.sh WORKDIR      (run from the repository root)
 set -eu
@@ -18,7 +20,7 @@ trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 $R simulate --preset tiny --duration 660 --qps 25 -o "$W/stream.tsv" \
     --vantage-db "$W/vantage.tsv"
 $R simulate --preset tiny --seed 2019 --duration 480 --qps 30 \
-    --attack tunnel:180:20 --attack watertorture:180:25:400 \
+    --attack tunnel:180:20 --attack watertorture:180:25 \
     -o "$W/attacks.tsv" --labels "$W/labels.json"
 $R simulate --preset tiny --seed 2019 --duration 240 --qps 25 \
     --encrypted-fraction 0 -o "$W/enc0.tsv"
@@ -27,7 +29,8 @@ $R simulate --preset tiny --seed 2019 --duration 240 --qps 25 \
 $R simulate --preset tiny --seed 2019 --duration 240 --qps 25 \
     --encrypted-fraction 0.5 --doh-share 0.7 --padding-block 468 \
     -o "$W/enc50.tsv"
-$R simulate --preset tiny --duration 30 --qps 10 > /dev/null
+$R simulate --preset tiny --seed 7 --duration 30 --qps 10 \
+    --attack tunnel:5:5:20 > /dev/null
 
 # -- replay: single, sharded (one tree aggregated, one served), stdin --
 FULL="--segments --telemetry --detectors --vantage $W/vantage.tsv"
@@ -44,12 +47,47 @@ $R replay - "$W/enc-out-50" --shards 2 < "$W/enc50.tsv"
 $R replay "$W/enc0.tsv" "$W/all-keys" --k 300 \
     --datasets srvip qname esld etld qtype rcode aafqdn srcsrv
 
-# -- aggregate (660 s: a decaminutely roll-up is written), compact ----
-cp -r "$W/single" "$W/plain"
+# -- compact, aggregate (660 s: a decaminutely roll-up is written) ----
+# plain: the single tree's TSVs, with the compactor's sidecars in place
+# of the ones the emitter packed from memory
+mkdir "$W/plain"
+cp "$W/single"/*.tsv "$W/plain"
+$R compact "$W/plain"
+$R compact "$W/plain"   # the second pass finds every sidecar current
+$R compact "$W/plain" --dataset srvip --granularity minutely
+python - "$W/single" "$W/plain" <<'EOF'
+import os, sys
+from repro.observatory.segments import read_segment
+from repro.observatory.store import SeriesStore
+
+memory, compacted = sys.argv[1:]
+seg = SeriesStore(compacted, cache_windows=0)
+tsv = SeriesStore(compacted, cache_windows=0, use_segments=False)
+for dataset in ("srvip", "qname", "qtype"):
+    assert seg.accumulate(dataset) == tsv.accumulate(dataset), dataset
+    assert seg.topk(dataset, n=10) == tsv.topk(dataset, n=10), dataset
+assert seg.segment_reads > 0 and seg.parses == 0, \
+    (seg.segment_reads, seg.parses)
+
+def typed(window):
+    return (window.dataset, window.granularity, window.start_ts,
+            window.columns, window.keys, window.stats,
+            [[(type(cell), cell) for cell in cells]
+             for cells in window.values])
+
+# the sidecars the emitter packed from memory equal the compactor's,
+# column by column, types included
+names = sorted(name for name in os.listdir(memory) if name.endswith(".seg"))
+assert names and names == sorted(
+    name for name in os.listdir(compacted) if name.endswith(".seg")), names
+for name in names:
+    assert typed(read_segment(os.path.join(memory, name))) == \
+        typed(read_segment(os.path.join(compacted, name))), name
+EOF
+# no retention: plain keeps its minutely windows under the roll-ups
+$R aggregate "$W/plain"
 $R aggregate "$W/single" --segments --retention-now 1e9
 $R aggregate "$W/sharded-retained" --retention-now 1e9 --retention-force
-$R compact "$W/plain"
-$R compact "$W/plain" --dataset srvip --granularity minutely
 no2 $R aggregate "$W/no-such-tree"
 no2 $R compact "$W/no-such-tree"
 # many short windows: the fold, roll-up sidecars and retention at depth
@@ -62,14 +100,14 @@ $R report --preset tiny --duration 180 --csv-dir "$W/csv" > /dev/null
 printf 'latency: flush.flush_mean_ms > 100000\n' > "$W/rules.txt"
 ok3 $R report --platform "$W/sharded"
 ok3 $R report --platform "$W/sharded" --rules "$W/rules.txt"
-ok3 $R report --detect "$W/attacked" --labels "$W/labels.json"
+$R report --detect "$W/attacked" --labels "$W/labels.json"   # floors met
 ok3 $R report --blindness "$W/enc-out-0" "$W/enc-out-50"
 
 # -- serve: every route, 304/404/SSE/long-poll, auth, rate limit ------
 $R serve "$W/sharded" --port 18053 --follow --token t0k --rate-limit 5 \
     --rate-burst 60 --stream-threshold 0 --rules "$W/rules.txt" &
 SERVE=$!
-$R serve "$W/enc-out-0" --port 18054 --cache-windows 8 &
+$R serve "$W/plain" --port 18054 --cache-windows 8 &
 PLAIN=$!
 python - <<'EOF'
 import json, time, urllib.error, urllib.request
@@ -141,6 +179,13 @@ expect(200, 18054, "/topk/srvip")
 expect(200, 18054, "/series/srvip")
 expect(200, 18054, "/vantage")
 expect(200, 18054, "/platform/health")
+# the roll-ups, by granularity and time range
+_, _, body = expect(200, 18054, "/topk/srvip?n=1&granularity=decaminutely"
+                    "&start=0&end=3600")
+coarse = json.loads(body)["top"][0]["key"]
+expect(200, 18054, "/topk/windows/srvip?n=2&granularity=decaminutely")
+expect(200, 18054, "/key/srvip/%s?granularity=decaminutely&start=0&end=3600"
+       % coarse)
 EOF
 kill -TERM $SERVE $PLAIN
 wait $SERVE $PLAIN
@@ -185,6 +230,35 @@ $R run "$W/live-file" --input "$W/enc50.tsv" --pace 0 --port 18056 \
 for dataset in _encrypted _vantage_asn _vantage_cc; do
     ls "$W/live-file/$dataset".minutely.*.tsv > /dev/null
 done
+# a live water-torture flood trips detect-ddos in /platform/health: two
+# quiet warm-up windows, then ~600 distinct names a window (floor 400)
+$R run "$W/live-detect" --preset tiny --duration 120 --qps 30 --window 10 \
+    --pace 4 --port 18058 --datasets srvip --detectors \
+    --attack watertorture:30:60:110 &
+RUN=$!
+python - <<'EOF'
+import json, time, urllib.request
+verdicts = {}
+deadline = time.monotonic() + 120.0
+while time.monotonic() < deadline:
+    try:
+        with urllib.request.urlopen(
+                "http://127.0.0.1:18058/platform/health", timeout=20) as resp:
+            health = json.load(resp)
+    except OSError:
+        time.sleep(0.2)
+        continue
+    verdicts = {v["rule"]: v["status"] for v in health["verdicts"]}
+    assert "detect-ddos" in verdicts, sorted(verdicts)
+    if verdicts["detect-ddos"] == "fail":
+        break
+    time.sleep(0.5)
+else:
+    raise SystemExit("detect-ddos never fired: %s" % verdicts)
+EOF
+kill -TERM $RUN
+wait $RUN
+ls "$W/live-detect"/_detector.minutely.*.tsv > /dev/null
 # SIGTERM mid-stream: the daemon cuts the open window and exits 0
 head -2000 "$W/stream.tsv" | $R run "$W/live-stdin" --input - --window 5 \
     --pace 8 --port 18057 &

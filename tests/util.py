@@ -63,3 +63,13 @@ def cut_windows(pipeline, txns):
     for window in pipeline.consume_batch(list(txns)) + pipeline.finish():
         windows.setdefault(window.dataset, []).append(window)
     return windows
+
+
+def tuned(obj, **constants):
+    """*obj* with some of its class-level constants overridden on the
+    instance (the thresholds and model constants that are not
+    constructor arguments)."""
+    for name, value in constants.items():
+        assert hasattr(obj, name), name
+        setattr(obj, name, value)
+    return obj

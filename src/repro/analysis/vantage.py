@@ -17,10 +17,9 @@ computed per group:
 
 The derived ``_vantage_asn`` / ``_vantage_cc`` meta-datasets ride the
 normal TSV/segments/serving chain (``/vantage`` on the HTTP API) and
-are byte-identical between sharded and single-process runs: the
-derivation is a pure function of the emitted ``srvip`` dump, whose
-cells are the values its file holds -- so the indices are exactly
-reproducible from the ``srvip`` files alone.
+are a pure function of the emitted ``srvip`` dump, whose cells are the
+values its file holds -- so the indices are exactly reproducible from
+the ``srvip`` files alone.
 """
 
 from repro.netsim.asdb import AsDatabase
@@ -197,9 +196,7 @@ class VantageEmitter:
     produces two derived windows that flow through the same sink (and
     hence TSV/serving chain).  Derivation reads the source window's
     cells -- the values its file holds -- and is deterministic and
-    side-effect free, so the sharded and single-process paths, whose
-    *source* dumps are byte-identical, emit byte-identical vantage
-    series too.
+    side-effect free.
     """
 
     #: dataset whose dumps feed the derivation

@@ -199,8 +199,9 @@ def _add_ingest_args(parser):
                         help="statistics window seconds (the paper "
                              "dumps every 60 s)")
     parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="ingest with N sharded worker processes "
-                             "(1 = single-process)")
+                        help="ingest with up to N worker processes, one "
+                             "per dataset/_detector/_encrypted channel at "
+                             "most (1 = single-process)")
     parser.add_argument("--segments", action="store_true",
                         help="build a columnar sidecar segment next to "
                              "every TSV window written, so cold queries "
@@ -308,7 +309,7 @@ def cmd_replay(args):
     obs.finish()
     print("replayed %d transactions into %s%s%s" % (
         obs.total_seen, args.output_dir,
-        " (%d shards)" % args.shards if args.shards > 1 else "",
+        " (%d shards)" % obs.shards if obs.shards > 1 else "",
         _report_skipped(parsed)))
     for name, ratio in sorted(obs.capture_ratios().items()):
         print("  %-8s capture %.1f%%" % (name, ratio * 100))
@@ -549,7 +550,7 @@ def cmd_run(args):
         print("live daemon: %s -> %s on http://%s:%d  "
               "(window=%gs, pace=%g, shards=%d)"
               % (what, args.output_dir, srv.host, srv.port,
-                 args.window, args.pace, args.shards))
+                 args.window, args.pace, daemon.observatory.shards))
         sys.stdout.flush()
 
     daemon = LiveDaemon(

@@ -1,8 +1,7 @@
 """Streaming abuse detection on the sketch layer.
 
 See :mod:`repro.detect.base` for the detector protocol and the
-accumulator/scorer split that keeps sharded runs bit-identical to a
-single process.  The package exposes a small registry so CLI flags
+accumulator/scorer split.  The package exposes a small registry so CLI flags
 (``--detectors``) and the daemon can build detectors by name::
 
     detectors = build_detectors(True)          # all defaults
@@ -14,8 +13,7 @@ rows into ``/platform/health`` verdicts.
 """
 
 from repro.detect.base import (DEFAULT_DETECTORS, DETECTOR_DATASET,
-                               Detector, DetectorWindowState,
-                               qname_info_millibits)
+                               Detector, qname_info_millibits)
 from repro.detect.ddos import DdosDetector
 from repro.detect.exfil import ExfilDetector
 from repro.detect.noh import NohDetector
@@ -58,28 +56,16 @@ class DetectorSet:
 
     def __init__(self, detectors):
         self.detectors = list(detectors)
-        by_name = {}
+        names = set()
         for det in self.detectors:
-            if det.name in by_name:
+            if det.name in names:
                 raise ValueError("duplicate detector %r" % det.name)
-            by_name[det.name] = det
-        self._by_name = by_name
+            names.add(det.name)
 
     def observe_batch(self, txns):
         """Feed transactions to every detector."""
         for det in self.detectors:
             det.observe_batch(txns)
-
-    def take_states(self, start_ts):
-        """Window states a shard ships, one per detector."""
-        return [DetectorWindowState(det.name, start_ts, det.take_state())
-                for det in self.detectors]
-
-    def absorb(self, state):
-        det = self._by_name.get(state.name)
-        if det is None:
-            raise ValueError("state for unknown detector %r" % state.name)
-        det.absorb(state.payload)
 
     def cut(self, start_ts, end_ts):
         """Score the window across all detectors; concatenated rows."""
@@ -94,7 +80,6 @@ __all__ = [
     "DETECTOR_DATASET",
     "Detector",
     "DetectorSet",
-    "DetectorWindowState",
     "DdosDetector",
     "ExfilDetector",
     "NohDetector",

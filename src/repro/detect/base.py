@@ -14,21 +14,12 @@ rides).  Three concrete detectors live in this package:
 * ``noh`` -- newly-observed-hostname tracking for tunneling, backed
   by rotating Bloom generations.
 
-Sharding and bit-identity
--------------------------
-Every detector is split into a per-window **accumulator** and a
-cross-window **scorer**.  The accumulator ingests transactions and is
-*mergeable with order-invariant exact operations only* -- integer
-sums (per-qname entropy is quantized to integer milli-bits before
-summing), HLL register max, set union.  Shard workers run accumulators
-and ship them at every cut as :class:`DetectorWindowState` in the same
-pickled ``WindowState`` as the tracker states; the coordinator absorbs
-them in shard order and scores.  The scorer (EWMA baselines, Bloom
-generations, flag logic) runs only where windows are emitted -- the
-single-process :class:`~repro.observatory.pipeline.Observatory` or the
-sharded coordinator -- so its floating-point path is single-threaded
-and the ``_detector`` series is bit-identical between a sharded run
-and a single process.
+Every detector is split into a per-window **accumulator** (fed by
+``observe``, reset by ``cut``) and a cross-window **scorer** (EWMA
+baselines, Bloom generations, flag logic) that runs at ``cut``.  The
+detector set is one window channel: in a sharded run one worker owns
+it and sees every transaction, so the ``_detector`` series is the
+single-process series byte for byte.
 """
 
 import math
@@ -42,30 +33,12 @@ DETECTOR_DATASET = "_detector"
 DEFAULT_DETECTORS = ("exfil", "ddos", "noh")
 
 
-class DetectorWindowState:
-    """One detector's accumulator for one window, shipped shard ->
-    coordinator next to the tracker's ShardWindowState."""
-
-    __slots__ = ("name", "start_ts", "payload")
-
-    dataset = DETECTOR_DATASET
-
-    def __init__(self, name, start_ts, payload):
-        self.name = name
-        self.start_ts = start_ts
-        self.payload = payload
-
-    def __repr__(self):
-        return "DetectorWindowState(%s, %d)" % (self.name, self.start_ts)
-
-
 def qname_info_millibits(subdomain):
     """Information content of one qname's subdomain part, in integer
     milli-bits: Shannon character entropy times the subdomain length.
 
-    The quantization matters: shards sum these per eSLD, and integer
-    addition is order-invariant where float addition is not -- the
-    foundation of the sharded/single bit-identity guarantee."""
+    The quantization keeps the per-eSLD sum an exact integer, so it
+    does not depend on the order qnames arrive in."""
     n = len(subdomain)
     if n == 0:
         return 0
@@ -82,16 +55,14 @@ def qname_info_millibits(subdomain):
 class Detector:
     """Base class: eSLD extraction plus the shared EWMA flag logic.
 
-    Subclasses implement ``observe`` (feed the accumulator),
-    ``take_state``/``absorb`` (ship/merge accumulators across shards)
-    and ``cut`` (score the window and emit rows).  Emitted row keys
+    Subclasses implement ``observe`` (feed the accumulator) and
+    ``cut`` (score the window and emit rows).  Emitted row keys
     are ``<name>.<esld>`` plus one summary row keyed by the bare
     detector name -- the component the ``DETECTOR_RULES`` alert rules
     match on.
 
-    The thresholds are class attributes, the same in every process: a
-    shard worker builds its detectors by name and the coordinator's
-    scorer must agree with it.
+    The thresholds are class attributes; a test or bench that tunes
+    one sets it on the instance.
     """
 
     name = "detector"
@@ -130,16 +101,6 @@ class Detector:
         observe = self.observe
         for txn in txns:
             observe(txn)
-
-    # -- shard state ----------------------------------------------------
-
-    def take_state(self):
-        """Export and reset the window accumulator (shard flush)."""
-        raise NotImplementedError
-
-    def absorb(self, state):
-        """Merge a shipped accumulator into ours (coordinator)."""
-        raise NotImplementedError
 
     # -- scorer ---------------------------------------------------------
 

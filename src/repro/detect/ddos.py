@@ -9,10 +9,8 @@ The detector ranks eSLDs by distinct-FQDN count per window on a
 (Space-Saving slots carrying a small HyperLogLog each) and flags keys
 whose distinct count jumps over their own EWMA baseline.
 
-The sketch is the accumulator: shards ship theirs at every cut and
-the coordinator merges them (HLL register max + error-base addition),
-which is exact -- and therefore bit-identical to single-process --
-while the slot capacity does not bind.
+The sketch is the window accumulator; ``cut`` ranks it and starts a
+fresh one.
 """
 
 from repro.detect.base import Detector
@@ -38,17 +36,6 @@ class DdosDetector(Detector):
         if esld is None:
             return
         self._sketch.offer(esld, hash64(txn.qname.lower().rstrip(".")))
-
-    def take_state(self):
-        sketch = self._sketch
-        self._sketch = DistinctSpaceSaving(self.capacity, self.precision)
-        return ("ddos-v1", sketch)
-
-    def absorb(self, state):
-        tag, sketch = state
-        if tag != "ddos-v1":
-            raise ValueError("unknown ddos state %r" % (tag,))
-        self._sketch.merge(sketch)
 
     def cut(self, start_ts, end_ts):
         sketch = self._sketch

@@ -11,10 +11,8 @@ EWMA baseline.
 
 The accumulator is a plain dict ``esld -> [queries, milli_bits]``;
 per-qname information is quantized to integer milli-bits *before*
-summing so shard merges are exact integer additions (order-invariant,
-hence bit-identical to a single-process pass).  Memory is bounded by
-the number of distinct eSLDs per window, and emitted rows are capped
-at ``topn``.
+summing, so the sums are exact.  Memory is bounded by the number of
+distinct eSLDs per window, and emitted rows are capped at ``topn``.
 """
 
 from repro.detect.base import Detector, qname_info_millibits
@@ -53,23 +51,6 @@ class ExfilDetector(Detector):
                 self._info_memo.clear()
             self._info_memo[norm] = millibits
         cell[1] += millibits
-
-    def take_state(self):
-        acc, self._acc = self._acc, {}
-        return ("exfil-v1", acc)
-
-    def absorb(self, state):
-        tag, acc = state
-        if tag != "exfil-v1":
-            raise ValueError("unknown exfil state %r" % (tag,))
-        mine = self._acc
-        for esld, (queries, millibits) in acc.items():
-            cell = mine.get(esld)
-            if cell is None:
-                mine[esld] = [queries, millibits]
-            else:
-                cell[0] += queries
-                cell[1] += millibits
 
     def cut(self, start_ts, end_ts):
         acc, self._acc = self._acc, {}

@@ -7,13 +7,11 @@ generations and, per window, counts each eSLD's *newly observed*
 hostnames; an eSLD whose NOH count jumps over its own EWMA baseline is
 flagged.
 
-Shards cannot share a Bloom filter mid-window, so novelty is *not*
-decided at observe time.  The accumulator only collects per-eSLD sets
-of 64-bit hostname hashes (exact, union-mergeable); the scorer -- the
-single place windows are emitted -- owns the Bloom generations and
-replays each window's hashes against them in sorted order at cut
-time.  Sorted replay plus set-union accumulators make the sharded
-``_detector`` output bit-identical to a single process.
+Novelty is *not* decided at observe time.  The accumulator only
+collects per-eSLD sets of 64-bit hostname hashes; the scorer owns the
+Bloom generations and replays each window's hashes against them in
+sorted order at cut time, so the Bloom insert order (and with it the
+rare false-positive pattern) does not depend on arrival order.
 """
 
 from repro.detect.base import Detector
@@ -48,31 +46,14 @@ class NohDetector(Detector):
         else:
             hashes.add(qname_hash)
 
-    def take_state(self):
-        acc, self._acc = self._acc, {}
-        return ("noh-v1", acc)
-
-    def absorb(self, state):
-        tag, acc = state
-        if tag != "noh-v1":
-            raise ValueError("unknown noh state %r" % (tag,))
-        mine = self._acc
-        for esld, hashes in acc.items():
-            seen = mine.get(esld)
-            if seen is None:
-                mine[esld] = set(hashes)
-            else:
-                seen |= hashes
-        return self
-
     def cut(self, start_ts, end_ts):
         acc, self._acc = self._acc, {}
         bloom = self._bloom
         noh = {}
         distinct = {}
-        # Sorted replay: iteration order must not depend on how the
-        # stream was sharded, or Bloom insert order (and with it the
-        # rare false-positive pattern) would differ between runs.
+        # Sorted replay: iteration order must not depend on arrival
+        # order, or Bloom insert order (and with it the rare
+        # false-positive pattern) would differ between runs.
         for esld in sorted(acc):
             hashes = acc[esld]
             fresh = 0

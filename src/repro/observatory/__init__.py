@@ -25,8 +25,8 @@ G) the read path serves them back: an indexed, cached
 
 The :class:`~repro.observatory.pipeline.Observatory` facade wires all
 of this together; :class:`~repro.observatory.sharded.ShardedObservatory`
-scales the same pipeline across worker processes with mergeable
-sketches.
+scales the same pipeline across worker processes, each owning whole
+channels (a dataset, the detectors, ``_encrypted``).
 """
 
 from repro.observatory.features import FeatureSet

@@ -131,7 +131,7 @@ def parse_rules(text):
 #: The ROADMAP's alert-thresholds item, as shipped defaults: capture
 #: floor (§3.1 coverage collapsing is the primary quality signal),
 #: Bloom-gate FPR ceiling (a saturated gate silently drops new heavy
-#: hitters), worker liveness (a dead shard bleeds its partition), and
+#: hitters), worker liveness (a dead worker stops its channels), and
 #: a flush-latency p95 ceiling (flushes stealing the ingest budget).
 DEFAULT_RULES = tuple(parse_rules("""
 capture-floor:   tracker.*.capture_ratio >= 0.5 for 2 windows

@@ -20,11 +20,8 @@ Two pieces:
 
 * :class:`EncryptedChannelAggregator` -- the pipeline-side consumer.
   It folds blinded transactions into per-window, per-(transport,
-  resolver) size/timing accumulators built from integers only, so a
-  sharded run merges worker states exactly and the ``_encrypted``
-  series -- ``#stats`` trailer included -- is byte-identical to a
-  single process (the same accumulator/scorer promise
-  :mod:`repro.detect` makes for ``_detector``).
+  resolver) size/timing accumulators built from integers only, so the
+  rows do not depend on the order records arrive in.
 
 The dataset rides the normal TSV/segments/serving chain under the
 reserved name :data:`ENCRYPTED_DATASET`.
@@ -96,30 +93,8 @@ def encrypt_observation(txn, transport, padding_block=128):
     )
 
 
-class EncryptedWindowState:
-    """One shard's ``_encrypted`` accumulators for one window.
-
-    Shipped from shard workers to the coordinator inside the pickled
-    ``WindowState``; the payload is a plain dict of integer lists.
-    """
-
-    __slots__ = ("start_ts", "payload")
-
-    dataset = ENCRYPTED_DATASET
-
-    def __init__(self, start_ts, payload):
-        self.start_ts = start_ts
-        #: ``{"<transport>|<resolver_ip>": [queries, answered, bytes,
-        #: size_min, size_max, delay_us_sum, delay_us_min,
-        #: delay_us_max]}``
-        self.payload = payload
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        return "EncryptedWindowState(%s, %d keys)" % (
-            self.start_ts, len(self.payload))
-
-
-# accumulator slot indices (integer-only, order-invariant merges)
+# accumulator slot indices (integer-only, order-invariant folds): one
+# list per ``"<transport>|<resolver_ip>"``
 _QUERIES, _ANSWERED, _BYTES = 0, 1, 2
 _SIZE_MIN, _SIZE_MAX = 3, 4
 _DELAY_SUM, _DELAY_MIN, _DELAY_MAX = 5, 6, 7
@@ -153,14 +128,9 @@ ENCRYPTED_COLUMNS = [
 class EncryptedChannelAggregator:
     """Fold blinded transactions into per-window channel features.
 
-    One instance per pipeline (or per shard worker); the window
-    manager calls :meth:`observe`/:meth:`observe_batch` with blinded
-    transactions only, then either :meth:`cut` (single process:
-    emit rows) or :meth:`take_state` (shard worker: ship the raw
-    accumulators).  The coordinator :meth:`absorb`-s worker states
-    and cuts once -- because every accumulator field is an integer
-    sum/min/max, the merged emit is byte-identical to a
-    single-process run over the same stream.
+    One instance per pipeline; the window manager calls
+    :meth:`observe_batch` with blinded transactions only, then
+    :meth:`cut` at every window boundary.
     """
 
     def __init__(self):
@@ -195,23 +165,6 @@ class EncryptedChannelAggregator:
         for txn in txns:
             observe(txn)
 
-    # -- shard protocol -------------------------------------------------
-
-    def take_state(self, start_ts):
-        """Detach this window's accumulators as a shippable state."""
-        payload = self._slots
-        self._slots = {}
-        return EncryptedWindowState(start_ts, payload)
-
-    def absorb(self, state):
-        """Merge a worker's :class:`EncryptedWindowState` (exact)."""
-        for key, other in state.payload.items():
-            acc = self._slots.get(key)
-            if acc is None:
-                self._slots[key] = list(other)
-            else:
-                _merge_slot(acc, other)
-
     # -- emit -----------------------------------------------------------
 
     def cut(self, start_ts, end_ts):
@@ -219,8 +172,7 @@ class EncryptedChannelAggregator:
 
         Row order is deterministic regardless of observation order:
         per-transport summary rows (``doh``, ``dot``) first, then
-        ``<transport>.<resolver_ip>`` rows sorted by key -- so sharded
-        and single-process output agree byte for byte.
+        ``<transport>.<resolver_ip>`` rows sorted by key.
         """
         slots = self._slots
         self._slots = {}

@@ -302,15 +302,16 @@ class FeatureSet:
     # ------------------------------------------------------------------
 
     def merge(self, other):
-        """Fold another object's statistics into this one (§2.4 merge).
+        """Fold another object's statistics into this one.
 
-        This is what makes per-shard feature state combinable into the
-        global per-window rows: counters add exactly, the HLL sketches
-        merge register-wise (yielding byte-identical registers to a
-        single-pass sketch over the combined stream), the bounded sets
-        union (subject to their caps), running means and histograms
-        add exactly, and the top-TTL counters merge with the usual
-        Space-Saving-style overestimate.
+        Counters add exactly, the HLL sketches merge register-wise
+        (yielding byte-identical registers to a single-pass sketch
+        over the combined stream), the bounded sets union (subject to
+        their caps), running means and histograms add exactly, and the
+        top-TTL counters merge with the usual Space-Saving-style
+        overestimate.  The pipeline never merges (a sharded run owns
+        each dataset in one worker); the ledger's ``features.merge_us``
+        row times this.
 
         Returns self.
         """

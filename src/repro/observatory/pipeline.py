@@ -232,10 +232,6 @@ class Observatory:
         return self._trackers[name]
 
     @property
-    def datasets(self):
-        return list(self._trackers)
-
-    @property
     def total_seen(self):
         """Transactions ingested so far."""
         return self.windows.total_seen

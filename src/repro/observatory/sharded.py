@@ -1,91 +1,56 @@
-"""Sharded batch ingest engine: scale-out of the Figure 1 pipeline.
+"""Sharded ingest: the Figure 1 pipeline's channels spread over processes.
 
 The paper's deployment sustains a peak of 200 k transactions/second by
-running compiled code across machines (§2.1).  A single pure-Python
-:class:`~repro.observatory.pipeline.Observatory` floors well below
-that, so this module partitions the transaction stream by key-hash
-across N worker processes, each running a full Observatory over its
-shard, and merges the per-shard window state back into the exact same
-:class:`~repro.observatory.tsv.TimeSeriesData` / TSV output the
-single-process path produces.
+running compiled code across machines (§2.1).  Its Figure 1 gives
+every dataset its own Space-Saving cache and its own 60 s dump, and
+datasets share no state.  So the unit of sharding here is the
+*channel* (:mod:`repro.observatory.channels`): one dataset's tracker,
+the ``_detector`` set or the ``_encrypted`` aggregator.
 
 Architecture::
 
     stream ──► ShardedObservatory (coordinator)
-                 │  crc32(resolver|server) % N, batches of ~512 txns
-                 ├────────► worker 0: Observatory over shard 0
-                 ├────────► worker 1: Observatory over shard 1
+                 │  batches of 512 txns, pickled once; the same bytes
+                 │  go to every worker
+                 ├────────► worker 0: WindowManager over channels 0, W, 2W, ...
+                 ├────────► worker 1: WindowManager over channels 1, W+1, ...
                  │              ...
-                 │  at every 60 s boundary: broadcast ("cut", ts),
-                 │  collect one WindowState per shard
-                 └──◄─────  absorb, cut ──► window ──► TSV
+                 │  at every window boundary: ("cut", ts) to every
+                 │  worker, which replies with the windows it cut
+                 └──◄─────  emit in (window start, channel index) order
+                            ──► WindowEmitter ──► TSV
 
-    Workers never see a transaction from the next window before the
-    cut for the previous one: the coordinator detects boundaries in
-    the time-ordered stream, flushes all pending batches, and only
-    then dispatches newer transactions.  Every worker window is
-    therefore aligned to the same global grid.
+There are ``W = min(shards, channels)`` workers, and channel *i* in
+emit order belongs to worker ``i % W``.  Every worker sees every
+transaction and runs the ordinary
+:class:`~repro.observatory.window.WindowManager` over its own
+channels, so each window is cut by the one process that holds its
+channel's whole state.  Nothing merges, and a sharded tree is the
+single-process tree byte for byte, ``#stats`` trailers and capture
+ratios included.  A worker that does not own ``_encrypted`` still
+counts blinded records in ``seen`` and keeps them from its trackers
+and detectors, as the single process does.
 
-What crosses the queues is the objects themselves: a batch is a list
-of :class:`~repro.observatory.transaction.Transaction`, a reply a list
-of :class:`~repro.observatory.channels.WindowState`, and the queue's
-feeder thread pickles each after ``put`` has returned -- so nothing is
-mutated once put (the coordinator starts a new list per shard buffer,
-a worker puts a copy of its state list).
+Workers never see a transaction from the next window before the cut
+for the previous one: the coordinator detects boundaries in the
+time-ordered stream, ships all pending batches, and only then
+dispatches newer transactions.  The flush hook, the vantage indices
+and ``_platform`` stay in the coordinator.
 
-A worker is an :class:`Observatory` whose window manager ships every
-window's state instead of merging it; the coordinator holds the same
-channel list (:mod:`repro.observatory.channels`) and the same
-:class:`~repro.observatory.pipeline.WindowEmitter` a single process
-does, absorbs the shards' states in shard-index order, and cuts.
-
-Merge semantics (why the output matches the single-process path):
-
-* **Space-Saving rank.**  Each shard ships its entries' decayed rate
-  estimates evaluated at the window end, so values from caches with
-  different forward-decay landmarks are directly comparable.  Rates
-  of the same key add across shards (the mergeable-summaries union of
-  Agarwal et al., PODS 2012); the error bounds add the same way, so
-  the merged overestimate is at most the sum of the per-shard errors.
-  A key hot enough for the global Top-k is hot enough for at least
-  one shard's cache, so true heavy hitters are never lost.
-* **Features.**  Counters, running means and histograms add exactly;
-  HyperLogLog registers merge by maximum, yielding byte-identical
-  registers to a single-pass sketch (cardinalities agree within the
-  estimator's standard error); top-TTL counters merge with the usual
-  Space-Saving overestimate.
-* **Survived-one-window rule (§2.4).**  Insertion times take the
-  minimum across shards before the rule is applied, matching the
-  single cache's notion of "first seen".
-
-With the partition key ``resolver|server`` every dataset's
-keys are spread over all shards and recombined by the merge; datasets
-keyed by the partition key itself (``srcsrv``) are trivially exact.
-
-What *can* differ from the single-process path:
-
-* **Capture ratios and the ``kept`` stat.**  Every shard pays its own
-  first-sighting miss per key, and each shard's cache holds ``k``
-  entries (``N * k`` total), so per-shard caches saturate later and
-  the Bloom eviction gates fire less often than one global cache's.
-  Both effects only make the sharded path track *more*, never less.
-* **Deep tail under heavy saturation.**  Once per-shard caches evict,
-  per-shard gate/eviction decisions are taken on disjoint stream
-  subsets, so ranks far below the Top-k head may reorder.  The head
-  itself is stable: a globally heavy key is heavy in some shard.
+The speed-up is bounded by the most expensive worker: each one pays
+for decoding every batch plus its own channels (``srvip`` is the
+heaviest).
 """
 
 import logging
 import multiprocessing
+import pickle
 import time
-import zlib
 from queue import Empty
 
-from repro.detect import DetectorSet
-from repro.observatory.channels import build_channels, merge_window, meta_dump
+from repro.observatory.channels import meta_dump
 from repro.observatory.encrypted import EncryptedChannelAggregator
 from repro.observatory.pipeline import (
-    Observatory,
     WindowEmitter,
     feed_batches,
     resolve_datasets,
@@ -93,61 +58,52 @@ from repro.observatory.pipeline import (
 )
 from repro.observatory.telemetry import PLATFORM_DATASET, resolve_telemetry
 from repro.observatory.tracker import TopKTracker
-from repro.observatory.window import align_window
+from repro.observatory.window import WindowManager, align_window
 
 logger = logging.getLogger(__name__)
 
 
-def partition_srcsrv(txn):
-    """The partition key: the (resolver, nameserver) pair.
-
-    Finer than either IP alone, so hot servers do not pin a whole
-    shard; the mergeable sketches recombine the split datasets.
-    """
-    return txn.resolver_ip + "|" + txn.server_ip
-
-
-def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw):
-    """Worker main loop: a full Observatory over one stream shard.
+def _shard_worker(shard_id, in_q, out_q, specs, manager_kw,
+                  divert_blinded):
+    """Worker main loop: a window manager over this worker's channels
+    (trackers for *specs*, plus what *manager_kw* hands it).
 
     Speaks a tiny message protocol on *in_q*:
 
-    * ``("batch", txns)`` -- ingest a window-aligned transaction list;
-    * ``("cut", ts)`` -- the global stream crossed *ts*; flush every
-      window ending at or before it and ship the collected
-      :class:`~repro.observatory.channels.WindowState` list back on
-      *out_q*, along with this shard's telemetry snapshot rows (empty
-      when telemetry is off);
-    * ``("finish",)`` -- flush the partial tail window, ship the
-      remaining states plus final per-dataset statistics and telemetry
-      rows, and exit.
+    * ``("batch", blob)`` -- ingest a pickled, window-aligned
+      transaction list (every worker gets the same bytes);
+    * ``("cut", ts)`` -- the stream crossed *ts*; cut every window
+      ending at or before it and ship the cut windows (one list per
+      window, in this worker's channel order) back on *out_q*, along
+      with this worker's telemetry snapshot rows (empty when telemetry
+      is off);
+    * ``("finish",)`` -- cut the partial tail window, ship it plus each
+      tracker's final statistics and telemetry rows, and exit.
     """
     try:
-        states = []
-        obs = Observatory(datasets=specs, window_seconds=window_seconds,
-                          **obs_kw)
-        obs.windows.state_sink = states.append
-        consume_batch = obs.windows.consume_batch
-        telemetry = obs.telemetry
+        cut = []
+        manager = WindowManager([TopKTracker(spec) for spec in specs],
+                                state_sink=cut.append, **manager_kw)
+        manager.divert_blinded = divert_blinded
+        consume_batch = manager.consume_batch
+        telemetry = manager.telemetry
+        loads = pickle.loads
         while True:
             message = in_q.get()
             tag = message[0]
             if tag == "batch":
-                consume_batch(message[1])
+                consume_batch(loads(message[1]))
             elif tag == "cut":
-                obs.windows.advance_to(message[1])
-                out_q.put(("states", shard_id, list(states),
+                manager.advance_to(message[1])
+                out_q.put(("windows", shard_id, list(cut),
                            telemetry.snapshot(message[1])))
-                del states[:]  # state_sink stays bound to this list
+                del cut[:]  # state_sink stays bound to this list
             elif tag == "finish":
-                obs.windows.flush()
-                stats = {
-                    "total_seen": obs.total_seen,
-                    "datasets": {name: obs.tracker(name).telemetry_row(None)
-                                 for name in obs.datasets},
-                }
-                out_q.put(("final", shard_id, states,
-                           telemetry.snapshot(obs.windows.window_start),
+                manager.flush()
+                stats = {tracker.spec.name: tracker.telemetry_row(None)
+                         for tracker in manager.trackers}
+                out_q.put(("final", shard_id, cut,
+                           telemetry.snapshot(manager.window_start),
                            stats))
                 return
             else:  # pragma: no cover - protocol misuse
@@ -158,18 +114,18 @@ def _shard_worker(shard_id, in_q, out_q, specs, window_seconds, obs_kw):
 
 
 class ShardedObservatory:
-    """Scale-out Observatory: N worker processes + sketch merging.
+    """Scale-out Observatory: whole channels on worker processes.
 
-    Drop-in for :class:`Observatory` on the ingest side: ``ingest``,
-    ``consume`` / ``consume_batch``, ``finish``, ``capture_ratios``
-    (after ``finish``) all behave the same; the merged window dumps
-    and TSV files match the single-process output (exactly for
-    counters, within standard error for cardinalities).
+    Drop-in for :class:`~repro.observatory.pipeline.Observatory` on the
+    ingest side: ``consume`` / ``consume_batch``, ``finish`` and
+    ``capture_ratios`` (after ``finish``) behave the same, and the
+    windows and TSV files are the single-process ones byte for byte.
 
     Parameters
     ----------
     shards:
-        Number of worker processes.
+        Most worker processes to run; :attr:`shards` is the number
+        actually run, one per channel at most.
     datasets / window_seconds / output_dir / flush_hook:
         As for :class:`Observatory`; every worker runs its trackers
         with the defaults (Bloom gate on, survived-one-window rule).
@@ -179,29 +135,22 @@ class ShardedObservatory:
     telemetry:
         ``True`` (or a registry) enables platform self-telemetry on
         the coordinator *and* every worker: each cut also emits one
-        merged ``_platform`` dump combining coordinator rows (queue
-        depth, batches shipped, merge latency, worker liveness)
-        with every shard's own rows under a ``shardN.`` key prefix.
+        ``_platform`` dump combining coordinator rows (queue depth,
+        batches shipped, emit latency, worker liveness) with every
+        worker's own rows under a ``shardN.`` key prefix.
     detectors:
-        ``True`` / detector names / instances (see
-        :class:`~repro.observatory.pipeline.Observatory`).  Workers
-        run the detectors' mergeable window accumulators and ship
-        them at every cut; the coordinator absorbs the shard states
-        and runs the scorer (EWMA baselines, Bloom generations), so
-        the emitted ``_detector`` series is bit-identical to a
-        single-process run over the same stream.
+        ``True`` / detector names / instances / a ready
+        :class:`~repro.detect.DetectorSet` (see :class:`Observatory`).
+        The worker that owns the ``_detector`` channel runs this very
+        set (a forked copy of it), so thresholds set on the instance
+        apply.
     encrypted:
         ``True`` enables the ``_encrypted`` channel-feature dataset
-        (see :class:`~repro.observatory.pipeline.Observatory`).
-        Workers divert blinded DoH/DoT observations into per-shard
-        integer accumulators and ship them at every cut; the
-        coordinator absorbs and emits, so the ``_encrypted`` series is
-        bit-identical to a single-process run.
+        (see :class:`Observatory`).
     vantage:
         A :class:`~repro.analysis.vantage.VantageEmitter` (or None):
         every emitted window of the emitter's source dataset also
-        derives ``_vantage_*`` index dumps (coordinator-side only --
-        derivation is a pure function of the merged dump).
+        derives ``_vantage_*`` index dumps, in the coordinator.
     """
 
     #: transactions per queue message; amortizes pickling + queue overhead
@@ -220,17 +169,25 @@ class ShardedObservatory:
             raise ValueError("unknown transport %r: the shard link is the "
                              "queue's pickling, other transports were "
                              "removed" % (transport,))
-        self.shards = int(shards)
         self.window_seconds = float(window_seconds)
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
         specs = resolve_datasets(datasets)
+        detectors = resolve_detectors(detectors)
         self._dataset_order = [spec.name for spec in specs]
+        # channels in emit order (build_channels): the trackers, then
+        # _detector, then _encrypted; channel i belongs to worker i % W
+        n_specs = len(specs)
+        channels = n_specs + (detectors is not None) + bool(encrypted)
+        #: worker processes run
+        self.shards = min(int(shards), channels)
+        self._owned = [list(range(shard_id, channels, self.shards))
+                       for shard_id in range(self.shards)]
         self._window_start = None
-        self._buffers = [[] for _ in range(self.shards)]
+        self._buffer = []
         #: transactions ingested so far
         self.total_seen = 0
-        #: completed (merged and emitted) windows
+        #: completed (emitted) windows
         self.windows_completed = 0
         self._final_stats = None
         self._closed = False
@@ -240,26 +197,7 @@ class ShardedObservatory:
         self._merge_timer = self.telemetry.timing("coordinator", "merge")
         self._gap_counter = self.telemetry.counter(
             "coordinator", "windows_skipped")
-        # The coordinator's half of every channel: its trackers never
-        # observe (they name the dataset and k to merge and cut by),
-        # its detectors are the scorers (EWMA baselines, Bloom
-        # generations) and its aggregator the merge target; workers
-        # build their own observing halves from obs_kw.  No registry:
-        # the "window" component of _platform belongs to processes
-        # that ingest (here: the shardN.window rows).
-        scorers = resolve_detectors(detectors)
-        self._channels = build_channels(
-            [TopKTracker(spec, use_bloom_gate=False) for spec in specs],
-            scorers, EncryptedChannelAggregator() if encrypted else None,
-            skip_recent_inserts=True, telemetry=resolve_telemetry(None))
         self.emitter = WindowEmitter(output_dir, flush_hook, vantage)
-        obs_kw = dict(
-            telemetry=self.telemetry.enabled,
-            # a ready DetectorSet is the coordinator's scorer; workers
-            # rebuild its members by name
-            detectors=[det.name for det in detectors.detectors]
-            if isinstance(detectors, DetectorSet) else detectors,
-            encrypted=encrypted)
         # fork where available: cheap worker startup
         try:
             context = multiprocessing.get_context("fork")
@@ -269,12 +207,19 @@ class ShardedObservatory:
         self._in_qs = []
         self._workers = []
         try:
-            for shard_id in range(self.shards):
+            for shard_id, owned in enumerate(self._owned):
+                manager_kw = dict(
+                    window_seconds=self.window_seconds,
+                    telemetry=self.telemetry.enabled,
+                    detectors=detectors if n_specs in owned else None,
+                    encrypted=EncryptedChannelAggregator()
+                    if encrypted and channels - 1 in owned else None)
                 in_q = context.Queue()
                 worker = context.Process(
                     target=_shard_worker,
-                    args=(shard_id, in_q, self._out_q, specs,
-                          self.window_seconds, obs_kw),
+                    args=(shard_id, in_q, self._out_q,
+                          [specs[i] for i in owned if i < n_specs],
+                          manager_kw, bool(encrypted)),
                     daemon=True,
                     name="observatory-shard-%d" % shard_id,
                 )
@@ -319,38 +264,34 @@ class ShardedObservatory:
     # ------------------------------------------------------------------
 
     def consume_batch(self, txns):
-        """Route a time-ordered batch of transactions to the shards.
+        """Ship a time-ordered batch of transactions to every worker.
 
-        Window boundaries inside the batch trigger a cut-and-merge
-        barrier, exactly like the single-process path flushing
-        mid-batch.  Returns the merged dumps produced.
+        Window boundaries inside the batch trigger a cut barrier,
+        exactly like the single-process path flushing mid-batch.
+        Returns the windows emitted.
         """
         dumps = []
         if self._closed:
             raise RuntimeError("ShardedObservatory is closed")
         window_seconds = self.window_seconds
-        shards = self.shards
-        partition = partition_srcsrv
-        buffers = self._buffers
-        batch_size = self.batch_size
-        crc32 = zlib.crc32
-        start = self._window_start
-        end = None if start is None else start + window_seconds
-        for txn in txns:
-            ts = txn.ts
-            if end is None:
-                start = align_window(ts, window_seconds)
-                end = start + window_seconds
-                self._window_start = start
-            elif ts >= end:
-                dumps.extend(self._cut(align_window(ts, window_seconds)))
-                start = self._window_start
-                end = start + window_seconds
-            buffer = buffers[crc32(partition(txn).encode()) % shards]
-            buffer.append(txn)
-            if len(buffer) >= batch_size:
-                self._dispatch_all()
-            self.total_seen += 1
+        n = len(txns)
+        i = 0
+        while i < n:
+            if self._window_start is None:
+                self._window_start = align_window(txns[i].ts,
+                                                  window_seconds)
+            end = self._window_start + window_seconds
+            # Longest run [i, j) entirely inside the current window.
+            j = i
+            while j < n and txns[j].ts < end:
+                j += 1
+            self._buffer.extend(txns[i:j])
+            self._dispatch()
+            self.total_seen += j - i
+            i = j
+            if i < n:
+                dumps.extend(self._cut(align_window(txns[i].ts,
+                                                    window_seconds)))
         return dumps
 
     def consume(self, transactions):
@@ -359,21 +300,22 @@ class ShardedObservatory:
         return self
 
     def finish(self):
-        """Flush the tail window, collect and merge final worker
-        state, and shut the workers down.  Returns the merged dumps of
-        the remaining windows (like :meth:`Observatory.finish`)."""
+        """Cut the tail window, collect the workers' last windows and
+        statistics, and shut the workers down.  Returns the windows
+        emitted (like :meth:`Observatory.finish`)."""
         if self._closed:
             return []
         replies = self._barrier(("finish",), expect="final")
-        self._final_stats = {shard_id: reply[4]
-                             for shard_id, reply in enumerate(replies)}
+        self._final_stats = {}
+        for reply in replies:
+            self._final_stats.update(reply[4])
         start = self._window_start
-        dumps = [] if start is None else self._merge_and_emit(
+        dumps = [] if start is None else self._emit(
             replies, start, start + self.window_seconds)
         self.close()
         logger.info(
             "ShardedObservatory finished: %d transactions over %d windows "
-            "across %d shards; capture ratios %s",
+            "across %d workers; capture ratios %s",
             self.total_seen, self.windows_completed, self.shards,
             {name: round(ratio, 3)
              for name, ratio in self.capture_ratios().items()})
@@ -412,24 +354,29 @@ class ShardedObservatory:
     # Coordinator internals
     # ------------------------------------------------------------------
 
-    def _dispatch_all(self, force=False):
-        """Ship every non-empty shard buffer (all of them when a cut
-        or finish needs the workers fully caught up).  A shipped buffer
-        is never touched again: the queue pickles it later, in its
-        feeder thread, and the shard gets a new list."""
+    def _dispatch(self, force=False):
+        """Ship the buffered transactions in batches of
+        :attr:`batch_size` (the tail too when a cut or finish needs the
+        workers fully caught up).  A batch is pickled once and the same
+        bytes go on every worker's queue."""
+        buffer = self._buffer
+        size = self.batch_size
+        ready = len(buffer) if force else len(buffer) - len(buffer) % size
         telemetry_on = self.telemetry.enabled
-        for shard_id, buffer in enumerate(self._buffers):
-            if buffer and (force or len(buffer) >= self.batch_size):
-                self._in_qs[shard_id].put(("batch", buffer))
-                if telemetry_on:
-                    self._batch_counter.inc()
-                    self._batch_txns.inc(len(buffer))
-                self._buffers[shard_id] = []
+        for low in range(0, ready, size):
+            batch = buffer[low:low + size]
+            message = ("batch", pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+            for in_q in self._in_qs:
+                in_q.put(message)
+            if telemetry_on:
+                self._batch_counter.inc()
+                self._batch_txns.inc(len(batch))
+        del buffer[:ready]
 
     def _barrier(self, message, expect):
         """Have every worker catch up and answer *message*; returns the
-        replies by shard index, whatever order they arrived in."""
-        self._dispatch_all(force=True)
+        replies by worker index, whatever order they arrived in."""
+        self._dispatch(force=True)
         for in_q in self._in_qs:
             in_q.put(message)
         replies = [None] * self.shards
@@ -439,12 +386,12 @@ class ShardedObservatory:
         return replies
 
     def _cut(self, new_start):
-        """Barrier at a window boundary: flush batches, have every
-        worker advance to *new_start*, merge the returned states."""
+        """Barrier at a window boundary: ship the buffered batches,
+        have every worker advance to *new_start*, emit what they cut."""
         start = self._window_start
-        replies = self._barrier(("cut", new_start), expect="states")
+        replies = self._barrier(("cut", new_start), expect="windows")
         self._window_start = new_start
-        return self._merge_and_emit(replies, start, new_start)
+        return self._emit(replies, start, new_start)
 
     def _next_reply(self, expect):
         try:
@@ -467,32 +414,28 @@ class ShardedObservatory:
             raise RuntimeError("expected %r reply, got %r" % (expect, reply[0]))
         return reply
 
-    def _merge_and_emit(self, replies, start, now):
-        """The one merge point, for the cut covering ``[start, now)``:
-        every shard's windows, taken in shard-index order, are
-        absorbed and cut window by window and emitted in stream order;
-        then (telemetry on) one ``_platform`` dump combines the
-        coordinator's snapshot with every shard's rows (re-keyed
-        ``shardN.component``)."""
+    def _emit(self, replies, start, now):
+        """Emit the cut covering ``[start, now)``: every worker's
+        windows in (window start, channel index) order, then (telemetry
+        on) one ``_platform`` dump combining the coordinator's snapshot
+        with every worker's rows (re-keyed ``shardN.component``)."""
         telemetry = self.telemetry
         started = time.perf_counter() if telemetry.enabled else 0.0
-        by_start = {}
+        windows = {}
         for reply in replies:
-            for window in reply[2]:
-                by_start.setdefault(window.start_ts, []).append(window)
-        dumps = []
-        for window_start in sorted(by_start):
-            dumps += merge_window(self._channels, window_start,
-                                  window_start + self.window_seconds,
-                                  by_start[window_start])
+            for cut in reply[2]:
+                for index, window in zip(self._owned[reply[1]], cut):
+                    windows[window.start_ts, index] = window
+        dumps = [windows[key] for key in sorted(windows)]
         # Every window in [start, now) is part of this cut, emitted or
         # not: with the gap fast-forward (see WindowManager._catch_up)
-        # workers ship at most one non-empty window per cut, so credit
+        # workers cut at most one non-empty window per cut, so credit
         # the skipped empties here to keep windows_completed in
         # lockstep with the single-process path.
+        cuts = len({window_start for window_start, _ in windows})
         elapsed = int(round((now - start) / self.window_seconds))
-        self.windows_completed += max(elapsed, len(by_start))
-        self._gap_counter.inc(max(elapsed - len(by_start), 0))
+        self.windows_completed += max(elapsed, cuts)
+        self._gap_counter.inc(max(elapsed - cuts, 0))
         if telemetry.enabled:
             self._merge_timer.observe(time.perf_counter() - started)
             rows = telemetry.snapshot(now)
@@ -509,23 +452,17 @@ class ShardedObservatory:
     # ------------------------------------------------------------------
 
     def capture_ratios(self):
-        """Per-dataset capture ratios summed over all shards.
-
-        Available once :meth:`finish` has collected worker statistics.
-        """
-        shards = self.shard_stats().values()
+        """Per-dataset capture ratios, each from the worker that owns
+        the dataset.  Available once :meth:`finish` has collected the
+        workers' statistics."""
+        if self._final_stats is None:
+            raise RuntimeError("capture_ratios() requires finish() first")
         ratios = {}
         for name in self._dataset_order:
-            offered = sum(s["datasets"][name]["offered"] for s in shards)
-            tracked = sum(s["datasets"][name]["tracked_hits"] for s in shards)
-            ratios[name] = tracked / offered if offered else 0.0
+            row = self._final_stats[name]
+            ratios[name] = row["tracked_hits"] / row["offered"] \
+                if row["offered"] else 0.0
         return ratios
-
-    def shard_stats(self):
-        """Raw per-shard tracker statistics (after :meth:`finish`)."""
-        if self._final_stats is None:
-            raise RuntimeError("shard_stats() requires finish() first")
-        return dict(self._final_stats)
 
     def __repr__(self):
         return "ShardedObservatory(shards=%d, datasets=%r)" % (

@@ -10,9 +10,8 @@ particular DNS object from the SS cache, or being dropped in case the
 corresponding object is not in the cache." (Section 2.3.)
 
 :class:`TrackerChannel` is the tracker's face toward the window flush
-(:mod:`repro.observatory.channels`): it detaches a window's per-object
-state as a mergeable :class:`ShardWindowState` and turns merged states
-into the window's dump.
+(:mod:`repro.observatory.channels`): it turns a window's per-object
+state into the window's dump.
 """
 
 from repro.dnswire.psl import default_psl
@@ -140,52 +139,14 @@ class TopKTracker:
         )
 
 
-class ShardWindowState:
-    """One dataset's *mergeable* window state from one ingest shard.
-
-    Where the cut window carries flattened feature rows, this
-    carries the raw per-object state a shard accumulated during one
-    window -- everything the merging side needs to combine
-    independently built shard summaries into the exact-enough global
-    Top-k: the decayed rate estimate and its Space-Saving error bound
-    (both converted to events/second at the window end, so values from
-    shards with different decay landmarks are directly comparable),
-    the insertion time (for the §2.4 survived-one-window rule, applied
-    only after taking the minimum across shards), the exact hit count,
-    and the live :class:`FeatureSet`, detached so it can be pickled
-    across a process boundary while the tracker keeps running.
-    """
-
-    __slots__ = ("dataset", "start_ts", "entries", "inserted", "stats")
-
-    def __init__(self, dataset, start_ts, entries, inserted, stats):
-        self.dataset = dataset
-        #: window start (virtual seconds), same grid as the cut window
-        self.start_ts = start_ts
-        #: list of (key, rate, error_rate, inserted_at, hits, FeatureSet)
-        self.entries = entries
-        #: live-but-idle cache entries, as ``(key, inserted_at, rate)``
-        #: triples.  A key can be long-tracked (and heavy) in one shard
-        #: yet see traffic only in another during this window; without
-        #: these, the merged minimum insertion time would misapply the
-        #: survived-one-window rule, and the merged rank would drop the
-        #: idle shard's accumulated weight (the single cache ranks by
-        #: *lifetime* decayed weight, so the merge must too).
-        self.inserted = inserted
-        #: {"kept": ...} -- this shard's share
-        self.stats = stats
-
-
 class TrackerChannel:
     """One dataset's Top-k tracker as a window channel.
 
-    ``take_state`` detaches the active FeatureSets (``entry.state =
-    None``) rather than clearing them in place, so they can cross a
-    process boundary while the tracker keeps running; ``absorb`` is
-    the mergeable-summaries union (Agarwal et al., PODS 2012): rates
-    of the same key add across shards, insertion times take the
-    minimum; ``cut`` applies the survived-one-window rule to the
-    merged insertion times, ranks by merged rate and keeps the top k.
+    ``cut`` detaches every active FeatureSet (``entry.state = None``:
+    fresh statistics next window, the Space-Saving cache itself
+    untouched), applies the survived-one-window rule to the entries'
+    insertion times, ranks by decayed rate at the window end and keeps
+    the top k.
     """
 
     blinded = False
@@ -197,76 +158,33 @@ class TrackerChannel:
         self._rows = telemetry.counter("window", "rows")
         self._skipped = telemetry.counter("window", "skipped_recent")
         self._kept = 0
-        self._reset()
-
-    def _reset(self):
-        self._merged = {}  # key -> [rate, inserted_at, FeatureSet]
-        self._idle = []
-        self._merged_kept = 0
 
     def observe_batch(self, txns, hashes):
         self._kept += self.tracker.observe_batch(txns, hashes)
 
-    def take_state(self, start, end):
+    def cut(self, start, end, seen):
         rate = self.tracker.cache.decay.rate
-        entries = []
-        idle = []
+        skip_recent = self.skip_recent_inserts
+        ranked = []
+        skipped = 0
         for entry in self.tracker.cache:
             features = entry.state
             if features is None or features.hits == 0:
-                idle.append((entry.key, entry.inserted_at,
-                             rate(entry.weight, end)))
                 continue
-            entries.append((entry.key, rate(entry.weight, end),
-                            rate(entry.error, end),
-                            entry.inserted_at, entry.hits, features))
             entry.state = None  # detach; fresh stats next window
-        state = ShardWindowState(self.dataset, start, entries, idle,
-                                 {"kept": self._kept})
-        self._kept = 0
-        return state
-
-    def absorb(self, state):
-        merged = self._merged
-        for key, rate, _error, inserted_at, _hits, features in state.entries:
-            current = merged.get(key)
-            if current is None:
-                merged[key] = [rate, inserted_at, features]
-            else:
-                current[0] += rate
-                if inserted_at < current[1]:
-                    current[1] = inserted_at
-                current[2].merge(features)
-        # applied at the cut, once every shard's active entries are in
-        self._idle.extend(state.inserted)
-        self._merged_kept += state.stats["kept"]
-
-    def cut(self, start, end, seen):
-        merged = self._merged
-        # A key may be long-tracked in a shard that happened to be
-        # idle for it this window.  Honor that shard's insertion time
-        # (survived-one-window rule) and fold its accumulated weight
-        # into the rank: the single cache orders by lifetime decayed
-        # weight, so the merged rate must include idle shards too.
-        for key, inserted_at, rate in self._idle:
-            current = merged.get(key)
-            if current is not None:
-                current[0] += rate
-                if inserted_at < current[1]:
-                    current[1] = inserted_at
-        candidates = merged.items()
-        if self.skip_recent_inserts:
-            # inserted after the window opened: did not survive a full
-            # window yet (§2.4)
-            candidates = [item for item in candidates
-                          if item[1][1] <= start]
-            self._skipped.inc(len(merged) - len(candidates))
-        ranked = sorted(candidates, key=lambda item: (-item[1][0], item[0]))
-        rows = [(key, current[2].as_row())
-                for key, current in ranked[:self.tracker.spec.k]]
+            if skip_recent and entry.inserted_at > start:
+                # inserted after the window opened: did not survive a
+                # full window yet (§2.4)
+                skipped += 1
+                continue
+            ranked.append((-rate(entry.weight, end), entry.key, features))
+        self._skipped.inc(skipped)
+        ranked.sort(key=lambda item: item[:2])
+        rows = [(key, features.as_row())
+                for _, key, features in ranked[:self.tracker.spec.k]]
         self._rows.inc(len(rows))
         dump = TimeSeriesData(
             self.dataset, "minutely", start, rows=rows,
-            stats={"seen": seen, "kept": self._merged_kept})
-        self._reset()
+            stats={"seen": seen, "kept": self._kept})
+        self._kept = 0
         return dump

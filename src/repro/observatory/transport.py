@@ -1,8 +1,8 @@
 """Compatibility shim: the shard link is the queues' own pickling.
 
-:class:`~repro.observatory.sharded.ShardedObservatory` puts transaction
-batches and ``WindowState`` lists on its multiprocessing queues as they
-are and does not use this module.  The identity codec below is kept
+:class:`~repro.observatory.sharded.ShardedObservatory` puts pickled
+transaction batches and lists of cut windows on its multiprocessing
+queues and does not use this module.  The identity codec below is kept
 only because the ledger's ``probe_transport`` (``benchmarks/ledger/``)
 names it; it goes when that probe does.
 """

@@ -8,7 +8,7 @@ window grid and flushes the channels of
 import math
 import time
 
-from repro.observatory.channels import WindowState, build_channels, meta_dump
+from repro.observatory.channels import build_channels, meta_dump
 from repro.observatory.features import TxnHashes
 from repro.observatory.telemetry import PLATFORM_DATASET, resolve_telemetry
 
@@ -40,9 +40,8 @@ class WindowManager:
 
     Transactions must arrive in non-decreasing timestamp order (the
     SIE stream is time-ordered).  When a transaction crosses the
-    current window's end, the window is flushed: every channel's state
-    is taken, merged and cut into a
-    :class:`~repro.observatory.tsv.TimeSeriesData`; the dumps are
+    current window's end, the window is flushed: every channel cuts
+    its :class:`~repro.observatory.tsv.TimeSeriesData`; the dumps are
     handed to *sink* (a callable ``sink(window_dump)``) and also
     returned from :meth:`observe`.
 
@@ -57,11 +56,11 @@ class WindowManager:
         Enforce the survived-one-window rule.  Disabling it is the
         ablation knob discussed in DESIGN.md.
     state_sink:
-        When set, a window boundary hands the taken
-        :class:`~repro.observatory.channels.WindowState` to this
-        callable *instead of* merging and cutting it here -- the
-        shard-worker mode of :mod:`repro.observatory.sharded`, whose
-        coordinator merges every shard's state and cuts once.
+        When set, a window boundary hands the list of windows it cut
+        (channel order) to this callable *instead of* the sink, and no
+        ``_platform`` window is made -- the shard-worker mode of
+        :mod:`repro.observatory.sharded`, whose coordinator emits every
+        worker's windows and its own ``_platform``.
     telemetry:
         ``True`` / a :class:`~repro.observatory.telemetry.Telemetry`
         registry to enable platform self-telemetry: flush latency,
@@ -74,8 +73,7 @@ class WindowManager:
     detectors:
         A :class:`~repro.detect.DetectorSet` (or None).  Detectors
         observe every transaction and emit the ``_detector``
-        meta-dataset; shard workers ship the detectors' mergeable
-        window accumulators and scoring happens on the merging side.
+        meta-dataset.
     encrypted:
         An :class:`~repro.observatory.encrypted.
         EncryptedChannelAggregator` (or None).  When set, blinded
@@ -85,6 +83,7 @@ class WindowManager:
         datasets would otherwise be polluted by payload-free records;
         the aggregator folds them into the ``_encrypted``
         size/timing dataset instead (empty windows write no file).
+        :attr:`divert_blinded` says whether they are diverted.
     """
 
     def __init__(self, trackers, window_seconds=60.0, sink=None,
@@ -107,6 +106,10 @@ class WindowManager:
         self.channels = build_channels(
             self.trackers, detectors, encrypted, skip_recent_inserts,
             telemetry)
+        #: keep blinded records from the trackers and detectors: set
+        #: when the pipeline has an ``_encrypted`` channel, also by a
+        #: shard worker that does not own that channel itself
+        self.divert_blinded = encrypted is not None
         self._gap_counter = telemetry.counter("window", "windows_skipped")
         if telemetry.enabled:
             telemetry.register("window", self._telemetry_row,
@@ -136,9 +139,9 @@ class WindowManager:
 
         The batch is split into window-aligned segments, and each
         segment is walked in chunks of at most :data:`_CHUNK`
-        transactions.  Blinded records are diverted first, to the
-        channels that ask for them.  Then, per chunk, the
-        per-*transaction* work happens once: one
+        transactions.  Blinded records are diverted first (see
+        :attr:`divert_blinded`), to the channels that ask for them.
+        Then, per chunk, the per-*transaction* work happens once: one
         :class:`~repro.observatory.features.TxnHashes` record each,
         prepared lazily by the first FeatureSet that needs it.  The chunk then
         runs channel-major -- every channel processes it in one
@@ -159,6 +162,7 @@ class WindowManager:
                                               self.window_seconds)
         plain = [c.observe_batch for c in self.channels if not c.blinded]
         diverted = [c.observe_batch for c in self.channels if c.blinded]
+        divert = self.divert_blinded
         window_seconds = self.window_seconds
         i = 0
         while i < n:
@@ -169,7 +173,7 @@ class WindowManager:
                 j += 1
             for low in range(i, j, _CHUNK):
                 chunk = txns[low:min(low + _CHUNK, j)]
-                if diverted:
+                if divert:
                     blinded = [t for t in chunk if t.source[:1] == "!"]
                     if blinded:
                         for observe in diverted:
@@ -189,9 +193,9 @@ class WindowManager:
         """Flush every window that ends at or before *ts*.
 
         Used by shard workers when the coordinator announces that the
-        global stream has crossed a boundary this shard's own subset
-        has not reached (or never will, for an idle shard).  A manager
-        that has seen no transactions yet stays unstarted.
+        stream has crossed a boundary: the coordinator sends the next
+        window's transactions only after the cut.  A manager that has
+        seen no transactions yet stays unstarted.
         """
         if self._window_start is None:
             return []
@@ -234,32 +238,32 @@ class WindowManager:
         return dumps
 
     def _flush(self):
-        """The one way a window ends: take each channel's state and
-        either ship them all (shard worker) or, as the only shard,
-        absorb and cut it in-process and sink the dump -- channel by
-        channel, so the first dataset is on disk before the last is
-        rendered."""
+        """The one way a window ends: every channel cuts its window
+        from its live state, in channel order.  A shard worker hands
+        the list to :attr:`state_sink`; otherwise each window goes to
+        the sink as it is cut, so the first dataset is on disk before
+        the last is rendered, and a ``_platform`` window follows when
+        telemetry is on."""
         telemetry = self.telemetry
         started = time.perf_counter() if telemetry.enabled else 0.0
         start = self._window_start
         end = start + self.window_seconds
         seen = self._seen_in_window
         shipping = self.state_sink is not None
-        states, dumps = [], []
+        dumps = []
         for channel in self.channels:
-            state = channel.take_state(start, end)
+            dump = channel.cut(start, end, seen)
             if shipping:
-                states.append(state)
+                dumps.append(dump)
             else:
-                channel.absorb(state)
-                self._sink(channel.cut(start, end, seen), dumps)
+                self._sink(dump, dumps)
         if shipping:
-            self.state_sink(WindowState(start, seen, states))
+            self.state_sink(dumps)
         if telemetry.enabled:
             # stopped before the snapshot, so this window's _platform
             # row reports this very flush
             self._flush_timer.observe(time.perf_counter() - started)
-            if self.state_sink is None:
+            if not shipping:
                 self._sink(meta_dump(PLATFORM_DATASET, start,
                                      telemetry.snapshot(end), seen), dumps)
         self._window_start = _as_int_if_integral(end)

@@ -26,14 +26,14 @@ Section 2 of the paper:
   ablation comparator for the Space-Saving choice.
 
 All structures are deterministic given their seeds and implemented in
-pure Python with no third-party dependencies.  The ones a window's
-per-object state is made of -- ``HyperLogLog``, ``LogHistogram``,
-``RunningMean``, ``TopValues`` -- and ``DistinctSpaceSaving`` have a
-``merge()``: :meth:`~repro.observatory.features.FeatureSet.merge` and
-the ddos detector's ``absorb`` call them when shard states recombine.
-Space-Saving state itself merges in one place only,
-:class:`~repro.observatory.tracker.TrackerChannel` (``absorb`` /
-``cut``); ``SpaceSaving`` and the Bloom gate have no ``merge()``.
+pure Python with no third-party dependencies.  Each one lives in a
+single process: a sharded run gives every dataset's cache (and every
+detector sketch) to one worker that sees the whole stream, so the
+pipeline never merges two sketches of the same stream.  The ones a
+window's per-object state is made of -- ``HyperLogLog``,
+``LogHistogram``, ``RunningMean``, ``TopValues`` -- keep a ``merge()``
+for :meth:`~repro.observatory.features.FeatureSet.merge`, which only
+the ledger's ``features.merge_us`` probe calls.
 """
 
 from repro.sketches.bloom import BloomFilter, RotatingBloomFilter

@@ -15,13 +15,6 @@ the structure is full, the slot with the smallest distinct estimate is
 evicted and its estimate is inherited by the newcomer as an error
 ``base`` -- the classic Space-Saving overestimate bound, carried over
 to distinct counts.
-
-Merging follows the mergeable-summaries recipe: HLLs union by register
-max, error bases add, and the union is truncated back to capacity by
-distinct estimate.  While no eviction has occurred on either side
-(``base == 0`` everywhere, capacity not binding) a merge of split
-streams is *exactly* the single-stream sketch -- the property the
-sharded ingest differential relies on.
 """
 
 import heapq
@@ -44,9 +37,8 @@ class DistinctEntry:
     def estimate(self):
         """Distinct-count estimate: inherited base + own HLL estimate.
 
-        Quantized to an integer so comparisons (eviction, ranking,
-        merge truncation) are stable across platforms and merge
-        orders."""
+        Quantized to an integer so comparisons (eviction, ranking) are
+        stable across platforms."""
         if self._dirty:
             self._card = int(round(self.hll.cardinality()))
             self._dirty = False
@@ -65,8 +57,6 @@ class DistinctSpaceSaving:
     precision:
         Per-slot HyperLogLog precision (``2**p`` one-byte registers
         per slot; p=11 keeps a 2048-slot sketch around 4 MB).
-
-    Only sketches with equal parameters merge.
     """
 
     def __init__(self, capacity, precision):
@@ -126,37 +116,6 @@ class DistinctSpaceSaving:
         return sorted(((e.key, e.estimate())
                        for e in self._entries.values()),
                       key=lambda kv: (-kv[1], kv[0]))
-
-    # -- merge ----------------------------------------------------------
-
-    def merge(self, other):
-        """Fold *other* into this sketch (mergeable-summaries union)."""
-        if not isinstance(other, DistinctSpaceSaving):
-            raise TypeError("can only merge DistinctSpaceSaving")
-        if (self.capacity, self.precision) != \
-                (other.capacity, other.precision):
-            raise ValueError("cannot merge sketches with different "
-                             "parameters")
-        for key, theirs in sorted(other._entries.items()):
-            mine = self._entries.get(key)
-            if mine is not None:
-                mine.hll.merge(theirs.hll)
-                mine.base += theirs.base
-                mine._dirty = True
-            else:
-                entry = DistinctEntry(key, theirs.hll.copy(), theirs.base)
-                self._entries[key] = entry
-        self.evictions += other.evictions
-        if len(self._entries) > self.capacity:
-            ranked = sorted(self._entries.values(),
-                            key=lambda e: (-e.estimate(), e.key))
-            for entry in ranked[self.capacity:]:
-                del self._entries[entry.key]
-                self.evictions += 1
-        self._heap = [(e.estimate(), k)
-                      for k, e in self._entries.items()]
-        heapq.heapify(self._heap)
-        return self
 
     # -- flat-buffer view (state comparison) ----------------------------
 

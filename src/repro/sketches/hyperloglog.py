@@ -138,12 +138,6 @@ class HyperLogLog:
                 mine[i] = theirs[i]
         return self
 
-    def copy(self):
-        """Return an independent copy of this sketch."""
-        clone = HyperLogLog(self.precision, self.seed)
-        clone._registers[:] = self._registers
-        return clone
-
     # -- flat-buffer view (FeatureSet.to_buffers) ----------------------
 
     def _index_size(self):

@@ -1,13 +1,11 @@
 """Unit tests for the streaming detection subsystem."""
 
 import math
-import pickle
 
 import pytest
 
-from repro.detect import (DETECTOR_DATASET, DetectorSet,
-                          DetectorWindowState, DdosDetector,
-                          ExfilDetector, NohDetector, build_detectors,
+from repro.detect import (DetectorSet, DdosDetector, ExfilDetector,
+                          NohDetector, build_detectors,
                           qname_info_millibits)
 from tests.util import make_txn, tuned
 
@@ -163,49 +161,3 @@ class TestDetectorSet:
         rows = detectors.cut(0.0, 60.0)
         names = [key for key, _ in rows if "." not in key]
         assert names == ["exfil", "ddos", "noh"]
-
-    def test_state_ship_equals_local_observe(self):
-        """take_state on one set + absorb on another == observing
-        directly: the sharded path in miniature."""
-        qnames = ["%06x.shard.io" % (i * 40503 % 2**24) for i in range(80)]
-        local = build_detectors(True)
-        worker = build_detectors(True)
-        coordinator = build_detectors(True)
-        for qname in qnames:
-            txn = make_txn(qname=qname)
-            local.observe_batch((txn,))
-            worker.observe_batch((txn,))
-        for state in worker.take_states(0.0):
-            assert isinstance(state, DetectorWindowState)
-            assert state.dataset == DETECTOR_DATASET
-            # states cross a process boundary in production
-            coordinator.absorb(pickle.loads(pickle.dumps(state,
-                                                         protocol=5)))
-        assert coordinator.cut(0.0, 60.0) == local.cut(0.0, 60.0)
-
-    def test_absorb_unknown_detector_rejected(self):
-        detectors = build_detectors(["exfil"])
-        state = DetectorWindowState("ddos", 0.0, None)
-        with pytest.raises(ValueError, match="unknown detector"):
-            detectors.absorb(state)
-
-    def test_absorb_order_invariant(self):
-        """Shard states absorb commutatively -- the coordinator need
-        not sort by shard."""
-        streams = [["%05x.order.net" % ((i * (j + 3)) % 2**20)
-                    for i in range(50)] for j in range(3)]
-        states = []
-        for stream in streams:
-            worker = build_detectors(True)
-            for qname in stream:
-                worker.observe_batch((make_txn(qname=qname),))
-            states.append(worker.take_states(0.0))
-        forward = build_detectors(True)
-        backward = build_detectors(True)
-        for shard_states in states:
-            for state in shard_states:
-                forward.absorb(state)
-        for shard_states in reversed(states):
-            for state in shard_states:
-                backward.absorb(state)
-        assert forward.cut(0.0, 60.0) == backward.cut(0.0, 60.0)

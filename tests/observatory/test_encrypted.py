@@ -84,24 +84,6 @@ def test_aggregator_summary_and_per_resolver_rows():
     assert agg.seen() == 0 and agg.cut(60.0, 120.0) == []
 
 
-def test_aggregator_state_merge_matches_single_pass():
-    """absorb() over sharded states equals one aggregator over the
-    concatenation -- the sharded bit-identity promise in miniature."""
-    txns = [encrypt_observation(
-        make_txn(ts=float(i), resolver_ip="10.0.0.%d" % (i % 3),
-                 response_size=100 + 13 * i, delay_ms=1.0 + i), "doh")
-        for i in range(20)]
-    whole = EncryptedChannelAggregator()
-    whole.observe_batch(txns)
-    shards = [EncryptedChannelAggregator() for _ in range(2)]
-    for i, txn in enumerate(txns):
-        shards[i % 2].observe(txn)
-    merged = EncryptedChannelAggregator()
-    for shard in shards:
-        merged.absorb(shard.take_state(0.0))
-    assert merged.cut(0.0, 60.0) == whole.cut(0.0, 60.0)
-
-
 def test_pipeline_diverts_blinded_from_trackers():
     """Blinded records count toward seen but never reach the content
     trackers; they surface only in the _encrypted dump."""

@@ -1,21 +1,20 @@
 """Tests for the sharded batch ingest engine.
 
 The headline property: a :class:`ShardedObservatory` over N worker
-processes produces the *same* window dumps as a single-process
-:class:`Observatory` fed the same time-ordered stream -- identical
-row order and identical feature columns (counters exact, HyperLogLog
-registers byte-identical because per-feature hash seeds are fixed).
+processes produces the *same* windows as a single-process
+:class:`Observatory` fed the same time-ordered stream -- rows,
+``#stats`` and capture ratios, saturated caches included, because each
+channel's whole state lives in one worker.
 """
 
 import os
+import random
 import signal
 import time
 
 import pytest
 
-from repro.observatory import Observatory, ShardedObservatory, TopKTracker
-from repro.observatory.keys import make_dataset
-from repro.observatory.sharded import partition_srcsrv
+from repro.observatory import Observatory, ShardedObservatory
 from repro.observatory.telemetry import PLATFORM_DATASET
 from repro.observatory.tsv import read_series
 from repro.observatory.window import WindowManager, align_window
@@ -28,10 +27,10 @@ def _stream(duration=150.0, qps=25.0, seed=11):
     return list(SieChannel(scenario).run())
 
 
-#: Top-k sizes comfortably above the distinct-key counts of the test
-#: stream, so neither the global nor the per-shard caches saturate and
-#: the sharded output must match the single-process output exactly.
 DATASETS = [("srvip", 2000), ("qname", 2000), ("esld", 1000), ("qtype", 64)]
+
+#: two channels, so a ShardedObservatory(shards=2) runs two workers
+TWO = [("srvip", 16), ("qtype", 16)]
 
 
 def _run_single(txns, **kw):
@@ -62,7 +61,7 @@ class TestEquivalence:
         sharded, windows = _run_sharded(txns, shards)
         assert sharded.total_seen == single.total_seen
         assert sharded.windows_completed == single.windows.windows_completed
-        for name in single.datasets:
+        for name, _ in DATASETS:
             sd, hd = single_windows[name], windows[name]
             assert [d.start_ts for d in hd] == [d.start_ts for d in sd]
             for a, b in zip(sd, hd):
@@ -71,7 +70,7 @@ class TestEquivalence:
                 for (key, row_a), (_, row_b) in zip(a.rows, b.rows):
                     assert row_b == row_a, \
                         "%s window %s key %s" % (name, a.start_ts, key)
-                assert b.stats["seen"] == a.stats["seen"]
+                assert b.stats == a.stats
 
     def test_seen_stats_partition_the_stream(self, txns):
         _, windows = _run_sharded(txns, 2)
@@ -79,38 +78,25 @@ class TestEquivalence:
         assert total == len(txns)
 
     def test_capture_ratios_close_to_single(self, txns, single):
-        """Per-shard cold starts lower capture slightly, never wildly."""
+        """Each dataset's capture ratio comes from the one worker that
+        owns it: the single-process figure exactly."""
         single, _ = single
         sharded, _ = _run_sharded(txns, 2)
-        for name, ratio in single.capture_ratios().items():
-            assert sharded.capture_ratios()[name] == \
-                pytest.approx(ratio, abs=0.12)
+        assert sharded.capture_ratios() == single.capture_ratios()
 
     def test_top50_stable_under_saturation(self, txns, single):
         """Deliberate 3x oversaturation (k far below the distinct-key
-        count, 4 shards): per-shard gate and eviction decisions then
-        differ from the global cache's, so byte-exactness is off the
-        table -- but the Top-k head must stay stable: near-total
-        top-50 overlap and a long exact ranking prefix."""
+        count) over 4 shards: each cache still sees its whole stream
+        in one worker, so gate and eviction decisions are the single
+        cache's and every window is the single-process window."""
         datasets = [("srvip", 150), ("qname", 300)]
         one = cut_windows(Observatory(datasets=datasets), txns)
         sharded = cut_windows(ShardedObservatory(shards=4, datasets=datasets),
                               txns)
         for name in ("srvip", "qname"):
-            for a, b in zip(one[name], sharded[name]):
-                head_a = [k for k, _ in a.rows[:50]]
-                head_b = [k for k, _ in b.rows[:50]]
-                if not head_a:
-                    assert not head_b
-                    continue
-                where = "%s window %s" % (name, a.start_ts)
-                overlap = len(set(head_a) & set(head_b))
-                assert overlap >= 45, where
-                prefix = 0
-                while (prefix < min(len(head_a), len(head_b))
-                       and head_a[prefix] == head_b[prefix]):
-                    prefix += 1
-                assert prefix >= 15, where
+            assert one[name][1].stats["kept"] > 150  # really saturated
+            assert [(d.start_ts, d.rows, d.stats) for d in sharded[name]] \
+                == [(d.start_ts, d.rows, d.stats) for d in one[name]]
 
 
 class TestShardedMechanics:
@@ -123,21 +109,15 @@ class TestShardedMechanics:
         names = sorted(os.listdir(single_dir))
         assert sorted(os.listdir(sharded_dir)) == names
         for name in names:
-            a = (single_dir / name).read_text()
-            b = (sharded_dir / name).read_text()
-            # The #stats "kept" line may differ (per-shard caches
-            # saturate later than one global cache); rows must not.
-            rows_a = [l for l in a.splitlines() if not l.startswith("#stats")]
-            rows_b = [l for l in b.splitlines() if not l.startswith("#stats")]
-            assert rows_b == rows_a, name
+            assert (sharded_dir / name).read_bytes() == \
+                (single_dir / name).read_bytes(), name
 
     def test_coordinator_batch_txns_account_for_every_transaction(
             self, tmp_path):
         """Configured the way ``benchmarks/ledger/child_pass.py`` runs
         it (``transport="pickle"``): summed over every ``_platform``
         window, the batches carried each offered transaction once, and
-        the coordinator reports no batch byte count (the queue pickles
-        the batch after ``put``; its size is not known there)."""
+        the coordinator reports no batch byte count."""
         txns = _stream(duration=130.0, qps=15.0)
         out = str(tmp_path / "out")
         _run_sharded(txns, 2, output_dir=out, telemetry=True,
@@ -150,11 +130,12 @@ class TestShardedMechanics:
         assert all("batch" "_bytes" not in row for row in coordinator)
 
     def test_ingest_single_transactions(self):
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs = ShardedObservatory(shards=2, datasets=TWO)
         for i in range(5):
             assert obs.consume_batch((make_txn(ts=float(i)),)) == []
         dumps = obs.consume_batch((make_txn(ts=61.0),))
-        assert [d.start_ts for d in dumps] == [0]
+        assert [(d.dataset, d.start_ts) for d in dumps] == \
+            [("srvip", 0), ("qtype", 0)]
         obs.finish()
         assert obs.total_seen == 6
 
@@ -163,19 +144,19 @@ class TestShardedMechanics:
         single-process catch-up: one dump for the window that had
         data, nothing for the idle ones, but windows_completed still
         counts them (parity with WindowManager)."""
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs = ShardedObservatory(shards=2, datasets=TWO)
         obs.consume_batch((make_txn(ts=10.0),))
         dumps = obs.consume_batch((make_txn(ts=200.0),))
         tail = obs.finish()
-        assert [d.start_ts for d in dumps] == [0]
+        assert [d.start_ts for d in dumps] == [0, 0]
         # window 0's only key was inserted mid-window, so the
         # survived-one-window rule leaves the dump empty
-        assert [len(d) for d in dumps] == [0]
-        assert [d.start_ts for d in tail] == [180]
+        assert [len(d) for d in dumps] == [0, 0]
+        assert [d.start_ts for d in tail] == [180, 180]
         assert obs.windows_completed == 4  # 0, two skipped, 180
 
     def test_finish_is_idempotent_and_closes(self):
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs = ShardedObservatory(shards=2, datasets=TWO)
         obs.consume_batch((make_txn(ts=1.0),))
         obs.finish()
         assert obs.finish() == []
@@ -183,11 +164,11 @@ class TestShardedMechanics:
             obs.consume_batch((make_txn(ts=2.0),))
 
     def test_worker_error_propagates(self):
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
-        obs._in_qs[0].put(("bogus-tag",))
+        obs = ShardedObservatory(shards=2, datasets=TWO)
+        obs._in_qs[1].put(("bogus-tag",))
         obs.timeout = 10.0
-        with pytest.raises(RuntimeError, match="shard 0 failed"):
-            obs._next_reply(expect="states")
+        with pytest.raises(RuntimeError, match="shard 1 failed"):
+            obs._next_reply(expect="windows")
         assert obs._closed
 
     def test_rejects_bad_configuration(self):
@@ -202,17 +183,23 @@ class TestShardedMechanics:
                 ShardedObservatory(shards=2, transport=transport)
 
     def test_capture_ratios_require_finish(self):
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs = ShardedObservatory(shards=2, datasets=TWO)
         try:
             with pytest.raises(RuntimeError):
                 obs.capture_ratios()
         finally:
             obs.close()
 
-    def test_partition_functions(self):
-        txn = make_txn(resolver_ip="10.0.0.9", server_ip="192.0.2.7",
-                       qname="a.example.com")
-        assert partition_srcsrv(txn) == "10.0.0.9|192.0.2.7"
+    def test_one_worker_per_channel_at_most(self):
+        """Eight shards asked over three channels (two datasets and
+        ``_encrypted``) run three workers, each owning one channel."""
+        obs = ShardedObservatory(shards=8, datasets=TWO, encrypted=True)
+        try:
+            assert obs.shards == 3
+            assert len(obs._workers) == 3
+            assert obs._owned == [[0], [1], [2]]
+        finally:
+            obs.close()
 
 
 class TestWorkerFailure:
@@ -222,7 +209,7 @@ class TestWorkerFailure:
     ``queue.Empty`` escape without ever calling ``close()``)."""
 
     def test_sigkill_mid_run_raises_and_reaps_workers(self):
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs = ShardedObservatory(shards=2, datasets=TWO)
         obs.timeout = 2.0
         try:
             obs.consume_batch([make_txn(ts=float(i), server_ip="192.0.2.%d" % i)
@@ -241,7 +228,7 @@ class TestWorkerFailure:
             obs.close()
 
     def test_sigkill_during_finish(self):
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs = ShardedObservatory(shards=2, datasets=TWO)
         obs.timeout = 2.0
         try:
             obs.consume_batch((make_txn(ts=1.0),))
@@ -255,7 +242,7 @@ class TestWorkerFailure:
             obs.close()
 
     def test_consume_batch_after_close_raises_cleanly(self):
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs = ShardedObservatory(shards=2, datasets=TWO)
         obs.consume_batch((make_txn(ts=1.0),))
         obs.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -265,7 +252,7 @@ class TestWorkerFailure:
     def test_close_with_backlogged_queues(self):
         """close() must not deadlock on queue feeder threads even with
         undelivered batches sitting in every queue."""
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)])
+        obs = ShardedObservatory(shards=2, datasets=TWO)
         obs.batch_size = 4
         obs.consume_batch([make_txn(ts=float(i), server_ip="192.0.2.%d" % i)
                            for i in range(64)])
@@ -278,8 +265,9 @@ class TestWorkerFailure:
 
 
 class TestOneMergePoint:
-    """One flush path: a single process is one shard merged
-    in-process, and shard states merge in shard-index order."""
+    """One flush path: a single process is one worker, and the
+    coordinator emits every worker's windows in (window start, channel
+    index) order, whatever order the replies arrive in."""
 
     def test_one_shard_tree_equals_single_process(self, tmp_path):
         """Whole files, ``#stats`` trailers included: six datasets,
@@ -313,51 +301,38 @@ class TestOneMergePoint:
         for name in single:
             assert one_shard[name] == single[name], name
 
-    @staticmethod
-    def _shard_reply(shard_id, ttl_base):
-        """What worker *shard_id* ships at the cut of window 0: one
-        srvip key whose answers carried 16 distinct TTLs -- a full
-        ``TopValues``, so merging two of them recycles counters and
-        the outcome depends on which one is folded into which."""
-        states = []
-        manager = WindowManager(
-            [TopKTracker(make_dataset("srvip", 8), use_bloom_gate=False)],
-            window_seconds=60, state_sink=states.append)
-        manager.consume_batch([
-            make_txn(ts=float(i), answer_ttls=(ttl_base + i,))
-            for i in range(16)])
-        manager.flush()
-        return ("states", shard_id, states, [])
+    def test_shuffled_reply_order_writes_the_same_tree(self, tmp_path,
+                                                       monkeypatch):
+        """Three workers over six channels; at every barrier the
+        replies are handed over in a shuffled order.  The tree is the
+        single-process tree byte for byte, every time."""
+        txns = _stream(duration=200.0, qps=15.0)
+        options = dict(detectors=True, encrypted=True)
+        single = tmp_path / "single"
+        _run_single(txns, output_dir=str(single), **options)
+        expected = {path.name: path.read_bytes()
+                    for path in single.iterdir()}
+        assert any(name.startswith("_detector.") for name in expected)
+        for seed in range(3):
+            out = tmp_path / ("shuffled%d" % seed)
+            obs = ShardedObservatory(shards=3, datasets=DATASETS,
+                                     output_dir=str(out), **options)
+            arrived = obs._next_reply
+            rng = random.Random(seed)
+            pending = []
 
-    def test_merge_order_is_shard_index_not_arrival(self, monkeypatch):
-        expected = None
-        for order in ((0, 1), (1, 0)):  # reply arrival order
-            replies = {0: self._shard_reply(0, 100),
-                       1: self._shard_reply(1, 500)}
-            pending = [replies[shard_id] for shard_id in order]
-            obs = ShardedObservatory(shards=2, datasets=[("srvip", 8)])
-            try:
-                monkeypatch.setattr(
-                    obs, "_next_reply", lambda expect: pending.pop(0))
-                obs._window_start = 0
-                dumps = obs._cut(60)
-            finally:
-                obs.close()
-            rows = [(d.dataset, d.rows, d.stats) for d in dumps]
-            assert rows[0][1], "merged window has no rows"
-            if expected is None:
-                expected = rows
-            assert rows == expected
-        # the tie is real: folding shard 1 into shard 0 and shard 0
-        # into shard 1 disagree, so only a fixed order is repeatable
-        def features(shard_id, ttl_base):
-            window = self._shard_reply(shard_id, ttl_base)[2][0]
-            return window.states[0].entries[0][5]
+            def shuffled(expect):
+                if not pending:
+                    pending.extend(arrived(expect)
+                                   for _ in range(obs.shards))
+                    rng.shuffle(pending)
+                return pending.pop()
 
-        forward = features(0, 100).merge(features(1, 500)).as_row()
-        backward = features(1, 500).merge(features(0, 100)).as_row()
-        assert forward["ttl_top1"] != backward["ttl_top1"]
-        assert expected[0][1][0][1] == forward
+            monkeypatch.setattr(obs, "_next_reply", shuffled)
+            obs.consume(txns)
+            obs.finish()
+            assert {path.name: path.read_bytes()
+                    for path in out.iterdir()} == expected
 
 
 class TestFractionalWindows:

@@ -177,7 +177,8 @@ class TestShardedTelemetry:
     def test_merged_platform_rows(self):
         from repro.observatory.sharded import ShardedObservatory
 
-        obs = ShardedObservatory(shards=2, datasets=[("srvip", 16)],
+        obs = ShardedObservatory(shards=2,
+                                 datasets=[("srvip", 16), ("qtype", 16)],
                                  window_seconds=60, telemetry=True)
         plats = cut_windows(obs, [
             make_txn(ts=float(i), server_ip="192.0.2.%d" % (i % 4),
@@ -186,16 +187,15 @@ class TestShardedTelemetry:
         assert len(plats) >= 2
         rows = dict(plats[0].rows)
         assert "coordinator" in rows
-        for shard_id in range(2):
+        for shard_id, dataset in enumerate(("srvip", "qtype")):
             assert "shard%d.link" % shard_id in rows
-            assert "shard%d.window" % shard_id in rows
-            assert "shard%d.tracker.srvip" % shard_id in rows
+            # every worker sees every transaction
+            assert rows["shard%d.window" % shard_id]["txns"] == 60
+            # ... and reports the trackers it owns
+            assert "shard%d.tracker.%s" % (shard_id, dataset) in rows
+        assert "shard1.tracker.srvip" not in rows
         assert rows["coordinator"]["workers_alive"] == 2
         assert rows["coordinator"]["txns"] == 60
-        # Shard-local txn counts partition the coordinator's total.
-        shard_txns = sum(rows["shard%d.window" % s]["txns"]
-                         for s in range(2))
-        assert shard_txns == 60
 
     def test_sharded_disabled_by_default(self):
         from repro.observatory.sharded import ShardedObservatory

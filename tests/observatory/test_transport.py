@@ -2,22 +2,19 @@
 
 Covers the sketches' flat buffer views (``to_buffers``, the state
 comparison the other tests use) surviving a pickle round trip, the
-identity codec kept for the ledger, and a whole shard window crossing
-the queue at every pickle protocol it may meet.
+identity codec kept for the ledger, and a worker's cut windows
+crossing the queue at every pickle protocol it may meet.
 """
 
 import pickle
 
 import pytest
 
-from repro.detect import DetectorWindowState, build_detectors
-from repro.observatory.channels import build_channels, merge_window
+from repro.detect import build_detectors
 from repro.observatory.encrypted import (
-    EncryptedChannelAggregator, EncryptedWindowState, encrypt_observation)
-from repro.observatory.features import FeatureSet
+    EncryptedChannelAggregator, encrypt_observation)
 from repro.observatory.keys import make_dataset
-from repro.observatory.telemetry import resolve_telemetry
-from repro.observatory.tracker import ShardWindowState, TopKTracker
+from repro.observatory.tracker import TopKTracker
 from repro.observatory.transport import PickleTransport, get_transport
 from repro.observatory.window import WindowManager
 from repro.sketches.histogram import LogHistogram, RunningMean
@@ -126,14 +123,13 @@ class TestTransportInterface:
 DATASETS = ("srvip", "qname")
 
 
-def _shard_window():
-    """What a worker ships at the cut of window 0: a tracker state per
-    dataset holding real FeatureSets, one detector state per detector
-    and the ``_encrypted`` accumulators."""
-    states = []
+def _cut_windows():
+    """What a worker owning every channel ships at the cut of window 0:
+    the windows it cut, in channel order."""
+    shipped = []
     manager = WindowManager(
         [TopKTracker(make_dataset(name, 64)) for name in DATASETS],
-        window_seconds=60, state_sink=states.append,
+        window_seconds=60, state_sink=shipped.append,
         skip_recent_inserts=False, detectors=build_detectors(True),
         encrypted=EncryptedChannelAggregator())
     txns = [make_txn(ts=0.5 * i, qname="q%d.example.com" % (i % 13),
@@ -143,41 +139,27 @@ def _shard_window():
     txns[::4] = [encrypt_observation(txn, "doh") for txn in txns[::4]]
     manager.consume_batch(txns)
     manager.flush()
-    [window] = states
-    return window
+    [windows] = shipped
+    return windows
 
 
-def _merge(window):
-    """The coordinator's half: absorb the one shard, cut window 0."""
-    channels = build_channels(
-        [TopKTracker(make_dataset(name, 64), use_bloom_gate=False)
-         for name in DATASETS],
-        build_detectors(True), EncryptedChannelAggregator(), False,
-        resolve_telemetry(None))
-    return [(dump.dataset, dump.rows, dump.stats)
-            for dump in merge_window(channels, 0, 60, [window])]
+def _content(windows):
+    return [(w.dataset, w.start_ts, list(w.columns), w.rows, w.stats)
+            for w in windows]
 
 
 class TestQueuePickling:
     """The queues pickle at ``pickle.DEFAULT_PROTOCOL`` -- 4 through
     Python 3.13, 5 from 3.14 -- with nothing of ours hooked in, so a
-    shard window must decode to the same merged window at either."""
+    worker's cut windows must decode to the same windows at either."""
 
     @pytest.mark.parametrize("protocol", [4, 5, pickle.HIGHEST_PROTOCOL],
                              ids=["4", "5", "highest"])
-    def test_shard_window_absorbs_and_cuts_the_same(self, protocol):
-        window = _shard_window()
-        *trackers, detectors, encrypted = window.states
-        assert all(isinstance(state, ShardWindowState) and state.entries
-                   and isinstance(state.entries[0][5], FeatureSet)
-                   for state in trackers)
-        assert [state.name for state in detectors] == ["exfil", "ddos", "noh"]
-        assert all(isinstance(state, DetectorWindowState)
-                   for state in detectors)
-        assert isinstance(encrypted, EncryptedWindowState) \
-            and encrypted.payload
-        decoded = pickle.loads(pickle.dumps(window, protocol))
-        merged = _merge(window)
-        assert [dataset for dataset, rows, _ in merged if rows] == \
+    def test_cut_windows_cross_the_queue_unchanged(self, protocol):
+        windows = _cut_windows()
+        assert [w.dataset for w in windows if w.rows] == \
             ["srvip", "qname", "_detector", "_encrypted"]
-        assert _merge(decoded) == merged
+        # blinded records count in every trailer's seen
+        assert {w.stats["seen"] for w in windows[:3]} == {80}
+        decoded = pickle.loads(pickle.dumps(windows, protocol))
+        assert _content(decoded) == _content(windows)

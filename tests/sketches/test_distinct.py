@@ -4,8 +4,6 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sketches.distinct import DistinctSpaceSaving
 from repro.sketches._hashing import hash64
@@ -66,13 +64,6 @@ class TestDistinctSpaceSaving:
             # Space-Saving overestimates; HLL adds ~2% noise at p=11.
             assert estimate >= len(truth[key]) * 0.9
 
-    def test_merge_parameter_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DistinctSpaceSaving(4, 11).merge(
-                DistinctSpaceSaving(8, 11))
-        with pytest.raises(TypeError):
-            DistinctSpaceSaving(2048, 11).merge(object())
-
     def test_pickle_roundtrip_protocol5(self):
         sketch = feed(DistinctSpaceSaving(8, 11),
                       [("k%d" % (i % 5), "v%d" % i) for i in range(100)])
@@ -89,47 +80,3 @@ class TestDistinctSpaceSaving:
                       [("k%d" % (i % 6), "v%d" % i) for i in range(200)])
         clone = pickle.loads(pickle.dumps(sketch))
         assert clone.to_buffers() == sketch.to_buffers()
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 400)),
-                    max_size=300),
-           st.integers(0, 2**32 - 1))
-    def test_split_merge_matches_single_pass(self, pairs, salt):
-        """Splitting a stream by hash and merging equals one pass --
-        exactly, while capacity does not bind (no evictions)."""
-        whole = DistinctSpaceSaving(64, 11)
-        parts = [DistinctSpaceSaving(64, 11) for _ in range(2)]
-        for key_id, value_id in pairs:
-            key, value = "key%d" % key_id, "value%d" % value_id
-            shard = hash64("%d|%s|%s" % (salt, key, value)) % 2
-            whole.offer(key, hash64(value))
-            parts[shard].offer(key, hash64(value))
-        merged = parts[0].merge(parts[1])
-        assert merged.top() == whole.top()
-        # byte-identical serialized state, not just equal estimates
-        assert merged.to_buffers() == whole.to_buffers()
-
-    def test_merge_is_order_insensitive(self):
-        streams = [[("k%d" % ((i * j) % 7), "v%d" % (i + 97 * j))
-                    for i in range(120)] for j in range(3)]
-        forward = DistinctSpaceSaving(32, 11)
-        backward = DistinctSpaceSaving(32, 11)
-        for stream in streams:
-            forward.merge(feed(DistinctSpaceSaving(32, 11), stream))
-        for stream in reversed(streams):
-            backward.merge(feed(DistinctSpaceSaving(32, 11), stream))
-        assert forward.to_buffers() == backward.to_buffers()
-
-    def test_merge_truncates_to_capacity(self):
-        left = feed(DistinctSpaceSaving(4, 11),
-                    [("l%d" % k, "v%d" % v)
-                     for k in range(4) for v in range(k + 1)])
-        right = feed(DistinctSpaceSaving(4, 11),
-                     [("r%d" % k, "v%d" % v)
-                      for k in range(4) for v in range(k + 10)])
-        left.merge(right)
-        assert len(left.top()) == 4
-        # the survivors are the four largest distinct counts (r-keys)
-        assert [key for key, _ in left.top()] == \
-            ["r3", "r2", "r1", "r0"]
-        assert left.evictions == 4

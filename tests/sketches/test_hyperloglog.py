@@ -1,5 +1,7 @@
 """Tests for the HyperLogLog cardinality estimator."""
 
+from copy import deepcopy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,7 +47,7 @@ def test_merge_equals_union():
     for i in range(1000):
         a.add("a-%d" % i)
         b.add("b-%d" % i)
-    union = a.copy().merge(b)
+    union = deepcopy(a).merge(b)
     est = union.cardinality()
     assert abs(est - 2000) / 2000 < 0.1
 
@@ -55,7 +57,7 @@ def test_merge_is_idempotent_for_same_data():
     for i in range(500):
         a.add("x-%d" % i)
     before = a.cardinality()
-    a.merge(a.copy())
+    a.merge(deepcopy(a))
     assert a.cardinality() == before
 
 
@@ -71,7 +73,7 @@ def test_merge_rejects_mismatched_parameters():
 def test_copy_is_independent():
     a = HyperLogLog(precision=10)
     a.add("x")
-    c = a.copy()
+    c = deepcopy(a)
     c.add("y")
     assert round(a.cardinality()) == 1
     assert round(c.cardinality()) == 2
@@ -105,6 +107,6 @@ def test_merge_commutative(xs, ys):
         a1.add(str(x))
     for y in ys:
         b1.add(str(y))
-    ab = a1.copy().merge(b1)
-    ba = b1.copy().merge(a1)
+    ab = deepcopy(a1).merge(b1)
+    ba = deepcopy(b1).merge(a1)
     assert ab._registers == ba._registers

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
-from tests.util import make_txn
+from tests.util import make_txn, window_tree
 
 
 def test_parser_requires_command():
@@ -241,16 +241,14 @@ def test_replay_sharded_matches_single(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "(2 shards)" in out
-    import os
-
-    names = sorted(os.listdir(single_dir))
-    assert sorted(os.listdir(sharded_dir)) == names
-    for name in names:
-        single_rows = [l for l in (single_dir / name).read_text().splitlines()
-                       if not l.startswith("#stats")]
-        sharded_rows = [l for l in (sharded_dir / name).read_text().splitlines()
-                        if not l.startswith("#stats")]
-        assert sharded_rows == single_rows, name
+    assert window_tree(sharded_dir) == window_tree(single_dir)
+    # srvip, qtype and the always-armed _encrypted: three channels,
+    # so eight shards asked run three workers
+    rc = main(["replay", str(stream), str(tmp_path / "eight"), "--shards",
+               "8", "--datasets", "srvip", "qtype", "--k", "500"])
+    assert rc == 0
+    assert "(3 shards)" in capsys.readouterr().out
+    assert window_tree(tmp_path / "eight") == window_tree(single_dir)
 
 
 def test_replay_segments_flag_builds_sidecars(tmp_path, capsys):

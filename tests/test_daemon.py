@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.daemon import stdin_lines
+from tests.util import window_tree
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -342,31 +343,26 @@ def test_non_utf8_line_is_skipped_by_every_line_source(tmp_path):
         assert b"skipped 1 malformed input lines" in done.stderr, argv
 
 
+def test_health_reports_the_workers_run(tmp_path):
+    """``--shards 8`` over srvip, qname and the always-armed
+    ``_encrypted`` channel runs three workers, one per channel, and
+    ``/platform/health`` says so."""
+    proc, port = spawn_daemon(tmp_path / "series", "--window", "1",
+                              "--pace", "3", "--duration", "30",
+                              "--qps", "50", "--datasets", "srvip", "qname",
+                              "--shards", "8")
+    try:
+        assert get_json(port, "/platform/health")["daemon"]["shards"] == 3
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=20) == 0
+    finally:
+        reap(proc)
+
+
 @pytest.fixture(scope="module")
 def minute_stream(tmp_path_factory):
     return simulate(tmp_path_factory.mktemp("minute") / "stream.tsv",
                     60, 80)
-
-
-def _tree(directory):
-    """``{name: comparable content}`` of a written tree: TSV bytes,
-    and a sidecar's decoded window (its bytes embed the TSV's file
-    identity); ``_platform`` rows carry wall-clock timings."""
-    from repro.observatory import segments as segmentfmt
-
-    tree = {}
-    for name in sorted(os.listdir(directory)):
-        if name.startswith("_platform."):
-            continue
-        path = os.path.join(directory, name)
-        if name.endswith(segmentfmt.SEGMENT_SUFFIX):
-            data = segmentfmt.read_segment(path)
-            tree[name] = (data.dataset, data.granularity, data.start_ts,
-                          data.columns, data.keys, data.values, data.stats)
-        else:
-            with open(path, "rb") as fh:
-                tree[name] = fh.read()
-    return tree
 
 
 @pytest.mark.parametrize("shards", ["1", "2"])
@@ -386,7 +382,7 @@ def test_daemon_writes_the_replay_tree(minute_stream, tmp_path, shards):
             subprocess.run(base + argv + flags, stdin=fh, cwd=tmp_path,
                            env=_env(), check=True, capture_output=True,
                            timeout=120)
-    expected = _tree(tmp_path / "replay")
+    expected = window_tree(tmp_path / "replay")
     assert any(name.startswith("srvip.") for name in expected)
-    assert _tree(tmp_path / "file") == expected
-    assert _tree(tmp_path / "stdin") == expected
+    assert window_tree(tmp_path / "file") == expected
+    assert window_tree(tmp_path / "stdin") == expected

@@ -5,7 +5,7 @@ import random
 import threading
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.dnswire.constants import QTYPE, RCODE
@@ -16,7 +16,7 @@ from repro.observatory.transaction import Transaction
 from repro.observatory.tsv import (
     TimeSeriesData, escape_key, filename_for, list_series, read_series,
     read_tsv, unescape_key, write_tsv)
-from tests.util import cut_windows, make_nxdomain, make_txn
+from tests.util import cut_windows, make_nxdomain, make_txn, window_tree
 
 # -- strategies ---------------------------------------------------------
 
@@ -177,70 +177,6 @@ def test_featureset_merge_matches_single_pass(tagged):
     assert left.as_row() == whole.as_row()
 
 
-def _keyed(ts, qname):
-    return make_txn(ts=ts, qname=qname)
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.lists(transactions(), min_size=1, max_size=120),
-       st.integers(0, 2**32 - 1))
-# bit i of the salt is transaction i's shard.  In window [100, 200):
-# example.com is active in both shards, inserted at 150 in shard 0 and
-# at 10 in shard 1 (absorb must keep the minimum); www.example.com is
-# active only in shard 0 (inserted 170) and idle in shard 1 (inserted
-# 20, three earlier hits): the cut must honour the idle shard's
-# insertion time, and rank it above bbc.co.uk by the idle shard's rate
-@example([_keyed(10, "example.com"), _keyed(20, "www.example.com"),
-          _keyed(21, "www.example.com"), _keyed(22, "www.example.com"),
-          _keyed(30, "bbc.co.uk"), _keyed(150, "example.com"),
-          _keyed(160, "example.com"), _keyed(165, "bbc.co.uk"),
-          _keyed(170, "www.example.com")], 0b001001111)
-def test_split_streams_merge_like_one_observatory(txns, salt):
-    """Splitting a stream across two trackers and merging their window
-    states the way the coordinator does -- ``take_state`` on each part,
-    ``absorb`` in shard-index order, ``cut`` -- dumps what one tracker
-    over the whole stream dumps (uncapped, so the merge must be exact):
-    the same keys with the same rows in the same rank order.  The split
-    cuts through keys, so a key is regularly active in one shard and
-    idle in the other: the survived-one-window rule has to see the
-    *minimum* insertion time, and the rank the idle shard's rate."""
-    from repro.observatory.keys import make_dataset
-    from repro.observatory.telemetry import NullTelemetry
-    from repro.observatory.tracker import TopKTracker, TrackerChannel
-
-    def channel():
-        return TrackerChannel(
-            TopKTracker(make_dataset("qname", 1000), use_bloom_gate=False),
-            True, NullTelemetry())
-
-    parts, merged, whole = [channel(), channel()], channel(), channel()
-    window = 100.0
-
-    def flush(start):
-        end = start + window
-        for part in parts:  # shard-index order, as merge_window does
-            merged.absorb(part.take_state(start, end))
-        whole.absorb(whole.take_state(start, end))
-        cache = whole.tracker.cache
-        rate = {entry.key: cache.rate(entry, end) for entry in cache}
-        got, want = merged.cut(start, end, 0), whole.cut(start, end, 0)
-        assert dict(got.rows) == dict(want.rows)
-        # same rank order: where the two orders differ, the rates are
-        # equal up to the rounding of summing per-shard rates
-        for heavier, lighter in zip(got.keys, got.keys[1:]):
-            assert rate[heavier] >= rate[lighter] * (1 - 1e-9)
-        assert got.stats["kept"] == want.stats["kept"]
-        return end
-
-    start = 0.0
-    for index, txn in enumerate(sorted(txns, key=lambda t: t.ts)):
-        while txn.ts >= start + window:
-            start = flush(start)
-        parts[salt >> index % 32 & 1].observe_batch((txn,), (None,))
-        whole.observe_batch((txn,), (None,))
-    flush(start)
-
-
 # -- randomized differential harness ------------------------------------
 #
 # The strongest correctness statement the system can make is that its
@@ -253,47 +189,57 @@ def test_split_streams_merge_like_one_observatory(txns, salt):
 DIFF_SEEDS = [7, 1017, 2019, 31337, 424242]
 
 
-def _tsv_tree(directory):
-    """``{filename: data lines}`` for every series file in *directory*.
+def _replay_tree(cli_main, stream, out, *flags):
+    assert cli_main(["replay", str(stream), str(out), *flags]) == 0
+    return window_tree(str(out))
 
-    ``_platform`` files and ``#stats`` lines are each mode's own vital
-    signs (telemetry rows and flush accounting legitimately differ
-    between one process and two), so the differential excludes them --
-    the same exclusion the CI smoke comparison uses.
-    """
-    out = {}
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".tsv") or name.startswith("_platform."):
-            continue
-        with open(os.path.join(directory, name), encoding="utf-8") as fh:
-            out[name] = [line for line in fh
-                         if not line.startswith("#stats")]
-    return out
+
+#: six datasets and the always-armed ``_encrypted``: seven channels,
+#: so two and three workers each own several trackers
+ALL_DATASETS = ("--datasets", "srvip", "qname", "esld", "qtype", "rcode",
+                "aafqdn")
 
 
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_sharded_replay_matches_single_process(seed, tmp_path):
-    """simulate | replay == simulate | replay --shards 2 --telemetry:
-    same filenames, same rows, for five random workloads, through the
-    real CLI."""
+    """simulate | replay == simulate | replay --shards N for N = 2 and
+    3, at the default k and at a saturating --k 50: every window file
+    byte for byte, ``#stats`` included, for five random workloads,
+    through the real CLI."""
     from repro.cli import main as cli_main
 
     stream = tmp_path / "stream.txt"
     assert cli_main(["simulate", "--preset", "tiny", "--seed", str(seed),
-                     "--duration", "90", "--qps", "15",
+                     "--duration", "180", "--qps", "30",
                      "-o", str(stream)]) == 0
-    single = tmp_path / "single"
-    sharded = tmp_path / "sharded"
-    assert cli_main(["replay", str(stream), str(single)]) == 0
-    assert cli_main(["replay", str(stream), str(sharded),
-                     "--shards", "2", "--telemetry"]) == 0
-    ours, theirs = _tsv_tree(str(single)), _tsv_tree(str(sharded))
-    assert sorted(ours) == sorted(theirs)
-    for name in ours:
-        assert ours[name] == theirs[name], "row mismatch in %s" % name
-    # the sharded run's telemetry really was on
-    assert any(name.startswith("_platform.")
-               for name in os.listdir(str(sharded)))
+    for k in ("2000", "50"):
+        flags = ALL_DATASETS + ("--k", k, "--segments")
+        single = _replay_tree(cli_main, stream, tmp_path / ("single" + k),
+                              *flags)
+        assert any(name.endswith(".seg") for name in single)
+        for shards in ("2", "3"):
+            out = tmp_path / ("sharded%s-%s" % (shards, k))
+            assert _replay_tree(cli_main, stream, out, *flags, "--shards",
+                                shards, "--telemetry") == single, out
+            # the sharded run's telemetry really was on
+            assert any(name.startswith("_platform.")
+                       for name in os.listdir(str(out)))
+
+
+@pytest.mark.parametrize("seed", DIFF_SEEDS)
+def test_sharded_replay_repeats(seed, tmp_path):
+    """The same sharded command, five times: five identical trees."""
+    from repro.cli import main as cli_main
+
+    stream = tmp_path / "stream.txt"
+    assert cli_main(["simulate", "--preset", "tiny", "--seed", str(seed),
+                     "--duration", "120", "--qps", "30",
+                     "-o", str(stream)]) == 0
+    flags = ALL_DATASETS + ("--k", "50", "--detectors", "--shards", "3")
+    first = _replay_tree(cli_main, stream, tmp_path / "run0", *flags)
+    for run in range(1, 5):
+        assert _replay_tree(cli_main, stream, tmp_path / ("run%d" % run),
+                            *flags) == first
 
 
 @pytest.fixture(scope="module")
@@ -633,29 +579,13 @@ def test_segment_backed_http_responses_byte_identical(segment_tree):
 
 
 # -- detection subsystem differentials ----------------------------------
-#
-# The detectors make a stronger promise than the tracker datasets: the
-# accumulator/scorer split means the ``_detector`` series -- flush
-# accounting included -- is bit-identical between a sharded run and a
-# single process.  So unlike _tsv_tree above, this comparison keeps
-# the ``#stats`` lines.
-
-def _detector_tree(directory):
-    """{filename: full text} for every ``_detector`` series file."""
-    out = {}
-    for name in sorted(os.listdir(directory)):
-        if name.startswith("_detector.") and name.endswith(".tsv"):
-            with open(os.path.join(directory, name),
-                      encoding="utf-8") as fh:
-                out[name] = fh.read()
-    return out
-
 
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_sharded_detector_series_bit_identical(seed, tmp_path):
-    """replay --detectors == replay --detectors --shards 2: the
-    ``_detector`` files agree byte for byte, for five random workloads
-    carrying both scripted attacks, through the real CLI."""
+    """replay --detectors == replay --detectors --shards 2: the whole
+    tree, ``_detector`` files included, agrees byte for byte, for five
+    random workloads carrying both scripted attacks, through the real
+    CLI."""
     from repro.cli import main as cli_main
 
     stream = tmp_path / "stream.txt"
@@ -670,11 +600,10 @@ def test_sharded_detector_series_bit_identical(seed, tmp_path):
                      "--detectors"]) == 0
     assert cli_main(["replay", str(stream), str(sharded), "--detectors",
                      "--shards", "2"]) == 0
-    ours, theirs = _detector_tree(str(single)), _detector_tree(str(sharded))
-    assert ours, "no _detector series written"
-    assert sorted(ours) == sorted(theirs)
-    for name in ours:
-        assert ours[name] == theirs[name], "byte mismatch in %s" % name
+    ours, theirs = window_tree(str(single)), window_tree(str(sharded))
+    assert any(name.startswith("_detector.") for name in ours), \
+        "no _detector series written"
+    assert ours == theirs
     # the comparison exercised live flag paths, not all-quiet windows
     flagged = sum(row["flagged"]
                   for d in read_series(str(single), "_detector", "minutely")
@@ -722,9 +651,9 @@ def test_detector_rows_survive_tsv_roundtrip(qnames):
 #     ``seen`` accounting) is invariant, content datasets degrade
 #     monotonically, and the ``_encrypted`` channel only grows (the
 #     per-resolver hash-threshold assignment nests);
-#  3. the ``_encrypted`` and ``_vantage_*`` meta-series are
-#     bit-identical (``#stats`` included) between a sharded run and a
-#     single process, like the ``_detector`` promise above.
+#  3. a sharded run writes the single-process tree, ``_encrypted`` and
+#     ``_vantage_*`` included, although ``_encrypted`` lives on a
+#     different worker from most trackers.
 
 def _simulate_stream(cli_main, tmp_path, seed, name, extra=()):
     stream = tmp_path / ("%s.txt" % name)
@@ -751,10 +680,7 @@ def test_plaintext_encrypted_scenario_byte_identical(seed, tmp_path):
     out_armed = tmp_path / "out-armed"
     assert cli_main(["replay", str(plain), str(out_plain)]) == 0
     assert cli_main(["replay", str(armed), str(out_armed)]) == 0
-    ours, theirs = _tsv_tree(str(out_plain)), _tsv_tree(str(out_armed))
-    assert sorted(ours) == sorted(theirs)
-    for name in ours:
-        assert ours[name] == theirs[name], "row mismatch in %s" % name
+    assert window_tree(str(out_plain)) == window_tree(str(out_armed))
     # and no _encrypted series materialized for an all-plaintext stream
     assert not any(name.startswith("_encrypted.")
                    for name in os.listdir(str(out_plain)))
@@ -813,46 +739,29 @@ def test_blindness_monotone_as_fraction_rises(seed, tmp_path):
                      dirs[1]]) == 3
 
 
-def _meta_series_tree(directory, prefixes=("_encrypted.", "_vantage_")):
-    """{filename: full text} for the encrypted/vantage meta-series."""
-    out = {}
-    for name in sorted(os.listdir(directory)):
-        if name.endswith(".tsv") and name.startswith(prefixes):
-            with open(os.path.join(directory, name),
-                      encoding="utf-8") as fh:
-                out[name] = fh.read()
-    return out
-
-
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_sharded_encrypted_and_vantage_bit_identical(seed, tmp_path):
     """replay --vantage of an encrypted-mix stream == the same with
-    --shards 2: the _encrypted and _vantage_* files
-    agree byte for byte, #stats trailers included."""
+    --shards 2 and 3, at the default k and at --k 50: the whole tree,
+    ``_encrypted`` and ``_vantage_*`` included, byte for byte,
+    ``#stats`` trailers included -- the trackers' workers keep the
+    blinded records out of their datasets but count them in
+    ``seen``."""
     from repro.cli import main as cli_main
 
     vdb = tmp_path / "vantage.tsv"
     stream = _simulate_stream(
         cli_main, tmp_path, seed, "mix",
         ["--encrypted-fraction", "0.5", "--vantage-db", str(vdb)])
-    single = tmp_path / "single"
-    sharded = tmp_path / "sharded"
-    assert cli_main(["replay", str(stream), str(single),
-                     "--vantage", str(vdb)]) == 0
-    assert cli_main(["replay", str(stream), str(sharded),
-                     "--vantage", str(vdb), "--shards", "2"]) == 0
-    ours = _meta_series_tree(str(single))
-    theirs = _meta_series_tree(str(sharded))
-    assert any(name.startswith("_encrypted.") for name in ours), \
-        "no _encrypted series written"
-    assert any(name.startswith("_vantage_") for name in ours), \
-        "no _vantage series written"
-    assert sorted(ours) == sorted(theirs)
-    for name in ours:
-        assert ours[name] == theirs[name], "byte mismatch in %s" % name
-    # the rest of the tree agrees too (rows; flush accounting may
-    # legitimately differ only for _platform, excluded by _tsv_tree)
-    rows_ours, rows_theirs = _tsv_tree(str(single)), _tsv_tree(str(sharded))
-    assert sorted(rows_ours) == sorted(rows_theirs)
-    for name in rows_ours:
-        assert rows_ours[name] == rows_theirs[name]
+    for k in ("2000", "50"):
+        flags = ("--vantage", str(vdb), "--k", k)
+        single = _replay_tree(cli_main, stream, tmp_path / ("single" + k),
+                              *flags)
+        assert any(name.startswith("_encrypted.") for name in single), \
+            "no _encrypted series written"
+        assert any(name.startswith("_vantage_") for name in single), \
+            "no _vantage series written"
+        for shards in ("2", "3"):
+            out = tmp_path / ("sharded%s-%s" % (shards, k))
+            assert _replay_tree(cli_main, stream, out, *flags, "--shards",
+                                shards) == single, out

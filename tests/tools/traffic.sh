@@ -36,6 +36,8 @@ $R simulate --preset tiny --seed 7 --duration 30 --qps 10 \
 FULL="--segments --telemetry --detectors --vantage $W/vantage.tsv"
 $R replay "$W/stream.tsv" "$W/single" $FULL
 $R replay "$W/stream.tsv" "$W/sharded" --shards 2 $FULL
+# each worker owns whole channels: the single tree, #stats included
+diff -r -x '_platform*' -x '*.seg' "$W/single" "$W/sharded"
 # forced retention below prunes this copy; the sharded tree stays whole
 # for report --platform and serve
 cp -r "$W/sharded" "$W/sharded-retained"

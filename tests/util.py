@@ -1,5 +1,7 @@
 """Shared test helpers: compact transaction factories."""
 
+import os
+
 from repro.dnswire.constants import QTYPE, RCODE
 from repro.observatory.transaction import Transaction
 
@@ -73,3 +75,26 @@ def tuned(obj, **constants):
         assert hasattr(obj, name), name
         setattr(obj, name, value)
     return obj
+
+
+def window_tree(directory):
+    """``{name: comparable content}`` of a written tree, what the
+    differentials compare: a TSV's bytes, ``#stats`` trailer included,
+    and a sidecar's decoded window (its bytes embed the TSV's file
+    identity, which no two runs share).  ``_platform`` files are left
+    out: their rows carry wall-clock timings and per-worker rows."""
+    from repro.observatory import segments as segmentfmt
+
+    tree = {}
+    for name in sorted(os.listdir(directory)):
+        if name.startswith("_platform."):
+            continue
+        path = os.path.join(directory, name)
+        if name.endswith(segmentfmt.SEGMENT_SUFFIX):
+            data = segmentfmt.read_segment(path)
+            tree[name] = (data.dataset, data.granularity, data.start_ts,
+                          data.columns, data.keys, data.values, data.stats)
+        else:
+            with open(path, "rb") as fh:
+                tree[name] = fh.read()
+    return tree

@@ -13,6 +13,7 @@ load the full list by handing its lines to :class:`PublicSuffixList`.
 """
 
 from repro.dnswire.name import normalize_name, split_labels
+from repro.memo import BoundedMemo
 
 #: Embedded snapshot of ICANN public suffixes.  A small but realistic
 #: subset: legacy gTLDs, popular new gTLDs, ccTLDs with and without
@@ -118,14 +119,15 @@ class PublicSuffixList:
     """
 
     #: memoization cap -- popular QNAMEs repeat millions of times in
-    #: the stream; the cache is cleared wholesale when it fills
+    #: the stream; the cache is cleared wholesale when it fills, and
+    #: each clear counts as a ``psl`` clear in :mod:`repro.memo`
     _CACHE_LIMIT = 200_000
 
     def __init__(self, rules):
         self._exact = set()
         self._wildcards = set()
         self._exceptions = set()
-        self._tld_cache = {}
+        self._tld_cache = BoundedMemo("psl")
         for raw in rules:
             rule = raw.split("//")[0].strip().lower()
             if not rule:
@@ -157,9 +159,7 @@ class PublicSuffixList:
         if not labels:
             return None
         result = self._effective_tld_uncached(labels)
-        if len(self._tld_cache) >= self._CACHE_LIMIT:
-            self._tld_cache.clear()
-        self._tld_cache[name] = result or ""
+        self._tld_cache.put(name, result or "", self._CACHE_LIMIT)
         return result
 
     def _effective_tld_uncached(self, labels):

@@ -27,12 +27,13 @@ import sys
 
 from repro.dnswire.constants import RCODE
 from repro.dnswire.psl import default_psl
+from repro.memo import BoundedMemo
 
 #: memo-miss sentinel (None is a valid memoized result: "filtered out")
 _MISSING = object()
 
 #: entries a batch extractor's ``attr value -> key`` memo holds before
-#: it is cleared wholesale
+#: it is cleared wholesale (counted as a ``key`` clear, :mod:`repro.memo`)
 MEMO_LIMIT = 100_000
 
 
@@ -99,7 +100,7 @@ class DatasetSpec:
         filter_fn = self.filter_fn
         if self.cache_key_attr is not None and filter_fn is None:
             attr = self.cache_key_attr
-            cache = {}
+            cache = BoundedMemo("key")
             intern = sys.intern
 
             def extract_batch(txns):
@@ -110,12 +111,10 @@ class DatasetSpec:
                     value = getattr(txn, attr)
                     key = cache_get(value, _MISSING)
                     if key is _MISSING:
-                        if len(cache) >= MEMO_LIMIT:
-                            cache.clear()
                         key = key_fn(txn)
                         if key is not None:
                             key = intern(key)
-                        cache[value] = key
+                        cache.put(value, key, MEMO_LIMIT)
                     append(key)
                 return keys
 

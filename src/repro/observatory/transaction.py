@@ -21,6 +21,11 @@ import math
 from repro.dnswire.constants import QTYPE, RCODE
 from repro.dnswire.name import count_labels, normalize_name
 
+#: timestamps are seconds in [0, 2**40) (until the year 36812): far
+#: below the magnitude where adding a window length to a window start
+#: leaves it unchanged, so the window grid always advances
+MAX_TS = float(1 << 40)
+
 _FIELD_SEP = "\t"
 _LIST_SEP = ","
 _NONE = "-"
@@ -195,11 +200,12 @@ class Transaction:
 
     def check_domains(self):
         """Raise ``ValueError`` naming the numeric field that is
-        outside its domain: a non-finite ``ts``, a negative or
-        non-finite ``delay_ms``, an ``observed_ttl`` outside 0..255, a
-        negative ``response_size``.  The window grid, the delay and
-        size histograms and the hop inference are undefined there."""
-        if not -math.inf < self.ts < math.inf:
+        outside its domain: a ``ts`` outside [0, :data:`MAX_TS`), a
+        negative or non-finite ``delay_ms``, an ``observed_ttl``
+        outside 0..255, a negative ``response_size``.  The window
+        grid, the delay and size histograms and the hop inference are
+        undefined there."""
+        if not 0.0 <= self.ts < MAX_TS:
             raise ValueError("ts out of range: %r" % (self.ts,))
         if not 0.0 <= self.delay_ms < math.inf:
             raise ValueError("delay_ms out of range: %r" % (self.delay_ms,))

@@ -8,6 +8,7 @@ window grid and flushes the channels of
 import math
 import time
 
+from repro import memo
 from repro.observatory.channels import build_channels, meta_dump
 from repro.observatory.features import TxnHashes
 from repro.observatory.telemetry import PLATFORM_DATASET, resolve_telemetry
@@ -64,8 +65,9 @@ class WindowManager:
     telemetry:
         ``True`` / a :class:`~repro.observatory.telemetry.Telemetry`
         registry to enable platform self-telemetry: flush latency,
-        rows dumped, skipped-recent counts, gap fast-forwards, plus
-        each tracker's sketch-health sample.  Without a *state_sink*
+        rows dumped, skipped-recent counts, gap fast-forwards, the
+        process's memo clears (:mod:`repro.memo`), plus each
+        tracker's sketch-health sample.  Without a *state_sink*
         every window boundary additionally emits a ``_platform``
         dump with one row per component.
         Falsy (the default) wires the shared no-op registry: nothing
@@ -114,6 +116,8 @@ class WindowManager:
         if telemetry.enabled:
             telemetry.register("window", self._telemetry_row,
                                deltas=("txns",))
+            telemetry.register("memo", memo.clears_sampler(),
+                               deltas=memo.MEMO_COLUMNS)
             for tracker in self.trackers:
                 row_fn = getattr(tracker, "telemetry_row", None)
                 if row_fn is not None:

@@ -119,7 +119,21 @@ VANTAGE_GROUPS = {"asn": "_vantage_asn", "cc": "_vantage_cc"}
 #: the body cache and the streamed path must all produce the same
 #: entity for one ETag
 _dumps = functools.partial(json.dumps, separators=(",", ":"),
-                           sort_keys=True)
+                           sort_keys=True, allow_nan=False)
+
+
+def _finite(raw, message):
+    """*raw* as a finite float, else a 400 with *message*: nan and
+    +-inf parse as floats but have no JSON form, and a cursor or range
+    bound made of them would be echoed back as a bare ``Infinity``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise HttpError(400, message)
+    return value
+
 
 #: one route's instruments in the shared telemetry registry
 _RouteStats = namedtuple(
@@ -338,11 +352,8 @@ class ObservatoryApp:
         raw = request.params.get(name)
         if raw is None or raw == "":
             return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise HttpError(400, "parameter %r must be a number, got %r"
-                            % (name, raw))
+        return _finite(raw, "parameter %r must be a number, got %r"
+                       % (name, raw))
 
     @staticmethod
     def _int_param(request, name, default, lo, hi):
@@ -630,11 +641,8 @@ class ObservatoryApp:
             refs = self.store.select(*selection)
             cursor = refs[-1].start_ts if refs else None
         else:
-            try:
-                cursor = float(raw)
-            except ValueError:
-                raise HttpError(400, "parameter 'follow' must be a "
-                                "number or empty, got %r" % raw)
+            cursor = _finite(raw, "parameter 'follow' must be a number "
+                             "or empty, got %r" % raw)
         timeout = self._float_param(request, "timeout")
         if timeout is None:
             timeout = FOLLOW_TIMEOUT_DEFAULT
@@ -672,11 +680,8 @@ class ObservatoryApp:
         if cursor is None:
             last_id = request.headers.get("last-event-id")
             if last_id:
-                try:
-                    cursor = float(last_id)
-                except ValueError:
-                    raise HttpError(400, "malformed Last-Event-ID %r"
-                                    % last_id)
+                cursor = _finite(last_id, "malformed Last-Event-ID %r"
+                                 % last_id)
         if cursor is None:
             refs = self.store.select(*selection)
             cursor = refs[-1].start_ts if refs else None

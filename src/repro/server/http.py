@@ -126,8 +126,8 @@ class Response:
 
     @classmethod
     def json(cls, payload, status=200, headers=None):
-        body = (json.dumps(payload, separators=(",", ":"),
-                           sort_keys=True) + "\n").encode("utf-8")
+        body = (json.dumps(payload, separators=(",", ":"), sort_keys=True,
+                           allow_nan=False) + "\n").encode("utf-8")
         return cls(status, body, headers)
 
     @classmethod

@@ -52,25 +52,42 @@ class BloomFilter:
         """Number of ``add()`` calls (including duplicates)."""
         return self._count
 
-    def _positions(self, key):
+    def add(self, key):
+        """Insert *key*; returns True if it was (probably) already present.
+
+        One hash, then one walk that checks and sets each of the
+        ``num_hashes`` double-hashing positions ``(h1 + i*h2) mod m``,
+        stepped incrementally so the walk stays in small integers."""
         h1, h2 = hash_pair(key, self.seed)
         m = self.num_bits
-        return [(h1 + i * h2) % m for i in range(self.num_hashes)]
-
-    def add(self, key):
-        """Insert *key*; returns True if it was (probably) already present."""
-        present = True
-        for pos in self._positions(key):
-            byte, bit = pos >> 3, pos & 7
-            if not self._bits[byte] & (1 << bit):
-                present = False
-                self._bits[byte] |= 1 << bit
-                self._bits_set += 1
+        pos, step = h1 % m, h2 % m
+        bits = self._bits
+        fresh = 0
+        for _ in range(self.num_hashes):
+            mask = 1 << (pos & 7)
+            byte = pos >> 3
+            if not bits[byte] & mask:
+                bits[byte] |= mask
+                fresh += 1
+            pos += step
+            if pos >= m:
+                pos -= m
+        self._bits_set += fresh
         self._count += 1
-        return present
+        return not fresh
 
     def __contains__(self, key):
-        return all(self._bits[p >> 3] & (1 << (p & 7)) for p in self._positions(key))
+        h1, h2 = hash_pair(key, self.seed)
+        m = self.num_bits
+        pos, step = h1 % m, h2 % m
+        bits = self._bits
+        for _ in range(self.num_hashes):
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+            pos += step
+            if pos >= m:
+                pos -= m
+        return True
 
     def clear(self):
         """Remove all keys."""
@@ -113,9 +130,13 @@ class RotatingBloomFilter:
         """Insert *key*; returns True if it was already remembered."""
         if now is not None:
             self.maybe_rotate(now)
+        # one hash per filter: a read-only walk of the previous
+        # filter that stops at the first clear bit, then the active
+        # filter's check-and-set walk
         seen = key in self._previous
-        seen = self._active.add(key) or seen
-        if len(self._active) >= self.capacity:
+        active = self._active
+        seen = active.add(key) or seen
+        if len(active) >= self.capacity:
             # Count-based overflow rotation: a key surge within one
             # rotate_interval (PRSD attack, botnet ramp-up) would
             # otherwise drive the fill ratio toward 1.0, at which

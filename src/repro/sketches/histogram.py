@@ -47,6 +47,20 @@ class LogHistogram:
         self._min = math.inf
         self._max = -math.inf
 
+    def empty_copy(self):
+        """A new, empty histogram with this one's parameters, made
+        without re-validating them or taking the logarithm again."""
+        clone = object.__new__(type(self))
+        clone.base = self.base
+        clone._log_base = self._log_base
+        clone.min_value = self.min_value
+        clone._buckets = {}
+        clone.count = 0
+        clone._sum = 0.0
+        clone._min = math.inf
+        clone._max = -math.inf
+        return clone
+
     def bucket_index(self, value):
         """The bucket a non-negative *value* falls into."""
         if value <= self.min_value:

@@ -35,7 +35,8 @@ def index_rank(h, precision):
     """The ``(register index, rank)`` a 64-bit hash *h* maps to at
     *precision* -- what :meth:`HyperLogLog.add_hash` computes, exposed
     so a caller feeding many same-precision sketches from one hash can
-    do it once and :meth:`HyperLogLog.add_indexed` the pair."""
+    do it once and raise register ``index`` to ``rank`` itself (as
+    :meth:`~repro.observatory.features.FeatureSet.update` does)."""
     rest = h << precision & ((1 << 64) - 1)
     return (h >> (64 - precision),
             64 - precision + 1 if rest == 0 else 64 - rest.bit_length() + 1)
@@ -62,6 +63,16 @@ class HyperLogLog:
         self.seed = int(seed)
         self._registers = bytearray(1 << self.precision)
 
+    def empty_copy(self):
+        """A new, empty sketch with this one's precision and seed,
+        made without re-validating them: a caller that builds many
+        same-parameter sketches keeps one as the template."""
+        clone = object.__new__(type(self))
+        clone.precision = self.precision
+        clone.seed = self.seed
+        clone._registers = bytearray(len(self._registers))
+        return clone
+
     @property
     def num_registers(self):
         return 1 << self.precision
@@ -83,12 +94,6 @@ class HyperLogLog:
         rank = 64 - self.precision + 1 if rest == 0 else (64 - rest.bit_length() + 1)
         if rank > self._registers[idx]:
             self._registers[idx] = rank
-
-    def add_indexed(self, index, rank):
-        """Add a key by its precomputed :func:`index_rank` pair (which
-        must have been derived for this sketch's precision)."""
-        if rank > self._registers[index]:
-            self._registers[index] = rank
 
     def _alpha(self):
         m = self.num_registers

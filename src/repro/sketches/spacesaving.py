@@ -26,8 +26,14 @@ Each live entry carries an opaque ``state`` slot where the caller
 feature accumulator; the slot is reset on insertion, since the
 statistics of the evicted object do not describe the new one.
 
-Complexity: O(log k) amortized per observation (lazy min-heap with
-periodic compaction), O(k) memory.
+Complexity: O(1) per hit and O(log k) amortized per insertion, O(k)
+memory.  The min-heap holds exactly one ``(weight, id, entry)`` tuple
+per live entry, pushed when the entry is inserted: a hit only adds
+weight, so a tuple's weight may lag its entry's.  Weights only rise
+between renormalizations, so when eviction finds a lagging tuple on
+top it replaces it with an up-to-date one, and the first up-to-date
+top is the live entry with the least ``(weight, id)`` -- the victim a
+heap refreshed on every hit would pick.
 """
 
 import heapq
@@ -38,8 +44,7 @@ from repro.sketches.ewma import ForwardDecay
 class SpaceSavingEntry:
     """A tracked object inside the Space-Saving cache."""
 
-    __slots__ = ("key", "weight", "error", "inserted_at", "hits", "state",
-                 "_version")
+    __slots__ = ("key", "weight", "error", "inserted_at", "hits", "state")
 
     def __init__(self, key, weight, error, inserted_at):
         #: the object's textual key (e.g. a nameserver IP address)
@@ -56,7 +61,6 @@ class SpaceSavingEntry:
         self.hits = 0
         #: caller-attached per-object statistics (reset on insertion)
         self.state = None
-        self._version = 0
 
 
 class SpaceSaving:
@@ -116,22 +120,24 @@ class SpaceSaving:
             self.tracked_hits += 1
             entry.weight += add_weight
             entry.hits += 1
-            self._push(entry)
             return entry
-        if len(entries) >= self.capacity:
+        if len(entries) < self.capacity:
+            entry = SpaceSavingEntry(key, add_weight, 0.0, now)
+            heapq.heappush(self._heap, (add_weight, id(entry), entry))
+        else:
             if self.gate is not None and not self.gate.add(key, now):
                 self.gated += 1
                 return None
-            victim = self._pop_min()
-            inherited = victim.weight
+            victim = self._peek_min()
             del entries[victim.key]
             self.evictions += 1
-        else:
-            inherited = 0.0
-        entry = SpaceSavingEntry(key, inherited + add_weight, inherited, now)
+            inherited = victim.weight
+            entry = SpaceSavingEntry(key, inherited + add_weight, inherited,
+                                     now)
+            # the newcomer's tuple takes the victim's place on top
+            heapq.heapreplace(self._heap, (entry.weight, id(entry), entry))
         entry.hits = 1
         entries[key] = entry
-        self._push(entry)
         return entry
 
     def get(self, key):
@@ -185,32 +191,25 @@ class SpaceSaving:
         return self.tracked_hits / self.offered if self.offered else 0.0
 
     # ------------------------------------------------------------------
-    # Heap bookkeeping (lazy deletion + periodic compaction)
+    # Heap bookkeeping (one tuple per live entry, refreshed on demand)
     # ------------------------------------------------------------------
 
-    def _push(self, entry):
-        entry._version += 1
-        heapq.heappush(self._heap, (entry.weight, id(entry), entry._version, entry))
-        if len(self._heap) > 8 * self.capacity + 64:
-            self._rebuild_heap()
-
-    def _pop_min(self):
+    def _peek_min(self):
+        """The live entry with the least ``(weight, id)``, its tuple left
+        on top of the heap: a top tuple whose weight lags its entry's is
+        replaced by an up-to-date one until the top is current.  Ids of
+        live entries differ, so two tuples never tie up to the entry."""
         heap = self._heap
-        while heap:
-            weight, _, version, entry = heapq.heappop(heap)
-            if entry._version == version and self._entries.get(entry.key) is entry:
+        while True:
+            weight, ident, entry = heap[0]
+            if entry.weight == weight:
                 return entry
-        raise RuntimeError("Space-Saving heap exhausted with live entries present")
-
-    def _rebuild_heap(self):
-        self._heap = [
-            (e.weight, id(e), e._version, e) for e in self._entries.values()
-        ]
-        heapq.heapify(self._heap)
+            heapq.heapreplace(heap, (entry.weight, ident, entry))
 
     def _renormalize(self, now):
         factor = self.decay.renormalize(now)
         for entry in self._entries.values():
             entry.weight *= factor
             entry.error *= factor
-        self._rebuild_heap()
+        self._heap = [(e.weight, id(e), e) for e in self._entries.values()]
+        heapq.heapify(self._heap)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import memo
+from repro.observatory import features
 from repro.observatory.aggregate import TimeAggregator
 from repro.observatory.pipeline import Observatory
 from repro.observatory.telemetry import (
@@ -128,7 +130,27 @@ class TestPlatformDump:
         plats = self.run()[PLATFORM_DATASET]
         assert [d.start_ts for d in plats] == [0, 60]
         components = [c for c, _ in plats[0].rows]
-        assert components == ["window", "tracker.srvip"]
+        assert components == ["window", "memo", "tracker.srvip"]
+
+    def test_memo_clears_are_per_window_deltas(self, monkeypatch):
+        """Every wholesale clear of a bounded memo is counted: with
+        the record memos capped at 2 entries, four servers force
+        clears in each window, and each window reports its own."""
+        monkeypatch.setattr(features, "RECORD_MEMO_LIMIT", 2)
+        before = memo.CLEARS["record"]
+        obs = Observatory(datasets=[("srvip", 8)], window_seconds=60,
+                          telemetry=True)
+        # addresses no other test uses: the memos are per process
+        windows = cut_windows(obs, [
+            make_txn(ts=float(i), server_ip="198.18.0.%d" % (i % 4))
+            for i in range(120)])
+        rows = [dict(d.rows)["memo"] for d in windows[PLATFORM_DATASET]]
+        assert set(memo.MEMO_COLUMNS) <= set(rows[0])
+        assert all(row["record_clears"] > 0 for row in rows)
+        assert all(row["memo_clears"] == row["record_clears"]
+                   + row["key_clears"] + row["psl_clears"] for row in rows)
+        assert sum(row["record_clears"] for row in rows) == \
+            memo.CLEARS["record"] - before
 
     def test_counters_are_per_window_deltas(self):
         first, second = self.run()[PLATFORM_DATASET]

@@ -1,5 +1,7 @@
 """Tests for the Bloom filter eviction gate."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,8 +57,9 @@ class TestBloomFilter:
         a = BloomFilter(capacity=100, seed=0)
         b = BloomFilter(capacity=100, seed=9)
         a.add("hello")
+        b.add("hello")
         # The exact positions must differ for at least some keys.
-        assert a._positions("hello") != b._positions("hello")
+        assert a._bits != b._bits
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -140,3 +143,27 @@ class TestOverflowRotation:
             rb.add("k%d" % i, now=0.0)
         assert 0.0 < rb.fill_ratio() < 1.0
         assert 0.0 < rb.approximate_fpr() < 1.0
+
+
+def test_gate_bits_match_pinned_golden():
+    """The bit pattern and the ``add()`` answers of a fixed key
+    sequence (str and bytes keys, one time rotation, one overflow
+    rotation), recorded before ``add`` walked each filter in one pass:
+    seeds and double-hashing positions are unchanged."""
+    gate = RotatingBloomFilter(capacity=40, rotate_interval=10.0)
+    keys = (["key-%d" % (i % 23) for i in range(30)]
+            + [b"%016x" % (i * 7919) for i in range(30)]
+            + ["late-%d" % (i % 31) for i in range(45)])
+    seen = "".join(
+        "1" if gate.add(key, 0.1 * i if i < 30 else 12.0 + 0.01 * i)
+        else "0" for i, key in enumerate(keys))
+    assert (gate.rotations, gate.overflow_rotations) == (2, 1)
+    assert seen == (
+        "00000000000000000000000111111100000000000100000000000000000000"
+        "0000010000000000000000000000011111111111111")
+    digest = hashlib.sha256(
+        bytes(gate._active._bits) + bytes(gate._previous._bits))
+    assert digest.hexdigest() == (
+        "a961b790af78117af7f0daf92b119df23e19a48212969e686de3c212429a05f6")
+    assert (gate._active._bits_set, gate._previous._bits_set) == (169, 193)
+    assert (len(gate._active), len(gate._previous)) == (35, 40)

@@ -1,12 +1,15 @@
 """Tests for the Space-Saving top-k tracker (paper Section 2.2)."""
 
+import heapq
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sketches import spacesaving
 from repro.sketches.bloom import RotatingBloomFilter
+from repro.sketches.ewma import ForwardDecay
 from repro.sketches.spacesaving import SpaceSaving
 
 
@@ -217,3 +220,137 @@ def test_space_saving_never_crashes_with_time(stream):
     for entry in ss:
         assert entry.weight >= 0.0
         assert entry.error >= 0.0
+
+
+# -- the insert-only heap against the push-on-every-hit heap ------------
+
+class _ReferenceEntry:
+    __slots__ = ("key", "weight", "error", "version")
+
+    def __init__(self, key, weight, error):
+        self.key, self.weight, self.error = key, weight, error
+        self.version = 0
+
+
+class _ReferenceSpaceSaving:
+    """The heap that pushed a ``(weight, id, version, entry)`` tuple on
+    every hit and skipped stale tuples on pop, as the sketch kept it
+    before hits stopped pushing.  *ident* stands in for ``id``; a
+    sequence number keeps a dead entry's stale tuple from ever being
+    compared to a live one's."""
+
+    def __init__(self, capacity, tau, gate, ident):
+        self.capacity, self.gate, self.ident = capacity, gate, ident
+        self.decay = ForwardDecay(tau=tau)
+        self.entries = {}
+        self.heap = []
+        self.pushes = 0
+
+    def _push(self, entry):
+        entry.version += 1
+        self.pushes += 1
+        heapq.heappush(self.heap, (entry.weight, self.ident(entry),
+                                   entry.version, self.pushes, entry))
+        if len(self.heap) > 8 * self.capacity + 64:
+            self._rebuild()
+
+    def _rebuild(self):
+        self.heap = []
+        for entry in self.entries.values():
+            self.pushes += 1
+            self.heap.append((entry.weight, self.ident(entry),
+                              entry.version, self.pushes, entry))
+        heapq.heapify(self.heap)
+
+    def offer(self, key, now):
+        """Returns ``(entry or None, victim key or None)``."""
+        if self.decay.needs_renormalize(now):
+            factor = self.decay.renormalize(now)
+            for entry in self.entries.values():
+                entry.weight *= factor
+                entry.error *= factor
+            self._rebuild()
+        add_weight = self.decay.weight(now)
+        entry = self.entries.get(key)
+        if entry is not None:
+            entry.weight += add_weight
+            self._push(entry)
+            return entry, None
+        victim_key = None
+        inherited = 0.0
+        if len(self.entries) >= self.capacity:
+            if self.gate is not None and not self.gate.add(key, now):
+                return None, None
+            while True:
+                _, _, version, _, victim = heapq.heappop(self.heap)
+                if victim.version == version \
+                        and self.entries.get(victim.key) is victim:
+                    break
+            inherited = victim.weight
+            victim_key = victim.key
+            del self.entries[victim_key]
+        entry = _ReferenceEntry(key, inherited + add_weight, inherited)
+        self.entries[key] = entry
+        self._push(entry)
+        return entry, victim_key
+
+
+@st.composite
+def zipf_streams(draw):
+    """Zipf-ranked keys at few distinct timestamps -- equal weights are
+    common, so the (weight, id) tie-break decides victims -- with a
+    jump past the decay's renormalization threshold halfway."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    keys = draw(st.integers(3, 60))
+    exponent = draw(st.sampled_from([0.8, 1.1, 1.5]))
+    weights = [1.0 / (rank + 1) ** exponent for rank in range(keys)]
+    length = draw(st.integers(1, 600))
+    picks = rng.choices(range(keys), weights=weights, k=length)
+    ticks = sorted(rng.choice((0, 0, 1, 2)) for _ in range(length))
+    jump = draw(st.integers(0, length))
+    return [("k%d" % pick, float(tick) + (250.0 if i >= jump else 0.0))
+            for i, (pick, tick) in enumerate(zip(picks, ticks))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(zipf_streams(), st.integers(1, 12), st.booleans())
+def test_insert_only_heap_picks_the_reference_victims(stream, capacity,
+                                                      gated):
+    """A hit only adds weight; the victim is still the live entry with
+    the least ``(weight, id)``: over Zipf streams with forced weight
+    ties and a renormalization (tau 1 s, a 250 s jump), the sketch and
+    the push-on-every-hit reference evict the same keys in the same
+    order and end with the same ranking and eviction threshold."""
+    # a fixed per-key order stands in for id(): both heaps then break
+    # weight ties the same way
+    order = {"k%d" % i: (i * 7919) % 1009 for i in range(61)}
+
+    def ident(entry):
+        return order[entry.key]
+
+    def gate():
+        return RotatingBloomFilter(capacity=64, rotate_interval=50.0) \
+            if gated else None
+
+    reference = _ReferenceSpaceSaving(capacity, 1.0, gate(), ident)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spacesaving, "id", ident, raising=False)
+        sketch = SpaceSaving(capacity=capacity, tau=1.0, gate=gate())
+        for key, now in stream:
+            before = set(sketch._entries)
+            entry = sketch.offer(key, now)
+            expected, victim = reference.offer(key, now)
+            assert (entry is None) == (expected is None)
+            evicted = before - set(sketch._entries)
+            assert evicted == ({victim} if victim is not None else set())
+            if entry is not None:
+                assert (entry.key, entry.weight, entry.error) == \
+                    (expected.key, expected.weight, expected.error)
+        assert len(sketch._heap) == len(sketch)
+        now = stream[-1][1]
+        assert [(e.key, e.weight) for e in sketch.top()] == [
+            (e.key, e.weight) for e in sorted(
+                reference.entries.values(), key=lambda e: (-e.weight, e.key))]
+        assert sketch.min_rate(now) == reference.decay.rate(
+            min(e.weight for e in reference.entries.values()), now)
+        assert sketch.decay.landmark == reference.decay.landmark

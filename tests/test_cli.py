@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -75,6 +77,41 @@ def test_replay_skips_and_counts_malformed_lines(tmp_path, capsys):
     assert "skipped" not in summaries[0]
     assert summaries[1].endswith("; skipped 5 malformed lines")
     assert "skipped 5 malformed input lines" in captured.err
+
+
+def test_replay_skips_a_far_future_timestamp(tmp_path):
+    """One line at ts=1e18 used to livelock replay: at that magnitude
+    ``start + window == start``, so the window manager realigned to
+    the same window forever.  The line is skipped and counted, and
+    the tree equals the one of the stream without it."""
+    stream = tmp_path / "stream.tsv"
+    main(["simulate", "--seed", "4", "--duration", "200", "--qps", "5",
+          "-o", str(stream)])
+    lines = stream.read_text().splitlines()
+    lines = lines[::len(lines) // 50][:50]  # 50 lines over four windows
+    fields = lines[25].split("\t")
+    fields[0] = "%.6f" % 1e18
+    streams = {"clean": lines[:25] + lines[26:],
+               "future": lines[:25] + ["\t".join(fields)] + lines[26:]}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    trees, errs = {}, {}
+    for name, body in streams.items():
+        path = tmp_path / (name + ".tsv")
+        path.write_text("\n".join(body) + "\n")
+        outdir = tmp_path / (name + "-out")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "replay", str(path),
+             str(outdir), "--datasets", "srvip", "qtype"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        trees[name] = window_tree(str(outdir))
+        errs[name] = done.stderr
+    assert trees["clean"] and trees["future"] == trees["clean"]
+    assert "skipped" not in errs["clean"]
+    assert "skipped 1 malformed input lines" in errs["future"]
 
 
 def test_replay_roundtrip_preserves_transactions(tmp_path):

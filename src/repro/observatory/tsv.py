@@ -335,18 +335,23 @@ def quantize(value):
         value = _parse(str(value))
         if not isinstance(value, float):
             return value
+    elif value - value != 0:
+        return "%.4f" % value  # nan or +-inf: its text, as it reads back
     if abs(value) < 1e15 and value == int(value):
         return int(value)
     return float("%.4f" % value)
 
 
 def _parse(text):
+    """A cell's value: an int, a finite float, or else the text itself
+    -- nan and +-inf included, which have no JSON form to serve."""
     if text == "":
         return 0
     try:
         return int(text)
     except ValueError:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             return text
+        return value if value - value == 0 else text

@@ -140,6 +140,32 @@ class TestStrictReads:
         with pytest.raises(ValueError, match="expected 4.*got 5"):
             read_tsv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN",
+                                      "Infinity", "1e400"])
+    def test_non_finite_cell_reads_as_text(self, tmp_path, cell):
+        """nan and +-inf parse as floats but have no JSON form: a cell
+        that spells one is text, like any cell that is no number."""
+        path = write_tsv(str(tmp_path), sample_data())
+        text = open(path).read().replace("seen=200", "seen=%s" % cell)
+        lines = text.splitlines()
+        lines[2] = "192.0.2.2\t50\t%s\t30.0" % cell
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        back = read_tsv(path)
+        assert back.rows[1][1]["ok"] == cell
+        assert back.stats["seen"] == cell
+
+    def test_non_finite_float_is_kept_as_its_text(self, tmp_path):
+        """A producer's nan or +-inf is held as the text its file
+        reads back as, so the window in memory is its file."""
+        data = TimeSeriesData(
+            "srvip", "minutely", 0, columns=["v"],
+            rows=[("k%d" % i, {"v": cell}) for i, cell in
+                  enumerate([float("inf"), float("-inf"), float("nan")])])
+        assert data.column("v") == ["inf", "-inf", "nan"]
+        assert read_tsv(write_tsv(str(tmp_path), data)).column("v") == \
+            data.column("v")
+
     def test_empty_field_parses_as_zero(self, tmp_path):
         path = write_tsv(str(tmp_path), sample_data())
         lines = open(path).read().splitlines()

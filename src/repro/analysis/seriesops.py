@@ -27,6 +27,10 @@ MODE_COLUMNS = frozenset(
 MAX_COLUMNS = frozenset(("qdots_max",))
 
 
+def _is_finite(value):
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 class AccumulatedRow(dict):
     """A per-object whole-run row; plain dict plus window bookkeeping."""
 
@@ -157,6 +161,47 @@ class Accumulator:
                         wsum = total
                     acc[col] = mean
                     wd[col] = wsum
+
+    def fold_cells(self, keys, columns, columns_values):
+        """:meth:`_fold_one` cell by cell, for a window whose cells may
+        be anything (bytes from outside the program): a cell that is
+        not a finite number is missing -- 0 for a counter, no value,
+        vote or weight otherwise, as §2.4 aggregates missing points.
+        The other cells fold exactly as :meth:`fold_columns_run` folds
+        them.  Returns the number of missing cells."""
+        cells = [[value if _is_finite(value) else None for value in values]
+                 for values in columns_values]
+        missing = sum(value is None for values in cells for value in values)
+        accs = [self._acc_for(key) for key in keys]
+        for acc in accs:
+            acc.windows += 1
+        try:
+            raw_hits = cells[columns.index("hits")]
+        except ValueError:
+            raw_hits = (0,) * len(keys)
+        weights = self._weights
+        modes = self._modes
+        for col, values in zip(columns, cells):
+            for key, acc, value, hv in zip(keys, accs, values, raw_hits):
+                hits = hv or 0
+                if col in _COUNTERS:
+                    acc[col] = acc.get(col, 0) + \
+                        (0 if value is None else value)
+                elif value is None:
+                    continue
+                elif col in MAX_COLUMNS:
+                    if value > acc.get(col, 0):
+                        acc[col] = value
+                elif col in MODE_COLUMNS:
+                    if value:
+                        votes = modes[key].setdefault(col, {})
+                        votes[value] = votes.get(value, 0.0) + max(hits, 1)
+                else:
+                    wsum = weights[key].get(col, 0.0)
+                    acc[col] = (acc.get(col, 0.0) * wsum + value * hits) \
+                        / (wsum + hits) if (wsum + hits) else 0.0
+                    weights[key][col] = wsum + hits
+        return missing
 
     def finish(self):
         """Resolve mode columns and return ``{key: AccumulatedRow}``."""

@@ -10,7 +10,8 @@ for 60 seconds."
 Every per-window producer -- one dataset's Top-k tracker, the detector
 set, the ``_encrypted`` aggregator -- is a *channel* with one shape:
 
-* ``observe_batch(txns, hashes)`` -- fold a chunk of the stream in;
+* ``observe_batch(txns, hashes, start)`` -- fold a chunk of the
+  stream in (*start*: the open window's start);
 * ``cut(start, end, seen)`` -- turn the window into a
   :class:`~repro.observatory.tsv.TimeSeriesData` and reset.
 
@@ -48,7 +49,7 @@ class MetaChannel:
         self.dataset = dataset
         self.producer = producer
 
-    def observe_batch(self, txns, hashes):
+    def observe_batch(self, txns, hashes, start):
         self.producer.observe_batch(txns)
 
     def cut(self, start, end, seen):

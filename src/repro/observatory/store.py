@@ -257,12 +257,15 @@ class SeriesStore:
         self.flight_waits = 0
         #: single-file reconciliations via :meth:`notify_flush`
         self.notifications = 0
+        #: cells a fold read as missing because they were not a finite
+        #: number (see :meth:`_fold`)
+        self.text_cells = 0
         self.refresh()
         if telemetry is not None and getattr(telemetry, "enabled", False):
             telemetry.register("store", self.telemetry_row,
                                deltas=("hits", "misses", "parses",
                                        "segment_reads", "refreshes",
-                                       "notifications"))
+                                       "notifications", "text_cells"))
 
     # -- index maintenance ---------------------------------------------
 
@@ -536,11 +539,42 @@ class SeriesStore:
         """Fold the windows of *refs*, each projected by *project* to
         ``(keys, columns, values)``; consecutive equal projections
         fold as one clustered run of up to :data:`ACCUMULATE_RUN`.
-        Returns ``(rows, refs read)``: a vanished window is skipped."""
+        Returns ``(rows, refs read)``: a vanished window is skipped.
+
+        A cell that is no number in a numeric column (a window file
+        edited outside the program) makes a run's fold raise
+        ``TypeError`` partway, leaving sums that cannot be taken back;
+        the windows are then folded again from the start, cell by cell
+        (:meth:`Accumulator.fold_cells`), and every cell that is not a
+        finite number counts in :attr:`text_cells`."""
         from repro.analysis.seriesops import Accumulator
 
+        refs = list(refs)
         acc = Accumulator()
-        read, run = [], []
+        read = []
+        for keys, columns, run in self._runs(refs, project, read):
+            try:
+                acc.fold_columns_run(keys, columns, run)
+            except TypeError:
+                break
+        else:
+            return acc.finish(), read
+        acc = Accumulator()
+        read, text = [], 0
+        for ref in refs:
+            data = self.read_window(ref)
+            if data is not None:
+                read.append(ref)
+                text += acc.fold_cells(*project(data))
+        with self._lock:
+            self.text_cells += text
+        return acc.finish(), read
+
+    def _runs(self, refs, project, read):
+        """The windows of *refs* projected and grouped for :meth:`_fold`:
+        yields ``(keys, columns, run)``, appending each ref read to
+        *read*."""
+        run = []
         for ref in refs:
             data = self.read_window(ref)
             if data is None:
@@ -549,14 +583,13 @@ class SeriesStore:
             keys, columns, values = project(data)
             if run and (len(run) >= ACCUMULATE_RUN
                         or columns != run_columns or keys != run_keys):
-                acc.fold_columns_run(run_keys, run_columns, run)
+                yield run_keys, run_columns, run
                 run = []
             if not run:
                 run_keys, run_columns = keys, columns
             run.append(values)
         if run:
-            acc.fold_columns_run(run_keys, run_columns, run)
-        return acc.finish(), read
+            yield run_keys, run_columns, run
 
     def accumulate(self, dataset, start_ts=None, end_ts=None):
         """Whole-range per-key rows of the minutely windows (counters
@@ -627,6 +660,7 @@ class SeriesStore:
                 "segment_rejects": self.segment_rejects,
                 "vanished_reads": self.vanished_reads,
                 "flight_waits": self.flight_waits,
+                "text_cells": self.text_cells,
             }
 
     def telemetry_row(self, now):
@@ -642,6 +676,7 @@ class SeriesStore:
             "segment_reads": self.segment_reads,
             "refreshes": self.refreshes,
             "notifications": self.notifications,
+            "text_cells": info["text_cells"],
         }
 
     def __repr__(self):

@@ -20,6 +20,9 @@ from repro.observatory.tsv import TimeSeriesData
 from repro.sketches.bloom import RotatingBloomFilter
 from repro.sketches.spacesaving import SpaceSaving
 
+#: the window start of a fold without one: every entry is older
+_NEVER = float("inf")
+
 
 class TopKTracker:
     """Track one dataset's Top-k objects and their traffic features.
@@ -50,6 +53,9 @@ class TopKTracker:
         self.filtered = 0
         #: transactions processed (offered to the SS cache)
         self.processed = 0
+        #: kept transactions not folded: their entry was inserted
+        #: inside the open window (see :meth:`observe_batch`)
+        self.unfolded = 0
 
     def observe(self, txn):
         """Process one transaction; returns the live entry or None.
@@ -58,7 +64,7 @@ class TopKTracker:
             return self.cache.get(self._extract_batch((txn,))[0])
         return None
 
-    def observe_batch(self, txns, hashes_list):
+    def observe_batch(self, txns, hashes_list, window_start=None):
         """Process a window-aligned batch; returns transactions kept.
 
         The Space-Saving updates happen in stream order; key
@@ -67,10 +73,20 @@ class TopKTracker:
         and the offer/update loop is tight with everything pre-bound.
         *hashes_list* aligns with *txns*: each transaction's shared
         :class:`~repro.observatory.features.TxnHashes`, or None.
+
+        *window_start* is the open window's start, or None.  When
+        given, a kept transaction is folded into its entry's
+        FeatureSet only if the entry was inserted at or before it: the
+        window's dump skips every entry inserted later (§2.4), so
+        their statistics would be thrown away.  Such a transaction
+        still counts as kept, and in :attr:`unfolded`.  None folds
+        every kept transaction.
         """
         keys = self._extract_batch(txns)
         offer = self.cache.offer
+        opened = _NEVER if window_start is None else window_start
         kept = 0
+        unfolded = 0
         filtered = 0
         index = 0
         for key in keys:
@@ -81,14 +97,18 @@ class TopKTracker:
             txn = txns[index]
             entry = offer(key, txn.ts)
             if entry is not None:
-                state = entry.state
-                if state is None:
-                    state = entry.state = FeatureSet()
-                state.update(txn, hashes_list[index])
                 kept += 1
+                if entry.inserted_at <= opened:
+                    state = entry.state
+                    if state is None:
+                        state = entry.state = FeatureSet()
+                    state.update(txn, hashes_list[index])
+                else:
+                    unfolded += 1
             index += 1
         self.filtered += filtered
         self.processed += index - filtered
+        self.unfolded += unfolded
         return kept
 
     def top(self, n=None):
@@ -101,8 +121,8 @@ class TopKTracker:
 
     #: cumulative telemetry columns, differenced per window snapshot
     telemetry_deltas = (
-        "filtered", "processed", "offered", "tracked_hits", "gated",
-        "evictions", "gate_rotations", "gate_overflow_rotations",
+        "filtered", "processed", "unfolded", "offered", "tracked_hits",
+        "gated", "evictions", "gate_rotations", "gate_overflow_rotations",
     )
 
     def telemetry_row(self, now):
@@ -117,6 +137,7 @@ class TopKTracker:
             "capacity": cache.capacity,
             "filtered": self.filtered,
             "processed": self.processed,
+            "unfolded": self.unfolded,
             "offered": cache.offered,
             "tracked_hits": cache.tracked_hits,
             "gated": cache.gated,
@@ -142,11 +163,13 @@ class TopKTracker:
 class TrackerChannel:
     """One dataset's Top-k tracker as a window channel.
 
-    ``cut`` detaches every active FeatureSet (``entry.state = None``:
-    fresh statistics next window, the Space-Saving cache itself
-    untouched), applies the survived-one-window rule to the entries'
-    insertion times, ranks by decayed rate at the window end and keeps
-    the top k.
+    With the survived-one-window rule on (§2.4), a transaction is
+    folded only into an entry inserted at or before the window's
+    start, the entries the window can emit; ``cut`` counts the
+    entries inserted since as ``skipped_recent``.  It detaches every
+    active FeatureSet (``entry.state = None``: fresh statistics next
+    window, the Space-Saving cache itself untouched), ranks by decayed
+    rate at the window end and keeps the top k.
     """
 
     blinded = False
@@ -159,8 +182,9 @@ class TrackerChannel:
         self._skipped = telemetry.counter("window", "skipped_recent")
         self._kept = 0
 
-    def observe_batch(self, txns, hashes):
-        self._kept += self.tracker.observe_batch(txns, hashes)
+    def observe_batch(self, txns, hashes, start):
+        self._kept += self.tracker.observe_batch(
+            txns, hashes, start if self.skip_recent_inserts else None)
 
     def cut(self, start, end, seen):
         rate = self.tracker.cache.decay.rate
@@ -168,15 +192,15 @@ class TrackerChannel:
         ranked = []
         skipped = 0
         for entry in self.tracker.cache:
-            features = entry.state
-            if features is None or features.hits == 0:
-                continue
-            entry.state = None  # detach; fresh stats next window
             if skip_recent and entry.inserted_at > start:
                 # inserted after the window opened: did not survive a
-                # full window yet (§2.4)
+                # full window yet (§2.4), so never folded
                 skipped += 1
                 continue
+            features = entry.state
+            if features is None:
+                continue  # no transaction this window
+            entry.state = None  # detach; fresh stats next window
             ranked.append((-rate(entry.weight, end), entry.key, features))
         self._skipped.inc(skipped)
         ranked.sort(key=lambda item: item[:2])

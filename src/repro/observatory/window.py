@@ -170,7 +170,8 @@ class WindowManager:
         window_seconds = self.window_seconds
         i = 0
         while i < n:
-            end = self._window_start + window_seconds
+            start = self._window_start
+            end = start + window_seconds
             # Longest run [i, j) entirely inside the current window.
             j = i
             while j < n and txns[j].ts < end:
@@ -181,11 +182,11 @@ class WindowManager:
                     blinded = [t for t in chunk if t.source[:1] == "!"]
                     if blinded:
                         for observe in diverted:
-                            observe(blinded, None)
+                            observe(blinded, None, start)
                         chunk = [t for t in chunk if t.source[:1] != "!"]
                 hashes_list = [TxnHashes(txn) for txn in chunk]
                 for observe in plain:
-                    observe(chunk, hashes_list)
+                    observe(chunk, hashes_list, start)
             self.total_seen += j - i
             self._seen_in_window += j - i
             i = j

@@ -196,3 +196,52 @@ def test_run_fold_accumulates_across_calls():
     whole = Accumulator()
     whole.fold_columns_run(keys, COLUMNS, windows)
     assert finish(split) == finish(whole)
+
+
+def test_cell_fold_matches_run_fold_on_clean_windows():
+    """``fold_cells`` -- the store's retry for windows holding text --
+    folds a clean window to the very floats the fast fold computes."""
+    keys = ["k%d" % i for i in range(6)]
+    windows = random_windows(5, 20, keys)
+    cells = Accumulator()
+    assert sum(cells.fold_cells(keys, COLUMNS, cols)
+               for cols in windows) == 0
+    run = Accumulator()
+    run.fold_columns_run(keys, COLUMNS, windows)
+    assert finish(cells) == finish(run)
+
+
+def test_cell_fold_reads_non_numbers_as_missing():
+    """A cell that is not a finite number is missing: 0 for a counter
+    (``hits`` included, so the window lends its gauges no weight), no
+    value, vote or peak otherwise -- the reference fold over the rows
+    with those cells taken out."""
+    keys = ["k%d" % i for i in range(4)]
+    windows = random_windows(6, 12, keys)
+    rng = random.Random(7)
+    holes = 0
+    for cols in windows:
+        for values in cols:
+            for i in range(len(values)):
+                if rng.randrange(5) == 0:
+                    values[i] = rng.choice(["n/a", "inf", float("nan"),
+                                            float("-inf"), None])
+                    holes += 1
+    cells = Accumulator()
+    assert sum(cells.fold_cells(keys, COLUMNS, cols)
+               for cols in windows) == holes
+    reference = Accumulator()
+    for cols in windows:
+        rows = []
+        for key, row in rows_of(keys, cols):
+            for col, value in list(row.items()):
+                if not isinstance(value, (int, float)) or \
+                        value != value or value in (float("inf"),
+                                                    float("-inf")):
+                    if col in _COUNTERS:
+                        row[col] = 0
+                    else:
+                        del row[col]
+            rows.append((key, row))
+        fold_rows(reference, rows)
+    assert finish(cells) == finish(reference)

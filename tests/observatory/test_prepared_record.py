@@ -116,28 +116,40 @@ def test_shared_record_equals_fresh_record_equals_observe(tagged):
 @given(st.lists(transactions(), min_size=1, max_size=40))
 def test_observe_per_transaction_equals_consume_batch(txns):
     """``WindowManager.observe`` is ``consume_batch`` of one: feeding
-    a stream one transaction at a time, or as one batch, leaves every
-    tracked object with identical feature state."""
+    a stream one transaction at a time, or as one batch, leaves the
+    same entries stateless (inserted inside the open window) and every
+    other tracked object with identical feature state, and cuts the
+    same windows, rows and ``#stats`` alike."""
     txns = sorted(txns, key=lambda t: t.ts)
 
     def manager():
         return WindowManager(
             [TopKTracker(make_dataset(name, 64), use_bloom_gate=False)
              for name in ("srvip", "qname", "qtype", "rcode", "aafqdn")],
-            window_seconds=60)
+            window_seconds=20)
 
     one_by_one, batched = manager(), manager()
+    left_windows = []
     for txn in txns:
-        assert one_by_one.observe(txn) == []
-    assert batched.consume_batch(txns) == []
+        left_windows.extend(one_by_one.observe(txn))
+    right_windows = batched.consume_batch(txns)
     assert one_by_one.total_seen == batched.total_seen == len(txns)
     for left, right in zip(one_by_one.trackers, batched.trackers):
-        assert (left.filtered, left.processed) == \
-            (right.filtered, right.processed)
+        assert (left.filtered, left.processed, left.unfolded) == \
+            (right.filtered, right.processed, right.unfolded)
         assert [e.key for e in left.top()] == [e.key for e in right.top()]
+        assert [e.key for e in left.top() if e.state is None] == \
+            [e.key for e in right.top() if e.state is None]
         for entry in left.top():
-            assert frozen(entry.state) == \
-                frozen(right.cache.get(entry.key).state)
+            if entry.state is not None:
+                assert frozen(entry.state) == \
+                    frozen(right.cache.get(entry.key).state)
+    left_windows.extend(one_by_one.flush())
+    right_windows.extend(batched.flush())
+    assert [(w.dataset, w.start_ts) for w in left_windows] == \
+        [(w.dataset, w.start_ts) for w in right_windows]
+    for left, right in zip(left_windows, right_windows):
+        assert left.rows == right.rows and left.stats == right.stats
 
 
 def test_consume_batch_chunks_a_long_segment():

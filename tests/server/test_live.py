@@ -77,6 +77,41 @@ def test_non_finite_store_cell_is_served_as_text(tmp_path):
             assert body["windows"][0]["top"][0]["row"] == expected
 
 
+def test_text_cell_in_numeric_column_is_missing_for_topk(tmp_path):
+    """``/topk`` sums its columns over windows: a text cell there
+    (``inf`` or ``n/a`` in a window file edited outside the program)
+    used to raise ``TypeError`` and answer 500.  The fold reads such a
+    cell as missing -- 0 for a counter, no weight for a gauge -- and
+    counts it in ``text_cells``."""
+    for start in (60, 120):
+        data = TimeSeriesData(
+            "srvip", "minutely", start, columns=["hits", "ok", "srvips"],
+            rows=[("192.0.2.1", {"hits": 10, "ok": 9, "srvips": 2.0}),
+                  ("192.0.2.2", {"hits": 4, "ok": 4, "srvips": 1.0})],
+            stats={"seen": 20, "kept": 14})
+        path = write_tsv(str(tmp_path), data)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("192.0.2.1\t10\t9\t2",
+                              "192.0.2.1\tinf\tn/a\t2"))
+    store = SeriesStore(str(tmp_path))
+    app = ObservatoryApp(store)
+    for by in ("hits", "ok", "srvips"):
+        response = asyncio.run(app(Request(
+            "GET", "/topk/srvip?by=%s" % by, {})))
+        assert response.status == 200
+        top = {item["key"]: item["row"]
+               for item in json.loads(response.body)["top"]}
+        assert top["192.0.2.1"]["hits"] == 10
+        assert top["192.0.2.1"]["ok"] == 9
+        assert top["192.0.2.1"]["srvips"] == 2.0  # second window: no hits
+        assert top["192.0.2.2"] == {"hits": 8, "ok": 8, "srvips": 1.0}
+    assert store.cache_info()["text_cells"] > 0
+    assert dict(store.topk("srvip", by="ok")) == \
+        dict(store.topk("srvip", by="hits"))
+
+
 def run_live(directory, scenario, **server_kw):
     """Serve *directory* with a flush broker wired, daemon-style.
 

@@ -86,6 +86,27 @@ for name in names:
     assert typed(read_segment(os.path.join(memory, name))) == \
         typed(read_segment(os.path.join(compacted, name))), name
 EOF
+# a window file edited outside the program: its text cells in numeric
+# columns fold as missing, and a top-k over them still answers
+mkdir "$W/edited"
+cp "$W/single"/srvip.minutely.*.tsv "$W/edited"
+python - "$W/edited" <<'EOF'
+import os, sys
+from repro.observatory.store import SeriesStore
+
+path = os.path.join(sys.argv[1], sorted(os.listdir(sys.argv[1]))[1])
+with open(path) as fh:
+    lines = fh.read().split("\n")
+header, cells = lines[0].split("\t"), lines[1].split("\t")
+cells[header.index("hits")], cells[header.index("ok")] = "inf", "n/a"
+lines[1] = "\t".join(cells)
+with open(path, "w") as fh:
+    fh.write("\n".join(lines))
+store = SeriesStore(sys.argv[1])
+for by in ("hits", "ok", "srvips"):
+    assert store.topk("srvip", n=5, by=by), by
+assert store.cache_info()["text_cells"] >= 3, store.cache_info()
+EOF
 # no retention: plain keeps its minutely windows under the roll-ups
 $R aggregate "$W/plain"
 $R aggregate "$W/single" --segments --retention-now 1e9

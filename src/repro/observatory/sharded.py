@@ -191,6 +191,8 @@ class ShardedObservatory:
         self.windows_completed = 0
         self._final_stats = None
         self._closed = False
+        #: shard ids that answered the latest barrier
+        self._answered = frozenset()
         self.telemetry = resolve_telemetry(telemetry)
         self._batch_counter = self.telemetry.counter("coordinator", "batches")
         self._batch_txns = self.telemetry.counter("coordinator", "batch_txns")
@@ -241,13 +243,19 @@ class ShardedObservatory:
         return {
             "txns": self.total_seen,
             "windows": self.windows_completed,
-            "workers_alive": sum(
-                1 for worker in self._workers if worker.is_alive()),
+            "workers_alive": sum(map(self._alive, range(self.shards))),
         }
+
+    def _alive(self, shard_id):
+        """A worker is alive in a window when it answered that window's
+        barrier.  :meth:`finish` emits the last window after the
+        workers have returned, where ``is_alive()`` alone would race
+        their exit."""
+        return shard_id in self._answered or \
+            self._workers[shard_id].is_alive()
 
     def _make_link_sampler(self, shard_id):
         in_q = self._in_qs[shard_id]
-        worker = self._workers[shard_id]
 
         def sample(now):
             try:
@@ -255,7 +263,7 @@ class ShardedObservatory:
             except NotImplementedError:  # pragma: no cover - macOS
                 depth = 0
             return {"queue_depth": depth,
-                    "alive": 1 if worker.is_alive() else 0}
+                    "alive": 1 if self._alive(shard_id) else 0}
 
         return sample
 
@@ -383,6 +391,7 @@ class ShardedObservatory:
         for _ in range(self.shards):
             reply = self._next_reply(expect)
             replies[reply[1]] = reply
+        self._answered = frozenset(reply[1] for reply in replies)
         return replies
 
     def _cut(self, new_start):

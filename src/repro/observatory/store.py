@@ -605,9 +605,11 @@ class SeriesStore:
         ``ranked_keys(accumulate(...), by)`` order.  The rank pass
         folds only *by* (plus the ``hits`` weighting a gauge or mode
         vote) for every key; the row pass folds every column for the
-        *n* winners only, over the windows the rank pass read.  A
-        cell's recurrence reads only its own key's cells in window
-        order, so each value is the float a full fold computes."""
+        *n* winners only, listed in rank order, over the windows the
+        rank pass read, so consecutive windows holding the same winners
+        fold as one run.  A cell's recurrence reads only its own key's
+        cells in window order, so each value is the float a full fold
+        computes."""
         from repro.analysis.seriesops import MAX_COLUMNS
 
         wanted = {by} if by in COUNTER_COLUMNS or by in MAX_COLUMNS \
@@ -622,10 +624,16 @@ class SeriesStore:
         winners = [key for _, key in heapq.nsmallest(
             max(int(n), 0),
             ((-row.get(by, 0), key) for key, row in ranks.items()))]
-        chosen = set(winners)
+        rank = {key: i for i, key in enumerate(winners)}
 
         def winning_rows(data):
-            at = [i for i, key in enumerate(data.keys) if key in chosen]
+            # rank order, not file order: windows where the winners
+            # hold the same keys fold as one run however their rows
+            # moved.  The sort is stable, so a key a window repeats (a
+            # file edited outside the program) keeps its rows in file
+            # order, as a full fold reads them.
+            at = [i for i, key in enumerate(data.keys) if key in rank]
+            at.sort(key=lambda i: rank[data.keys[i]])
             return ([data.keys[i] for i in at], data.columns,
                     [[cells[i] for i in at] for cells in data.values])
 

@@ -42,14 +42,17 @@ unauthorized or throttled request never touches the store.
 Responses over closed windows are immutable, so every store-backed
 endpoint carries a strong ETag derived from the exact file revisions
 (name + mtime + size) the answer was computed from; ``If-None-Match``
-turns a repeat poll into a 304 with no body and no window parses, and
-rendered 200 bodies are memoized by (route, ETag) so an unconditional
-repeat query over unchanged windows skips the re-accumulation and
-re-encoding too.
+turns a repeat poll into a 304 with no body and no window parses.
+Each window's ``/series`` entry is rendered to JSON text once per
+file revision and kept on the parsed window in the store LRU, so
+``/series``, ``follow=`` and every ``/stream`` subscriber join texts
+already made; the other routes' 200 bodies are memoized by (route,
+ETag), so an unconditional repeat query over unchanged windows skips
+the re-accumulation and re-encoding too.
 
-``/series`` and ``/key`` answers whose backing files exceed
-``stream_threshold`` bytes bypass the rendered-body cache and go out
-as a :class:`~repro.server.http.StreamingResponse` instead: the JSON
+``/series``, ``/key`` and ``/topk/windows`` answers whose backing
+files exceed ``stream_threshold`` bytes go out as a
+:class:`~repro.server.http.StreamingResponse` instead: the JSON
 document is encoded from the store's window iterator one fragment at
 a time (ETag still computed -- and 304s still short-circuit -- before
 the first chunk), so server memory for a yearly span is bounded by
@@ -85,7 +88,8 @@ MAX_TOPK = 10000
 MAX_WINDOWS = 5000
 
 #: rendered 200 bodies kept per app, keyed by (route, ETag) -- the
-#: windows behind an ETag are immutable, so the JSON encoding is too
+#: windows behind an ETag are immutable, so the JSON encoding is too.
+#: ``/series`` bodies are joins of texts the windows hold, and stay out
 RESPONSE_CACHE = 128
 
 #: answers computed from more than this many bytes of backing TSV are
@@ -229,6 +233,10 @@ class ObservatoryApp:
         self._throttled = self.telemetry.counter("server", "throttled")
         #: (route, etag) -> encoded 200 body, LRU order (oldest first)
         self._body_cache = OrderedDict()
+        #: ``/series`` window entries rendered to JSON text, and entries
+        #: served from the text a resident window already held
+        self.window_renders = 0
+        self.window_reuses = 0
         if self.telemetry.enabled:
             self.telemetry.register("server", self._telemetry_row,
                                     deltas=("connections", "rejected"))
@@ -238,6 +246,8 @@ class ObservatoryApp:
             "uptime_s": round(
                 time.monotonic() - self._started_monotonic, 1),
             "started_at_unix": round(self.started_at_unix, 1),
+            "window_renders": self.window_renders,
+            "window_reuses": self.window_reuses,
         }
         if self.server is not None:
             row["active_connections"] = self.server.active_connections
@@ -409,7 +419,7 @@ class ObservatoryApp:
         return '"%s"' % digest.hexdigest()
 
     def _respond(self, route, request, refs, extra, fragments,
-                 stream=False):
+                 stream=False, cached=True):
         """The one responder of the store-backed routes: 304, cached
         rendered body, streamed, or built-encoded-and-cached.
 
@@ -424,9 +434,10 @@ class ObservatoryApp:
         decide before a status line goes out (the ``/key`` 404, the
         ``by=`` 400) it decides when called, not when iterated.
         Streamed answers bypass the cache (they exist to *not*
-        materialize); its key includes the route because endpoints
-        over the same windows and query string legitimately share an
-        ETag.
+        materialize), and so do those not *cached*, whose fragments are
+        texts the windows already hold (``/series``); the key includes
+        the route because endpoints over the same windows and query
+        string legitimately share an ETag.
         """
         etag = self._etag(refs, *extra)
         validators = request.if_none_match()
@@ -435,12 +446,13 @@ class ObservatoryApp:
         if stream:
             return self._stream(route, fragments(), etag)
         key = (route, etag)
-        body = self._body_cache.get(key)
+        body = self._body_cache.get(key) if cached else None
         if body is None:
             body = "".join(fragments()).encode("utf-8")
-            self._body_cache[key] = body
-            while len(self._body_cache) > RESPONSE_CACHE:
-                self._body_cache.popitem(last=False)
+            if cached:
+                self._body_cache[key] = body
+                while len(self._body_cache) > RESPONSE_CACHE:
+                    self._body_cache.popitem(last=False)
         else:
             self._body_cache.move_to_end(key)
         return Response(200, body, {"ETag": etag})
@@ -448,8 +460,9 @@ class ObservatoryApp:
     # -- incremental JSON encoding -------------------------------------
 
     @staticmethod
-    def _json_fragments(meta, tail_key, entries):
-        """Incrementally encode ``{**meta, tail_key: [*entries]}``.
+    def _json_fragments(meta, tail_key, texts):
+        """Incrementally encode ``{**meta, tail_key: [*entries]}`` from
+        the entries' JSON *texts*.
 
         Yields text fragments whose concatenation is byte-identical to
         ``Response.json`` over the materialized payload (compact
@@ -460,25 +473,43 @@ class ObservatoryApp:
         yield "%s%s%s:[" % (head[:-1], "," if len(head) > 2 else "",
                             json.dumps(tail_key))
         first = True
-        for entry in entries:
-            fragment = _dumps(entry)
-            yield fragment if first else "," + fragment
+        for text in texts:
+            yield text if first else "," + text
             first = False
         yield "]}\n"
 
-    def _window_entries(self, refs):
-        """One ``/series`` window object per ref, parsed lazily
-        through the store LRU (one window in flight at a time)."""
-        for ref in refs:
-            data = self.store.read_window(ref)
-            if data is None:
-                continue  # vanished since it was selected
-            yield {
+    def _window_text(self, ref):
+        """*ref*'s ``/series`` window entry as JSON text, or ``None``
+        when the window vanished since it was selected.  The text is
+        rendered once per parsed window and kept on it
+        (``entry_json``), so it lives in the store LRU exactly as long
+        as the cells it renders: a new file revision is a new parse,
+        hence a new render.  Every route that sends window entries --
+        ``/series`` buffered and streamed, ``follow=`` and each
+        ``/stream`` subscriber -- sends these bytes."""
+        data = self.store.read_window(ref)
+        if data is None:
+            return None
+        text = data.entry_json
+        if text is None:
+            text = data.entry_json = _dumps({
                 "start_ts": data.start_ts,
                 "end_ts": ref.end_ts,
                 "stats": data.stats,
                 "rows": [[key, row] for key, row in data.rows],
-            }
+            })
+            self.window_renders += 1
+        else:
+            self.window_reuses += 1
+        return text
+
+    def _window_texts(self, refs):
+        """The entry texts of *refs*, read lazily through the store LRU
+        (one window in flight at a time)."""
+        for ref in refs:
+            text = self._window_text(ref)
+            if text is not None:
+                yield text
 
     def _known_column(self, refs, column):
         """The ``by=`` 400: some window of *refs* must carry *column*.
@@ -584,12 +615,12 @@ class ObservatoryApp:
 
         def fragments():
             return self._json_fragments(meta, "windows",
-                                        self._window_entries(refs))
+                                        self._window_texts(refs))
 
         return self._respond(
             "series", request, refs,
             (dataset, granularity, request.raw_query), fragments,
-            self._should_stream(refs))
+            self._should_stream(refs), cached=False)
 
     def _subscription(self):
         """Count a waiting follow/stream client on the broker."""
@@ -650,17 +681,17 @@ class ObservatoryApp:
         with self._subscription():
             page, eof = await self._next_page(
                 selection, cursor, limit, time.monotonic() + timeout)
-        payload = {
+        meta = {
             "dataset": dataset,
             "granularity": granularity,
             "next_cursor": page[-1].start_ts if page else cursor,
             "window_count": len(page),
-            "windows": list(self._window_entries(page)),
             "timed_out": not page and not eof,
             "eof": eof,
         }
-        return Response.json(payload,
-                             headers={"Cache-Control": "no-store"})
+        body = "".join(self._json_fragments(
+            meta, "windows", self._window_texts(page))).encode("utf-8")
+        return Response(200, body, {"Cache-Control": "no-store"})
 
     def handle_stream(self, request, dataset):
         """SSE: push each new window the moment it flushes.
@@ -699,11 +730,14 @@ class ObservatoryApp:
                     page, closed = await self._next_page(
                         selection, cursor, MAX_WINDOWS,
                         time.monotonic() + SSE_HEARTBEAT_SECONDS)
-                    for entry in self._window_entries(page):
-                        cursor = entry["start_ts"]
+                    for ref in page:
+                        text = self._window_text(ref)
+                        if text is None:
+                            continue  # vanished since it was selected
+                        cursor = ref.start_ts
                         yield frame(
                             "id: %s\nevent: window\ndata: %s\n\n"
-                            % (json.dumps(cursor), _dumps(entry)))
+                            % (json.dumps(cursor), text))
                     if closed:
                         yield frame("event: eof\ndata: {}\n\n")
                         return
@@ -774,7 +808,8 @@ class ObservatoryApp:
 
         def fragments():
             self._known_column(refs, by)
-            return self._json_fragments(meta, "windows", entries())
+            return self._json_fragments(meta, "windows",
+                                        map(_dumps, entries()))
 
         return self._respond(
             "topk_windows", request, refs,
@@ -813,9 +848,9 @@ class ObservatoryApp:
                                       start_ts=start, end_ts=end):
                 raise HttpError(404, "key %r not found in dataset %r"
                                 % (key, dataset))
-            return self._json_fragments(meta, "series",
-                                        self._key_points(page, key,
-                                                         column))
+            return self._json_fragments(
+                meta, "series", map(_dumps, self._key_points(page, key,
+                                                             column)))
 
         return self._respond(
             "key", request, refs,

@@ -125,10 +125,10 @@ class Response:
         self.headers = dict(headers or {})
 
     @classmethod
-    def json(cls, payload, status=200, headers=None):
+    def json(cls, payload, status=200):
         body = (json.dumps(payload, separators=(",", ":"), sort_keys=True,
                            allow_nan=False) + "\n").encode("utf-8")
-        return cls(status, body, headers)
+        return cls(status, body)
 
     @classmethod
     def error(cls, status, message):

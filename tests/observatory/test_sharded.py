@@ -129,6 +129,29 @@ class TestShardedMechanics:
         # spelled in two pieces so a grep for the retired column stays empty
         assert all("batch" "_bytes" not in row for row in coordinator)
 
+    def test_last_window_counts_every_worker_alive(self, tmp_path):
+        """``finish`` emits the last ``_platform`` window after the
+        workers answered its barrier and returned, so ``is_alive()``
+        raced their exit there: a worker that answered the window's
+        barrier is alive in it, and repeat runs write the same counts
+        (every column but the ``_ms`` timings)."""
+        txns = _stream(duration=130.0, qps=15.0)
+        runs = []
+        for run in range(3):
+            out = str(tmp_path / str(run))
+            _run_sharded(txns, 2, output_dir=out, telemetry=True)
+            windows = read_series(out, PLATFORM_DATASET)
+            last = dict(windows[-1].rows)
+            assert last["coordinator"]["workers_alive"] == 2
+            assert [last["shard%d.link" % shard]["alive"]
+                    for shard in range(2)] == [1, 1]
+            runs.append([[(key, {column: value
+                                 for column, value in row.items()
+                                 if "_ms" not in column})
+                          for key, row in window.rows]
+                         for window in windows])
+        assert runs[0] == runs[1] == runs[2]
+
     def test_ingest_single_transactions(self):
         obs = ShardedObservatory(shards=2, datasets=TWO)
         for i in range(5):

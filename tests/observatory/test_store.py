@@ -343,6 +343,51 @@ def test_topk_pushdown_matches_full_fold(tmp_path_factory, windows, by, n,
     assert text(got) == text(want)
 
 
+def test_topk_winners_fold_in_runs(tmp_path, monkeypatch):
+    """The winners pass lists the winners in rank order, so windows
+    holding the same winners fold as one run however their rows moved:
+    here ``a`` and ``b`` swap rows every window and ``c`` is absent
+    from window 4, and the winners fold as runs of 4, 1 and 2 windows.
+    The rows equal the full fold's for a counter, a gauge, a mode and
+    a max column: values, their types and window counts."""
+    from repro.analysis.seriesops import (
+        Accumulator, accumulate_dumps, ranked_keys)
+    from repro.server.app import _dumps
+
+    for w in range(7):
+        order = ["a", "b", "c", "d"] if w % 2 == 0 else ["b", "a", "d", "c"]
+        rows = [(key, {"hits": 40 - 9 * i + w, "ok": 30 - 7 * i,
+                       "delay_q50": round(1.7 * (w + 1) / (i + 3), 4),
+                       "qdots_max": (w * 3 + i) % 5,
+                       "ttl_top1": (300, 60, 300, 3600)[(w + i) % 4]})
+                for i, key in enumerate(sorted(order))]
+        rows = sorted(rows, key=lambda row: order.index(row[0]))
+        if w == 4:
+            rows = [row for row in rows if row[0] != "c"]
+        write_tsv(str(tmp_path), TimeSeriesData(
+            "srvip", "minutely", 60 * w, columns=list(_KINDS), rows=rows))
+    full = accumulate_dumps(read_series(str(tmp_path), "srvip"))
+    store = SeriesStore(str(tmp_path))
+    for by in ("hits", "delay_q50", "ttl_top1", "qdots_max"):
+        want = [(key, full[key]) for key in ranked_keys(full, by)[:3]]
+        got = store.topk("srvip", n=3, by=by)
+        assert _dumps([[k, r, r.windows] for k, r in got]) == \
+            _dumps([[k, r, r.windows] for k, r in want]), by
+
+    runs = []
+    fold = Accumulator.fold_columns_run
+
+    def recording(self, keys, columns, values):
+        if len(columns) == len(_KINDS):  # the winners pass
+            runs.append((keys, len(values)))
+        return fold(self, keys, columns, values)
+
+    monkeypatch.setattr(Accumulator, "fold_columns_run", recording)
+    assert [key for key, _ in store.topk("srvip", n=3)] == ["a", "b", "c"]
+    assert runs == [(["a", "b", "c"], 4), (["a", "b"], 1),
+                    (["a", "b", "c"], 2)]
+
+
 class TestNotifyFlush:
     """The daemon's O(1) reconcile: one stat, no directory scan."""
 

@@ -3,7 +3,9 @@ two-function package, a traffic script that calls it, and an allow
 file, run through the same hook ``tests/tools/unreached.py`` installs
 for the real traffic."""
 
+import os
 import sys
+import tempfile
 import textwrap
 
 import pytest
@@ -100,6 +102,19 @@ def test_a_stale_parameter_line_fails(traced, capsys):
     assert status == 1
     assert lines == ["stale allow-list line  --quiet",
                      "stale allow-list line  mod.py:scale(gone)"]
+
+
+def test_a_traffic_run_leaves_no_temporary_directory(tmp_path,
+                                                     monkeypatch):
+    """The hook's ``sitecustomize.py`` directory goes with the work
+    directory when the run ends."""
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    script = tmp_path / "traffic.sh"
+    script.write_text('test -d "$1"\n')
+    unreached.run_traffic(str(script), str(tmp_path), str(tmp_path))
+    assert os.listdir(temp) == []
 
 
 @pytest.mark.parametrize("line", [

@@ -155,6 +155,27 @@ def expect(status, port, path, **kw):
     assert got[0] == status, (path, got[0], got[2][:200])
     return got
 
+def sse_equals_series(port):
+    """The first SSE window event's data is that window's /series
+    entry, byte for byte."""
+    request = urllib.request.Request(
+        "http://127.0.0.1:%d/stream/srvip?cursor=-1" % port,
+        headers={"Authorization": "Bearer t0k"})
+    with urllib.request.urlopen(request, timeout=20) as resp:
+        for line in resp:
+            if line.startswith(b"id: "):
+                start = int(line[4:])
+            elif line.startswith(b"data: "):
+                data = line[6:].rstrip(b"\n")
+                break
+    _, _, body = expect(200, port, "/series/srvip?start=%d&end=%d"
+                        % (start, start + 60))
+    assert body.endswith(b"[" + data + b"]}\n"), (port, start)
+
+def reuses(port):
+    _, _, body = expect(200, port, "/platform/health")
+    return json.loads(body)["server"]["window_reuses"]
+
 _, _, body = expect(200, 18053, "/datasets")
 assert "srvip" in json.loads(body)["datasets"]
 _, headers, body = expect(200, 18053, "/topk/srvip?n=5&by=hits")
@@ -193,6 +214,12 @@ expect(200, 18053, "/series/srvip?follow=0&timeout=1")
 expect(200, 18053, "/stream/srvip?cursor=0", raw=True)     # SSE
 expect(200, 18053, "/stream/srvip", raw=True,
        headers={"Last-Event-ID": "0"})
+# one rendered text per window: SSE and a streamed /series send the
+# same bytes, and a repeated /series serves the texts it rendered
+sse_equals_series(18053)
+before = reuses(18053)
+expect(200, 18053, "/series/qtype?limit=4")
+assert reuses(18053) > before, before
 throttled = [headers for status, headers, _ in
              (get(18053, "/datasets") for _ in range(120)) if status == 429]
 assert throttled and all(any(k.lower() == "retry-after" for k in headers)
@@ -200,6 +227,8 @@ assert throttled and all(any(k.lower() == "retry-after" for k in headers)
 expect(200, 18054, "/datasets", headers={"Authorization": ""})
 expect(200, 18054, "/topk/srvip")
 expect(200, 18054, "/series/srvip")
+# past the 8-window LRU: the window is parsed and rendered again
+sse_equals_series(18054)
 expect(200, 18054, "/vantage")
 expect(200, 18054, "/platform/health")
 # the roll-ups, by granularity and time range

@@ -256,13 +256,15 @@ def _is_name(name):
 def run_traffic(script, source, traces):
     """Run bash *script* (argument: a work directory) with the hook in
     every Python process, writing trace files for *source* to *traces*."""
-    hook_dir = tempfile.mkdtemp(prefix="unreached-hook-")
-    with open(os.path.join(hook_dir, "sitecustomize.py"), "w") as fh:
-        fh.write(HOOK)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, UNREACHED_SOURCE=source, UNREACHED_TRACES=traces,
-               PYTHONPATH=os.pathsep.join(filter(None, [hook_dir, inherited])))
-    with tempfile.TemporaryDirectory(prefix="unreached-work-") as work:
+    with tempfile.TemporaryDirectory(prefix="unreached-hook-") as hook_dir, \
+            tempfile.TemporaryDirectory(prefix="unreached-work-") as work:
+        with open(os.path.join(hook_dir, "sitecustomize.py"), "w") as fh:
+            fh.write(HOOK)
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, UNREACHED_SOURCE=source,
+                   UNREACHED_TRACES=traces,
+                   PYTHONPATH=os.pathsep.join(filter(None, [hook_dir,
+                                                            inherited])))
         subprocess.run(["bash", script, work], cwd=ROOT, env=env, check=True)
 
 

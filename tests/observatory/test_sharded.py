@@ -100,18 +100,6 @@ class TestEquivalence:
 
 
 class TestShardedMechanics:
-    def test_tsv_output_matches_single(self, tmp_path):
-        txns = _stream(duration=130.0, qps=15.0)
-        single_dir = tmp_path / "single"
-        sharded_dir = tmp_path / "sharded"
-        _run_single(txns, output_dir=str(single_dir))
-        _run_sharded(txns, 2, output_dir=str(sharded_dir))
-        names = sorted(os.listdir(single_dir))
-        assert sorted(os.listdir(sharded_dir)) == names
-        for name in names:
-            assert (sharded_dir / name).read_bytes() == \
-                (single_dir / name).read_bytes(), name
-
     def test_coordinator_batch_txns_account_for_every_transaction(
             self, tmp_path):
         """Configured the way ``benchmarks/ledger/child_pass.py`` runs
@@ -288,41 +276,10 @@ class TestWorkerFailure:
 
 
 class TestOneMergePoint:
-    """One flush path: a single process is one worker, and the
-    coordinator emits every worker's windows in (window start, channel
-    index) order, whatever order the replies arrive in."""
-
-    def test_one_shard_tree_equals_single_process(self, tmp_path):
-        """Whole files, ``#stats`` trailers included: six datasets,
-        detectors, ``_encrypted`` and the vantage indices."""
-        from repro.analysis.vantage import VantageDb, VantageEmitter
-
-        scenario = Scenario.tiny(seed=23, duration=150.0, client_qps=25.0,
-                                 encrypted_fraction=0.5)
-        channel = SieChannel(scenario)
-        db = VantageDb.from_topology(channel.dns.topology)
-        txns = list(channel.run())
-        datasets = [("srvip", 2000), ("qname", 2000), ("esld", 1000),
-                    "qtype", "rcode", ("aafqdn", 1000)]
-        trees = []
-        for name, build in (("single", Observatory),
-                            ("one-shard", lambda **kw: ShardedObservatory(
-                                shards=1, **kw))):
-            out = tmp_path / name
-            obs = build(datasets=datasets, output_dir=str(out),
-                        detectors=True, encrypted=True,
-                        vantage=VantageEmitter(db))
-            obs.consume(txns)
-            obs.finish()
-            trees.append({path.name: path.read_bytes()
-                          for path in out.iterdir()})
-        single, one_shard = trees
-        for prefix in ("srvip.", "aafqdn.", "_detector.", "_encrypted.",
-                       "_vantage_asn."):
-            assert any(name.startswith(prefix) for name in single), prefix
-        assert sorted(one_shard) == sorted(single)
-        for name in single:
-            assert one_shard[name] == single[name], name
+    """One flush path: the coordinator emits every worker's windows in
+    (window start, channel index) order, whatever order the replies
+    arrive in.  (That a single process is one worker is the
+    ``pipeline=one-worker`` row of ``tests/differential.py``.)"""
 
     def test_shuffled_reply_order_writes_the_same_tree(self, tmp_path,
                                                        monkeypatch):

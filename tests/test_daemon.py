@@ -4,8 +4,9 @@ These spawn the real CLI in a subprocess and talk to it over TCP:
 the window must become queryable within one window period of being
 cut, SSE framing must conform on a raw socket, and SIGTERM must cut
 the in-progress window, drain subscribers, and exit 0.  A window is
-handed over on its boundary line, and ``run`` writes the tree
-``replay`` writes from the same lines.
+handed over on its boundary line.  That ``run`` writes the tree
+``replay`` writes from the same lines, over a file and over stdin, is
+the ``live`` rows of ``tests/differential.py``.
 """
 
 import glob
@@ -20,20 +21,8 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from repro.daemon import stdin_lines
-from tests.util import window_tree
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(REPO, "src"),
-                    env.get("PYTHONPATH", "")) if p)
-    return env
+from tests.util import subprocess_env
 
 
 def spawn_daemon(series_dir, *extra):
@@ -42,7 +31,7 @@ def spawn_daemon(series_dir, *extra):
         [sys.executable, "-m", "repro.cli", "run", str(series_dir),
          "--preset", "tiny", "--port", "0"] + list(extra),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        env=_env(), text=True)
+        env=subprocess_env(), text=True)
     line = proc.stdout.readline()
     if "live daemon:" not in line:
         proc.kill()
@@ -68,7 +57,7 @@ def simulate(path, duration, qps):
         [sys.executable, "-m", "repro.cli", "simulate", "--preset",
          "tiny", "--duration", str(duration), "--qps", str(qps),
          "-o", str(path)],
-        env=_env(), check=True, capture_output=True)
+        env=subprocess_env(), check=True, capture_output=True)
     return path
 
 
@@ -300,7 +289,7 @@ def test_stdin_boundary_line_hands_window_over(tmp_path):
          "--input", "-", "--window", "1", "--pace", "0", "--port", "0",
          "--datasets", "srvip", "--exit-when-done"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, env=_env())
+        stderr=subprocess.STDOUT, env=subprocess_env())
     try:
         ready = proc.stdout.readline().decode()
         assert "live daemon:" in ready, ready
@@ -337,7 +326,7 @@ def test_non_utf8_line_is_skipped_by_every_line_source(tmp_path):
             (["run", str(tmp_path / "stdin"), "--input", "-"] + live,
              stream)):
         with open(stdin or os.devnull, "rb") as fh:
-            done = subprocess.run(base + argv, stdin=fh, env=_env(),
+            done = subprocess.run(base + argv, stdin=fh, env=subprocess_env(),
                                   capture_output=True, timeout=60)
         assert done.returncode == 0, (argv, done.stderr[-600:])
         assert b"skipped 1 malformed input lines" in done.stderr, argv
@@ -357,32 +346,3 @@ def test_health_reports_the_workers_run(tmp_path):
         assert proc.wait(timeout=20) == 0
     finally:
         reap(proc)
-
-
-@pytest.fixture(scope="module")
-def minute_stream(tmp_path_factory):
-    return simulate(tmp_path_factory.mktemp("minute") / "stream.tsv",
-                    60, 80)
-
-
-@pytest.mark.parametrize("shards", ["1", "2"])
-def test_daemon_writes_the_replay_tree(minute_stream, tmp_path, shards):
-    """``run`` over a file and over stdin writes the tree ``replay``
-    writes: its batch cuts fall elsewhere, the windows do not."""
-    flags = ["--window", "1", "--segments", "--detectors",
-             "--shards", shards]
-    base = [sys.executable, "-m", "repro.cli"]
-    live = ["--pace", "0", "--port", "0", "--exit-when-done"]
-    stream = str(minute_stream)
-    for name, argv in (
-            ("replay", ["replay", stream, "replay", "--telemetry"]),
-            ("file", ["run", "file", "--input", stream] + live),
-            ("stdin", ["run", "stdin", "--input", "-"] + live)):
-        with open(stream if name == "stdin" else os.devnull, "rb") as fh:
-            subprocess.run(base + argv + flags, stdin=fh, cwd=tmp_path,
-                           env=_env(), check=True, capture_output=True,
-                           timeout=120)
-    expected = window_tree(tmp_path / "replay")
-    assert any(name.startswith("srvip.") for name in expected)
-    assert window_tree(tmp_path / "file") == expected
-    assert window_tree(tmp_path / "stdin") == expected

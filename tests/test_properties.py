@@ -16,7 +16,8 @@ from repro.observatory.transaction import Transaction
 from repro.observatory.tsv import (
     TimeSeriesData, escape_key, filename_for, list_series, read_series,
     read_tsv, unescape_key, write_tsv)
-from tests.util import cut_windows, make_nxdomain, make_txn, window_tree
+from tests.differential import DIFF_SEEDS
+from tests.util import cut_windows, make_nxdomain, make_txn
 
 # -- strategies ---------------------------------------------------------
 
@@ -179,72 +180,17 @@ def test_featureset_merge_matches_single_pass(tagged):
 
 # -- randomized differential harness ------------------------------------
 #
-# The strongest correctness statement the system can make is that its
-# independently-built paths agree: the sharded multiprocess pipeline
-# against the single-process one on the same randomized stream, and the
-# indexed store's query answers against a raw directory scan on the
-# same tree.  Each seed below drives the simulator's RNG, so every
-# seed is a different workload.
-
-DIFF_SEEDS = [7, 1017, 2019, 31337, 424242]
-
-
-def _replay_tree(cli_main, stream, out, *flags):
-    assert cli_main(["replay", str(stream), str(out), *flags]) == 0
-    return window_tree(str(out))
-
-
-#: six datasets and the always-armed ``_encrypted``: seven channels,
-#: so two and three workers each own several trackers
-ALL_DATASETS = ("--datasets", "srvip", "qname", "esld", "qtype", "rcode",
-                "aafqdn")
-
-
-@pytest.mark.parametrize("seed", DIFF_SEEDS)
-def test_sharded_replay_matches_single_process(seed, tmp_path):
-    """simulate | replay == simulate | replay --shards N for N = 2 and
-    3, at the default k and at a saturating --k 50: every window file
-    byte for byte, ``#stats`` included, for five random workloads,
-    through the real CLI."""
-    from repro.cli import main as cli_main
-
-    stream = tmp_path / "stream.txt"
-    assert cli_main(["simulate", "--preset", "tiny", "--seed", str(seed),
-                     "--duration", "180", "--qps", "30",
-                     "-o", str(stream)]) == 0
-    for k in ("2000", "50"):
-        flags = ALL_DATASETS + ("--k", k, "--segments")
-        single = _replay_tree(cli_main, stream, tmp_path / ("single" + k),
-                              *flags)
-        assert any(name.endswith(".seg") for name in single)
-        for shards in ("2", "3"):
-            out = tmp_path / ("sharded%s-%s" % (shards, k))
-            assert _replay_tree(cli_main, stream, out, *flags, "--shards",
-                                shards, "--telemetry") == single, out
-            # the sharded run's telemetry really was on
-            assert any(name.startswith("_platform.")
-                       for name in os.listdir(str(out)))
-
-
-@pytest.mark.parametrize("seed", DIFF_SEEDS)
-def test_sharded_replay_repeats(seed, tmp_path):
-    """The same sharded command, five times: five identical trees."""
-    from repro.cli import main as cli_main
-
-    stream = tmp_path / "stream.txt"
-    assert cli_main(["simulate", "--preset", "tiny", "--seed", str(seed),
-                     "--duration", "120", "--qps", "30",
-                     "-o", str(stream)]) == 0
-    flags = ALL_DATASETS + ("--k", "50", "--detectors", "--shards", "3")
-    first = _replay_tree(cli_main, stream, tmp_path / "run0", *flags)
-    for run in range(1, 5):
-        assert _replay_tree(cli_main, stream, tmp_path / ("run%d" % run),
-                            *flags) == first
-
+# The indexed store's query answers against a raw directory scan on the
+# same tree.  Each seed below drives the query RNG.  The same-tree
+# contracts between ingest paths (single, sharded, live, in process)
+# are the rows of ``tests/differential.py``.
 
 @pytest.fixture(scope="module")
 def differential_tree(tmp_path_factory):
-    """One replayed TSV tree shared by the store-vs-raw differentials."""
+    """One replayed tree, every window with a fresh columnar sidecar,
+    shared by the store-vs-raw and segment-vs-text differentials."""
+    from repro.observatory.aggregate import TimeAggregator
+
     directory = tmp_path_factory.mktemp("difftree")
     obs = Observatory(datasets=[("qname", 256), ("srvip", 64)],
                       output_dir=str(directory), use_bloom_gate=False,
@@ -254,15 +200,18 @@ def differential_tree(tmp_path_factory):
                             qname="host%02d.example.com" % (i % 40),
                             server_ip="192.0.2.%d" % (1 + i % 7)))
     obs.finish()
+    report = TimeAggregator(str(directory)).compact()
+    assert report["built"] and not report["fresh"]
     return str(directory)
 
 
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_store_answers_match_raw_read_series(differential_tree, seed):
     """The bisected, LRU-cached store answers every
-    randomized range query exactly like a raw directory scan."""
+    randomized range query exactly like a raw directory scan of the
+    TSV text."""
     rng = random.Random(seed)
-    store = SeriesStore(differential_tree)
+    store = SeriesStore(differential_tree, use_segments=False)
 
     def snapshot(series):
         return [(d.start_ts, d.rows, d.stats) for d in series]
@@ -489,32 +438,13 @@ def test_concurrent_reader_never_sees_a_torn_window(tmp_path):
 # segment-backed store and a TSV-only store over the same tree answer
 # every query identically, down to the bytes HTTP clients receive.
 
-@pytest.fixture(scope="module")
-def segment_tree(tmp_path_factory):
-    """A replayed tree where every window carries a fresh sidecar."""
-    from repro.observatory.aggregate import TimeAggregator
-
-    directory = tmp_path_factory.mktemp("segtree")
-    obs = Observatory(datasets=[("qname", 256), ("srvip", 64)],
-                      output_dir=str(directory), use_bloom_gate=False,
-                      skip_recent_inserts=False)
-    for i in range(900):
-        obs.ingest(make_txn(ts=i * 0.4,
-                            qname="host%02d.example.com" % (i % 40),
-                            server_ip="192.0.2.%d" % (1 + i % 7)))
-    obs.finish()
-    report = TimeAggregator(str(directory)).compact()
-    assert report["built"] and not report["fresh"]
-    return str(directory)
-
-
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
-def test_segment_store_matches_text_parse(segment_tree, seed):
+def test_segment_store_matches_text_parse(differential_tree, seed):
     """Randomized ranges: read/accumulate/topk from segments equal the
     same queries re-parsing the TSV text, exactly."""
     rng = random.Random(seed)
-    seg = SeriesStore(segment_tree, cache_windows=0)
-    tsv = SeriesStore(segment_tree, cache_windows=0,
+    seg = SeriesStore(differential_tree, cache_windows=0)
+    tsv = SeriesStore(differential_tree, cache_windows=0,
                       use_segments=False)
 
     def snapshot(series):
@@ -537,7 +467,7 @@ def test_segment_store_matches_text_parse(segment_tree, seed):
     assert tsv.parses > 0 and tsv.segment_reads == 0
 
 
-def test_segment_backed_http_responses_byte_identical(segment_tree):
+def test_segment_backed_http_responses_byte_identical(differential_tree):
     """/series and /topk bodies (and ETags) from a segment-backed
     server equal a TSV-only server's, byte for byte."""
     import asyncio
@@ -554,9 +484,9 @@ def test_segment_backed_http_responses_byte_identical(segment_tree):
 
     def collect(use_segments):
         async def _main():
-            store = SeriesStore(segment_tree, cache_windows=0,
+            store = SeriesStore(differential_tree, cache_windows=0,
                                 use_segments=use_segments)
-            server, app = await build_server(segment_tree, port=0,
+            server, app = await build_server(differential_tree, port=0,
                                              store=store)
             try:
                 out = []
@@ -579,37 +509,6 @@ def test_segment_backed_http_responses_byte_identical(segment_tree):
 
 
 # -- detection subsystem differentials ----------------------------------
-
-@pytest.mark.parametrize("seed", DIFF_SEEDS)
-def test_sharded_detector_series_bit_identical(seed, tmp_path):
-    """replay --detectors == replay --detectors --shards 2: the whole
-    tree, ``_detector`` files included, agrees byte for byte, for five
-    random workloads carrying both scripted attacks, through the real
-    CLI."""
-    from repro.cli import main as cli_main
-
-    stream = tmp_path / "stream.txt"
-    assert cli_main(["simulate", "--preset", "tiny", "--seed", str(seed),
-                     "--duration", "300", "--qps", "15",
-                     "--attack", "tunnel:120:10",
-                     "--attack", "watertorture:120:10",
-                     "-o", str(stream)]) == 0
-    single = tmp_path / "single"
-    sharded = tmp_path / "sharded"
-    assert cli_main(["replay", str(stream), str(single),
-                     "--detectors"]) == 0
-    assert cli_main(["replay", str(stream), str(sharded), "--detectors",
-                     "--shards", "2"]) == 0
-    ours, theirs = window_tree(str(single)), window_tree(str(sharded))
-    assert any(name.startswith("_detector.") for name in ours), \
-        "no _detector series written"
-    assert ours == theirs
-    # the comparison exercised live flag paths, not all-quiet windows
-    flagged = sum(row["flagged"]
-                  for d in read_series(str(single), "_detector", "minutely")
-                  for key, row in d.rows if key in ("exfil", "ddos", "noh"))
-    assert flagged > 0
-
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.text(alphabet=st.sampled_from(_HOSTILE_ALPHABET),
@@ -641,8 +540,8 @@ def test_detector_rows_survive_tsv_roundtrip(qnames):
 
 # -- encrypted-DNS scenario differentials --------------------------------
 #
-# The blinding model makes three promises the harness below checks
-# through the real CLI, for five random workloads each:
+# The blinding model makes three promises, each checked through the
+# real CLI for five random workloads:
 #
 #  1. an encrypted-capable scenario at fraction 0 is byte-identical to
 #     a scenario that never heard of encryption (enabling the feature
@@ -653,7 +552,8 @@ def test_detector_rows_survive_tsv_roundtrip(qnames):
 #     per-resolver hash-threshold assignment nests);
 #  3. a sharded run writes the single-process tree, ``_encrypted`` and
 #     ``_vantage_*`` included, although ``_encrypted`` lives on a
-#     different worker from most trackers.
+#     different worker from most trackers (the ``mix-<seed>`` rows of
+#     ``tests/differential.py``).
 
 def _simulate_stream(cli_main, tmp_path, seed, name, extra=()):
     stream = tmp_path / ("%s.txt" % name)
@@ -664,26 +564,22 @@ def _simulate_stream(cli_main, tmp_path, seed, name, extra=()):
 
 
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
-def test_plaintext_encrypted_scenario_byte_identical(seed, tmp_path):
+def test_plaintext_encrypted_scenario_byte_identical(seed, streams,
+                                                     tmp_path):
     """simulate --encrypted-fraction 0 (with non-default DoH share and
     padding knobs armed) produces the exact bytes of a simulate that
-    never saw the flags, and replays to the same TSV tree."""
+    never saw the flags.  (That the bytes replay to one tree, without
+    an ``_encrypted`` series, is the ``plain-<seed>:default:
+    replay=replay`` row of ``tests/differential.py``.)"""
     from repro.cli import main as cli_main
 
-    plain = _simulate_stream(cli_main, tmp_path, seed, "plain")
-    armed = _simulate_stream(
-        cli_main, tmp_path, seed, "armed",
-        ["--encrypted-fraction", "0", "--doh-share", "0.9",
-         "--padding-block", "468"])
-    assert plain.read_bytes() == armed.read_bytes()
-    out_plain = tmp_path / "out-plain"
-    out_armed = tmp_path / "out-armed"
-    assert cli_main(["replay", str(plain), str(out_plain)]) == 0
-    assert cli_main(["replay", str(armed), str(out_armed)]) == 0
-    assert window_tree(str(out_plain)) == window_tree(str(out_armed))
-    # and no _encrypted series materialized for an all-plaintext stream
-    assert not any(name.startswith("_encrypted.")
-                   for name in os.listdir(str(out_plain)))
+    plain = streams("plain-%d" % seed)
+    armed = tmp_path / "armed.txt"
+    assert cli_main(plain.argv + [
+        "--encrypted-fraction", "0", "--doh-share", "0.9",
+        "--padding-block", "468", "-o", str(armed)]) == 0
+    with open(plain.path, "rb") as fh:
+        assert armed.read_bytes() == fh.read()
 
 
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
@@ -737,31 +633,3 @@ def test_blindness_monotone_as_fraction_rises(seed, tmp_path):
     assert cli_main(["report", "--blindness"] + dirs) == 0
     assert cli_main(["report", "--blindness", dirs[2], dirs[0],
                      dirs[1]]) == 3
-
-
-@pytest.mark.parametrize("seed", DIFF_SEEDS)
-def test_sharded_encrypted_and_vantage_bit_identical(seed, tmp_path):
-    """replay --vantage of an encrypted-mix stream == the same with
-    --shards 2 and 3, at the default k and at --k 50: the whole tree,
-    ``_encrypted`` and ``_vantage_*`` included, byte for byte,
-    ``#stats`` trailers included -- the trackers' workers keep the
-    blinded records out of their datasets but count them in
-    ``seen``."""
-    from repro.cli import main as cli_main
-
-    vdb = tmp_path / "vantage.tsv"
-    stream = _simulate_stream(
-        cli_main, tmp_path, seed, "mix",
-        ["--encrypted-fraction", "0.5", "--vantage-db", str(vdb)])
-    for k in ("2000", "50"):
-        flags = ("--vantage", str(vdb), "--k", k)
-        single = _replay_tree(cli_main, stream, tmp_path / ("single" + k),
-                              *flags)
-        assert any(name.startswith("_encrypted.") for name in single), \
-            "no _encrypted series written"
-        assert any(name.startswith("_vantage_") for name in single), \
-            "no _vantage series written"
-        for shards in ("2", "3"):
-            out = tmp_path / ("sharded%s-%s" % (shards, k))
-            assert _replay_tree(cli_main, stream, out, *flags, "--shards",
-                                shards) == single, out

@@ -107,13 +107,24 @@ def test_a_stale_parameter_line_fails(traced, capsys):
 def test_a_traffic_run_leaves_no_temporary_directory(tmp_path,
                                                      monkeypatch):
     """The hook's ``sitecustomize.py`` directory goes with the work
-    directory when the run ends."""
+    directory when the run ends, and so does the trace directory of a
+    report run without ``--traces``."""
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
     script = tmp_path / "traffic.sh"
     script.write_text('test -d "$1"\n')
     unreached.run_traffic(str(script), str(tmp_path), str(tmp_path))
+    assert os.listdir(temp) == []
+    source = tmp_path / "src"
+    source.mkdir()
+    allow = tmp_path / "allow.txt"
+    allow.write_text("")
+    monkeypatch.setattr(unreached, "TRAFFIC", str(script))
+    monkeypatch.setattr(unreached, "SOURCE", str(source))
+    monkeypatch.setattr(unreached, "ALLOW", str(allow))
+    monkeypatch.setattr(unreached, "repro_flags", set)
+    assert unreached.main([]) == 0
     assert os.listdir(temp) == []
 
 

@@ -21,6 +21,7 @@ function, parameter or flag that no longer exists.
 
 import argparse
 import ast
+import contextlib
 import glob
 import os
 import subprocess
@@ -329,12 +330,13 @@ def main(argv=None):
                              "holds traces, report from them without "
                              "running the traffic again")
     args = parser.parse_args(argv)
-    traces = os.path.abspath(
-        args.traces or tempfile.mkdtemp(prefix="unreached-traces-"))
-    os.makedirs(traces, exist_ok=True)
-    if not glob.glob(os.path.join(traces, "*.trace")):
-        run_traffic(TRAFFIC, SOURCE, traces)
-    return report(traces, SOURCE, ALLOW, repro_flags())
+    with contextlib.nullcontext(args.traces) if args.traces else \
+            tempfile.TemporaryDirectory(prefix="unreached-traces-") as traces:
+        traces = os.path.abspath(traces)
+        os.makedirs(traces, exist_ok=True)
+        if not glob.glob(os.path.join(traces, "*.trace")):
+            run_traffic(TRAFFIC, SOURCE, traces)
+        return report(traces, SOURCE, ALLOW, repro_flags())
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
-"""Shared test helpers: compact transaction factories."""
+"""Shared test helpers: compact transaction factories, the tree the
+differentials compare, and the environment of a child ``repro``."""
 
 import os
 
 from repro.dnswire.constants import QTYPE, RCODE
 from repro.observatory.transaction import Transaction
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_txn(ts=0.0, resolver_ip="10.0.0.1", server_ip="192.0.2.53",
@@ -98,3 +101,13 @@ def window_tree(directory):
             with open(path, "rb") as fh:
                 tree[name] = fh.read()
     return tree
+
+
+def subprocess_env():
+    """This process's environment with the repository's ``src`` first
+    on ``PYTHONPATH``, for a child ``python -m repro``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(REPO, "src"),
+                    env.get("PYTHONPATH", "")) if p)
+    return env

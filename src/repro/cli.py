@@ -196,8 +196,8 @@ def _add_ingest_args(parser):
                         default=["srvip", "qname", "esld", "qtype"])
     parser.add_argument("--k", type=int, default=2000, help="Top-k size")
     parser.add_argument("--window", type=float, default=60.0,
-                        help="statistics window seconds (the paper "
-                             "dumps every 60 s)")
+                        help="statistics window, whole seconds (the "
+                             "paper dumps every 60 s)")
     parser.add_argument("--shards", type=int, default=1, metavar="N",
                         help="ingest with up to N worker processes, one "
                              "per dataset/_detector/_encrypted channel at "
@@ -231,6 +231,10 @@ def _check_ingest_args(args):
             if getattr(args, flag) <= 0:
                 raise ValueError("--%s must be positive, got %g"
                                  % (flag, getattr(args, flag)))
+        if not args.window.is_integer():
+            # window files are named by whole-second starts
+            raise ValueError("--window must be a whole number of "
+                             "seconds, got %g" % args.window)
         resolve_datasets([(name, args.k) for name in args.datasets])
         build_detectors(args.detectors_on)  # [] (all) checks nothing
     except ValueError as exc:

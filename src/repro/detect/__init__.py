@@ -13,7 +13,7 @@ rows into ``/platform/health`` verdicts.
 """
 
 from repro.detect.base import (DEFAULT_DETECTORS, DETECTOR_DATASET,
-                               Detector, qname_info_millibits)
+                               Detector, chunk_facts, qname_info_millibits)
 from repro.detect.ddos import DdosDetector
 from repro.detect.exfil import ExfilDetector
 from repro.detect.noh import NohDetector
@@ -63,9 +63,11 @@ class DetectorSet:
             names.add(det.name)
 
     def observe_batch(self, txns):
-        """Feed transactions to every detector."""
+        """Derive the chunk's name facts once; feed them to every
+        detector."""
+        facts = chunk_facts(txns)
         for det in self.detectors:
-            det.observe_batch(txns)
+            det.observe_facts(facts)
 
     def cut(self, start_ts, end_ts):
         """Score the window across all detectors; concatenated rows."""

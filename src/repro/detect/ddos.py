@@ -9,12 +9,11 @@ The detector ranks eSLDs by distinct-FQDN count per window on a
 (Space-Saving slots carrying a small HyperLogLog each) and flags keys
 whose distinct count jumps over their own EWMA baseline.
 
-The sketch is the window accumulator; ``cut`` ranks it and starts a
+The sketch is the window accumulator; the cut ranks it and starts a
 fresh one.
 """
 
 from repro.detect.base import Detector
-from repro.sketches._hashing import hash64
 from repro.sketches.distinct import DistinctSpaceSaving
 
 
@@ -31,29 +30,20 @@ class DdosDetector(Detector):
         super().__init__()
         self._sketch = DistinctSpaceSaving(self.capacity, self.precision)
 
-    def observe(self, txn):
-        esld = self.esld(txn.qname)
-        if esld is None:
-            return
-        self._sketch.offer(esld, hash64(txn.qname.lower().rstrip(".")))
+    def observe_facts(self, facts):
+        offer = self._sketch.offer
+        for esld, qname_hash, _ in facts:
+            offer(esld, qname_hash)
 
-    def cut(self, start_ts, end_ts):
+    def close_window(self, start_ts):
         sketch = self._sketch
         self._sketch = DistinctSpaceSaving(self.capacity, self.precision)
         distinct = dict(sketch.top())
-        ranked, flagged = self.score_keys(distinct)
-        rows = []
-        for key, value, prior, flag in ranked:
-            rows.append((key, {
-                "distinct": int(value),
-                "baseline": round(prior, 1),
-                "flagged": flag,
-            }))
-        max_distinct = max(distinct.values()) if distinct else 0
-        rows.append((self.name, {
-            "keys": len(distinct),
-            "flagged": flagged,
-            "max_distinct": int(max_distinct),
-            "evictions": sketch.evictions,
-        }))
-        return rows
+
+        def row(esld, value, prior, flag):
+            return {"distinct": int(value), "baseline": round(prior, 1),
+                    "flagged": flag}
+
+        return distinct, row, {
+            "max_distinct": int(max(distinct.values(), default=0)),
+            "evictions": sketch.evictions}

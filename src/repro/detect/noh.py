@@ -15,7 +15,6 @@ rare false-positive pattern) does not depend on arrival order.
 """
 
 from repro.detect.base import Detector
-from repro.sketches._hashing import hash64
 from repro.sketches.bloom import RotatingBloomFilter
 
 
@@ -35,51 +34,35 @@ class NohDetector(Detector):
                                           rotate_interval=float("inf"))
         self._cuts = 0
 
-    def observe(self, txn):
-        esld = self.esld(txn.qname)
-        if esld is None:
-            return
-        qname_hash = hash64(txn.qname.lower().rstrip("."))
-        hashes = self._acc.get(esld)
-        if hashes is None:
-            self._acc[esld] = {qname_hash}
-        else:
-            hashes.add(qname_hash)
+    def observe_facts(self, facts):
+        acc = self._acc
+        for esld, qname_hash, _ in facts:
+            hashes = acc.get(esld)
+            if hashes is None:
+                acc[esld] = {qname_hash}
+            else:
+                hashes.add(qname_hash)
 
-    def cut(self, start_ts, end_ts):
+    def close_window(self, start_ts):
         acc, self._acc = self._acc, {}
         bloom = self._bloom
         noh = {}
-        distinct = {}
         # Sorted replay: iteration order must not depend on arrival
         # order, or Bloom insert order (and with it the rare
         # false-positive pattern) would differ between runs.
         for esld in sorted(acc):
-            hashes = acc[esld]
             fresh = 0
-            for h in sorted(hashes):
+            for h in sorted(acc[esld]):
                 if not bloom.add(b"%016x" % h):
                     fresh += 1
             noh[esld] = fresh
-            distinct[esld] = len(hashes)
         self._cuts += 1
         if self._cuts % self.generation_windows == 0:
             bloom._rotate(start_ts)
-        ranked, flagged = self.score_keys(noh)
-        rows = []
-        for key, value, prior, flag in ranked:
-            esld = key[len(self.name) + 1:]
-            rows.append((key, {
-                "noh": int(value),
-                "distinct": distinct[esld],
-                "baseline": round(prior, 1),
-                "flagged": flag,
-            }))
-        max_noh = max(noh.values()) if noh else 0
-        rows.append((self.name, {
-            "keys": len(acc),
-            "flagged": flagged,
-            "max_noh": int(max_noh),
-            "generations": bloom.rotations,
-        }))
-        return rows
+
+        def row(esld, value, prior, flag):
+            return {"noh": int(value), "distinct": len(acc[esld]),
+                    "baseline": round(prior, 1), "flagged": flag}
+
+        return noh, row, {"max_noh": int(max(noh.values(), default=0)),
+                          "generations": bloom.rotations}

@@ -63,9 +63,13 @@ def unescape_key(text):
 
 def filename_for(dataset, granularity, start_ts):
     """``srvip.minutely.0000086400.tsv`` -- name encodes granularity
-    and collection start time."""
+    and collection start time, a whole second (a fractional start
+    raises ValueError rather than share its second's name)."""
     if granularity not in GRANULARITIES:
         raise ValueError("unknown granularity %r" % (granularity,))
+    if not float(start_ts).is_integer():
+        raise ValueError("window start %r is not a whole second"
+                         % (start_ts,))
     return "%s.%s.%010d.tsv" % (dataset, granularity, int(start_ts))
 
 

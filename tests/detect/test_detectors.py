@@ -1,19 +1,26 @@
 """Unit tests for the streaming detection subsystem."""
 
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import memo
 from repro.detect import (DetectorSet, DdosDetector, ExfilDetector,
-                          NohDetector, build_detectors,
+                          NohDetector, base, build_detectors, chunk_facts,
                           qname_info_millibits)
+from repro.dnswire.psl import PublicSuffixList, default_psl
+from repro.sketches._hashing import hash64
+from tests.differential import DIFF_SEEDS, FLAGS, KIND_CHECKS, drive
 from tests.util import make_txn, tuned
 
 
 def window(detector, qnames, start=0.0):
     """Feed one window of transactions and return {key: row}."""
-    for qname in qnames:
-        detector.observe(make_txn(qname=qname))
+    DetectorSet([detector]).observe_batch(
+        [make_txn(qname=qname) for qname in qnames])
     return dict(detector.cut(start, start + 60.0))
 
 
@@ -124,10 +131,7 @@ class TestDdosDetector:
         assert rows["ddos.loud.net"]["flagged"] == 0
 
     def test_case_and_dot_insensitive(self):
-        det = DdosDetector()
-        for qname in ("WWW.Example.COM.", "www.example.com"):
-            det.observe(make_txn(qname=qname))
-        rows = dict(det.cut(0.0, 60.0))
+        rows = window(DdosDetector(), ["WWW.Example.COM.", "www.example.com"])
         assert rows["ddos.example.com"]["distinct"] == 1
 
 
@@ -161,3 +165,111 @@ class TestDetectorSet:
         rows = detectors.cut(0.0, 60.0)
         names = [key for key, _ in rows if "." not in key]
         assert names == ["exfil", "ddos", "noh"]
+
+
+# -- the name facts every detector shares ---------------------------------
+
+#: the root, hostile names and PSL corner cases (wildcard, exception,
+#: multi-label suffix), next to names assembled from their labels
+qnames = st.one_of(
+    st.sampled_from(["", ".", "com", "co.uk", "bbc.co.uk", "www.ck",
+                     "x.y.ck", "UPPER.Example.COM.", "_dmarc.example.com",
+                     "a" * 63 + ".example.net", "weird\\.label.test",
+                     "sp ace.example.com", "é.example.com"]),
+    st.lists(st.sampled_from(["www", "aaaa", "x9z", "co", "uk", "com",
+                              "ck", "bbc", "Example"]),
+             min_size=1, max_size=5).map(".".join))
+
+
+def reference_facts(qname):
+    """The facts derived from scratch, as each detector derived them
+    before the detectors shared one pass."""
+    psl = default_psl()
+    esld = psl.effective_sld(qname)
+    if esld is None:
+        esld = psl.effective_tld(qname)
+    if esld is None:
+        return None
+    norm = qname.lower().rstrip(".")
+    if len(norm) > len(esld) and norm.endswith(esld):
+        sub = norm[: -(len(esld) + 1)]
+    else:
+        sub = ""
+    return esld, hash64(norm), qname_info_millibits(sub)
+
+
+@pytest.mark.parametrize("limit", [None, 2])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(qnames, min_size=1, max_size=30))
+def test_memoized_facts_equal_reference(limit, names):
+    """:func:`chunk_facts` equals the from-scratch derivation on memo
+    hits and misses alike; at a cap of 2 entries the memo is cleared
+    wholesale over and over, each clear counted, which changes
+    nothing either."""
+    saved = base.NAME_MEMO_LIMIT
+    if limit is not None:
+        tuned(base, NAME_MEMO_LIMIT=limit)
+        # start from an empty memo: entries of earlier examples would
+        # turn every lookup into a hit
+        base._NAMES.clear()
+    clears = memo.CLEARS["record"]
+    try:
+        txns = [make_txn(qname=name) for name in names]
+        expected = [facts for facts in (reference_facts(txn.qname)
+                                        for txn in txns)
+                    if facts is not None]
+        for _ in range(2):  # every name a second time: memo hits
+            assert chunk_facts(txns) == expected
+        if limit is not None and len({t.qname for t in txns}) > limit:
+            # a third distinct name always meets a full memo
+            assert memo.CLEARS["record"] > clears
+    finally:
+        base.NAME_MEMO_LIMIT = saved
+
+
+def test_one_psl_lookup_per_distinct_name(monkeypatch):
+    """The detector set asks the PSL for a name's eSLD once, however
+    many detectors read it and however often it repeats."""
+    calls = []
+    effective_sld = PublicSuffixList.effective_sld
+
+    def counted(psl, name):
+        calls.append(name)
+        return effective_sld(psl, name)
+
+    monkeypatch.setattr(PublicSuffixList, "effective_sld", counted)
+    detectors = build_detectors(True)
+    names = ["host%d.psl-count.example" % i for i in range(10)]
+    for _ in range(3):
+        detectors.observe_batch([make_txn(qname=name) for name in names])
+    assert len(calls) == len(set(calls)) <= len(names)
+    assert dict(detectors.cut(0.0, 60.0))["exfil"]["keys"] == 1
+
+
+# -- the pinned golden of flagged windows ---------------------------------
+
+#: sha256 over the sorted ``name, bytes`` of the ``_detector`` files
+#: ``replay --detectors`` writes from each ``attacks-<seed>`` input of
+#: :mod:`tests.differential`, computed before the detectors shared one
+#: pass over each name's facts -- an oracle whose windows flag
+FLAGGED_GOLDEN = {
+    7: "d3d44165f5ea9e156a1a84ee67308b81d81cdaa391ed5790ec9b19f90dbb73bb",
+    1017: "d8051a9b7914552dfea82eff82fa7008e6cebcab0d6fe531e54296c557c46450",
+    2019: "cbe8fe5b9a570a291e218ffb7a581e99fb1f4056641f42c08de94e8da3be28ce",
+    31337:
+        "e7f99ea00acbdb86db614c97e1850866eb965d66be52ae00fd1892f33c654392",
+    424242:
+        "fd994b9a7d7a47d6f6f56f009fb8dd8e17aa2eb36ec331c1cd7067ff3ff49c0d",
+}
+
+
+@pytest.mark.parametrize("seed", DIFF_SEEDS)
+def test_flagged_windows_match_pinned_golden(seed, streams, tmp_path):
+    tree = drive("replay", streams("attacks-%d" % seed), tmp_path,
+                 FLAGS["detectors"])
+    assert KIND_CHECKS["attacks"](tree, str(tmp_path))
+    digest = hashlib.sha256()
+    for name in sorted(tree):
+        if name.startswith("_detector."):
+            digest.update(name.encode() + b"\0" + tree[name])
+    assert digest.hexdigest() == FLAGGED_GOLDEN[seed]

@@ -39,6 +39,12 @@ class TestFilenames:
         name = filename_for("srvip.v6", "daily", 0)
         assert parse_filename(name) == ("srvip.v6", "daily", 0)
 
+    def test_rejects_a_start_between_seconds(self):
+        assert filename_for("srvip", "minutely", 120.0) == \
+            filename_for("srvip", "minutely", 120)
+        with pytest.raises(ValueError, match="whole second"):
+            filename_for("srvip", "minutely", 0.25)
+
     def test_rejects_bad_granularity(self):
         with pytest.raises(ValueError):
             filename_for("srvip", "weekly", 0)

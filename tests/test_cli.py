@@ -469,7 +469,8 @@ class TestBadIngestArgs:
         ["--window", "0"], ["--window", "-5"], ["--k", "0"],
         ["--k", "0", "--shards", "2"], ["--datasets", "bogus"],
         ["--datasets", "srvip", "srvip"], ["--detectors", "bogus"],
-        ["--shards", "0"]], ids=" ".join)
+        ["--shards", "0"], ["--window", "0.25"], ["--window", "nan"],
+        ["--window", "inf"]], ids=" ".join)
     def test_exits_2_with_one_line(self, command, flags, tmp_path, capsys):
         stream = tmp_path / "stream.tsv"
         stream.write_text(make_txn().to_line() + "\n")
